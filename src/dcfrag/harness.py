@@ -143,6 +143,9 @@ def compare_schemes(cfg: ExperimentConfig, schemes: list) -> ComparisonResult:
     if len(schemes) < 2:
         raise ValueError("compare_schemes needs at least two schemes")
     configs = [s if isinstance(s, SchemeConfig) else SchemeConfig(scheme=s) for s in schemes]
+    names = [c.scheme for c in configs]
+    if len(set(names)) != len(names):
+        raise ValueError(f"compare_schemes got duplicate scheme names: {names}")
     topology = resolve_topology(cfg.topology)
     apps = resolve_workload(cfg.workload, topology)
     order = shuffle_order(apps, cfg.seed)

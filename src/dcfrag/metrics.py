@@ -129,12 +129,9 @@ def fragmentation_index(state, req: AllocationRequest) -> FragmentationReport:
     machinery with the local dimensions unconstrained.
     """
     if req.resource == "nw":
-        reaches = find_reaches(state.topology)
-        breakdown = capacity_breakdown(state, reaches)
-        count, res_req = placeable_inside_reaches(state, reaches, MultiRequest(nw=req.size))
-        count += placeable_between_reaches(state, reaches, res_req, MultiRequest(nw=req.size))
-        return FragmentationReport("nw", req.size, breakdown.total, count,
-                                   _index(breakdown.total, count, req.size))
+        report = network_rrf(state, MultiRequest(nw=req.size))
+        return FragmentationReport("nw", req.size, report.total_free,
+                                   report.placeable_multi, report.index)
     total = 0.0
     count = 0
     for host_id in sorted(state.host_free):
@@ -188,7 +185,7 @@ def _pair_reduce(values: list):
     second, shrink the largest by it and drop the paired item; the last item's
     leftover value is the residual. Ties resolve to the smallest id.
     """
-    items = sorted(values, key=lambda pair: (-pair[0], pair[1]))
+    items = list(values)
     acc = 0
     while len(items) > 1:
         items.sort(key=lambda pair: (-pair[0], pair[1]))
@@ -257,48 +254,52 @@ def reach_distance(t: Topology, reach_i: Reach, reach_j: Reach) -> float:
     )
 
 
-def _pair_order_step(t: Topology, pairs: list, link_free: dict):
-    """Pick the next reach pair: shortest path first, then most bandwidth,
-    then smallest id pair. Returns (index, pair, bandwidth)."""
-    best = None
-    for idx, (ri, rj) in enumerate(pairs):
-        dist = reach_distance(t, ri, rj)
-        key_head = dist
-        if best is not None and key_head > best[0][0]:
-            continue
-        bw = path_bandwidth(t, ri, rj, link_free)
-        key = (dist, -bw, ri.id, rj.id)
-        if best is None or key < best[0]:
-            best = (key, idx, bw)
-    _, idx, bw = best
-    return idx, pairs[idx], bw
+def _walk_between(state, reaches: list[Reach], residuals: dict, fit, unit: float):
+    """The reach-pair walk shared by the bandwidth and the count metric.
+
+    Pairs go shortest reach distance first, then most inter-reach bandwidth,
+    then smallest id pair; bandwidth is re-read at every step because each
+    step consumes path links. Each pair takes step = min(residual_i,
+    residual_j, fit(bandwidth)), deducted from both residuals and, times
+    `unit`, from the path links. Returns the summed steps.
+    """
+    t = state.topology
+    link_free = dict(state.link_free)
+    res = dict(residuals)
+    pairs = []
+    for i, ri in enumerate(reaches):
+        for rj in reaches[i + 1:]:
+            dist = reach_distance(t, ri, rj)
+            if dist != float("inf"):
+                pairs.append((dist, ri, rj))
+    total = 0
+    while pairs:
+        best = None
+        for idx, (dist, ri, rj) in enumerate(pairs):
+            if best is not None and dist > best[0][0]:
+                continue
+            bw = path_bandwidth(t, ri, rj, link_free)
+            key = (dist, -bw, ri.id, rj.id)
+            if best is None or key < best[0]:
+                best = (key, idx, bw)
+        _, idx, bw = best
+        _, ri, rj = pairs.pop(idx)
+        step = min(res[ri.id], res[rj.id], fit(bw))
+        if step > _EPS:
+            total += step
+            res[ri.id] -= step
+            res[rj.id] -= step
+            _consume_between(t, ri, rj, link_free, step * unit)
+    return total
 
 
 def capacity_between_reaches(state, reaches: list[Reach], res_bw: dict) -> float:
     """Achievable bandwidth between reaches, consuming per-reach residuals.
 
     Walks every reach pair once; each pair contributes
-    min(residual_i, residual_j, inter-reach bandwidth) and the contribution is
-    deducted from both residuals and from the path links.
+    min(residual_i, residual_j, inter-reach bandwidth).
     """
-    t = state.topology
-    link_free = dict(state.link_free)
-    res = dict(res_bw)
-    pairs = [(reaches[i], reaches[j])
-             for i in range(len(reaches)) for j in range(i + 1, len(reaches))]
-    pairs = [(ri, rj) for ri, rj in pairs
-             if reach_distance(t, ri, rj) != float("inf")]
-    total = 0.0
-    while pairs:
-        idx, (ri, rj), bw = _pair_order_step(t, pairs, link_free)
-        del pairs[idx]
-        step = min(res[ri.id], res[rj.id], bw)
-        if step > _EPS:
-            total += step
-            res[ri.id] -= step
-            res[rj.id] -= step
-            _consume_between(t, ri, rj, link_free, step)
-    return total
+    return float(_walk_between(state, reaches, res_bw, lambda bw: bw, 1.0))
 
 
 def capacity_breakdown(state, reaches: list[Reach] | None = None) -> NetworkCapacityBreakdown:
@@ -339,30 +340,13 @@ def placeable_between_reaches(state, reaches: list[Reach], res_req: dict,
                               req: MultiRequest) -> int:
     """Placeable request pairs between reaches, consuming residual counts.
 
-    Same pair walk as the bandwidth procedure with residual counts in place
-    of residual bandwidth; each placed pair consumes its network size along
-    the inter-reach paths.
+    The bandwidth procedure's walk with residual counts in place of residual
+    bandwidth; each placed pair consumes its network size along the
+    inter-reach paths.
     """
     if req.nw <= 0:
         raise ValueError("network component of the request must be > 0")
-    t = state.topology
-    link_free = dict(state.link_free)
-    res = dict(res_req)
-    pairs = [(reaches[i], reaches[j])
-             for i in range(len(reaches)) for j in range(i + 1, len(reaches))]
-    pairs = [(ri, rj) for ri, rj in pairs
-             if reach_distance(t, ri, rj) != float("inf")]
-    total = 0
-    while pairs:
-        idx, (ri, rj), bw = _pair_order_step(t, pairs, link_free)
-        del pairs[idx]
-        step = min(res[ri.id], res[rj.id], fit_count(bw, req.nw))
-        if step > 0:
-            total += step
-            res[ri.id] -= step
-            res[rj.id] -= step
-            _consume_between(t, ri, rj, link_free, step * req.nw)
-    return total
+    return _walk_between(state, reaches, res_req, lambda bw: fit_count(bw, req.nw), req.nw)
 
 
 def placeable_in_reach(state, reach: Reach, req: MultiRequest) -> int:

@@ -242,14 +242,18 @@ def _plan_for(state: PlacementState, app: Application) -> PlacementPlan:
     assignments = tuple(
         (vm_id, host) for (app_id, vm_id), host in sorted(state.assignments.items())
         if app_id == app.id)
+    t = state.topology
     reservations = []
     for (app_id, x, y), (path, bw) in sorted(state.reservations.items()):
         if app_id != app.id:
             continue
-        t = state.topology
-        nodes = [state.assignments[(app_id, x)]]
+        host_x, host_y = state.assignments[(app_id, x)], state.assignments[(app_id, y)]
+        # Topology.route orients every path from the smaller host id
+        nodes = [min(host_x, host_y)]
         for lid in path:
             nodes.append(t.links[lid].other(nodes[-1]))
+        if nodes[0] != host_x:
+            nodes.reverse()
         reservations.append((x, y, tuple(nodes), bw))
     return PlacementPlan(app_id=app.id, assignments=assignments,
                          reservations=tuple(reservations))

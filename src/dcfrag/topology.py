@@ -114,17 +114,11 @@ class Link:
 
 @dataclass(frozen=True)
 class Reach:
-    """A full-bisection subgraph: its hosts plus the boundary switches above them.
-
-    res_bw / res_req carry the leftover capacity of the reach after intra-reach
-    pairing; they are produced by the metrics procedures, not at construction.
-    """
+    """A full-bisection subgraph: its hosts plus the boundary switches above them."""
 
     id: str
     hosts: tuple[str, ...]
     switches: tuple[str, ...]
-    res_bw: float = 0.0
-    res_req: int = 0
 
 
 class Topology:

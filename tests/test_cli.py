@@ -111,3 +111,10 @@ class TestPlaceAndCompare:
         assert out.startswith("order=")
         schemes = {line.split()[0] for line in out.strip().splitlines()[1:]}
         assert schemes == {"scheme=LOCAL", "scheme=NETW", "scheme=UNIFIED"}
+
+    def test_compare_rejects_duplicate_schemes(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--topology", "tree64",
+                                 "--generate", "category=1,apps=3", "--seed", "1",
+                                 "--scheme", "UNIFIED", "--scheme", "UNIFIED")
+        assert code == 1 and out == ""
+        assert "duplicate scheme names" in err

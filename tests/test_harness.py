@@ -108,6 +108,13 @@ class TestCompareSchemes:
         with pytest.raises(ValueError, match="two schemes"):
             compare_schemes(small_config(), ["UNIFIED"])
 
+    def test_duplicate_scheme_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate scheme names"):
+            compare_schemes(small_config(), ["UNIFIED", "UNIFIED", "LOCAL"])
+        with pytest.raises(ValueError, match="duplicate scheme names"):
+            compare_schemes(small_config(), [SchemeConfig("NETW", netw_slots_per_host=2),
+                                             "NETW"])
+
     def test_three_scheme_comparison_summary(self, tmp_path):
         out = tmp_path / "cmp.csv"
         cfg = small_config(seed=2, output_path=str(out))

@@ -1,13 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcfrag import metrics as M
 from dcfrag.fixtures import FIG4_REQUEST, UNIT, UNIT_REF, fig3_state, fig4_state
 from dcfrag.metrics import AllocationRequest, MultiRequest
 from dcfrag.placement import PlacementState
 from dcfrag.topology import (Host, Link, ResourceVector, Switch, Topology,
-                             build_tree, find_reaches)
+                             build_clos, build_tree, find_reaches)
 
 from test_topology import mini_topology
 
@@ -192,33 +193,70 @@ class TestThreeReachLine:
             assert M.capacity_between_reaches(state, shuffled, residual) == \
                 pytest.approx(between)
 
-    def test_matches_exhaustive_pair_order_replay(self):
-        state = three_reach_line()
-        reaches = find_reaches(state.topology)
-        _, residual = M.capacity_inside_reaches(state, reaches)
-        got = M.capacity_between_reaches(state, reaches, residual)
 
-        # independent replay: enumerate selection steps by the stated rule
+def _replay_walk(t, reaches, residuals, link_free, fit, unit):
+    """Independent replay of the between-reach walk by its stated rule.
+
+    At every step, re-rank all remaining pairs by (reach distance, -path
+    bandwidth, ids), take min(both residuals, fit(bandwidth)) from the first
+    and consume `unit` per taken unit along its paths.
+    """
+    link_free = dict(link_free)
+    res = dict(residuals)
+    pairs = [(ri, rj) for i, ri in enumerate(reaches) for rj in reaches[i + 1:]
+             if M.reach_distance(t, ri, rj) != float("inf")]
+    total = 0
+    while pairs:
+        ri, rj = min(pairs, key=lambda p: (M.reach_distance(t, p[0], p[1]),
+                                           -M.path_bandwidth(t, p[0], p[1], link_free),
+                                           p[0].id, p[1].id))
+        pairs.remove((ri, rj))
+        step = min(res[ri.id], res[rj.id], fit(M.path_bandwidth(t, ri, rj, link_free)))
+        if step > 1e-9:
+            total += step
+            res[ri.id] -= step
+            res[rj.id] -= step
+            M._consume_between(t, ri, rj, link_free, step * unit)
+    return total
+
+
+@st.composite
+def walk_instances(draw):
+    """A multi-reach fabric with drawn link frees and per-reach residuals."""
+    fabric = draw(st.sampled_from(["tree", "clos", "line"]))
+    if fabric == "tree":
+        state = PlacementState(build_tree(draw(st.sampled_from([2, 4, 6])), 2, UNIT, 1.0,
+                                          oversub_ratio=draw(st.sampled_from([2.0, 4.0]))))
+    elif fabric == "clos":
+        state = PlacementState(build_clos(draw(st.sampled_from([2, 4])), 2, 2, UNIT, 1.0,
+                                          core_oversub=draw(st.sampled_from([2.0, 4.0]))))
+    else:
+        state = three_reach_line()
+    t = state.topology
+    for lid in sorted(state.link_free):
+        state.link_free[lid] = t.links[lid].capacity * draw(st.integers(0, 2)) / 2
+    reaches = draw(st.permutations(find_reaches(t)))
+    res_bw = {r.id: draw(st.integers(0, 8)) / 4 for r in reaches}
+    res_req = {r.id: draw(st.integers(0, 8)) for r in reaches}
+    req = MultiRequest(nw=draw(st.sampled_from([0.05, 0.1, 0.2, 0.3])))
+    return state, reaches, res_bw, res_req, req
+
+
+class TestPairWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(walk_instances())
+    def test_matches_exhaustive_pair_order_replay(self, instance):
+        state, reaches, res_bw, res_req, req = instance
         t = state.topology
-        link_free = dict(state.link_free)
-        res = dict(residual)
-        pairs = [(reaches[i], reaches[j]) for i in range(3) for j in range(i + 1, 3)]
-        expect = 0.0
-        while pairs:
-            keyed = sorted(
-                pairs,
-                key=lambda p: (M.reach_distance(t, p[0], p[1]),
-                               -M.path_bandwidth(t, p[0], p[1], link_free),
-                               p[0].id, p[1].id))
-            ri, rj = keyed[0]
-            pairs.remove((ri, rj))
-            step = min(res[ri.id], res[rj.id], M.path_bandwidth(t, ri, rj, link_free))
-            if step > 0:
-                expect += step
-                res[ri.id] -= step
-                res[rj.id] -= step
-                M._consume_between(t, ri, rj, link_free, step)
-        assert got == pytest.approx(expect)
+        got_bw = M.capacity_between_reaches(state, reaches, res_bw)
+        assert got_bw == pytest.approx(_replay_walk(
+            t, reaches, res_bw, state.link_free, lambda bw: bw, 1.0), abs=1e-12)
+        got_count = M.placeable_between_reaches(state, reaches, res_req, req)
+        assert got_count == _replay_walk(
+            t, reaches, res_req, state.link_free, lambda bw: M.fit_count(bw, req.nw),
+            req.nw)
+        breakdown = M.capacity_breakdown(state, reaches)
+        assert breakdown.inside + breakdown.between == breakdown.total
 
 
 class TestPathBandwidth:

@@ -2,14 +2,14 @@ import itertools
 
 import pytest
 
-from dcfrag.fixtures import UNIT, fig1_instance
+from dcfrag.fixtures import UNIT, category_spec, fig1_instance, named_topology
 from dcfrag.metrics import MultiRequest
 from dcfrag.placement import (CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
                               place_application_local, place_application_netw,
                               place_application_unified, reserve_traffic)
 from dcfrag.topology import ResourceVector, build_tree, find_reaches
-from dcfrag.workload import VM, Application
+from dcfrag.workload import VM, Application, generate_workload
 
 def idle_tree(num_tors=2, hosts_per_tor=2, link=1.0, oversub=2.0, cap=UNIT):
     return build_tree(num_tors, hosts_per_tor, cap, link, oversub)
@@ -309,6 +309,30 @@ class TestStateValidate:
             out = place_application(state, app, cfg)
             assert out.ok, scheme
             assert state.validate() == [], scheme
+
+
+class TestPlanPaths:
+    def test_reservation_paths_run_from_host_x_to_host_y(self):
+        t = named_topology("tree64")
+        apps = generate_workload(category_spec(1, 24, 0))
+        slots = derive_netw_slots(t, apps)
+        reversed_edges = 0
+        for scheme in ("UNIFIED", "LOCAL", "NETW"):
+            state = PlacementState(t)
+            reaches = find_reaches(t)
+            cfg = SchemeConfig(scheme=scheme, netw_slots_per_host=slots)
+            for app in apps:
+                out = place_application(state, app, cfg, reaches)
+                if not out.ok:
+                    continue
+                hosts = dict(out.plan.assignments)
+                for x, y, nodes, _ in out.plan.reservations:
+                    assert (nodes[0], nodes[-1]) == (hosts[x], hosts[y]), (scheme, x, y)
+                    for a, b in zip(nodes, nodes[1:]):
+                        assert any(l.other(a) == b for l in t.links.values()
+                                   if a in (l.a, l.b)), (scheme, nodes)
+                    reversed_edges += hosts[x] > hosts[y]
+        assert reversed_edges > 0
 
 
 class TestFig1SchemeDivergence:
