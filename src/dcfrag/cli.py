@@ -50,6 +50,9 @@ def _workload_source(args):
         return args.workload
     if getattr(args, "generate", None):
         fields = _parse_kv(args.generate, "--generate")
+        for key in ("category", "apps"):
+            if key not in fields:
+                raise ValueError(f"--generate needs {key}=N, e.g. category=1,apps=30")
         category = int(fields.pop("category"))
         apps = int(fields.pop("apps"))
         seed = int(fields.pop("seed", args.seed))

@@ -139,7 +139,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def compare_schemes(cfg: ExperimentConfig, schemes: list) -> ComparisonResult:
-    """Run several schemes over identical cloned initial state and shuffle."""
+    """Run several schemes, each on a fresh PlacementState, over one shuffle."""
     if len(schemes) < 2:
         raise ValueError("compare_schemes needs at least two schemes")
     configs = [s if isinstance(s, SchemeConfig) else SchemeConfig(scheme=s) for s in schemes]

@@ -3,12 +3,14 @@
 The state tracks per-host free resources (NIC as a demand budget: the sum of
 the hosted VMs' declared NIC needs), per-link free bandwidth consumed by
 routed edge reservations, and the VM assignments themselves. Every scheme
-commits through the same guarded operations, so a successful placement always
-leaves the state valid, and every failure rolls back to a snapshot.
+commits through the same guarded operations inside state.transaction(), so a
+successful placement always leaves the state valid, and every failure puts
+back the exact values it replaced.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import metrics
@@ -17,6 +19,7 @@ from .topology import Reach, ResourceVector, Topology, find_reaches
 from .workload import Application, VM, bw_between, representative_request
 
 _EPS = 1e-9
+_ABSENT = object()  # journal marker: the key was not in the table
 
 SCHEMES = ("UNIFIED", "LOCAL", "NETW")
 
@@ -79,7 +82,8 @@ class PlacementState:
     """Mutable reservation ledger over an immutable topology.
 
     A state belongs to one run at a time; clone() hands an independent copy
-    to anything that wants to explore placements concurrently.
+    to anything that wants to explore placements concurrently. Every ledger
+    write goes through _write, which journals it while a transaction is open.
     """
 
     def __init__(self, topology: Topology):
@@ -95,8 +99,9 @@ class PlacementState:
         self.reservations: dict[tuple[str, str, str], tuple[tuple[str, ...], float]] = {}
         self.slots_used: dict[str, int] = {h.id: 0 for h in topology.hosts.values()}
         self.apps: dict[str, Application] = {}
+        self._journal: list | None = None
 
-    # -- snapshots ------------------------------------------------------------
+    # -- snapshots and transactions -------------------------------------------
 
     def snapshot(self):
         return (
@@ -119,10 +124,43 @@ class PlacementState:
         twin.restore(self.snapshot())
         return twin
 
+    def _write(self, table: dict, key, value) -> None:
+        if self._journal is not None:
+            self._journal.append((table, key, table.get(key, _ABSENT)))
+        table[key] = value
+
+    @contextmanager
+    def transaction(self):
+        """Nestable all-or-nothing block; yields its commit function.
+
+        A block left without calling commit() (by return, break or exception)
+        puts back every value it replaced, newest first. A committed inner
+        block hands its journal to the enclosing one.
+        """
+        outer, journal, committed = self._journal, [], False
+
+        def commit() -> None:
+            nonlocal committed
+            committed = True
+
+        self._journal = journal
+        try:
+            yield commit
+        finally:
+            self._journal = outer
+            if not committed:
+                for table, key, old in reversed(journal):
+                    if old is _ABSENT:
+                        del table[key]
+                    else:
+                        table[key] = old
+            elif outer is not None:
+                outer.extend(journal)
+
     # -- guarded commits -------------------------------------------------------
 
     def register_app(self, app: Application) -> None:
-        self.apps[app.id] = app
+        self._write(self.apps, app.id, app)
 
     def assign_vm(self, app_id: str, vm: VM, host_id: str) -> None:
         free = self.host_free[host_id]
@@ -130,14 +168,9 @@ class PlacementState:
             need, avail = vm.demand.get(dim), free.get(dim)
             if need > avail + _EPS:
                 raise CapacityError("host", host_id, dim, need, avail)
-        self.host_free[host_id] = free - vm.demand
-        self.assignments[(app_id, vm.id)] = host_id
-        self.vm_demand[(app_id, vm.id)] = vm.demand
-
-    def unassign_vm(self, app_id: str, vm_id: str) -> None:
-        host_id = self.assignments.pop((app_id, vm_id))
-        demand = self.vm_demand.pop((app_id, vm_id))
-        self.host_free[host_id] = self.host_free[host_id] + demand
+        self._write(self.host_free, host_id, free - vm.demand)
+        self._write(self.assignments, (app_id, vm.id), host_id)
+        self._write(self.vm_demand, (app_id, vm.id), vm.demand)
 
     def reserve_edge(self, app_id: str, vm_a: str, vm_b: str, bw: float) -> tuple[str, ...]:
         """Route one traffic edge on the deterministic widest-shortest path
@@ -151,9 +184,9 @@ class PlacementState:
             if self.link_free[lid] + _EPS < bw:
                 raise CapacityError("link", lid, "bw", bw, self.link_free[lid])
         for lid in path:
-            self.link_free[lid] -= bw
+            self._write(self.link_free, lid, self.link_free[lid] - bw)
         key = (app_id,) + tuple(sorted((vm_a, vm_b)))
-        self.reservations[key] = (path, bw)
+        self._write(self.reservations, key, (path, bw))
         return path
 
     def host_ids(self) -> list[str]:
@@ -210,13 +243,12 @@ class PlacementState:
 # -- shared pieces --------------------------------------------------------------
 
 
-def reserve_traffic(state: PlacementState, app: Application, vm_id: str) -> str | None:
+def reserve_traffic(state: PlacementState, app: Application, vm_id: str) -> None:
     """Reserve the traffic of a just-placed VM toward its already-placed peers.
 
-    On any link shortfall the VM's placement (assignment plus the edges
-    reserved so far in this call) is rolled back and the failure is returned.
+    A link shortfall raises CapacityError; the caller's transaction undoes the
+    VM and the edges reserved so far.
     """
-    done: list[tuple[str, str]] = []
     for (x, y), bw in app.edges():
         if vm_id not in (x, y) or bw <= 0:
             continue
@@ -225,29 +257,18 @@ def reserve_traffic(state: PlacementState, app: Application, vm_id: str) -> str 
             continue
         if state.assignments[(app.id, x)] == state.assignments[(app.id, y)]:
             continue
-        try:
-            state.reserve_edge(app.id, x, y, bw)
-            done.append((x, y))
-        except CapacityError as exc:
-            for px, py in done:
-                path, got = state.reservations.pop((app.id, px, py))
-                for lid in path:
-                    state.link_free[lid] += got
-            state.unassign_vm(app.id, vm_id)
-            return str(exc)
-    return None
+        state.reserve_edge(app.id, x, y, bw)
 
 
 def _plan_for(state: PlacementState, app: Application) -> PlacementPlan:
-    assignments = tuple(
-        (vm_id, host) for (app_id, vm_id), host in sorted(state.assignments.items())
-        if app_id == app.id)
+    host_of = {v: state.assignments[(app.id, v)] for v in app.vm_ids()}
     t = state.topology
     reservations = []
-    for (app_id, x, y), (path, bw) in sorted(state.reservations.items()):
-        if app_id != app.id:
+    for (x, y), _ in app.edges():
+        if (app.id, x, y) not in state.reservations:
             continue
-        host_x, host_y = state.assignments[(app_id, x)], state.assignments[(app_id, y)]
+        path, bw = state.reservations[(app.id, x, y)]
+        host_x, host_y = host_of[x], host_of[y]
         # Topology.route orients every path from the smaller host id
         nodes = [min(host_x, host_y)]
         for lid in path:
@@ -255,7 +276,7 @@ def _plan_for(state: PlacementState, app: Application) -> PlacementPlan:
         if nodes[0] != host_x:
             nodes.reverse()
         reservations.append((x, y, tuple(nodes), bw))
-    return PlacementPlan(app_id=app.id, assignments=assignments,
+    return PlacementPlan(app_id=app.id, assignments=tuple(sorted(host_of.items())),
                          reservations=tuple(reservations))
 
 
@@ -334,48 +355,46 @@ def place_application_unified(state: PlacementState, app: Application,
     if reaches is None:
         reaches = find_reaches(state.topology)
     req = representative_request(app)
-    snap = state.snapshot()
-    state.register_app(app)
+    with state.transaction() as commit:
+        state.register_app(app)
+        reach = _least_loaded_reach(state, reaches, req)
+        tried = {reach.id}
+        unplaced = set(app.vm_ids())
+        placed_hosts: set[str] = set()
+        last_failure = "no reach could take the first VM"
 
-    reach = _least_loaded_reach(state, reaches, req)
-    tried = {reach.id}
-    unplaced = set(app.vm_ids())
-    placed_hosts: set[str] = set()
-    last_failure = "no reach could take the first VM"
-
-    while True:
-        reach_hosts = set(reach.hosts)
-        vm_id = min(unplaced,
-                    key=lambda v: (-bw_between(app, {v}, unplaced - {v}), v))
         while True:
-            host = bal_pack(state, app.vm(vm_id), reach, config)
-            if host is None:
-                last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
-                break
-            try:
-                state.assign_vm(app.id, app.vm(vm_id), host)
-            except CapacityError as exc:  # headroom <= capacity, but stay safe
-                last_failure = str(exc)
-                break
-            failure = reserve_traffic(state, app, vm_id)
-            if failure is not None:
-                last_failure = failure
-                break
-            placed_hosts.add(host)
-            unplaced.discard(vm_id)
-            if not unplaced:
-                return PlacementOutcome(ok=True, plan=_plan_for(state, app))
-            in_reach = {v for v in app.vm_ids()
-                        if state.assignments.get((app.id, v)) in reach_hosts}
+            reach_hosts = set(reach.hosts)
             vm_id = min(unplaced,
-                        key=lambda v: (-(bw_between(app, {v}, in_reach)
-                                         - bw_between(app, {v}, unplaced - {v})), v))
-        sibling = best_sibling_reach(state, reaches, tried, placed_hosts, req)
-        if sibling is None:
-            state.restore(snap)
-            return PlacementOutcome(ok=False, failure=last_failure)
-        reach = sibling
-        tried.add(reach.id)
+                        key=lambda v: (-bw_between(app, {v}, unplaced - {v}), v))
+            while True:
+                host = bal_pack(state, app.vm(vm_id), reach, config)
+                if host is None:
+                    last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
+                    break
+                try:
+                    with state.transaction() as commit_vm:
+                        state.assign_vm(app.id, app.vm(vm_id), host)
+                        reserve_traffic(state, app, vm_id)
+                        commit_vm()
+                except CapacityError as exc:
+                    last_failure = str(exc)
+                    break
+                placed_hosts.add(host)
+                unplaced.discard(vm_id)
+                if not unplaced:
+                    commit()
+                    return PlacementOutcome(ok=True, plan=_plan_for(state, app))
+                in_reach = {v for v in app.vm_ids()
+                            if state.assignments.get((app.id, v)) in reach_hosts}
+                vm_id = min(unplaced,
+                            key=lambda v: (-(bw_between(app, {v}, in_reach)
+                                             - bw_between(app, {v}, unplaced - {v})), v))
+            sibling = best_sibling_reach(state, reaches, tried, placed_hosts, req)
+            if sibling is None:
+                return PlacementOutcome(ok=False, failure=last_failure)
+            reach = sibling
+            tried.add(reach.id)
 
 
 # -- LOCAL (dominant-dimension FFD) ---------------------------------------------------
@@ -398,28 +417,27 @@ def place_application_local(state: PlacementState, app: Application,
         norm = v.demand.normalized(ref.host)
         return max(norm.cpu, norm.mem, norm.nic) * config.local_size_inflation
 
-    snap = state.snapshot()
-    state.register_app(app)
-    hosts = state.host_ids()
-    for vm in sorted(app.vms, key=lambda v: (-size(v), v.id)):
-        target = None
-        for host_id in hosts:
-            if vm.demand.fits_within(state.host_free[host_id]):
-                target = host_id
-                break
-        if target is None:
-            state.restore(snap)
-            return PlacementOutcome(ok=False, failure=f"no host fits VM {vm.id}")
-        state.assign_vm(app.id, vm, target)
+    with state.transaction() as commit:
+        state.register_app(app)
+        hosts = state.host_ids()
+        for vm in sorted(app.vms, key=lambda v: (-size(v), v.id)):
+            target = None
+            for host_id in hosts:
+                if vm.demand.fits_within(state.host_free[host_id]):
+                    target = host_id
+                    break
+            if target is None:
+                return PlacementOutcome(ok=False, failure=f"no host fits VM {vm.id}")
+            state.assign_vm(app.id, vm, target)
 
-    for (x, y), bw in app.edges():
-        if bw <= 0 or state.assignments[(app.id, x)] == state.assignments[(app.id, y)]:
-            continue
-        try:
-            state.reserve_edge(app.id, x, y, bw)
-        except CapacityError as exc:
-            state.restore(snap)
-            return PlacementOutcome(ok=False, failure=str(exc))
+        for (x, y), bw in app.edges():
+            if bw <= 0 or state.assignments[(app.id, x)] == state.assignments[(app.id, y)]:
+                continue
+            try:
+                state.reserve_edge(app.id, x, y, bw)
+            except CapacityError as exc:
+                return PlacementOutcome(ok=False, failure=str(exc))
+        commit()
     return PlacementOutcome(ok=True, plan=_plan_for(state, app))
 
 
@@ -525,23 +543,24 @@ def place_application_netw(state: PlacementState, app: Application,
         if remaining or not _hose_ok(t, state, counts, n_total, bw):
             continue
 
-        snap = state.snapshot()
-        state.register_app(app)
         try:
-            vm_iter = iter(sorted(app.vms, key=lambda v: v.id))
-            for host_id in unit_hosts:
-                for _ in range(counts.get(host_id, 0)):
-                    state.assign_vm(app.id, next(vm_iter), host_id)
-                    state.slots_used[host_id] += 1
-            for (x, y), edge_bw in app.edges():
-                if edge_bw <= 0:
-                    continue
-                if state.assignments[(app.id, x)] == state.assignments[(app.id, y)]:
-                    continue
-                state.reserve_edge(app.id, x, y, edge_bw)
+            with state.transaction() as commit:
+                state.register_app(app)
+                vm_iter = iter(sorted(app.vms, key=lambda v: v.id))
+                for host_id in unit_hosts:
+                    for _ in range(counts.get(host_id, 0)):
+                        state.assign_vm(app.id, next(vm_iter), host_id)
+                        state._write(state.slots_used, host_id,
+                                     state.slots_used[host_id] + 1)
+                for (x, y), edge_bw in app.edges():
+                    if edge_bw <= 0:
+                        continue
+                    if state.assignments[(app.id, x)] == state.assignments[(app.id, y)]:
+                        continue
+                    state.reserve_edge(app.id, x, y, edge_bw)
+                commit()
         except CapacityError as exc:
             last_failure = str(exc)
-            state.restore(snap)
             continue
         return PlacementOutcome(ok=True, plan=_plan_for(state, app))
     return PlacementOutcome(ok=False, failure=last_failure)

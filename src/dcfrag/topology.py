@@ -168,9 +168,6 @@ class Topology:
         for lid in self.adjacency.get(node, ()):
             yield self.links[lid].other(node), lid
 
-    def host_uplink(self, host_id: str) -> Link:
-        return self.links[self.hosts[host_id].uplink]
-
     # -- structural validation ---------------------------------------------
 
     def validate(self) -> None:

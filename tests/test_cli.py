@@ -80,6 +80,14 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "place", "--topology", "fig4")
         assert code == 1 and "--workload or --generate" in err
 
+    @pytest.mark.parametrize("generate, missing", [("apps=3", "category"),
+                                                   ("category=1", "apps")])
+    def test_generate_without_a_required_key_is_an_error(self, capsys, generate, missing):
+        code, out, err = run_cli(capsys, "compare", "--topology", "tree64",
+                                 "--generate", generate)
+        assert code == 1 and out == ""
+        assert err.startswith(f"dcfrag: error: --generate needs {missing}=N")
+
 
 class TestPlaceAndCompare:
     def test_place_generated_category(self, capsys, tmp_path):

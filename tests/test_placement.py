@@ -1,14 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcfrag.fixtures import UNIT, category_spec, fig1_instance, named_topology
 from dcfrag.metrics import MultiRequest
-from dcfrag.placement import (CapacityError, PlacementState, SchemeConfig, bal_pack,
+from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
                               place_application_local, place_application_netw,
                               place_application_unified, reserve_traffic)
-from dcfrag.topology import ResourceVector, build_tree, find_reaches
+from dcfrag.topology import ResourceVector, build_clos, build_tree, find_reaches
 from dcfrag.workload import VM, Application, generate_workload
 
 def idle_tree(num_tors=2, hosts_per_tor=2, link=1.0, oversub=2.0, cap=UNIT):
@@ -84,15 +85,27 @@ class TestReserveTraffic:
         assert state.link_free["h1-t0"] == pytest.approx(0.7)
 
     def test_shortfall_rolls_back_the_vm(self):
-        state, app = self.setup_app({("v1", "v2"): 0.3})
-        state.link_free["h1-t0"] = 0.2
-        state.assign_vm(app.id, app.vm("v1"), "h0")
-        before_free = dict(state.link_free)
-        state.assign_vm(app.id, app.vm("v2"), "h1")
-        failure = reserve_traffic(state, app, "v2")
-        assert failure is not None and "h1-t0" in failure
-        assert (app.id, "v2") not in state.assignments
-        assert state.link_free == before_free
+        # the second case reserves (v1, v2) before (v2, v3) falls short; an
+        # inverse-arithmetic undo would leave h0-t0 at 0.8499999999999999
+        cases = [
+            ({("v1", "v2"): 0.3}, {"h1-t0": 0.2}, {"v1": "h0"}),
+            ({("v1", "v2"): 0.2, ("v2", "v3"): 0.3}, {"h0-t0": 0.85, "h1-t0": 0.45},
+             {"v1": "h0", "v3": "h2"}),
+        ]
+        for traffic, link_free, placed in cases:
+            state, app = self.setup_app(traffic)
+            state.link_free.update(link_free)
+            for vm_id, host in placed.items():
+                state.assign_vm(app.id, app.vm(vm_id), host)
+            before, before_free = state.snapshot(), dict(state.link_free)
+            with pytest.raises(CapacityError, match="h1-t0"):
+                with state.transaction():
+                    state.assign_vm(app.id, app.vm("v2"), "h1")
+                    reserve_traffic(state, app, "v2")
+            assert (app.id, "v2") not in state.assignments
+            assert not state.reservations
+            assert state.link_free == before_free
+            assert state.snapshot() == before
 
 
 class TestUnified:
@@ -281,6 +294,25 @@ class TestNetw:
         assert state.snapshot() == before
 
 
+class TestTransaction:
+    def test_committed_inner_block_rolls_back_with_the_outer_one(self):
+        state, _ = tree_state()
+        app = tree_app({"v1": (0.3, 0.1, 0.0), "v2": (0.6, 0.1, 0.0)}, {}, state.topology)
+        fresh = state.snapshot()
+        with state.transaction():
+            state.register_app(app)
+            with state.transaction() as commit:
+                state.assign_vm(app.id, app.vm("v1"), "h0")
+                commit()
+            with pytest.raises(CapacityError):
+                with state.transaction():
+                    state.assign_vm(app.id, app.vm("v2"), "h1")
+                    state.assign_vm(app.id, app.vm("v2"), "h1")
+            assert set(state.assignments) == {(app.id, "v1")}
+            assert state.host_free["h1"] == state.topology.hosts["h1"].free
+        assert state.snapshot() == fresh
+
+
 class TestStateValidate:
     def test_fresh_state_ok(self):
         state, _ = tree_state()
@@ -333,6 +365,62 @@ class TestPlanPaths:
                                    if a in (l.a, l.b)), (scheme, nodes)
                     reversed_edges += hosts[x] > hosts[y]
         assert reversed_edges > 0
+
+
+@st.composite
+def ledger_runs(draw):
+    """A small oversubscribed tree or CLOS fabric, one scheme, and a sequence
+    of apps. Host uplinks are tight, so a VM's edges can exhaust one part-way
+    and UNIFIED then spills to a sibling reach, sometimes successfully."""
+    if draw(st.booleans()):
+        t = build_tree(draw(st.sampled_from([2, 4])), 2, UNIT, 1.0, oversub_ratio=2.0)
+    else:
+        t = build_clos(2, 2, 2, UNIT, 1.0, core_oversub=2.0)
+    for lid in sorted(t.links):
+        frees = [0.25, 0.45, 0.85, 1.0] if t.is_host(t.links[lid].a) else [0.85, 1.0]
+        t.links[lid].free = t.links[lid].capacity * draw(st.sampled_from(frees))
+    cfg = SchemeConfig(scheme=draw(st.sampled_from(SCHEMES)),
+                       netw_slots_per_host=draw(st.integers(1, 4)))
+    apps = []
+    for i in range(draw(st.integers(1, 6))):
+        ids = [f"v{j}" for j in range(draw(st.integers(1, 4)))]
+        traffic = {}
+        for pair in itertools.combinations(ids, 2):
+            bw = draw(st.sampled_from([0.0, 0.1, 0.2, 0.3]))
+            if bw:
+                traffic[pair] = bw
+        size = st.sampled_from([0.1, 0.2, 0.4])
+        demands = {v: (draw(size), draw(size),
+                       sum(bw for pair, bw in traffic.items() if v in pair)) for v in ids}
+        apps.append(tree_app(demands, traffic, t, app_id=f"a{i}"))
+    return t, cfg, apps
+
+
+class TestLedgerProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(ledger_runs())
+    def test_every_attempt_leaves_an_exact_ledger(self, run):
+        t, cfg, apps = run
+        state, reaches = PlacementState(t), find_reaches(t)
+        for app in apps:
+            before = state.snapshot()
+            out = place_application(state, app, cfg, reaches)
+            assert state.validate() == []
+            if not out.ok:
+                assert state.snapshot() == before
+                continue
+            assert set(out.plan.assignments) == {
+                (v, host) for (a, v), host in state.assignments.items() if a == app.id}
+            reserved = {(x, y): (path, bw)
+                        for (a, x, y), (path, bw) in state.reservations.items() if a == app.id}
+            assert {(x, y) for x, y, _, _ in out.plan.reservations} == set(reserved)
+            hosts = dict(out.plan.assignments)
+            for x, y, nodes, bw in out.plan.reservations:
+                assert (nodes[0], nodes[-1]) == (hosts[x], hosts[y])
+                links = [next(lid for peer, lid in t.neighbors(a) if peer == b)
+                         for a, b in zip(nodes, nodes[1:])]
+                path, got = reserved[(x, y)]
+                assert bw == got and sorted(links) == sorted(path)
 
 
 class TestFig1SchemeDivergence:
