@@ -37,12 +37,22 @@ def _parse_kv(text: str, what: str) -> dict:
     return out
 
 
+def _number(fields: dict, key: str, what: str, kind=int):
+    """Pop fields[key] parsed as kind; a bad value names the option and key."""
+    value = fields.pop(key)
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what} {key} must be {noun}, got {value!r}") from None
+
+
 def _parse_request(text: str) -> MultiRequest:
     fields = _parse_kv(text, "--request")
     unknown = set(fields) - {"cpu", "mem", "nw"}
     if unknown:
         raise ValueError(f"unknown --request keys {sorted(unknown)}")
-    return MultiRequest(**{k: float(v) for k, v in fields.items()})
+    return MultiRequest(**{k: _number(fields, k, "--request", float) for k in list(fields)})
 
 
 def _workload_source(args):
@@ -53,9 +63,9 @@ def _workload_source(args):
         for key in ("category", "apps"):
             if key not in fields:
                 raise ValueError(f"--generate needs {key}=N, e.g. category=1,apps=30")
-        category = int(fields.pop("category"))
-        apps = int(fields.pop("apps"))
-        seed = int(fields.pop("seed", args.seed))
+        category = _number(fields, "category", "--generate")
+        apps = _number(fields, "apps", "--generate")
+        seed = _number(fields, "seed", "--generate") if "seed" in fields else args.seed
         if fields:
             raise ValueError(f"unknown --generate keys {sorted(fields)}")
         return fixtures.category_spec(category, apps, seed), category

@@ -9,7 +9,7 @@ from __future__ import annotations
 from .metrics import MultiRequest
 from .placement import PlacementState
 from .topology import (Host, Link, Reference, ResourceVector, Switch, Topology,
-                       _bake_boundary_flags, build_clos, build_tree)
+                       build_clos, build_tree)
 from .workload import Application, VM, WorkloadSpec
 
 UNIT = ResourceVector(1.0, 1.0, 1.0)
@@ -32,7 +32,6 @@ def fig3_state() -> PlacementState:
     links = [Link(id=f"{h.id}-s1", a=h.id, b="s1", capacity=1.0, free=1.0) for h in hosts]
     t = Topology(hosts, switches, links, UNIT_REF)
     t.validate()
-    _bake_boundary_flags(t)
     return PlacementState(t)
 
 
@@ -48,7 +47,6 @@ def fig3_like_topology() -> Topology:
     links = [Link(id=f"{h.id}-s1", a=h.id, b="s1", capacity=1.0, free=1.0) for h in hosts]
     t = Topology(hosts, switches, links, UNIT_REF)
     t.validate()
-    _bake_boundary_flags(t)
     return t
 
 
@@ -75,7 +73,6 @@ def fig4_topology() -> Topology:
     ]
     t = Topology(hosts, switches, links, UNIT_REF)
     t.validate()
-    _bake_boundary_flags(t)
     return t
 
 
@@ -105,7 +102,6 @@ def fig1_instance() -> tuple[Topology, Application]:
     reference = Reference(host=cap, link=600.0)
     t = Topology(hosts, switches, links, reference)
     t.validate()
-    _bake_boundary_flags(t)
 
     demands = {
         "a1": (320.0, 80.0), "a2": (80.0, 500.0),

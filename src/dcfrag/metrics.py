@@ -247,25 +247,29 @@ def _consume_between(t: Topology, reach_i: Reach, reach_j: Reach,
 
 
 def reach_distance(t: Topology, reach_i: Reach, reach_j: Reach) -> float:
-    """Hop distance between two reaches' boundary switch sets."""
-    return min(
-        (t.switch_distance(a, b) for a in reach_i.switches for b in reach_j.switches),
-        default=float("inf"),
-    )
+    """Hop distance between two reaches' boundary switch sets.
+
+    The first cached reach path comes from a multi-source BFS over the
+    switch-only graph, so its length is the minimum switch-to-switch distance.
+    """
+    paths = t.reach_paths(reach_i, reach_j)
+    return len(paths[0]) if paths else float("inf")
 
 
 def _walk_between(state, reaches: list[Reach], residuals: dict, fit, unit: float):
     """The reach-pair walk shared by the bandwidth and the count metric.
 
     Pairs go shortest reach distance first, then most inter-reach bandwidth,
-    then smallest id pair; bandwidth is re-read at every step because each
-    step consumes path links. Each pair takes step = min(residual_i,
-    residual_j, fit(bandwidth)), deducted from both residuals and, times
-    `unit`, from the path links. Returns the summed steps.
+    then smallest id pair, with the reaches in find_reaches' order (sorted by
+    hosts) whatever the list order; bandwidth is re-read at every step
+    because each step consumes path links. Each pair takes step =
+    min(residual_i, residual_j, fit(bandwidth)), deducted from both residuals
+    and, times `unit`, from the path links. Returns the summed steps.
     """
     t = state.topology
     link_free = dict(state.link_free)
     res = dict(residuals)
+    reaches = sorted(reaches, key=lambda r: r.hosts)
     pairs = []
     for i, ri in enumerate(reaches):
         for rj in reaches[i + 1:]:

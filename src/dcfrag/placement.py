@@ -41,7 +41,6 @@ class SchemeConfig:
     scheme: str = "UNIFIED"
     balpack_headroom: float = 1.0          # fraction of capacity bal_pack may fill
     netw_slots_per_host: int | None = None  # derived from the workload when unset
-    local_size_inflation: float = 1.0
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -415,7 +414,7 @@ def place_application_local(state: PlacementState, app: Application,
 
     def size(v: VM) -> float:
         norm = v.demand.normalized(ref.host)
-        return max(norm.cpu, norm.mem, norm.nic) * config.local_size_inflation
+        return max(norm.cpu, norm.mem, norm.nic)
 
     with state.transaction() as commit:
         state.register_app(app)
@@ -455,26 +454,6 @@ def derive_netw_slots(topology: Topology, apps: list[Application]) -> int:
     return max(1, int(topology.reference.host.cpu / mean_cpu))
 
 
-def _closure_hosts(t: Topology, switch_id: str) -> list[str]:
-    """Hosts reachable descending from a switch."""
-    out = []
-    frontier = [switch_id]
-    seen = {switch_id}
-    while frontier:
-        node = frontier.pop()
-        lvl = t.level_of(node)
-        for peer, _ in t.neighbors(node):
-            if peer in seen:
-                continue
-            if t.is_host(peer):
-                seen.add(peer)
-                out.append(peer)
-            elif t.level_of(peer) == lvl - 1:
-                seen.add(peer)
-                frontier.append(peer)
-    return sorted(out)
-
-
 def _hose_ok(t: Topology, state: PlacementState, counts: dict[str, int],
              n_total: int, bw: float) -> bool:
     """Hose-model check: every cut (each host's uplink, each switch's
@@ -485,8 +464,7 @@ def _hose_ok(t: Topology, state: PlacementState, counts: dict[str, int],
             if need > state.link_free[t.hosts[host_id].uplink] + _EPS:
                 return False
     for s in t.switches.values():
-        below = [h for h in _closure_hosts(t, s.id)]
-        m = sum(counts.get(h, 0) for h in below)
+        m = sum(counts.get(h, 0) for h in t.hosts_below[s.id])
         if 0 < m < n_total:
             up_free = sum(state.link_free[lid] for peer, lid in t.neighbors(s.id)
                           if not t.is_host(peer) and t.level_of(peer) > s.level)
@@ -515,10 +493,9 @@ def place_application_netw(state: PlacementState, app: Application,
     bw = sum(app.total_traffic(v) for v in app.vm_ids()) / n_total
     slots = config.netw_slots_per_host
 
-    units: list[list[str]] = [[h] for h in state.host_ids()]
-    for level in sorted({s.level for s in t.switches.values()}):
-        for sid in sorted(s.id for s in t.switches.values() if s.level == level):
-            units.append(_closure_hosts(t, sid))
+    units = [(h,) for h in state.host_ids()]
+    units += [t.hosts_below[s.id] for s in sorted(t.switches.values(),
+                                                  key=lambda s: (s.level, s.id))]
 
     last_failure = f"no subtree offers {n_total} slots for app {app.id}"
     for unit_hosts in units:

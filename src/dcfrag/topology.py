@@ -86,7 +86,6 @@ class Host:
 class Switch:
     id: str
     level: int
-    is_boundary: bool = False
     boundary_override: bool | None = None
 
     def __post_init__(self):
@@ -149,9 +148,20 @@ class Topology:
             up = [lid for lid in self.adjacency[h.id]]
             if len(up) == 1:
                 h.uplink = up[0]
+        # switch id -> sorted hosts reachable by descending links, built
+        # bottom-up: a switch's hosts plus those of its switches one level down
+        below: dict[str, set[str]] = {}
+        for s in sorted(switches, key=lambda s: s.level):
+            below[s.id] = set()
+            for peer, _ in self.neighbors(s.id):
+                if peer in self.hosts:
+                    below[s.id].add(peer)
+                elif self.switches[peer].level == s.level - 1:
+                    below[s.id] |= below[peer]
+        self.hosts_below: dict[str, tuple[str, ...]] = {
+            sid: tuple(sorted(hs)) for sid, hs in below.items()}
         # lazy caches; safe because the graph never changes after construction
         self._route_cache: dict[tuple[str, str], tuple[str, ...]] = {}
-        self._switch_dist: dict[str, dict[str, int]] | None = None
         self._reach_paths: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
 
     # -- basic queries ------------------------------------------------------
@@ -199,41 +209,7 @@ class Topology:
         if missing:
             raise TopologyError(f"topology is disconnected; unreachable: {sorted(missing)}")
 
-    # -- parent chains and boundary detection --------------------------------
-
-    def parent_chain(self, host_id: str) -> set[str]:
-        """All switches reachable from the host along strictly upward links."""
-        chain: set[str] = set()
-        frontier = deque([self.links[self.hosts[host_id].uplink].other(host_id)])
-        while frontier:
-            node = frontier.popleft()
-            if node in chain:
-                continue
-            chain.add(node)
-            lvl = self.level_of(node)
-            for peer, _ in self.neighbors(node):
-                if not self.is_host(peer) and self.level_of(peer) == lvl + 1:
-                    frontier.append(peer)
-        return chain
-
     # -- path utilities -------------------------------------------------------
-
-    def switch_distance(self, a: str, b: str) -> float:
-        """Hop count between two switches over the switch-only graph."""
-        if self._switch_dist is None:
-            dist_all: dict[str, dict[str, int]] = {}
-            for src in self.switches:
-                dist = {src: 0}
-                frontier = deque([src])
-                while frontier:
-                    node = frontier.popleft()
-                    for peer, _ in self.neighbors(node):
-                        if peer in self.switches and peer not in dist:
-                            dist[peer] = dist[node] + 1
-                            frontier.append(peer)
-                dist_all[src] = dist
-            self._switch_dist = dist_all
-        return self._switch_dist[a].get(b, float("inf"))
 
     def route(self, host_a: str, host_b: str,
               link_free: dict | None = None) -> tuple[str, ...]:
@@ -389,36 +365,40 @@ def find_boundary_switches(t: Topology) -> set[str]:
 def find_reaches(t: Topology) -> list[Reach]:
     """Partition hosts into reaches built from shared boundary switches.
 
-    For each unvisited boundary switch s: collect the hosts H having s in
-    their parent chain, collect the same-level parent-chain switches P of H,
-    emit the reach (H, P) and mark P visited. Reaches are ordered and
-    identified by their smallest host id.
+    For each unvisited boundary switch s: take the hosts H below s, collect
+    the same-level switches P with hosts in H, emit the reach (H, P) and mark
+    P visited. Reaches are ordered and identified by their smallest host id.
     """
     boundary = find_boundary_switches(t)
-    chains = {h: t.parent_chain(h) for h in t.hosts}
     visited: set[str] = set()
     raw: list[tuple[set[str], set[str]]] = []
     for s in sorted(boundary):
         if s in visited:
             continue
         level = t.switches[s].level
-        members = {h for h, chain in chains.items() if s in chain}
+        members = set(t.hosts_below[s])
         if not members:
             raise TopologyError(f"boundary switch {s} has no hosts below it")
-        parents = {p for h in members for p in chains[h] if t.switches[p].level == level}
+        parents = {p.id for p in t.switches.values()
+                   if p.level == level and not members.isdisjoint(t.hosts_below[p.id])}
         raw.append((members, parents))
         visited |= parents
 
     covered: set[str] = set()
-    for members, _ in raw:
+    claimed: set[str] = set()
+    for members, parents in raw:
         clash = covered & members
         if clash:
             raise TopologyError(f"hosts {sorted(clash)} fall into more than one reach")
+        shared = claimed & parents
+        if shared:
+            raise TopologyError(f"switches {sorted(shared)} fall into more than one reach")
         covered |= members
+        claimed |= parents
     orphans = set(t.hosts) - covered
     if orphans:
         raise TopologyError(
-            f"hosts {sorted(orphans)} have no boundary switch in their parent chain")
+            f"hosts {sorted(orphans)} have no boundary switch above them")
 
     raw.sort(key=lambda pair: min(pair[0]))
     return [
@@ -466,7 +446,6 @@ def build_tree(num_tors: int, hosts_per_tor: int, host_capacity: ResourceVector,
 
     t = Topology(hosts, switches, links, Reference(host=host_capacity, link=link_capacity))
     t.validate()
-    _bake_boundary_flags(t)
     return t
 
 
@@ -522,14 +501,7 @@ def build_clos(pods: int, hosts_per_edge: int, edges_per_pod: int,
 
     t = Topology(hosts, switches, links, Reference(host=host_capacity, link=link_capacity))
     t.validate()
-    _bake_boundary_flags(t)
     return t
-
-
-def _bake_boundary_flags(t: Topology) -> None:
-    flagged = find_boundary_switches(t)
-    for s in t.switches.values():
-        s.is_boundary = s.id in flagged
 
 
 # -- file loading --------------------------------------------------------------
@@ -626,5 +598,4 @@ def load_topology(path: str) -> Topology:
         raise TopologyError(
             f"{path}: TORs {odd} have an odd number of hosts; the reach procedures "
             f"require even racks")
-    _bake_boundary_flags(t)
     return t

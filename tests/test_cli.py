@@ -88,6 +88,21 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert err.startswith(f"dcfrag: error: --generate needs {missing}=N")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("compare", "--topology", "tree64", "--generate", "category=x,apps=3"),
+         "--generate category must be an integer, got 'x'"),
+        (("compare", "--topology", "tree64", "--generate", "category=1,apps=3,seed=q"),
+         "--generate seed must be an integer, got 'q'"),
+        (("place", "--topology", "tree64", "--generate", "category=1,apps=1.5"),
+         "--generate apps must be an integer, got '1.5'"),
+        (("metrics", "--topology", "fig4", "--request", "cpu=abc"),
+         "--request cpu must be a number, got 'abc'"),
+    ], ids=["category", "seed", "apps", "request"])
+    def test_unparsable_number_names_its_key(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"dcfrag: error: {message}\n"
+
 
 class TestPlaceAndCompare:
     def test_place_generated_category(self, capsys, tmp_path):

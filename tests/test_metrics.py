@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,15 +196,52 @@ class TestThreeReachLine:
                 pytest.approx(between)
 
 
+def _bfs_reach_distance(t, ri, rj):
+    """Minimum switch-only BFS hop count over all boundary switch pairs."""
+    best = float("inf")
+    for a in ri.switches:
+        dist = {a: 0}
+        frontier = deque([a])
+        while frontier:
+            node = frontier.popleft()
+            for peer, _ in t.neighbors(node):
+                if peer in t.switches and peer not in dist:
+                    dist[peer] = dist[node] + 1
+                    frontier.append(peer)
+        best = min([best] + [dist[b] for b in rj.switches if b in dist])
+    return best
+
+
+class TestReachDistance:
+    def test_matches_switch_bfs_minimum(self):
+        racks = Topology(  # two top-tier TORs with no link between them
+            [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in range(4)],
+            [Switch(id="s0", level=0), Switch(id="s1", level=0)],
+            [Link(id=f"h{i}-s{i // 2}", a=f"h{i}", b=f"s{i // 2}", capacity=1.0, free=1.0)
+             for i in range(4)], UNIT_REF)
+        expected = {"fig4": [2], "clos": [2], "line": [2, 4, 2], "racks": [float("inf")]}
+        for name, t in (("fig4", fig4_state().topology),
+                        ("clos", build_clos(2, 2, 2, UNIT, 1.0, core_oversub=2.0)),
+                        ("line", three_reach_line().topology), ("racks", racks)):
+            reaches = find_reaches(t)
+            pairs = [(ri, rj) for i, ri in enumerate(reaches) for rj in reaches[i + 1:]]
+            got = [M.reach_distance(t, ri, rj) for ri, rj in pairs]
+            assert got == [_bfs_reach_distance(t, ri, rj) for ri, rj in pairs]
+            assert got == expected[name]
+            assert got == [M.reach_distance(t, rj, ri) for ri, rj in pairs]
+
+
 def _replay_walk(t, reaches, residuals, link_free, fit, unit):
     """Independent replay of the between-reach walk by its stated rule.
 
-    At every step, re-rank all remaining pairs by (reach distance, -path
-    bandwidth, ids), take min(both residuals, fit(bandwidth)) from the first
-    and consume `unit` per taken unit along its paths.
+    With the reaches in canonical order (sorted by their hosts), re-rank all
+    remaining pairs at every step by (reach distance, -path bandwidth, ids),
+    take min(both residuals, fit(bandwidth)) from the first and consume
+    `unit` per taken unit along its paths.
     """
     link_free = dict(link_free)
     res = dict(residuals)
+    reaches = sorted(reaches, key=lambda r: r.hosts)
     pairs = [(ri, rj) for i, ri in enumerate(reaches) for rj in reaches[i + 1:]
              if M.reach_distance(t, ri, rj) != float("inf")]
     total = 0
@@ -255,8 +294,22 @@ class TestPairWalk:
         assert got_count == _replay_walk(
             t, reaches, res_req, state.link_free, lambda bw: M.fit_count(bw, req.nw),
             req.nw)
+        # the drawn permutation gives exactly the find_reaches-order result
+        canonical = find_reaches(t)
+        assert got_bw == M.capacity_between_reaches(state, canonical, res_bw)
+        assert got_count == M.placeable_between_reaches(state, canonical, res_req, req)
         breakdown = M.capacity_breakdown(state, reaches)
         assert breakdown.inside + breakdown.between == breakdown.total
+
+    def test_tied_pairs_do_not_follow_list_order(self):
+        # every pair but (r2, r3) ties at bandwidth 0.5, so the id tie-break
+        # decides: (r0, r1) first gives 0.5, (r0, r2) first would give 1.0
+        state = PlacementState(build_tree(4, 2, UNIT, 1.0, oversub_ratio=2.0))
+        state.link_free.update({"t0-core": 0.5, "t1-core": 0.5})
+        reaches = find_reaches(state.topology)
+        res_bw = {"r0": 1.0, "r1": 0.5, "r2": 1.5, "r3": 0.0}
+        for perm in itertools.permutations(reaches):
+            assert M.capacity_between_reaches(state, list(perm), res_bw) == 0.5
 
 
 class TestPathBandwidth:

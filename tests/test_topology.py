@@ -1,6 +1,9 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcfrag.fixtures import UNIT, UNIT_REF, fig4_topology
 from dcfrag.topology import (Host, Link, ResourceVector, Switch, Topology,
@@ -29,7 +32,6 @@ class TestBuildTree:
         assert len(t.switches) == 3
         boundary = find_boundary_switches(t)
         assert boundary == {"t0", "t1"}
-        assert all(t.switches[s].is_boundary for s in boundary)
         # uplinks shrink by the oversubscription ratio
         assert t.links["t0-core"].capacity == pytest.approx(0.5)
 
@@ -120,6 +122,24 @@ class TestBoundaryAndReaches:
         assert find_boundary_switches(t) == {"s2"}
         assert len(find_reaches(t)) == 1
 
+    def test_reaches_sharing_a_switch_are_an_error(self):
+        # s1 and s2 are pinned boundary over one rack each; p sits over both
+        # racks on their level, so both reaches would claim it
+        hosts = [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in (1, 2, 3, 4)]
+        switches = [Switch(id="e1", level=0, boundary_override=False),
+                    Switch(id="e2", level=0, boundary_override=False),
+                    Switch(id="s1", level=1, boundary_override=True),
+                    Switch(id="p", level=1, boundary_override=False),
+                    Switch(id="s2", level=1, boundary_override=True)]
+        links = [Link(id=f"h{i}-{tor}", a=f"h{i}", b=tor, capacity=1.0, free=1.0)
+                 for i, tor in ((1, "e1"), (2, "e1"), (3, "e2"), (4, "e2"))]
+        links += [Link(id=f"{a}-{b}", a=a, b=b, capacity=1.0, free=1.0)
+                  for a, b in (("e1", "s1"), ("e1", "p"), ("e2", "p"), ("e2", "s2"))]
+        t = Topology(hosts, switches, links, UNIT_REF)
+        t.validate()
+        with pytest.raises(TopologyError, match=r"switches \['p'\] fall into more than one"):
+            find_reaches(t)
+
     def test_no_boundary_above_host_is_an_error(self):
         hosts = [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in (1, 2)]
         switches = [Switch(id="s1", level=0, boundary_override=False)]
@@ -128,6 +148,92 @@ class TestBoundaryAndReaches:
         t = Topology(hosts, switches, links, UNIT_REF)
         with pytest.raises(TopologyError, match="no boundary switch"):
             find_reaches(t)
+
+
+def ascending_hosts_below(t):
+    """Independent reference for Topology.hosts_below: walk up from every
+    host along strictly ascending links and credit each switch reached."""
+    below = {s: [] for s in t.switches}
+    for h in sorted(t.hosts):
+        chain = set()
+        frontier = [t.links[t.hosts[h].uplink].other(h)]
+        while frontier:
+            node = frontier.pop()
+            if node in chain:
+                continue
+            chain.add(node)
+            for peer, _ in t.neighbors(node):
+                if peer in t.switches and t.level_of(peer) == t.level_of(node) + 1:
+                    frontier.append(peer)
+        for s in chain:
+            below[s].append(h)
+    return {s: tuple(hs) for s, hs in below.items()}
+
+
+@st.composite
+def fabric_docs(draw, loose=False):
+    """A topology-file document for a random leveled fabric: two hosts per
+    TOR, each upper switch over a drawn subset of the level below, and the
+    first switch of every upper level over all of it (so it is connected).
+    A loose fabric drops that rule, adds drawn switch links that may join
+    any two levels and comes back as an unvalidated Topology."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    levels = [[f"s{lvl}_{i}" for i in range(n)] for lvl, n in enumerate(widths)]
+    doc = {
+        "reference_host": {"cpu_mhz": 1, "mem_mb": 1, "nic_mbps": 1},
+        "reference_link_mbps": 1,
+        "hosts": [], "links": [],
+        "switches": [{"id": s, "level": lvl} for lvl, ids in enumerate(levels) for s in ids],
+    }
+    for tor in levels[0]:
+        for k in range(2):
+            doc["hosts"].append({"id": f"h_{tor}_{k}", "cpu_mhz": 1, "mem_mb": 1})
+            doc["links"].append({"a": f"h_{tor}_{k}", "b": tor, "capacity_mbps": 1})
+    for lower, upper in zip(levels, levels[1:]):
+        for i, s in enumerate(upper):
+            downs = lower if i == 0 and not loose else draw(
+                st.lists(st.sampled_from(lower), min_size=1, unique=True))
+            doc["links"] += [{"a": d, "b": s, "capacity_mbps": 1} for d in downs]
+    if not loose:
+        return doc
+    ids = [s for ids in levels for s in ids]
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+    doc["links"] += [{"a": a, "b": b, "capacity_mbps": 1}
+                     for a, b in draw(st.lists(pairs, max_size=4))]
+    return Topology(
+        [Host(id=h["id"], capacity=UNIT, free=UNIT) for h in doc["hosts"]],
+        [Switch(id=s["id"], level=s["level"]) for s in doc["switches"]],
+        [Link(id=f"l{i}", a=l["a"], b=l["b"], capacity=1.0, free=1.0)
+         for i, l in enumerate(doc["links"])], UNIT_REF)
+
+
+fabrics = st.one_of(
+    st.builds(build_tree, st.sampled_from([2, 4, 6, 8]), st.sampled_from([2, 4]),
+              st.just(UNIT), st.just(1.0), st.sampled_from([1.0, 2.0, 4.0])),
+    st.builds(build_clos, st.sampled_from([2, 4]), st.sampled_from([2, 4]),
+              st.sampled_from([2, 4]), st.just(UNIT), st.just(1.0),
+              st.sampled_from([1.0, 2.0])),
+    st.builds(fig4_topology),
+    fabric_docs(),
+    fabric_docs(loose=True),
+)
+
+
+class TestHostsBelow:
+    @settings(max_examples=200, deadline=None)
+    @given(fabrics)
+    def test_matches_ascending_walk(self, fabric):
+        if isinstance(fabric, dict):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "topo.json")
+                with open(path, "w") as fh:
+                    json.dump(fabric, fh)
+                fabric = load_topology(path)
+        assert fabric.hosts_below == ascending_hosts_below(fabric)
+
+    def test_fig4(self):
+        assert fig4_topology().hosts_below == {
+            "s1": ("h1", "h2"), "s2": ("h3", "h4"), "s3": ("h1", "h2", "h3", "h4")}
 
 
 class TestStructuralValidation:
@@ -174,12 +280,6 @@ class TestRouting:
         assert t.route("h1", "h2") == ("h1-s1", "h2-s1")
         assert t.route("h1", "h3") == ("h1-s1", "s1-s3", "s2-s3", "h3-s2")
         assert t.route("h3", "h1") == t.route("h1", "h3")
-
-    def test_switch_distance(self):
-        t = fig4_topology()
-        assert t.switch_distance("s1", "s2") == 2
-        assert t.switch_distance("s1", "s3") == 1
-        assert t.switch_distance("s1", "s1") == 0
 
     def test_reach_paths_fig4(self):
         t = fig4_topology()
