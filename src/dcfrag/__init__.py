@@ -10,8 +10,7 @@ from .metrics import (AllocationRequest, FragmentationReport, MultiRequest,
                       placeable_inside_reaches, rrf_index_local)
 from .placement import (CapacityError, PlacementOutcome, PlacementPlan, PlacementState,
                         SchemeConfig, bal_pack, best_sibling_reach, place_application,
-                        place_application_local, place_application_netw,
-                        place_application_unified, reserve_traffic)
+                        reserve_traffic)
 from .topology import (Host, Link, Reach, Reference, ResourceVector, Switch, Topology,
                        TopologyError, build_clos, build_tree, find_boundary_switches,
                        find_reaches, load_topology)

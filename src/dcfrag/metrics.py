@@ -16,6 +16,7 @@ instances.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .topology import Reach, Topology, find_reaches
@@ -185,15 +186,15 @@ def _pair_reduce(values: list):
     second, shrink the largest by it and drop the paired item; the last item's
     leftover value is the residual. Ties resolve to the smallest id.
     """
-    items = list(values)
+    heap = [(-value, item_id) for value, item_id in values]
+    heapq.heapify(heap)
     acc = 0
-    while len(items) > 1:
-        items.sort(key=lambda pair: (-pair[0], pair[1]))
-        (v_max, id_max), (v_smax, id_smax) = items[0], items[1]
+    while len(heap) > 1:
+        neg_max, id_max = heapq.heappop(heap)
+        v_max, v_smax = -neg_max, -heap[0][0]
         acc += v_smax
-        items[0] = (v_max - v_smax, id_max)
-        del items[1]
-    residual = items[0][0] if items else 0
+        heapq.heapreplace(heap, (-(v_max - v_smax), id_max))
+    residual = -heap[0][0] if heap else 0
     return acc, residual
 
 

@@ -2,21 +2,24 @@
 
 The state tracks per-host free resources (NIC as a demand budget: the sum of
 the hosted VMs' declared NIC needs), per-link free bandwidth consumed by
-routed edge reservations, and the VM assignments themselves. Every scheme
-commits through the same guarded operations inside state.transaction(), so a
+routed edge reservations, and the VM assignments themselves.
+place_application is the one entry point: it opens the attempt's
+transaction, registers the app and commits or rolls back, so a scheme only
+chooses hosts and reserves their traffic through reserve_traffic. A
 successful placement always leaves the state valid, and every failure puts
 back the exact values it replaced.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import metrics
 from .metrics import MultiRequest, placeable_in_reach
 from .topology import Reach, ResourceVector, Topology, find_reaches
-from .workload import Application, VM, bw_between, representative_request
+from .workload import Application, VM, representative_request
 
 _EPS = 1e-9
 _ABSENT = object()  # journal marker: the key was not in the table
@@ -39,14 +42,11 @@ class CapacityError(Exception):
 @dataclass(frozen=True)
 class SchemeConfig:
     scheme: str = "UNIFIED"
-    balpack_headroom: float = 1.0          # fraction of capacity bal_pack may fill
     netw_slots_per_host: int | None = None  # derived from the workload when unset
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not 0 < self.balpack_headroom <= 1:
-            raise ValueError(f"balpack_headroom must be in (0, 1], got {self.balpack_headroom}")
         if self.netw_slots_per_host is not None and self.netw_slots_per_host < 1:
             raise ValueError("netw_slots_per_host must be >= 1")
 
@@ -56,18 +56,6 @@ class PlacementPlan:
     app_id: str
     assignments: tuple  # (vm_id, host_id)
     reservations: tuple  # (vm_a, vm_b, path node ids, mbps)
-
-    def to_records(self) -> dict:
-        return {
-            "assignments": [
-                {"app_id": self.app_id, "vm_id": v, "host_id": h}
-                for v, h in self.assignments
-            ],
-            "reservations": [
-                {"app_id": self.app_id, "edge": [a, b], "path": list(nodes), "mbps": bw}
-                for a, b, nodes, bw in self.reservations
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -80,9 +68,8 @@ class PlacementOutcome:
 class PlacementState:
     """Mutable reservation ledger over an immutable topology.
 
-    A state belongs to one run at a time; clone() hands an independent copy
-    to anything that wants to explore placements concurrently. Every ledger
-    write goes through _write, which journals it while a transaction is open.
+    A state belongs to one run at a time. Every ledger write goes through
+    _write, which journals it while a transaction is open.
     """
 
     def __init__(self, topology: Topology):
@@ -96,7 +83,6 @@ class PlacementState:
         self.assignments: dict[tuple[str, str], str] = {}   # (app, vm) -> host
         self.vm_demand: dict[tuple[str, str], ResourceVector] = {}
         self.reservations: dict[tuple[str, str, str], tuple[tuple[str, ...], float]] = {}
-        self.slots_used: dict[str, int] = {h.id: 0 for h in topology.hosts.values()}
         self.apps: dict[str, Application] = {}
         self._journal: list | None = None
 
@@ -109,19 +95,13 @@ class PlacementState:
             dict(self.assignments),
             dict(self.vm_demand),
             dict(self.reservations),
-            dict(self.slots_used),
             dict(self.apps),
         )
 
     def restore(self, snap) -> None:
         (self.host_free, self.link_free, self.assignments,
-         self.vm_demand, self.reservations, self.slots_used, self.apps) = (
+         self.vm_demand, self.reservations, self.apps) = (
             dict(part) for part in snap)
-
-    def clone(self) -> "PlacementState":
-        twin = PlacementState(self.topology)
-        twin.restore(self.snapshot())
-        return twin
 
     def _write(self, table: dict, key, value) -> None:
         if self._journal is not None:
@@ -242,19 +222,19 @@ class PlacementState:
 # -- shared pieces --------------------------------------------------------------
 
 
-def reserve_traffic(state: PlacementState, app: Application, vm_id: str) -> None:
-    """Reserve the traffic of a just-placed VM toward its already-placed peers.
+def reserve_traffic(state: PlacementState, app: Application) -> None:
+    """Reserve, in app.edges() order, every edge with bandwidth whose two VMs
+    sit on different hosts and which holds no reservation yet.
 
     A link shortfall raises CapacityError; the caller's transaction undoes the
-    VM and the edges reserved so far.
+    edges reserved so far.
     """
     for (x, y), bw in app.edges():
-        if vm_id not in (x, y) or bw <= 0:
+        if bw <= 0 or (app.id, x, y) in state.reservations:
             continue
-        peer = y if x == vm_id else x
-        if (app.id, peer) not in state.assignments:
-            continue
-        if state.assignments[(app.id, x)] == state.assignments[(app.id, y)]:
+        host_x = state.assignments.get((app.id, x))
+        host_y = state.assignments.get((app.id, y))
+        if host_x is None or host_y is None or host_x == host_y:
             continue
         state.reserve_edge(app.id, x, y, bw)
 
@@ -282,16 +262,14 @@ def _plan_for(state: PlacementState, app: Application) -> PlacementPlan:
 # -- BAL_PACK stand-in -------------------------------------------------------------
 
 
-def bal_pack(state: PlacementState, vm: VM, reach: Reach,
-             config: SchemeConfig = SchemeConfig()) -> str | None:
+def bal_pack(state: PlacementState, vm: VM, reach: Reach) -> str | None:
     """Pick the reach host that stays most dimension-balanced after the VM.
 
     A host qualifies when every dimension (NIC against the VM's declared
-    traffic budget) stays within headroom * capacity; among qualifiers the
-    one minimizing max-min post-placement utilization wins, ties to the
-    smallest host id. Returns None when nothing fits.
+    traffic budget) stays within capacity; among qualifiers the one
+    minimizing max-min post-placement utilization wins, ties to the smallest
+    host id. Returns None when nothing fits.
     """
-    theta = config.balpack_headroom
     best: tuple[float, str] | None = None
     for host_id in reach.hosts:
         cap = state.topology.hosts[host_id].capacity
@@ -301,7 +279,7 @@ def bal_pack(state: PlacementState, vm: VM, reach: Reach,
         for dim in ("cpu", "mem", "nic"):
             need = vm.demand.get(dim)
             used = cap.get(dim) - free.get(dim) + need
-            if used > theta * cap.get(dim) + _EPS:
+            if used > cap.get(dim) + _EPS:
                 ok = False
                 break
             utils.append(used / cap.get(dim))
@@ -314,12 +292,6 @@ def bal_pack(state: PlacementState, vm: VM, reach: Reach,
 
 
 # -- UNIFIED (reach-aware application placement) -------------------------------------
-
-
-def _least_loaded_reach(state: PlacementState, reaches: list[Reach],
-                        req: MultiRequest) -> Reach:
-    ranked = sorted(reaches, key=lambda r: (-placeable_in_reach(state, r, req), r.id))
-    return ranked[0]
 
 
 def best_sibling_reach(state: PlacementState, reaches: list[Reach], tried: set[str],
@@ -343,101 +315,85 @@ def best_sibling_reach(state: PlacementState, reaches: list[Reach], tried: set[s
     return min(candidates, key=key)
 
 
-def place_application_unified(state: PlacementState, app: Application,
-                              config: SchemeConfig = SchemeConfig(),
-                              reaches: list[Reach] | None = None) -> PlacementOutcome:
+def _place_unified(state: PlacementState, app: Application, config: SchemeConfig,
+                   reaches: list[Reach] | None) -> str | None:
     """Reach-aware placement: pack the seed VM and its heaviest communicators
     into the least-loaded reach, spilling to the best sibling reach when the
-    packer or a link reservation refuses; all-or-nothing on the whole app."""
-    if not app.vms:
-        return PlacementOutcome(ok=True, plan=PlacementPlan(app.id, (), ()))
+    packer or a link reservation refuses."""
     if reaches is None:
         reaches = find_reaches(state.topology)
     req = representative_request(app)
-    with state.transaction() as commit:
-        state.register_app(app)
-        reach = _least_loaded_reach(state, reaches, req)
-        tried = {reach.id}
-        unplaced = set(app.vm_ids())
-        placed_hosts: set[str] = set()
-        last_failure = "no reach could take the first VM"
+    # weight[v] lists v's peers in app.traffic order, so a sum over a group
+    # adds the same terms in the same order as workload.bw_between
+    weight: dict[str, dict[str, float]] = {v: {} for v in app.vm_ids()}
+    for (x, y), bw in app.traffic.items():
+        weight[x][y] = bw
+        weight[y][x] = bw
 
+    def bw_to(v: str, group: set[str]) -> float:
+        return sum(bw for peer, bw in weight[v].items() if peer in group)
+
+    reach = min(reaches, key=lambda r: (-placeable_in_reach(state, r, req), r.id))
+    tried = {reach.id}
+    unplaced = set(app.vm_ids())
+    placed_hosts: set[str] = set()
+    last_failure = "no reach could take the first VM"
+
+    while True:
+        reach_hosts = set(reach.hosts)
+        vm_id = min(unplaced, key=lambda v: (-bw_to(v, unplaced), v))
         while True:
-            reach_hosts = set(reach.hosts)
+            host = bal_pack(state, app.vm(vm_id), reach)
+            if host is None:
+                last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
+                break
+            try:
+                with state.transaction() as commit_vm:
+                    state.assign_vm(app.id, app.vm(vm_id), host)
+                    reserve_traffic(state, app)
+                    commit_vm()
+            except CapacityError as exc:
+                last_failure = str(exc)
+                break
+            placed_hosts.add(host)
+            unplaced.discard(vm_id)
+            if not unplaced:
+                return None
+            in_reach = {v for v in app.vm_ids()
+                        if state.assignments.get((app.id, v)) in reach_hosts}
             vm_id = min(unplaced,
-                        key=lambda v: (-bw_between(app, {v}, unplaced - {v}), v))
-            while True:
-                host = bal_pack(state, app.vm(vm_id), reach, config)
-                if host is None:
-                    last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
-                    break
-                try:
-                    with state.transaction() as commit_vm:
-                        state.assign_vm(app.id, app.vm(vm_id), host)
-                        reserve_traffic(state, app, vm_id)
-                        commit_vm()
-                except CapacityError as exc:
-                    last_failure = str(exc)
-                    break
-                placed_hosts.add(host)
-                unplaced.discard(vm_id)
-                if not unplaced:
-                    commit()
-                    return PlacementOutcome(ok=True, plan=_plan_for(state, app))
-                in_reach = {v for v in app.vm_ids()
-                            if state.assignments.get((app.id, v)) in reach_hosts}
-                vm_id = min(unplaced,
-                            key=lambda v: (-(bw_between(app, {v}, in_reach)
-                                             - bw_between(app, {v}, unplaced - {v})), v))
-            sibling = best_sibling_reach(state, reaches, tried, placed_hosts, req)
-            if sibling is None:
-                return PlacementOutcome(ok=False, failure=last_failure)
-            reach = sibling
-            tried.add(reach.id)
+                        key=lambda v: (-(bw_to(v, in_reach) - bw_to(v, unplaced)), v))
+        sibling = best_sibling_reach(state, reaches, tried, placed_hosts, req)
+        if sibling is None:
+            return last_failure
+        reach = sibling
+        tried.add(reach.id)
 
 
 # -- LOCAL (dominant-dimension FFD) ---------------------------------------------------
 
 
-def place_application_local(state: PlacementState, app: Application,
-                            config: SchemeConfig = SchemeConfig(scheme="LOCAL"),
-                            reaches: list[Reach] | None = None) -> PlacementOutcome:
+def _place_local(state: PlacementState, app: Application, config: SchemeConfig,
+                 reaches: list[Reach] | None) -> str | None:
     """First-fit decreasing on each VM's dominant normalized dimension.
 
     VMs place onto hosts in id order subject to a full resource fit; traffic
-    is reserved afterward edge by edge, failing the whole app on any link
-    shortfall.
+    is reserved afterward, failing the whole app on any link shortfall.
     """
-    if not app.vms:
-        return PlacementOutcome(ok=True, plan=PlacementPlan(app.id, (), ()))
     ref = app.reference
 
     def size(v: VM) -> float:
         norm = v.demand.normalized(ref.host)
         return max(norm.cpu, norm.mem, norm.nic)
 
-    with state.transaction() as commit:
-        state.register_app(app)
-        hosts = state.host_ids()
-        for vm in sorted(app.vms, key=lambda v: (-size(v), v.id)):
-            target = None
-            for host_id in hosts:
-                if vm.demand.fits_within(state.host_free[host_id]):
-                    target = host_id
-                    break
-            if target is None:
-                return PlacementOutcome(ok=False, failure=f"no host fits VM {vm.id}")
-            state.assign_vm(app.id, vm, target)
-
-        for (x, y), bw in app.edges():
-            if bw <= 0 or state.assignments[(app.id, x)] == state.assignments[(app.id, y)]:
-                continue
-            try:
-                state.reserve_edge(app.id, x, y, bw)
-            except CapacityError as exc:
-                return PlacementOutcome(ok=False, failure=str(exc))
-        commit()
-    return PlacementOutcome(ok=True, plan=_plan_for(state, app))
+    hosts = state.host_ids()
+    for vm in sorted(app.vms, key=lambda v: (-size(v), v.id)):
+        target = next((h for h in hosts if vm.demand.fits_within(state.host_free[h])), None)
+        if target is None:
+            return f"no host fits VM {vm.id}"
+        state.assign_vm(app.id, vm, target)
+    reserve_traffic(state, app)
+    return None
 
 
 # -- NETW (virtual-cluster first-fit level scan) ----------------------------------------
@@ -456,13 +412,9 @@ def derive_netw_slots(topology: Topology, apps: list[Application]) -> int:
 
 def _hose_ok(t: Topology, state: PlacementState, counts: dict[str, int],
              n_total: int, bw: float) -> bool:
-    """Hose-model check: every cut (each host's uplink, each switch's
-    downward closure) must carry min(m, N - m) * B within its free capacity."""
-    for host_id, m in counts.items():
-        if 0 < m < n_total:
-            need = min(m, n_total - m) * bw
-            if need > state.link_free[t.hosts[host_id].uplink] + _EPS:
-                return False
+    """Hose-model check: each switch's downward closure must carry
+    min(m, N - m) * B within its free uplink capacity. Host uplinks need no
+    check here: the fill already sized each host's count to fit its own."""
     for s in t.switches.values():
         m = sum(counts.get(h, 0) for h in t.hosts_below[s.id])
         if 0 < m < n_total:
@@ -473,25 +425,24 @@ def _hose_ok(t: Topology, state: PlacementState, counts: dict[str, int],
     return True
 
 
-def place_application_netw(state: PlacementState, app: Application,
-                           config: SchemeConfig = SchemeConfig(scheme="NETW"),
-                           reaches: list[Reach] | None = None) -> PlacementOutcome:
+def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
+                reaches: list[Reach] | None) -> str | None:
     """Virtual-cluster placement: slots only, scanned bottom-up.
 
     The app is a hose <N VMs, B = mean per-VM bandwidth>. Hosts are scanned
     first, then switch subtrees level by level; the first unit with enough
     free slots whose greedy fill passes the hose check takes the whole app.
-    Actual demands still commit through the guarded state, so units that
-    would overdraw a host or a link are skipped.
+    A VM on a host takes one of its slots whoever placed it. Actual demands
+    still commit through the guarded state, so units that would overdraw a
+    host or a link are skipped.
     """
     if config.netw_slots_per_host is None:
         raise ValueError("NETW needs netw_slots_per_host (see derive_netw_slots)")
-    if not app.vms:
-        return PlacementOutcome(ok=True, plan=PlacementPlan(app.id, (), ()))
     t = state.topology
     n_total = len(app.vms)
     bw = sum(app.total_traffic(v) for v in app.vm_ids()) / n_total
     slots = config.netw_slots_per_host
+    used = Counter(state.assignments.values())
 
     units = [(h,) for h in state.host_ids()]
     units += [t.hosts_below[s.id] for s in sorted(t.switches.values(),
@@ -499,7 +450,7 @@ def place_application_netw(state: PlacementState, app: Application,
 
     last_failure = f"no subtree offers {n_total} slots for app {app.id}"
     for unit_hosts in units:
-        free_slots = {h: slots - state.slots_used[h] for h in unit_hosts}
+        free_slots = {h: slots - used[h] for h in unit_hosts}
         if sum(max(0, f) for f in free_slots.values()) < n_total:
             continue
         counts: dict[str, int] = {}
@@ -522,34 +473,41 @@ def place_application_netw(state: PlacementState, app: Application,
 
         try:
             with state.transaction() as commit:
-                state.register_app(app)
                 vm_iter = iter(sorted(app.vms, key=lambda v: v.id))
                 for host_id in unit_hosts:
                     for _ in range(counts.get(host_id, 0)):
                         state.assign_vm(app.id, next(vm_iter), host_id)
-                        state._write(state.slots_used, host_id,
-                                     state.slots_used[host_id] + 1)
-                for (x, y), edge_bw in app.edges():
-                    if edge_bw <= 0:
-                        continue
-                    if state.assignments[(app.id, x)] == state.assignments[(app.id, y)]:
-                        continue
-                    state.reserve_edge(app.id, x, y, edge_bw)
+                reserve_traffic(state, app)
                 commit()
         except CapacityError as exc:
             last_failure = str(exc)
             continue
-        return PlacementOutcome(ok=True, plan=_plan_for(state, app))
-    return PlacementOutcome(ok=False, failure=last_failure)
+        return None
+    return last_failure
 
 
-# -- dispatcher ---------------------------------------------------------------------
+# -- the one entry point ------------------------------------------------------------
+
+_SCHEME_BODIES = {"UNIFIED": _place_unified, "LOCAL": _place_local, "NETW": _place_netw}
 
 
 def place_application(state: PlacementState, app: Application, config: SchemeConfig,
                       reaches: list[Reach] | None = None) -> PlacementOutcome:
-    if config.scheme == "UNIFIED":
-        return place_application_unified(state, app, config, reaches)
-    if config.scheme == "LOCAL":
-        return place_application_local(state, app, config, reaches)
-    return place_application_netw(state, app, config, reaches)
+    """Place the whole app with config's scheme, or change nothing.
+
+    The scheme body returns a failure message or None; a CapacityError that
+    escapes it is the failure message. Either failure rolls back every write
+    of the attempt, including the app's registration.
+    """
+    if not app.vms:
+        return PlacementOutcome(ok=True, plan=PlacementPlan(app.id, (), ()))
+    with state.transaction() as commit:
+        state.register_app(app)
+        try:
+            failure = _SCHEME_BODIES[config.scheme](state, app, config, reaches)
+        except CapacityError as exc:
+            failure = str(exc)
+        if failure is not None:
+            return PlacementOutcome(ok=False, failure=failure)
+        commit()
+    return PlacementOutcome(ok=True, plan=_plan_for(state, app))

@@ -274,6 +274,9 @@ class Topology:
         if cached is None:
             ra, rb = (reach_a, reach_b) if reach_a.id < reach_b.id else (reach_b, reach_a)
             srcs, dsts = set(ra.switches), set(rb.switches)
+            if srcs & dsts:  # the empty path would be found forever
+                raise ValueError(f"reaches {ra.id} and {rb.id} share switches "
+                                 f"{sorted(srcs & dsts)}")
             blocked: set[str] = set()
             paths: list[tuple[str, ...]] = []
             min_len = None

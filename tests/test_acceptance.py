@@ -18,8 +18,7 @@ from dcfrag.fixtures import (FIG4_REQUEST, UNIT, category_eval_apps,
 from dcfrag.harness import ExperimentConfig, run_experiment, shuffle_order
 from dcfrag.metrics import AllocationRequest, MultiRequest
 from dcfrag.placement import (CapacityError, PlacementState, SchemeConfig,
-                              derive_netw_slots, place_application,
-                              place_application_local, place_application_unified)
+                              derive_netw_slots, place_application)
 from dcfrag.topology import ResourceVector, build_clos, build_tree, find_reaches
 from dcfrag.workload import generate_workload
 
@@ -106,7 +105,7 @@ def test_criterion_5_fig1_divergence():
     plans = _exhaustive_plans(topology, app)
 
     local_state = PlacementState(topology)
-    local = place_application_local(local_state, app)
+    local = place_application(local_state, app, SchemeConfig(scheme="LOCAL"))
 
     greedy_error = None
     greedy_state = PlacementState(topology)
@@ -121,7 +120,7 @@ def test_criterion_5_fig1_divergence():
         greedy_error = exc
 
     unified_state = PlacementState(topology)
-    unified = place_application_unified(unified_state, app)
+    unified = place_application(unified_state, app, SchemeConfig(scheme="UNIFIED"))
     elapsed = time.perf_counter() - start
 
     ok = (len(plans) > 0
@@ -247,14 +246,13 @@ def test_criterion_7_invariant_suite(tmp_path):
 
     # rollback atomicity on injected failures
     t1, fig_app = fig1_instance()
-    for scheme_state, scheme_fn in (
-            (PlacementState(t1), place_application_local),
-            (PlacementState(topology), place_application_unified)):
-        app = fig_app if scheme_fn is place_application_local else _too_big(topology)
+    for scheme_state, scheme in ((PlacementState(t1), "LOCAL"),
+                                 (PlacementState(topology), "UNIFIED")):
+        app = fig_app if scheme == "LOCAL" else _too_big(topology)
         before = scheme_state.snapshot()
-        outcome = scheme_fn(scheme_state, app)
+        outcome = place_application(scheme_state, app, SchemeConfig(scheme=scheme))
         if outcome.ok or scheme_state.snapshot() != before:
-            problems.append(f"rollback not atomic for {scheme_fn.__name__}")
+            problems.append(f"rollback not atomic for {scheme}")
 
     # greedy counts never beat the oracle on 50 reachable random instances
     for i in range(50):

@@ -141,6 +141,32 @@ class TestCapacityInsideReaches:
         assert residual == {"r0": pytest.approx(0.5), "r1": pytest.approx(0.5)}
 
 
+def _pair_reduce_by_sorting(values):
+    """Reference: re-sort every step, pair the top two."""
+    items = list(values)
+    acc = 0
+    while len(items) > 1:
+        items.sort(key=lambda pair: (-pair[0], pair[1]))
+        (v_max, id_max), (v_smax, _) = items[0], items[1]
+        acc += v_smax
+        items[0] = (v_max - v_smax, id_max)
+        del items[1]
+    return acc, (items[0][0] if items else 0)
+
+
+class TestPairReduce:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(0, 12), max_size=12),
+        st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 1.0]), max_size=12),
+        st.lists(st.floats(0, 10, allow_nan=False), max_size=12)))
+    def test_matches_sort_every_step(self, values):
+        items = [(v, f"h{i}") for i, v in enumerate(values)]
+        got, want = M._pair_reduce(items), _pair_reduce_by_sorting(items)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
 class TestCapacityBetweenReaches:
     def test_fig4(self):
         state = fig4_state()

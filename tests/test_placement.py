@@ -7,10 +7,12 @@ from dcfrag.fixtures import UNIT, category_spec, fig1_instance, named_topology
 from dcfrag.metrics import MultiRequest
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
-                              place_application_local, place_application_netw,
-                              place_application_unified, reserve_traffic)
+                              reserve_traffic)
 from dcfrag.topology import ResourceVector, build_clos, build_tree, find_reaches
 from dcfrag.workload import VM, Application, generate_workload
+
+UNIFIED, LOCAL = SchemeConfig(scheme="UNIFIED"), SchemeConfig(scheme="LOCAL")
+
 
 def idle_tree(num_tors=2, hosts_per_tor=2, link=1.0, oversub=2.0, cap=UNIT):
     return build_tree(num_tors, hosts_per_tor, cap, link, oversub)
@@ -50,13 +52,6 @@ class TestBalPack:
         vm = VM(id="v", demand=ResourceVector(0.5, 0.1, 0.1))
         assert bal_pack(state, vm, reaches[0]) is None
 
-    def test_headroom_theta_bites_before_capacity(self):
-        state, reaches = tree_state()
-        vm = VM(id="v", demand=ResourceVector(0.5, 0.1, 0.1))
-        assert bal_pack(state, vm, reaches[0]) is not None
-        tight = SchemeConfig(balpack_headroom=0.4)
-        assert bal_pack(state, vm, reaches[0], tight) is None
-
 
 class TestReserveTraffic:
     def setup_app(self, traffic):
@@ -71,7 +66,7 @@ class TestReserveTraffic:
         state, app = self.setup_app({("v1", "v2"): 0.3})
         state.assign_vm(app.id, app.vm("v1"), "h0")
         state.assign_vm(app.id, app.vm("v2"), "h0")
-        assert reserve_traffic(state, app, "v2") is None
+        assert reserve_traffic(state, app) is None
         assert not state.reservations
         assert all(state.link_free[l] == state.topology.links[l].free
                    for l in state.link_free)
@@ -80,9 +75,23 @@ class TestReserveTraffic:
         state, app = self.setup_app({("v1", "v2"): 0.3})
         state.assign_vm(app.id, app.vm("v1"), "h0")
         state.assign_vm(app.id, app.vm("v2"), "h1")
-        assert reserve_traffic(state, app, "v2") is None
+        assert reserve_traffic(state, app) is None
         assert state.link_free["h0-t0"] == pytest.approx(0.7)
         assert state.link_free["h1-t0"] == pytest.approx(0.7)
+
+    def test_second_call_reserves_nothing_twice(self):
+        state, app = self.setup_app({("v1", "v2"): 0.3, ("v2", "v3"): 0.2})
+        state.assign_vm(app.id, app.vm("v1"), "h0")
+        state.assign_vm(app.id, app.vm("v2"), "h1")
+        reserve_traffic(state, app)
+        after_first = state.snapshot()
+        reserve_traffic(state, app)
+        assert state.snapshot() == after_first
+        assert set(state.reservations) == {(app.id, "v1", "v2")}
+        state.assign_vm(app.id, app.vm("v3"), "h2")
+        reserve_traffic(state, app)
+        assert set(state.reservations) == {(app.id, "v1", "v2"), (app.id, "v2", "v3")}
+        assert state.validate() == []
 
     def test_shortfall_rolls_back_the_vm(self):
         # the second case reserves (v1, v2) before (v2, v3) falls short; an
@@ -101,7 +110,7 @@ class TestReserveTraffic:
             with pytest.raises(CapacityError, match="h1-t0"):
                 with state.transaction():
                     state.assign_vm(app.id, app.vm("v2"), "h1")
-                    reserve_traffic(state, app, "v2")
+                    reserve_traffic(state, app)
             assert (app.id, "v2") not in state.assignments
             assert not state.reservations
             assert state.link_free == before_free
@@ -115,7 +124,7 @@ class TestUnified:
         for h in reaches[0].hosts:
             state.host_free[h] = ResourceVector(0.2, 0.2, 1.0)
         app = tree_app({"v1": (0.3, 0.3, 0.0)}, {}, state.topology)
-        out = place_application_unified(state, app)
+        out = place_application(state, app, UNIFIED)
         assert out.ok
         ((_, host),) = out.plan.assignments
         assert host in reaches[1].hosts
@@ -126,7 +135,7 @@ class TestUnified:
         before = state.snapshot()
         demands = {f"v{i}": (0.9, 0.1, 0.0) for i in range(6)}
         app = tree_app(demands, {}, state.topology)
-        out = place_application_unified(state, app)
+        out = place_application(state, app, UNIFIED)
         assert not out.ok
         assert state.snapshot() == before
 
@@ -135,7 +144,7 @@ class TestUnified:
         traffic = {("v1", "v2"): 0.4, ("v2", "v3"): 0.1}
         demands = {"v1": (0.1, 0.1, 0.4), "v2": (0.1, 0.1, 0.5), "v3": (0.1, 0.1, 0.1)}
         app = tree_app(demands, traffic, state.topology)
-        out = place_application_unified(state, app)
+        out = place_application(state, app, UNIFIED)
         assert out.ok
         # v2 carries 0.5 total, the unique argmax; it must land on the first
         # host bal_pack offers in the chosen reach
@@ -147,7 +156,7 @@ class TestUnified:
         traffic = {("v1", "v2"): 0.3}
         demands = {"v1": (0.2, 0.2, 0.3), "v2": (0.2, 0.2, 0.3)}
         app = tree_app(demands, traffic, state.topology)
-        out = place_application_unified(state, app)
+        out = place_application(state, app, UNIFIED)
         assert out.ok
         hosts = {h for _, h in out.plan.assignments}
         assert hosts <= set(reaches[0].hosts) or hosts <= set(reaches[1].hosts)
@@ -159,7 +168,7 @@ class TestUnified:
         demands = {f"v{i}": (0.6, 0.1, 0.05) for i in range(4)}
         traffic = {("v0", "v1"): 0.05, ("v2", "v3"): 0.05}
         app = tree_app(demands, traffic, state.topology)
-        out = place_application_unified(state, app)
+        out = place_application(state, app, UNIFIED)
         assert out.ok
         hosts = {h for _, h in out.plan.assignments}
         assert hosts & set(reaches[0].hosts) and hosts & set(reaches[1].hosts)
@@ -170,14 +179,14 @@ class TestUnified:
         state_b, _ = tree_state()
         traffic = {("v1", "v2"): 0.2, ("v1", "v3"): 0.1}
         demands = {"v1": (0.3, 0.2, 0.3), "v2": (0.2, 0.3, 0.2), "v3": (0.1, 0.1, 0.1)}
-        out_a = place_application_unified(state_a, tree_app(demands, traffic, state_a.topology))
-        out_b = place_application_unified(state_b, tree_app(demands, traffic, state_b.topology))
+        out_a = place_application(state_a, tree_app(demands, traffic, state_a.topology), UNIFIED)
+        out_b = place_application(state_b, tree_app(demands, traffic, state_b.topology), UNIFIED)
         assert out_a.plan == out_b.plan
 
     def test_empty_app_trivially_ok(self):
         state, _ = tree_state()
         app = Application(id="empty", vms=(), traffic={}, reference=state.topology.reference)
-        assert place_application_unified(state, app).ok
+        assert place_application(state, app, UNIFIED).ok
 
 
 class TestBestSiblingReach:
@@ -205,14 +214,14 @@ class TestLocal:
         state, _ = tree_state()
         demands = {"v1": (0.6, 0.1, 0.0), "v2": (0.3, 0.1, 0.0)}
         app = tree_app(demands, {}, state.topology)
-        out = place_application_local(state, app)
+        out = place_application(state, app, LOCAL)
         assert out.ok
         assert {h for _, h in out.plan.assignments} == {"h0"}
 
     def test_fig1_overdraws_the_link(self):
         t, app = fig1_instance()
         state = PlacementState(t)
-        out = place_application_local(state, app)
+        out = place_application(state, app, LOCAL)
         assert not out.ok
         assert "link" in out.failure
         assert not state.assignments and not state.validate()
@@ -220,14 +229,14 @@ class TestLocal:
     def test_empty_app_ok(self):
         state, _ = tree_state()
         app = Application(id="empty", vms=(), traffic={}, reference=state.topology.reference)
-        assert place_application_local(state, app).ok
+        assert place_application(state, app, LOCAL).ok
 
     def test_host_exhaustion_fails_and_rolls_back(self):
         state, _ = tree_state()
         before = state.snapshot()
         demands = {f"v{i}": (0.8, 0.1, 0.0) for i in range(5)}
         app = tree_app(demands, {}, state.topology)
-        out = place_application_local(state, app)
+        out = place_application(state, app, LOCAL)
         assert not out.ok and "no host fits" in out.failure
         assert state.snapshot() == before
 
@@ -240,7 +249,7 @@ class TestNetw:
         state, _ = tree_state()
         demands = {"v1": (0.1, 0.1, 0.05), "v2": (0.1, 0.1, 0.05)}
         app = tree_app(demands, {("v1", "v2"): 0.05}, state.topology)
-        out = place_application_netw(state, app, self.cfg(slots=2))
+        out = place_application(state, app, self.cfg(slots=2))
         assert out.ok
         assert {h for _, h in out.plan.assignments} == {"h0"}
         assert not out.plan.reservations
@@ -251,7 +260,7 @@ class TestNetw:
         traffic = {("v0", "v1"): 0.1, ("v0", "v2"): 0.1, ("v0", "v3"): 0.1,
                    ("v1", "v2"): 0.1, ("v1", "v3"): 0.1, ("v2", "v3"): 0.1}
         app = tree_app(demands, traffic, state.topology)
-        out = place_application_netw(state, app, self.cfg(slots=2))
+        out = place_application(state, app, self.cfg(slots=2))
         assert out.ok
         hosts = {h for _, h in out.plan.assignments}
         assert hosts == {"h0", "h1"}  # whole rack, two slots each
@@ -267,14 +276,24 @@ class TestNetw:
         demands = {f"v{i}": (0.1, 0.1, 0.9) for i in range(6)}
         traffic = {(f"v{i}", f"v{j}"): 0.3 for i in range(6) for j in range(i + 1, 6)}
         app = tree_app(demands, traffic, state.topology)
-        out = place_application_netw(state, app, self.cfg(slots=1))
+        out = place_application(state, app, self.cfg(slots=1))
         assert not out.ok
 
     def test_slots_required(self):
         state, _ = tree_state()
         app = tree_app({"v1": (0.1, 0.1, 0.0)}, {}, state.topology)
         with pytest.raises(ValueError, match="slots"):
-            place_application_netw(state, app, SchemeConfig(scheme="NETW"))
+            place_application(state, app, SchemeConfig(scheme="NETW"))
+
+    def test_slots_count_vms_placed_by_any_scheme(self):
+        state, _ = tree_state()
+        pair = tree_app({"v1": (0.1, 0.1, 0.0), "v2": (0.1, 0.1, 0.0)}, {}, state.topology,
+                        app_id="local")
+        assert dict(place_application(state, pair, LOCAL).plan.assignments) == {
+            "v1": "h0", "v2": "h0"}
+        single = tree_app({"v1": (0.1, 0.1, 0.0)}, {}, state.topology, app_id="netw")
+        out = place_application(state, single, self.cfg(slots=2))
+        assert out.plan.assignments == (("v1", "h1"),)
 
     def test_derive_slots_from_workload_mean(self):
         t = idle_tree(cap=ResourceVector(4000, 8192, 10000), link=10000)
@@ -289,7 +308,7 @@ class TestNetw:
         demands = {f"v{i}": (0.4, 0.1, 0.01) for i in range(4)}
         traffic = {("v0", "v1"): 0.01}
         app = tree_app(demands, traffic, state.topology)
-        out = place_application_netw(state, app, self.cfg(slots=4))
+        out = place_application(state, app, self.cfg(slots=4))
         assert not out.ok and "cpu" in out.failure
         assert state.snapshot() == before
 
@@ -433,7 +452,7 @@ class TestFig1SchemeDivergence:
     def test_unified_finds_a_valid_plan(self):
         t, app = fig1_instance()
         state = PlacementState(t)
-        out = place_application_unified(state, app)
+        out = place_application(state, app, UNIFIED)
         assert out.ok
         assert dict(out.plan.assignments) in [p for p, _ in self.valid_plans(t, app)]
         assert state.validate() == []

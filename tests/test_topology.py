@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcfrag.fixtures import UNIT, UNIT_REF, fig4_topology
-from dcfrag.topology import (Host, Link, ResourceVector, Switch, Topology,
+from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology,
                              TopologyError, build_clos, build_tree,
                              find_boundary_switches, find_reaches, load_topology)
 
@@ -285,6 +285,15 @@ class TestRouting:
         t = fig4_topology()
         r0, r1 = find_reaches(t)
         assert t.reach_paths(r0, r1) == (("s1-s3", "s2-s3"),)
+
+    def test_reach_paths_refuse_reaches_sharing_a_switch(self):
+        t = fig4_topology()
+        ra = Reach("ra", ("h1", "h2"), ("s1", "s3"))
+        rb = Reach("rb", ("h3", "h4"), ("s2", "s3"))
+        with pytest.raises(ValueError, match=r"ra and rb share switches \['s3'\]"):
+            t.reach_paths(ra, rb)
+        with pytest.raises(ValueError, match="share switches"):
+            t.reach_paths(rb, ra)
 
 
 class TestLoader:
