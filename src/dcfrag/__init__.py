@@ -2,12 +2,12 @@
 
 from .harness import (ComparisonResult, ExperimentConfig, ResultRow, compare_schemes,
                       run_experiment)
-from .metrics import (AllocationRequest, FragmentationReport, MultiRequest,
-                      NetworkCapacityBreakdown, RRFReport, brute_force_placeable,
-                      capacity_between_reaches, capacity_breakdown,
-                      capacity_inside_reaches, fragmentation_index, network_rrf,
-                      path_bandwidth, placeable_between_reaches,
-                      placeable_inside_reaches, rrf_index_local)
+from .metrics import (MultiRequest, NetworkCapacityBreakdown, RRFReport,
+                      brute_force_placeable, capacity_between_reaches,
+                      capacity_breakdown, capacity_inside_reaches,
+                      fragmentation_index, network_rrf, path_bandwidth,
+                      placeable_between_reaches, placeable_inside_reaches,
+                      rrf_index_local)
 from .placement import (CapacityError, PlacementOutcome, PlacementPlan, PlacementState,
                         SchemeConfig, bal_pack, best_sibling_reach, place_application,
                         reserve_traffic)

@@ -8,8 +8,7 @@ import sys
 from . import fixtures
 from .harness import (ExperimentConfig, compare_schemes, resolve_topology,
                       run_experiment)
-from .metrics import (AllocationRequest, MultiRequest, format_record,
-                      fragmentation_index, network_rrf, rrf_index_local)
+from .metrics import MultiRequest, format_record, network_rrf, rrf_index_local
 from .placement import SCHEMES, SchemeConfig, PlacementState
 from .topology import TopologyError, find_reaches
 from .workload import WorkloadError
@@ -32,8 +31,10 @@ def _parse_kv(text: str, what: str) -> dict:
             continue
         if "=" not in part:
             raise ValueError(f"bad {what} component {part!r}, expected key=value")
-        key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (x.strip() for x in part.split("=", 1))
+        if key in out:
+            raise ValueError(f"duplicate {what} key {key!r}")
+        out[key] = value
     return out
 
 
@@ -115,17 +116,9 @@ def _run_metrics(args) -> int:
     if not dims:
         raise ValueError("--request needs at least one nonzero component")
     lines = [RECORD_HEADER]
-    if len(dims) == 1:
-        kind = dims[0]
-        single = AllocationRequest(kind, getattr(req, kind))
-        lines.append(format_record(fragmentation_index(state, single), single))
-    else:
-        for kind in dims:
-            if kind == "nw":
-                continue
-            lines.append(format_record(rrf_index_local(state, req, kind), req))
-        if req.nw > 0:
-            lines.append(format_record(network_rrf(state, req), req))
+    for kind in dims:
+        report = network_rrf(state, req) if kind == "nw" else rrf_index_local(state, req, kind)
+        lines.append(format_record(report, req))
     print("\n".join(lines))
     return 0
 

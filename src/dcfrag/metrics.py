@@ -23,8 +23,6 @@ from .topology import Reach, Topology, find_reaches
 
 _EPS = 1e-9
 
-RESOURCE_KINDS = ("cpu", "mem", "nw")
-
 
 def fit_count(free: float, size: float) -> int:
     """How many size-sized slices fit in free capacity, tolerant of float noise."""
@@ -33,20 +31,6 @@ def fit_count(free: float, size: float) -> int:
     if free <= 0:
         return 0
     return int(free / size + _EPS)
-
-
-@dataclass(frozen=True)
-class AllocationRequest:
-    """Single-dimension request: a normalized slice of one resource kind."""
-
-    resource: str
-    size: float
-
-    def __post_init__(self):
-        if self.resource not in RESOURCE_KINDS:
-            raise ValueError(f"unknown resource kind {self.resource!r}")
-        if not 0 < self.size <= 1:
-            raise ValueError(f"size must be in (0, 1], got {self.size}")
 
 
 @dataclass(frozen=True)
@@ -75,15 +59,6 @@ class MultiRequest:
 
 
 @dataclass(frozen=True)
-class FragmentationReport:
-    resource: str
-    size: float
-    total_free: float
-    placeable: int
-    index: float
-
-
-@dataclass(frozen=True)
 class RRFReport:
     resource: str
     total_free: float
@@ -96,7 +71,6 @@ class NetworkCapacityBreakdown:
     inside: float
     between: float
     total: float
-    per_reach_residual_bw: dict
 
 
 def _index(total: float, count: int, size: float) -> float:
@@ -122,25 +96,18 @@ def nic_free(state, host_id: str) -> float:
 # -- host-local metrics --------------------------------------------------------
 
 
-def fragmentation_index(state, req: AllocationRequest) -> FragmentationReport:
+def fragmentation_index(state, req: MultiRequest) -> RRFReport:
     """Fraction of a resource's free capacity unusable for requests of one size.
 
-    For cpu/mem the placeable count is the sum over hosts of how many slices
-    fit. For nw the single-dimension case is derived from the network RRF
-    machinery with the local dimensions unconstrained.
+    Fragmentation is the RRF of a request with exactly one nonzero dimension:
+    the host-local RRF for cpu/mem, the network RRF for nw.
     """
-    if req.resource == "nw":
-        report = network_rrf(state, MultiRequest(nw=req.size))
-        return FragmentationReport("nw", req.size, report.total_free,
-                                   report.placeable_multi, report.index)
-    total = 0.0
-    count = 0
-    for host_id in sorted(state.host_free):
-        free = _local_free(state, host_id, req.resource)
-        total += free
-        count += fit_count(free, req.size)
-    return FragmentationReport(req.resource, req.size, total, count,
-                               _index(total, count, req.size))
+    dims = req.nonzero_dims()
+    if len(dims) != 1:
+        raise ValueError(f"fragmentation needs exactly one nonzero dimension, got {dims}")
+    if dims[0] == "nw":
+        return network_rrf(state, req)
+    return rrf_index_local(state, req, dims[0])
 
 
 def _host_multi_count(state, host_id: str, req: MultiRequest) -> int:
@@ -156,16 +123,15 @@ def _host_multi_count(state, host_id: str, req: MultiRequest) -> int:
 
 
 def rrf_index_local(state, req: MultiRequest, target: str) -> RRFReport:
-    """RRF of a host-local resource under a multi-dimensional request.
+    """RRF of a host-local resource under a request.
 
     Per host the placeable count is the min over the request's nonzero
     dimensions (NIC counting as a local dimension); the index applies
-    the target resource's size to the summed count.
+    the target resource's size to the summed count. With the target as the
+    only nonzero dimension this is the target's fragmentation index.
     """
     if target not in ("cpu", "mem"):
         raise ValueError(f"target must be cpu or mem, got {target!r}")
-    if not req.is_multi():
-        raise ValueError("RRF needs a request with at least two nonzero dimensions")
     if getattr(req, target) <= 0:
         raise ValueError(f"target dimension {target} is zero in the request")
     total = 0.0
@@ -314,8 +280,7 @@ def capacity_breakdown(state, reaches: list[Reach] | None = None) -> NetworkCapa
     inside, residuals = capacity_inside_reaches(state, reaches)
     between = capacity_between_reaches(state, reaches, residuals)
     return NetworkCapacityBreakdown(inside=inside, between=between,
-                                    total=inside + between,
-                                    per_reach_residual_bw=residuals)
+                                    total=inside + between)
 
 
 # -- placeable request counts ----------------------------------------------------
@@ -473,20 +438,12 @@ def brute_force_placeable(state, req: MultiRequest, cap: int = 12) -> int:
 # -- serialization ------------------------------------------------------------------
 
 
-def format_record(report, request) -> str:
+def format_record(report: RRFReport, request: MultiRequest) -> str:
     """Flat fixed-format record for golden files.
 
     Columns: resource, size_cpu, size_mem, size_nw, T, N, index.
     """
-    if isinstance(request, AllocationRequest):
-        sizes = {request.resource: request.size}
-        size_cpu = sizes.get("cpu", 0.0)
-        size_mem = sizes.get("mem", 0.0)
-        size_nw = sizes.get("nw", 0.0)
-    else:
-        size_cpu, size_mem, size_nw = request.cpu, request.mem, request.nw
-    count = report.placeable if isinstance(report, FragmentationReport) else report.placeable_multi
     return (
-        f"{report.resource},{size_cpu:.9f},{size_mem:.9f},{size_nw:.9f},"
-        f"{report.total_free:.9f},{count},{report.index:.9f}"
+        f"{report.resource},{request.cpu:.9f},{request.mem:.9f},{request.nw:.9f},"
+        f"{report.total_free:.9f},{report.placeable_multi},{report.index:.9f}"
     )

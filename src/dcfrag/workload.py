@@ -37,6 +37,10 @@ class Application:
     traffic: dict  # (vm_a, vm_b) with vm_a < vm_b -> Mbps
     reference: Reference
 
+    def __post_init__(self):
+        # traffic is complete before construction and never changed after it
+        self._edges = tuple(sorted(self.traffic.items()))
+
     def vm(self, vm_id: str) -> VM:
         for v in self.vms:
             if v.id == vm_id:
@@ -48,7 +52,7 @@ class Application:
 
     def edges(self):
         """Traffic edges in deterministic order."""
-        return sorted(self.traffic.items())
+        return self._edges
 
     def total_traffic(self, vm_id: str) -> float:
         return sum(bw for (a, b), bw in self.traffic.items() if vm_id in (a, b))

@@ -16,7 +16,7 @@ from dcfrag.fixtures import (FIG4_REQUEST, UNIT, category_eval_apps,
                              category_spec, category_topology, fig3_state,
                              fig4_state, fig1_instance)
 from dcfrag.harness import ExperimentConfig, run_experiment, shuffle_order
-from dcfrag.metrics import AllocationRequest, MultiRequest
+from dcfrag.metrics import MultiRequest
 from dcfrag.placement import (CapacityError, PlacementState, SchemeConfig,
                               derive_netw_slots, place_application)
 from dcfrag.topology import ResourceVector, build_clos, build_tree, find_reaches
@@ -43,8 +43,8 @@ def best_of(fn, repeats=3):
 def test_criterion_1_fragmentation_worked_example():
     state = fig3_state()
     quarter, elapsed = best_of(
-        lambda: M.fragmentation_index(state, AllocationRequest("mem", 0.25)))
-    point_three = M.fragmentation_index(state, AllocationRequest("mem", 0.3))
+        lambda: M.fragmentation_index(state, MultiRequest(mem=0.25)))
+    point_three = M.fragmentation_index(state, MultiRequest(mem=0.3))
     ok = (abs(quarter.index - 1 / 6) <= 1e-9
           and abs(point_three.index - 0.5) <= 1e-12
           and elapsed < 1e-3)
@@ -213,7 +213,7 @@ def test_criterion_7_invariant_suite(tmp_path):
                 rng.uniform(0, 1), rng.uniform(0, 1), 1.0)
         size = rng.uniform(0.05, 0.9)
         other = rng.uniform(0.05, 0.9)
-        frag = M.fragmentation_index(state, AllocationRequest("mem", size))
+        frag = M.fragmentation_index(state, MultiRequest(mem=size))
         rrf = M.rrf_index_local(state, MultiRequest(cpu=other, mem=size), "mem")
         if not (0 <= frag.index <= 1 and 0 <= rrf.index <= 1):
             problems.append("index out of bounds")

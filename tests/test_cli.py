@@ -64,6 +64,47 @@ class TestMetrics:
         assert code == 1 and "error" in err
 
 
+HEADER = "resource,size_cpu,size_mem,size_nw,T,N,index"
+
+# Full `dcfrag metrics` stdout, recorded before the single-dimension request
+# and report types were folded into MultiRequest and RRFReport.
+METRICS_OUTPUT = {
+    ("fig3-like", "mem=0.25"): [
+        "mem,0.000000000,0.250000000,0.000000000,1.200000000,4,0.166666667"],
+    ("fig3-like", "cpu=0.3"): [
+        "cpu,0.300000000,0.000000000,0.000000000,1.250000000,4,0.040000000"],
+    ("fig4", "nw=0.2"): [
+        "nw,0.000000000,0.000000000,0.200000000,1.050000000,4,0.238095238"],
+    ("fig4", "cpu=0.2,mem=0.2,nw=0.2"): [
+        "cpu,0.200000000,0.200000000,0.200000000,1.600000000,6,0.250000000",
+        "mem,0.200000000,0.200000000,0.200000000,1.600000000,6,0.250000000",
+        "nw,0.200000000,0.200000000,0.200000000,1.050000000,3,0.428571429"],
+    ("fig4", "cpu=0.2,mem=0.3"): [
+        "cpu,0.200000000,0.300000000,0.000000000,1.600000000,4,0.500000000",
+        "mem,0.200000000,0.300000000,0.000000000,1.600000000,4,0.250000000"],
+    ("fig4", "mem=0.2,nw=0.1"): [
+        "mem,0.000000000,0.200000000,0.100000000,1.600000000,8,0.000000000",
+        "nw,0.000000000,0.200000000,0.100000000,1.050000000,4,0.619047619"],
+    ("tree64", "nw=0.02"): [
+        "nw,0.000000000,0.000000000,0.020000000,32.000000000,1600,0.000000000"],
+    ("tree64", "cpu=0.15"): [
+        "cpu,0.150000000,0.000000000,0.000000000,64.000000000,384,0.100000000"],
+    ("clos64-10g", "mem=0.1,nw=0.05"): [
+        "mem,0.000000000,0.100000000,0.050000000,64.000000000,640,0.000000000",
+        "nw,0.000000000,0.100000000,0.050000000,32.000000000,320,0.500000000"],
+}
+
+
+class TestMetricsOutput:
+    @pytest.mark.parametrize("topology, request_", list(METRICS_OUTPUT),
+                             ids=[f"{t}-{r}" for t, r in METRICS_OUTPUT])
+    def test_full_stdout_is_pinned(self, capsys, topology, request_):
+        code, out, err = run_cli(capsys, "metrics", "--topology", topology,
+                                 "--request", request_)
+        assert code == 0 and err == ""
+        assert out == "\n".join([HEADER, *METRICS_OUTPUT[topology, request_]]) + "\n"
+
+
 class TestUsageErrors:
     def test_missing_topology_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -99,6 +140,17 @@ class TestUsageErrors:
          "--request cpu must be a number, got 'abc'"),
     ], ids=["category", "seed", "apps", "request"])
     def test_unparsable_number_names_its_key(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"dcfrag: error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("metrics", "--topology", "fig4", "--request", "mem=0.1,mem=0.9"),
+         "duplicate --request key 'mem'"),
+        (("compare", "--topology", "tree64", "--generate", "category=1,apps=3,apps=5"),
+         "duplicate --generate key 'apps'"),
+    ], ids=["request", "generate"])
+    def test_repeated_key_is_an_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err == f"dcfrag: error: {message}\n"

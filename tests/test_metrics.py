@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dcfrag import metrics as M
 from dcfrag.fixtures import FIG4_REQUEST, UNIT, UNIT_REF, fig3_state, fig4_state
-from dcfrag.metrics import AllocationRequest, MultiRequest
+from dcfrag.metrics import MultiRequest
 from dcfrag.placement import PlacementState
 from dcfrag.topology import (Host, Link, ResourceVector, Switch, Topology,
                              build_clos, build_tree, find_reaches)
@@ -52,36 +52,38 @@ class TestFitCount:
 
 class TestFragmentationIndex:
     def test_worked_example_quarter(self):
-        report = M.fragmentation_index(fig3_state(), AllocationRequest("mem", 0.25))
+        report = M.fragmentation_index(fig3_state(), MultiRequest(mem=0.25))
         assert report.total_free == pytest.approx(1.2)
-        assert report.placeable == 4
+        assert report.placeable_multi == 4
         assert report.index == pytest.approx(1 / 6, abs=1e-9)
 
     def test_worked_example_point_three(self):
-        report = M.fragmentation_index(fig3_state(), AllocationRequest("mem", 0.3))
+        report = M.fragmentation_index(fig3_state(), MultiRequest(mem=0.3))
         assert report.index == pytest.approx(0.5, abs=1e-12)
 
     def test_exact_fit_zero_waste(self):
         state = mini_state([(1.0, 0.5, 1.0)])
-        report = M.fragmentation_index(state, AllocationRequest("mem", 0.5))
-        assert report.placeable == 1
+        report = M.fragmentation_index(state, MultiRequest(mem=0.5))
+        assert report.placeable_multi == 1
         assert report.index == 0.0
 
     def test_zero_total_free_is_index_one(self):
         state = mini_state([(0.0, 0.0, 1.0), (0.0, 0.0, 1.0)])
-        report = M.fragmentation_index(state, AllocationRequest("cpu", 0.5))
+        report = M.fragmentation_index(state, MultiRequest(cpu=0.5))
         assert report.index == 1.0
 
-    def test_unknown_resource_kind(self):
-        with pytest.raises(ValueError):
-            AllocationRequest("gpu", 0.5)
+    @pytest.mark.parametrize("req", [MultiRequest(), MultiRequest(cpu=0.2, mem=0.25)],
+                             ids=["no-dimension", "two-dimensions"])
+    def test_needs_exactly_one_nonzero_dimension(self, req):
+        with pytest.raises(ValueError, match="exactly one nonzero dimension"):
+            M.fragmentation_index(fig3_state(), req)
 
     def test_network_kind_uses_reach_machinery(self):
-        report = M.fragmentation_index(fig4_state(), AllocationRequest("nw", 0.2))
+        report = M.fragmentation_index(fig4_state(), MultiRequest(nw=0.2))
         assert report.total_free == pytest.approx(1.05)
         # unconstrained cpu/mem: NIC floors {4,1,3,1} pair to 1 per reach with
         # residuals {3,2}; the 0.5 path carries 2 more
-        assert report.placeable == 4
+        assert report.placeable_multi == 4
         assert report.index == pytest.approx((1.05 - 4 * 0.2) / 1.05)
 
 
@@ -91,9 +93,12 @@ class TestLocalRRF:
         assert report.placeable_multi == 1
         assert report.index == pytest.approx(0.95 / 1.2, abs=1e-9)
 
-    def test_single_dimension_rejected(self):
-        with pytest.raises(ValueError, match="two nonzero"):
-            M.rrf_index_local(fig3_state(), MultiRequest(mem=0.25), "mem")
+    def test_single_dimension_is_fragmentation(self):
+        req = MultiRequest(mem=0.25)
+        report = M.rrf_index_local(fig3_state(), req, "mem")
+        assert report == M.fragmentation_index(fig3_state(), req)
+        assert report.placeable_multi == 4
+        assert report.index == pytest.approx(1 / 6, abs=1e-9)
 
     def test_zero_target_rejected(self):
         with pytest.raises(ValueError, match="target"):
@@ -538,7 +543,7 @@ class TestInvariants:
         for _ in range(15):
             frees = [(rng.uniform(0, 1), rng.uniform(0, 1), 1.0) for _ in range(4)]
             state = mini_state(frees)
-            req = AllocationRequest(rng.choice(["cpu", "mem"]), rng.uniform(0.05, 1.0))
+            req = MultiRequest(**{rng.choice(["cpu", "mem"]): rng.uniform(0.05, 1.0)})
             a = M.fragmentation_index(state, req)
             b = M.fragmentation_index(state, req)
             assert a == b
@@ -547,7 +552,7 @@ class TestInvariants:
     def test_monotonicity_in_size(self):
         state = fig3_state()
         sizes = [0.1, 0.2, 0.3, 0.5, 0.8]
-        counts = [M.fragmentation_index(state, AllocationRequest("mem", s)).placeable
+        counts = [M.fragmentation_index(state, MultiRequest(mem=s)).placeable_multi
                   for s in sizes]
         assert counts == sorted(counts, reverse=True)
         multi = [M.rrf_index_local(state, MultiRequest(cpu=c, mem=0.25), "mem").placeable_multi
@@ -561,9 +566,9 @@ class TestInvariants:
             state = mini_state(frees)
             size = rng.uniform(0.05, 0.9)
             other = rng.uniform(0.05, 0.9)
-            frag = M.fragmentation_index(state, AllocationRequest("mem", size))
+            frag = M.fragmentation_index(state, MultiRequest(mem=size))
             rrf = M.rrf_index_local(state, MultiRequest(cpu=other, mem=size), "mem")
-            assert rrf.placeable_multi <= frag.placeable
+            assert rrf.placeable_multi <= frag.placeable_multi
             assert rrf.index >= frag.index - 1e-12
 
     def test_monotonicity_in_state(self):
@@ -572,15 +577,15 @@ class TestInvariants:
         for h in smaller.host_free:
             smaller.host_free[h] = smaller.host_free[h].scaled(0.5)
         for dim, size in (("cpu", 0.2), ("mem", 0.2)):
-            n_base = M.fragmentation_index(base, AllocationRequest(dim, size)).placeable
-            n_small = M.fragmentation_index(smaller, AllocationRequest(dim, size)).placeable
+            n_base = M.fragmentation_index(base, MultiRequest(**{dim: size})).placeable_multi
+            n_small = M.fragmentation_index(smaller, MultiRequest(**{dim: size})).placeable_multi
             assert n_small <= n_base
 
 
 class TestRecordFormat:
     def test_fragmentation_record(self):
-        report = M.fragmentation_index(fig3_state(), AllocationRequest("mem", 0.25))
-        line = M.format_record(report, AllocationRequest("mem", 0.25))
+        report = M.fragmentation_index(fig3_state(), MultiRequest(mem=0.25))
+        line = M.format_record(report, MultiRequest(mem=0.25))
         assert line == "mem,0.000000000,0.250000000,0.000000000,1.200000000,4,0.166666667"
 
     def test_network_record(self):
