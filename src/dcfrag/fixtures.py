@@ -10,7 +10,7 @@ from .metrics import MultiRequest
 from .placement import PlacementState
 from .topology import (Host, Link, Reference, ResourceVector, Switch, Topology,
                        build_clos, build_tree)
-from .workload import Application, VM, WorkloadSpec
+from .workload import Application, VM, WorkloadSpec, traffic_peers
 
 UNIT = ResourceVector(1.0, 1.0, 1.0)
 UNIT_REF = Reference(host=UNIT, link=1.0)
@@ -109,9 +109,9 @@ def fig1_instance() -> tuple[Topology, Application]:
         "c1": (240.0, 80.0), "c2": (80.0, 400.0),
     }
     traffic = {("a1", "a2"): 600.0, ("b1", "b2"): 550.0, ("c1", "c2"): 500.0}
-    rows = {v: sum(bw for key, bw in traffic.items() if v in key) for v in demands}
+    peers = traffic_peers(traffic)
     vms = tuple(
-        VM(id=v, demand=ResourceVector(cpu, mem, rows[v]))
+        VM(id=v, demand=ResourceVector(cpu, mem, sum(peers[v].values())))
         for v, (cpu, mem) in sorted(demands.items())
     )
     app = Application(id="fig1", vms=vms, traffic=traffic, reference=reference)

@@ -289,18 +289,16 @@ def capacity_breakdown(state, reaches: list[Reach] | None = None) -> NetworkCapa
 def placeable_inside_reaches(state, reaches: list[Reach], req: MultiRequest):
     """Placeable request pairs inside each reach, plus per-reach residual counts.
 
-    Hosts with NIC headroom below the request's network size drop out; the
-    remaining per-host counts (min over nonzero dimensions) pair exactly like
-    the bandwidth procedure. Returns (count, {reach id: residual count}).
+    Per-host counts (min over nonzero dimensions; a host short of NIC counts
+    zero and pairs nothing) pair exactly like the bandwidth procedure.
+    Returns (count, {reach id: residual count}).
     """
     if req.nw <= 0:
         raise ValueError("network component of the request must be > 0")
     total = 0
     residuals: dict[str, int] = {}
     for reach in reaches:
-        eligible = [h for h in reach.hosts if nic_free(state, h) >= req.nw - _EPS]
-        counts = [(_host_multi_count(state, h, req), h) for h in eligible]
-        got, res = _pair_reduce(counts)
+        got, res = _pair_reduce([(_host_multi_count(state, h, req), h) for h in reach.hosts])
         total += got
         residuals[reach.id] = res
     return total, residuals

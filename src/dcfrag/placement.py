@@ -81,7 +81,6 @@ class PlacementState:
             l.id: l.free for l in topology.links.values()
         }
         self.assignments: dict[tuple[str, str], str] = {}   # (app, vm) -> host
-        self.vm_demand: dict[tuple[str, str], ResourceVector] = {}
         self.reservations: dict[tuple[str, str, str], tuple[tuple[str, ...], float]] = {}
         self.apps: dict[str, Application] = {}
         self._journal: list | None = None
@@ -93,15 +92,13 @@ class PlacementState:
             dict(self.host_free),
             dict(self.link_free),
             dict(self.assignments),
-            dict(self.vm_demand),
             dict(self.reservations),
             dict(self.apps),
         )
 
     def restore(self, snap) -> None:
         (self.host_free, self.link_free, self.assignments,
-         self.vm_demand, self.reservations, self.apps) = (
-            dict(part) for part in snap)
+         self.reservations, self.apps) = (dict(part) for part in snap)
 
     def _write(self, table: dict, key, value) -> None:
         if self._journal is not None:
@@ -149,7 +146,6 @@ class PlacementState:
                 raise CapacityError("host", host_id, dim, need, avail)
         self._write(self.host_free, host_id, free - vm.demand)
         self._write(self.assignments, (app_id, vm.id), host_id)
-        self._write(self.vm_demand, (app_id, vm.id), vm.demand)
 
     def reserve_edge(self, app_id: str, vm_a: str, vm_b: str, bw: float) -> tuple[str, ...]:
         """Route one traffic edge on the deterministic widest-shortest path
@@ -179,8 +175,8 @@ class PlacementState:
         t = self.topology
         used: dict[str, ResourceVector] = {
             h: ResourceVector(0, 0, 0) for h in self.host_free}
-        for key, host_id in self.assignments.items():
-            used[host_id] = used[host_id] + self.vm_demand[key]
+        for (app_id, vm_id), host_id in self.assignments.items():
+            used[host_id] = used[host_id] + self.apps[app_id].vm(vm_id).demand
         for host_id, total in used.items():
             cap = t.hosts[host_id].capacity
             initial = t.hosts[host_id].free
@@ -323,16 +319,6 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
     if reaches is None:
         reaches = find_reaches(state.topology)
     req = representative_request(app)
-    # weight[v] lists v's peers in app.traffic order, so a sum over a group
-    # adds the same terms in the same order as workload.bw_between
-    weight: dict[str, dict[str, float]] = {v: {} for v in app.vm_ids()}
-    for (x, y), bw in app.traffic.items():
-        weight[x][y] = bw
-        weight[y][x] = bw
-
-    def bw_to(v: str, group: set[str]) -> float:
-        return sum(bw for peer, bw in weight[v].items() if peer in group)
-
     reach = min(reaches, key=lambda r: (-placeable_in_reach(state, r, req), r.id))
     tried = {reach.id}
     unplaced = set(app.vm_ids())
@@ -341,7 +327,7 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
 
     while True:
         reach_hosts = set(reach.hosts)
-        vm_id = min(unplaced, key=lambda v: (-bw_to(v, unplaced), v))
+        vm_id = min(unplaced, key=lambda v: (-app.bw_to(v, unplaced), v))
         while True:
             host = bal_pack(state, app.vm(vm_id), reach)
             if host is None:
@@ -362,7 +348,7 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
             in_reach = {v for v in app.vm_ids()
                         if state.assignments.get((app.id, v)) in reach_hosts}
             vm_id = min(unplaced,
-                        key=lambda v: (-(bw_to(v, in_reach) - bw_to(v, unplaced)), v))
+                        key=lambda v: (-(app.bw_to(v, in_reach) - app.bw_to(v, unplaced)), v))
         sibling = best_sibling_reach(state, reaches, tried, placed_hosts, req)
         if sibling is None:
             return last_failure

@@ -28,9 +28,20 @@ class VM:
     demand: ResourceVector
 
 
-@dataclass
+def traffic_peers(traffic: dict) -> dict[str, dict[str, float]]:
+    """Per-VM traffic rows {vm: {peer: Mbps}}; VMs without traffic are absent.
+    Each VM's peers keep traffic's insertion order, so a sum over them adds
+    the same terms in the same order as a scan of traffic."""
+    peers: dict[str, dict[str, float]] = {}
+    for (x, y), bw in traffic.items():
+        peers.setdefault(x, {})[y] = bw
+        peers.setdefault(y, {})[x] = bw
+    return peers
+
+
+@dataclass(frozen=True)
 class Application:
-    """A set of VMs plus the symmetric pairwise bandwidth they exchange."""
+    """A set of VMs plus the symmetric pairwise bandwidth they exchange; immutable."""
 
     id: str
     vms: tuple[VM, ...]
@@ -39,13 +50,12 @@ class Application:
 
     def __post_init__(self):
         # traffic is complete before construction and never changed after it
-        self._edges = tuple(sorted(self.traffic.items()))
+        object.__setattr__(self, "_edges", tuple(sorted(self.traffic.items())))
+        object.__setattr__(self, "_peers", traffic_peers(self.traffic))
+        object.__setattr__(self, "_vm_by_id", {v.id: v for v in self.vms})
 
     def vm(self, vm_id: str) -> VM:
-        for v in self.vms:
-            if v.id == vm_id:
-                return v
-        raise KeyError(vm_id)
+        return self._vm_by_id[vm_id]
 
     def vm_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vms)
@@ -55,7 +65,11 @@ class Application:
         return self._edges
 
     def total_traffic(self, vm_id: str) -> float:
-        return sum(bw for (a, b), bw in self.traffic.items() if vm_id in (a, b))
+        return sum(self._peers.get(vm_id, {}).values())
+
+    def bw_to(self, vm_id: str, group) -> float:
+        """Bandwidth between one VM and the members of a VM group."""
+        return sum(bw for peer, bw in self._peers.get(vm_id, {}).items() if peer in group)
 
 
 def validate_application(a: Application) -> None:
@@ -90,14 +104,15 @@ def representative_request(a: Application) -> MultiRequest:
     """Mean normalized VM demand of the application.
 
     cpu/mem are means of the normalized demands; nw is the mean per-VM total
-    traffic normalized to the reference link.
+    traffic normalized to the reference link, capped at 1: a VM's traffic may
+    exceed the link up to the host NIC, and the request only ranks reaches.
     """
     if not a.vms:
         raise WorkloadError(f"app {a.id}: empty application")
     n = len(a.vms)
     cpu = sum(v.demand.cpu for v in a.vms) / n / a.reference.host.cpu
     mem = sum(v.demand.mem for v in a.vms) / n / a.reference.host.mem
-    nw = sum(a.total_traffic(v.id) for v in a.vms) / n / a.reference.link
+    nw = min(1.0, sum(a.total_traffic(v.id) for v in a.vms) / n / a.reference.link)
     return MultiRequest(cpu=cpu, mem=mem, nw=nw)
 
 
@@ -107,11 +122,7 @@ def bw_between(a: Application, group_x, group_y) -> float:
     overlap = xs & ys
     if overlap:
         raise WorkloadError(f"app {a.id}: groups overlap on {sorted(overlap)}")
-    total = 0.0
-    for (p, q), bw in a.traffic.items():
-        if (p in xs and q in ys) or (p in ys and q in xs):
-            total += bw
-    return total
+    return sum(a.bw_to(x, ys) for x in sorted(xs))
 
 
 # -- synthetic generation --------------------------------------------------------
@@ -202,7 +213,8 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
         else:
             traffic = {}
 
-        rows = {v: sum(bw for key, bw in traffic.items() if v in key) for v in vm_ids}
+        peers = traffic_peers(traffic)
+        rows = {v: sum(peers.get(v, {}).values()) for v in vm_ids}
         mean_row = sum(rows.values()) / n if n else 0.0
         vms = []
         for v in vm_ids:
@@ -269,6 +281,7 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
                 raise WorkloadError(f"{where}: edges[{ei}]: duplicate edge {key}")
             traffic[key] = bw
 
+        peers = traffic_peers(traffic)
         vms = []
         for vi, v in enumerate(vm_recs):
             try:
@@ -277,7 +290,7 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
                 mem = float(v["mem_mb"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise WorkloadError(f"{where}: vms[{vi}]: {exc}") from exc
-            rows = sum(bw for key, bw in traffic.items() if vm_id in key)
+            rows = sum(peers.get(vm_id, {}).values())
             nic = float(v["nic_mbps"]) if "nic_mbps" in v else rows
             vms.append(VM(id=vm_id, demand=ResourceVector(cpu, mem, nic)))
 

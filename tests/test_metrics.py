@@ -414,7 +414,47 @@ def _max_flow(t, sources, sinks):
         flow += push
 
 
+def _filtered_inside(state, reaches, req):
+    """placeable_inside_reaches with the NIC eligibility filter it once had:
+    hosts whose NIC headroom is below req.nw - 1e-9 do not pair at all."""
+    total, residuals = 0, {}
+    for reach in reaches:
+        eligible = [h for h in reach.hosts if M.nic_free(state, h) >= req.nw - 1e-9]
+        got, res = M._pair_reduce([(M._host_multi_count(state, h, req), h) for h in eligible])
+        total += got
+        residuals[reach.id] = res
+    return total, residuals
+
+
+@st.composite
+def nic_edge_states(draw):
+    """A tree whose hosts' NIC headroom sits at, or within 1e-9 of, a small
+    multiple of the request's network size."""
+    t = build_tree(draw(st.sampled_from([2, 4])), draw(st.sampled_from([2, 4])),
+                   UNIT, 1.0, oversub_ratio=2.0)
+    state = PlacementState(t)
+    req = MultiRequest(cpu=draw(st.sampled_from([0.0, 0.1, 0.3])),
+                       mem=draw(st.sampled_from([0.0, 0.2, 0.25])),
+                       nw=draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0])))
+    offsets = st.sampled_from([0.0, 1e-10, -1e-10, 1e-9, -1e-9])
+    for h in sorted(t.hosts):
+        state.host_free[h] = ResourceVector(draw(st.sampled_from([0.0, 0.3, 1.0])),
+                                            draw(st.sampled_from([0.0, 0.5, 1.0])), 1.0)
+        headroom = draw(st.sampled_from([0, 1, 2, 3])) * req.nw + draw(offsets)
+        state.link_free[t.hosts[h].uplink] = min(1.0, max(0.0, headroom))
+    return state, find_reaches(t), req
+
+
 class TestPlaceableCounts:
+    @settings(max_examples=500, deadline=None)
+    @given(nic_edge_states())
+    def test_nic_filter_is_redundant(self, instance):
+        # a host the filter dropped counts zero on its NIC dimension, and a
+        # zero count pairs nothing and leaves no residual
+        state, reaches, req = instance
+        assert M.placeable_inside_reaches(state, reaches, req) == \
+            _filtered_inside(state, reaches, req)
+
     def test_fig4_inside(self):
         state = fig4_state()
         reaches = find_reaches(state.topology)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,9 @@ from dcfrag.metrics import MultiRequest
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
                               reserve_traffic)
-from dcfrag.topology import ResourceVector, build_clos, build_tree, find_reaches
-from dcfrag.workload import VM, Application, generate_workload
+from dcfrag.topology import ResourceVector, build_clos, build_tree, find_reaches, load_topology
+from dcfrag.workload import (VM, Application, generate_workload, load_workload,
+                             representative_request)
 
 UNIFIED, LOCAL = SchemeConfig(scheme="UNIFIED"), SchemeConfig(scheme="LOCAL")
 
@@ -188,6 +190,32 @@ class TestUnified:
         app = Application(id="empty", vms=(), traffic={}, reference=state.topology.reference)
         assert place_application(state, app, UNIFIED).ok
 
+    def test_traffic_above_the_reference_link_is_placed(self, tmp_path):
+        # validation bounds a VM's traffic by the 2000 Mbps reference NIC, so
+        # a 1500 Mbps edge is valid although it is 1.5 reference links
+        topo = {
+            "reference_host": {"cpu_mhz": 1000, "mem_mb": 1000, "nic_mbps": 2000},
+            "reference_link_mbps": 1000,
+            "hosts": [{"id": f"h{i}", "cpu_mhz": 1000, "mem_mb": 1000, "nic_mbps": 2000}
+                      for i in range(2)],
+            "switches": [{"id": "s1", "level": 0}],
+            "links": [{"a": f"h{i}", "b": "s1", "capacity_mbps": 2000} for i in range(2)],
+        }
+        wl = {"apps": [{"id": "a",
+                        "vms": [{"id": "v1", "cpu_mhz": 100, "mem_mb": 100},
+                                {"id": "v2", "cpu_mhz": 100, "mem_mb": 100}],
+                        "edges": [{"a": "v1", "b": "v2", "mbps": 1500}]}]}
+        (tmp_path / "topo.json").write_text(json.dumps(topo))
+        (tmp_path / "wl.json").write_text(json.dumps(wl))
+        t = load_topology(str(tmp_path / "topo.json"))
+        (app,) = load_workload(str(tmp_path / "wl.json"), t.reference)
+        assert representative_request(app).nw == 1.0
+        state = PlacementState(t)
+        out = place_application(state, app, UNIFIED)
+        assert out.ok
+        assert dict(out.plan.assignments) == {"v1": "h0", "v2": "h1"}
+        assert state.validate() == []
+
 
 class TestBestSiblingReach:
     def test_remaining_sibling_returned_and_exhaustion_none(self):
@@ -336,6 +364,24 @@ class TestStateValidate:
     def test_fresh_state_ok(self):
         state, _ = tree_state()
         assert state.validate() == []
+
+    def test_corrupted_host_ledger_detected(self):
+        t, app = fig1_instance()
+        state = PlacementState(t)
+        out = place_application(state, app, UNIFIED)
+        assert out.ok and state.validate() == []
+        host = out.plan.assignments[0][1]
+        state.host_free[host] = state.host_free[host] - ResourceVector(1.0, 0.0, 0.0)
+        assert state.validate() == [f"host {host}: cpu ledger out of sync"]
+
+    def test_demand_above_host_capacity_detected(self):
+        state, _ = tree_state()
+        app = tree_app({"v1": (0.6, 0.1, 0.0), "v2": (0.6, 0.1, 0.0)}, {}, state.topology)
+        state.register_app(app)
+        state.host_free["h0"] = ResourceVector(2.0, 1.0, 1.0)  # lets the overdraw through
+        state.assign_vm(app.id, app.vm("v1"), "h0")
+        state.assign_vm(app.id, app.vm("v2"), "h0")
+        assert "host h0 cpu: demand 1.2 exceeds capacity 1" in state.validate()
 
     def test_corrupted_link_reservation_detected(self):
         state, _ = tree_state()

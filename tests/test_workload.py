@@ -1,6 +1,9 @@
+import itertools
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcfrag.fixtures import UNIT_REF, category_spec
 from dcfrag.topology import Reference, ResourceVector
@@ -83,6 +86,38 @@ class TestBwBetween:
             bw_between(app, {"v0", "v1"}, {"v1", "v2"})
 
 
+@st.composite
+def indexed_apps(draw):
+    """An app over canonical edges inserted in random order, its VMs in
+    random order, and a random VM group."""
+    ids = [f"v{i}" for i in range(draw(st.integers(1, 7)))]
+    pairs = draw(st.permutations(list(itertools.combinations(ids, 2))))
+    traffic = {pair: draw(st.floats(0, 1000)) for pair in pairs if draw(st.booleans())}
+    vms = tuple(VM(id=v, demand=ResourceVector(0.1, 0.1, 1.0))
+                for v in draw(st.permutations(ids)))
+    group = draw(st.sets(st.sampled_from(ids)))
+    return Application(id="app", vms=vms, traffic=traffic, reference=UNIT_REF), group
+
+
+class TestTrafficIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(indexed_apps())
+    def test_index_matches_a_traffic_order_scan(self, instance):
+        app, group = instance
+        for v in app.vms:
+            assert app.vm(v.id) is v
+            assert app.total_traffic(v.id) == sum(
+                bw for (a, b), bw in app.traffic.items() if v.id in (a, b))
+            assert app.bw_to(v.id, group) == sum(
+                bw for (a, b), bw in app.traffic.items()
+                if (a == v.id and b in group) or (b == v.id and a in group))
+
+    def test_application_is_immutable(self):
+        app = make_app({"v1": (0.1, 0.1, 0.2), "v2": (0.1, 0.1, 0.2)}, {("v1", "v2"): 0.2})
+        with pytest.raises(FrozenInstanceError):
+            app.traffic = {}
+
+
 class TestGenerator:
     def test_seeded_determinism(self):
         spec = category_spec(1, app_count=10, seed=7)
@@ -114,7 +149,7 @@ class TestGenerator:
             for app in generate_workload(category_spec(category, app_count=8, seed=5)):
                 validate_application(app)
                 for v in app.vms:
-                    assert v.demand.nic == pytest.approx(app.total_traffic(v.id))
+                    assert v.demand.nic == app.total_traffic(v.id)
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(WorkloadError):
