@@ -57,7 +57,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.stop_policy not in STOP_POLICIES:
             raise ValueError(f"stop_policy must be one of {STOP_POLICIES}")
-        if self.rrf_request.nw <= 0 or not self.rrf_request.is_multi():
+        if self.rrf_request.nw <= 0 or len(self.rrf_request.nonzero_dims()) < 2:
             raise ValueError("rrf_request must be multidimensional with nw > 0")
 
 

@@ -54,9 +54,6 @@ class MultiRequest:
     def nonzero_dims(self) -> tuple[str, ...]:
         return tuple(n for n in ("cpu", "mem", "nw") if getattr(self, n) > 0)
 
-    def is_multi(self) -> bool:
-        return len(self.nonzero_dims()) >= 2
-
 
 @dataclass(frozen=True)
 class RRFReport:
@@ -227,39 +224,39 @@ def _walk_between(state, reaches: list[Reach], residuals: dict, fit, unit: float
     """The reach-pair walk shared by the bandwidth and the count metric.
 
     Pairs go shortest reach distance first, then most inter-reach bandwidth,
-    then smallest id pair, with the reaches in find_reaches' order (sorted by
-    hosts) whatever the list order; bandwidth is re-read at every step
-    because each step consumes path links. Each pair takes step =
-    min(residual_i, residual_j, fit(bandwidth)), deducted from both residuals
-    and, times `unit`, from the path links. Returns the summed steps.
+    then smallest id pair, with the reaches in find_reaches' order whatever
+    the list order. Each pair takes step = min(residual_i, residual_j,
+    fit(bandwidth)), deducted from both residuals and, times `unit`, from the
+    path links. Returns the summed steps.
+
+    A min-heap keys each pair by its last-read bandwidth (+inf unread). The
+    top pair is re-read, re-keyed if its bandwidth fell, else taken. Steps
+    only consume links, so no key is above its pair's current key, and a
+    current top key beats every pair's (the ids make keys unique): this is
+    the pair a full rescan would take. A pair with an exhausted residual is
+    dropped unread; residuals never rise, so its step could not exceed _EPS.
     """
     t = state.topology
     link_free = dict(state.link_free)
     res = dict(residuals)
-    reaches = sorted(reaches, key=lambda r: r.hosts)
-    pairs = []
-    for i, ri in enumerate(reaches):
-        for rj in reaches[i + 1:]:
-            dist = reach_distance(t, ri, rj)
-            if dist != float("inf"):
-                pairs.append((dist, ri, rj))
+    heap = [(d, -float("inf"), ri.id, rj.id, ri, rj) for d, ri, rj in t.reach_pairs(reaches)]
+    heapq.heapify(heap)
     total = 0
-    while pairs:
-        best = None
-        for idx, (dist, ri, rj) in enumerate(pairs):
-            if best is not None and dist > best[0][0]:
-                continue
-            bw = path_bandwidth(t, ri, rj, link_free)
-            key = (dist, -bw, ri.id, rj.id)
-            if best is None or key < best[0]:
-                best = (key, idx, bw)
-        _, idx, bw = best
-        _, ri, rj = pairs.pop(idx)
-        step = min(res[ri.id], res[rj.id], fit(bw))
+    while heap:
+        dist, key, id_i, id_j, ri, rj = heap[0]
+        if res[id_i] <= _EPS or res[id_j] <= _EPS:
+            heapq.heappop(heap)
+            continue
+        bw = path_bandwidth(t, ri, rj, link_free)
+        if -bw != key:
+            heapq.heapreplace(heap, (dist, -bw, id_i, id_j, ri, rj))
+            continue
+        heapq.heappop(heap)
+        step = min(res[id_i], res[id_j], fit(bw))
         if step > _EPS:
             total += step
-            res[ri.id] -= step
-            res[rj.id] -= step
+            res[id_i] -= step
+            res[id_j] -= step
             _consume_between(t, ri, rj, link_free, step * unit)
     return total
 

@@ -163,6 +163,7 @@ class Topology:
         # lazy caches; safe because the graph never changes after construction
         self._route_cache: dict[tuple[str, str], tuple[str, ...]] = {}
         self._reach_paths: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
+        self._reach_pairs: dict[tuple[Reach, ...], tuple[tuple[int, Reach, Reach], ...]] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -293,6 +294,19 @@ class Topology:
             cached = tuple(paths)
             self._reach_paths[key] = cached
         return cached
+
+    def reach_pairs(self, reaches: list[Reach]) -> tuple[tuple[int, Reach, Reach], ...]:
+        """Connected pairs (distance, reach_i, reach_j) in find_reaches order, cached.
+
+        A pair's distance is the length of its first reach path.
+        """
+        key = tuple(reaches)
+        if key not in self._reach_pairs:
+            ordered = sorted(key, key=lambda r: r.hosts)
+            pairs = [(ri, rj, self.reach_paths(ri, rj))
+                     for i, ri in enumerate(ordered) for rj in ordered[i + 1:]]
+            self._reach_pairs[key] = tuple((len(ps[0]), ri, rj) for ri, rj, ps in pairs if ps)
+        return self._reach_pairs[key]
 
     def _switch_set_path(self, srcs: set[str], dsts: set[str],
                          blocked: set[str]) -> tuple[str, ...] | None:

@@ -9,6 +9,7 @@ of its traffic rows.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -78,10 +79,6 @@ def validate_application(a: Application) -> None:
         if v.id in ids:
             raise WorkloadError(f"app {a.id}: duplicate VM id {v.id}")
         ids.add(v.id)
-        norm = v.demand.normalized(a.reference.host)
-        if max(norm.cpu, norm.mem) > 1 + _EPS or v.demand.nic > a.reference.host.nic + _EPS:
-            raise WorkloadError(
-                f"app {a.id}: VM {v.id} demand {v.demand} exceeds the reference host")
     for (x, y), bw in a.traffic.items():
         if x == y:
             raise WorkloadError(f"app {a.id}: self-edge on VM {x}")
@@ -90,9 +87,16 @@ def validate_application(a: Application) -> None:
         if x not in ids or y not in ids:
             missing = x if x not in ids else y
             raise WorkloadError(f"app {a.id}: edge ({x}, {y}) references unknown VM {missing}")
-        if bw < 0:
-            raise WorkloadError(f"app {a.id}: edge ({x}, {y}) has negative bandwidth")
+        if not 0 <= bw < math.inf:
+            raise WorkloadError(
+                f"app {a.id}: edge ({x}, {y}) bandwidth {bw} is negative or not finite")
     for v in a.vms:
+        norm = v.demand.normalized(a.reference.host)
+        # NaN fails every comparison, so a NaN or infinite demand fails too
+        if not (norm.cpu <= 1 + _EPS and norm.mem <= 1 + _EPS
+                and v.demand.nic <= a.reference.host.nic + _EPS):
+            raise WorkloadError(f"app {a.id}: VM {v.id} demand {v.demand} is not finite "
+                                f"or exceeds the reference host")
         rows = a.total_traffic(v.id)
         if v.demand.nic + _EPS < rows:
             raise WorkloadError(
@@ -288,10 +292,9 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
                 vm_id = str(v["id"])
                 cpu = float(v["cpu_mhz"])
                 mem = float(v["mem_mb"])
+                nic = float(v.get("nic_mbps", sum(peers.get(vm_id, {}).values())))
             except (KeyError, TypeError, ValueError) as exc:
                 raise WorkloadError(f"{where}: vms[{vi}]: {exc}") from exc
-            rows = sum(peers.get(vm_id, {}).values())
-            nic = float(v["nic_mbps"]) if "nic_mbps" in v else rows
             vms.append(VM(id=vm_id, demand=ResourceVector(cpu, mem, nic)))
 
         app = Application(id=app_id, vms=tuple(vms), traffic=traffic, reference=reference)

@@ -342,6 +342,67 @@ class TestPairWalk:
         for perm in itertools.permutations(reaches):
             assert M.capacity_between_reaches(state, list(perm), res_bw) == 0.5
 
+    def test_many_tied_pairs_match_the_replay(self):
+        # 16 racks under one core with equal uplink frees: all 120 pairs tie
+        # on distance and bandwidth, so every choice falls to the id order
+        # ("r10" < "r2"), and each step lowers the keys of 28 other pairs
+        state = PlacementState(build_tree(16, 2, UNIT, 1.0, oversub_ratio=2.0))
+        t = state.topology
+        for lid in t.links:
+            if lid.endswith("-core"):
+                state.link_free[lid] = 0.75
+        reaches = find_reaches(t)
+        res_bw = {r.id: (0.25, 0.5, 1.0, 0.0)[i % 4] for i, r in enumerate(reaches)}
+        res_req = {r.id: (3, 1, 0, 5)[i % 4] for i, r in enumerate(reaches)}
+        req = MultiRequest(nw=0.25)
+        want_bw = _replay_walk(t, reaches, res_bw, state.link_free, lambda bw: bw, 1.0)
+        want_count = _replay_walk(t, reaches, res_req, state.link_free,
+                                  lambda bw: M.fit_count(bw, req.nw), req.nw)
+        assert want_bw > 0 and want_count > 0
+        rng = random.Random(8)
+        for _ in range(6):
+            perm = rng.sample(reaches, len(reaches))
+            assert M.capacity_between_reaches(state, perm, res_bw) == want_bw
+            assert M.placeable_between_reaches(state, perm, res_req, req) == want_count
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=16, max_size=16),
+           st.lists(st.integers(0, 6), min_size=16, max_size=16),
+           st.sampled_from([0.1, 0.25, 0.3]))
+    def test_sixteen_racks_with_exhausted_reaches(self, frees, counts, nw):
+        # zero residuals drop pairs unread; shared core uplinks make the
+        # bandwidths fall between reads, so stale keys get re-keyed
+        counts[0] = 0
+        state = PlacementState(build_tree(16, 2, UNIT, 1.0, oversub_ratio=2.0))
+        t = state.topology
+        reaches = find_reaches(t)
+        for reach, free in zip(reaches, frees):
+            state.link_free[f"{reach.switches[0]}-core"] = free / 4
+        res_bw = {r.id: c / 4 for r, c in zip(reaches, counts)}
+        res_req = {r.id: c for r, c in zip(reaches, counts)}
+        req = MultiRequest(nw=nw)
+        assert M.capacity_between_reaches(state, reaches, res_bw) == _replay_walk(
+            t, reaches, res_bw, state.link_free, lambda bw: bw, 1.0)
+        assert M.placeable_between_reaches(state, reaches, res_req, req) == _replay_walk(
+            t, reaches, res_req, state.link_free, lambda bw: M.fit_count(bw, req.nw), req.nw)
+
+    @pytest.mark.parametrize("state", [
+        three_reach_line(),
+        PlacementState(build_tree(6, 2, UNIT, 1.0, oversub_ratio=2.0)),
+        PlacementState(build_clos(4, 2, 2, UNIT, 1.0, core_oversub=2.0)),
+    ], ids=["line", "tree", "clos"])
+    def test_reach_pairs_is_the_rescan_pair_list(self, state):
+        t = state.topology
+        reaches = find_reaches(t)
+        shuffled = random.Random(3).sample(reaches, len(reaches))
+        ordered = sorted(shuffled, key=lambda r: r.hosts)
+        want = tuple((M.reach_distance(t, ri, rj), ri, rj)
+                     for i, ri in enumerate(ordered) for rj in ordered[i + 1:]
+                     if M.reach_distance(t, ri, rj) != float("inf"))
+        assert t.reach_pairs(shuffled) == want
+        assert t.reach_pairs(shuffled) is t.reach_pairs(list(shuffled))
+        assert t.reach_pairs(reaches) == want
+
 
 class TestPathBandwidth:
     def test_fig4_single_path(self):

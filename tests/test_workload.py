@@ -232,6 +232,26 @@ class TestLoader:
         with pytest.raises(WorkloadError, match="exceeds"):
             self.load(tmp_path, doc)
 
+    def test_nan_bandwidth_rejected(self, tmp_path):
+        doc = self.doc()
+        doc["apps"][0]["edges"][1]["mbps"] = "nan"
+        with pytest.raises(WorkloadError,
+                           match=r"apps\[0\]: app a: edge \(v2, v3\) bandwidth nan is negative "
+                                 r"or not finite"):
+            self.load(tmp_path, doc)
+
+    def test_nan_demand_rejected(self, tmp_path):
+        doc = self.doc()
+        doc["apps"][1]["vms"][2]["cpu_mhz"] = "nan"
+        with pytest.raises(WorkloadError, match=r"apps\[1\]: app b: VM v3 demand .* not finite"):
+            self.load(tmp_path, doc)
+
+    def test_unparsable_nic_names_its_vm(self, tmp_path):
+        doc = self.doc()
+        doc["apps"][0]["vms"][0]["nic_mbps"] = "lots"
+        with pytest.raises(WorkloadError, match=r"apps\[0\]: vms\[0\]: could not convert"):
+            self.load(tmp_path, doc)
+
     def test_empty_app_rejected(self, tmp_path):
         doc = {"apps": [{"id": "a", "vms": [], "edges": []}]}
         with pytest.raises(WorkloadError, match="no VMs"):
