@@ -400,12 +400,15 @@ def _hose_ok(t: Topology, state: PlacementState, counts: dict[str, int],
              n_total: int, bw: float) -> bool:
     """Hose-model check: each switch's downward closure must carry
     min(m, N - m) * B within its free uplink capacity. Host uplinks need no
-    check here: the fill already sized each host's count to fit its own."""
-    for s in t.switches.values():
-        m = sum(counts.get(h, 0) for h in t.hosts_below[s.id])
-        if 0 < m < n_total:
-            up_free = sum(state.link_free[lid] for peer, lid in t.neighbors(s.id)
-                          if not t.is_host(peer) and t.level_of(peer) > s.level)
+    check here: the fill already sized each host's count to fit its own.
+    Only switches above a counted host can see m > 0."""
+    below: Counter[str] = Counter()
+    for h, m in counts.items():
+        for s in t.switches_above[h]:
+            below[s] += m
+    for s, m in below.items():
+        if m < n_total:
+            up_free = sum(state.link_free[lid] for lid in t.switch_uplinks[s])
             if min(m, n_total - m) * bw > up_free + _EPS:
                 return False
     return True

@@ -10,6 +10,7 @@ never contend for fabric links.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -102,9 +103,10 @@ class Link:
     free: float
 
     def __post_init__(self):
-        if self.capacity <= 0:
-            raise TopologyError(f"link {self.id}: capacity must be > 0")
-        if self.free < -_EPS or self.free > self.capacity + _EPS:
+        # written so that NaN fails both checks
+        if not 0 < self.capacity < math.inf:
+            raise TopologyError(f"link {self.id}: capacity {self.capacity} must be finite and > 0")
+        if not -_EPS <= self.free <= self.capacity + _EPS:
             raise TopologyError(f"link {self.id}: free {self.free} outside [0, {self.capacity}]")
 
     def other(self, node: str) -> str:
@@ -118,6 +120,14 @@ class Reach:
     id: str
     hosts: tuple[str, ...]
     switches: tuple[str, ...]
+
+
+# a shortest-path DAG node: (node, ((predecessor, (link, ...)), ...))
+_DagNode = tuple[str, tuple[tuple[str, tuple[str, ...]], ...]]
+
+
+def _unlimited(lid: str, default: float) -> float:
+    return math.inf
 
 
 class Topology:
@@ -160,8 +170,20 @@ class Topology:
                     below[s.id] |= below[peer]
         self.hosts_below: dict[str, tuple[str, ...]] = {
             sid: tuple(sorted(hs)) for sid, hs in below.items()}
+        # host id -> the switches whose hosts_below hold it, in switch order
+        above: dict[str, list[str]] = {h: [] for h in self.hosts}
+        for sid, hs in self.hosts_below.items():
+            for h in hs:
+                above[h].append(sid)
+        self.switches_above: dict[str, tuple[str, ...]] = {
+            h: tuple(ss) for h, ss in above.items()}
+        # switch id -> its links to higher-level switches, in neighbors() order
+        self.switch_uplinks: dict[str, tuple[str, ...]] = {
+            s.id: tuple(lid for peer, lid in self.neighbors(s.id)
+                        if peer in self.switches and self.switches[peer].level > s.level)
+            for s in switches}
         # lazy caches; safe because the graph never changes after construction
-        self._route_cache: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._tor_dags: dict[tuple[str, str], tuple[_DagNode, ...]] = {}
         self._reach_paths: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
         self._reach_pairs: dict[tuple[Reach, ...], tuple[tuple[int, Reach, Reach], ...]] = {}
 
@@ -214,53 +236,82 @@ class Topology:
 
     def route(self, host_a: str, host_b: str,
               link_free: dict | None = None) -> tuple[str, ...]:
-        """Deterministic shortest path between two hosts, as a tuple of link ids.
+        """Deterministic widest-shortest path between two hosts, as link ids.
 
-        Without link_free, hop count decides and ties break on node ids (the
-        result is cached). With link_free, equal-length candidates are ranked
-        by bottleneck free capacity first (widest-shortest), then node ids:
-        on multipath fabrics this spreads routed reservations across the
-        equal-cost middle switches instead of stacking them on one.
+        The path runs from the smaller host id: its uplink, a shortest path
+        between the two TORs, the other host's uplink. Among equal-length
+        TOR paths each node keeps the predecessor link of widest bottleneck
+        (free capacity from link_free, 0 for a missing key), ties to the
+        smallest predecessor id, then its first such link. On multipath
+        fabrics this spreads routed reservations across the equal-cost
+        middle switches instead of stacking them on one. Without link_free
+        every width is infinite, so node ids alone decide.
         """
         if host_a == host_b:
             raise ValueError("route endpoints must differ")
-        key = (host_a, host_b) if host_a < host_b else (host_b, host_a)
-        if link_free is None:
-            cached = self._route_cache.get(key)
-            if cached is None:
-                cached = self._best_path(key[0], key[1], None)
-                self._route_cache[key] = cached
-            return cached
-        return self._best_path(key[0], key[1], link_free)
-
-    def _best_path(self, src: str, dst: str, link_free: dict | None) -> tuple[str, ...]:
-        # BFS by level; per node keep (bottleneck desc, parent id asc) best entry
-        best: dict[str, tuple[float, str, str]] = {src: (float("inf"), "", "")}
-        frontier = [src]
-        while frontier and dst not in best:
-            layer: dict[str, tuple[float, str, str]] = {}
-            for node in sorted(frontier):
-                width = best[node][0]
-                for peer, lid in self.neighbors(node):
-                    if peer in best:
-                        continue
-                    free = float("inf") if link_free is None else link_free.get(lid, 0.0)
-                    entry = (min(width, free), node, lid)
-                    held = layer.get(peer)
-                    if held is None or (-entry[0], entry[1]) < (-held[0], held[1]):
-                        layer[peer] = entry
-            if not layer:
-                break
-            best.update(layer)
-            frontier = list(layer)
-        if dst not in best:
+        src, dst = (host_a, host_b) if host_a < host_b else (host_b, host_a)
+        up_src, up_dst = self.hosts[src].uplink, self.hosts[dst].uplink
+        if not up_src or not up_dst:
+            raise TopologyError(f"no single uplink on {src if not up_src else dst}")
+        tor_src, tor_dst = self.links[up_src].other(src), self.links[up_dst].other(dst)
+        if tor_src == tor_dst:
+            return (up_src, up_dst)
+        dag = self._tor_dag(tor_src, tor_dst)
+        if not dag:
             raise TopologyError(f"no path between {src} and {dst}")
-        path = []
-        node = dst
-        while node != src:
-            _, node, lid = best[node]
+        free = _unlimited if link_free is None else link_free.get
+        width = {tor_src: free(up_src, 0.0)}
+        via: dict[str, tuple[str, str]] = {}
+        for node, preds in dag:
+            held = None
+            for parent, lids in preds:
+                parent_width = width[parent]
+                for lid in lids:
+                    w = min(parent_width, free(lid, 0.0))
+                    if held is None or w > held:
+                        held = w
+                        via[node] = (parent, lid)
+            width[node] = held
+        path = [up_dst]
+        node = tor_dst
+        while node != tor_src:
+            node, lid = via[node]
             path.append(lid)
+        path.append(up_src)
         return tuple(reversed(path))
+
+    def _tor_dag(self, tor_a: str, tor_b: str) -> tuple[_DagNode, ...]:
+        """The nodes on shortest tor_a -> tor_b paths in BFS layer order, each
+        with its predecessors sorted by id and every link from each, cached.
+        Empty when no path exists."""
+        key = (tor_a, tor_b)
+        cached = self._tor_dags.get(key)
+        if cached is None:
+            depth = {tor_a: 0}
+            frontier = [tor_a]
+            while frontier and tor_b not in depth:
+                nxt = []
+                for node in frontier:
+                    for peer, _ in self.neighbors(node):
+                        if peer not in depth:
+                            depth[peer] = depth[node] + 1
+                            nxt.append(peer)
+                frontier = nxt
+            # walk back from tor_b one layer at a time, deepest and largest id first
+            dag: list[_DagNode] = []
+            on_path = {tor_b} if tor_b in depth else set()
+            while on_path and tor_a not in on_path:
+                above = set()
+                for node in sorted(on_path, reverse=True):
+                    preds: dict[str, list[str]] = {}
+                    for peer, lid in self.neighbors(node):
+                        if depth.get(peer) == depth[node] - 1:
+                            preds.setdefault(peer, []).append(lid)
+                    above.update(preds)
+                    dag.append((node, tuple((p, tuple(preds[p])) for p in sorted(preds))))
+                on_path = above
+            cached = self._tor_dags[key] = tuple(reversed(dag))
+        return cached
 
     def reach_paths(self, reach_a: Reach, reach_b: Reach) -> tuple[tuple[str, ...], ...]:
         """Link-disjoint shortest paths between two reaches' boundary switches.

@@ -195,6 +195,10 @@ def fabric_docs(draw, loose=False):
                 st.lists(st.sampled_from(lower), min_size=1, unique=True))
             doc["links"] += [{"a": d, "b": s, "capacity_mbps": 1} for d in downs]
     if not loose:
+        # parallel twins of some switch links, under their own ids
+        twins = draw(st.lists(st.sampled_from(doc["links"][len(doc["hosts"]):]),
+                              max_size=3, unique_by=lambda l: (l["a"], l["b"])))
+        doc["links"] += [{**l, "id": f"{l['a']}-{l['b']}-twin"} for l in twins]
         return doc
     ids = [s for ids in levels for s in ids]
     pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
@@ -219,17 +223,25 @@ fabrics = st.one_of(
 )
 
 
+def as_topology(fabric):
+    """A drawn fabric as a Topology; a document goes through load_topology."""
+    if not isinstance(fabric, dict):
+        return fabric
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "topo.json")
+        with open(path, "w") as fh:
+            json.dump(fabric, fh)
+        return load_topology(path)
+
+
 class TestHostsBelow:
     @settings(max_examples=200, deadline=None)
     @given(fabrics)
     def test_matches_ascending_walk(self, fabric):
-        if isinstance(fabric, dict):
-            with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, "topo.json")
-                with open(path, "w") as fh:
-                    json.dump(fabric, fh)
-                fabric = load_topology(path)
+        fabric = as_topology(fabric)
         assert fabric.hosts_below == ascending_hosts_below(fabric)
+        for h, above in fabric.switches_above.items():
+            assert above == tuple(s for s, hs in fabric.hosts_below.items() if h in hs)
 
     def test_fig4(self):
         assert fig4_topology().hosts_below == {
@@ -296,6 +308,98 @@ class TestRouting:
             t.reach_paths(rb, ra)
 
 
+def bfs_route(t, host_a, host_b, link_free=None):
+    """Reference for Topology.route: a BFS over the whole fabric from the
+    smaller host id, keeping per node the (widest bottleneck, smallest
+    parent id) entry, the first link of that parent on a tie."""
+    src, dst = sorted((host_a, host_b))
+    best = {src: (float("inf"), "", "")}
+    frontier = [src]
+    while frontier and dst not in best:
+        layer = {}
+        for node in sorted(frontier):
+            width = best[node][0]
+            for peer, lid in t.neighbors(node):
+                if peer in best:
+                    continue
+                free = float("inf") if link_free is None else link_free.get(lid, 0.0)
+                entry = (min(width, free), node, lid)
+                held = layer.get(peer)
+                if held is None or (-entry[0], entry[1]) < (-held[0], held[1]):
+                    layer[peer] = entry
+        if not layer:
+            break
+        best.update(layer)
+        frontier = list(layer)
+    if dst not in best:
+        raise TopologyError(f"no path between {src} and {dst}")
+    path = []
+    node = dst
+    while node != src:
+        _, node, lid = best[node]
+        path.append(lid)
+    return tuple(reversed(path))
+
+
+class TestRouteMatchesBFS:
+    @settings(max_examples=200, deadline=None)
+    @given(fabrics, st.data())
+    def test_route_equals_reference_bfs(self, fabric, data):
+        # few distinct frees make ties common; None leaves the key out (free 0)
+        t = as_topology(fabric)
+        hosts, links = sorted(t.hosts), sorted(t.links)
+        frees = st.lists(st.sampled_from([None, 0.0, 0.25, 0.5, 1.0]),
+                         min_size=len(links), max_size=len(links)).map(
+            lambda vs: {lid: v for lid, v in zip(links, vs) if v is not None})
+        maps = [None] + data.draw(st.lists(frees, min_size=1, max_size=2))
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(hosts), st.sampled_from(hosts))
+                                   .filter(lambda p: p[0] != p[1]), min_size=1, max_size=12))
+        for a, b in pairs:
+            for link_free in maps:
+                try:
+                    expected = bfs_route(t, a, b, link_free)
+                except TopologyError:
+                    with pytest.raises(TopologyError, match="no path between"):
+                        t.route(a, b, link_free)
+                    continue
+                assert t.route(a, b, link_free) == expected
+                assert t.route(b, a, link_free) == expected
+
+    def test_parallel_links_take_the_widest(self):
+        hosts = [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in range(4)]
+        switches = [Switch(id="t0", level=0), Switch(id="t1", level=0),
+                    Switch(id="core", level=1)]
+        links = [Link(id=f"h{i}-t{i // 2}", a=f"h{i}", b=f"t{i // 2}", capacity=1.0, free=1.0)
+                 for i in range(4)]
+        links += [Link(id=lid, a=tor, b="core", capacity=1.0, free=1.0)
+                  for lid, tor in (("a", "t0"), ("b", "t0"), ("c", "t1"))]
+        t = Topology(hosts, switches, links, UNIT_REF)
+        t.validate()
+        full = {lid: 1.0 for lid in t.links}
+        assert t.route("h0", "h2", {**full, "a": 0.2, "b": 0.9}) == ("h0-t0", "b", "c", "h2-t1")
+        assert t.route("h2", "h1", {**full, "a": 0.9, "b": 0.2}) == ("h1-t0", "a", "c", "h2-t1")
+        assert t.route("h0", "h2", {**full, "a": 0.5, "b": 0.5}) == ("h0-t0", "a", "c", "h2-t1")
+        assert t.route("h0", "h2") == ("h0-t0", "a", "c", "h2-t1")
+
+    def test_unroutable_pairs_raise(self):
+        # two TORs with no link between them; h4 has two links to s0
+        racks = Topology(
+            [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in range(5)],
+            [Switch(id="s0", level=0), Switch(id="s1", level=0)],
+            [Link(id=f"h{i}-s{i // 2}", a=f"h{i}", b=f"s{i // 2}", capacity=1.0, free=1.0)
+             for i in range(4)]
+            + [Link(id=f"h4-s0-{i}", a="h4", b="s0", capacity=1.0, free=1.0) for i in range(2)],
+            UNIT_REF)
+        assert racks.route("h1", "h0") == ("h0-s0", "h1-s0")
+        for link_free in (None, {}):
+            with pytest.raises(TopologyError, match="no path between h0 and h2"):
+                racks.route("h2", "h0", link_free)
+        with pytest.raises(TopologyError, match="no single uplink on h4"):
+            racks.route("h0", "h4")
+        with pytest.raises(ValueError, match="endpoints must differ"):
+            racks.route("h0", "h0")
+
+
 class TestLoader:
     def write(self, tmp_path, doc):
         path = tmp_path / "topo.json"
@@ -356,3 +460,19 @@ class TestLoader:
         path.write_text("{nope")
         with pytest.raises(TopologyError, match="JSON"):
             load_topology(str(path))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("free_mbps", "nan", "free nan outside"),
+        ("capacity_mbps", "nan", "capacity nan must be finite"),
+        ("capacity_mbps", "inf", "capacity inf must be finite"),
+    ])
+    def test_non_finite_link_rejected(self, tmp_path, field, value, message):
+        doc = self.doc()
+        doc["switches"] += [{"id": "s2", "level": 0}, {"id": "core", "level": 1}]
+        for link in doc["links"][2:]:
+            link["b"] = "s2"
+        doc["links"] += [{"a": s, "b": "core", "capacity_mbps": 1000} for s in ("s1", "s2")]
+        load_topology(self.write(tmp_path, doc))
+        doc["links"][-1][field] = value
+        with pytest.raises(TopologyError, match=f"link s2-core: {message}"):
+            load_topology(self.write(tmp_path, doc))
