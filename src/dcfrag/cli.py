@@ -10,7 +10,7 @@ from .harness import (ExperimentConfig, compare_schemes, resolve_topology,
                       run_experiment)
 from .metrics import MultiRequest, format_record, network_rrf, rrf_index_local
 from .placement import SCHEMES, SchemeConfig, PlacementState
-from .topology import TopologyError, find_reaches
+from .topology import TopologyError
 from .workload import WorkloadError
 
 RECORD_HEADER = "resource,size_cpu,size_mem,size_nw,T,N,index"
@@ -125,7 +125,7 @@ def _run_metrics(args) -> int:
 
 def _run_reaches(args) -> int:
     topology = resolve_topology(args.topology)
-    for reach in find_reaches(topology):
+    for reach in topology.reaches:
         print(f"{reach.id}: hosts={','.join(reach.hosts)} "
               f"switches={','.join(reach.switches)}")
     return 0

@@ -166,7 +166,6 @@ def category_topology(category: int) -> Topology:
 def category_spec(category: int, app_count: int, seed: int) -> WorkloadSpec:
     params = _require_category(category)
     return WorkloadSpec(
-        category=category,
         app_count=app_count,
         vms_per_app=params["vms_per_app"],
         mean_demand=params["mean"],

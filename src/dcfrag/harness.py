@@ -18,7 +18,7 @@ from . import fixtures
 from .metrics import MultiRequest, network_rrf
 from .placement import (PlacementState, SchemeConfig, derive_netw_slots,
                         place_application)
-from .topology import Topology, find_reaches, load_topology
+from .topology import Topology, load_topology
 from .workload import Application, WorkloadSpec, generate_workload, load_workload
 
 log = logging.getLogger(__name__)
@@ -108,16 +108,15 @@ def order_hash(apps: list[Application]) -> str:
 def _run_sequence(topology: Topology, apps: list[Application], scheme: SchemeConfig,
                   rrf_request: MultiRequest, stop_policy: str) -> RunResult:
     state = PlacementState(topology)
-    reaches = find_reaches(topology)
     if scheme.scheme == "NETW" and scheme.netw_slots_per_host is None:
         scheme = replace(scheme, netw_slots_per_host=derive_netw_slots(topology, apps))
     rows = []
     placed = 0
     for app in apps:
-        outcome = place_application(state, app, scheme, reaches)
+        outcome = place_application(state, app, scheme)
         if outcome.ok:
             placed += 1
-            report = network_rrf(state, rrf_request, reaches)
+            report = network_rrf(state, rrf_request)
             rows.append(ResultRow(placed, report.placeable_multi, report.index))
         elif stop_policy == "first-failure":
             break

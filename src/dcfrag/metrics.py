@@ -19,9 +19,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .topology import Reach, Topology, find_reaches
+from .topology import Reach, Topology
 
 _EPS = 1e-9
+_ORACLE_CAP = 12  # placements brute_force_placeable searches up to
 
 
 def fit_count(free: float, size: float) -> int:
@@ -161,7 +162,7 @@ def _pair_reduce(values: list):
     return acc, residual
 
 
-def capacity_inside_reaches(state, reaches: list[Reach]):
+def capacity_inside_reaches(state):
     """Achievable bandwidth inside each reach, plus per-reach residuals.
 
     Hosts pair on available NIC capacity; every pairing contributes the
@@ -169,7 +170,7 @@ def capacity_inside_reaches(state, reaches: list[Reach]):
     """
     total = 0.0
     residuals: dict[str, float] = {}
-    for reach in reaches:
+    for reach in state.topology.reaches:
         got, res = _pair_reduce([(nic_free(state, h), h) for h in reach.hosts])
         total += got
         residuals[reach.id] = res
@@ -220,14 +221,14 @@ def reach_distance(t: Topology, reach_i: Reach, reach_j: Reach) -> float:
     return len(paths[0]) if paths else float("inf")
 
 
-def _walk_between(state, reaches: list[Reach], residuals: dict, fit, unit: float):
+def _walk_between(state, residuals: dict, fit, unit: float):
     """The reach-pair walk shared by the bandwidth and the count metric.
 
     Pairs go shortest reach distance first, then most inter-reach bandwidth,
-    then smallest id pair, with the reaches in find_reaches' order whatever
-    the list order. Each pair takes step = min(residual_i, residual_j,
-    fit(bandwidth)), deducted from both residuals and, times `unit`, from the
-    path links. Returns the summed steps.
+    then smallest id pair (ri.id, rj.id), ri before rj in Topology.reaches.
+    Each pair takes step = min(residual_i, residual_j, fit(bandwidth)),
+    deducted from both residuals and, times `unit`, from the path links.
+    Returns the summed steps.
 
     A min-heap keys each pair by its last-read bandwidth (+inf unread). The
     top pair is re-read, re-keyed if its bandwidth fell, else taken. Steps
@@ -239,7 +240,7 @@ def _walk_between(state, reaches: list[Reach], residuals: dict, fit, unit: float
     t = state.topology
     link_free = dict(state.link_free)
     res = dict(residuals)
-    heap = [(d, -float("inf"), ri.id, rj.id, ri, rj) for d, ri, rj in t.reach_pairs(reaches)]
+    heap = [(d, -float("inf"), ri.id, rj.id, ri, rj) for d, ri, rj in t.reach_pairs]
     heapq.heapify(heap)
     total = 0
     while heap:
@@ -261,21 +262,19 @@ def _walk_between(state, reaches: list[Reach], residuals: dict, fit, unit: float
     return total
 
 
-def capacity_between_reaches(state, reaches: list[Reach], res_bw: dict) -> float:
+def capacity_between_reaches(state, res_bw: dict) -> float:
     """Achievable bandwidth between reaches, consuming per-reach residuals.
 
     Walks every reach pair once; each pair contributes
     min(residual_i, residual_j, inter-reach bandwidth).
     """
-    return float(_walk_between(state, reaches, res_bw, lambda bw: bw, 1.0))
+    return float(_walk_between(state, res_bw, lambda bw: bw, 1.0))
 
 
-def capacity_breakdown(state, reaches: list[Reach] | None = None) -> NetworkCapacityBreakdown:
+def capacity_breakdown(state) -> NetworkCapacityBreakdown:
     """Total achievable network capacity split into inside/between components."""
-    if reaches is None:
-        reaches = find_reaches(state.topology)
-    inside, residuals = capacity_inside_reaches(state, reaches)
-    between = capacity_between_reaches(state, reaches, residuals)
+    inside, residuals = capacity_inside_reaches(state)
+    between = capacity_between_reaches(state, residuals)
     return NetworkCapacityBreakdown(inside=inside, between=between,
                                     total=inside + between)
 
@@ -283,7 +282,7 @@ def capacity_breakdown(state, reaches: list[Reach] | None = None) -> NetworkCapa
 # -- placeable request counts ----------------------------------------------------
 
 
-def placeable_inside_reaches(state, reaches: list[Reach], req: MultiRequest):
+def placeable_inside_reaches(state, req: MultiRequest):
     """Placeable request pairs inside each reach, plus per-reach residual counts.
 
     Per-host counts (min over nonzero dimensions; a host short of NIC counts
@@ -294,15 +293,14 @@ def placeable_inside_reaches(state, reaches: list[Reach], req: MultiRequest):
         raise ValueError("network component of the request must be > 0")
     total = 0
     residuals: dict[str, int] = {}
-    for reach in reaches:
+    for reach in state.topology.reaches:
         got, res = _pair_reduce([(_host_multi_count(state, h, req), h) for h in reach.hosts])
         total += got
         residuals[reach.id] = res
     return total, residuals
 
 
-def placeable_between_reaches(state, reaches: list[Reach], res_req: dict,
-                              req: MultiRequest) -> int:
+def placeable_between_reaches(state, res_req: dict, req: MultiRequest) -> int:
     """Placeable request pairs between reaches, consuming residual counts.
 
     The bandwidth procedure's walk with residual counts in place of residual
@@ -311,7 +309,7 @@ def placeable_between_reaches(state, reaches: list[Reach], res_req: dict,
     """
     if req.nw <= 0:
         raise ValueError("network component of the request must be > 0")
-    return _walk_between(state, reaches, res_req, lambda bw: fit_count(bw, req.nw), req.nw)
+    return _walk_between(state, res_req, lambda bw: fit_count(bw, req.nw), req.nw)
 
 
 def placeable_in_reach(state, reach: Reach, req: MultiRequest) -> int:
@@ -321,43 +319,39 @@ def placeable_in_reach(state, reach: Reach, req: MultiRequest) -> int:
     hosts are independent and the per-host counts simply add up.
     """
     if req.nw > 0:
-        count, _ = placeable_inside_reaches(state, [reach], req)
-        return count
+        return _pair_reduce([(_host_multi_count(state, h, req), h) for h in reach.hosts])[0]
     if not req.nonzero_dims():
         raise ValueError("request has no nonzero dimensions")
     return sum(_host_multi_count(state, h, req) for h in reach.hosts)
 
 
-def network_rrf(state, req: MultiRequest, reaches: list[Reach] | None = None) -> RRFReport:
+def network_rrf(state, req: MultiRequest) -> RRFReport:
     """Network RRF: achievable capacity vs. placeable multi-requests."""
     if req.nw <= 0:
         raise ValueError("network RRF needs a request with nw > 0")
-    if reaches is None:
-        reaches = find_reaches(state.topology)
-    breakdown = capacity_breakdown(state, reaches)
-    count, res_req = placeable_inside_reaches(state, reaches, req)
-    count += placeable_between_reaches(state, reaches, res_req, req)
+    breakdown = capacity_breakdown(state)
+    count, res_req = placeable_inside_reaches(state, req)
+    count += placeable_between_reaches(state, res_req, req)
     return RRFReport("nw", breakdown.total, count, _index(breakdown.total, count, req.nw))
 
 
 # -- brute-force oracle ------------------------------------------------------------
 
 
-def brute_force_placeable(state, req: MultiRequest, cap: int = 12) -> int:
+def brute_force_placeable(state, req: MultiRequest) -> int:
     """Exact maximum of simultaneously satisfiable requests on tiny instances.
 
     With a network component, requests are symmetric endpoint pairs on
-    distinct hosts; the search enumerates host-pair assignments and reserves
-    the routed path exactly. Without one, hosts are independent and each is
-    pushed to its limit. Guarded to <= 6 hosts / `cap` placements because the
-    search is exponential.
+    distinct hosts; the search enumerates assignments of host pairs, each
+    over any of its shortest paths, and reserves that path exactly. Without
+    one, hosts are independent and each is pushed to its limit. Guarded to
+    <= 6 hosts and stopped at _ORACLE_CAP placements because the search is
+    exponential.
     """
     t = state.topology
     hosts = sorted(state.host_free)
     if len(hosts) > 6:
         raise ValueError(f"oracle limited to 6 hosts, got {len(hosts)}")
-    if cap > 12:
-        raise ValueError(f"oracle limited to 12 placements, got {cap}")
 
     if req.nw <= 0:
         if not req.nonzero_dims():
@@ -381,25 +375,25 @@ def brute_force_placeable(state, req: MultiRequest, cap: int = 12) -> int:
     cpu = {h: state.host_free[h].cpu / ref.host.cpu for h in hosts}
     mem = {h: state.host_free[h].mem / ref.host.mem for h in hosts}
     link = {lid: bw / ref.link for lid, bw in state.link_free.items()}
-    pairs = [(hosts[i], hosts[j])
-             for i in range(len(hosts)) for j in range(i + 1, len(hosts))]
-    routes = [t.route(a, b) for a, b in pairs]
+    # (host, host, path) per shortest path of each host pair
+    choices = [(a, b, path) for i, a in enumerate(hosts) for b in hosts[i + 1:]
+               for path in t.shortest_paths(a, b)]
 
     def fits(pi: int) -> bool:
-        a, b = pairs[pi]
+        a, b, path = choices[pi]
         if req.cpu > 0 and (cpu[a] < req.cpu - _EPS or cpu[b] < req.cpu - _EPS):
             return False
         if req.mem > 0 and (mem[a] < req.mem - _EPS or mem[b] < req.mem - _EPS):
             return False
-        return all(link[lid] >= req.nw - _EPS for lid in routes[pi])
+        return all(link[lid] >= req.nw - _EPS for lid in path)
 
     def apply(pi: int, sign: float) -> None:
-        a, b = pairs[pi]
+        a, b, path = choices[pi]
         cpu[a] -= sign * req.cpu
         cpu[b] -= sign * req.cpu
         mem[a] -= sign * req.mem
         mem[b] -= sign * req.mem
-        for lid in routes[pi]:
+        for lid in path:
             link[lid] -= sign * req.nw
 
     best = 0
@@ -418,9 +412,9 @@ def brute_force_placeable(state, req: MultiRequest, cap: int = 12) -> int:
     def search(start: int, placed: int) -> None:
         nonlocal best
         best = max(best, placed)
-        if placed >= cap or placed + upper_bound() <= best:
+        if placed >= _ORACLE_CAP or placed + upper_bound() <= best:
             return
-        for pi in range(start, len(pairs)):
+        for pi in range(start, len(choices)):
             if fits(pi):
                 apply(pi, 1.0)
                 search(pi, placed + 1)

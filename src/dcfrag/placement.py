@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import metrics
 from .metrics import MultiRequest, placeable_in_reach
-from .topology import Reach, ResourceVector, Topology, find_reaches
+from .topology import Reach, ResourceVector, Topology
 from .workload import Application, VM, representative_request
 
 _EPS = 1e-9
@@ -290,7 +290,7 @@ def bal_pack(state: PlacementState, vm: VM, reach: Reach) -> str | None:
 # -- UNIFIED (reach-aware application placement) -------------------------------------
 
 
-def best_sibling_reach(state: PlacementState, reaches: list[Reach], tried: set[str],
+def best_sibling_reach(state: PlacementState, reaches: tuple[Reach, ...], tried: set[str],
                        app_hosts: set[str], req: MultiRequest) -> Reach | None:
     """Next reach to spill into: closest to the reaches already hosting the
     app, then most inter-reach bandwidth, then most placeable, then id."""
@@ -312,12 +312,10 @@ def best_sibling_reach(state: PlacementState, reaches: list[Reach], tried: set[s
 
 
 def _place_unified(state: PlacementState, app: Application, config: SchemeConfig,
-                   reaches: list[Reach] | None) -> str | None:
+                   reaches: tuple[Reach, ...]) -> str | None:
     """Reach-aware placement: pack the seed VM and its heaviest communicators
     into the least-loaded reach, spilling to the best sibling reach when the
     packer or a link reservation refuses."""
-    if reaches is None:
-        reaches = find_reaches(state.topology)
     req = representative_request(app)
     reach = min(reaches, key=lambda r: (-placeable_in_reach(state, r, req), r.id))
     tried = {reach.id}
@@ -360,7 +358,7 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
 
 
 def _place_local(state: PlacementState, app: Application, config: SchemeConfig,
-                 reaches: list[Reach] | None) -> str | None:
+                 reaches: tuple[Reach, ...]) -> str | None:
     """First-fit decreasing on each VM's dominant normalized dimension.
 
     VMs place onto hosts in id order subject to a full resource fit; traffic
@@ -415,7 +413,7 @@ def _hose_ok(t: Topology, state: PlacementState, counts: dict[str, int],
 
 
 def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
-                reaches: list[Reach] | None) -> str | None:
+                reaches: tuple[Reach, ...]) -> str | None:
     """Virtual-cluster placement: slots only, scanned bottom-up.
 
     The app is a hose <N VMs, B = mean per-VM bandwidth>. Hosts are scanned
@@ -481,19 +479,21 @@ _SCHEME_BODIES = {"UNIFIED": _place_unified, "LOCAL": _place_local, "NETW": _pla
 
 
 def place_application(state: PlacementState, app: Application, config: SchemeConfig,
-                      reaches: list[Reach] | None = None) -> PlacementOutcome:
+                      reaches: tuple[Reach, ...] | None = None) -> PlacementOutcome:
     """Place the whole app with config's scheme, or change nothing.
 
-    The scheme body returns a failure message or None; a CapacityError that
-    escapes it is the failure message. Either failure rolls back every write
-    of the attempt, including the app's registration.
+    UNIFIED places over `reaches`, by default topology.reaches. The scheme
+    body returns a failure message or None; a CapacityError that escapes it
+    is the failure message. Either failure rolls back every write of the
+    attempt, including the app's registration.
     """
     if not app.vms:
         return PlacementOutcome(ok=True, plan=PlacementPlan(app.id, (), ()))
     with state.transaction() as commit:
         state.register_app(app)
         try:
-            failure = _SCHEME_BODIES[config.scheme](state, app, config, reaches)
+            failure = _SCHEME_BODIES[config.scheme](
+                state, app, config, state.topology.reaches if reaches is None else reaches)
         except CapacityError as exc:
             failure = str(exc)
         if failure is not None:

@@ -13,6 +13,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 _EPS = 1e-9
 
@@ -70,6 +71,13 @@ class Reference:
     host: ResourceVector
     link: float
 
+    def __post_init__(self):
+        # written so that NaN fails both checks
+        if not all(0 < v < math.inf for v in (self.host.cpu, self.host.mem, self.host.nic)):
+            raise TopologyError(f"reference_host {self.host} must be finite and > 0")
+        if not 0 < self.link < math.inf:
+            raise TopologyError(f"reference_link_mbps must be finite and > 0, got {self.link}")
+
 
 @dataclass
 class Host:
@@ -79,6 +87,10 @@ class Host:
     uplink: str = ""
 
     def __post_init__(self):
+        if not all(math.isfinite(v.get(k)) for v in (self.capacity, self.free)
+                   for k in ("cpu", "mem", "nic")):
+            raise TopologyError(f"host {self.id}: capacity {self.capacity} and free "
+                                f"{self.free} must be finite")
         if not self.free.fits_within(self.capacity):
             raise TopologyError(f"host {self.id}: free {self.free} exceeds capacity {self.capacity}")
 
@@ -155,9 +167,8 @@ class Topology:
             adj[l.b].append(l.id)
         self.adjacency = {n: tuple(sorted(ids)) for n, ids in adj.items()}
         for h in hosts:
-            up = [lid for lid in self.adjacency[h.id]]
-            if len(up) == 1:
-                h.uplink = up[0]
+            if len(self.adjacency[h.id]) == 1:
+                h.uplink = self.adjacency[h.id][0]
         # switch id -> sorted hosts reachable by descending links, built
         # bottom-up: a switch's hosts plus those of its switches one level down
         below: dict[str, set[str]] = {}
@@ -185,12 +196,8 @@ class Topology:
         # lazy caches; safe because the graph never changes after construction
         self._tor_dags: dict[tuple[str, str], tuple[_DagNode, ...]] = {}
         self._reach_paths: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
-        self._reach_pairs: dict[tuple[Reach, ...], tuple[tuple[int, Reach, Reach], ...]] = {}
 
     # -- basic queries ------------------------------------------------------
-
-    def is_host(self, node: str) -> bool:
-        return node in self.hosts
 
     def level_of(self, node: str) -> int:
         if node in self.switches:
@@ -280,10 +287,23 @@ class Topology:
         path.append(up_src)
         return tuple(reversed(path))
 
+    def shortest_paths(self, host_a: str, host_b: str) -> list[tuple[str, ...]]:
+        """Every shortest path between two hosts, as link ids from the smaller
+        host id, in the order of the TOR pair's shortest-path DAG. route()
+        checks the pair and gives its two uplinks."""
+        first = self.route(host_a, host_b)
+        tor_src = self.links[first[0]].other(min(host_a, host_b))
+        tor_dst = self.links[first[-1]].other(max(host_a, host_b))
+        middles = {tor_src: [()]}  # node -> its paths from tor_src, parents first
+        for node, preds in self._tor_dag(tor_src, tor_dst):
+            middles[node] = [path + (lid,) for parent, lids in preds
+                             for path in middles[parent] for lid in lids]
+        return [first[:1] + path + first[-1:] for path in middles[tor_dst]]
+
     def _tor_dag(self, tor_a: str, tor_b: str) -> tuple[_DagNode, ...]:
         """The nodes on shortest tor_a -> tor_b paths in BFS layer order, each
         with its predecessors sorted by id and every link from each, cached.
-        Empty when no path exists."""
+        Empty when no path exists or the two are one TOR."""
         key = (tor_a, tor_b)
         cached = self._tor_dags.get(key)
         if cached is None:
@@ -346,18 +366,19 @@ class Topology:
             self._reach_paths[key] = cached
         return cached
 
-    def reach_pairs(self, reaches: list[Reach]) -> tuple[tuple[int, Reach, Reach], ...]:
-        """Connected pairs (distance, reach_i, reach_j) in find_reaches order, cached.
+    @cached_property
+    def reaches(self) -> tuple[Reach, ...]:
+        """The reach partition (see find_reaches), computed once."""
+        return tuple(find_reaches(self))
 
-        A pair's distance is the length of its first reach path.
-        """
-        key = tuple(reaches)
-        if key not in self._reach_pairs:
-            ordered = sorted(key, key=lambda r: r.hosts)
-            pairs = [(ri, rj, self.reach_paths(ri, rj))
-                     for i, ri in enumerate(ordered) for rj in ordered[i + 1:]]
-            self._reach_pairs[key] = tuple((len(ps[0]), ri, rj) for ri, rj, ps in pairs if ps)
-        return self._reach_pairs[key]
+    @cached_property
+    def reach_pairs(self) -> tuple[tuple[int, Reach, Reach], ...]:
+        """Connected reach pairs (distance, reach_i, reach_j), i before j in
+        reaches order, computed once. A pair's distance is the length of its
+        first reach path."""
+        pairs = [(ri, rj, self.reach_paths(ri, rj))
+                 for i, ri in enumerate(self.reaches) for rj in self.reaches[i + 1:]]
+        return tuple((len(ps[0]), ri, rj) for ri, rj, ps in pairs if ps)
 
     def _switch_set_path(self, srcs: set[str], dsts: set[str],
                          blocked: set[str]) -> tuple[str, ...] | None:
@@ -395,38 +416,21 @@ def find_boundary_switches(t: Topology) -> set[str]:
     oversubscribed and nothing below it is, i.e. it sits on the highest
     non-oversubscribed frontier. A per-switch boundary_override wins.
     """
-    oversub: dict[str, bool] = {}
-    down_switches: dict[str, list[str]] = {}
-    for s in t.switches.values():
-        up_cap = 0.0
-        down_cap = 0.0
-        downs = []
-        for peer, lid in t.neighbors(s.id):
-            cap = t.links[lid].capacity
-            if t.level_of(peer) > s.level:
-                up_cap += cap
-            else:
-                down_cap += cap
-                if not t.is_host(peer):
-                    downs.append(peer)
-        oversub[s.id] = down_cap > up_cap + _EPS
-        down_switches[s.id] = downs
-
-    oversub_below: dict[str, bool] = {}
-
-    def below(sid: str) -> bool:
-        if sid not in oversub_below:
-            oversub_below[sid] = any(oversub[c] or below(c) for c in down_switches[sid])
-        return oversub_below[sid]
-
-    boundary = set()
-    for s in t.switches.values():
+    boundary: set[str] = set()
+    tainted: set[str] = set()  # switches with an oversubscribed switch below them
+    for s in sorted(t.switches.values(), key=lambda s: s.level):
+        ups = t.switch_uplinks[s.id]
+        up_cap = sum(t.links[lid].capacity for lid in ups)
+        down_cap = sum(t.links[lid].capacity for lid in t.adjacency[s.id] if lid not in ups)
+        oversub = down_cap > up_cap + _EPS
         if s.boundary_override is not None:
             flagged = s.boundary_override
         else:
-            flagged = oversub[s.id] and not below(s.id)
+            flagged = oversub and s.id not in tainted
         if flagged:
             boundary.add(s.id)
+        if oversub or s.id in tainted:
+            tainted.update(t.links[lid].other(s.id) for lid in ups)
     return boundary
 
 
@@ -447,8 +451,8 @@ def find_reaches(t: Topology) -> list[Reach]:
         members = set(t.hosts_below[s])
         if not members:
             raise TopologyError(f"boundary switch {s} has no hosts below it")
-        parents = {p.id for p in t.switches.values()
-                   if p.level == level and not members.isdisjoint(t.hosts_below[p.id])}
+        parents = {p for h in members for p in t.switches_above[h]
+                   if t.switches[p].level == level}
         raw.append((members, parents))
         visited |= parents
 

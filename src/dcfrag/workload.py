@@ -142,7 +142,6 @@ class WorkloadSpec:
     makes a ~10% minority of edges carry the bulk of the bandwidth.
     """
 
-    category: int
     app_count: int
     vms_per_app: tuple[int, int]
     mean_demand: ResourceVector

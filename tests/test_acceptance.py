@@ -19,7 +19,7 @@ from dcfrag.harness import ExperimentConfig, run_experiment, shuffle_order
 from dcfrag.metrics import MultiRequest
 from dcfrag.placement import (CapacityError, PlacementState, SchemeConfig,
                               derive_netw_slots, place_application)
-from dcfrag.topology import ResourceVector, build_clos, build_tree, find_reaches
+from dcfrag.topology import ResourceVector, build_clos, build_tree
 from dcfrag.workload import generate_workload
 
 from test_metrics import random_consumed_state
@@ -68,9 +68,8 @@ def test_criterion_2_local_rrf_worked_example():
 def test_criterion_3_network_rrf_worked_example():
     start = time.perf_counter()
     state = fig4_state()
-    reaches = find_reaches(state.topology)
-    breakdown = M.capacity_breakdown(state, reaches)
-    report = M.network_rrf(state, FIG4_REQUEST, reaches)
+    breakdown = M.capacity_breakdown(state)
+    report = M.network_rrf(state, FIG4_REQUEST)
     oracle = M.brute_force_placeable(state, FIG4_REQUEST)
     elapsed = time.perf_counter() - start
     ok = (abs(breakdown.total - 1.05) <= 1e-12
@@ -85,9 +84,9 @@ def test_criterion_3_network_rrf_worked_example():
 @pytest.mark.parametrize("k", [2, 4, 8, 16])
 def test_criterion_4_reach_partition(k):
     tree = build_tree(k, 4, UNIT, 1.0, oversub_ratio=4.0)
-    tree_reaches = find_reaches(tree)
+    tree_reaches = tree.reaches
     clos = build_clos(4, 4, 4, UNIT, 1.0, core_oversub=1.0)
-    clos_reaches = find_reaches(clos)
+    clos_reaches = clos.reaches
     covered = sorted(h for r in tree_reaches for h in r.hosts)
     ok = (len(tree_reaches) == k
           and covered == sorted(tree.hosts)
@@ -165,7 +164,6 @@ def test_criterion_6_scheme_comparison_at_scale():
     outcomes = {}
     for category in (1, 2, 3):
         topology = category_topology(category)
-        reaches = find_reaches(topology)
         finals = {"UNIFIED": [], "LOCAL": [], "NETW": []}
         for seed in range(10):
             spec = category_spec(category, app_count=category_eval_apps(category),
@@ -177,7 +175,7 @@ def test_criterion_6_scheme_comparison_at_scale():
                                    netw_slots_per_host=slots if scheme == "NETW" else None)
                 state = PlacementState(topology)
                 placed = sum(
-                    place_application(state, app, cfg, reaches).ok for app in apps)
+                    place_application(state, app, cfg).ok for app in apps)
                 finals[scheme].append(placed)
         outcomes[category] = finals
     elapsed = time.perf_counter() - start

@@ -1,4 +1,3 @@
-import itertools
 import random
 from collections import deque
 
@@ -10,7 +9,7 @@ from dcfrag.fixtures import FIG4_REQUEST, UNIT, UNIT_REF, fig3_state, fig4_state
 from dcfrag.metrics import MultiRequest
 from dcfrag.placement import PlacementState
 from dcfrag.topology import (Host, Link, ResourceVector, Switch, Topology,
-                             build_clos, build_tree, find_reaches)
+                             build_clos, build_tree)
 
 from test_topology import mini_topology
 
@@ -126,22 +125,20 @@ class TestLocalRRF:
 class TestCapacityInsideReaches:
     def test_two_host_pairing(self):
         state = mini_state([(1, 1, 0.8), (1, 1, 0.3)], link_frees=[0.8, 0.3])
-        reaches = find_reaches(state.topology)
-        total, residual = M.capacity_inside_reaches(state, reaches)
+        total, residual = M.capacity_inside_reaches(state)
         assert total == pytest.approx(0.3)
-        assert residual[reaches[0].id] == pytest.approx(0.5)
+        assert residual[state.topology.reaches[0].id] == pytest.approx(0.5)
 
     def test_single_host_contributes_nothing(self):
         # second host fully used: only one NIC left to pair
         state = mini_state([(1, 1, 0.5), (0, 0, 0.0)], link_frees=[0.5, 0.0])
-        reaches = find_reaches(state.topology)
-        total, residual = M.capacity_inside_reaches(state, reaches)
+        total, residual = M.capacity_inside_reaches(state)
         assert total == pytest.approx(0.0)
-        assert residual[reaches[0].id] == pytest.approx(0.5)
+        assert residual[state.topology.reaches[0].id] == pytest.approx(0.5)
 
     def test_fig4_total(self):
         state = fig4_state()
-        total, residual = M.capacity_inside_reaches(state, find_reaches(state.topology))
+        total, residual = M.capacity_inside_reaches(state)
         assert total == pytest.approx(0.55)
         assert residual == {"r0": pytest.approx(0.5), "r1": pytest.approx(0.5)}
 
@@ -175,17 +172,14 @@ class TestPairReduce:
 class TestCapacityBetweenReaches:
     def test_fig4(self):
         state = fig4_state()
-        reaches = find_reaches(state.topology)
-        _, residual = M.capacity_inside_reaches(state, reaches)
-        assert M.capacity_between_reaches(state, reaches, residual) == pytest.approx(0.5)
-        breakdown = M.capacity_breakdown(state, reaches)
+        _, residual = M.capacity_inside_reaches(state)
+        assert M.capacity_between_reaches(state, residual) == pytest.approx(0.5)
+        breakdown = M.capacity_breakdown(state)
         assert breakdown.total == pytest.approx(1.05)
         assert breakdown.total == breakdown.inside + breakdown.between
 
     def test_zero_residual_contributes_nothing(self):
-        state = fig4_state()
-        reaches = find_reaches(state.topology)
-        assert M.capacity_between_reaches(state, reaches, {"r0": 0.0, "r1": 0.7}) == 0.0
+        assert M.capacity_between_reaches(fig4_state(), {"r0": 0.0, "r1": 0.7}) == 0.0
 
 
 def three_reach_line():
@@ -210,21 +204,17 @@ def three_reach_line():
 
 
 class TestThreeReachLine:
-    def test_pair_walk_is_order_invariant(self):
+    def test_pair_walk_takes_adjacent_pairs_first(self):
         state = three_reach_line()
-        reaches = find_reaches(state.topology)
+        reaches = state.topology.reaches
         assert len(reaches) == 3
-        total, residual = M.capacity_inside_reaches(state, reaches)
+        total, residual = M.capacity_inside_reaches(state)
         assert total == pytest.approx(0.4 + 0.5 + 0.2)
         assert [residual[r.id] for r in reaches] == [
             pytest.approx(0.2), pytest.approx(0.2), pytest.approx(0.6)]
-        between = M.capacity_between_reaches(state, reaches, residual)
+        between = M.capacity_between_reaches(state, residual)
         # adjacent pairs first (hops 2), max-bandwidth tie-break picks r0-r1
         assert between == pytest.approx(0.2)
-        for perm in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
-            shuffled = [reaches[i] for i in perm]
-            assert M.capacity_between_reaches(state, shuffled, residual) == \
-                pytest.approx(between)
 
 
 def _bfs_reach_distance(t, ri, rj):
@@ -254,7 +244,7 @@ class TestReachDistance:
         for name, t in (("fig4", fig4_state().topology),
                         ("clos", build_clos(2, 2, 2, UNIT, 1.0, core_oversub=2.0)),
                         ("line", three_reach_line().topology), ("racks", racks)):
-            reaches = find_reaches(t)
+            reaches = t.reaches
             pairs = [(ri, rj) for i, ri in enumerate(reaches) for rj in reaches[i + 1:]]
             got = [M.reach_distance(t, ri, rj) for ri, rj in pairs]
             assert got == [_bfs_reach_distance(t, ri, rj) for ri, rj in pairs]
@@ -305,7 +295,7 @@ def walk_instances(draw):
     t = state.topology
     for lid in sorted(state.link_free):
         state.link_free[lid] = t.links[lid].capacity * draw(st.integers(0, 2)) / 2
-    reaches = draw(st.permutations(find_reaches(t)))
+    reaches = t.reaches
     res_bw = {r.id: draw(st.integers(0, 8)) / 4 for r in reaches}
     res_req = {r.id: draw(st.integers(0, 8)) for r in reaches}
     req = MultiRequest(nw=draw(st.sampled_from([0.05, 0.1, 0.2, 0.3])))
@@ -318,29 +308,23 @@ class TestPairWalk:
     def test_matches_exhaustive_pair_order_replay(self, instance):
         state, reaches, res_bw, res_req, req = instance
         t = state.topology
-        got_bw = M.capacity_between_reaches(state, reaches, res_bw)
+        got_bw = M.capacity_between_reaches(state, res_bw)
         assert got_bw == pytest.approx(_replay_walk(
             t, reaches, res_bw, state.link_free, lambda bw: bw, 1.0), abs=1e-12)
-        got_count = M.placeable_between_reaches(state, reaches, res_req, req)
+        got_count = M.placeable_between_reaches(state, res_req, req)
         assert got_count == _replay_walk(
             t, reaches, res_req, state.link_free, lambda bw: M.fit_count(bw, req.nw),
             req.nw)
-        # the drawn permutation gives exactly the find_reaches-order result
-        canonical = find_reaches(t)
-        assert got_bw == M.capacity_between_reaches(state, canonical, res_bw)
-        assert got_count == M.placeable_between_reaches(state, canonical, res_req, req)
-        breakdown = M.capacity_breakdown(state, reaches)
+        breakdown = M.capacity_breakdown(state)
         assert breakdown.inside + breakdown.between == breakdown.total
 
-    def test_tied_pairs_do_not_follow_list_order(self):
+    def test_tied_pairs_break_on_reach_ids(self):
         # every pair but (r2, r3) ties at bandwidth 0.5, so the id tie-break
         # decides: (r0, r1) first gives 0.5, (r0, r2) first would give 1.0
         state = PlacementState(build_tree(4, 2, UNIT, 1.0, oversub_ratio=2.0))
         state.link_free.update({"t0-core": 0.5, "t1-core": 0.5})
-        reaches = find_reaches(state.topology)
         res_bw = {"r0": 1.0, "r1": 0.5, "r2": 1.5, "r3": 0.0}
-        for perm in itertools.permutations(reaches):
-            assert M.capacity_between_reaches(state, list(perm), res_bw) == 0.5
+        assert M.capacity_between_reaches(state, res_bw) == 0.5
 
     def test_many_tied_pairs_match_the_replay(self):
         # 16 racks under one core with equal uplink frees: all 120 pairs tie
@@ -351,7 +335,7 @@ class TestPairWalk:
         for lid in t.links:
             if lid.endswith("-core"):
                 state.link_free[lid] = 0.75
-        reaches = find_reaches(t)
+        reaches = t.reaches
         res_bw = {r.id: (0.25, 0.5, 1.0, 0.0)[i % 4] for i, r in enumerate(reaches)}
         res_req = {r.id: (3, 1, 0, 5)[i % 4] for i, r in enumerate(reaches)}
         req = MultiRequest(nw=0.25)
@@ -359,11 +343,8 @@ class TestPairWalk:
         want_count = _replay_walk(t, reaches, res_req, state.link_free,
                                   lambda bw: M.fit_count(bw, req.nw), req.nw)
         assert want_bw > 0 and want_count > 0
-        rng = random.Random(8)
-        for _ in range(6):
-            perm = rng.sample(reaches, len(reaches))
-            assert M.capacity_between_reaches(state, perm, res_bw) == want_bw
-            assert M.placeable_between_reaches(state, perm, res_req, req) == want_count
+        assert M.capacity_between_reaches(state, res_bw) == want_bw
+        assert M.placeable_between_reaches(state, res_req, req) == want_count
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 4), min_size=16, max_size=16),
@@ -375,15 +356,15 @@ class TestPairWalk:
         counts[0] = 0
         state = PlacementState(build_tree(16, 2, UNIT, 1.0, oversub_ratio=2.0))
         t = state.topology
-        reaches = find_reaches(t)
+        reaches = t.reaches
         for reach, free in zip(reaches, frees):
             state.link_free[f"{reach.switches[0]}-core"] = free / 4
         res_bw = {r.id: c / 4 for r, c in zip(reaches, counts)}
         res_req = {r.id: c for r, c in zip(reaches, counts)}
         req = MultiRequest(nw=nw)
-        assert M.capacity_between_reaches(state, reaches, res_bw) == _replay_walk(
+        assert M.capacity_between_reaches(state, res_bw) == _replay_walk(
             t, reaches, res_bw, state.link_free, lambda bw: bw, 1.0)
-        assert M.placeable_between_reaches(state, reaches, res_req, req) == _replay_walk(
+        assert M.placeable_between_reaches(state, res_req, req) == _replay_walk(
             t, reaches, res_req, state.link_free, lambda bw: M.fit_count(bw, req.nw), req.nw)
 
     @pytest.mark.parametrize("state", [
@@ -393,26 +374,23 @@ class TestPairWalk:
     ], ids=["line", "tree", "clos"])
     def test_reach_pairs_is_the_rescan_pair_list(self, state):
         t = state.topology
-        reaches = find_reaches(t)
-        shuffled = random.Random(3).sample(reaches, len(reaches))
-        ordered = sorted(shuffled, key=lambda r: r.hosts)
+        ordered = sorted(t.reaches, key=lambda r: r.hosts)
         want = tuple((M.reach_distance(t, ri, rj), ri, rj)
                      for i, ri in enumerate(ordered) for rj in ordered[i + 1:]
                      if M.reach_distance(t, ri, rj) != float("inf"))
-        assert t.reach_pairs(shuffled) == want
-        assert t.reach_pairs(shuffled) is t.reach_pairs(list(shuffled))
-        assert t.reach_pairs(reaches) == want
+        assert t.reach_pairs == want
+        assert t.reach_pairs is t.reach_pairs
 
 
 class TestPathBandwidth:
     def test_fig4_single_path(self):
         state = fig4_state()
-        r0, r1 = find_reaches(state.topology)
+        r0, r1 = state.topology.reaches
         assert M.path_bandwidth(state.topology, r0, r1) == pytest.approx(0.5)
 
     def test_same_reach_rejected(self):
         state = fig4_state()
-        r0, _ = find_reaches(state.topology)
+        r0, _ = state.topology.reaches
         with pytest.raises(ValueError):
             M.path_bandwidth(state.topology, r0, r0)
 
@@ -432,7 +410,7 @@ class TestPathBandwidth:
         ]
         t = Topology(hosts, switches, links, UNIT_REF)
         t.validate()
-        r0, r1 = find_reaches(t)
+        r0, r1 = t.reaches
         got = M.path_bandwidth(t, r0, r1)
         assert got == pytest.approx(0.7)
         assert got == pytest.approx(_max_flow(t, set(r0.switches), set(r1.switches)))
@@ -442,7 +420,7 @@ def _max_flow(t, sources, sinks):
     """Independent BFS max-flow over the switch graph (unit-normalized)."""
     residual = {}
     for l in t.links.values():
-        if t.is_host(l.a) or t.is_host(l.b):
+        if l.a in t.hosts or l.b in t.hosts:
             continue
         residual[(l.a, l.b)] = residual.get((l.a, l.b), 0.0) + l.free
         residual[(l.b, l.a)] = residual.get((l.b, l.a), 0.0) + l.free
@@ -475,11 +453,11 @@ def _max_flow(t, sources, sinks):
         flow += push
 
 
-def _filtered_inside(state, reaches, req):
+def _filtered_inside(state, req):
     """placeable_inside_reaches with the NIC eligibility filter it once had:
     hosts whose NIC headroom is below req.nw - 1e-9 do not pair at all."""
     total, residuals = 0, {}
-    for reach in reaches:
+    for reach in state.topology.reaches:
         eligible = [h for h in reach.hosts if M.nic_free(state, h) >= req.nw - 1e-9]
         got, res = M._pair_reduce([(M._host_multi_count(state, h, req), h) for h in eligible])
         total += got
@@ -503,7 +481,7 @@ def nic_edge_states(draw):
                                             draw(st.sampled_from([0.0, 0.5, 1.0])), 1.0)
         headroom = draw(st.sampled_from([0, 1, 2, 3])) * req.nw + draw(offsets)
         state.link_free[t.hosts[h].uplink] = min(1.0, max(0.0, headroom))
-    return state, find_reaches(t), req
+    return state, req
 
 
 class TestPlaceableCounts:
@@ -512,60 +490,48 @@ class TestPlaceableCounts:
     def test_nic_filter_is_redundant(self, instance):
         # a host the filter dropped counts zero on its NIC dimension, and a
         # zero count pairs nothing and leaves no residual
-        state, reaches, req = instance
-        assert M.placeable_inside_reaches(state, reaches, req) == \
-            _filtered_inside(state, reaches, req)
+        state, req = instance
+        assert M.placeable_inside_reaches(state, req) == _filtered_inside(state, req)
 
     def test_fig4_inside(self):
-        state = fig4_state()
-        reaches = find_reaches(state.topology)
-        count, residual = M.placeable_inside_reaches(state, reaches, FIG4_REQUEST)
+        count, residual = M.placeable_inside_reaches(fig4_state(), FIG4_REQUEST)
         assert count == 2
         assert residual == {"r0": 1, "r1": 1}
 
     def test_fig4_between_and_total(self):
         state = fig4_state()
-        reaches = find_reaches(state.topology)
-        count, residual = M.placeable_inside_reaches(state, reaches, FIG4_REQUEST)
-        between = M.placeable_between_reaches(state, reaches, residual, FIG4_REQUEST)
+        count, residual = M.placeable_inside_reaches(state, FIG4_REQUEST)
+        between = M.placeable_between_reaches(state, residual, FIG4_REQUEST)
         assert between == 1
         assert count + between == 3
 
     def test_zero_network_component_rejected(self):
-        state = fig4_state()
         with pytest.raises(ValueError):
-            M.placeable_inside_reaches(state, find_reaches(state.topology),
-                                       MultiRequest(cpu=0.2, mem=0.2))
+            M.placeable_inside_reaches(fig4_state(), MultiRequest(cpu=0.2, mem=0.2))
 
     def test_unplaceable_everywhere(self):
-        state = fig4_state()
-        reaches = find_reaches(state.topology)
         req = MultiRequest(cpu=0.5, mem=0.5, nw=0.2)
-        count, _ = M.placeable_inside_reaches(state, reaches, req)
+        count, _ = M.placeable_inside_reaches(fig4_state(), req)
         assert count == 0
 
     def test_single_eligible_host_keeps_residual(self):
         state = mini_state([(1.0, 1.0, 1.0), (0.0, 0.0, 0.0)], link_frees=[1.0, 0.0])
-        reaches = find_reaches(state.topology)
         req = MultiRequest(cpu=0.2, mem=0.2, nw=0.2)
-        count, residual = M.placeable_inside_reaches(state, reaches, req)
+        count, residual = M.placeable_inside_reaches(state, req)
         assert count == 0
-        assert residual[reaches[0].id] == 5
+        assert residual[state.topology.reaches[0].id] == 5
 
     def test_between_respects_narrow_path(self):
         state = fig4_state()
-        reaches = find_reaches(state.topology)
         req = MultiRequest(cpu=0.4, mem=0.4, nw=0.6)
-        count, residual = M.placeable_inside_reaches(state, reaches, req)
+        count, residual = M.placeable_inside_reaches(state, req)
         assert count == 0
         # path free is 0.5 < 0.6: nothing placeable across
-        assert M.placeable_between_reaches(state, reaches, residual, req) == 0
+        assert M.placeable_between_reaches(state, residual, req) == 0
 
     def test_zero_residual_between(self):
-        state = fig4_state()
-        reaches = find_reaches(state.topology)
         assert M.placeable_between_reaches(
-            state, reaches, {"r0": 0, "r1": 5}, FIG4_REQUEST) == 0
+            fig4_state(), {"r0": 0, "r1": 5}, FIG4_REQUEST) == 0
 
 
 class TestNetworkRRF:
@@ -615,6 +581,26 @@ class TestBruteForce:
             for a in ("h1", "h2") for b in ("h3", "h4"))
         assert placed == 2 and not more_possible
         assert M.brute_force_placeable(fig4_state(), FIG4_REQUEST) == 3
+
+    def test_every_shortest_path_is_a_choice(self):
+        # two TORs under two spines, every TOR-spine link 0.25 free: h1-h3
+        # fits one 0.2 request per spine, two in all
+        cpu = {"h1": 0.4, "h2": 0.0, "h3": 0.4, "h4": 0.0}
+        hosts = [Host(id=h, capacity=UNIT, free=ResourceVector(c, 1.0, 1.0))
+                 for h, c in cpu.items()]
+        switches = [Switch(id=s, level=lvl) for s, lvl in
+                    (("s1", 0), ("s2", 0), ("m1", 1), ("m2", 1))]
+        links = [Link(id=f"{h}-{tor}", a=h, b=tor, capacity=1.0, free=1.0)
+                 for h, tor in (("h1", "s1"), ("h2", "s1"), ("h3", "s2"), ("h4", "s2"))]
+        links += [Link(id=f"{tor}-{m}", a=tor, b=m, capacity=1.0, free=0.25)
+                  for tor in ("s1", "s2") for m in ("m1", "m2")]
+        t = Topology(hosts, switches, links, UNIT_REF)
+        t.validate()
+        assert t.shortest_paths("h3", "h1") == [("h1-s1", "s1-m1", "s2-m1", "h3-s2"),
+                                                ("h1-s1", "s1-m2", "s2-m2", "h3-s2")]
+        state = PlacementState(t)
+        assert M.brute_force_placeable(state, FIG4_REQUEST) == 2
+        assert M.network_rrf(state, FIG4_REQUEST).placeable_multi == 2
 
     def test_request_larger_than_any_nic(self):
         assert M.brute_force_placeable(fig4_state(),

@@ -9,7 +9,7 @@ from dcfrag.metrics import MultiRequest
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
                               reserve_traffic)
-from dcfrag.topology import ResourceVector, build_clos, build_tree, find_reaches, load_topology
+from dcfrag.topology import ResourceVector, build_clos, build_tree, load_topology
 from dcfrag.workload import (VM, Application, generate_workload, load_workload,
                              representative_request)
 
@@ -22,7 +22,7 @@ def idle_tree(num_tors=2, hosts_per_tor=2, link=1.0, oversub=2.0, cap=UNIT):
 
 def tree_state(**kwargs):
     t = idle_tree(**kwargs)
-    return PlacementState(t), find_reaches(t)
+    return PlacementState(t), t.reaches
 
 
 def tree_app(demands, traffic, topology, app_id="app"):
@@ -416,10 +416,9 @@ class TestPlanPaths:
         reversed_edges = 0
         for scheme in ("UNIFIED", "LOCAL", "NETW"):
             state = PlacementState(t)
-            reaches = find_reaches(t)
             cfg = SchemeConfig(scheme=scheme, netw_slots_per_host=slots)
             for app in apps:
-                out = place_application(state, app, cfg, reaches)
+                out = place_application(state, app, cfg)
                 if not out.ok:
                     continue
                 hosts = dict(out.plan.assignments)
@@ -442,7 +441,7 @@ def ledger_runs(draw):
     else:
         t = build_clos(2, 2, 2, UNIT, 1.0, core_oversub=2.0)
     for lid in sorted(t.links):
-        frees = [0.25, 0.45, 0.85, 1.0] if t.is_host(t.links[lid].a) else [0.85, 1.0]
+        frees = [0.25, 0.45, 0.85, 1.0] if t.links[lid].a in t.hosts else [0.85, 1.0]
         t.links[lid].free = t.links[lid].capacity * draw(st.sampled_from(frees))
     cfg = SchemeConfig(scheme=draw(st.sampled_from(SCHEMES)),
                        netw_slots_per_host=draw(st.integers(1, 4)))
@@ -466,10 +465,10 @@ class TestLedgerProperties:
     @given(ledger_runs())
     def test_every_attempt_leaves_an_exact_ledger(self, run):
         t, cfg, apps = run
-        state, reaches = PlacementState(t), find_reaches(t)
+        state = PlacementState(t)
         for app in apps:
             before = state.snapshot()
-            out = place_application(state, app, cfg, reaches)
+            out = place_application(state, app, cfg)
             assert state.validate() == []
             if not out.ok:
                 assert state.snapshot() == before

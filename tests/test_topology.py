@@ -139,6 +139,8 @@ class TestBoundaryAndReaches:
         t.validate()
         with pytest.raises(TopologyError, match=r"switches \['p'\] fall into more than one"):
             find_reaches(t)
+        with pytest.raises(TopologyError, match=r"switches \['p'\] fall into more than one"):
+            t.reaches
 
     def test_no_boundary_above_host_is_an_error(self):
         hosts = [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in (1, 2)]
@@ -148,6 +150,16 @@ class TestBoundaryAndReaches:
         t = Topology(hosts, switches, links, UNIT_REF)
         with pytest.raises(TopologyError, match="no boundary switch"):
             find_reaches(t)
+        with pytest.raises(TopologyError, match="no boundary switch"):
+            t.reaches
+
+    def test_reaches_and_reach_pairs_are_computed_once(self):
+        t = build_tree(4, 2, UNIT, 1.0, 2.0)
+        assert t.reaches == tuple(find_reaches(t))
+        assert t.reaches is t.reaches
+        assert t.reach_pairs is t.reach_pairs
+        assert [(ri.id, rj.id) for _, ri, rj in t.reach_pairs] == [
+            ("r0", "r1"), ("r0", "r2"), ("r0", "r3"), ("r1", "r2"), ("r1", "r3"), ("r2", "r3")]
 
 
 def ascending_hosts_below(t):
@@ -211,7 +223,7 @@ def fabric_docs(draw, loose=False):
          for i, l in enumerate(doc["links"])], UNIT_REF)
 
 
-fabrics = st.one_of(
+leveled_fabrics = st.one_of(
     st.builds(build_tree, st.sampled_from([2, 4, 6, 8]), st.sampled_from([2, 4]),
               st.just(UNIT), st.just(1.0), st.sampled_from([1.0, 2.0, 4.0])),
     st.builds(build_clos, st.sampled_from([2, 4]), st.sampled_from([2, 4]),
@@ -219,8 +231,8 @@ fabrics = st.one_of(
               st.sampled_from([1.0, 2.0])),
     st.builds(fig4_topology),
     fabric_docs(),
-    fabric_docs(loose=True),
 )
+fabrics = st.one_of(leveled_fabrics, fabric_docs(loose=True))
 
 
 def as_topology(fabric):
@@ -246,6 +258,31 @@ class TestHostsBelow:
     def test_fig4(self):
         assert fig4_topology().hosts_below == {
             "s1": ("h1", "h2"), "s2": ("h3", "h4"), "s3": ("h1", "h2", "h3", "h4")}
+
+
+def oversubscribed_frontier(t):
+    """Reference for find_boundary_switches by its definition, top-down: a
+    switch is boundary when its uplinks carry less than its downlinks (no
+    uplinks: always) and no switch anywhere below it does."""
+    def caps(s, up):
+        return sum(t.links[lid].capacity for peer, lid in t.neighbors(s)
+                   if (t.level_of(peer) > t.level_of(s)) == up)
+
+    oversub = {s: caps(s, False) > caps(s, True) + 1e-9 for s in t.switches}
+
+    def below(s):
+        downs = [p for p, _ in t.neighbors(s) if t.level_of(p) == t.level_of(s) - 1 >= 0]
+        return any(oversub[d] or below(d) for d in downs)
+
+    return {s for s in t.switches if oversub[s] and not below(s)}
+
+
+class TestBoundaryMatchesDefinition:
+    @settings(max_examples=200, deadline=None)
+    @given(leveled_fabrics)
+    def test_matches_top_down_definition(self, fabric):
+        t = as_topology(fabric)
+        assert find_boundary_switches(t) == oversubscribed_frontier(t)
 
 
 class TestStructuralValidation:
@@ -460,6 +497,27 @@ class TestLoader:
         path.write_text("{nope")
         with pytest.raises(TopologyError, match="JSON"):
             load_topology(str(path))
+
+    @pytest.mark.parametrize("field,value", [
+        ("cpu_mhz", "inf"), ("mem_mb", "nan"), ("free_cpu_mhz", "inf"), ("nic_mbps", "nan")])
+    def test_non_finite_host_rejected(self, tmp_path, field, value):
+        doc = self.doc()
+        doc["hosts"][1][field] = value
+        with pytest.raises(TopologyError, match="host h1: .* must be finite"):
+            load_topology(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("field,value", [
+        ("reference_link_mbps", "nan"), ("reference_link_mbps", 0), ("cpu_mhz", "inf"),
+        ("mem_mb", "nan"), ("nic_mbps", 0)])
+    def test_bad_reference_rejected(self, tmp_path, field, value):
+        doc = self.doc()
+        if field == "reference_link_mbps":
+            doc[field] = value
+        else:
+            doc["reference_host"][field] = value
+        name = field if field == "reference_link_mbps" else "reference_host"
+        with pytest.raises(TopologyError, match=f"{name} .*must be finite and > 0"):
+            load_topology(self.write(tmp_path, doc))
 
     @pytest.mark.parametrize("field,value,message", [
         ("free_mbps", "nan", "free nan outside"),

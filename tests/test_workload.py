@@ -153,7 +153,7 @@ class TestGenerator:
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(WorkloadError):
-            WorkloadSpec(category=1, app_count=1, vms_per_app=(5, 2),
+            WorkloadSpec(app_count=1, vms_per_app=(5, 2),
                          mean_demand=ResourceVector(1, 1, 1), traffic_density=0.5,
                          seed=0, reference=UNIT_REF)
 
