@@ -14,7 +14,7 @@ from .placement import (CapacityError, PlacementOutcome, PlacementPlan, Placemen
 from .topology import (Host, Link, Reach, Reference, ResourceVector, Switch, Topology,
                        TopologyError, build_clos, build_tree, find_boundary_switches,
                        find_reaches, load_topology)
-from .workload import (Application, VM, WorkloadError, WorkloadSpec, bw_between,
-                       generate_workload, load_workload, representative_request)
+from .workload import (Application, VM, WorkloadError, WorkloadSpec, generate_workload,
+                       load_workload, representative_request)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -30,9 +30,7 @@ def fig3_state() -> PlacementState:
     ]
     switches = [Switch(id="s1", level=0)]
     links = [Link(id=f"{h.id}-s1", a=h.id, b="s1", capacity=1.0, free=1.0) for h in hosts]
-    t = Topology(hosts, switches, links, UNIT_REF)
-    t.validate()
-    return PlacementState(t)
+    return PlacementState(Topology(hosts, switches, links, UNIT_REF))
 
 
 def fig3_like_topology() -> Topology:
@@ -45,9 +43,7 @@ def fig3_like_topology() -> Topology:
     ]
     switches = [Switch(id="s1", level=0)]
     links = [Link(id=f"{h.id}-s1", a=h.id, b="s1", capacity=1.0, free=1.0) for h in hosts]
-    t = Topology(hosts, switches, links, UNIT_REF)
-    t.validate()
-    return t
+    return Topology(hosts, switches, links, UNIT_REF)
 
 
 def fig4_topology() -> Topology:
@@ -71,9 +67,7 @@ def fig4_topology() -> Topology:
         Link(id="s1-s3", a="s1", b="s3", capacity=1.0, free=0.5),
         Link(id="s2-s3", a="s2", b="s3", capacity=1.0, free=0.5),
     ]
-    t = Topology(hosts, switches, links, UNIT_REF)
-    t.validate()
-    return t
+    return Topology(hosts, switches, links, UNIT_REF)
 
 
 def fig4_state() -> PlacementState:
@@ -101,7 +95,6 @@ def fig1_instance() -> tuple[Topology, Application]:
     ]
     reference = Reference(host=cap, link=600.0)
     t = Topology(hosts, switches, links, reference)
-    t.validate()
 
     demands = {
         "a1": (320.0, 80.0), "a2": (80.0, 500.0),

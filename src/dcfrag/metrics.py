@@ -211,21 +211,22 @@ def _consume_between(t: Topology, reach_i: Reach, reach_j: Reach,
         remaining -= take
 
 
-def reach_distance(t: Topology, reach_i: Reach, reach_j: Reach) -> float:
+def reach_distance(t: Topology, reach_i: Reach, reach_j: Reach) -> int:
     """Hop distance between two reaches' boundary switch sets.
 
     The first cached reach path comes from a multi-source BFS over the
     switch-only graph, so its length is the minimum switch-to-switch distance.
     """
-    paths = t.reach_paths(reach_i, reach_j)
-    return len(paths[0]) if paths else float("inf")
+    return len(t.reach_paths(reach_i, reach_j)[0])
 
 
 def _walk_between(state, residuals: dict, fit, unit: float):
     """The reach-pair walk shared by the bandwidth and the count metric.
 
-    Pairs go shortest reach distance first, then most inter-reach bandwidth,
-    then smallest id pair (ri.id, rj.id), ri before rj in Topology.reaches.
+    Every pair of Topology.reach_pairs is walked (on a checked fabric each
+    has a path). Pairs go shortest reach distance first, then most
+    inter-reach bandwidth, then smallest id pair (ri.id, rj.id), ri before rj
+    in Topology.reaches.
     Each pair takes step = min(residual_i, residual_j, fit(bandwidth)),
     deducted from both residuals and, times `unit`, from the path links.
     Returns the summed steps.

@@ -143,7 +143,12 @@ def _unlimited(lid: str, default: float) -> float:
 
 
 class Topology:
-    """Immutable-after-construction view of the data-center graph."""
+    """Immutable-after-construction view of the data-center graph.
+
+    Construction raises TopologyError unless the fabric has hosts, every host
+    has one link, to a level-0 switch, every link joins adjacent levels and
+    the graph is connected.
+    """
 
     def __init__(self, hosts: list[Host], switches: list[Switch], links: list[Link],
                  reference: Reference):
@@ -166,9 +171,33 @@ class Topology:
             adj[l.a].append(l.id)
             adj[l.b].append(l.id)
         self.adjacency = {n: tuple(sorted(ids)) for n, ids in adj.items()}
+        if not self.hosts:
+            raise TopologyError("topology has no hosts")
         for h in hosts:
-            if len(self.adjacency[h.id]) == 1:
-                h.uplink = self.adjacency[h.id][0]
+            deg = len(self.adjacency[h.id])
+            if deg != 1:
+                raise TopologyError(f"host {h.id} has degree {deg}, expected exactly 1")
+            h.uplink = self.adjacency[h.id][0]
+            peer = self.links[h.uplink].other(h.id)
+            if peer not in self.switches or self.switches[peer].level != 0:
+                raise TopologyError(f"host {h.id} must attach to a level-0 switch")
+        for l in links:
+            la, lb = self.level_of(l.a), self.level_of(l.b)
+            if abs(la - lb) != 1:
+                raise TopologyError(f"link {l.id} joins non-adjacent levels {la} and {lb}")
+        seen = set()
+        frontier = deque([hosts[0].id])
+        while frontier:
+            node = frontier.popleft()
+            if node in seen:
+                continue
+            seen.add(node)
+            for peer, _ in self.neighbors(node):
+                if peer not in seen:
+                    frontier.append(peer)
+        missing = (set(self.hosts) | set(self.switches)) - seen
+        if missing:
+            raise TopologyError(f"topology is disconnected; unreachable: {sorted(missing)}")
         # switch id -> sorted hosts reachable by descending links, built
         # bottom-up: a switch's hosts plus those of its switches one level down
         below: dict[str, set[str]] = {}
@@ -208,37 +237,6 @@ class Topology:
         for lid in self.adjacency.get(node, ()):
             yield self.links[lid].other(node), lid
 
-    # -- structural validation ---------------------------------------------
-
-    def validate(self) -> None:
-        """Check connectivity, host degree and leveling; raise TopologyError."""
-        if not self.hosts:
-            raise TopologyError("topology has no hosts")
-        for h in self.hosts.values():
-            deg = len(self.adjacency[h.id])
-            if deg != 1:
-                raise TopologyError(f"host {h.id} has degree {deg}, expected exactly 1")
-            peer = self.links[h.uplink].other(h.id)
-            if peer not in self.switches or self.switches[peer].level != 0:
-                raise TopologyError(f"host {h.id} must attach to a level-0 switch")
-        for l in self.links.values():
-            la, lb = self.level_of(l.a), self.level_of(l.b)
-            if abs(la - lb) != 1:
-                raise TopologyError(f"link {l.id} joins non-adjacent levels {la} and {lb}")
-        seen = set()
-        frontier = deque([next(iter(self.hosts))])
-        while frontier:
-            node = frontier.popleft()
-            if node in seen:
-                continue
-            seen.add(node)
-            for peer, _ in self.neighbors(node):
-                if peer not in seen:
-                    frontier.append(peer)
-        missing = (set(self.hosts) | set(self.switches)) - seen
-        if missing:
-            raise TopologyError(f"topology is disconnected; unreachable: {sorted(missing)}")
-
     # -- path utilities -------------------------------------------------------
 
     def route(self, host_a: str, host_b: str,
@@ -258,14 +256,10 @@ class Topology:
             raise ValueError("route endpoints must differ")
         src, dst = (host_a, host_b) if host_a < host_b else (host_b, host_a)
         up_src, up_dst = self.hosts[src].uplink, self.hosts[dst].uplink
-        if not up_src or not up_dst:
-            raise TopologyError(f"no single uplink on {src if not up_src else dst}")
         tor_src, tor_dst = self.links[up_src].other(src), self.links[up_dst].other(dst)
         if tor_src == tor_dst:
             return (up_src, up_dst)
         dag = self._tor_dag(tor_src, tor_dst)
-        if not dag:
-            raise TopologyError(f"no path between {src} and {dst}")
         free = _unlimited if link_free is None else link_free.get
         width = {tor_src: free(up_src, 0.0)}
         via: dict[str, tuple[str, str]] = {}
@@ -303,13 +297,13 @@ class Topology:
     def _tor_dag(self, tor_a: str, tor_b: str) -> tuple[_DagNode, ...]:
         """The nodes on shortest tor_a -> tor_b paths in BFS layer order, each
         with its predecessors sorted by id and every link from each, cached.
-        Empty when no path exists or the two are one TOR."""
+        Empty when the two are one TOR."""
         key = (tor_a, tor_b)
         cached = self._tor_dags.get(key)
         if cached is None:
             depth = {tor_a: 0}
             frontier = [tor_a]
-            while frontier and tor_b not in depth:
+            while tor_b not in depth:
                 nxt = []
                 for node in frontier:
                     for peer, _ in self.neighbors(node):
@@ -319,8 +313,8 @@ class Topology:
                 frontier = nxt
             # walk back from tor_b one layer at a time, deepest and largest id first
             dag: list[_DagNode] = []
-            on_path = {tor_b} if tor_b in depth else set()
-            while on_path and tor_a not in on_path:
+            on_path = {tor_b}
+            while tor_a not in on_path:
                 above = set()
                 for node in sorted(on_path, reverse=True):
                     preds: dict[str, list[str]] = {}
@@ -373,12 +367,12 @@ class Topology:
 
     @cached_property
     def reach_pairs(self) -> tuple[tuple[int, Reach, Reach], ...]:
-        """Connected reach pairs (distance, reach_i, reach_j), i before j in
+        """Every reach pair (distance, reach_i, reach_j), i before j in
         reaches order, computed once. A pair's distance is the length of its
-        first reach path."""
-        pairs = [(ri, rj, self.reach_paths(ri, rj))
-                 for i, ri in enumerate(self.reaches) for rj in self.reaches[i + 1:]]
-        return tuple((len(ps[0]), ri, rj) for ri, rj, ps in pairs if ps)
+        first reach path; hosts are leaves of a connected fabric, so the
+        switches alone connect every pair."""
+        return tuple((len(self.reach_paths(ri, rj)[0]), ri, rj)
+                     for i, ri in enumerate(self.reaches) for rj in self.reaches[i + 1:])
 
     def _switch_set_path(self, srcs: set[str], dsts: set[str],
                          blocked: set[str]) -> tuple[str, ...] | None:
@@ -516,9 +510,7 @@ def build_tree(num_tors: int, hosts_per_tor: int, host_capacity: ResourceVector,
             links.append(Link(id=f"{hid}-{tor.id}", a=hid, b=tor.id,
                               capacity=link_capacity, free=link_capacity))
 
-    t = Topology(hosts, switches, links, Reference(host=host_capacity, link=link_capacity))
-    t.validate()
-    return t
+    return Topology(hosts, switches, links, Reference(host=host_capacity, link=link_capacity))
 
 
 def build_clos(pods: int, hosts_per_edge: int, edges_per_pod: int,
@@ -571,9 +563,7 @@ def build_clos(pods: int, hosts_per_edge: int, edges_per_pod: int,
                 links.append(Link(id=f"{h}-{edge.id}", a=h, b=edge.id,
                                   capacity=link_capacity, free=link_capacity))
 
-    t = Topology(hosts, switches, links, Reference(host=host_capacity, link=link_capacity))
-    t.validate()
-    return t
+    return Topology(hosts, switches, links, Reference(host=host_capacity, link=link_capacity))
 
 
 # -- file loading --------------------------------------------------------------
@@ -584,8 +574,8 @@ def load_topology(path: str) -> Topology:
 
     All capacities in the file are absolute (MHz, MB, Mbps); requests are
     normalized against the declared reference host and link at metric time.
-    Structural assumptions are enforced here: every host on exactly one
-    level-0 switch, an even number of hosts per TOR.
+    Beyond the checks of Topology itself, a host without exactly one link is
+    named by its file entry, and every TOR must hold an even number of hosts.
     """
     with open(path) as fh:
         try:
@@ -660,7 +650,6 @@ def load_topology(path: str) -> Topology:
             raise TopologyError(f"{path}: hosts[{i}]: {exc}") from exc
 
     t = Topology(hosts, switches, links, reference)
-    t.validate()
     per_tor: dict[str, int] = {}
     for h in hosts:
         tor = t.links[h.uplink].other(h.id)

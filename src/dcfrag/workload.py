@@ -120,15 +120,6 @@ def representative_request(a: Application) -> MultiRequest:
     return MultiRequest(cpu=cpu, mem=mem, nw=nw)
 
 
-def bw_between(a: Application, group_x, group_y) -> float:
-    """Total bandwidth required between two disjoint VM groups of one app."""
-    xs, ys = set(group_x), set(group_y)
-    overlap = xs & ys
-    if overlap:
-        raise WorkloadError(f"app {a.id}: groups overlap on {sorted(overlap)}")
-    return sum(a.bw_to(x, ys) for x in sorted(xs))
-
-
 # -- synthetic generation --------------------------------------------------------
 
 

@@ -1,8 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from dcfrag.cli import main
+from dcfrag.topology import load_topology
+from dcfrag.workload import load_workload
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -193,3 +199,19 @@ class TestPlaceAndCompare:
                                  "--scheme", "UNIFIED", "--scheme", "UNIFIED")
         assert code == 1 and out == ""
         assert "duplicate scheme names" in err
+
+
+class TestReadmeExamples:
+    def test_json_examples_load(self, capsys, tmp_path):
+        # the README's topology file, then its workload file
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.DOTALL)
+        assert len(blocks) == 2
+        topo, wl = tmp_path / "topo.json", tmp_path / "wl.json"
+        topo.write_text(blocks[0])
+        wl.write_text(blocks[1])
+        t = load_topology(str(topo))
+        assert sorted(t.hosts) == ["h0", "h1"]
+        assert [a.id for a in load_workload(str(wl), t.reference)] == ["app0"]
+        code, out, _ = run_cli(capsys, "metrics", "--topology", str(topo),
+                               "--request", "cpu=0.1,mem=0.1")
+        assert code == 0 and out.startswith("resource,")

@@ -198,9 +198,20 @@ def three_reach_line():
         Link(id="s2-m2", a="s2", b="m2", capacity=1.0, free=0.3),
         Link(id="s3-m2", a="s3", b="m2", capacity=1.0, free=0.9),
     ]
-    t = Topology(hosts, switches, links, UNIT_REF)
-    t.validate()
-    return PlacementState(t)
+    return PlacementState(Topology(hosts, switches, links, UNIT_REF))
+
+
+def leaf_spine():
+    """Two racks of two hosts under spines m1 and m2, everything free. Each
+    TOR has 1.0 of uplinks over 2.0 of host links, so each rack is a reach."""
+    hosts = [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in (1, 2, 3, 4)]
+    switches = [Switch(id=s, level=lvl) for s, lvl in
+                (("s1", 0), ("s2", 0), ("m1", 1), ("m2", 1))]
+    links = [Link(id=f"{h.id}-{tor}", a=h.id, b=tor, capacity=1.0, free=1.0)
+             for h, tor in zip(hosts, ("s1", "s1", "s2", "s2"))]
+    links += [Link(id=f"{tor}-{m}", a=tor, b=m, capacity=0.5, free=0.5)
+              for tor in ("s1", "s2") for m in ("m1", "m2")]
+    return Topology(hosts, switches, links, UNIT_REF)
 
 
 class TestThreeReachLine:
@@ -235,15 +246,10 @@ def _bfs_reach_distance(t, ri, rj):
 
 class TestReachDistance:
     def test_matches_switch_bfs_minimum(self):
-        racks = Topology(  # two top-tier TORs with no link between them
-            [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in range(4)],
-            [Switch(id="s0", level=0), Switch(id="s1", level=0)],
-            [Link(id=f"h{i}-s{i // 2}", a=f"h{i}", b=f"s{i // 2}", capacity=1.0, free=1.0)
-             for i in range(4)], UNIT_REF)
-        expected = {"fig4": [2], "clos": [2], "line": [2, 4, 2], "racks": [float("inf")]}
+        expected = {"fig4": [2], "clos": [2], "line": [2, 4, 2]}
         for name, t in (("fig4", fig4_state().topology),
                         ("clos", build_clos(2, 2, 2, UNIT, 1.0, core_oversub=2.0)),
-                        ("line", three_reach_line().topology), ("racks", racks)):
+                        ("line", three_reach_line().topology)):
             reaches = t.reaches
             pairs = [(ri, rj) for i, ri in enumerate(reaches) for rj in reaches[i + 1:]]
             got = [M.reach_distance(t, ri, rj) for ri, rj in pairs]
@@ -263,8 +269,7 @@ def _replay_walk(t, reaches, residuals, link_free, fit, unit):
     link_free = dict(link_free)
     res = dict(residuals)
     reaches = sorted(reaches, key=lambda r: r.hosts)
-    pairs = [(ri, rj) for i, ri in enumerate(reaches) for rj in reaches[i + 1:]
-             if M.reach_distance(t, ri, rj) != float("inf")]
+    pairs = [(ri, rj) for i, ri in enumerate(reaches) for rj in reaches[i + 1:]]
     total = 0
     while pairs:
         ri, rj = min(pairs, key=lambda p: (M.reach_distance(t, p[0], p[1]),
@@ -376,8 +381,7 @@ class TestPairWalk:
         t = state.topology
         ordered = sorted(t.reaches, key=lambda r: r.hosts)
         want = tuple((M.reach_distance(t, ri, rj), ri, rj)
-                     for i, ri in enumerate(ordered) for rj in ordered[i + 1:]
-                     if M.reach_distance(t, ri, rj) != float("inf"))
+                     for i, ri in enumerate(ordered) for rj in ordered[i + 1:])
         assert t.reach_pairs == want
         assert t.reach_pairs is t.reach_pairs
 
@@ -409,7 +413,6 @@ class TestPathBandwidth:
             Link(id="s2-m2", a="s2", b="m2", capacity=0.9, free=0.9),
         ]
         t = Topology(hosts, switches, links, UNIT_REF)
-        t.validate()
         r0, r1 = t.reaches
         got = M.path_bandwidth(t, r0, r1)
         assert got == pytest.approx(0.7)
@@ -595,12 +598,26 @@ class TestBruteForce:
         links += [Link(id=f"{tor}-{m}", a=tor, b=m, capacity=1.0, free=0.25)
                   for tor in ("s1", "s2") for m in ("m1", "m2")]
         t = Topology(hosts, switches, links, UNIT_REF)
-        t.validate()
         assert t.shortest_paths("h3", "h1") == [("h1-s1", "s1-m1", "s2-m1", "h3-s2"),
                                                 ("h1-s1", "s1-m2", "s2-m2", "h3-s2")]
         state = PlacementState(t)
         assert M.brute_force_placeable(state, FIG4_REQUEST) == 2
         assert M.network_rrf(state, FIG4_REQUEST).placeable_multi == 2
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "FOUND: metrics._walk_between counts a reach pair's link-disjoint paths "
+        "as one splittable pipe"))
+    def test_count_walk_splits_no_request_across_paths(self):
+        # two 0.15 paths sum to 0.3, which the count walk fits one 0.2 request
+        # into; no single path carries 0.2, so nothing can be placed
+        state = PlacementState(leaf_spine())
+        for h, free in (("h1", 0.3), ("h2", 0.0), ("h3", 0.3), ("h4", 0.0)):
+            state.host_free[h] = ResourceVector(free, free, 1.0)
+        for tor in ("s1", "s2"):
+            for m in ("m1", "m2"):
+                state.link_free[f"{tor}-{m}"] = 0.15
+        assert M.brute_force_placeable(state, FIG4_REQUEST) == 0
+        assert M.network_rrf(state, FIG4_REQUEST).placeable_multi == 0
 
     def test_request_larger_than_any_nic(self):
         assert M.brute_force_placeable(fig4_state(),
@@ -667,6 +684,63 @@ class TestInvariants:
             n_base = M.fragmentation_index(base, MultiRequest(**{dim: size})).placeable_multi
             n_small = M.fragmentation_index(smaller, MultiRequest(**{dim: size})).placeable_multi
             assert n_small <= n_base
+
+
+@st.composite
+def small_instances(draw):
+    """A fabric of at most 6 hosts (a 2x2 tree, the leaf-spine or the
+    three-reach line) with drawn host frees, link frees and request."""
+    fabric = draw(st.sampled_from(["tree", "leaf-spine", "line"]))
+    if fabric == "tree":
+        t = build_tree(2, 2, UNIT, 1.0, oversub_ratio=draw(st.sampled_from([1.0, 2.0, 4.0])))
+    elif fabric == "leaf-spine":
+        t = leaf_spine()
+    else:
+        t = three_reach_line().topology
+    state = PlacementState(t)
+    share = st.integers(0, 20).map(lambda k: k / 20)
+    for h in sorted(state.host_free):
+        state.host_free[h] = ResourceVector(draw(share), draw(share), state.host_free[h].nic)
+    for lid in sorted(state.link_free):
+        state.link_free[lid] = t.links[lid].capacity * draw(share)
+    size = st.integers(1, 20).map(lambda k: k / 20)
+    return state, MultiRequest(cpu=draw(size), mem=draw(size), nw=draw(size))
+
+
+class TestInvariantProperties:
+    # greedy <= oracle is not among these: on the leaf-spine the count walk
+    # splits a request across paths (the xfail reproducer in TestBruteForce),
+    # and the oracle is exact only below _ORACLE_CAP placements
+    @settings(max_examples=300, deadline=None)
+    @given(small_instances())
+    def test_network_rrf_dominates_fragmentation(self, instance):
+        state, req = instance
+        frag = M.fragmentation_index(state, MultiRequest(nw=req.nw))
+        assert M.network_rrf(state, req).index >= frag.index
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_instances(), st.sampled_from(["cpu", "mem"]))
+    def test_local_rrf_dominates_fragmentation(self, instance, target):
+        state, req = instance
+        frag = M.fragmentation_index(state, MultiRequest(**{target: getattr(req, target)}))
+        assert M.rrf_index_local(state, req, target).index >= frag.index
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_instances())
+    def test_inside_plus_between_is_total(self, instance):
+        state, _ = instance
+        breakdown = M.capacity_breakdown(state)
+        assert breakdown.inside + breakdown.between == breakdown.total
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_instances())
+    def test_indices_lie_in_unit_interval(self, instance):
+        state, req = instance
+        reports = [M.network_rrf(state, req), M.rrf_index_local(state, req, "cpu"),
+                   M.rrf_index_local(state, req, "mem")]
+        reports += [M.fragmentation_index(state, MultiRequest(**{dim: getattr(req, dim)}))
+                    for dim in ("cpu", "mem", "nw")]
+        assert all(0.0 <= r.index <= 1.0 for r in reports)
 
 
 class TestRecordFormat:

@@ -20,9 +20,7 @@ def mini_topology(host_frees, link_frees=None, link_cap=1.0):
         hosts.append(Host(id=hid, capacity=UNIT, free=ResourceVector(cpu, mem, nic)))
         free = link_frees[i] if link_frees else link_cap
         links.append(Link(id=f"{hid}-s1", a=hid, b="s1", capacity=link_cap, free=free))
-    t = Topology(hosts, [Switch(id="s1", level=0)], links, UNIT_REF)
-    t.validate()
-    return t
+    return Topology(hosts, [Switch(id="s1", level=0)], links, UNIT_REF)
 
 
 class TestBuildTree:
@@ -136,7 +134,6 @@ class TestBoundaryAndReaches:
         links += [Link(id=f"{a}-{b}", a=a, b=b, capacity=1.0, free=1.0)
                   for a, b in (("e1", "s1"), ("e1", "p"), ("e2", "p"), ("e2", "s2"))]
         t = Topology(hosts, switches, links, UNIT_REF)
-        t.validate()
         with pytest.raises(TopologyError, match=r"switches \['p'\] fall into more than one"):
             find_reaches(t)
         with pytest.raises(TopologyError, match=r"switches \['p'\] fall into more than one"):
@@ -183,12 +180,10 @@ def ascending_hosts_below(t):
 
 
 @st.composite
-def fabric_docs(draw, loose=False):
+def fabric_docs(draw):
     """A topology-file document for a random leveled fabric: two hosts per
     TOR, each upper switch over a drawn subset of the level below, and the
-    first switch of every upper level over all of it (so it is connected).
-    A loose fabric drops that rule, adds drawn switch links that may join
-    any two levels and comes back as an unvalidated Topology."""
+    first switch of every upper level over all of it (so it is connected)."""
     widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
     levels = [[f"s{lvl}_{i}" for i in range(n)] for lvl, n in enumerate(widths)]
     doc = {
@@ -203,24 +198,14 @@ def fabric_docs(draw, loose=False):
             doc["links"].append({"a": f"h_{tor}_{k}", "b": tor, "capacity_mbps": 1})
     for lower, upper in zip(levels, levels[1:]):
         for i, s in enumerate(upper):
-            downs = lower if i == 0 and not loose else draw(
+            downs = lower if i == 0 else draw(
                 st.lists(st.sampled_from(lower), min_size=1, unique=True))
             doc["links"] += [{"a": d, "b": s, "capacity_mbps": 1} for d in downs]
-    if not loose:
-        # parallel twins of some switch links, under their own ids
-        twins = draw(st.lists(st.sampled_from(doc["links"][len(doc["hosts"]):]),
-                              max_size=3, unique_by=lambda l: (l["a"], l["b"])))
-        doc["links"] += [{**l, "id": f"{l['a']}-{l['b']}-twin"} for l in twins]
-        return doc
-    ids = [s for ids in levels for s in ids]
-    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
-    doc["links"] += [{"a": a, "b": b, "capacity_mbps": 1}
-                     for a, b in draw(st.lists(pairs, max_size=4))]
-    return Topology(
-        [Host(id=h["id"], capacity=UNIT, free=UNIT) for h in doc["hosts"]],
-        [Switch(id=s["id"], level=s["level"]) for s in doc["switches"]],
-        [Link(id=f"l{i}", a=l["a"], b=l["b"], capacity=1.0, free=1.0)
-         for i, l in enumerate(doc["links"])], UNIT_REF)
+    # parallel twins of some switch links, under their own ids
+    twins = draw(st.lists(st.sampled_from(doc["links"][len(doc["hosts"]):]),
+                          max_size=3, unique_by=lambda l: (l["a"], l["b"])))
+    doc["links"] += [{**l, "id": f"{l['a']}-{l['b']}-twin"} for l in twins]
+    return doc
 
 
 leveled_fabrics = st.one_of(
@@ -232,7 +217,6 @@ leveled_fabrics = st.one_of(
     st.builds(fig4_topology),
     fabric_docs(),
 )
-fabrics = st.one_of(leveled_fabrics, fabric_docs(loose=True))
 
 
 def as_topology(fabric):
@@ -248,7 +232,7 @@ def as_topology(fabric):
 
 class TestHostsBelow:
     @settings(max_examples=200, deadline=None)
-    @given(fabrics)
+    @given(leveled_fabrics)
     def test_matches_ascending_walk(self, fabric):
         fabric = as_topology(fabric)
         assert fabric.hosts_below == ascending_hosts_below(fabric)
@@ -286,41 +270,44 @@ class TestBoundaryMatchesDefinition:
 
 
 class TestStructuralValidation:
+    # every case is a rejection by the constructor: no unchecked Topology exists
+    def build(self, n_hosts, switches, links):
+        hosts = [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in range(1, n_hosts + 1)]
+        return Topology(hosts, [Switch(id=s, level=lvl) for s, lvl in switches],
+                        [Link(id=f"l{i}", a=a, b=b, capacity=1, free=1)
+                         for i, (a, b) in enumerate(links, 1)], UNIT_REF)
+
     def test_multi_homed_host_rejected(self):
-        hosts = [Host(id="h1", capacity=UNIT, free=UNIT),
-                 Host(id="h2", capacity=UNIT, free=UNIT)]
-        switches = [Switch(id="s1", level=0), Switch(id="s2", level=0)]
-        links = [Link(id="l1", a="h1", b="s1", capacity=1, free=1),
-                 Link(id="l2", a="h1", b="s2", capacity=1, free=1),
-                 Link(id="l3", a="h2", b="s1", capacity=1, free=1)]
-        t = Topology(hosts, switches, links, UNIT_REF)
-        with pytest.raises(TopologyError, match="degree"):
-            t.validate()
+        with pytest.raises(TopologyError, match="host h1 has degree 2, expected exactly 1"):
+            self.build(2, [("s1", 0), ("s2", 0)], [("h1", "s1"), ("h1", "s2"), ("h2", "s1")])
 
     def test_disconnected_rejected(self):
-        hosts = [Host(id="h1", capacity=UNIT, free=UNIT),
-                 Host(id="h2", capacity=UNIT, free=UNIT)]
-        switches = [Switch(id="s1", level=0), Switch(id="s2", level=0)]
-        links = [Link(id="l1", a="h1", b="s1", capacity=1, free=1),
-                 Link(id="l2", a="h2", b="s2", capacity=1, free=1)]
-        t = Topology(hosts, switches, links, UNIT_REF)
-        with pytest.raises(TopologyError, match="disconnected"):
-            t.validate()
+        with pytest.raises(TopologyError,
+                           match=r"disconnected; unreachable: \['h2', 's2'\]"):
+            self.build(2, [("s1", 0), ("s2", 0)], [("h1", "s1"), ("h2", "s2")])
 
     def test_level_skipping_link_rejected(self):
-        hosts = [Host(id="h1", capacity=UNIT, free=UNIT),
-                 Host(id="h2", capacity=UNIT, free=UNIT)]
-        switches = [Switch(id="s1", level=0), Switch(id="s2", level=2)]
-        links = [Link(id="l1", a="h1", b="s1", capacity=1, free=1),
-                 Link(id="l2", a="h2", b="s1", capacity=1, free=1),
-                 Link(id="l3", a="s1", b="s2", capacity=1, free=1)]
-        t = Topology(hosts, switches, links, UNIT_REF)
-        with pytest.raises(TopologyError, match="non-adjacent"):
-            t.validate()
+        with pytest.raises(TopologyError, match="link l3 joins non-adjacent levels 0 and 2"):
+            self.build(2, [("s1", 0), ("s2", 2)], [("h1", "s1"), ("h2", "s1"), ("s1", "s2")])
+
+    def test_no_hosts_rejected(self):
+        with pytest.raises(TopologyError, match="topology has no hosts"):
+            self.build(0, [("s1", 0)], [])
+
+    def test_isolated_host_rejected(self):
+        with pytest.raises(TopologyError, match="host h2 has degree 0"):
+            self.build(2, [("s1", 0)], [("h1", "s1")])
+
+    @pytest.mark.parametrize("links", [
+        [("h1", "s2"), ("h2", "s1"), ("s1", "s2")],
+        [("h1", "h2")]], ids=["upper-switch", "host"])
+    def test_host_off_level_zero_rejected(self, links):
+        with pytest.raises(TopologyError, match="host h1 must attach to a level-0 switch"):
+            self.build(2, [("s1", 0), ("s2", 1)], links)
 
     def test_builders_pass_validation(self):
-        build_tree(4, 4, UNIT, 1.0, 4.0).validate()
-        build_clos(2, 2, 2, UNIT, 1.0, 2.0).validate()
+        build_tree(4, 4, UNIT, 1.0, 4.0)
+        build_clos(2, 2, 2, UNIT, 1.0, 2.0)
 
 
 class TestRouting:
@@ -380,7 +367,7 @@ def bfs_route(t, host_a, host_b, link_free=None):
 
 class TestRouteMatchesBFS:
     @settings(max_examples=200, deadline=None)
-    @given(fabrics, st.data())
+    @given(leveled_fabrics, st.data())
     def test_route_equals_reference_bfs(self, fabric, data):
         # few distinct frees make ties common; None leaves the key out (free 0)
         t = as_topology(fabric)
@@ -393,12 +380,7 @@ class TestRouteMatchesBFS:
                                    .filter(lambda p: p[0] != p[1]), min_size=1, max_size=12))
         for a, b in pairs:
             for link_free in maps:
-                try:
-                    expected = bfs_route(t, a, b, link_free)
-                except TopologyError:
-                    with pytest.raises(TopologyError, match="no path between"):
-                        t.route(a, b, link_free)
-                    continue
+                expected = bfs_route(t, a, b, link_free)
                 assert t.route(a, b, link_free) == expected
                 assert t.route(b, a, link_free) == expected
 
@@ -411,7 +393,6 @@ class TestRouteMatchesBFS:
         links += [Link(id=lid, a=tor, b="core", capacity=1.0, free=1.0)
                   for lid, tor in (("a", "t0"), ("b", "t0"), ("c", "t1"))]
         t = Topology(hosts, switches, links, UNIT_REF)
-        t.validate()
         full = {lid: 1.0 for lid in t.links}
         assert t.route("h0", "h2", {**full, "a": 0.2, "b": 0.9}) == ("h0-t0", "b", "c", "h2-t1")
         assert t.route("h2", "h1", {**full, "a": 0.9, "b": 0.2}) == ("h1-t0", "a", "c", "h2-t1")
@@ -419,22 +400,11 @@ class TestRouteMatchesBFS:
         assert t.route("h0", "h2") == ("h0-t0", "a", "c", "h2-t1")
 
     def test_unroutable_pairs_raise(self):
-        # two TORs with no link between them; h4 has two links to s0
-        racks = Topology(
-            [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in range(5)],
-            [Switch(id="s0", level=0), Switch(id="s1", level=0)],
-            [Link(id=f"h{i}-s{i // 2}", a=f"h{i}", b=f"s{i // 2}", capacity=1.0, free=1.0)
-             for i in range(4)]
-            + [Link(id=f"h4-s0-{i}", a="h4", b="s0", capacity=1.0, free=1.0) for i in range(2)],
-            UNIT_REF)
-        assert racks.route("h1", "h0") == ("h0-s0", "h1-s0")
-        for link_free in (None, {}):
-            with pytest.raises(TopologyError, match="no path between h0 and h2"):
-                racks.route("h2", "h0", link_free)
-        with pytest.raises(TopologyError, match="no single uplink on h4"):
-            racks.route("h0", "h4")
+        # a checked fabric routes every pair of distinct hosts
+        t = fig4_topology()
+        assert t.route("h2", "h1") == ("h1-s1", "h2-s1")
         with pytest.raises(ValueError, match="endpoints must differ"):
-            racks.route("h0", "h0")
+            t.route("h1", "h1")
 
 
 class TestLoader:
