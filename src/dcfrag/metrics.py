@@ -12,6 +12,13 @@ hosts greedily on NIC headroom) and then between reaches (by walking reach
 pairs in path-length order and consuming residuals against inter-reach
 bandwidth). A small brute-force oracle bounds the greedy counts on desk-size
 instances.
+
+A placement changes a few hosts and links, so the inside-reach pairings are
+memoized per reach: state.reach_memo keeps one slot per (reach, request),
+holding the reach's host free vectors and uplink frees next to the pairing
+computed from them, and a call recomputes a reach only when those values no
+longer compare equal. Keyed by value, the memo needs no invalidation: it holds
+under rollbacks, restores and direct writes to the tables.
 """
 
 from __future__ import annotations
@@ -108,16 +115,25 @@ def fragmentation_index(state, req: MultiRequest) -> RRFReport:
     return rrf_index_local(state, req, dims[0])
 
 
-def _host_multi_count(state, host_id: str, req: MultiRequest) -> int:
-    """Requests a single host can satisfy: min over the nonzero dimensions."""
+def _host_count(free, uplink_free: float, req: MultiRequest, ref) -> int:
+    """Requests one host can satisfy: min over the nonzero dimensions of
+    the normalized free capacity, the NIC read from the host's uplink free."""
     counts = []
     if req.cpu > 0:
-        counts.append(fit_count(_local_free(state, host_id, "cpu"), req.cpu))
+        counts.append(fit_count(free.cpu / ref.host.cpu, req.cpu))
     if req.mem > 0:
-        counts.append(fit_count(_local_free(state, host_id, "mem"), req.mem))
+        counts.append(fit_count(free.mem / ref.host.mem, req.mem))
     if req.nw > 0:
-        counts.append(fit_count(nic_free(state, host_id), req.nw))
+        counts.append(fit_count(uplink_free / ref.link, req.nw))
     return min(counts)
+
+
+def _host_counts(state, host_ids, req: MultiRequest) -> list[tuple[int, str]]:
+    """(_host_count, host id) for each host, in the given order."""
+    t = state.topology
+    host_free, link_free, hosts, ref = state.host_free, state.link_free, t.hosts, t.reference
+    return [(_host_count(host_free[h], link_free[hosts[h].uplink], req, ref), h)
+            for h in host_ids]
 
 
 def rrf_index_local(state, req: MultiRequest, target: str) -> RRFReport:
@@ -134,9 +150,9 @@ def rrf_index_local(state, req: MultiRequest, target: str) -> RRFReport:
         raise ValueError(f"target dimension {target} is zero in the request")
     total = 0.0
     count = 0
-    for host_id in sorted(state.host_free):
+    for n, host_id in _host_counts(state, sorted(state.host_free), req):
         total += _local_free(state, host_id, target)
-        count += _host_multi_count(state, host_id, req)
+        count += n
     return RRFReport(target, total, count, _index(total, count, getattr(req, target)))
 
 
@@ -162,6 +178,33 @@ def _pair_reduce(values: list):
     return acc, residual
 
 
+def _reach_pairings(state, req: MultiRequest | None) -> list[tuple]:
+    """_pair_reduce's (sum, residual) for each reach of topology.reaches, over
+    its hosts' NIC frees (req None) or their _host_count under req.
+
+    A result is read from the reach's slot in state.reach_memo while the
+    reach's host free vectors and uplink frees equal the ones it was computed
+    from; the slot key is built by the reach's topology.reach_keys getters.
+    """
+    t = state.topology
+    host_free, link_free = state.host_free, state.link_free
+    slots = state.reach_memo.get(req)
+    if slots is None:
+        slots = state.reach_memo[req] = [None] * len(t.reaches)
+    pairings = []
+    for i, (reach, (hosts_of, uplinks_of)) in enumerate(zip(t.reaches, t.reach_keys)):
+        key = (hosts_of(host_free), uplinks_of(link_free))
+        slot = slots[i]
+        if slot is None or slot[0] != key:
+            if req is None:
+                values = [(nic_free(state, h), h) for h in reach.hosts]
+            else:
+                values = _host_counts(state, reach.hosts, req)
+            slot = slots[i] = (key, _pair_reduce(values))
+        pairings.append(slot[1])
+    return pairings
+
+
 def capacity_inside_reaches(state):
     """Achievable bandwidth inside each reach, plus per-reach residuals.
 
@@ -170,8 +213,7 @@ def capacity_inside_reaches(state):
     """
     total = 0.0
     residuals: dict[str, float] = {}
-    for reach in state.topology.reaches:
-        got, res = _pair_reduce([(nic_free(state, h), h) for h in reach.hosts])
+    for reach, (got, res) in zip(state.topology.reaches, _reach_pairings(state, None)):
         total += got
         residuals[reach.id] = res
     return total, residuals
@@ -294,8 +336,7 @@ def placeable_inside_reaches(state, req: MultiRequest):
         raise ValueError("network component of the request must be > 0")
     total = 0
     residuals: dict[str, int] = {}
-    for reach in state.topology.reaches:
-        got, res = _pair_reduce([(_host_multi_count(state, h, req), h) for h in reach.hosts])
+    for reach, (got, res) in zip(state.topology.reaches, _reach_pairings(state, req)):
         total += got
         residuals[reach.id] = res
     return total, residuals
@@ -320,20 +361,20 @@ def placeable_in_reach(state, reach: Reach, req: MultiRequest) -> int:
     hosts are independent and the per-host counts simply add up.
     """
     if req.nw > 0:
-        return _pair_reduce([(_host_multi_count(state, h, req), h) for h in reach.hosts])[0]
+        return _pair_reduce(_host_counts(state, reach.hosts, req))[0]
     if not req.nonzero_dims():
         raise ValueError("request has no nonzero dimensions")
-    return sum(_host_multi_count(state, h, req) for h in reach.hosts)
+    return sum(n for n, _ in _host_counts(state, reach.hosts, req))
 
 
 def network_rrf(state, req: MultiRequest) -> RRFReport:
     """Network RRF: achievable capacity vs. placeable multi-requests."""
     if req.nw <= 0:
         raise ValueError("network RRF needs a request with nw > 0")
-    breakdown = capacity_breakdown(state)
+    total = capacity_breakdown(state).total
     count, res_req = placeable_inside_reaches(state, req)
     count += placeable_between_reaches(state, res_req, req)
-    return RRFReport("nw", breakdown.total, count, _index(breakdown.total, count, req.nw))
+    return RRFReport("nw", total, count, _index(total, count, req.nw))
 
 
 # -- brute-force oracle ------------------------------------------------------------

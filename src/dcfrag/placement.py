@@ -84,6 +84,9 @@ class PlacementState:
         self.reservations: dict[tuple[str, str, str], tuple[tuple[str, ...], float]] = {}
         self.apps: dict[str, Application] = {}
         self._journal: list | None = None
+        # metrics' per-reach results, keyed by the free values they were read
+        # from, so they need no invalidation (see metrics._reach_pairings)
+        self.reach_memo: dict = {}
 
     # -- snapshots and transactions -------------------------------------------
 
@@ -218,14 +221,15 @@ class PlacementState:
 # -- shared pieces --------------------------------------------------------------
 
 
-def reserve_traffic(state: PlacementState, app: Application) -> None:
-    """Reserve, in app.edges() order, every edge with bandwidth whose two VMs
-    sit on different hosts and which holds no reservation yet.
+def reserve_traffic(state: PlacementState, app: Application, edges=None) -> None:
+    """Reserve, in order, every edge of `edges` (default app.edges()) with
+    bandwidth whose two VMs sit on different hosts and which holds no
+    reservation yet.
 
     A link shortfall raises CapacityError; the caller's transaction undoes the
     edges reserved so far.
     """
-    for (x, y), bw in app.edges():
+    for (x, y), bw in app.edges() if edges is None else edges:
         if bw <= 0 or (app.id, x, y) in state.reservations:
             continue
         host_x = state.assignments.get((app.id, x))
@@ -267,20 +271,20 @@ def bal_pack(state: PlacementState, vm: VM, reach: Reach) -> str | None:
     host id. Returns None when nothing fits.
     """
     best: tuple[float, str] | None = None
+    hosts, host_free, need = state.topology.hosts, state.host_free, vm.demand
     for host_id in reach.hosts:
-        cap = state.topology.hosts[host_id].capacity
-        free = state.host_free[host_id]
-        utils = []
-        ok = True
-        for dim in ("cpu", "mem", "nic"):
-            need = vm.demand.get(dim)
-            used = cap.get(dim) - free.get(dim) + need
-            if used > cap.get(dim) + _EPS:
-                ok = False
-                break
-            utils.append(used / cap.get(dim))
-        if not ok:
+        cap = hosts[host_id].capacity
+        free = host_free[host_id]
+        used_cpu = cap.cpu - free.cpu + need.cpu
+        if used_cpu > cap.cpu + _EPS:
             continue
+        used_mem = cap.mem - free.mem + need.mem
+        if used_mem > cap.mem + _EPS:
+            continue
+        used_nic = cap.nic - free.nic + need.nic
+        if used_nic > cap.nic + _EPS:
+            continue
+        utils = (used_cpu / cap.cpu, used_mem / cap.mem, used_nic / cap.nic)
         score = max(utils) - min(utils)
         if best is None or (score, host_id) < best:
             best = (score, host_id)
@@ -334,7 +338,8 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
             try:
                 with state.transaction() as commit_vm:
                     state.assign_vm(app.id, app.vm(vm_id), host)
-                    reserve_traffic(state, app)
+                    # every edge between VMs placed before is reserved
+                    reserve_traffic(state, app, app.vm_edges(vm_id))
                     commit_vm()
             except CapacityError as exc:
                 last_failure = str(exc)

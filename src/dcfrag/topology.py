@@ -14,6 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 _EPS = 1e-9
 
@@ -91,6 +92,10 @@ class Host:
                    for k in ("cpu", "mem", "nic")):
             raise TopologyError(f"host {self.id}: capacity {self.capacity} and free "
                                 f"{self.free} must be finite")
+        for dim in ("cpu", "mem", "nic"):
+            if self.capacity.get(dim) <= 0:
+                raise TopologyError(f"host {self.id}: {dim} capacity "
+                                    f"{self.capacity.get(dim)} must be > 0")
         if not self.free.fits_within(self.capacity):
             raise TopologyError(f"host {self.id}: free {self.free} exceeds capacity {self.capacity}")
 
@@ -364,6 +369,14 @@ class Topology:
     def reaches(self) -> tuple[Reach, ...]:
         """The reach partition (see find_reaches), computed once."""
         return tuple(find_reaches(self))
+
+    @cached_property
+    def reach_keys(self) -> tuple[tuple[itemgetter, itemgetter], ...]:
+        """Per reach of `reaches`: a getter of its hosts' entries in a
+        host-keyed table and one of their uplinks' entries in a link-keyed
+        table, both in reach.hosts order, computed once."""
+        return tuple((itemgetter(*r.hosts), itemgetter(*(self.hosts[h].uplink for h in r.hosts)))
+                     for r in self.reaches)
 
     @cached_property
     def reach_pairs(self) -> tuple[tuple[int, Reach, Reach], ...]:

@@ -12,6 +12,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .metrics import MultiRequest
 from .topology import Reference, ResourceVector
@@ -64,6 +65,20 @@ class Application:
     def edges(self):
         """Traffic edges in deterministic order."""
         return self._edges
+
+    def vm_edges(self, vm_id: str):
+        """The traffic edges touching one VM, in edges() order."""
+        return self._edges_by_vm.get(vm_id, ())
+
+    @cached_property
+    def _edges_by_vm(self) -> dict[str, tuple]:
+        # built on first use, so constructing an application costs no more
+        by_vm: dict[str, list] = {}
+        for edge in self._edges:
+            (x, y), _ = edge
+            by_vm.setdefault(x, []).append(edge)
+            by_vm.setdefault(y, []).append(edge)
+        return {v: tuple(es) for v, es in by_vm.items()}
 
     def total_traffic(self, vm_id: str) -> float:
         return sum(self._peers.get(vm_id, {}).values())

@@ -185,6 +185,28 @@ class TestPlaceAndCompare:
                                "--workload", str(path))
         assert code == 1 and "--request" in err
 
+    def test_zero_capacity_host_is_an_error(self, capsys, tmp_path):
+        # two racks: h1 has no cpu, the other rack no free memory; the zero-cpu
+        # VM once reached bal_pack's division by h1's cpu capacity
+        hosts = [{"id": f"h{i}", "cpu_mhz": 1000, "mem_mb": 1000} for i in range(4)]
+        hosts[1]["cpu_mhz"] = 0
+        for h in hosts[2:]:
+            h["free_mem_mb"] = 0
+        links = [{"a": f"h{i}", "b": f"s{i // 2}", "capacity_mbps": 1000} for i in range(4)]
+        links += [{"a": s, "b": "core", "capacity_mbps": 500} for s in ("s0", "s1")]
+        topo = {"reference_host": {"cpu_mhz": 1000, "mem_mb": 1000, "nic_mbps": 1000},
+                "reference_link_mbps": 1000, "hosts": hosts, "links": links,
+                "switches": [{"id": "s0", "level": 0}, {"id": "s1", "level": 0},
+                             {"id": "core", "level": 1}]}
+        wl = {"apps": [{"id": "a", "vms": [{"id": "v1", "cpu_mhz": 0, "mem_mb": 100}]}]}
+        (tmp_path / "topo.json").write_text(json.dumps(topo))
+        (tmp_path / "wl.json").write_text(json.dumps(wl))
+        code, out, err = run_cli(capsys, "place", "--topology", str(tmp_path / "topo.json"),
+                                 "--workload", str(tmp_path / "wl.json"), "--scheme", "UNIFIED",
+                                 "--request", "cpu=0.1,mem=0.1,nw=0.01")
+        assert code == 1 and out == ""
+        assert err == "dcfrag: error: host h1: cpu capacity 0.0 must be > 0\n"
+
     def test_compare_defaults_to_all_schemes(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--topology", "tree64",
                                "--generate", "category=1,apps=3", "--seed", "1")

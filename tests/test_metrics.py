@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from dcfrag import metrics as M
 from dcfrag.fixtures import FIG4_REQUEST, UNIT, UNIT_REF, fig3_state, fig4_state
 from dcfrag.metrics import MultiRequest
-from dcfrag.placement import PlacementState
+from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig,
+                              place_application)
 from dcfrag.topology import (Host, Link, ResourceVector, Switch, Topology,
                              build_clos, build_tree)
+from dcfrag.workload import VM, Application
 
 from test_topology import mini_topology
 
@@ -462,7 +464,7 @@ def _filtered_inside(state, req):
     total, residuals = 0, {}
     for reach in state.topology.reaches:
         eligible = [h for h in reach.hosts if M.nic_free(state, h) >= req.nw - 1e-9]
-        got, res = M._pair_reduce([(M._host_multi_count(state, h, req), h) for h in eligible])
+        got, res = M._pair_reduce(M._host_counts(state, eligible, req))
         total += got
         residuals[reach.id] = res
     return total, residuals
@@ -753,3 +755,130 @@ class TestRecordFormat:
         report = M.network_rrf(fig4_state(), FIG4_REQUEST)
         line = M.format_record(report, FIG4_REQUEST)
         assert line == "nw,0.200000000,0.200000000,0.200000000,1.050000000,3,0.428571429"
+
+
+def _recount_host(state, host_id, req):
+    """Reference per-host count: fit_count over each normalized free."""
+    t = state.topology
+    free, ref = state.host_free[host_id], t.reference
+    counts = [M.fit_count(getattr(free, dim) / getattr(ref.host, dim), getattr(req, dim))
+              for dim in ("cpu", "mem") if getattr(req, dim) > 0]
+    counts.append(M.fit_count(state.link_free[t.hosts[host_id].uplink] / ref.link, req.nw))
+    return min(counts)
+
+
+def _recount(state, req):
+    """capacity_inside_reaches, placeable_inside_reaches and network_rrf
+    recounted from the tables, with no memo and a pairing that re-sorts
+    every step."""
+    capacity, cap_res, count, count_res = 0.0, {}, 0, {}
+    for reach in state.topology.reaches:
+        got, res = _pair_reduce_by_sorting([(M.nic_free(state, h), h) for h in reach.hosts])
+        capacity += got
+        cap_res[reach.id] = res
+        got, res = _pair_reduce_by_sorting([(_recount_host(state, h, req), h)
+                                            for h in reach.hosts])
+        count += got
+        count_res[reach.id] = res
+    total = capacity + M.capacity_between_reaches(state, cap_res)
+    n = count + M.placeable_between_reaches(state, count_res, req)
+    return ((capacity, cap_res), (count, count_res),
+            M.RRFReport("nw", total, n, M._index(total, n, req.nw)))
+
+
+def _memo_app(t, app_id, demands, bw=0.0):
+    vms = tuple(VM(id=f"v{i}", demand=ResourceVector(cpu, mem, nic))
+                for i, (cpu, mem, nic) in enumerate(demands))
+    traffic = {("v0", "v1"): bw} if bw else {}
+    return Application(id=app_id, vms=vms, traffic=traffic, reference=t.reference)
+
+
+@st.composite
+def memo_runs(draw):
+    """A small oversubscribed fabric, a scheme, two requests and up to 12
+    steps, each on one of two states sharing the fabric: a placement, a
+    placement that must be refused, an aborted transaction, a direct
+    host_free or link_free write, or a restore of the state's first snapshot.
+    Frees come from a few values, so equal values recur in new objects."""
+    fabric = draw(st.sampled_from(["tree2", "tree4", "clos"]))
+    if fabric == "clos":
+        t = build_clos(2, 2, 2, UNIT, 1.0, core_oversub=2.0)
+    else:
+        t = build_tree(int(fabric[-1]), 2, UNIT, 1.0, oversub_ratio=2.0)
+    cfg = SchemeConfig(scheme=draw(st.sampled_from(SCHEMES)),
+                       netw_slots_per_host=draw(st.integers(1, 4)))
+    share = st.sampled_from([0.0, 0.2, 0.5, 1.0])
+    size = st.sampled_from([0.1, 0.2, 0.5])
+    requests = [MultiRequest(cpu=draw(st.sampled_from([0.0, 0.1, 0.3])),
+                             mem=draw(st.sampled_from([0.0, 0.2, 0.5])), nw=draw(size))
+                for _ in range(2)]
+    hosts, links = sorted(t.hosts), sorted(t.links)
+    steps = []
+    for i in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["place", "refuse", "abort", "host", "link", "restore"]))
+        on = draw(st.integers(0, 1))
+        if kind == "place":
+            n = draw(st.integers(1, 3))
+            bw = draw(st.sampled_from([0.0, 0.1, 0.3])) if n > 1 else 0.0
+            arg = _memo_app(t, f"a{i}", [(draw(size), draw(size), bw)] * n, bw)
+        elif kind == "refuse":  # one whole host more than the fabric has
+            arg = _memo_app(t, f"a{i}", [(1.0, 1.0, 0.0)] * (len(hosts) + 1))
+        elif kind == "abort":
+            bw = draw(size)
+            arg = (_memo_app(t, f"a{i}", [(draw(size), draw(size), bw)] * 2, bw),
+                   draw(st.sampled_from(hosts)), draw(st.sampled_from(hosts)))
+        elif kind == "host":
+            arg = (draw(st.sampled_from(hosts)), draw(share), draw(share))
+        elif kind == "link":
+            arg = (draw(st.sampled_from(links)), draw(share))
+        else:
+            arg = None
+        steps.append((kind, on, arg))
+    return t, cfg, requests, steps
+
+
+class TestReachMemo:
+    @staticmethod
+    def check(states, requests):
+        for state in states:
+            for req in requests:
+                capacity, placeable, rrf = _recount(state, req)
+                assert M.capacity_inside_reaches(state) == capacity
+                assert M.placeable_inside_reaches(state, req) == placeable
+                assert M.network_rrf(state, req) == rrf
+
+    @settings(max_examples=300, deadline=None)
+    @given(memo_runs())
+    def test_memoized_pairings_equal_a_recount(self, run):
+        t, cfg, requests, steps = run
+        states = [PlacementState(t), PlacementState(t)]
+        first = [s.snapshot() for s in states]
+        self.check(states, requests)
+        for kind, on, arg in steps:
+            state = states[on]
+            if kind in ("place", "refuse"):
+                before = state.snapshot()
+                out = place_application(state, arg, cfg)
+                if kind == "refuse":
+                    assert not out.ok and state.snapshot() == before
+            elif kind == "abort":
+                app, host_a, host_b = arg
+                with state.transaction():
+                    state.register_app(app)
+                    try:
+                        state.assign_vm(app.id, app.vm("v0"), host_a)
+                        state.assign_vm(app.id, app.vm("v1"), host_b)
+                        if host_a != host_b:
+                            state.reserve_edge(app.id, "v0", "v1", app.traffic[("v0", "v1")])
+                    except CapacityError:
+                        pass
+                    self.check(states, requests)  # the memo now holds values the abort undoes
+            elif kind == "host":
+                h, cpu, mem = arg
+                state.host_free[h] = ResourceVector(cpu, mem, state.host_free[h].nic)
+            elif kind == "link":
+                lid, frac = arg
+                state.link_free[lid] = t.links[lid].capacity * frac
+            else:
+                state.restore(first[on])
+            self.check(states, requests)

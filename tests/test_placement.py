@@ -4,12 +4,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcfrag.fixtures import UNIT, category_spec, fig1_instance, named_topology
+from dcfrag.fixtures import UNIT, UNIT_REF, category_spec, fig1_instance, named_topology
 from dcfrag.metrics import MultiRequest
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
                               reserve_traffic)
-from dcfrag.topology import ResourceVector, build_clos, build_tree, load_topology
+from dcfrag.topology import (Host, Link, ResourceVector, Switch, Topology, build_clos,
+                             build_tree, load_topology)
 from dcfrag.workload import (VM, Application, generate_workload, load_workload,
                              representative_request)
 
@@ -53,6 +54,45 @@ class TestBalPack:
             state.host_free[h] = ResourceVector(0.4, 1.0, 1.0)
         vm = VM(id="v", demand=ResourceVector(0.5, 0.1, 0.1))
         assert bal_pack(state, vm, reaches[0]) is None
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_a_get_based_reference(self, data):
+        # capacities and frees from a few values make score ties and exact fits common
+        value = st.sampled_from([0.5, 1.0, 2.0])
+        caps = [ResourceVector(*(data.draw(value) for _ in range(3))) for _ in range(4)]
+        hosts = [Host(id=f"h{i}", capacity=cap, free=cap) for i, cap in enumerate(caps)]
+        links = [Link(id=f"h{i}-s1", a=f"h{i}", b="s1", capacity=1.0, free=1.0)
+                 for i in range(4)]
+        t = Topology(hosts, [Switch(id="s1", level=0)], links, UNIT_REF)
+        state = PlacementState(t)
+        share = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+        for h in hosts:
+            state.host_free[h.id] = ResourceVector(
+                *(getattr(h.capacity, d) * data.draw(share) for d in ("cpu", "mem", "nic")))
+        vm = VM(id="v", demand=ResourceVector(*(data.draw(st.sampled_from([0.0, 0.25, 0.5]))
+                                                for _ in range(3))))
+        assert bal_pack(state, vm, t.reaches[0]) == _bal_pack_by_get(state, vm, t.reaches[0])
+
+
+def _bal_pack_by_get(state, vm, reach):
+    """Reference: bal_pack reading each dimension through ResourceVector.get."""
+    best = None
+    for host_id in reach.hosts:
+        cap = state.topology.hosts[host_id].capacity
+        free = state.host_free[host_id]
+        utils = []
+        for dim in ("cpu", "mem", "nic"):
+            used = cap.get(dim) - free.get(dim) + vm.demand.get(dim)
+            if used > cap.get(dim) + 1e-9:
+                break
+            utils.append(used / cap.get(dim))
+        else:
+            score = max(utils) - min(utils)
+            if best is None or (score, host_id) < best:
+                best = (score, host_id)
+    return best[1] if best else None
 
 
 class TestReserveTraffic:
@@ -485,6 +525,19 @@ class TestLedgerProperties:
                          for a, b in zip(nodes, nodes[1:])]
                 path, got = reserved[(x, y)]
                 assert bw == got and sorted(links) == sorted(path)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(ledger_runs())
+    def test_unified_leaves_no_edge_unreserved(self, run):
+        # UNIFIED reserves only the newest VM's edges; a full scan finds nothing left
+        t, _, apps = run
+        state = PlacementState(t)
+        for app in apps:
+            if place_application(state, app, UNIFIED).ok:
+                reservations, link_free = dict(state.reservations), dict(state.link_free)
+                reserve_traffic(state, app)
+                assert state.reservations == reservations and state.link_free == link_free
 
 
 class TestFig1SchemeDivergence:

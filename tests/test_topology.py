@@ -476,6 +476,15 @@ class TestLoader:
         with pytest.raises(TopologyError, match="host h1: .* must be finite"):
             load_topology(self.write(tmp_path, doc))
 
+    @pytest.mark.parametrize("field,dim", [("cpu_mhz", "cpu"), ("mem_mb", "mem"),
+                                           ("nic_mbps", "nic")])
+    def test_zero_capacity_host_rejected(self, tmp_path, field, dim):
+        # bal_pack divides by every capacity dimension
+        doc = self.doc()
+        doc["hosts"][1][field] = 0
+        with pytest.raises(TopologyError, match=f"host h1: {dim} capacity 0.0 must be > 0"):
+            load_topology(self.write(tmp_path, doc))
+
     @pytest.mark.parametrize("field,value", [
         ("reference_link_mbps", "nan"), ("reference_link_mbps", 0), ("cpu_mhz", "inf"),
         ("mem_mb", "nan"), ("nic_mbps", 0)])
