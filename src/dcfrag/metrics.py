@@ -10,8 +10,10 @@ The network metrics follow the reach decomposition: achievable capacity and
 placeable-request counts are accumulated first inside each reach (by pairing
 hosts greedily on NIC headroom) and then between reaches (by walking reach
 pairs in path-length order and consuming residuals against inter-reach
-bandwidth). A small brute-force oracle bounds the greedy counts on desk-size
-instances.
+bandwidth). The between walk reads its pairs, in order and with their paths,
+from the topology's reach_pairs table, and visits only the pairs whose two
+reaches both hold a residual. A small brute-force oracle bounds the greedy
+counts on desk-size instances.
 
 A placement changes a few hosts and links, so the inside-reach pairings are
 memoized per reach: state.reach_memo keeps one slot per (reach, request),
@@ -24,11 +26,13 @@ under rollbacks, restores and direct writes to the tables.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .topology import Reach, Topology
 
 _EPS = 1e-9
+_UNREAD = -math.inf  # the heap key of a reach pair whose bandwidth is unread
 _ORACLE_CAP = 12  # placements brute_force_placeable searches up to
 
 
@@ -219,22 +223,28 @@ def capacity_inside_reaches(state):
     return total, residuals
 
 
+def _paths_bandwidth(paths, link_free: dict, ref_link: float) -> float:
+    """Summed bottleneck free capacity of the paths, normalized by ref_link."""
+    total = 0.0
+    for path in paths:
+        total += max(0.0, min(map(link_free.__getitem__, path)))
+    return total / ref_link
+
+
 def path_bandwidth(t: Topology, reach_i: Reach, reach_j: Reach,
                    link_free: dict | None = None) -> float:
     """Bandwidth between two reaches over link-disjoint shortest paths.
 
     Each path contributes its bottleneck free capacity; for a tree this is
     the single path's bottleneck. link_free defaults to the topology's own
-    link frees.
+    link frees. The RRF walk reads the same sum from its reach_pairs rows
+    through _paths_bandwidth, so this public entry serves the other callers.
     """
     if reach_i.id == reach_j.id:
         raise ValueError("reach pair must be distinct")
     if link_free is None:
         link_free = {lid: l.free for lid, l in t.links.items()}
-    total = 0.0
-    for path in t.reach_paths(reach_i, reach_j):
-        total += max(0.0, min(link_free[lid] for lid in path))
-    return total / t.reference.link
+    return _paths_bandwidth(t.reach_paths(reach_i, reach_j), link_free, t.reference.link)
 
 
 def _consume_between(t: Topology, reach_i: Reach, reach_j: Reach,
@@ -265,43 +275,50 @@ def reach_distance(t: Topology, reach_i: Reach, reach_j: Reach) -> int:
 def _walk_between(state, residuals: dict, fit, unit: float):
     """The reach-pair walk shared by the bandwidth and the count metric.
 
-    Every pair of Topology.reach_pairs is walked (on a checked fabric each
-    has a path). Pairs go shortest reach distance first, then most
-    inter-reach bandwidth, then smallest id pair (ri.id, rj.id), ri before rj
-    in Topology.reaches.
+    Pairs go shortest reach distance first, then most inter-reach bandwidth,
+    then smallest id pair (ri.id, rj.id), ri before rj in Topology.reaches.
     Each pair takes step = min(residual_i, residual_j, fit(bandwidth)),
     deducted from both residuals and, times `unit`, from the path links.
     Returns the summed steps.
 
-    A min-heap keys each pair by its last-read bandwidth (+inf unread). The
-    top pair is re-read, re-keyed if its bandwidth fell, else taken. Steps
-    only consume links, so no key is above its pair's current key, and a
-    current top key beats every pair's (the ids make keys unique): this is
-    the pair a full rescan would take. A pair with an exhausted residual is
-    dropped unread; residuals never rise, so its step could not exceed _EPS.
+    Only live pairs are walked: both reaches hold a residual above _EPS.
+    Residuals never rise, so a pair with a dead reach could never step; with
+    fewer than two live reaches the walk returns 0 without reading the pair
+    table. The live rows of Topology.reach_pairs, in table order, are already
+    a min-heap keyed (distance, -bandwidth, rank), the bandwidth being the
+    last one read (+inf unread) and the rank ordering pairs as their ids do.
+    The top pair is re-read, re-keyed if its bandwidth fell, else taken.
+    Steps only consume links, so no key is above its pair's current key, and
+    a current top key beats every pair's (ranks make keys unique): this is
+    the pair a full rescan would take. A pair whose reach ran dry on the way
+    is dropped unread.
     """
     t = state.topology
+    res = [residuals[r.id] for r in t.reaches]
+    live = [r > _EPS for r in res]
+    if live.count(True) < 2:
+        return 0
     link_free = dict(state.link_free)
-    res = dict(residuals)
-    heap = [(d, -float("inf"), ri.id, rj.id, ri, rj) for d, ri, rj in t.reach_pairs]
-    heapq.heapify(heap)
+    ref_link = t.reference.link
+    heap = [(d, _UNREAD, rank, i, j, paths)
+            for d, rank, i, j, paths in t.reach_pairs if live[i] and live[j]]
     total = 0
     while heap:
-        dist, key, id_i, id_j, ri, rj = heap[0]
-        if res[id_i] <= _EPS or res[id_j] <= _EPS:
+        dist, key, rank, i, j, paths = heap[0]
+        if res[i] <= _EPS or res[j] <= _EPS:
             heapq.heappop(heap)
             continue
-        bw = path_bandwidth(t, ri, rj, link_free)
+        bw = _paths_bandwidth(paths, link_free, ref_link)
         if -bw != key:
-            heapq.heapreplace(heap, (dist, -bw, id_i, id_j, ri, rj))
+            heapq.heapreplace(heap, (dist, -bw, rank, i, j, paths))
             continue
         heapq.heappop(heap)
-        step = min(res[id_i], res[id_j], fit(bw))
+        step = min(res[i], res[j], fit(bw))
         if step > _EPS:
             total += step
-            res[id_i] -= step
-            res[id_j] -= step
-            _consume_between(t, ri, rj, link_free, step * unit)
+            res[i] -= step
+            res[j] -= step
+            _consume_between(t, t.reaches[i], t.reaches[j], link_free, step * unit)
     return total
 
 

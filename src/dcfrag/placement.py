@@ -315,11 +315,29 @@ def best_sibling_reach(state: PlacementState, reaches: tuple[Reach, ...], tried:
     return min(candidates, key=key)
 
 
+def _reach_gain(app: Application, vm_id: str, in_reach: set, unplaced: set) -> float:
+    """app.bw_to(vm_id, in_reach) - app.bw_to(vm_id, unplaced), from one pass
+    over the VM's traffic row: each sum adds the same terms in the same order."""
+    got = lost = 0
+    for peer, bw in app.peers(vm_id).items():
+        if peer in in_reach:
+            got += bw
+        if peer in unplaced:
+            lost += bw
+    return got - lost
+
+
 def _place_unified(state: PlacementState, app: Application, config: SchemeConfig,
                    reaches: tuple[Reach, ...]) -> str | None:
     """Reach-aware placement: pack the seed VM and its heaviest communicators
     into the least-loaded reach, spilling to the best sibling reach when the
-    packer or a link reservation refuses."""
+    packer or a link reservation refuses.
+
+    In a reach the first VM is the one with most traffic to the unplaced VMs,
+    and each next one the VM of largest gain: its traffic to the VMs placed in
+    this reach less its traffic to the unplaced. A placement changes only its
+    peers' gains, so only theirs are recomputed.
+    """
     req = representative_request(app)
     reach = min(reaches, key=lambda r: (-placeable_in_reach(state, r, req), r.id))
     tried = {reach.id}
@@ -328,8 +346,10 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
     last_failure = "no reach could take the first VM"
 
     while True:
-        reach_hosts = set(reach.hosts)
-        vm_id = min(unplaced, key=lambda v: (-app.bw_to(v, unplaced), v))
+        in_reach: set[str] = set()  # an untried reach holds none of the app's VMs
+        # with in_reach empty a gain is minus the traffic to the unplaced
+        gain = {v: _reach_gain(app, v, in_reach, unplaced) for v in unplaced}
+        vm_id = min(unplaced, key=lambda v: (gain[v], v))
         while True:
             host = bal_pack(state, app.vm(vm_id), reach)
             if host is None:
@@ -348,10 +368,12 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
             unplaced.discard(vm_id)
             if not unplaced:
                 return None
-            in_reach = {v for v in app.vm_ids()
-                        if state.assignments.get((app.id, v)) in reach_hosts}
-            vm_id = min(unplaced,
-                        key=lambda v: (-(app.bw_to(v, in_reach) - app.bw_to(v, unplaced)), v))
+            in_reach.add(vm_id)
+            del gain[vm_id]
+            for peer in app.peers(vm_id):
+                if peer in unplaced:
+                    gain[peer] = _reach_gain(app, peer, in_reach, unplaced)
+            vm_id = min(unplaced, key=lambda v: (-gain[v], v))
         sibling = best_sibling_reach(state, reaches, tried, placed_hosts, req)
         if sibling is None:
             return last_failure

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 _EPS = 1e-9
 
@@ -137,6 +138,18 @@ class Reach:
     id: str
     hosts: tuple[str, ...]
     switches: tuple[str, ...]
+
+
+class ReachPair(NamedTuple):
+    """One row of Topology.reach_pairs: reaches i < j (indices into
+    Topology.reaches), the pair's distance and reach_paths, and the row's
+    rank in the table's (distance, id_i, id_j) order."""
+
+    distance: int
+    rank: int
+    i: int
+    j: int
+    paths: tuple[tuple[str, ...], ...]
 
 
 # a shortest-path DAG node: (node, ((predecessor, (link, ...)), ...))
@@ -379,13 +392,22 @@ class Topology:
                      for r in self.reaches)
 
     @cached_property
-    def reach_pairs(self) -> tuple[tuple[int, Reach, Reach], ...]:
-        """Every reach pair (distance, reach_i, reach_j), i before j in
-        reaches order, computed once. A pair's distance is the length of its
-        first reach path; hosts are leaves of a connected fabric, so the
-        switches alone connect every pair."""
-        return tuple((len(self.reach_paths(ri, rj)[0]), ri, rj)
-                     for i, ri in enumerate(self.reaches) for rj in self.reaches[i + 1:])
+    def reach_pairs(self) -> tuple[ReachPair, ...]:
+        """One row per reach pair, sorted by (distance, id_i, id_j) with the
+        ids compared as strings ("r10" < "r2"), computed on first use. A
+        pair's distance is the length of its first reach path; hosts are
+        leaves of a connected fabric, so the switches alone connect every
+        pair. The order is the RRF walk's initial heap order, and a row's
+        rank breaks ties the way its id pair does."""
+        reaches = self.reaches
+        rows = []
+        for i, ri in enumerate(reaches):
+            for j in range(i + 1, len(reaches)):
+                paths = self.reach_paths(ri, reaches[j])
+                rows.append((len(paths[0]), ri.id, reaches[j].id, i, j, paths))
+        rows.sort()  # the id pair is unique, so no later field is compared
+        return tuple(ReachPair(d, rank, i, j, paths)
+                     for rank, (d, _, _, i, j, paths) in enumerate(rows))
 
     def _switch_set_path(self, srcs: set[str], dsts: set[str],
                          blocked: set[str]) -> tuple[str, ...] | None:

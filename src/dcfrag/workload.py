@@ -80,6 +80,10 @@ class Application:
             by_vm.setdefault(y, []).append(edge)
         return {v: tuple(es) for v, es in by_vm.items()}
 
+    def peers(self, vm_id: str) -> dict[str, float]:
+        """The VM's traffic row {peer: Mbps} in traffic order; empty without traffic."""
+        return self._peers.get(vm_id, {})
+
     def total_traffic(self, vm_id: str) -> float:
         return sum(self._peers.get(vm_id, {}).values())
 

@@ -1,0 +1,66 @@
+"""bench/ab.py's summary of parent/change pairs, on synthetic perfbench records."""
+
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import ab  # noqa: E402  (needs bench/ on the path)
+
+METRICS = [{"name": "attempts_per_s", "better": "higher"},
+           {"name": "step_ms_p50", "better": "lower"}]
+
+
+def run(rate, step, exit=0, correct=True, failed=0):
+    return {"exit": exit, "result": {"correct": correct, "failed": failed, "metrics": {
+        "attempts_per_s": {"value": rate}, "step_ms_p50": {"value": step}}}}
+
+
+def pairs(parent, change, workload="w", seed=0):
+    return [{"workload": workload, "seed": seed, "pair": i + 1, "parent": p, "change": c}
+            for i, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_nonzero_exit_makes_the_group_incorrect():
+    ok = [run(100.0, 1.0)] * 3
+    crashed = {"workload": "w", "seed": 0, "exit": 1, "stderr": "Traceback"}
+    summary = ab.summarize(pairs(ok, [run(110.0, 0.9), crashed, run(120.0, 0.8)]), METRICS)
+    assert summary == {"w seed 0": {"pairs": 3, "correct": False, "failed": 0}}
+    # a record written by a run that still exited nonzero counts as failed too
+    summary = ab.summarize(pairs(ok, [run(110.0, 0.9, exit=1, failed=2)] * 3), METRICS)
+    assert summary["w seed 0"] == {"pairs": 3, "correct": False, "failed": 6}
+
+
+def test_change_better_pairs_follow_each_metrics_direction():
+    parent = [run(100.0, 1.0), run(100.0, 1.0), run(100.0, 1.0), run(100.0, 1.0)]
+    # rate: higher in pairs 1 and 2, a tie in 3, lower in 4;
+    # step: lower in pair 1 only, a tie in 2, higher in 3 and 4
+    change = [run(120.0, 0.5), run(101.0, 1.0), run(100.0, 1.5), run(90.0, 2.0)]
+    entry = ab.summarize(pairs(parent, change), METRICS)["w seed 0"]
+    assert entry["correct"] is True
+    assert entry["attempts_per_s"]["change_better_pairs"] == 2
+    assert entry["step_ms_p50"]["change_better_pairs"] == 1
+    assert entry["attempts_per_s"]["change_over_parent_median"] == round(100.5 / 100.0, 4)
+
+
+def test_spread_switches_to_quartiles_at_four_pairs():
+    rates = [100.0, 104.0, 97.0, 110.0]
+    three = ab.summarize(pairs([run(r, 1.0) for r in rates[:3]], [run(r, 1.0) for r in rates[:3]]),
+                         METRICS)["w seed 0"]["attempts_per_s"]
+    assert three["parent_min_median_max"] == [97.0, 100.0, 104.0]
+    assert "parent_q1_median_q3" not in three
+    four = ab.summarize(pairs([run(r, 1.0) for r in rates], [run(r, 1.0) for r in rates]),
+                        METRICS)["w seed 0"]["attempts_per_s"]
+    assert four["parent_q1_median_q3"] == [round(v, 6) for v in statistics.quantiles(rates, n=4)]
+    assert "parent_min_median_max" not in four
+
+
+def test_groups_split_by_workload_and_seed():
+    group = pairs([run(100.0, 1.0)] * 2, [run(110.0, 0.9)] * 2, workload="w", seed=1)
+    other = pairs([run(100.0, 1.0)] * 2, [run(90.0, 1.1)] * 2, workload="v", seed=0)
+    summary = ab.summarize(group + other, METRICS)
+    assert sorted(summary) == ["v seed 0", "w seed 1"]
+    assert summary["w seed 1"]["attempts_per_s"]["change_better_pairs"] == 2
+    assert summary["v seed 0"]["attempts_per_s"]["change_better_pairs"] == 0

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcfrag import metrics as M
-from dcfrag.fixtures import FIG4_REQUEST, UNIT, UNIT_REF, fig3_state, fig4_state
+from dcfrag.fixtures import (FIG4_REQUEST, UNIT, UNIT_REF, category_rrf_request,
+                             category_topology, fig3_state, fig4_state)
 from dcfrag.metrics import MultiRequest
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig,
                               place_application)
@@ -382,10 +383,32 @@ class TestPairWalk:
     def test_reach_pairs_is_the_rescan_pair_list(self, state):
         t = state.topology
         ordered = sorted(t.reaches, key=lambda r: r.hosts)
-        want = tuple((M.reach_distance(t, ri, rj), ri, rj)
-                     for i, ri in enumerate(ordered) for rj in ordered[i + 1:])
-        assert t.reach_pairs == want
+        want = sorted((M.reach_distance(t, ri, rj), ri.id, rj.id, ri, rj)
+                      for i, ri in enumerate(ordered) for rj in ordered[i + 1:])
+        assert [(p.distance, ordered[p.i].id, ordered[p.j].id, ordered[p.i], ordered[p.j])
+                for p in t.reach_pairs] == want
         assert t.reach_pairs is t.reach_pairs
+
+
+class TestLiveReachWalk:
+    def test_empty_category1_tree_builds_no_reach_path(self):
+        # every rack pairs its four idle hosts fully, so no reach is live
+        state = PlacementState(category_topology(1))
+        t = state.topology
+        report = M.network_rrf(state, category_rrf_request(1))
+        assert report.placeable_multi > 0
+        assert M.capacity_breakdown(state).between == 0.0
+        assert t._reach_paths == {}
+        assert "reach_pairs" not in vars(t)
+
+    def test_one_live_reach_walks_nothing(self):
+        state = PlacementState(build_tree(16, 2, UNIT, 1.0, oversub_ratio=2.0))
+        t = state.topology
+        res = {r.id: 0.0 for r in t.reaches}
+        res["r3"] = 1.0
+        assert M.capacity_between_reaches(state, res) == 0.0
+        assert M.placeable_between_reaches(state, res, MultiRequest(nw=0.1)) == 0
+        assert t._reach_paths == {}
 
 
 class TestPathBandwidth:

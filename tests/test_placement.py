@@ -4,7 +4,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcfrag.fixtures import UNIT, UNIT_REF, category_spec, fig1_instance, named_topology
+from dcfrag import placement
+from dcfrag.fixtures import (UNIT, UNIT_REF, category_spec, category_topology, fig1_instance,
+                             named_topology)
 from dcfrag.metrics import MultiRequest
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
@@ -255,6 +257,85 @@ class TestUnified:
         assert out.ok
         assert dict(out.plan.assignments) == {"v1": "h0", "v2": "h1"}
         assert state.validate() == []
+
+
+def _unified_rescanning_gains(state, app, config, reaches):
+    """UNIFIED with its former next-VM rule, kept as the reference: after every
+    placed VM it rebuilds the VMs in the current reach from the assignments
+    and takes two bw_to sums per unplaced VM."""
+    req = representative_request(app)
+    reach = min(reaches, key=lambda r: (-placement.placeable_in_reach(state, r, req), r.id))
+    tried = {reach.id}
+    unplaced = set(app.vm_ids())
+    placed_hosts = set()
+    last_failure = "no reach could take the first VM"
+    while True:
+        reach_hosts = set(reach.hosts)
+        vm_id = min(unplaced, key=lambda v: (-app.bw_to(v, unplaced), v))
+        while True:
+            host = placement.bal_pack(state, app.vm(vm_id), reach)
+            if host is None:
+                last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
+                break
+            try:
+                with state.transaction() as commit_vm:
+                    state.assign_vm(app.id, app.vm(vm_id), host)
+                    reserve_traffic(state, app, app.vm_edges(vm_id))
+                    commit_vm()
+            except CapacityError as exc:
+                last_failure = str(exc)
+                break
+            placed_hosts.add(host)
+            unplaced.discard(vm_id)
+            if not unplaced:
+                return None
+            in_reach = {v for v in app.vm_ids()
+                        if state.assignments.get((app.id, v)) in reach_hosts}
+            vm_id = min(unplaced,
+                        key=lambda v: (-(app.bw_to(v, in_reach) - app.bw_to(v, unplaced)), v))
+        sibling = placement.best_sibling_reach(state, reaches, tried, placed_hosts, req)
+        if sibling is None:
+            return last_failure
+        reach = sibling
+        tried.add(reach.id)
+
+
+class TestUnifiedNextVm:
+    @staticmethod
+    def _run(monkeypatch, body, category, apps, seed):
+        """UNIFIED over a generated category workload: every assign_vm call
+        in order (rolled-back ones included), plus the sibling-reach spills."""
+        calls, spills = [], []
+        assign, sibling = PlacementState.assign_vm, placement.best_sibling_reach
+
+        def logged_assign(self, app_id, vm, host_id):
+            calls.append((app_id, vm.id, host_id))
+            return assign(self, app_id, vm, host_id)
+
+        def logged_sibling(*args):
+            got = sibling(*args)
+            spills.append(got is not None)
+            return got
+
+        with monkeypatch.context() as m:
+            m.setitem(placement._SCHEME_BODIES, "UNIFIED", body)
+            m.setattr(PlacementState, "assign_vm", logged_assign)
+            m.setattr(placement, "best_sibling_reach", logged_sibling)
+            state = PlacementState(category_topology(category))
+            outcomes = [place_application(state, app, UNIFIED).ok
+                        for app in generate_workload(category_spec(category, apps, seed))]
+        return calls, sum(spills), outcomes
+
+    @pytest.mark.parametrize("category,apps,seed", [
+        (1, 64, 0), (1, 128, 1), (3, 64, 0), (3, 128, 1)])
+    def test_same_assignments_as_rescanning_the_gains(self, monkeypatch, category, apps, seed):
+        got = self._run(monkeypatch, placement._place_unified, category, apps, seed)
+        want = self._run(monkeypatch, _unified_rescanning_gains, category, apps, seed)
+        assert got == want
+        calls, spills, outcomes = got
+        assert calls and any(outcomes)
+        if apps == 128:  # overloaded: apps spill to sibling reaches and some are refused
+            assert spills > 0 and not all(outcomes)
 
 
 class TestBestSiblingReach:

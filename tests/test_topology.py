@@ -155,9 +155,41 @@ class TestBoundaryAndReaches:
         assert t.reaches == tuple(find_reaches(t))
         assert t.reaches is t.reaches
         assert t.reach_pairs is t.reach_pairs
-        assert [(ri.id, rj.id) for _, ri, rj in t.reach_pairs] == [
+        assert [(t.reaches[p.i].id, t.reaches[p.j].id) for p in t.reach_pairs] == [
             ("r0", "r1"), ("r0", "r2"), ("r0", "r3"), ("r1", "r2"), ("r1", "r3"), ("r2", "r3")]
 
+
+
+class TestReachPairTable:
+    def test_rows_in_distance_then_id_order(self):
+        # 16 racks: the ids sort as strings, so "r10" comes before "r2"
+        t = build_tree(16, 2, UNIT, 1.0, 2.0)
+        rows = t.reach_pairs
+        keys = [(p.distance, t.reaches[p.i].id, t.reaches[p.j].id) for p in rows]
+        assert keys == sorted(keys)
+        assert [p.rank for p in rows] == list(range(len(rows)))
+        assert keys[:3] == [(2, "r0", "r1"), (2, "r0", "r10"), (2, "r0", "r11")]
+
+    @pytest.mark.parametrize("t", [
+        build_tree(16, 2, UNIT, 1.0, 2.0),
+        build_clos(4, 2, 2, UNIT, 1.0, core_oversub=2.0),
+    ], ids=["tree16", "clos"])
+    def test_each_pair_once_with_its_reach_paths(self, t):
+        n = len(t.reaches)
+        assert sorted((p.i, p.j) for p in t.reach_pairs) == [
+            (i, j) for i in range(n) for j in range(i + 1, n)]
+        for p in t.reach_pairs:
+            paths = t.reach_paths(t.reaches[p.i], t.reaches[p.j])
+            assert p.paths == paths
+            assert p.distance == len(paths[0])
+
+    def test_built_once_on_first_use(self):
+        t = build_tree(16, 2, UNIT, 1.0, 2.0)
+        assert t._reach_paths == {}
+        assert "reach_pairs" not in vars(t)
+        rows = t.reach_pairs
+        assert t.reach_pairs is rows
+        assert len(t._reach_paths) == len(rows) == 120
 
 def ascending_hosts_below(t):
     """Independent reference for Topology.hosts_below: walk up from every
