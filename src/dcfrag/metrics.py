@@ -15,16 +15,20 @@ from the topology's reach_pairs table, and visits only the pairs whose two
 reaches both hold a residual. A small brute-force oracle bounds the greedy
 counts on desk-size instances.
 
-A placement changes a few hosts and links, so the inside-reach pairings are
-memoized per reach: state.reach_memo keeps one slot per (reach, request),
-holding the reach's host free vectors and uplink frees next to the pairing
-computed from them, and a call recomputes a reach only when those values no
-longer compare equal. Keyed by value, the memo needs no invalidation: it holds
-under rollbacks, restores and direct writes to the tables.
+A placement changes a few hosts and links, so state.reach_memo keeps what
+the RRF would otherwise recompute from unchanged values. The inside-reach
+pairings have one slot per (reach, request), holding the reach's host free
+vectors and uplink frees next to the pairing computed from them. The
+between walks share one slot holding the reach pairs sorted by their
+bandwidths, next to the frees of the links on reach paths they were read
+from. A call recomputes a slot only when those values no longer compare
+equal. Keyed by value, the memo needs no invalidation: it holds under
+rollbacks, restores and direct writes to the tables.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from .topology import Reach, Topology
 
 _EPS = 1e-9
-_UNREAD = -math.inf  # the heap key of a reach pair whose bandwidth is unread
+_PAIR_ORDER = "pair order"  # the reach_memo key of _walk_between's sorted rows
 _ORACLE_CAP = 12  # placements brute_force_placeable searches up to
 
 
@@ -119,25 +123,27 @@ def fragmentation_index(state, req: MultiRequest) -> RRFReport:
     return rrf_index_local(state, req, dims[0])
 
 
-def _host_count(free, uplink_free: float, req: MultiRequest, ref) -> int:
-    """Requests one host can satisfy: min over the nonzero dimensions of
-    the normalized free capacity, the NIC read from the host's uplink free."""
-    counts = []
-    if req.cpu > 0:
-        counts.append(fit_count(free.cpu / ref.host.cpu, req.cpu))
-    if req.mem > 0:
-        counts.append(fit_count(free.mem / ref.host.mem, req.mem))
-    if req.nw > 0:
-        counts.append(fit_count(uplink_free / ref.link, req.nw))
-    return min(counts)
-
-
 def _host_counts(state, host_ids, req: MultiRequest) -> list[tuple[int, str]]:
-    """(_host_count, host id) for each host, in the given order."""
+    """(requests one host can satisfy, host id) for each host, in the given
+    order: the min over req's nonzero dimensions of fit_count on the host's
+    normalized free, the NIC read from the host's uplink free."""
     t = state.topology
     host_free, link_free, hosts, ref = state.host_free, state.link_free, t.hosts, t.reference
-    return [(_host_count(host_free[h], link_free[hosts[h].uplink], req, ref), h)
-            for h in host_ids]
+    cpu, mem, nw = req.cpu, req.mem, req.nw
+    counts = []
+    for h in host_ids:
+        n = math.inf
+        if cpu > 0:
+            x = host_free[h].cpu / ref.host.cpu
+            n = int(x / cpu + _EPS) if x > 0 else 0
+        if mem > 0:
+            x = host_free[h].mem / ref.host.mem
+            n = min(n, int(x / mem + _EPS) if x > 0 else 0)
+        if nw > 0:
+            x = link_free[hosts[h].uplink] / ref.link
+            n = min(n, int(x / nw + _EPS) if x > 0 else 0)
+        counts.append((n, h))
+    return counts
 
 
 def rrf_index_local(state, req: MultiRequest, target: str) -> RRFReport:
@@ -168,23 +174,22 @@ def _pair_reduce(values: list):
 
     Repeatedly pair the largest value with the second largest, accumulate the
     second, shrink the largest by it and drop the paired item; the last item's
-    leftover value is the residual. Ties resolve to the smallest id.
+    leftover value is the residual. The result depends on the values alone,
+    so they are kept sorted and the shrunk largest is inserted back in place.
     """
-    heap = [(-value, item_id) for value, item_id in values]
-    heapq.heapify(heap)
+    vals = sorted(value for value, _ in values)
     acc = 0
-    while len(heap) > 1:
-        neg_max, id_max = heapq.heappop(heap)
-        v_max, v_smax = -neg_max, -heap[0][0]
+    while len(vals) > 1:
+        v_max = vals.pop()
+        v_smax = vals.pop()
         acc += v_smax
-        heapq.heapreplace(heap, (-(v_max - v_smax), id_max))
-    residual = -heap[0][0] if heap else 0
-    return acc, residual
+        bisect.insort(vals, v_max - v_smax)
+    return acc, (vals[0] if vals else 0)
 
 
 def _reach_pairings(state, req: MultiRequest | None) -> list[tuple]:
     """_pair_reduce's (sum, residual) for each reach of topology.reaches, over
-    its hosts' NIC frees (req None) or their _host_count under req.
+    its hosts' NIC frees (req None) or their count under req (_host_counts).
 
     A result is read from the reach's slot in state.reach_memo while the
     reach's host free vectors and uplink frees equal the ones it was computed
@@ -247,11 +252,9 @@ def path_bandwidth(t: Topology, reach_i: Reach, reach_j: Reach,
     return _paths_bandwidth(t.reach_paths(reach_i, reach_j), link_free, t.reference.link)
 
 
-def _consume_between(t: Topology, reach_i: Reach, reach_j: Reach,
-                     link_free: dict, amount: float) -> None:
-    """Take `amount` (normalized) off the inter-reach paths, bottleneck first."""
-    remaining = amount * t.reference.link
-    for path in t.reach_paths(reach_i, reach_j):
+def _consume_paths(paths, link_free: dict, remaining: float) -> None:
+    """Take `remaining` (absolute) off the paths' links, bottleneck first."""
+    for path in paths:
         if remaining <= _EPS:
             break
         bottleneck = max(0.0, min(link_free[lid] for lid in path))
@@ -263,6 +266,12 @@ def _consume_between(t: Topology, reach_i: Reach, reach_j: Reach,
         remaining -= take
 
 
+def _consume_between(t: Topology, reach_i: Reach, reach_j: Reach,
+                     link_free: dict, amount: float) -> None:
+    """Take `amount` (normalized) off the inter-reach paths, bottleneck first."""
+    _consume_paths(t.reach_paths(reach_i, reach_j), link_free, amount * t.reference.link)
+
+
 def reach_distance(t: Topology, reach_i: Reach, reach_j: Reach) -> int:
     """Hop distance between two reaches' boundary switch sets.
 
@@ -270,6 +279,26 @@ def reach_distance(t: Topology, reach_i: Reach, reach_j: Reach) -> int:
     switch-only graph, so its length is the minimum switch-to-switch distance.
     """
     return len(t.reach_paths(reach_i, reach_j)[0])
+
+
+def _pair_order(state) -> list[tuple]:
+    """Topology.reach_pairs as (distance, -bandwidth, rank, i, j, paths) rows,
+    sorted, each bandwidth read from state.link_free.
+
+    The rows are read from the _PAIR_ORDER slot of state.reach_memo while
+    the frees of the links on reach paths (topology.reach_pair_links) equal
+    the ones they were computed from. Keyed by value, like the reach slots.
+    """
+    t = state.topology
+    link_free = state.link_free
+    key = t.reach_pair_links(link_free)
+    slot = state.reach_memo.get(_PAIR_ORDER)
+    if slot is None or slot[0] != key:
+        ref_link = t.reference.link
+        rows = sorted((d, -_paths_bandwidth(paths, link_free, ref_link), rank, i, j, paths)
+                      for d, rank, i, j, paths in t.reach_pairs)
+        slot = state.reach_memo[_PAIR_ORDER] = (key, rows)
+    return slot[1]
 
 
 def _walk_between(state, residuals: dict, fit, unit: float):
@@ -284,24 +313,23 @@ def _walk_between(state, residuals: dict, fit, unit: float):
     Only live pairs are walked: both reaches hold a residual above _EPS.
     Residuals never rise, so a pair with a dead reach could never step; with
     fewer than two live reaches the walk returns 0 without reading the pair
-    table. The live rows of Topology.reach_pairs, in table order, are already
-    a min-heap keyed (distance, -bandwidth, rank), the bandwidth being the
-    last one read (+inf unread) and the rank ordering pairs as their ids do.
-    The top pair is re-read, re-keyed if its bandwidth fell, else taken.
-    Steps only consume links, so no key is above its pair's current key, and
-    a current top key beats every pair's (ranks make keys unique): this is
-    the pair a full rescan would take. A pair whose reach ran dry on the way
-    is dropped unread.
+    table. The heap starts as the live rows of _pair_order, keyed
+    (distance, -bandwidth, rank) with the bandwidths at walk start: a
+    filtered sorted list is already a min-heap, and the rank orders pairs as
+    their ids do. The top pair is re-read, re-keyed if its bandwidth fell,
+    else taken. Steps only consume links, so no key is above its pair's
+    current key, and a current top key beats every pair's (ranks make keys
+    unique): this is the pair a full rescan would take. A pair whose reach
+    ran dry on the way is dropped unread.
     """
     t = state.topology
     res = [residuals[r.id] for r in t.reaches]
     live = [r > _EPS for r in res]
     if live.count(True) < 2:
         return 0
+    heap = [row for row in _pair_order(state) if live[row[3]] and live[row[4]]]
     link_free = dict(state.link_free)
     ref_link = t.reference.link
-    heap = [(d, _UNREAD, rank, i, j, paths)
-            for d, rank, i, j, paths in t.reach_pairs if live[i] and live[j]]
     total = 0
     while heap:
         dist, key, rank, i, j, paths = heap[0]
@@ -318,7 +346,7 @@ def _walk_between(state, residuals: dict, fit, unit: float):
             total += step
             res[i] -= step
             res[j] -= step
-            _consume_between(t, t.reaches[i], t.reaches[j], link_free, step * unit)
+            _consume_paths(paths, link_free, step * unit * ref_link)
     return total
 
 

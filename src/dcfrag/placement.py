@@ -84,8 +84,9 @@ class PlacementState:
         self.reservations: dict[tuple[str, str, str], tuple[tuple[str, ...], float]] = {}
         self.apps: dict[str, Application] = {}
         self._journal: list | None = None
-        # metrics' per-reach results, keyed by the free values they were read
-        # from, so they need no invalidation (see metrics._reach_pairings)
+        # metrics' per-reach results and reach-pair order, keyed by the free
+        # values they were read from, so they need no invalidation (see
+        # metrics._reach_pairings and metrics._pair_order)
         self.reach_memo: dict = {}
 
     # -- snapshots and transactions -------------------------------------------
@@ -100,6 +101,11 @@ class PlacementState:
         )
 
     def restore(self, snap) -> None:
+        """Replace the tables by copies of a snapshot's. Not allowed inside a
+        transaction: its rollback would write into the replaced tables."""
+        if self._journal is not None:
+            raise RuntimeError("restore() inside an open transaction, which could "
+                               "not undo it")
         (self.host_free, self.link_free, self.assignments,
          self.reservations, self.apps) = (dict(part) for part in snap)
 

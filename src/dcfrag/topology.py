@@ -409,6 +409,17 @@ class Topology:
         return tuple(ReachPair(d, rank, i, j, paths)
                      for rank, (d, _, _, i, j, paths) in enumerate(rows))
 
+    @cached_property
+    def reach_pair_links(self):
+        """A getter of the entries of every link on any reach path in a
+        link-keyed table, as a tuple in link id order, computed on first use.
+        Every reach_pairs bandwidth is a function of these entries alone."""
+        links = sorted({lid for pair in self.reach_pairs for path in pair.paths for lid in path})
+        if len(links) > 1:
+            return itemgetter(*links)
+        # itemgetter() raises, and itemgetter(lid) returns a bare entry
+        return lambda table: tuple(table[lid] for lid in links)
+
     def _switch_set_path(self, srcs: set[str], dsts: set[str],
                          blocked: set[str]) -> tuple[str, ...] | None:
         parent: dict[str, tuple[str, str] | None] = {s: None for s in sorted(srcs)}

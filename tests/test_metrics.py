@@ -1,3 +1,5 @@
+import heapq
+import math
 import random
 from collections import deque
 
@@ -288,6 +290,37 @@ def _replay_walk(t, reaches, residuals, link_free, fit, unit):
     return total
 
 
+def _unread_walk(state, residuals, fit, unit):
+    """Reference walk with no pair-order slot: every live pair enters the
+    heap unread (key -inf) and is read from the state's links on top."""
+    t = state.topology
+    res = [residuals[r.id] for r in t.reaches]
+    live = [r > 1e-9 for r in res]
+    if live.count(True) < 2:
+        return 0
+    link_free = dict(state.link_free)
+    heap = [(d, -math.inf, rank, i, j, paths)
+            for d, rank, i, j, paths in t.reach_pairs if live[i] and live[j]]
+    total = 0
+    while heap:
+        dist, key, rank, i, j, paths = heap[0]
+        if res[i] <= 1e-9 or res[j] <= 1e-9:
+            heapq.heappop(heap)
+            continue
+        bw = M._paths_bandwidth(paths, link_free, t.reference.link)
+        if -bw != key:
+            heapq.heapreplace(heap, (dist, -bw, rank, i, j, paths))
+            continue
+        heapq.heappop(heap)
+        step = min(res[i], res[j], fit(bw))
+        if step > 1e-9:
+            total += step
+            res[i] -= step
+            res[j] -= step
+            M._consume_between(t, t.reaches[i], t.reaches[j], link_free, step * unit)
+    return total
+
+
 @st.composite
 def walk_instances(draw):
     """A multi-reach fabric with drawn link frees and per-reach residuals."""
@@ -388,6 +421,63 @@ class TestPairWalk:
         assert [(p.distance, ordered[p.i].id, ordered[p.j].id, ordered[p.i], ordered[p.j])
                 for p in t.reach_pairs] == want
         assert t.reach_pairs is t.reach_pairs
+
+
+def _fresh_pair_order(state):
+    """The rows _pair_order must hold, sorted from the state's links."""
+    t = state.topology
+    return sorted((d, -M._paths_bandwidth(paths, state.link_free, t.reference.link),
+                   rank, i, j, paths) for d, rank, i, j, paths in t.reach_pairs)
+
+
+class TestPairOrder:
+    @staticmethod
+    def check(state, res_bw, res_req, req):
+        fit = lambda bw: M.fit_count(bw, req.nw)
+        assert M.capacity_between_reaches(state, res_bw) == float(
+            _unread_walk(state, res_bw, lambda bw: bw, 1.0))
+        assert M.placeable_between_reaches(state, res_req, req) == _unread_walk(
+            state, res_req, fit, req.nw)
+        assert M._pair_order(state) == _fresh_pair_order(state)
+
+    @settings(max_examples=200, deadline=None)
+    @given(walk_instances(), st.data())
+    def test_cached_order_walks_equal_the_unread_walk(self, instance, data):
+        state, _, res_bw, res_req, req = instance
+        t = state.topology
+        self.check(state, res_bw, res_req, req)  # slot miss
+        slot = state.reach_memo.get(M._PAIR_ORDER)
+        self.check(state, res_bw, res_req, req)  # slot hit
+        assert state.reach_memo.get(M._PAIR_ORDER) is slot
+        lid = data.draw(st.sampled_from(sorted(state.link_free)))
+        state.link_free[lid] = t.links[lid].capacity * data.draw(st.integers(0, 4)) / 4
+        self.check(state, res_bw, res_req, req)  # a miss when lid is on a reach path
+
+    def test_unchanged_fabric_builds_the_rows_once(self):
+        # two racks with one half-worn uplink each leave residuals on both
+        # sides, so both walks of every network_rrf read the pair order
+        state = PlacementState(build_tree(4, 2, UNIT, 1.0, oversub_ratio=2.0))
+        state.link_free.update({"h0-t0": 0.5, "h2-t1": 0.5})
+        req = MultiRequest(nw=0.1)
+        first = M.network_rrf(state, req)
+        assert M.capacity_breakdown(state).between > 0
+        _, rows = state.reach_memo[M._PAIR_ORDER]
+        assert len(rows) == len(state.topology.reach_pairs)
+        assert M.network_rrf(state, req) == first
+        assert state.reach_memo[M._PAIR_ORDER][1] is rows
+        state.link_free["t0-core"] = 0.25
+        M.network_rrf(state, req)
+        assert state.reach_memo[M._PAIR_ORDER][1] is not rows
+
+    @pytest.mark.parametrize("state", [
+        mini_state([(1.0, 1.0, 1.0)] * 2),
+        PlacementState(build_tree(2, 2, UNIT, 1.0, oversub_ratio=2.0)),
+        three_reach_line(),
+    ], ids=["no-pair", "one-pair", "line"])
+    def test_link_getter_reads_a_tuple(self, state):
+        t = state.topology
+        links = sorted({lid for p in t.reach_pairs for path in p.paths for lid in path})
+        assert t.reach_pair_links(state.link_free) == tuple(state.link_free[l] for l in links)
 
 
 class TestLiveReachWalk:
@@ -781,19 +871,42 @@ class TestRecordFormat:
 
 
 def _recount_host(state, host_id, req):
-    """Reference per-host count: fit_count over each normalized free."""
+    """Reference per-host count: fit_count over the normalized free of each
+    of req's nonzero dimensions, the NIC read from the uplink."""
     t = state.topology
     free, ref = state.host_free[host_id], t.reference
     counts = [M.fit_count(getattr(free, dim) / getattr(ref.host, dim), getattr(req, dim))
               for dim in ("cpu", "mem") if getattr(req, dim) > 0]
-    counts.append(M.fit_count(state.link_free[t.hosts[host_id].uplink] / ref.link, req.nw))
+    if req.nw > 0:
+        counts.append(M.fit_count(state.link_free[t.hosts[host_id].uplink] / ref.link, req.nw))
     return min(counts)
+
+
+_FREES = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0]),
+                   st.floats(0, 1))
+_SIZES = st.one_of(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 1.0]), st.floats(0.01, 1))
+
+
+class TestHostCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_FREES, _FREES, _FREES), min_size=1, max_size=5),
+           st.lists(_FREES, min_size=5, max_size=5),
+           st.sets(st.sampled_from(["cpu", "mem", "nw"]), min_size=1), _SIZES, _SIZES, _SIZES)
+    def test_matches_a_per_dimension_fit_count(self, frees, uplinks, dims, cpu, mem, nw):
+        # zero frees count 0; exact multiples such as 0.3 / 0.1 count whole
+        state = mini_state(frees, uplinks[:len(frees)])
+        sizes = {"cpu": cpu, "mem": mem, "nw": nw}
+        req = MultiRequest(**{d: sizes[d] for d in dims})
+        hosts = sorted(state.host_free)
+        assert M._host_counts(state, hosts, req) == [(_recount_host(state, h, req), h)
+                                                     for h in hosts]
+        assert all(type(n) is int for n, _ in M._host_counts(state, hosts, req))
 
 
 def _recount(state, req):
     """capacity_inside_reaches, placeable_inside_reaches and network_rrf
-    recounted from the tables, with no memo and a pairing that re-sorts
-    every step."""
+    recounted from the tables, with no memo or pair-order slot, a pairing
+    that re-sorts every step and the unread-keyed reference walk."""
     capacity, cap_res, count, count_res = 0.0, {}, 0, {}
     for reach in state.topology.reaches:
         got, res = _pair_reduce_by_sorting([(M.nic_free(state, h), h) for h in reach.hosts])
@@ -803,8 +916,8 @@ def _recount(state, req):
                                             for h in reach.hosts])
         count += got
         count_res[reach.id] = res
-    total = capacity + M.capacity_between_reaches(state, cap_res)
-    n = count + M.placeable_between_reaches(state, count_res, req)
+    total = capacity + float(_unread_walk(state, cap_res, lambda bw: bw, 1.0))
+    n = count + _unread_walk(state, count_res, lambda bw: M.fit_count(bw, req.nw), req.nw)
     return ((capacity, cap_res), (count, count_res),
             M.RRFReport("nw", total, n, M._index(total, n, req.nw)))
 
@@ -869,6 +982,7 @@ class TestReachMemo:
                 assert M.capacity_inside_reaches(state) == capacity
                 assert M.placeable_inside_reaches(state, req) == placeable
                 assert M.network_rrf(state, req) == rrf
+                assert M._pair_order(state) == _fresh_pair_order(state)
 
     @settings(max_examples=300, deadline=None)
     @given(memo_runs())

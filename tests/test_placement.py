@@ -480,6 +480,20 @@ class TestTransaction:
             assert state.host_free["h1"] == state.topology.hosts["h1"].free
         assert state.snapshot() == fresh
 
+    def test_restore_inside_a_transaction_is_refused(self):
+        # the block's rollback would write into the tables restore replaced,
+        # leaving the state at the snapshot instead of its value before the block
+        state = PlacementState(named_topology("fig4"))
+        old = state.snapshot()
+        state.host_free["h1"] = ResourceVector(0.1, 0.1, 1.0)
+        before = state.snapshot()
+        with pytest.raises(RuntimeError, match="open transaction"):
+            with state.transaction():
+                state.restore(old)
+        assert state.snapshot() == before
+        state.restore(old)
+        assert state.snapshot() == old
+
 
 class TestStateValidate:
     def test_fresh_state_ok(self):
