@@ -8,8 +8,8 @@ from .metrics import (MultiRequest, NetworkCapacityBreakdown, RRFReport,
                       fragmentation_index, network_rrf, path_bandwidth,
                       placeable_between_reaches, placeable_inside_reaches,
                       rrf_index_local)
-from .placement import (CapacityError, PlacementOutcome, PlacementPlan, PlacementState,
-                        SchemeConfig, bal_pack, best_sibling_reach, place_application,
+from .placement import (CapacityError, PlacementOutcome, PlacementState, SchemeConfig,
+                        bal_pack, best_sibling_reach, place_application,
                         reserve_traffic)
 from .topology import (Host, Link, Reach, Reference, ResourceVector, Switch, Topology,
                        TopologyError, build_clos, build_tree, find_boundary_switches,

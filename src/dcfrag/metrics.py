@@ -266,12 +266,6 @@ def _consume_paths(paths, link_free: dict, remaining: float) -> None:
         remaining -= take
 
 
-def _consume_between(t: Topology, reach_i: Reach, reach_j: Reach,
-                     link_free: dict, amount: float) -> None:
-    """Take `amount` (normalized) off the inter-reach paths, bottleneck first."""
-    _consume_paths(t.reach_paths(reach_i, reach_j), link_free, amount * t.reference.link)
-
-
 def reach_distance(t: Topology, reach_i: Reach, reach_j: Reach) -> int:
     """Hop distance between two reaches' boundary switch sets.
 

@@ -52,16 +52,10 @@ class SchemeConfig:
 
 
 @dataclass(frozen=True)
-class PlacementPlan:
-    app_id: str
-    assignments: tuple  # (vm_id, host_id)
-    reservations: tuple  # (vm_a, vm_b, path node ids, mbps)
-
-
-@dataclass(frozen=True)
 class PlacementOutcome:
+    """Whether an attempt placed the app; the placement itself is in the
+    state's assignments and reservations."""
     ok: bool
-    plan: PlacementPlan | None = None
     failure: str | None = None
 
 
@@ -156,9 +150,9 @@ class PlacementState:
         self._write(self.host_free, host_id, free - vm.demand)
         self._write(self.assignments, (app_id, vm.id), host_id)
 
-    def reserve_edge(self, app_id: str, vm_a: str, vm_b: str, bw: float) -> tuple[str, ...]:
+    def reserve_edge(self, app_id: str, vm_a: str, vm_b: str, bw: float) -> None:
         """Route one traffic edge on the deterministic widest-shortest path
-        and reserve its bandwidth; returns the path's link ids."""
+        and reserve its bandwidth."""
         host_a = self.assignments[(app_id, vm_a)]
         host_b = self.assignments[(app_id, vm_b)]
         if host_a == host_b:
@@ -171,7 +165,6 @@ class PlacementState:
             self._write(self.link_free, lid, self.link_free[lid] - bw)
         key = (app_id,) + tuple(sorted((vm_a, vm_b)))
         self._write(self.reservations, key, (path, bw))
-        return path
 
     def host_ids(self) -> list[str]:
         return sorted(self.host_free)
@@ -245,52 +238,28 @@ def reserve_traffic(state: PlacementState, app: Application, edges=None) -> None
         state.reserve_edge(app.id, x, y, bw)
 
 
-def _plan_for(state: PlacementState, app: Application) -> PlacementPlan:
-    host_of = {v: state.assignments[(app.id, v)] for v in app.vm_ids()}
-    t = state.topology
-    reservations = []
-    for (x, y), _ in app.edges():
-        if (app.id, x, y) not in state.reservations:
-            continue
-        path, bw = state.reservations[(app.id, x, y)]
-        host_x, host_y = host_of[x], host_of[y]
-        # Topology.route orients every path from the smaller host id
-        nodes = [min(host_x, host_y)]
-        for lid in path:
-            nodes.append(t.links[lid].other(nodes[-1]))
-        if nodes[0] != host_x:
-            nodes.reverse()
-        reservations.append((x, y, tuple(nodes), bw))
-    return PlacementPlan(app_id=app.id, assignments=tuple(sorted(host_of.items())),
-                         reservations=tuple(reservations))
-
-
 # -- BAL_PACK stand-in -------------------------------------------------------------
 
 
 def bal_pack(state: PlacementState, vm: VM, reach: Reach) -> str | None:
     """Pick the reach host that stays most dimension-balanced after the VM.
 
-    A host qualifies when every dimension (NIC against the VM's declared
-    traffic budget) stays within capacity; among qualifiers the one
-    minimizing max-min post-placement utilization wins, ties to the smallest
-    host id. Returns None when nothing fits.
+    A host qualifies by assign_vm's rule: every dimension's need (NIC as
+    the VM's declared traffic budget) is within the host's free amount.
+    Among qualifiers the one minimizing max-min post-placement utilization
+    wins, ties to the smallest host id. Returns None when nothing fits.
     """
     best: tuple[float, str] | None = None
     hosts, host_free, need = state.topology.hosts, state.host_free, vm.demand
     for host_id in reach.hosts:
-        cap = hosts[host_id].capacity
         free = host_free[host_id]
-        used_cpu = cap.cpu - free.cpu + need.cpu
-        if used_cpu > cap.cpu + _EPS:
+        if (need.cpu > free.cpu + _EPS or need.mem > free.mem + _EPS
+                or need.nic > free.nic + _EPS):
             continue
-        used_mem = cap.mem - free.mem + need.mem
-        if used_mem > cap.mem + _EPS:
-            continue
-        used_nic = cap.nic - free.nic + need.nic
-        if used_nic > cap.nic + _EPS:
-            continue
-        utils = (used_cpu / cap.cpu, used_mem / cap.mem, used_nic / cap.nic)
+        cap = hosts[host_id].capacity
+        utils = ((cap.cpu - free.cpu + need.cpu) / cap.cpu,
+                 (cap.mem - free.mem + need.mem) / cap.mem,
+                 (cap.nic - free.nic + need.nic) / cap.nic)
         score = max(utils) - min(utils)
         if best is None or (score, host_id) < best:
             best = (score, host_id)
@@ -515,13 +484,18 @@ def place_application(state: PlacementState, app: Application, config: SchemeCon
                       reaches: tuple[Reach, ...] | None = None) -> PlacementOutcome:
     """Place the whole app with config's scheme, or change nothing.
 
+    The outcome says only whether the app was placed and why not: the
+    placement itself is the state's ledger, each VM's host in
+    state.assignments[(app, vm)] and each routed edge's link path and
+    bandwidth in state.reservations[(app, x, y)].
+
     UNIFIED places over `reaches`, by default topology.reaches. The scheme
     body returns a failure message or None; a CapacityError that escapes it
     is the failure message. Either failure rolls back every write of the
     attempt, including the app's registration.
     """
     if not app.vms:
-        return PlacementOutcome(ok=True, plan=PlacementPlan(app.id, (), ()))
+        return PlacementOutcome(ok=True)
     with state.transaction() as commit:
         state.register_app(app)
         try:
@@ -532,4 +506,4 @@ def place_application(state: PlacementState, app: Application, config: SchemeCon
         if failure is not None:
             return PlacementOutcome(ok=False, failure=failure)
         commit()
-    return PlacementOutcome(ok=True, plan=_plan_for(state, app))
+    return PlacementOutcome(ok=True)

@@ -629,9 +629,17 @@ def load_topology(path: str) -> Topology:
         except json.JSONDecodeError as exc:
             raise TopologyError(f"{path}: not valid JSON ({exc})") from exc
 
+    if not isinstance(doc, dict):
+        raise TopologyError(f"{path}: expected a JSON object at the top level")
     for key in ("reference_host", "reference_link_mbps", "hosts", "switches", "links"):
         if key not in doc:
             raise TopologyError(f"{path}: missing required field {key!r}")
+    for key in ("hosts", "switches", "links"):
+        if not isinstance(doc[key], list):
+            raise TopologyError(f"{path}: {key!r} must be a list")
+    for i, rec in enumerate(doc["hosts"]):
+        if not isinstance(rec, dict):
+            raise TopologyError(f"{path}: hosts[{i}]: expected an object, got {rec!r}")
     ref_host = doc["reference_host"]
     try:
         reference = Reference(

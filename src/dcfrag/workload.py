@@ -262,7 +262,7 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise WorkloadError(f"{path}: not valid JSON ({exc})") from exc
-    if "apps" not in doc or not isinstance(doc["apps"], list):
+    if not isinstance(doc, dict) or not isinstance(doc.get("apps"), list):
         raise WorkloadError(f"{path}: missing top-level 'apps' list")
 
     apps = []
@@ -272,13 +272,18 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
             app_id = str(rec["id"])
         except (KeyError, TypeError) as exc:
             raise WorkloadError(f"{where}: missing id ({exc})") from exc
-        vm_recs = rec.get("vms", [])
+        vm_recs, edge_recs = rec.get("vms", []), rec.get("edges", [])
+        if not isinstance(vm_recs, list) or not isinstance(edge_recs, list):
+            raise WorkloadError(f"{where} ({app_id}): 'vms' and 'edges' must be lists")
         if not vm_recs:
             raise WorkloadError(f"{where} ({app_id}): no VMs")
+        for vi, v in enumerate(vm_recs):
+            if not isinstance(v, dict):
+                raise WorkloadError(f"{where}: vms[{vi}]: expected an object, got {v!r}")
 
         traffic: dict[tuple[str, str], float] = {}
         vm_ids = {str(v.get("id")) for v in vm_recs}
-        for ei, edge in enumerate(rec.get("edges", [])):
+        for ei, edge in enumerate(edge_recs):
             try:
                 x, y = str(edge["a"]), str(edge["b"])
                 bw = float(edge["mbps"])

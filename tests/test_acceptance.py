@@ -126,7 +126,7 @@ def test_criterion_5_fig1_divergence():
           and not local.ok and local.failure.startswith("link")
           and greedy_error is not None and greedy_error.entity == "host"
           and unified.ok
-          and dict(unified.plan.assignments) in plans
+          and {v.id: unified_state.assignments[(app.id, v.id)] for v in app.vms} in plans
           and unified_state.validate() == []
           and elapsed < 1.0)
     verdict(5, ok, f"LOCAL: {local.failure}; greedy co-location: {greedy_error}; "

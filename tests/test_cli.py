@@ -162,6 +162,57 @@ class TestUsageErrors:
         assert err == f"dcfrag: error: {message}\n"
 
 
+def _shaped(doc, path, value):
+    """A copy of doc with the entry at path (keys and indices) set to value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+_TOPO = {"reference_host": {"cpu_mhz": 1000, "mem_mb": 1000, "nic_mbps": 1000},
+         "reference_link_mbps": 1000,
+         "hosts": [{"id": f"h{i}", "cpu_mhz": 1000, "mem_mb": 1000} for i in range(2)],
+         "switches": [{"id": "s0", "level": 0}],
+         "links": [{"a": f"h{i}", "b": "s0", "capacity_mbps": 1000} for i in range(2)]}
+_WL = {"apps": [{"id": "a",
+                 "vms": [{"id": "v1", "cpu_mhz": 100, "mem_mb": 100},
+                         {"id": "v2", "cpu_mhz": 100, "mem_mb": 100}],
+                 "edges": [{"a": "v1", "b": "v2", "mbps": 10}]}]}
+
+
+class TestBadFileShapes:
+    @pytest.mark.parametrize("kind, doc, message", [
+        pytest.param("workload", 5, "missing top-level 'apps' list", id="workload-int"),
+        pytest.param("workload", _shaped(_WL, ("apps", 0, "vms"), 5),
+                     "apps[0] (a): 'vms' and 'edges' must be lists", id="vms-int"),
+        pytest.param("workload", _shaped(_WL, ("apps", 0, "vms"), [5]),
+                     "apps[0]: vms[0]: expected an object, got 5", id="vm-int"),
+        pytest.param("workload", _shaped(_WL, ("apps", 0, "edges"), 5),
+                     "apps[0] (a): 'vms' and 'edges' must be lists", id="edges-int"),
+        pytest.param("topology", 5, "expected a JSON object at the top level",
+                     id="topology-int"),
+        pytest.param("topology", _shaped(_TOPO, ("hosts",), [5]),
+                     "hosts[0]: expected an object, got 5", id="host-int"),
+        pytest.param("topology", _shaped(_TOPO, ("switches",), 5),
+                     "'switches' must be a list", id="switches-int"),
+    ])
+    def test_shape_error_names_the_file_and_entry(self, capsys, tmp_path, kind, doc, message):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        if kind == "workload":
+            argv = ("place", "--topology", "tree64", "--workload", str(path),
+                    "--request", "cpu=0.1,mem=0.1,nw=0.01")
+        else:
+            argv = ("metrics", "--topology", str(path), "--request", "cpu=0.1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"dcfrag: error: {path}: {message}\n"
+
+
 class TestPlaceAndCompare:
     def test_place_generated_category(self, capsys, tmp_path):
         out_file = tmp_path / "run.csv"

@@ -286,7 +286,7 @@ def _replay_walk(t, reaches, residuals, link_free, fit, unit):
             total += step
             res[ri.id] -= step
             res[rj.id] -= step
-            M._consume_between(t, ri, rj, link_free, step * unit)
+            M._consume_paths(t.reach_paths(ri, rj), link_free, step * unit * t.reference.link)
     return total
 
 
@@ -317,7 +317,8 @@ def _unread_walk(state, residuals, fit, unit):
             total += step
             res[i] -= step
             res[j] -= step
-            M._consume_between(t, t.reaches[i], t.reaches[j], link_free, step * unit)
+            M._consume_paths(t.reach_paths(t.reaches[i], t.reaches[j]), link_free,
+                             step * unit * t.reference.link)
     return total
 
 

@@ -28,6 +28,11 @@ def tree_state(**kwargs):
     return PlacementState(t), t.reaches
 
 
+def placed(state, app_id="app"):
+    """The app's VM -> host map, read from the state's ledger."""
+    return {v: host for (a, v), host in state.assignments.items() if a == app_id}
+
+
 def tree_app(demands, traffic, topology, app_id="app"):
     vms = tuple(VM(id=v, demand=ResourceVector(*d)) for v, d in sorted(demands.items()))
     from dcfrag.workload import Application
@@ -56,6 +61,25 @@ class TestBalPack:
             state.host_free[h] = ResourceVector(0.4, 1.0, 1.0)
         vm = VM(id="v", demand=ResourceVector(0.5, 0.1, 0.1))
         assert bal_pack(state, vm, reaches[0]) is None
+
+    def test_fit_rule_matches_the_ledger_at_large_capacities(self):
+        # h0's used amounts dwarf _EPS, so cap - free + need rounds back to
+        # within cap + _EPS although need > free + _EPS: the packer must skip
+        # h0 as assign_vm would refuse it, and UNIFIED then places on h2
+        big = ResourceVector(1e9, 1e9, 1e9)
+        hosts = [Host(id="h0", capacity=big, free=ResourceVector(0.5, 0.5, 0.5)),
+                 Host(id="h1", capacity=UNIT, free=ResourceVector(0, 0, 0)),
+                 Host(id="h2", capacity=UNIT, free=UNIT),
+                 Host(id="h3", capacity=UNIT, free=ResourceVector(0, 0, 0))]
+        links = [Link(id=f"{h.id}-s1", a=h.id, b="s1", capacity=1.0, free=1.0) for h in hosts]
+        t = Topology(hosts, [Switch(id="s1", level=0)], links, UNIT_REF)
+        vm = VM(id="v", demand=ResourceVector(0.5 + 2e-9, 0.5, 0.5))
+        assert bal_pack(PlacementState(t), vm, t.reaches[0]) == "h2"
+        app = Application(id="app", vms=(vm,), traffic={}, reference=UNIT_REF)
+        for cfg in (UNIFIED, LOCAL):
+            state = PlacementState(t)
+            assert place_application(state, app, cfg).ok, cfg.scheme
+            assert placed(state) == {"v": "h2"}, cfg.scheme
 
 
     @settings(max_examples=300, deadline=None)
@@ -86,10 +110,9 @@ def _bal_pack_by_get(state, vm, reach):
         free = state.host_free[host_id]
         utils = []
         for dim in ("cpu", "mem", "nic"):
-            used = cap.get(dim) - free.get(dim) + vm.demand.get(dim)
-            if used > cap.get(dim) + 1e-9:
+            if vm.demand.get(dim) > free.get(dim) + 1e-9:
                 break
-            utils.append(used / cap.get(dim))
+            utils.append((cap.get(dim) - free.get(dim) + vm.demand.get(dim)) / cap.get(dim))
         else:
             score = max(utils) - min(utils)
             if best is None or (score, host_id) < best:
@@ -170,9 +193,9 @@ class TestUnified:
         app = tree_app({"v1": (0.3, 0.3, 0.0)}, {}, state.topology)
         out = place_application(state, app, UNIFIED)
         assert out.ok
-        ((_, host),) = out.plan.assignments
+        (host,) = placed(state).values()
         assert host in reaches[1].hosts
-        assert out.plan.reservations == ()
+        assert not state.reservations
 
     def test_impossible_demand_fails_with_untouched_state(self):
         state, _ = tree_state()
@@ -192,8 +215,7 @@ class TestUnified:
         assert out.ok
         # v2 carries 0.5 total, the unique argmax; it must land on the first
         # host bal_pack offers in the chosen reach
-        placed = dict(out.plan.assignments)
-        assert placed["v2"] == "h0"
+        assert placed(state)["v2"] == "h0"
 
     def test_whole_app_in_one_reach_uses_no_uplinks(self):
         state, reaches = tree_state(num_tors=2, hosts_per_tor=2)
@@ -202,7 +224,7 @@ class TestUnified:
         app = tree_app(demands, traffic, state.topology)
         out = place_application(state, app, UNIFIED)
         assert out.ok
-        hosts = {h for _, h in out.plan.assignments}
+        hosts = set(placed(state).values())
         assert hosts <= set(reaches[0].hosts) or hosts <= set(reaches[1].hosts)
         for tor_uplink in ("t0-core", "t1-core"):
             assert state.link_free[tor_uplink] == state.topology.links[tor_uplink].free
@@ -214,7 +236,7 @@ class TestUnified:
         app = tree_app(demands, traffic, state.topology)
         out = place_application(state, app, UNIFIED)
         assert out.ok
-        hosts = {h for _, h in out.plan.assignments}
+        hosts = set(placed(state).values())
         assert hosts & set(reaches[0].hosts) and hosts & set(reaches[1].hosts)
         assert not state.validate()
 
@@ -223,9 +245,10 @@ class TestUnified:
         state_b, _ = tree_state()
         traffic = {("v1", "v2"): 0.2, ("v1", "v3"): 0.1}
         demands = {"v1": (0.3, 0.2, 0.3), "v2": (0.2, 0.3, 0.2), "v3": (0.1, 0.1, 0.1)}
-        out_a = place_application(state_a, tree_app(demands, traffic, state_a.topology), UNIFIED)
-        out_b = place_application(state_b, tree_app(demands, traffic, state_b.topology), UNIFIED)
-        assert out_a.plan == out_b.plan
+        assert place_application(state_a, tree_app(demands, traffic, state_a.topology), UNIFIED).ok
+        assert place_application(state_b, tree_app(demands, traffic, state_b.topology), UNIFIED).ok
+        assert state_a.assignments == state_b.assignments
+        assert state_a.reservations == state_b.reservations
 
     def test_empty_app_trivially_ok(self):
         state, _ = tree_state()
@@ -255,7 +278,7 @@ class TestUnified:
         state = PlacementState(t)
         out = place_application(state, app, UNIFIED)
         assert out.ok
-        assert dict(out.plan.assignments) == {"v1": "h0", "v2": "h1"}
+        assert placed(state, "a") == {"v1": "h0", "v2": "h1"}
         assert state.validate() == []
 
 
@@ -365,7 +388,7 @@ class TestLocal:
         app = tree_app(demands, {}, state.topology)
         out = place_application(state, app, LOCAL)
         assert out.ok
-        assert {h for _, h in out.plan.assignments} == {"h0"}
+        assert set(placed(state).values()) == {"h0"}
 
     def test_fig1_overdraws_the_link(self):
         t, app = fig1_instance()
@@ -400,8 +423,8 @@ class TestNetw:
         app = tree_app(demands, {("v1", "v2"): 0.05}, state.topology)
         out = place_application(state, app, self.cfg(slots=2))
         assert out.ok
-        assert {h for _, h in out.plan.assignments} == {"h0"}
-        assert not out.plan.reservations
+        assert set(placed(state).values()) == {"h0"}
+        assert not state.reservations
 
     def test_rack_spanning_vc_passes_hose_check(self):
         state, _ = tree_state(num_tors=2, hosts_per_tor=2)
@@ -411,7 +434,7 @@ class TestNetw:
         app = tree_app(demands, traffic, state.topology)
         out = place_application(state, app, self.cfg(slots=2))
         assert out.ok
-        hosts = {h for _, h in out.plan.assignments}
+        hosts = set(placed(state).values())
         assert hosts == {"h0", "h1"}  # whole rack, two slots each
         # hose check held pre-reservation: min(2, 2) * B per host uplink
         n, b = 4, sum(app.total_traffic(v) for v in app.vm_ids()) / 4
@@ -438,11 +461,11 @@ class TestNetw:
         state, _ = tree_state()
         pair = tree_app({"v1": (0.1, 0.1, 0.0), "v2": (0.1, 0.1, 0.0)}, {}, state.topology,
                         app_id="local")
-        assert dict(place_application(state, pair, LOCAL).plan.assignments) == {
-            "v1": "h0", "v2": "h0"}
+        assert place_application(state, pair, LOCAL).ok
+        assert placed(state, "local") == {"v1": "h0", "v2": "h0"}
         single = tree_app({"v1": (0.1, 0.1, 0.0)}, {}, state.topology, app_id="netw")
-        out = place_application(state, single, self.cfg(slots=2))
-        assert out.plan.assignments == (("v1", "h1"),)
+        assert place_application(state, single, self.cfg(slots=2)).ok
+        assert placed(state, "netw") == {"v1": "h1"}
 
     def test_derive_slots_from_workload_mean(self):
         t = idle_tree(cap=ResourceVector(4000, 8192, 10000), link=10000)
@@ -505,7 +528,7 @@ class TestStateValidate:
         state = PlacementState(t)
         out = place_application(state, app, UNIFIED)
         assert out.ok and state.validate() == []
-        host = out.plan.assignments[0][1]
+        host = state.assignments[(app.id, "a1")]
         state.host_free[host] = state.host_free[host] - ResourceVector(1.0, 0.0, 0.0)
         assert state.validate() == [f"host {host}: cpu ledger out of sync"]
 
@@ -543,27 +566,33 @@ class TestStateValidate:
             assert state.validate() == [], scheme
 
 
-class TestPlanPaths:
-    def test_reservation_paths_run_from_host_x_to_host_y(self):
+def check_reserved_paths(state, app):
+    """Each of the app's reservations in the ledger is a link path from one
+    VM's host uplink to the other's, each link sharing a node with the next,
+    and carries the edge's traffic. Returns how many it checked."""
+    t, traffic = state.topology, dict(app.edges())
+    reserved = [(x, y, path, bw) for (a, x, y), (path, bw) in state.reservations.items()
+                if a == app.id]
+    for x, y, path, bw in reserved:
+        uplinks = {t.hosts[state.assignments[(app.id, v)]].uplink for v in (x, y)}
+        assert len(uplinks) == 2 and {path[0], path[-1]} == uplinks, (app.id, x, y, path)
+        for a, b in zip(path, path[1:]):
+            assert {t.links[a].a, t.links[a].b} & {t.links[b].a, t.links[b].b}, path
+        assert bw == traffic[(x, y)]
+    return len(reserved)
+
+
+class TestReservedPaths:
+    def test_reserved_paths_join_the_two_hosts(self):
         t = named_topology("tree64")
         apps = generate_workload(category_spec(1, 24, 0))
         slots = derive_netw_slots(t, apps)
-        reversed_edges = 0
         for scheme in ("UNIFIED", "LOCAL", "NETW"):
             state = PlacementState(t)
             cfg = SchemeConfig(scheme=scheme, netw_slots_per_host=slots)
-            for app in apps:
-                out = place_application(state, app, cfg)
-                if not out.ok:
-                    continue
-                hosts = dict(out.plan.assignments)
-                for x, y, nodes, _ in out.plan.reservations:
-                    assert (nodes[0], nodes[-1]) == (hosts[x], hosts[y]), (scheme, x, y)
-                    for a, b in zip(nodes, nodes[1:]):
-                        assert any(l.other(a) == b for l in t.links.values()
-                                   if a in (l.a, l.b)), (scheme, nodes)
-                    reversed_edges += hosts[x] > hosts[y]
-        assert reversed_edges > 0
+            checked = sum(check_reserved_paths(state, app) for app in apps
+                          if place_application(state, app, cfg).ok)
+            assert checked > 0, scheme
 
 
 @st.composite
@@ -608,19 +637,7 @@ class TestLedgerProperties:
             if not out.ok:
                 assert state.snapshot() == before
                 continue
-            assert set(out.plan.assignments) == {
-                (v, host) for (a, v), host in state.assignments.items() if a == app.id}
-            reserved = {(x, y): (path, bw)
-                        for (a, x, y), (path, bw) in state.reservations.items() if a == app.id}
-            assert {(x, y) for x, y, _, _ in out.plan.reservations} == set(reserved)
-            hosts = dict(out.plan.assignments)
-            for x, y, nodes, bw in out.plan.reservations:
-                assert (nodes[0], nodes[-1]) == (hosts[x], hosts[y])
-                links = [next(lid for peer, lid in t.neighbors(a) if peer == b)
-                         for a, b in zip(nodes, nodes[1:])]
-                path, got = reserved[(x, y)]
-                assert bw == got and sorted(links) == sorted(path)
-
+            check_reserved_paths(state, app)
 
     @settings(max_examples=300, deadline=None)
     @given(ledger_runs())
@@ -647,7 +664,7 @@ class TestFig1SchemeDivergence:
         state = PlacementState(t)
         out = place_application(state, app, UNIFIED)
         assert out.ok
-        assert dict(out.plan.assignments) in [p for p, _ in self.valid_plans(t, app)]
+        assert placed(state, app.id) in [p for p, _ in self.valid_plans(t, app)]
         assert state.validate() == []
 
     def test_bandwidth_greedy_colocation_overdraws_a_host(self):
