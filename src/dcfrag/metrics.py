@@ -130,18 +130,24 @@ def _host_counts(state, host_ids, req: MultiRequest) -> list[tuple[int, str]]:
     t = state.topology
     host_free, link_free, hosts, ref = state.host_free, state.link_free, t.hosts, t.reference
     cpu, mem, nw = req.cpu, req.mem, req.nw
+    ref_cpu, ref_mem, ref_link = ref.host.cpu, ref.host.mem, ref.link
     counts = []
     for h in host_ids:
         n = math.inf
+        free = host_free[h]
         if cpu > 0:
-            x = host_free[h].cpu / ref.host.cpu
+            x = free.cpu / ref_cpu
             n = int(x / cpu + _EPS) if x > 0 else 0
         if mem > 0:
-            x = host_free[h].mem / ref.host.mem
-            n = min(n, int(x / mem + _EPS) if x > 0 else 0)
+            x = free.mem / ref_mem
+            m = int(x / mem + _EPS) if x > 0 else 0
+            if m < n:
+                n = m
         if nw > 0:
-            x = link_free[hosts[h].uplink] / ref.link
-            n = min(n, int(x / nw + _EPS) if x > 0 else 0)
+            x = link_free[hosts[h].uplink] / ref_link
+            m = int(x / nw + _EPS) if x > 0 else 0
+            if m < n:
+                n = m
         counts.append((n, h))
     return counts
 
@@ -160,7 +166,7 @@ def rrf_index_local(state, req: MultiRequest, target: str) -> RRFReport:
         raise ValueError(f"target dimension {target} is zero in the request")
     total = 0.0
     count = 0
-    for n, host_id in _host_counts(state, sorted(state.host_free), req):
+    for n, host_id in _host_counts(state, state.topology.host_ids, req):
         total += _local_free(state, host_id, target)
         count += n
     return RRFReport(target, total, count, _index(total, count, getattr(req, target)))

@@ -142,12 +142,14 @@ class PlacementState:
         self._write(self.apps, app.id, app)
 
     def assign_vm(self, app_id: str, vm: VM, host_id: str) -> None:
-        free = self.host_free[host_id]
-        for dim in ("cpu", "mem", "nic"):
-            need, avail = vm.demand.get(dim), free.get(dim)
-            if need > avail + _EPS:
-                raise CapacityError("host", host_id, dim, need, avail)
-        self._write(self.host_free, host_id, free - vm.demand)
+        free, need = self.host_free[host_id], vm.demand
+        if need.cpu > free.cpu + _EPS:
+            raise CapacityError("host", host_id, "cpu", need.cpu, free.cpu)
+        if need.mem > free.mem + _EPS:
+            raise CapacityError("host", host_id, "mem", need.mem, free.mem)
+        if need.nic > free.nic + _EPS:
+            raise CapacityError("host", host_id, "nic", need.nic, free.nic)
+        self._write(self.host_free, host_id, free - need)
         self._write(self.assignments, (app_id, vm.id), host_id)
 
     def reserve_edge(self, app_id: str, vm_a: str, vm_b: str, bw: float) -> None:
@@ -157,17 +159,32 @@ class PlacementState:
         host_b = self.assignments[(app_id, vm_b)]
         if host_a == host_b:
             raise ValueError("co-located pairs carry no reservation")
-        path = self.topology.route(host_a, host_b, self.link_free)
-        for lid in path:
-            if self.link_free[lid] + _EPS < bw:
-                raise CapacityError("link", lid, "bw", bw, self.link_free[lid])
-        for lid in path:
-            self._write(self.link_free, lid, self.link_free[lid] - bw)
-        key = (app_id,) + tuple(sorted((vm_a, vm_b)))
+        key = (app_id, vm_a, vm_b) if vm_a < vm_b else (app_id, vm_b, vm_a)
+        self._reserve(key, host_a, host_b, bw)
+
+    def _reserve(self, key: tuple[str, str, str], host_a: str, host_b: str,
+                 bw: float) -> None:
+        """Reserve bw on route(host_a, host_b) as reservation `key`.
+
+        One min over the path's frees decides; only a shortfall looks for
+        the first short link, the one CapacityError names. The link frees
+        are written and journaled in one loop, as _write would.
+        """
+        link_free = self.link_free
+        path = self.topology.route(host_a, host_b, link_free)
+        frees = [link_free[lid] for lid in path]
+        if min(frees) + _EPS < bw:
+            lid, free = next((lid, free) for lid, free in zip(path, frees) if free + _EPS < bw)
+            raise CapacityError("link", lid, "bw", bw, free)
+        journal = self._journal
+        for lid, free in zip(path, frees):
+            if journal is not None:
+                journal.append((link_free, lid, free))
+            link_free[lid] = free - bw
         self._write(self.reservations, key, (path, bw))
 
-    def host_ids(self) -> list[str]:
-        return sorted(self.host_free)
+    def host_ids(self) -> tuple[str, ...]:
+        return self.topology.host_ids
 
     # -- validation --------------------------------------------------------------
 
@@ -228,14 +245,15 @@ def reserve_traffic(state: PlacementState, app: Application, edges=None) -> None
     A link shortfall raises CapacityError; the caller's transaction undoes the
     edges reserved so far.
     """
+    app_id, assignments, reservations = app.id, state.assignments, state.reservations
     for (x, y), bw in app.edges() if edges is None else edges:
-        if bw <= 0 or (app.id, x, y) in state.reservations:
+        if bw <= 0 or (app_id, x, y) in reservations:
             continue
-        host_x = state.assignments.get((app.id, x))
-        host_y = state.assignments.get((app.id, y))
+        host_x = assignments.get((app_id, x))
+        host_y = assignments.get((app_id, y))
         if host_x is None or host_y is None or host_x == host_y:
             continue
-        state.reserve_edge(app.id, x, y, bw)
+        state._reserve((app_id, x, y) if x < y else (app_id, y, x), host_x, host_y, bw)
 
 
 # -- BAL_PACK stand-in -------------------------------------------------------------
@@ -249,21 +267,22 @@ def bal_pack(state: PlacementState, vm: VM, reach: Reach) -> str | None:
     Among qualifiers the one minimizing max-min post-placement utilization
     wins, ties to the smallest host id. Returns None when nothing fits.
     """
-    best: tuple[float, str] | None = None
+    best = best_score = None
     hosts, host_free, need = state.topology.hosts, state.host_free, vm.demand
+    n_cpu, n_mem, n_nic = need.cpu, need.mem, need.nic
     for host_id in reach.hosts:
         free = host_free[host_id]
-        if (need.cpu > free.cpu + _EPS or need.mem > free.mem + _EPS
-                or need.nic > free.nic + _EPS):
+        f_cpu, f_mem, f_nic = free.cpu, free.mem, free.nic
+        if n_cpu > f_cpu + _EPS or n_mem > f_mem + _EPS or n_nic > f_nic + _EPS:
             continue
         cap = hosts[host_id].capacity
-        utils = ((cap.cpu - free.cpu + need.cpu) / cap.cpu,
-                 (cap.mem - free.mem + need.mem) / cap.mem,
-                 (cap.nic - free.nic + need.nic) / cap.nic)
-        score = max(utils) - min(utils)
-        if best is None or (score, host_id) < best:
-            best = (score, host_id)
-    return best[1] if best else None
+        u_cpu = (cap.cpu - f_cpu + n_cpu) / cap.cpu
+        u_mem = (cap.mem - f_mem + n_mem) / cap.mem
+        u_nic = (cap.nic - f_nic + n_nic) / cap.nic
+        score = max(u_cpu, u_mem, u_nic) - min(u_cpu, u_mem, u_nic)
+        if best is None or score < best_score or (score == best_score and host_id < best):
+            best, best_score = host_id, score
+    return best
 
 
 # -- UNIFIED (reach-aware application placement) -------------------------------------
@@ -372,12 +391,17 @@ def _place_local(state: PlacementState, app: Application, config: SchemeConfig,
         norm = v.demand.normalized(ref.host)
         return max(norm.cpu, norm.mem, norm.nic)
 
-    hosts = state.host_ids()
+    hosts, host_free = state.host_ids(), state.host_free
     for vm in sorted(app.vms, key=lambda v: (-size(v), v.id)):
-        target = next((h for h in hosts if vm.demand.fits_within(state.host_free[h])), None)
-        if target is None:
+        need = vm.demand
+        n_cpu, n_mem, n_nic = need.cpu, need.mem, need.nic
+        for h in hosts:
+            free = host_free[h]
+            if n_cpu <= free.cpu + _EPS and n_mem <= free.mem + _EPS and n_nic <= free.nic + _EPS:
+                break
+        else:
             return f"no host fits VM {vm.id}"
-        state.assign_vm(app.id, vm, target)
+        state.assign_vm(app.id, vm, h)
     reserve_traffic(state, app)
     return None
 

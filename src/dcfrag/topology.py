@@ -14,6 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -34,6 +35,8 @@ class ResourceVector:
 
     def __post_init__(self):
         # tolerate float dust from ledger arithmetic, reject real negatives
+        if self.cpu >= 0 and self.mem >= 0 and self.nic >= 0:
+            return
         for name in ("cpu", "mem", "nic"):
             value = getattr(self, name)
             if value < -1e-6:
@@ -152,10 +155,6 @@ class ReachPair(NamedTuple):
     paths: tuple[tuple[str, ...], ...]
 
 
-# a shortest-path DAG node: (node, ((predecessor, (link, ...)), ...))
-_DagNode = tuple[str, tuple[tuple[str, tuple[str, ...]], ...]]
-
-
 def _unlimited(lid: str, default: float) -> float:
     return math.inf
 
@@ -240,8 +239,12 @@ class Topology:
             s.id: tuple(lid for peer, lid in self.neighbors(s.id)
                         if peer in self.switches and self.switches[peer].level > s.level)
             for s in switches}
+        self.host_ids: tuple[str, ...] = tuple(sorted(self.hosts))
+        # host id -> (its uplink, its TOR)
+        self._host_ports: dict[str, tuple[str, str]] = {
+            h.id: (h.uplink, self.links[h.uplink].other(h.id)) for h in hosts}
         # lazy caches; safe because the graph never changes after construction
-        self._tor_dags: dict[tuple[str, str], tuple[_DagNode, ...]] = {}
+        self._dags: dict[tuple[str, str], tuple[tuple[tuple[int, str], ...], ...]] = {}
         self._reach_paths: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
 
     # -- basic queries ------------------------------------------------------
@@ -273,27 +276,29 @@ class Topology:
         if host_a == host_b:
             raise ValueError("route endpoints must differ")
         src, dst = (host_a, host_b) if host_a < host_b else (host_b, host_a)
-        up_src, up_dst = self.hosts[src].uplink, self.hosts[dst].uplink
-        tor_src, tor_dst = self.links[up_src].other(src), self.links[up_dst].other(dst)
+        up_src, tor_src = self._host_ports[src]
+        up_dst, tor_dst = self._host_ports[dst]
         if tor_src == tor_dst:
             return (up_src, up_dst)
-        dag = self._tor_dag(tor_src, tor_dst)
+        dag = self._compiled_dag(tor_src, tor_dst)
         free = _unlimited if link_free is None else link_free.get
-        width = {tor_src: free(up_src, 0.0)}
-        via: dict[str, tuple[str, str]] = {}
-        for node, preds in dag:
+        widths = [free(up_src, 0.0)]  # by node index; tor_src is 0
+        via = [None]
+        for preds in dag:
             held = None
-            for parent, lids in preds:
-                parent_width = width[parent]
-                for lid in lids:
-                    w = min(parent_width, free(lid, 0.0))
-                    if held is None or w > held:
-                        held = w
-                        via[node] = (parent, lid)
-            width[node] = held
+            for parent, lid in preds:
+                w = widths[parent]
+                f = free(lid, 0.0)
+                if f < w:
+                    w = f
+                if held is None or w > held:
+                    held = w
+                    step = (parent, lid)
+            widths.append(held)
+            via.append(step)
         path = [up_dst]
-        node = tor_dst
-        while node != tor_src:
+        node = len(dag)
+        while node:
             node, lid = via[node]
             path.append(lid)
         path.append(up_src)
@@ -301,23 +306,31 @@ class Topology:
 
     def shortest_paths(self, host_a: str, host_b: str) -> list[tuple[str, ...]]:
         """Every shortest path between two hosts, as link ids from the smaller
-        host id, in the order of the TOR pair's shortest-path DAG. route()
-        checks the pair and gives its two uplinks."""
+        host id, in the order of the TOR pair's shortest-path DAG: by the
+        last hop's parent, then the parent's own paths, then the link.
+        route() checks the pair and gives its two uplinks."""
         first = self.route(host_a, host_b)
-        tor_src = self.links[first[0]].other(min(host_a, host_b))
-        tor_dst = self.links[first[-1]].other(max(host_a, host_b))
-        middles = {tor_src: [()]}  # node -> its paths from tor_src, parents first
-        for node, preds in self._tor_dag(tor_src, tor_dst):
-            middles[node] = [path + (lid,) for parent, lids in preds
-                             for path in middles[parent] for lid in lids]
-        return [first[:1] + path + first[-1:] for path in middles[tor_dst]]
+        tor_src = self._host_ports[min(host_a, host_b)][1]
+        tor_dst = self._host_ports[max(host_a, host_b)][1]
+        middles = [[()]]  # by node index: its paths from tor_src
+        for preds in self._compiled_dag(tor_src, tor_dst):
+            paths = []
+            for parent, group in groupby(preds, itemgetter(0)):
+                lids = [lid for _, lid in group]
+                paths += [path + (lid,) for path in middles[parent] for lid in lids]
+            middles.append(paths)
+        return [first[:1] + path + first[-1:] for path in middles[-1]]
 
-    def _tor_dag(self, tor_a: str, tor_b: str) -> tuple[_DagNode, ...]:
-        """The nodes on shortest tor_a -> tor_b paths in BFS layer order, each
-        with its predecessors sorted by id and every link from each, cached.
-        Empty when the two are one TOR."""
+    def _compiled_dag(self, tor_a: str, tor_b: str) -> tuple[tuple[tuple[int, str], ...], ...]:
+        """The shortest tor_a -> tor_b paths as a DAG in index form, cached.
+
+        Nodes are numbered in BFS layer order, ids ascending within a layer:
+        tor_a is 0 and tor_b the last. Entry k - 1 lists node k's
+        (parent index, link id) pairs, parents sorted by id and each
+        parent's links in adjacency order. Empty when the two are one TOR.
+        """
         key = (tor_a, tor_b)
-        cached = self._tor_dags.get(key)
+        cached = self._dags.get(key)
         if cached is None:
             depth = {tor_a: 0}
             frontier = [tor_a]
@@ -329,20 +342,21 @@ class Topology:
                             depth[peer] = depth[node] + 1
                             nxt.append(peer)
                 frontier = nxt
-            # walk back from tor_b one layer at a time, deepest and largest id first
-            dag: list[_DagNode] = []
-            on_path = {tor_b}
-            while tor_a not in on_path:
+            # walk back from tor_b one layer at a time, collecting each
+            # node's predecessors and the links from them
+            layers = [[tor_b]]
+            preds: dict[str, list[tuple[str, str]]] = {}
+            while layers[-1] != [tor_a]:
                 above = set()
-                for node in sorted(on_path, reverse=True):
-                    preds: dict[str, list[str]] = {}
-                    for peer, lid in self.neighbors(node):
-                        if depth.get(peer) == depth[node] - 1:
-                            preds.setdefault(peer, []).append(lid)
-                    above.update(preds)
-                    dag.append((node, tuple((p, tuple(preds[p])) for p in sorted(preds))))
-                on_path = above
-            cached = self._tor_dags[key] = tuple(reversed(dag))
+                for node in layers[-1]:
+                    preds[node] = sorted((peer, lid) for peer, lid in self.neighbors(node)
+                                         if depth.get(peer) == depth[node] - 1)
+                    above.update(peer for peer, _ in preds[node])
+                layers.append(sorted(above))
+            order = [node for layer in reversed(layers) for node in layer]
+            index = {node: k for k, node in enumerate(order)}
+            cached = self._dags[key] = tuple(
+                tuple((index[peer], lid) for peer, lid in preds[node]) for node in order[1:])
         return cached
 
     def reach_paths(self, reach_a: Reach, reach_b: Reach) -> tuple[tuple[str, ...], ...]:
@@ -653,8 +667,11 @@ def load_topology(path: str) -> Topology:
     switches = []
     for i, rec in enumerate(doc["switches"]):
         try:
-            switches.append(Switch(id=str(rec["id"]), level=int(rec["level"]),
-                                   boundary_override=rec.get("boundary_override")))
+            sid, override = str(rec["id"]), rec.get("boundary_override")
+            if override is not None and not isinstance(override, bool):
+                raise TopologyError(f"{path}: switches[{i}] ({sid}): boundary_override must "
+                                    f"be true, false or null, got {override!r}")
+            switches.append(Switch(id=sid, level=int(rec["level"]), boundary_override=override))
         except (KeyError, TypeError, ValueError) as exc:
             raise TopologyError(f"{path}: switches[{i}]: {exc}") from exc
 
@@ -664,7 +681,11 @@ def load_topology(path: str) -> Topology:
             cap = float(rec["capacity_mbps"])
             free = float(rec.get("free_mbps", cap))
             a, b = str(rec["a"]), str(rec["b"])
-            links.append(Link(id=rec.get("id", f"{a}-{b}"), a=a, b=b, capacity=cap, free=free))
+            lid = rec.get("id", f"{a}-{b}")
+            if isinstance(lid, bool) or not isinstance(lid, (str, int, float)):
+                raise TopologyError(f"{path}: links[{i}] ({a}-{b}): id must be a string or "
+                                    f"a number, got {lid!r}")
+            links.append(Link(id=str(lid), a=a, b=b, capacity=cap, free=free))
         except TopologyError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

@@ -11,10 +11,11 @@ from dcfrag.metrics import MultiRequest
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
                               reserve_traffic)
-from dcfrag.topology import (Host, Link, ResourceVector, Switch, Topology, build_clos,
+from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology, build_clos,
                              build_tree, load_topology)
 from dcfrag.workload import (VM, Application, generate_workload, load_workload,
                              representative_request)
+from test_topology import as_topology, leveled_fabrics
 
 UNIFIED, LOCAL = SchemeConfig(scheme="UNIFIED"), SchemeConfig(scheme="LOCAL")
 
@@ -61,6 +62,17 @@ class TestBalPack:
             state.host_free[h] = ResourceVector(0.4, 1.0, 1.0)
         vm = VM(id="v", demand=ResourceVector(0.5, 0.1, 0.1))
         assert bal_pack(state, vm, reaches[0]) is None
+
+    def test_score_tie_goes_to_the_smallest_id_in_any_host_order(self):
+        # a hand-built reach may list its hosts in any order
+        state, _ = tree_state()
+        vm = VM(id="v", demand=ResourceVector(0.2, 0.2, 0.2))
+        for order in itertools.permutations(("h0", "h1", "h2", "h3")):
+            assert bal_pack(state, vm, Reach("r", order, ("t0", "t1"))) == "h0", order
+        # h0 now ends less balanced than the three tied hosts
+        state.host_free["h0"] = ResourceVector(0.5, 1.0, 1.0)
+        for order in itertools.permutations(("h0", "h1", "h2", "h3")):
+            assert bal_pack(state, vm, Reach("r", order, ("t0", "t1"))) == "h1", order
 
     def test_fit_rule_matches_the_ledger_at_large_capacities(self):
         # h0's used amounts dwarf _EPS, so cap - free + need rounds back to
@@ -118,6 +130,41 @@ def _bal_pack_by_get(state, vm, reach):
             if best is None or (score, host_id) < best:
                 best = (score, host_id)
     return best[1] if best else None
+
+
+class TestReserveEdge:
+    @settings(max_examples=200, deadline=None)
+    @given(leveled_fabrics, st.data())
+    def test_reserves_along_the_route_or_changes_nothing(self, fabric, data):
+        # frees and sizes within _EPS of each other make exact fits common
+        t = as_topology(fabric)
+        state = PlacementState(t)
+        for lid in sorted(t.links):
+            state.link_free[lid] = data.draw(st.sampled_from([0.0, 0.25, 0.5 - 1e-10, 0.5, 1.0]))
+        bw = data.draw(st.sampled_from([0.25, 0.5, 0.5 + 1e-10, 0.75]))
+        a, b = data.draw(st.lists(st.sampled_from(sorted(t.hosts)), min_size=2, max_size=2,
+                                  unique=True))
+        state.assignments[("app", "x")] = a
+        state.assignments[("app", "y")] = b
+        path = t.route(a, b, state.link_free)
+        before = state.snapshot()
+        frees = before[1]
+        short = [lid for lid in path if frees[lid] + 1e-9 < bw]
+        with state.transaction():
+            try:
+                state.reserve_edge("app", "y", "x", bw)
+            except CapacityError as exc:
+                assert short, "a fitting edge was refused"
+                assert (exc.entity, exc.entity_id, exc.dimension) == ("link", short[0], "bw")
+                assert str(exc) == f"link {short[0]} bw: need {bw:g}, free {frees[short[0]]:g}"
+                assert state.snapshot() == before
+            else:
+                assert not short, "a short link was overdrawn"
+                assert state.reservations == {("app", "x", "y"): (path, bw)}
+                assert state.link_free == {lid: free - bw if lid in path else free
+                                           for lid, free in frees.items()}
+        # left uncommitted, the transaction puts back every value it replaced
+        assert state.snapshot() == before
 
 
 class TestReserveTraffic:

@@ -397,6 +397,36 @@ def bfs_route(t, host_a, host_b, link_free=None):
     return tuple(reversed(path))
 
 
+def reference_shortest_paths(t, host_a, host_b):
+    """Reference for Topology.shortest_paths: every shortest path over the
+    whole fabric from the smaller host id, found by BFS depths and a walk
+    back from the other host. They are sorted as the TOR pair's DAG lists
+    them: by the switches between the two TORs from the far end back, then
+    by the links in path order."""
+    src, dst = sorted((host_a, host_b))
+    depth = {src: 0}
+    frontier = [src]
+    while dst not in depth:
+        nxt = []
+        for node in frontier:
+            for peer, _ in t.neighbors(node):
+                if peer not in depth:
+                    depth[peer] = depth[node] + 1
+                    nxt.append(peer)
+        frontier = nxt
+
+    def back(node):  # (nodes, links) of every shortest src -> node path
+        if node == src:
+            return [((src,), ())]
+        return [(nodes + (node,), links + (lid,))
+                for peer, lid in t.neighbors(node) if depth.get(peer) == depth[node] - 1
+                for nodes, links in back(peer)]
+
+    # nodes run src, its TOR, the switches between, the other TOR, dst
+    ordered = sorted(back(dst), key=lambda path: (path[0][-3:1:-1], path[1]))
+    return [links for _, links in ordered]
+
+
 class TestRouteMatchesBFS:
     @settings(max_examples=200, deadline=None)
     @given(leveled_fabrics, st.data())
@@ -430,6 +460,19 @@ class TestRouteMatchesBFS:
         assert t.route("h2", "h1", {**full, "a": 0.9, "b": 0.2}) == ("h1-t0", "a", "c", "h2-t1")
         assert t.route("h0", "h2", {**full, "a": 0.5, "b": 0.5}) == ("h0-t0", "a", "c", "h2-t1")
         assert t.route("h0", "h2") == ("h0-t0", "a", "c", "h2-t1")
+
+    @settings(max_examples=200, deadline=None)
+    @given(leveled_fabrics, st.data())
+    def test_shortest_paths_equal_a_reference_enumeration(self, fabric, data):
+        t = as_topology(fabric)
+        hosts = sorted(t.hosts)
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(hosts), st.sampled_from(hosts))
+                                   .filter(lambda p: p[0] != p[1]), min_size=1, max_size=6))
+        for a, b in pairs:
+            paths = t.shortest_paths(a, b)
+            assert paths == reference_shortest_paths(t, a, b)
+            assert t.shortest_paths(b, a) == paths
+            assert paths[0] == t.route(a, b)
 
     def test_unroutable_pairs_raise(self):
         # a checked fabric routes every pair of distinct hosts
@@ -493,6 +536,34 @@ class TestLoader:
         doc["switches"][0]["boundary_override"] = True
         t = load_topology(self.write(tmp_path, doc))
         assert find_boundary_switches(t) == {"s1"}
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, [True]])
+    def test_boundary_override_must_be_a_boolean_or_null(self, tmp_path, value):
+        # the string "false" is truthy, so it once pinned s1 as a boundary
+        doc = self.doc()
+        doc["switches"][0]["boundary_override"] = value
+        with pytest.raises(TopologyError, match=r"switches\[0\] \(s1\): boundary_override "
+                                                r"must be true, false or null, got "):
+            load_topology(self.write(tmp_path, doc))
+        for value, boundary in ((None, {"s1"}), (False, set())):
+            doc["switches"][0]["boundary_override"] = value
+            assert find_boundary_switches(load_topology(self.write(tmp_path, doc))) == boundary
+
+    @pytest.mark.parametrize("value", [[0], {"x": 1}, True, None])
+    def test_link_id_must_be_a_string_or_a_number(self, tmp_path, value):
+        doc = self.doc()
+        doc["links"][1]["id"] = value
+        with pytest.raises(TopologyError, match=r"links\[1\] \(h1-s1\): id must be a "
+                                                r"string or a number, got "):
+            load_topology(self.write(tmp_path, doc))
+
+    def test_numeric_link_ids_become_strings(self, tmp_path):
+        doc = self.doc()
+        for i, link in enumerate(doc["links"]):
+            link["id"] = i + 0.5 if i % 2 else i
+        t = load_topology(self.write(tmp_path, doc))
+        assert sorted(t.links) == ["0", "1.5", "2", "3.5"]
+        assert t.hosts["h1"].uplink == "1.5"
 
     def test_garbage_json_rejected(self, tmp_path):
         path = tmp_path / "topo.json"
