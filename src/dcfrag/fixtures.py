@@ -17,20 +17,13 @@ UNIT_REF = Reference(host=UNIT, link=1.0)
 
 
 def fig3_state() -> PlacementState:
-    """Three partially loaded hosts on one switch.
+    """Three partially loaded hosts on one switch, plus a fully used fourth.
 
-    Memory frees {0.2, 0.5, 0.5} with CPU frees {0.35, 0.6, 0.3}: one
+    Memory frees {0.2, 0.5, 0.5, 0} with CPU frees {0.35, 0.6, 0.3, 0}: one
     multirequest of (cpu 0.4, mem 0.25) fits, four memory-only requests of
     0.25 do.
     """
-    frees = [(0.35, 0.2), (0.6, 0.5), (0.3, 0.5)]
-    hosts = [
-        Host(id=f"h{i + 1}", capacity=UNIT, free=ResourceVector(cpu, mem, 1.0))
-        for i, (cpu, mem) in enumerate(frees)
-    ]
-    switches = [Switch(id="s1", level=0)]
-    links = [Link(id=f"{h.id}-s1", a=h.id, b="s1", capacity=1.0, free=1.0) for h in hosts]
-    return PlacementState(Topology(hosts, switches, links, UNIT_REF))
+    return PlacementState(fig3_like_topology())
 
 
 def fig3_like_topology() -> Topology:

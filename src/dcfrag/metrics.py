@@ -242,19 +242,15 @@ def _paths_bandwidth(paths, link_free: dict, ref_link: float) -> float:
     return total / ref_link
 
 
-def path_bandwidth(t: Topology, reach_i: Reach, reach_j: Reach,
-                   link_free: dict | None = None) -> float:
+def path_bandwidth(t: Topology, reach_i: Reach, reach_j: Reach, link_free: dict) -> float:
     """Bandwidth between two reaches over link-disjoint shortest paths.
 
-    Each path contributes its bottleneck free capacity; for a tree this is
-    the single path's bottleneck. link_free defaults to the topology's own
-    link frees. The RRF walk reads the same sum from its reach_pairs rows
-    through _paths_bandwidth, so this public entry serves the other callers.
+    Each path contributes its bottleneck free capacity in link_free; for a
+    tree this is the single path's bottleneck. The RRF walk and UNIFIED's
+    spill choice read the same sum through _paths_bandwidth.
     """
     if reach_i.id == reach_j.id:
         raise ValueError("reach pair must be distinct")
-    if link_free is None:
-        link_free = {lid: l.free for lid, l in t.links.items()}
     return _paths_bandwidth(t.reach_paths(reach_i, reach_j), link_free, t.reference.link)
 
 
@@ -270,15 +266,6 @@ def _consume_paths(paths, link_free: dict, remaining: float) -> None:
         for lid in path:
             link_free[lid] -= take
         remaining -= take
-
-
-def reach_distance(t: Topology, reach_i: Reach, reach_j: Reach) -> int:
-    """Hop distance between two reaches' boundary switch sets.
-
-    The first cached reach path comes from a multi-source BFS over the
-    switch-only graph, so its length is the minimum switch-to-switch distance.
-    """
-    return len(t.reach_paths(reach_i, reach_j)[0])
 
 
 def _pair_order(state) -> list[tuple]:
@@ -403,12 +390,13 @@ def placeable_in_reach(state, reach: Reach, req: MultiRequest) -> int:
     """Placeable count for a single reach, used to rank reaches by load.
 
     Pairs counts when the request has a network component; otherwise the
-    hosts are independent and the per-host counts simply add up.
+    hosts are independent and the per-host counts simply add up. A request
+    of nothing ranks every reach alike: its count is 0.
     """
     if req.nw > 0:
         return _pair_reduce(_host_counts(state, reach.hosts, req))[0]
     if not req.nonzero_dims():
-        raise ValueError("request has no nonzero dimensions")
+        return 0
     return sum(n for n, _ in _host_counts(state, reach.hosts, req))
 
 

@@ -16,8 +16,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from . import metrics
-from .metrics import MultiRequest, placeable_in_reach
+from .metrics import MultiRequest, _paths_bandwidth, placeable_in_reach
 from .topology import Reach, ResourceVector, Topology
 from .workload import Application, VM, representative_request
 
@@ -139,6 +138,10 @@ class PlacementState:
     # -- guarded commits -------------------------------------------------------
 
     def register_app(self, app: Application) -> None:
+        """Enter the app in the ledger; its assignments and reservations are
+        keyed by its id, so an id the ledger already holds is refused."""
+        if app.id in self.apps:
+            raise ValueError(f"app id {app.id!r} is already in the ledger")
         self._write(self.apps, app.id, app)
 
     def assign_vm(self, app_id: str, vm: VM, host_id: str) -> None:
@@ -151,16 +154,6 @@ class PlacementState:
             raise CapacityError("host", host_id, "nic", need.nic, free.nic)
         self._write(self.host_free, host_id, free - need)
         self._write(self.assignments, (app_id, vm.id), host_id)
-
-    def reserve_edge(self, app_id: str, vm_a: str, vm_b: str, bw: float) -> None:
-        """Route one traffic edge on the deterministic widest-shortest path
-        and reserve its bandwidth."""
-        host_a = self.assignments[(app_id, vm_a)]
-        host_b = self.assignments[(app_id, vm_b)]
-        if host_a == host_b:
-            raise ValueError("co-located pairs carry no reservation")
-        key = (app_id, vm_a, vm_b) if vm_a < vm_b else (app_id, vm_b, vm_a)
-        self._reserve(key, host_a, host_b, bw)
 
     def _reserve(self, key: tuple[str, str, str], host_a: str, host_b: str,
                  bw: float) -> None:
@@ -182,9 +175,6 @@ class PlacementState:
                 journal.append((link_free, lid, free))
             link_free[lid] = free - bw
         self._write(self.reservations, key, (path, bw))
-
-    def host_ids(self) -> tuple[str, ...]:
-        return self.topology.host_ids
 
     # -- validation --------------------------------------------------------------
 
@@ -296,12 +286,13 @@ def best_sibling_reach(state: PlacementState, reaches: tuple[Reach, ...], tried:
     if not candidates:
         return None
     hosting = [r for r in reaches if app_hosts & set(r.hosts)]
+    t = state.topology
 
     def key(r: Reach):
         if hosting:
-            dist = min(metrics.reach_distance(state.topology, r, h) for h in hosting)
-            bw = max(metrics.path_bandwidth(state.topology, r, h, state.link_free)
-                     for h in hosting)
+            paths = [t.reach_paths(r, h) for h in hosting]
+            dist = min(len(p[0]) for p in paths)  # a pair's distance: its first path's length
+            bw = max(_paths_bandwidth(p, state.link_free, t.reference.link) for p in paths)
         else:
             dist, bw = 0.0, 0.0
         return (dist, -bw, -placeable_in_reach(state, r, req), r.id)
@@ -310,8 +301,8 @@ def best_sibling_reach(state: PlacementState, reaches: tuple[Reach, ...], tried:
 
 
 def _reach_gain(app: Application, vm_id: str, in_reach: set, unplaced: set) -> float:
-    """app.bw_to(vm_id, in_reach) - app.bw_to(vm_id, unplaced), from one pass
-    over the VM's traffic row: each sum adds the same terms in the same order."""
+    """The VM's traffic to in_reach less its traffic to unplaced, both summed
+    in the order of its traffic row, in one pass over it."""
     got = lost = 0
     for peer, bw in app.peers(vm_id).items():
         if peer in in_reach:
@@ -391,7 +382,7 @@ def _place_local(state: PlacementState, app: Application, config: SchemeConfig,
         norm = v.demand.normalized(ref.host)
         return max(norm.cpu, norm.mem, norm.nic)
 
-    hosts, host_free = state.host_ids(), state.host_free
+    hosts, host_free = state.topology.host_ids, state.host_free
     for vm in sorted(app.vms, key=lambda v: (-size(v), v.id)):
         need = vm.demand
         n_cpu, n_mem, n_nic = need.cpu, need.mem, need.nic
@@ -457,7 +448,7 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
     slots = config.netw_slots_per_host
     used = Counter(state.assignments.values())
 
-    units = [(h,) for h in state.host_ids()]
+    units = [(h,) for h in t.host_ids]
     units += [t.hosts_below[s.id] for s in sorted(t.switches.values(),
                                                   key=lambda s: (s.level, s.id))]
 

@@ -50,9 +50,6 @@ class ResourceVector:
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(self.cpu - other.cpu, self.mem - other.mem, self.nic - other.nic)
 
-    def scaled(self, factor: float) -> "ResourceVector":
-        return ResourceVector(self.cpu * factor, self.mem * factor, self.nic * factor)
-
     def normalized(self, ref: "ResourceVector") -> "ResourceVector":
         return ResourceVector(self.cpu / ref.cpu, self.mem / ref.mem, self.nic / ref.nic)
 
@@ -153,10 +150,6 @@ class ReachPair(NamedTuple):
     i: int
     j: int
     paths: tuple[tuple[str, ...], ...]
-
-
-def _unlimited(lid: str, default: float) -> float:
-    return math.inf
 
 
 class Topology:
@@ -271,7 +264,7 @@ class Topology:
         smallest predecessor id, then its first such link. On multipath
         fabrics this spreads routed reservations across the equal-cost
         middle switches instead of stacking them on one. Without link_free
-        every width is infinite, so node ids alone decide.
+        every free counts 0, all widths tie, and node ids alone decide.
         """
         if host_a == host_b:
             raise ValueError("route endpoints must differ")
@@ -281,7 +274,7 @@ class Topology:
         if tor_src == tor_dst:
             return (up_src, up_dst)
         dag = self._compiled_dag(tor_src, tor_dst)
-        free = _unlimited if link_free is None else link_free.get
+        free = (link_free or {}).get
         widths = [free(up_src, 0.0)]  # by node index; tor_src is 0
         via = [None]
         for preds in dag:

@@ -87,10 +87,6 @@ class Application:
     def total_traffic(self, vm_id: str) -> float:
         return sum(self._peers.get(vm_id, {}).values())
 
-    def bw_to(self, vm_id: str, group) -> float:
-        """Bandwidth between one VM and the members of a VM group."""
-        return sum(bw for peer, bw in self._peers.get(vm_id, {}).items() if peer in group)
-
 
 def validate_application(a: Application) -> None:
     ids = set()
@@ -254,8 +250,8 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
 def load_workload(path: str, reference: Reference) -> list[Application]:
     """Load applications from a JSON document (schema documented in the README).
 
-    Edges are declared once per pair and symmetrized; a VM's NIC demand
-    defaults to the sum of its traffic rows when absent.
+    App ids are unique. Edges are declared once per pair and symmetrized; a
+    VM's NIC demand defaults to the sum of its traffic rows when absent.
     """
     with open(path) as fh:
         try:
@@ -266,12 +262,16 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
         raise WorkloadError(f"{path}: missing top-level 'apps' list")
 
     apps = []
+    seen: set[str] = set()
     for ai, rec in enumerate(doc["apps"]):
         where = f"{path}: apps[{ai}]"
         try:
             app_id = str(rec["id"])
         except (KeyError, TypeError) as exc:
             raise WorkloadError(f"{where}: missing id ({exc})") from exc
+        if app_id in seen:
+            raise WorkloadError(f"{where}: duplicate app id {app_id!r}")
+        seen.add(app_id)
         vm_recs, edge_recs = rec.get("vms", []), rec.get("edges", [])
         if not isinstance(vm_recs, list) or not isinstance(edge_recs, list):
             raise WorkloadError(f"{where} ({app_id}): 'vms' and 'edges' must be lists")

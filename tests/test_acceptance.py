@@ -111,7 +111,7 @@ def test_criterion_5_fig1_divergence():
     greedy_state.register_app(app)
     try:
         for (x, y), bw in sorted(app.traffic.items(), key=lambda kv: -kv[1]):
-            target = next(h for h in greedy_state.host_ids()
+            target = next(h for h in greedy_state.topology.host_ids
                           if greedy_state.host_free[h].nic >= 2 * bw)
             greedy_state.assign_vm(app.id, app.vm(x), target)
             greedy_state.assign_vm(app.id, app.vm(y), target)

@@ -193,6 +193,8 @@ class TestBadFileShapes:
                      "apps[0]: vms[0]: expected an object, got 5", id="vm-int"),
         pytest.param("workload", _shaped(_WL, ("apps", 0, "edges"), 5),
                      "apps[0] (a): 'vms' and 'edges' must be lists", id="edges-int"),
+        pytest.param("workload", {"apps": _WL["apps"] * 2},
+                     "apps[1]: duplicate app id 'a'", id="duplicate-app-id"),
         pytest.param("topology", 5, "expected a JSON object at the top level",
                      id="topology-int"),
         pytest.param("topology", _shaped(_TOPO, ("hosts",), [5]),

@@ -11,7 +11,7 @@ from dcfrag.fixtures import (FIG4_REQUEST, UNIT, UNIT_REF, category_rrf_request,
                              category_topology, fig3_state, fig4_state)
 from dcfrag.metrics import MultiRequest
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig,
-                              place_application)
+                              place_application, reserve_traffic)
 from dcfrag.topology import (Host, Link, ResourceVector, Switch, Topology,
                              build_clos, build_tree)
 from dcfrag.workload import VM, Application
@@ -257,10 +257,11 @@ class TestReachDistance:
                         ("line", three_reach_line().topology)):
             reaches = t.reaches
             pairs = [(ri, rj) for i, ri in enumerate(reaches) for rj in reaches[i + 1:]]
-            got = [M.reach_distance(t, ri, rj) for ri, rj in pairs]
+            distance = {(reaches[p.i], reaches[p.j]): p.distance for p in t.reach_pairs}
+            got = [distance[pair] for pair in pairs]
             assert got == [_bfs_reach_distance(t, ri, rj) for ri, rj in pairs]
             assert got == expected[name]
-            assert got == [M.reach_distance(t, rj, ri) for ri, rj in pairs]
+            assert got == [len(t.reach_paths(rj, ri)[0]) for ri, rj in pairs]
 
 
 def _replay_walk(t, reaches, residuals, link_free, fit, unit):
@@ -277,7 +278,7 @@ def _replay_walk(t, reaches, residuals, link_free, fit, unit):
     pairs = [(ri, rj) for i, ri in enumerate(reaches) for rj in reaches[i + 1:]]
     total = 0
     while pairs:
-        ri, rj = min(pairs, key=lambda p: (M.reach_distance(t, p[0], p[1]),
+        ri, rj = min(pairs, key=lambda p: (_bfs_reach_distance(t, p[0], p[1]),
                                            -M.path_bandwidth(t, p[0], p[1], link_free),
                                            p[0].id, p[1].id))
         pairs.remove((ri, rj))
@@ -417,7 +418,7 @@ class TestPairWalk:
     def test_reach_pairs_is_the_rescan_pair_list(self, state):
         t = state.topology
         ordered = sorted(t.reaches, key=lambda r: r.hosts)
-        want = sorted((M.reach_distance(t, ri, rj), ri.id, rj.id, ri, rj)
+        want = sorted((_bfs_reach_distance(t, ri, rj), ri.id, rj.id, ri, rj)
                       for i, ri in enumerate(ordered) for rj in ordered[i + 1:])
         assert [(p.distance, ordered[p.i].id, ordered[p.j].id, ordered[p.i], ordered[p.j])
                 for p in t.reach_pairs] == want
@@ -506,13 +507,13 @@ class TestPathBandwidth:
     def test_fig4_single_path(self):
         state = fig4_state()
         r0, r1 = state.topology.reaches
-        assert M.path_bandwidth(state.topology, r0, r1) == pytest.approx(0.5)
+        assert M.path_bandwidth(state.topology, r0, r1, state.link_free) == pytest.approx(0.5)
 
     def test_same_reach_rejected(self):
         state = fig4_state()
         r0, _ = state.topology.reaches
         with pytest.raises(ValueError):
-            M.path_bandwidth(state.topology, r0, r0)
+            M.path_bandwidth(state.topology, r0, r0, state.link_free)
 
     def test_disjoint_equal_length_paths_add_up(self):
         hosts, links = [], []
@@ -530,7 +531,7 @@ class TestPathBandwidth:
         ]
         t = Topology(hosts, switches, links, UNIT_REF)
         r0, r1 = t.reaches
-        got = M.path_bandwidth(t, r0, r1)
+        got = M.path_bandwidth(t, r0, r1, PlacementState(t).link_free)
         assert got == pytest.approx(0.7)
         assert got == pytest.approx(_max_flow(t, set(r0.switches), set(r1.switches)))
 
@@ -795,7 +796,8 @@ class TestInvariants:
         base = fig4_state()
         smaller = fig4_state()
         for h in smaller.host_free:
-            smaller.host_free[h] = smaller.host_free[h].scaled(0.5)
+            free = smaller.host_free[h]
+            smaller.host_free[h] = ResourceVector(free.cpu / 2, free.mem / 2, free.nic / 2)
         for dim, size in (("cpu", 0.2), ("mem", 0.2)):
             n_base = M.fragmentation_index(base, MultiRequest(**{dim: size})).placeable_multi
             n_small = M.fragmentation_index(smaller, MultiRequest(**{dim: size})).placeable_multi
@@ -1006,8 +1008,7 @@ class TestReachMemo:
                     try:
                         state.assign_vm(app.id, app.vm("v0"), host_a)
                         state.assign_vm(app.id, app.vm("v1"), host_b)
-                        if host_a != host_b:
-                            state.reserve_edge(app.id, "v0", "v1", app.traffic[("v0", "v1")])
+                        reserve_traffic(state, app)
                     except CapacityError:
                         pass
                     self.check(states, requests)  # the memo now holds values the abort undoes

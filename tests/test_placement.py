@@ -16,6 +16,7 @@ from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology
 from dcfrag.workload import (VM, Application, generate_workload, load_workload,
                              representative_request)
 from test_topology import as_topology, leveled_fabrics
+from test_workload import bw_to
 
 UNIFIED, LOCAL = SchemeConfig(scheme="UNIFIED"), SchemeConfig(scheme="LOCAL")
 
@@ -133,6 +134,8 @@ def _bal_pack_by_get(state, vm, reach):
 
 
 class TestReserveEdge:
+    """One edge through reserve_traffic, the one way to reserve."""
+
     @settings(max_examples=200, deadline=None)
     @given(leveled_fabrics, st.data())
     def test_reserves_along_the_route_or_changes_nothing(self, fabric, data):
@@ -144,6 +147,8 @@ class TestReserveEdge:
         bw = data.draw(st.sampled_from([0.25, 0.5, 0.5 + 1e-10, 0.75]))
         a, b = data.draw(st.lists(st.sampled_from(sorted(t.hosts)), min_size=2, max_size=2,
                                   unique=True))
+        app = Application(id="app", vms=(VM("x", UNIT), VM("y", UNIT)),
+                          traffic={("x", "y"): bw}, reference=t.reference)
         state.assignments[("app", "x")] = a
         state.assignments[("app", "y")] = b
         path = t.route(a, b, state.link_free)
@@ -152,7 +157,7 @@ class TestReserveEdge:
         short = [lid for lid in path if frees[lid] + 1e-9 < bw]
         with state.transaction():
             try:
-                state.reserve_edge("app", "y", "x", bw)
+                reserve_traffic(state, app, [(("x", "y"), bw)])
             except CapacityError as exc:
                 assert short, "a fitting edge was refused"
                 assert (exc.entity, exc.entity_id, exc.dimension) == ("link", short[0], "bw")
@@ -341,7 +346,7 @@ def _unified_rescanning_gains(state, app, config, reaches):
     last_failure = "no reach could take the first VM"
     while True:
         reach_hosts = set(reach.hosts)
-        vm_id = min(unplaced, key=lambda v: (-app.bw_to(v, unplaced), v))
+        vm_id = min(unplaced, key=lambda v: (-bw_to(app, v, unplaced), v))
         while True:
             host = placement.bal_pack(state, app.vm(vm_id), reach)
             if host is None:
@@ -362,7 +367,7 @@ def _unified_rescanning_gains(state, app, config, reaches):
             in_reach = {v for v in app.vm_ids()
                         if state.assignments.get((app.id, v)) in reach_hosts}
             vm_id = min(unplaced,
-                        key=lambda v: (-(app.bw_to(v, in_reach) - app.bw_to(v, unplaced)), v))
+                        key=lambda v: (-(bw_to(app, v, in_reach) - bw_to(app, v, unplaced)), v))
         sibling = placement.best_sibling_reach(state, reaches, tried, placed_hosts, req)
         if sibling is None:
             return last_failure
@@ -646,7 +651,8 @@ class TestReservedPaths:
 def ledger_runs(draw):
     """A small oversubscribed tree or CLOS fabric, one scheme, and a sequence
     of apps. Host uplinks are tight, so a VM's edges can exhaust one part-way
-    and UNIFIED then spills to a sibling reach, sometimes successfully."""
+    and UNIFIED then spills to a sibling reach, sometimes successfully. VMs
+    may need no cpu or mem, and now and then an app reuses an earlier id."""
     if draw(st.booleans()):
         t = build_tree(draw(st.sampled_from([2, 4])), 2, UNIT, 1.0, oversub_ratio=2.0)
     else:
@@ -664,10 +670,13 @@ def ledger_runs(draw):
             bw = draw(st.sampled_from([0.0, 0.1, 0.2, 0.3]))
             if bw:
                 traffic[pair] = bw
-        size = st.sampled_from([0.1, 0.2, 0.4])
+        size = st.sampled_from([0.0, 0.1, 0.2, 0.4])
         demands = {v: (draw(size), draw(size),
                        sum(bw for pair, bw in traffic.items() if v in pair)) for v in ids}
-        apps.append(tree_app(demands, traffic, t, app_id=f"a{i}"))
+        app_id = f"a{i}"
+        if i and draw(st.integers(0, 3)) == 0:
+            app_id = f"a{draw(st.integers(0, i - 1))}"
+        apps.append(tree_app(demands, traffic, t, app_id=app_id))
     return t, cfg, apps
 
 
@@ -679,6 +688,11 @@ class TestLedgerProperties:
         state = PlacementState(t)
         for app in apps:
             before = state.snapshot()
+            if app.id in state.apps:  # the ledger keys its entries by app id
+                with pytest.raises(ValueError, match="already in the ledger"):
+                    place_application(state, app, cfg)
+                assert state.snapshot() == before and state.validate() == []
+                continue
             out = place_application(state, app, cfg)
             assert state.validate() == []
             if not out.ok:
@@ -693,7 +707,7 @@ class TestLedgerProperties:
         t, _, apps = run
         state = PlacementState(t)
         for app in apps:
-            if place_application(state, app, UNIFIED).ok:
+            if app.id not in state.apps and place_application(state, app, UNIFIED).ok:
                 reservations, link_free = dict(state.reservations), dict(state.link_free)
                 reserve_traffic(state, app)
                 assert state.reservations == reservations and state.link_free == link_free
@@ -722,7 +736,7 @@ class TestFig1SchemeDivergence:
         with pytest.raises(CapacityError, match="host"):
             for (x, y), bw in pairs:
                 target = None
-                for host in state.host_ids():
+                for host in state.topology.host_ids:
                     if state.host_free[host].nic >= 2 * bw:
                         target = host
                         break

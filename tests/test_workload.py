@@ -52,9 +52,15 @@ class TestRepresentativeRequest:
                 f"{dim} mean {mean:.1f} not within 3 standard errors of {target}"
 
 
+def bw_to(app, vm_id, group):
+    """Reference: bandwidth between one VM and the members of a VM group,
+    summed in the order of the VM's traffic row."""
+    return sum(bw for peer, bw in app.peers(vm_id).items() if peer in group)
+
+
 def bw_between(app, xs, ys):
-    """Bandwidth between two disjoint VM groups, summed over Application.bw_to."""
-    return sum(app.bw_to(x, ys) for x in sorted(xs))
+    """Bandwidth between two disjoint VM groups, summed over bw_to."""
+    return sum(bw_to(app, x, ys) for x in sorted(xs))
 
 
 class TestBwBetween:
@@ -107,7 +113,7 @@ class TestTrafficIndex:
             assert app.vm(v.id) is v
             assert app.total_traffic(v.id) == sum(
                 bw for (a, b), bw in app.traffic.items() if v.id in (a, b))
-            assert app.bw_to(v.id, group) == sum(
+            assert bw_to(app, v.id, group) == sum(
                 bw for (a, b), bw in app.traffic.items()
                 if (a == v.id and b in group) or (b == v.id and a in group))
 
