@@ -33,9 +33,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .topology import Reach, Topology
+from .topology import _EPS, Reach, Topology
 
-_EPS = 1e-9
 _PAIR_ORDER = "pair order"  # the reach_memo key of _walk_between's sorted rows
 _ORACLE_CAP = 12  # placements brute_force_placeable searches up to
 
@@ -103,7 +102,7 @@ def _local_free(state, host_id: str, kind: str) -> float:
 def nic_free(state, host_id: str) -> float:
     """Normalized free bandwidth at the host's uplink."""
     t = state.topology
-    return state.link_free[t.hosts[host_id].uplink] / t.reference.link
+    return state.link_free[t.host_ports[host_id][0]] / t.reference.link
 
 
 # -- host-local metrics --------------------------------------------------------
@@ -128,7 +127,7 @@ def _host_counts(state, host_ids, req: MultiRequest) -> list[tuple[int, str]]:
     order: the min over req's nonzero dimensions of fit_count on the host's
     normalized free, the NIC read from the host's uplink free."""
     t = state.topology
-    host_free, link_free, hosts, ref = state.host_free, state.link_free, t.hosts, t.reference
+    host_free, link_free, ports, ref = state.host_free, state.link_free, t.host_ports, t.reference
     cpu, mem, nw = req.cpu, req.mem, req.nw
     ref_cpu, ref_mem, ref_link = ref.host.cpu, ref.host.mem, ref.link
     counts = []
@@ -144,7 +143,7 @@ def _host_counts(state, host_ids, req: MultiRequest) -> list[tuple[int, str]]:
             if m < n:
                 n = m
         if nw > 0:
-            x = link_free[hosts[h].uplink] / ref_link
+            x = link_free[ports[h][0]] / ref_link
             m = int(x / nw + _EPS) if x > 0 else 0
             if m < n:
                 n = m
@@ -249,8 +248,6 @@ def path_bandwidth(t: Topology, reach_i: Reach, reach_j: Reach, link_free: dict)
     tree this is the single path's bottleneck. The RRF walk and UNIFIED's
     spill choice read the same sum through _paths_bandwidth.
     """
-    if reach_i.id == reach_j.id:
-        raise ValueError("reach pair must be distinct")
     return _paths_bandwidth(t.reach_paths(reach_i, reach_j), link_free, t.reference.link)
 
 
@@ -476,7 +473,7 @@ def brute_force_placeable(state, req: MultiRequest) -> int:
     def upper_bound() -> int:
         caps = []
         for h in hosts:
-            per = [fit_count(link[t.hosts[h].uplink], req.nw)]
+            per = [fit_count(link[t.host_ports[h][0]], req.nw)]
             if req.cpu > 0:
                 per.append(fit_count(cpu[h], req.cpu))
             if req.mem > 0:

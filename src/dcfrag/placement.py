@@ -17,10 +17,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .metrics import MultiRequest, _paths_bandwidth, placeable_in_reach
-from .topology import Reach, ResourceVector, Topology
+from .topology import _EPS, Reach, ResourceVector, Topology
 from .workload import Application, VM, representative_request
 
-_EPS = 1e-9
 _ABSENT = object()  # journal marker: the key was not in the table
 
 SCHEMES = ("UNIFIED", "LOCAL", "NETW")
@@ -433,9 +432,10 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
                 reaches: tuple[Reach, ...]) -> str | None:
     """Virtual-cluster placement: slots only, scanned bottom-up.
 
-    The app is a hose <N VMs, B = mean per-VM bandwidth>. Hosts are scanned
-    first, then switch subtrees level by level; the first unit with enough
-    free slots whose greedy fill passes the hose check takes the whole app.
+    The app is a hose <N VMs, B = mean per-VM bandwidth>. The units of
+    topology.subtrees are scanned in order, hosts first, then the distinct
+    switch subtrees level by level; the first unit with enough free slots
+    whose greedy fill passes the hose check takes the whole app.
     A VM on a host takes one of its slots whoever placed it. Actual demands
     still commit through the guarded state, so units that would overdraw a
     host or a link are skipped.
@@ -447,13 +447,10 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
     bw = sum(app.total_traffic(v) for v in app.vm_ids()) / n_total
     slots = config.netw_slots_per_host
     used = Counter(state.assignments.values())
-
-    units = [(h,) for h in t.host_ids]
-    units += [t.hosts_below[s.id] for s in sorted(t.switches.values(),
-                                                  key=lambda s: (s.level, s.id))]
+    ports, link_free = t.host_ports, state.link_free
 
     last_failure = f"no subtree offers {n_total} slots for app {app.id}"
-    for unit_hosts in units:
+    for unit_hosts in t.subtrees:
         free_slots = {h: slots - used[h] for h in unit_hosts}
         if sum(max(0, f) for f in free_slots.values()) < n_total:
             continue
@@ -466,7 +463,7 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
             take = 0
             for m in range(want, 0, -1):
                 need = min(m, n_total - m) * bw
-                if need <= state.link_free[t.hosts[h].uplink] + _EPS:
+                if need <= link_free[ports[h][0]] + _EPS:
                     take = m
                     break
             if take:

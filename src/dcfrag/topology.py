@@ -86,7 +86,6 @@ class Host:
     id: str
     capacity: ResourceVector
     free: ResourceVector
-    uplink: str = ""
 
     def __post_init__(self):
         if not all(math.isfinite(v.get(k)) for v in (self.capacity, self.free)
@@ -157,7 +156,8 @@ class Topology:
 
     Construction raises TopologyError unless the fabric has hosts, every host
     has one link, to a level-0 switch, every link joins adjacent levels and
-    the graph is connected.
+    the graph is connected. The constructor writes nothing into the hosts,
+    switches and links it is given: a host's ports are in host_ports alone.
     """
 
     def __init__(self, hosts: list[Host], switches: list[Switch], links: list[Link],
@@ -183,14 +183,17 @@ class Topology:
         self.adjacency = {n: tuple(sorted(ids)) for n, ids in adj.items()}
         if not self.hosts:
             raise TopologyError("topology has no hosts")
+        # host id -> (its uplink, its TOR)
+        self.host_ports: dict[str, tuple[str, str]] = {}
         for h in hosts:
             deg = len(self.adjacency[h.id])
             if deg != 1:
                 raise TopologyError(f"host {h.id} has degree {deg}, expected exactly 1")
-            h.uplink = self.adjacency[h.id][0]
-            peer = self.links[h.uplink].other(h.id)
-            if peer not in self.switches or self.switches[peer].level != 0:
+            uplink = self.adjacency[h.id][0]
+            tor = self.links[uplink].other(h.id)
+            if tor not in self.switches or self.switches[tor].level != 0:
                 raise TopologyError(f"host {h.id} must attach to a level-0 switch")
+            self.host_ports[h.id] = (uplink, tor)
         for l in links:
             la, lb = self.level_of(l.a), self.level_of(l.b)
             if abs(la - lb) != 1:
@@ -233,9 +236,11 @@ class Topology:
                         if peer in self.switches and self.switches[peer].level > s.level)
             for s in switches}
         self.host_ids: tuple[str, ...] = tuple(sorted(self.hosts))
-        # host id -> (its uplink, its TOR)
-        self._host_ports: dict[str, tuple[str, str]] = {
-            h.id: (h.uplink, self.links[h.uplink].other(h.id)) for h in hosts}
+        # NETW's scan units: each host, then each switch subtree in (level, id)
+        # order, once; a CLOS pod's aggregation switches share one, as do the cores
+        self.subtrees: tuple[tuple[str, ...], ...] = tuple(dict.fromkeys(
+            [(h,) for h in self.host_ids]
+            + [self.hosts_below[s.id] for s in sorted(switches, key=lambda s: (s.level, s.id))]))
         # lazy caches; safe because the graph never changes after construction
         self._dags: dict[tuple[str, str], tuple[tuple[tuple[int, str], ...], ...]] = {}
         self._reach_paths: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
@@ -253,35 +258,32 @@ class Topology:
 
     # -- path utilities -------------------------------------------------------
 
-    def route(self, host_a: str, host_b: str,
-              link_free: dict | None = None) -> tuple[str, ...]:
+    def route(self, host_a: str, host_b: str, link_free: dict) -> tuple[str, ...]:
         """Deterministic widest-shortest path between two hosts, as link ids.
 
         The path runs from the smaller host id: its uplink, a shortest path
         between the two TORs, the other host's uplink. Among equal-length
         TOR paths each node keeps the predecessor link of widest bottleneck
-        (free capacity from link_free, 0 for a missing key), ties to the
-        smallest predecessor id, then its first such link. On multipath
-        fabrics this spreads routed reservations across the equal-cost
-        middle switches instead of stacking them on one. Without link_free
-        every free counts 0, all widths tie, and node ids alone decide.
+        (free capacity from link_free), ties to the smallest predecessor id,
+        then its first such link. On multipath fabrics this spreads routed
+        reservations across the equal-cost middle switches instead of
+        stacking them on one.
         """
         if host_a == host_b:
             raise ValueError("route endpoints must differ")
         src, dst = (host_a, host_b) if host_a < host_b else (host_b, host_a)
-        up_src, tor_src = self._host_ports[src]
-        up_dst, tor_dst = self._host_ports[dst]
+        up_src, tor_src = self.host_ports[src]
+        up_dst, tor_dst = self.host_ports[dst]
         if tor_src == tor_dst:
             return (up_src, up_dst)
         dag = self._compiled_dag(tor_src, tor_dst)
-        free = (link_free or {}).get
-        widths = [free(up_src, 0.0)]  # by node index; tor_src is 0
+        widths = [link_free[up_src]]  # by node index; tor_src is 0
         via = [None]
         for preds in dag:
             held = None
             for parent, lid in preds:
                 w = widths[parent]
-                f = free(lid, 0.0)
+                f = link_free[lid]
                 if f < w:
                     w = f
                 if held is None or w > held:
@@ -300,11 +302,11 @@ class Topology:
     def shortest_paths(self, host_a: str, host_b: str) -> list[tuple[str, ...]]:
         """Every shortest path between two hosts, as link ids from the smaller
         host id, in the order of the TOR pair's shortest-path DAG: by the
-        last hop's parent, then the parent's own paths, then the link.
-        route() checks the pair and gives its two uplinks."""
-        first = self.route(host_a, host_b)
-        tor_src = self._host_ports[min(host_a, host_b)][1]
-        tor_dst = self._host_ports[max(host_a, host_b)][1]
+        last hop's parent, then the parent's own paths, then the link."""
+        if host_a == host_b:
+            raise ValueError("route endpoints must differ")
+        up_src, tor_src = self.host_ports[min(host_a, host_b)]
+        up_dst, tor_dst = self.host_ports[max(host_a, host_b)]
         middles = [[()]]  # by node index: its paths from tor_src
         for preds in self._compiled_dag(tor_src, tor_dst):
             paths = []
@@ -312,7 +314,7 @@ class Topology:
                 lids = [lid for _, lid in group]
                 paths += [path + (lid,) for path in middles[parent] for lid in lids]
             middles.append(paths)
-        return [first[:1] + path + first[-1:] for path in middles[-1]]
+        return [(up_src,) + path + (up_dst,) for path in middles[-1]]
 
     def _compiled_dag(self, tor_a: str, tor_b: str) -> tuple[tuple[tuple[int, str], ...], ...]:
         """The shortest tor_a -> tor_b paths as a DAG in index form, cached.
@@ -395,7 +397,8 @@ class Topology:
         """Per reach of `reaches`: a getter of its hosts' entries in a
         host-keyed table and one of their uplinks' entries in a link-keyed
         table, both in reach.hosts order, computed once."""
-        return tuple((itemgetter(*r.hosts), itemgetter(*(self.hosts[h].uplink for h in r.hosts)))
+        ports = self.host_ports
+        return tuple((itemgetter(*r.hosts), itemgetter(*(ports[h][0] for h in r.hosts)))
                      for r in self.reaches)
 
     @cached_property
@@ -679,8 +682,6 @@ def load_topology(path: str) -> Topology:
                 raise TopologyError(f"{path}: links[{i}] ({a}-{b}): id must be a string or "
                                     f"a number, got {lid!r}")
             links.append(Link(id=str(lid), a=a, b=b, capacity=cap, free=free))
-        except TopologyError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise TopologyError(f"{path}: links[{i}]: {exc}") from exc
 
@@ -712,15 +713,12 @@ def load_topology(path: str) -> Topology:
                 float(rec.get("free_nic_mbps", nic_cap)),
             )
             hosts.append(Host(id=hid, capacity=cap, free=free))
-        except TopologyError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise TopologyError(f"{path}: hosts[{i}]: {exc}") from exc
 
     t = Topology(hosts, switches, links, reference)
     per_tor: dict[str, int] = {}
-    for h in hosts:
-        tor = t.links[h.uplink].other(h.id)
+    for _, tor in t.host_ports.values():
         per_tor[tor] = per_tor.get(tor, 0) + 1
     odd = sorted(tor for tor, n in per_tor.items() if n % 2 != 0)
     if odd:

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .metrics import MultiRequest
-from .topology import Reference, ResourceVector
-
-_EPS = 1e-9
+from .topology import _EPS, Reference, ResourceVector
 
 
 class WorkloadError(Exception):

@@ -35,7 +35,7 @@ def random_consumed_state(rng, topology):
     for _ in range(rng.randint(0, 12)):
         a, b = rng.sample(hosts, 2)
         bw = round(rng.uniform(0.05, 0.6), 2)
-        route = topology.route(a, b)
+        route = topology.route(a, b, dict.fromkeys(topology.links, 0.0))
         if all(state.link_free[lid] >= bw for lid in route):
             for lid in route:
                 state.link_free[lid] -= bw
@@ -600,7 +600,7 @@ def nic_edge_states(draw):
         state.host_free[h] = ResourceVector(draw(st.sampled_from([0.0, 0.3, 1.0])),
                                             draw(st.sampled_from([0.0, 0.5, 1.0])), 1.0)
         headroom = draw(st.sampled_from([0, 1, 2, 3])) * req.nw + draw(offsets)
-        state.link_free[t.hosts[h].uplink] = min(1.0, max(0.0, headroom))
+        state.link_free[t.host_ports[h][0]] = min(1.0, max(0.0, headroom))
     return state, req
 
 
@@ -689,15 +689,16 @@ class TestBruteForce:
         # consuming the inter-reach path first strands the other rack at 2
         state = fig4_state()
         t = state.topology
+        zero = dict.fromkeys(t.links, 0.0)
         placed = 0
         for _ in range(2):
-            route = t.route("h1", "h3")
+            route = t.route("h1", "h3", zero)
             if all(state.link_free[lid] >= 0.2 for lid in route):
                 for lid in route:
                     state.link_free[lid] -= 0.2
                 placed += 1
         more_possible = any(
-            all(state.link_free[lid] >= 0.2 for lid in t.route(a, b))
+            all(state.link_free[lid] >= 0.2 for lid in t.route(a, b, zero))
             for a in ("h1", "h2") for b in ("h3", "h4"))
         assert placed == 2 and not more_possible
         assert M.brute_force_placeable(fig4_state(), FIG4_REQUEST) == 3
@@ -881,7 +882,7 @@ def _recount_host(state, host_id, req):
     counts = [M.fit_count(getattr(free, dim) / getattr(ref.host, dim), getattr(req, dim))
               for dim in ("cpu", "mem") if getattr(req, dim) > 0]
     if req.nw > 0:
-        counts.append(M.fit_count(state.link_free[t.hosts[host_id].uplink] / ref.link, req.nw))
+        counts.append(M.fit_count(state.link_free[t.host_ports[host_id][0]] / ref.link, req.nw))
     return min(counts)
 
 

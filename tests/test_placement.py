@@ -1,12 +1,13 @@
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcfrag import placement
-from dcfrag.fixtures import (UNIT, UNIT_REF, category_spec, category_topology, fig1_instance,
-                             named_topology)
+from dcfrag.fixtures import (UNIT, UNIT_REF, category_eval_apps, category_spec,
+                             category_topology, fig1_instance, named_topology)
 from dcfrag.metrics import MultiRequest
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
@@ -491,7 +492,7 @@ class TestNetw:
         # hose check held pre-reservation: min(2, 2) * B per host uplink
         n, b = 4, sum(app.total_traffic(v) for v in app.vm_ids()) / 4
         for h in hosts:
-            uplink = state.topology.hosts[h].uplink
+            uplink = state.topology.host_ports[h][0]
             assert min(2, n - 2) * b <= state.topology.links[uplink].free
         assert not state.validate()
 
@@ -626,7 +627,7 @@ def check_reserved_paths(state, app):
     reserved = [(x, y, path, bw) for (a, x, y), (path, bw) in state.reservations.items()
                 if a == app.id]
     for x, y, path, bw in reserved:
-        uplinks = {t.hosts[state.assignments[(app.id, v)]].uplink for v in (x, y)}
+        uplinks = {t.host_ports[state.assignments[(app.id, v)]][0] for v in (x, y)}
         assert len(uplinks) == 2 and {path[0], path[-1]} == uplinks, (app.id, x, y, path)
         for a, b in zip(path, path[1:]):
             assert {t.links[a].a, t.links[a].b} & {t.links[b].a, t.links[b].b}, path
@@ -711,6 +712,100 @@ class TestLedgerProperties:
                 reservations, link_free = dict(state.reservations), dict(state.link_free)
                 reserve_traffic(state, app)
                 assert state.reservations == reservations and state.link_free == link_free
+
+
+def _netw_rebuilding_units(state, app, config, reaches):
+    """NETW with its former scan, kept as the reference: every attempt
+    rebuilds its unit list, each host and then every switch's subtree in
+    (level, id) order, the subtrees switches share included once per switch."""
+    t = state.topology
+    n_total = len(app.vms)
+    bw = sum(app.total_traffic(v) for v in app.vm_ids()) / n_total
+    slots = config.netw_slots_per_host
+    used = Counter(state.assignments.values())
+    units = [(h,) for h in t.host_ids]
+    units += [t.hosts_below[s.id] for s in sorted(t.switches.values(),
+                                                  key=lambda s: (s.level, s.id))]
+    last_failure = f"no subtree offers {n_total} slots for app {app.id}"
+    for unit_hosts in units:
+        free_slots = {h: slots - used[h] for h in unit_hosts}
+        if sum(max(0, f) for f in free_slots.values()) < n_total:
+            continue
+        counts = {}
+        remaining = n_total
+        for h in unit_hosts:
+            if remaining == 0:
+                break
+            want = min(max(0, free_slots[h]), remaining)
+            take = 0
+            for m in range(want, 0, -1):
+                if min(m, n_total - m) * bw <= state.link_free[t.host_ports[h][0]] + 1e-9:
+                    take = m
+                    break
+            if take:
+                counts[h] = take
+                remaining -= take
+        if remaining or not placement._hose_ok(t, state, counts, n_total, bw):
+            continue
+        try:
+            with state.transaction() as commit:
+                vm_iter = iter(sorted(app.vms, key=lambda v: v.id))
+                for host_id in unit_hosts:
+                    for _ in range(counts.get(host_id, 0)):
+                        state.assign_vm(app.id, next(vm_iter), host_id)
+                reserve_traffic(state, app)
+                commit()
+        except CapacityError as exc:
+            last_failure = str(exc)
+            continue
+        return None
+    return last_failure
+
+
+def _netw_run(body, t, cfg, apps):
+    """(ok, failure, state snapshot) after each NETW attempt with `body` as
+    the scheme; apps whose id the ledger already holds are skipped."""
+    results = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setitem(placement._SCHEME_BODIES, "NETW", body)
+        state = PlacementState(t)
+        for app in apps:
+            if app.id not in state.apps:
+                out = place_application(state, app, cfg)
+                results.append((out.ok, out.failure, state.snapshot()))
+    return results
+
+
+class TestNetwSubtrees:
+    @pytest.mark.parametrize("name,units", [("tree64", 81), ("clos64-10g", 85)])
+    def test_each_subtree_once(self, name, units):
+        # clos64: 64 hosts, 16 edge racks, 4 pods (one per 4 aggregation
+        # switches) and the whole fabric (one for the 4 cores)
+        t = named_topology(name)
+        assert len(t.subtrees) == len(set(t.subtrees)) == units
+        assert t.subtrees[:len(t.host_ids)] == tuple((h,) for h in t.host_ids)
+        assert set(t.subtrees[len(t.host_ids):]) == set(t.hosts_below.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(ledger_runs())
+    def test_same_placements_as_rebuilding_the_units(self, run):
+        # where duplicate subtrees are not adjacent in the old list, a
+        # refusal may name a different subtree, so failure texts are not compared
+        t, cfg, apps = run
+        cfg = SchemeConfig(scheme="NETW", netw_slots_per_host=cfg.netw_slots_per_host)
+        got = _netw_run(placement._place_netw, t, cfg, apps)
+        want = _netw_run(_netw_rebuilding_units, t, cfg, apps)
+        assert [(ok, snap) for ok, _, snap in got] == [(ok, snap) for ok, _, snap in want]
+
+    @pytest.mark.parametrize("category", [1, 2, 3])
+    def test_same_outcomes_on_the_category_fabrics(self, category):
+        t = category_topology(category)
+        apps = generate_workload(category_spec(category, 2 * category_eval_apps(category), 0))
+        cfg = SchemeConfig(scheme="NETW", netw_slots_per_host=derive_netw_slots(t, apps))
+        got = _netw_run(placement._place_netw, t, cfg, apps)
+        assert got == _netw_run(_netw_rebuilding_units, t, cfg, apps)
+        oks = [ok for ok, _, _ in got]
+        assert any(oks) and not all(oks)
 
 
 class TestFig1SchemeDivergence:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcfrag.fixtures import UNIT, UNIT_REF, fig4_topology
+from dcfrag.metrics import nic_free
+from dcfrag.placement import PlacementState
 from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology,
                              TopologyError, build_clos, build_tree,
                              find_boundary_switches, find_reaches, load_topology)
@@ -197,7 +199,7 @@ def ascending_hosts_below(t):
     below = {s: [] for s in t.switches}
     for h in sorted(t.hosts):
         chain = set()
-        frontier = [t.links[t.hosts[h].uplink].other(h)]
+        frontier = [t.links[t.host_ports[h][0]].other(h)]
         while frontier:
             node = frontier.pop()
             if node in chain:
@@ -342,12 +344,33 @@ class TestStructuralValidation:
         build_clos(2, 2, 2, UNIT, 1.0, 2.0)
 
 
+class TestHostPorts:
+    def test_topologies_built_from_one_host_list_keep_their_own_ports(self):
+        # the two fabrics name their host links a1, a2 and b1, b2
+        hosts = [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in (1, 2)]
+        given_hosts = [dict(vars(h)) for h in hosts]
+
+        def build(prefix, free):
+            links = [Link(id=f"{prefix}{i}", a=f"h{i}", b="s1", capacity=1.0, free=free)
+                     for i in (1, 2)]
+            return Topology(hosts, [Switch(id="s1", level=0)], links, UNIT_REF)
+
+        built = [(build("a", 1.0), "a", 1.0), (build("b", 0.5), "b", 0.5)]
+        assert [dict(vars(h)) for h in hosts] == given_hosts
+        for t, prefix, free in built:
+            assert t.host_ports == {"h1": (f"{prefix}1", "s1"), "h2": (f"{prefix}2", "s1")}
+            state = PlacementState(t)
+            assert t.route("h2", "h1", state.link_free) == (f"{prefix}1", f"{prefix}2")
+            assert nic_free(state, "h1") == nic_free(state, "h2") == free
+
+
 class TestRouting:
     def test_route_is_deterministic_and_shortest(self):
         t = fig4_topology()
-        assert t.route("h1", "h2") == ("h1-s1", "h2-s1")
-        assert t.route("h1", "h3") == ("h1-s1", "s1-s3", "s2-s3", "h3-s2")
-        assert t.route("h3", "h1") == t.route("h1", "h3")
+        zero = dict.fromkeys(t.links, 0.0)
+        assert t.route("h1", "h2", zero) == ("h1-s1", "h2-s1")
+        assert t.route("h1", "h3", zero) == ("h1-s1", "s1-s3", "s2-s3", "h3-s2")
+        assert t.route("h3", "h1", zero) == t.route("h1", "h3", zero)
 
     def test_reach_paths_fig4(self):
         t = fig4_topology()
@@ -364,7 +387,7 @@ class TestRouting:
             t.reach_paths(rb, ra)
 
 
-def bfs_route(t, host_a, host_b, link_free=None):
+def bfs_route(t, host_a, host_b, link_free):
     """Reference for Topology.route: a BFS over the whole fabric from the
     smaller host id, keeping per node the (widest bottleneck, smallest
     parent id) entry, the first link of that parent on a tie."""
@@ -378,8 +401,7 @@ def bfs_route(t, host_a, host_b, link_free=None):
             for peer, lid in t.neighbors(node):
                 if peer in best:
                     continue
-                free = float("inf") if link_free is None else link_free.get(lid, 0.0)
-                entry = (min(width, free), node, lid)
+                entry = (min(width, link_free[lid]), node, lid)
                 held = layer.get(peer)
                 if held is None or (-entry[0], entry[1]) < (-held[0], held[1]):
                     layer[peer] = entry
@@ -431,13 +453,13 @@ class TestRouteMatchesBFS:
     @settings(max_examples=200, deadline=None)
     @given(leveled_fabrics, st.data())
     def test_route_equals_reference_bfs(self, fabric, data):
-        # few distinct frees make ties common; None leaves the key out (free 0)
+        # few distinct frees make ties common; all-zero frees tie every width
         t = as_topology(fabric)
         hosts, links = sorted(t.hosts), sorted(t.links)
-        frees = st.lists(st.sampled_from([None, 0.0, 0.25, 0.5, 1.0]),
+        frees = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                          min_size=len(links), max_size=len(links)).map(
-            lambda vs: {lid: v for lid, v in zip(links, vs) if v is not None})
-        maps = [None] + data.draw(st.lists(frees, min_size=1, max_size=2))
+            lambda vs: dict(zip(links, vs)))
+        maps = [dict.fromkeys(links, 0.0)] + data.draw(st.lists(frees, min_size=1, max_size=2))
         pairs = data.draw(st.lists(st.tuples(st.sampled_from(hosts), st.sampled_from(hosts))
                                    .filter(lambda p: p[0] != p[1]), min_size=1, max_size=12))
         for a, b in pairs:
@@ -459,7 +481,7 @@ class TestRouteMatchesBFS:
         assert t.route("h0", "h2", {**full, "a": 0.2, "b": 0.9}) == ("h0-t0", "b", "c", "h2-t1")
         assert t.route("h2", "h1", {**full, "a": 0.9, "b": 0.2}) == ("h1-t0", "a", "c", "h2-t1")
         assert t.route("h0", "h2", {**full, "a": 0.5, "b": 0.5}) == ("h0-t0", "a", "c", "h2-t1")
-        assert t.route("h0", "h2") == ("h0-t0", "a", "c", "h2-t1")
+        assert t.route("h0", "h2", dict.fromkeys(t.links, 0.0)) == ("h0-t0", "a", "c", "h2-t1")
 
     @settings(max_examples=200, deadline=None)
     @given(leveled_fabrics, st.data())
@@ -472,14 +494,17 @@ class TestRouteMatchesBFS:
             paths = t.shortest_paths(a, b)
             assert paths == reference_shortest_paths(t, a, b)
             assert t.shortest_paths(b, a) == paths
-            assert paths[0] == t.route(a, b)
+            assert paths[0] == t.route(a, b, dict.fromkeys(t.links, 0.0))
 
     def test_unroutable_pairs_raise(self):
         # a checked fabric routes every pair of distinct hosts
         t = fig4_topology()
-        assert t.route("h2", "h1") == ("h1-s1", "h2-s1")
+        zero = dict.fromkeys(t.links, 0.0)
+        assert t.route("h2", "h1", zero) == ("h1-s1", "h2-s1")
         with pytest.raises(ValueError, match="endpoints must differ"):
-            t.route("h1", "h1")
+            t.route("h1", "h1", zero)
+        with pytest.raises(ValueError, match="endpoints must differ"):
+            t.shortest_paths("h1", "h1")
 
 
 class TestLoader:
@@ -563,7 +588,7 @@ class TestLoader:
             link["id"] = i + 0.5 if i % 2 else i
         t = load_topology(self.write(tmp_path, doc))
         assert sorted(t.links) == ["0", "1.5", "2", "3.5"]
-        assert t.hosts["h1"].uplink == "1.5"
+        assert t.host_ports["h1"][0] == "1.5"
 
     def test_garbage_json_rejected(self, tmp_path):
         path = tmp_path / "topo.json"
