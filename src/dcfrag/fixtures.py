@@ -183,19 +183,19 @@ def _require_category(category: int) -> dict:
     return _CATEGORIES[category]
 
 
-NAMED_TOPOLOGIES = ("fig4", "fig3-like", "tree64", "clos64-5g", "clos64-10g")
+# name -> builder of each built-in topology, in the order the CLI lists them
+NAMED_TOPOLOGIES = {
+    "fig4": fig4_topology,
+    "fig3-like": fig3_like_topology,
+    "tree64": lambda: category_topology(1),
+    "clos64-5g": lambda: category_topology(2),
+    "clos64-10g": lambda: category_topology(3),
+}
 
 
 def named_topology(name: str) -> Topology:
     """Built-in topologies usable anywhere a topology path is accepted."""
-    if name == "fig4":
-        return fig4_topology()
-    if name == "fig3-like":
-        return fig3_like_topology()
-    if name == "tree64":
-        return category_topology(1)
-    if name == "clos64-5g":
-        return category_topology(2)
-    if name == "clos64-10g":
-        return category_topology(3)
-    raise ValueError(f"unknown topology name {name!r}; built-ins: {NAMED_TOPOLOGIES}")
+    if name not in NAMED_TOPOLOGIES:
+        raise ValueError(f"unknown topology name {name!r}; "
+                         f"built-ins: {tuple(NAMED_TOPOLOGIES)}")
+    return NAMED_TOPOLOGIES[name]()

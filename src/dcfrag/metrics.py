@@ -12,8 +12,10 @@ hosts greedily on NIC headroom) and then between reaches (by walking reach
 pairs in path-length order and consuming residuals against inter-reach
 bandwidth). The between walk reads its pairs, in order and with their paths,
 from the topology's reach_pairs table, and visits only the pairs whose two
-reaches both hold a residual. A small brute-force oracle bounds the greedy
-counts on desk-size instances.
+reaches both hold a residual. A reach's position in topology.reaches is the
+one key of per-reach data: the inside phases return their residuals as lists
+in that order, and the between phases take those lists. A small brute-force
+oracle bounds the greedy counts on desk-size instances.
 
 A placement changes a few hosts and links, so state.reach_memo keeps what
 the RRF would otherwise recompute from unchanged values. The inside-reach
@@ -78,13 +80,6 @@ class RRFReport:
     index: float
 
 
-@dataclass(frozen=True)
-class NetworkCapacityBreakdown:
-    inside: float
-    between: float
-    total: float
-
-
 def _index(total: float, count: int, size: float) -> float:
     if total <= _EPS:
         return 1.0
@@ -122,10 +117,10 @@ def fragmentation_index(state, req: MultiRequest) -> RRFReport:
     return rrf_index_local(state, req, dims[0])
 
 
-def _host_counts(state, host_ids, req: MultiRequest) -> list[tuple[int, str]]:
-    """(requests one host can satisfy, host id) for each host, in the given
-    order: the min over req's nonzero dimensions of fit_count on the host's
-    normalized free, the NIC read from the host's uplink free."""
+def _host_counts(state, host_ids, req: MultiRequest) -> list[int]:
+    """Requests one host can satisfy, for each host in the given order: the
+    min over req's nonzero dimensions of fit_count on the host's normalized
+    free, the NIC read from the host's uplink free."""
     t = state.topology
     host_free, link_free, ports, ref = state.host_free, state.link_free, t.host_ports, t.reference
     cpu, mem, nw = req.cpu, req.mem, req.nw
@@ -147,7 +142,7 @@ def _host_counts(state, host_ids, req: MultiRequest) -> list[tuple[int, str]]:
             m = int(x / nw + _EPS) if x > 0 else 0
             if m < n:
                 n = m
-        counts.append((n, h))
+        counts.append(n)
     return counts
 
 
@@ -165,7 +160,8 @@ def rrf_index_local(state, req: MultiRequest, target: str) -> RRFReport:
         raise ValueError(f"target dimension {target} is zero in the request")
     total = 0.0
     count = 0
-    for n, host_id in _host_counts(state, state.topology.host_ids, req):
+    host_ids = state.topology.host_ids
+    for host_id, n in zip(host_ids, _host_counts(state, host_ids, req)):
         total += _local_free(state, host_id, target)
         count += n
     return RRFReport(target, total, count, _index(total, count, getattr(req, target)))
@@ -175,14 +171,14 @@ def rrf_index_local(state, req: MultiRequest, target: str) -> RRFReport:
 
 
 def _pair_reduce(values: list):
-    """Greedy max/second-max pairing over (value, id) items.
+    """Greedy max/second-max pairing over values.
 
     Repeatedly pair the largest value with the second largest, accumulate the
-    second, shrink the largest by it and drop the paired item; the last item's
-    leftover value is the residual. The result depends on the values alone,
-    so they are kept sorted and the shrunk largest is inserted back in place.
+    second, shrink the largest by it and drop the paired value; the last
+    value's leftover is the residual. The values are kept sorted and the
+    shrunk largest is inserted back in place.
     """
-    vals = sorted(value for value, _ in values)
+    vals = sorted(values)
     acc = 0
     while len(vals) > 1:
         v_max = vals.pop()
@@ -192,45 +188,46 @@ def _pair_reduce(values: list):
     return acc, (vals[0] if vals else 0)
 
 
-def _reach_pairings(state, req: MultiRequest | None) -> list[tuple]:
-    """_pair_reduce's (sum, residual) for each reach of topology.reaches, over
-    its hosts' NIC frees (req None) or their count under req (_host_counts).
+def _reach_pairings(state, req: MultiRequest | None):
+    """_pair_reduce over each reach of topology.reaches, on its hosts' NIC
+    frees (req None) or their counts under req (_host_counts). Returns the
+    summed pairings and the residuals, a list in topology.reaches order.
 
-    A result is read from the reach's slot in state.reach_memo while the
-    reach's host free vectors and uplink frees equal the ones it was computed
-    from; the slot key is built by the reach's topology.reach_keys getters.
+    A reach's (sum, residual) is read from its slot in state.reach_memo while
+    the reach's host free vectors and uplink frees equal the ones it was
+    computed from; the slot key is built by the reach's topology.reach_keys
+    getters.
     """
     t = state.topology
     host_free, link_free = state.host_free, state.link_free
     slots = state.reach_memo.get(req)
     if slots is None:
         slots = state.reach_memo[req] = [None] * len(t.reaches)
-    pairings = []
+    total = 0.0 if req is None else 0
+    residuals = []
     for i, (reach, (hosts_of, uplinks_of)) in enumerate(zip(t.reaches, t.reach_keys)):
         key = (hosts_of(host_free), uplinks_of(link_free))
         slot = slots[i]
         if slot is None or slot[0] != key:
             if req is None:
-                values = [(nic_free(state, h), h) for h in reach.hosts]
+                values = [nic_free(state, h) for h in reach.hosts]
             else:
                 values = _host_counts(state, reach.hosts, req)
             slot = slots[i] = (key, _pair_reduce(values))
-        pairings.append(slot[1])
-    return pairings
+        got, res = slot[1]
+        total += got
+        residuals.append(res)
+    return total, residuals
 
 
 def capacity_inside_reaches(state):
     """Achievable bandwidth inside each reach, plus per-reach residuals.
 
     Hosts pair on available NIC capacity; every pairing contributes the
-    smaller side. Returns (total, {reach id: residual bandwidth}).
+    smaller side. Returns (total, residual bandwidths in topology.reaches
+    order).
     """
-    total = 0.0
-    residuals: dict[str, float] = {}
-    for reach, (got, res) in zip(state.topology.reaches, _reach_pairings(state, None)):
-        total += got
-        residuals[reach.id] = res
-    return total, residuals
+    return _reach_pairings(state, None)
 
 
 def _paths_bandwidth(paths, link_free: dict, ref_link: float) -> float:
@@ -285,14 +282,15 @@ def _pair_order(state) -> list[tuple]:
     return slot[1]
 
 
-def _walk_between(state, residuals: dict, fit, unit: float):
+def _walk_between(state, residuals: list, fit, unit: float):
     """The reach-pair walk shared by the bandwidth and the count metric.
 
     Pairs go shortest reach distance first, then most inter-reach bandwidth,
     then smallest id pair (ri.id, rj.id), ri before rj in Topology.reaches.
     Each pair takes step = min(residual_i, residual_j, fit(bandwidth)),
     deducted from both residuals and, times `unit`, from the path links.
-    Returns the summed steps.
+    Returns the summed steps; the walk consumes a copy of `residuals`, one
+    per reach in topology.reaches order.
 
     Only live pairs are walked: both reaches hold a residual above _EPS.
     Residuals never rise, so a pair with a dead reach could never step; with
@@ -307,7 +305,7 @@ def _walk_between(state, residuals: dict, fit, unit: float):
     ran dry on the way is dropped unread.
     """
     t = state.topology
-    res = [residuals[r.id] for r in t.reaches]
+    res = list(residuals)
     live = [r > _EPS for r in res]
     if live.count(True) < 2:
         return 0
@@ -334,21 +332,13 @@ def _walk_between(state, residuals: dict, fit, unit: float):
     return total
 
 
-def capacity_between_reaches(state, res_bw: dict) -> float:
+def capacity_between_reaches(state, res_bw: list) -> float:
     """Achievable bandwidth between reaches, consuming per-reach residuals.
 
     Walks every reach pair once; each pair contributes
     min(residual_i, residual_j, inter-reach bandwidth).
     """
     return float(_walk_between(state, res_bw, lambda bw: bw, 1.0))
-
-
-def capacity_breakdown(state) -> NetworkCapacityBreakdown:
-    """Total achievable network capacity split into inside/between components."""
-    inside, residuals = capacity_inside_reaches(state)
-    between = capacity_between_reaches(state, residuals)
-    return NetworkCapacityBreakdown(inside=inside, between=between,
-                                    total=inside + between)
 
 
 # -- placeable request counts ----------------------------------------------------
@@ -359,19 +349,14 @@ def placeable_inside_reaches(state, req: MultiRequest):
 
     Per-host counts (min over nonzero dimensions; a host short of NIC counts
     zero and pairs nothing) pair exactly like the bandwidth procedure.
-    Returns (count, {reach id: residual count}).
+    Returns (count, residual counts in topology.reaches order).
     """
     if req.nw <= 0:
         raise ValueError("network component of the request must be > 0")
-    total = 0
-    residuals: dict[str, int] = {}
-    for reach, (got, res) in zip(state.topology.reaches, _reach_pairings(state, req)):
-        total += got
-        residuals[reach.id] = res
-    return total, residuals
+    return _reach_pairings(state, req)
 
 
-def placeable_between_reaches(state, res_req: dict, req: MultiRequest) -> int:
+def placeable_between_reaches(state, res_req: list, req: MultiRequest) -> int:
     """Placeable request pairs between reaches, consuming residual counts.
 
     The bandwidth procedure's walk with residual counts in place of residual
@@ -394,14 +379,15 @@ def placeable_in_reach(state, reach: Reach, req: MultiRequest) -> int:
         return _pair_reduce(_host_counts(state, reach.hosts, req))[0]
     if not req.nonzero_dims():
         return 0
-    return sum(n for n, _ in _host_counts(state, reach.hosts, req))
+    return sum(_host_counts(state, reach.hosts, req))
 
 
 def network_rrf(state, req: MultiRequest) -> RRFReport:
     """Network RRF: achievable capacity vs. placeable multi-requests."""
     if req.nw <= 0:
         raise ValueError("network RRF needs a request with nw > 0")
-    total = capacity_breakdown(state).total
+    inside, res_bw = capacity_inside_reaches(state)
+    total = inside + capacity_between_reaches(state, res_bw)
     count, res_req = placeable_inside_reaches(state, req)
     count += placeable_between_reaches(state, res_req, req)
     return RRFReport("nw", total, count, _index(total, count, req.nw))

@@ -278,13 +278,16 @@ def bal_pack(state: PlacementState, vm: VM, reach: Reach) -> str | None:
 
 
 def best_sibling_reach(state: PlacementState, reaches: tuple[Reach, ...], tried: set[str],
-                       app_hosts: set[str], req: MultiRequest) -> Reach | None:
-    """Next reach to spill into: closest to the reaches already hosting the
-    app, then most inter-reach bandwidth, then most placeable, then id."""
+                       hosting: list[Reach], req: MultiRequest) -> Reach | None:
+    """UNIFIED's one reach ranking, for its first reach and every spill: the
+    untried reach closest to the `hosting` reaches (those holding the app's
+    VMs), then with most inter-reach bandwidth to them, then most placeable,
+    then smallest id, compared as a string ("r10" < "r2"). With no hosting
+    reach, as at the first pick, distance and bandwidth tie for every reach.
+    None when every reach was tried."""
     candidates = [r for r in reaches if r.id not in tried]
     if not candidates:
         return None
-    hosting = [r for r in reaches if app_hosts & set(r.hosts)]
     t = state.topology
 
     def key(r: Reach):
@@ -320,16 +323,17 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
     In a reach the first VM is the one with most traffic to the unplaced VMs,
     and each next one the VM of largest gain: its traffic to the VMs placed in
     this reach less its traffic to the unplaced. A placement changes only its
-    peers' gains, so only theirs are recomputed.
+    peers' gains, so only theirs are recomputed. best_sibling_reach picks
+    every reach, the first one included.
     """
     req = representative_request(app)
-    reach = min(reaches, key=lambda r: (-placeable_in_reach(state, r, req), r.id))
-    tried = {reach.id}
+    tried: set[str] = set()
+    hosting: list[Reach] = []  # the reaches holding a VM, in the order they took one
     unplaced = set(app.vm_ids())
-    placed_hosts: set[str] = set()
     last_failure = "no reach could take the first VM"
 
-    while True:
+    while (reach := best_sibling_reach(state, reaches, tried, hosting, req)) is not None:
+        tried.add(reach.id)
         in_reach: set[str] = set()  # an untried reach holds none of the app's VMs
         # with in_reach empty a gain is minus the traffic to the unplaced
         gain = {v: _reach_gain(app, v, in_reach, unplaced) for v in unplaced}
@@ -348,7 +352,8 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
             except CapacityError as exc:
                 last_failure = str(exc)
                 break
-            placed_hosts.add(host)
+            if not in_reach:
+                hosting.append(reach)
             unplaced.discard(vm_id)
             if not unplaced:
                 return None
@@ -358,11 +363,7 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
                 if peer in unplaced:
                     gain[peer] = _reach_gain(app, peer, in_reach, unplaced)
             vm_id = min(unplaced, key=lambda v: (-gain[v], v))
-        sibling = best_sibling_reach(state, reaches, tried, placed_hosts, req)
-        if sibling is None:
-            return last_failure
-        reach = sibling
-        tried.add(reach.id)
+    return last_failure
 
 
 # -- LOCAL (dominant-dimension FFD) ---------------------------------------------------

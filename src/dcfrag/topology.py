@@ -663,11 +663,15 @@ def load_topology(path: str) -> Topology:
     switches = []
     for i, rec in enumerate(doc["switches"]):
         try:
-            sid, override = str(rec["id"]), rec.get("boundary_override")
+            sid, level, override = str(rec["id"]), rec["level"], rec.get("boundary_override")
+            # int() would floor 1.7 to 1, take true as 1 and overflow on Infinity
+            if isinstance(level, bool) or isinstance(level, float) and not level.is_integer():
+                raise TopologyError(f"{path}: switches[{i}] ({sid}): level must be an "
+                                    f"integer, got {level!r}")
             if override is not None and not isinstance(override, bool):
                 raise TopologyError(f"{path}: switches[{i}] ({sid}): boundary_override must "
                                     f"be true, false or null, got {override!r}")
-            switches.append(Switch(id=sid, level=int(rec["level"]), boundary_override=override))
+            switches.append(Switch(id=sid, level=int(level), boundary_override=override))
         except (KeyError, TypeError, ValueError) as exc:
             raise TopologyError(f"{path}: switches[{i}]: {exc}") from exc
 

@@ -68,16 +68,15 @@ def test_criterion_2_local_rrf_worked_example():
 def test_criterion_3_network_rrf_worked_example():
     start = time.perf_counter()
     state = fig4_state()
-    breakdown = M.capacity_breakdown(state)
     report = M.network_rrf(state, FIG4_REQUEST)
     oracle = M.brute_force_placeable(state, FIG4_REQUEST)
     elapsed = time.perf_counter() - start
-    ok = (abs(breakdown.total - 1.05) <= 1e-12
+    ok = (abs(report.total_free - 1.05) <= 1e-12
           and report.placeable_multi == 3
           and oracle == 3
           and abs(report.index - 0.45 / 1.05) <= 1e-6
           and elapsed < 1.0)
-    verdict(3, ok, f"T(nw)={breakdown.total:.9f}, N_m={report.placeable_multi}, "
+    verdict(3, ok, f"T(nw)={report.total_free:.9f}, N_m={report.placeable_multi}, "
                    f"oracle={oracle}, RRF={report.index:.9f}, {elapsed:.3f}s")
 
 
@@ -222,10 +221,12 @@ def test_criterion_7_invariant_suite(tmp_path):
     for seed in range(10):
         state = random_consumed_state(
             random.Random(seed), build_tree(2, 2, UNIT, 1.0, 2.0))
-        breakdown = M.capacity_breakdown(state)
-        if abs(breakdown.total - (breakdown.inside + breakdown.between)) > 1e-12:
+        inside, residuals = M.capacity_inside_reaches(state)
+        between = M.capacity_between_reaches(state, residuals)
+        total = M.network_rrf(state, MultiRequest(nw=0.1)).total_free
+        if abs(total - (inside + between)) > 1e-12:
             problems.append("T(nw) != T_R + T_BR")
-        if breakdown.inside < 0 or breakdown.between < 0:
+        if inside < 0 or between < 0:
             problems.append("negative capacity component")
 
     # state conservation after every operation, all schemes

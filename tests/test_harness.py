@@ -1,8 +1,8 @@
 import pytest
 
-from dcfrag.fixtures import UNIT, category_spec
+from dcfrag.fixtures import NAMED_TOPOLOGIES, UNIT, category_spec, named_topology
 from dcfrag.harness import (ExperimentConfig, ResultRow, compare_schemes, order_hash,
-                            run_experiment, shuffle_order)
+                            resolve_topology, run_experiment, shuffle_order)
 from dcfrag.metrics import MultiRequest
 from dcfrag.placement import SchemeConfig
 from dcfrag.topology import ResourceVector, build_tree
@@ -139,3 +139,17 @@ class TestResultRow:
     def test_fixed_format(self):
         row = ResultRow(apps_placed=3, placeable_requests=17, rrf_index=1 / 3)
         assert row.format() == "3,17,0.333333333"
+
+
+class TestNamedTopologies:
+    def test_every_name_resolves(self):
+        assert list(NAMED_TOPOLOGIES) == ["fig4", "fig3-like", "tree64", "clos64-5g",
+                                          "clos64-10g"]
+        sizes = [len(resolve_topology(name).hosts) for name in NAMED_TOPOLOGIES]
+        assert sizes == [4, 4, 64, 64, 64]
+
+    def test_unknown_name_lists_the_built_ins(self):
+        with pytest.raises(ValueError) as exc:
+            named_topology("nope")
+        assert str(exc.value) == ("unknown topology name 'nope'; built-ins: ('fig4', "
+                                  "'fig3-like', 'tree64', 'clos64-5g', 'clos64-10g')")

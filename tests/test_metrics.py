@@ -132,20 +132,20 @@ class TestCapacityInsideReaches:
         state = mini_state([(1, 1, 0.8), (1, 1, 0.3)], link_frees=[0.8, 0.3])
         total, residual = M.capacity_inside_reaches(state)
         assert total == pytest.approx(0.3)
-        assert residual[state.topology.reaches[0].id] == pytest.approx(0.5)
+        assert residual == [pytest.approx(0.5)]
 
     def test_single_host_contributes_nothing(self):
         # second host fully used: only one NIC left to pair
         state = mini_state([(1, 1, 0.5), (0, 0, 0.0)], link_frees=[0.5, 0.0])
         total, residual = M.capacity_inside_reaches(state)
         assert total == pytest.approx(0.0)
-        assert residual[state.topology.reaches[0].id] == pytest.approx(0.5)
+        assert residual == [pytest.approx(0.5)]
 
     def test_fig4_total(self):
         state = fig4_state()
         total, residual = M.capacity_inside_reaches(state)
         assert total == pytest.approx(0.55)
-        assert residual == {"r0": pytest.approx(0.5), "r1": pytest.approx(0.5)}
+        assert residual == [pytest.approx(0.5), pytest.approx(0.5)]
 
 
 def _pair_reduce_by_sorting(values):
@@ -153,12 +153,12 @@ def _pair_reduce_by_sorting(values):
     items = list(values)
     acc = 0
     while len(items) > 1:
-        items.sort(key=lambda pair: (-pair[0], pair[1]))
-        (v_max, id_max), (v_smax, _) = items[0], items[1]
+        items.sort(reverse=True)
+        v_max, v_smax = items[0], items[1]
         acc += v_smax
-        items[0] = (v_max - v_smax, id_max)
+        items[0] = v_max - v_smax
         del items[1]
-    return acc, (items[0][0] if items else 0)
+    return acc, (items[0] if items else 0)
 
 
 class TestPairReduce:
@@ -168,10 +168,16 @@ class TestPairReduce:
         st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 1.0]), max_size=12),
         st.lists(st.floats(0, 10, allow_nan=False), max_size=12)))
     def test_matches_sort_every_step(self, values):
-        items = [(v, f"h{i}") for i, v in enumerate(values)]
-        got, want = M._pair_reduce(items), _pair_reduce_by_sorting(items)
+        got, want = M._pair_reduce(values), _pair_reduce_by_sorting(values)
         assert got == want
         assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def capacity_split(state):
+    """(inside, between): the two capacity phases, the first one's residuals
+    fed to the second, as network_rrf runs them."""
+    inside, residual = M.capacity_inside_reaches(state)
+    return inside, M.capacity_between_reaches(state, residual)
 
 
 class TestCapacityBetweenReaches:
@@ -179,12 +185,26 @@ class TestCapacityBetweenReaches:
         state = fig4_state()
         _, residual = M.capacity_inside_reaches(state)
         assert M.capacity_between_reaches(state, residual) == pytest.approx(0.5)
-        breakdown = M.capacity_breakdown(state)
-        assert breakdown.total == pytest.approx(1.05)
-        assert breakdown.total == breakdown.inside + breakdown.between
+        inside, between = capacity_split(state)
+        total = M.network_rrf(state, FIG4_REQUEST).total_free
+        assert total == pytest.approx(1.05)
+        assert total == inside + between
 
     def test_zero_residual_contributes_nothing(self):
-        assert M.capacity_between_reaches(fig4_state(), {"r0": 0.0, "r1": 0.7}) == 0.0
+        assert M.capacity_between_reaches(fig4_state(), [0.0, 0.7]) == 0.0
+
+    @pytest.mark.parametrize("walk", ["capacity", "placeable"])
+    def test_caller_residuals_unchanged(self, walk):
+        # the walk consumes residuals as it steps, on a copy of the caller's list
+        state = fig4_state()
+        residual = [0.5, 0.5] if walk == "capacity" else [1, 1]
+        given = list(residual)
+        if walk == "capacity":
+            got = M.capacity_between_reaches(state, residual)
+        else:
+            got = M.placeable_between_reaches(state, residual, FIG4_REQUEST)
+        assert got > 0
+        assert residual == given
 
 
 def three_reach_line():
@@ -226,8 +246,7 @@ class TestThreeReachLine:
         assert len(reaches) == 3
         total, residual = M.capacity_inside_reaches(state)
         assert total == pytest.approx(0.4 + 0.5 + 0.2)
-        assert [residual[r.id] for r in reaches] == [
-            pytest.approx(0.2), pytest.approx(0.2), pytest.approx(0.6)]
+        assert residual == [pytest.approx(0.2), pytest.approx(0.2), pytest.approx(0.6)]
         between = M.capacity_between_reaches(state, residual)
         # adjacent pairs first (hops 2), max-bandwidth tie-break picks r0-r1
         assert between == pytest.approx(0.2)
@@ -270,10 +289,10 @@ def _replay_walk(t, reaches, residuals, link_free, fit, unit):
     With the reaches in canonical order (sorted by their hosts), re-rank all
     remaining pairs at every step by (reach distance, -path bandwidth, ids),
     take min(both residuals, fit(bandwidth)) from the first and consume
-    `unit` per taken unit along its paths.
+    `unit` per taken unit along its paths. `residuals` is in t.reaches order.
     """
     link_free = dict(link_free)
-    res = dict(residuals)
+    res = {r.id: x for r, x in zip(t.reaches, residuals)}
     reaches = sorted(reaches, key=lambda r: r.hosts)
     pairs = [(ri, rj) for i, ri in enumerate(reaches) for rj in reaches[i + 1:]]
     total = 0
@@ -295,7 +314,7 @@ def _unread_walk(state, residuals, fit, unit):
     """Reference walk with no pair-order slot: every live pair enters the
     heap unread (key -inf) and is read from the state's links on top."""
     t = state.topology
-    res = [residuals[r.id] for r in t.reaches]
+    res = list(residuals)
     live = [r > 1e-9 for r in res]
     if live.count(True) < 2:
         return 0
@@ -339,8 +358,8 @@ def walk_instances(draw):
     for lid in sorted(state.link_free):
         state.link_free[lid] = t.links[lid].capacity * draw(st.integers(0, 2)) / 2
     reaches = t.reaches
-    res_bw = {r.id: draw(st.integers(0, 8)) / 4 for r in reaches}
-    res_req = {r.id: draw(st.integers(0, 8)) for r in reaches}
+    res_bw = [draw(st.integers(0, 8)) / 4 for _ in reaches]
+    res_req = [draw(st.integers(0, 8)) for _ in reaches]
     req = MultiRequest(nw=draw(st.sampled_from([0.05, 0.1, 0.2, 0.3])))
     return state, reaches, res_bw, res_req, req
 
@@ -358,15 +377,15 @@ class TestPairWalk:
         assert got_count == _replay_walk(
             t, reaches, res_req, state.link_free, lambda bw: M.fit_count(bw, req.nw),
             req.nw)
-        breakdown = M.capacity_breakdown(state)
-        assert breakdown.inside + breakdown.between == breakdown.total
+        inside, between = capacity_split(state)
+        assert inside + between == M.network_rrf(state, req).total_free
 
     def test_tied_pairs_break_on_reach_ids(self):
         # every pair but (r2, r3) ties at bandwidth 0.5, so the id tie-break
         # decides: (r0, r1) first gives 0.5, (r0, r2) first would give 1.0
         state = PlacementState(build_tree(4, 2, UNIT, 1.0, oversub_ratio=2.0))
         state.link_free.update({"t0-core": 0.5, "t1-core": 0.5})
-        res_bw = {"r0": 1.0, "r1": 0.5, "r2": 1.5, "r3": 0.0}
+        res_bw = [1.0, 0.5, 1.5, 0.0]
         assert M.capacity_between_reaches(state, res_bw) == 0.5
 
     def test_many_tied_pairs_match_the_replay(self):
@@ -379,8 +398,8 @@ class TestPairWalk:
             if lid.endswith("-core"):
                 state.link_free[lid] = 0.75
         reaches = t.reaches
-        res_bw = {r.id: (0.25, 0.5, 1.0, 0.0)[i % 4] for i, r in enumerate(reaches)}
-        res_req = {r.id: (3, 1, 0, 5)[i % 4] for i, r in enumerate(reaches)}
+        res_bw = [(0.25, 0.5, 1.0, 0.0)[i % 4] for i in range(len(reaches))]
+        res_req = [(3, 1, 0, 5)[i % 4] for i in range(len(reaches))]
         req = MultiRequest(nw=0.25)
         want_bw = _replay_walk(t, reaches, res_bw, state.link_free, lambda bw: bw, 1.0)
         want_count = _replay_walk(t, reaches, res_req, state.link_free,
@@ -402,8 +421,8 @@ class TestPairWalk:
         reaches = t.reaches
         for reach, free in zip(reaches, frees):
             state.link_free[f"{reach.switches[0]}-core"] = free / 4
-        res_bw = {r.id: c / 4 for r, c in zip(reaches, counts)}
-        res_req = {r.id: c for r, c in zip(reaches, counts)}
+        res_bw = [c / 4 for c in counts]
+        res_req = list(counts)
         req = MultiRequest(nw=nw)
         assert M.capacity_between_reaches(state, res_bw) == _replay_walk(
             t, reaches, res_bw, state.link_free, lambda bw: bw, 1.0)
@@ -462,7 +481,7 @@ class TestPairOrder:
         state.link_free.update({"h0-t0": 0.5, "h2-t1": 0.5})
         req = MultiRequest(nw=0.1)
         first = M.network_rrf(state, req)
-        assert M.capacity_breakdown(state).between > 0
+        assert capacity_split(state)[1] > 0
         _, rows = state.reach_memo[M._PAIR_ORDER]
         assert len(rows) == len(state.topology.reach_pairs)
         assert M.network_rrf(state, req) == first
@@ -489,15 +508,15 @@ class TestLiveReachWalk:
         t = state.topology
         report = M.network_rrf(state, category_rrf_request(1))
         assert report.placeable_multi > 0
-        assert M.capacity_breakdown(state).between == 0.0
+        assert capacity_split(state)[1] == 0.0
         assert t._reach_paths == {}
         assert "reach_pairs" not in vars(t)
 
     def test_one_live_reach_walks_nothing(self):
         state = PlacementState(build_tree(16, 2, UNIT, 1.0, oversub_ratio=2.0))
         t = state.topology
-        res = {r.id: 0.0 for r in t.reaches}
-        res["r3"] = 1.0
+        res = [0.0] * len(t.reaches)
+        res[3] = 1.0  # r3
         assert M.capacity_between_reaches(state, res) == 0.0
         assert M.placeable_between_reaches(state, res, MultiRequest(nw=0.1)) == 0
         assert t._reach_paths == {}
@@ -576,12 +595,12 @@ def _max_flow(t, sources, sinks):
 def _filtered_inside(state, req):
     """placeable_inside_reaches with the NIC eligibility filter it once had:
     hosts whose NIC headroom is below req.nw - 1e-9 do not pair at all."""
-    total, residuals = 0, {}
+    total, residuals = 0, []
     for reach in state.topology.reaches:
         eligible = [h for h in reach.hosts if M.nic_free(state, h) >= req.nw - 1e-9]
         got, res = M._pair_reduce(M._host_counts(state, eligible, req))
         total += got
-        residuals[reach.id] = res
+        residuals.append(res)
     return total, residuals
 
 
@@ -616,7 +635,7 @@ class TestPlaceableCounts:
     def test_fig4_inside(self):
         count, residual = M.placeable_inside_reaches(fig4_state(), FIG4_REQUEST)
         assert count == 2
-        assert residual == {"r0": 1, "r1": 1}
+        assert residual == [1, 1]
 
     def test_fig4_between_and_total(self):
         state = fig4_state()
@@ -639,7 +658,7 @@ class TestPlaceableCounts:
         req = MultiRequest(cpu=0.2, mem=0.2, nw=0.2)
         count, residual = M.placeable_inside_reaches(state, req)
         assert count == 0
-        assert residual[state.topology.reaches[0].id] == 5
+        assert residual == [5]
 
     def test_between_respects_narrow_path(self):
         state = fig4_state()
@@ -651,7 +670,7 @@ class TestPlaceableCounts:
 
     def test_zero_residual_between(self):
         assert M.placeable_between_reaches(
-            fig4_state(), {"r0": 0, "r1": 5}, FIG4_REQUEST) == 0
+            fig4_state(), [0, 5], FIG4_REQUEST) == 0
 
 
 class TestNetworkRRF:
@@ -847,9 +866,9 @@ class TestInvariantProperties:
     @settings(max_examples=300, deadline=None)
     @given(small_instances())
     def test_inside_plus_between_is_total(self, instance):
-        state, _ = instance
-        breakdown = M.capacity_breakdown(state)
-        assert breakdown.inside + breakdown.between == breakdown.total
+        state, req = instance
+        inside, between = capacity_split(state)
+        assert inside + between == M.network_rrf(state, req).total_free
 
     @settings(max_examples=300, deadline=None)
     @given(small_instances())
@@ -902,24 +921,23 @@ class TestHostCounts:
         sizes = {"cpu": cpu, "mem": mem, "nw": nw}
         req = MultiRequest(**{d: sizes[d] for d in dims})
         hosts = sorted(state.host_free)
-        assert M._host_counts(state, hosts, req) == [(_recount_host(state, h, req), h)
+        assert M._host_counts(state, hosts, req) == [_recount_host(state, h, req)
                                                      for h in hosts]
-        assert all(type(n) is int for n, _ in M._host_counts(state, hosts, req))
+        assert all(type(n) is int for n in M._host_counts(state, hosts, req))
 
 
 def _recount(state, req):
     """capacity_inside_reaches, placeable_inside_reaches and network_rrf
     recounted from the tables, with no memo or pair-order slot, a pairing
     that re-sorts every step and the unread-keyed reference walk."""
-    capacity, cap_res, count, count_res = 0.0, {}, 0, {}
+    capacity, cap_res, count, count_res = 0.0, [], 0, []
     for reach in state.topology.reaches:
-        got, res = _pair_reduce_by_sorting([(M.nic_free(state, h), h) for h in reach.hosts])
+        got, res = _pair_reduce_by_sorting([M.nic_free(state, h) for h in reach.hosts])
         capacity += got
-        cap_res[reach.id] = res
-        got, res = _pair_reduce_by_sorting([(_recount_host(state, h, req), h)
-                                            for h in reach.hosts])
+        cap_res.append(res)
+        got, res = _pair_reduce_by_sorting([_recount_host(state, h, req) for h in reach.hosts])
         count += got
-        count_res[reach.id] = res
+        count_res.append(res)
     total = capacity + float(_unread_walk(state, cap_res, lambda bw: bw, 1.0))
     n = count + _unread_walk(state, count_res, lambda bw: M.fit_count(bw, req.nw), req.nw)
     return ((capacity, cap_res), (count, count_res),

@@ -369,7 +369,8 @@ def _unified_rescanning_gains(state, app, config, reaches):
                         if state.assignments.get((app.id, v)) in reach_hosts}
             vm_id = min(unplaced,
                         key=lambda v: (-(bw_to(app, v, in_reach) - bw_to(app, v, unplaced)), v))
-        sibling = placement.best_sibling_reach(state, reaches, tried, placed_hosts, req)
+        hosting = [r for r in reaches if placed_hosts & set(r.hosts)]
+        sibling = placement.best_sibling_reach(state, reaches, tried, hosting, req)
         if sibling is None:
             return last_failure
         reach = sibling
@@ -380,7 +381,8 @@ class TestUnifiedNextVm:
     @staticmethod
     def _run(monkeypatch, body, category, apps, seed):
         """UNIFIED over a generated category workload: every assign_vm call
-        in order (rolled-back ones included), plus the sibling-reach spills."""
+        in order (rolled-back ones included), plus the sibling-reach spills:
+        the best_sibling_reach calls after an app's first reach was tried."""
         calls, spills = [], []
         assign, sibling = PlacementState.assign_vm, placement.best_sibling_reach
 
@@ -388,9 +390,10 @@ class TestUnifiedNextVm:
             calls.append((app_id, vm.id, host_id))
             return assign(self, app_id, vm, host_id)
 
-        def logged_sibling(*args):
-            got = sibling(*args)
-            spills.append(got is not None)
+        def logged_sibling(state, reaches, tried, hosting, req):
+            got = sibling(state, reaches, tried, hosting, req)
+            if tried:
+                spills.append(got is not None)
             return got
 
         with monkeypatch.context() as m:
@@ -418,20 +421,31 @@ class TestBestSiblingReach:
     def test_remaining_sibling_returned_and_exhaustion_none(self):
         state, reaches = tree_state(num_tors=2)
         req = MultiRequest(cpu=0.1, mem=0.1, nw=0.1)
-        sibling = best_sibling_reach(state, reaches, {reaches[0].id},
-                                     {reaches[0].hosts[0]}, req)
+        sibling = best_sibling_reach(state, reaches, {reaches[0].id}, [reaches[0]], req)
         assert sibling == reaches[1]
-        assert best_sibling_reach(state, reaches, {r.id for r in reaches},
-                                  set(), req) is None
+        assert best_sibling_reach(state, reaches, {r.id for r in reaches}, [], req) is None
 
     def test_equal_distance_breaks_on_bandwidth(self):
         state, reaches = tree_state(num_tors=4, hosts_per_tor=2)
         req = MultiRequest(cpu=0.1, mem=0.1, nw=0.1)
         # app lives in r0; drain r1's uplink so r2 offers more bandwidth
         state.link_free["t1-core"] = 0.05
-        sibling = best_sibling_reach(state, reaches, {reaches[0].id},
-                                     {reaches[0].hosts[0]}, req)
+        sibling = best_sibling_reach(state, reaches, {reaches[0].id}, [reaches[0]], req)
         assert sibling == reaches[2]
+
+    def test_first_pick_ties_break_on_string_ids(self):
+        # with no hosting reach only the placeable count and the id rank: on
+        # tree64's empty fabric all 16 racks tie and r0 wins; with r0 and r1
+        # full the other 14 tie and "r10" < "r2" wins
+        t = named_topology("tree64")
+        state, reaches = PlacementState(t), t.reaches
+        req = MultiRequest(cpu=0.1, mem=0.1, nw=0.1)
+        assert len(reaches) == 16
+        assert best_sibling_reach(state, reaches, set(), [], req).id == "r0"
+        for reach in reaches[:2]:
+            for h in reach.hosts:
+                state.host_free[h] = ResourceVector(0.0, 0.0, state.host_free[h].nic)
+        assert best_sibling_reach(state, reaches, set(), [], req).id == "r10"
 
 
 class TestLocal:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tempfile
 
@@ -573,6 +574,18 @@ class TestLoader:
         for value, boundary in ((None, {"s1"}), (False, set())):
             doc["switches"][0]["boundary_override"] = value
             assert find_boundary_switches(load_topology(self.write(tmp_path, doc))) == boundary
+
+    @pytest.mark.parametrize("value", [1.7, 0.5, -0.5, True, math.inf, -math.inf, math.nan])
+    def test_switch_level_must_be_an_integer(self, tmp_path, value):
+        # int() once loaded 1.7 as level 1 and true as 1, let -0.5 through as
+        # 0 and raised OverflowError on Infinity
+        doc = self.doc()
+        doc["switches"][0]["level"] = value
+        with pytest.raises(TopologyError, match=r"topo\.json: switches\[0\] \(s1\): level "
+                                                r"must be an integer, got "):
+            load_topology(self.write(tmp_path, doc))
+        doc["switches"][0]["level"] = 0.0  # a whole float is a level
+        assert load_topology(self.write(tmp_path, doc)).switches["s1"].level == 0
 
     @pytest.mark.parametrize("value", [[0], {"x": 1}, True, None])
     def test_link_id_must_be_a_string_or_a_number(self, tmp_path, value):
