@@ -57,8 +57,9 @@ def _parse_request(text: str) -> MultiRequest:
 
 
 def _workload_source(args):
+    """(workload source, generated category); the category is None for a file."""
     if getattr(args, "workload", None):
-        return args.workload
+        return args.workload, None
     if getattr(args, "generate", None):
         fields = _parse_kv(args.generate, "--generate")
         for key in ("category", "apps"):
@@ -132,10 +133,7 @@ def _run_reaches(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    source = _workload_source(args)
-    category = None
-    if isinstance(source, tuple):
-        source, category = source
+    source, category = _workload_source(args)
     if args.request:
         request = _parse_request(args.request)
     elif category is not None:
@@ -148,9 +146,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _run_place(args) -> int:
-    cfg = _experiment_config(args)
-    cfg.scheme = SchemeConfig(scheme=args.scheme)
-    rows = run_experiment(cfg)
+    rows = run_experiment(_experiment_config(args), SchemeConfig(scheme=args.scheme))
     print(f"scheme={args.scheme} placed={rows[-1].apps_placed if rows else 0}")
     for row in rows:
         print(row.format())

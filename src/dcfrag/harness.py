@@ -12,7 +12,7 @@ import hashlib
 import logging
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import fixtures
 from .metrics import MultiRequest, network_rrf
@@ -40,7 +40,7 @@ class ResultRow:
 
 @dataclass
 class ExperimentConfig:
-    """One placement run: where, what, how, and how to stop.
+    """One placement run: where, what, in which order, and how to stop.
 
     topology may be a Topology, a built-in fixture name or a file path;
     workload may be a list of applications, a WorkloadSpec or a file path.
@@ -48,7 +48,6 @@ class ExperimentConfig:
 
     topology: Topology | str
     workload: list | WorkloadSpec | str
-    scheme: SchemeConfig = field(default_factory=SchemeConfig)
     seed: int = 0
     rrf_request: MultiRequest = MultiRequest(cpu=0.1, mem=0.1, nw=0.1)
     output_path: str | None = None
@@ -124,12 +123,14 @@ def _run_sequence(topology: Topology, apps: list[Application], scheme: SchemeCon
                      order_hash=order_hash(apps), apps_placed=placed)
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Place the shuffled workload and return one row per successful placement."""
+def run_experiment(cfg: ExperimentConfig,
+                   scheme: SchemeConfig = SchemeConfig()) -> list[ResultRow]:
+    """Place the shuffled workload with one scheme and return one row per
+    successful placement."""
     topology = resolve_topology(cfg.topology)
     apps = resolve_workload(cfg.workload, topology)
     order = shuffle_order(apps, cfg.seed)
-    result = _run_sequence(topology, order, cfg.scheme, cfg.rrf_request, cfg.stop_policy)
+    result = _run_sequence(topology, order, scheme, cfg.rrf_request, cfg.stop_policy)
     log.info("run scheme=%s seed=%d order=%s placed=%d",
              result.scheme, cfg.seed, result.order_hash, result.apps_placed)
     if cfg.output_path:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -107,8 +108,13 @@ class Switch:
     boundary_override: bool | None = None
 
     def __post_init__(self):
-        if self.level < 0:
-            raise TopologyError(f"switch {self.id}: level must be >= 0")
+        # bool is an int, and any non-empty string is truthy
+        if isinstance(self.level, bool) or not isinstance(self.level, int) or self.level < 0:
+            raise TopologyError(f"switch {self.id}: level must be an integer >= 0, "
+                                f"got {self.level!r}")
+        if self.boundary_override is not None and not isinstance(self.boundary_override, bool):
+            raise TopologyError(f"switch {self.id}: boundary_override must be true, false "
+                                f"or null, got {self.boundary_override!r}")
 
 
 @dataclass
@@ -625,13 +631,37 @@ def build_clos(pods: int, hosts_per_edge: int, edges_per_pod: int,
 # -- file loading --------------------------------------------------------------
 
 
+@contextmanager
+def _entry(where: str, error: type[Exception] = TopologyError):
+    """Read one file entry: a KeyError, TypeError, ValueError or error raised
+    inside, by the reading or by a model constructor, is re-raised as
+    error("<where>: <message>")."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, error) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise error(f"{where}: {detail}") from exc
+
+
+def _number(rec: dict, key: str, default: float | None = None) -> float:
+    """rec[key] as a float, or default when key is absent and a default is
+    given. A JSON boolean is not a number."""
+    value = rec[key] if default is None else rec.get(key, default)
+    if isinstance(value, bool):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_topology(path: str) -> Topology:
     """Load a topology from a JSON document (schema documented in the README).
 
     All capacities in the file are absolute (MHz, MB, Mbps); requests are
     normalized against the declared reference host and link at metric time.
-    Beyond the checks of Topology itself, a host without exactly one link is
-    named by its file entry, and every TOR must hold an even number of hosts.
+    Every entry is read through _entry, so each error, the model types' own
+    checks included, reads "<path>: <list>[i]: <object> <id>: <problem>".
+    JSON booleans are not numbers. Beyond the model types' checks, a link end
+    must be a host or switch of the file, a host needs exactly one link, and
+    every TOR must hold an even number of hosts.
     """
     with open(path) as fh:
         try:
@@ -650,50 +680,37 @@ def load_topology(path: str) -> Topology:
     for i, rec in enumerate(doc["hosts"]):
         if not isinstance(rec, dict):
             raise TopologyError(f"{path}: hosts[{i}]: expected an object, got {rec!r}")
-    ref_host = doc["reference_host"]
-    try:
+    with _entry(path):
+        ref_host = doc["reference_host"]
         reference = Reference(
-            host=ResourceVector(float(ref_host["cpu_mhz"]), float(ref_host["mem_mb"]),
-                                float(ref_host["nic_mbps"])),
-            link=float(doc["reference_link_mbps"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TopologyError(f"{path}: bad reference_host/reference_link_mbps ({exc})") from exc
+            host=ResourceVector(_number(ref_host, "cpu_mhz"), _number(ref_host, "mem_mb"),
+                                _number(ref_host, "nic_mbps")),
+            link=_number(doc, "reference_link_mbps"))
 
     switches = []
     for i, rec in enumerate(doc["switches"]):
-        try:
-            sid, level, override = str(rec["id"]), rec["level"], rec.get("boundary_override")
-            # int() would floor 1.7 to 1, take true as 1 and overflow on Infinity
-            if isinstance(level, bool) or isinstance(level, float) and not level.is_integer():
-                raise TopologyError(f"{path}: switches[{i}] ({sid}): level must be an "
-                                    f"integer, got {level!r}")
-            if override is not None and not isinstance(override, bool):
-                raise TopologyError(f"{path}: switches[{i}] ({sid}): boundary_override must "
-                                    f"be true, false or null, got {override!r}")
-            switches.append(Switch(id=sid, level=int(level), boundary_override=override))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TopologyError(f"{path}: switches[{i}]: {exc}") from exc
+        with _entry(f"{path}: switches[{i}]"):
+            level = rec["level"]
+            if isinstance(level, float) and level.is_integer():
+                level = int(level)
+            switches.append(Switch(id=str(rec["id"]), level=level,
+                                   boundary_override=rec.get("boundary_override")))
 
+    known = {s.id for s in switches} | {str(rec.get("id")) for rec in doc["hosts"]}
     links = []
     for i, rec in enumerate(doc["links"]):
-        try:
-            cap = float(rec["capacity_mbps"])
-            free = float(rec.get("free_mbps", cap))
+        with _entry(f"{path}: links[{i}]"):
             a, b = str(rec["a"]), str(rec["b"])
             lid = rec.get("id", f"{a}-{b}")
             if isinstance(lid, bool) or not isinstance(lid, (str, int, float)):
-                raise TopologyError(f"{path}: links[{i}] ({a}-{b}): id must be a string or "
-                                    f"a number, got {lid!r}")
-            links.append(Link(id=str(lid), a=a, b=b, capacity=cap, free=free))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TopologyError(f"{path}: links[{i}]: {exc}") from exc
-
-    known = {s.id for s in switches} | {str(rec.get("id")) for rec in doc["hosts"]}
-    for i, l in enumerate(links):
-        for end in (l.a, l.b):
-            if end not in known:
-                raise TopologyError(f"{path}: links[{i}]: unknown endpoint {end!r}")
+                raise TopologyError(f"link {a}-{b}: id must be a string or a number, "
+                                    f"got {lid!r}")
+            cap = _number(rec, "capacity_mbps")
+            links.append(Link(id=str(lid), a=a, b=b, capacity=cap,
+                              free=_number(rec, "free_mbps", cap)))
+            for end in (a, b):
+                if end not in known:
+                    raise TopologyError(f"link {lid}: unknown endpoint {end!r}")
 
     link_by_end: dict[str, list[Link]] = {}
     for l in links:
@@ -702,31 +719,26 @@ def load_topology(path: str) -> Topology:
 
     hosts = []
     for i, rec in enumerate(doc["hosts"]):
-        try:
+        with _entry(f"{path}: hosts[{i}]"):
             hid = str(rec["id"])
             attached = link_by_end.get(hid, [])
             if len(attached) != 1:
-                raise TopologyError(
-                    f"{path}: hosts[{i}] ({hid}): host must have exactly one link, "
-                    f"found {len(attached)}")
-            nic_cap = float(rec.get("nic_mbps", attached[0].capacity))
-            cap = ResourceVector(float(rec["cpu_mhz"]), float(rec["mem_mb"]), nic_cap)
-            free = ResourceVector(
-                float(rec.get("free_cpu_mhz", cap.cpu)),
-                float(rec.get("free_mem_mb", cap.mem)),
-                float(rec.get("free_nic_mbps", nic_cap)),
-            )
+                raise TopologyError(f"host {hid}: must have exactly one link, "
+                                    f"found {len(attached)}")
+            nic_cap = _number(rec, "nic_mbps", attached[0].capacity)
+            cap = ResourceVector(_number(rec, "cpu_mhz"), _number(rec, "mem_mb"), nic_cap)
+            free = ResourceVector(_number(rec, "free_cpu_mhz", cap.cpu),
+                                  _number(rec, "free_mem_mb", cap.mem),
+                                  _number(rec, "free_nic_mbps", nic_cap))
             hosts.append(Host(id=hid, capacity=cap, free=free))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TopologyError(f"{path}: hosts[{i}]: {exc}") from exc
 
-    t = Topology(hosts, switches, links, reference)
-    per_tor: dict[str, int] = {}
-    for _, tor in t.host_ports.values():
-        per_tor[tor] = per_tor.get(tor, 0) + 1
-    odd = sorted(tor for tor, n in per_tor.items() if n % 2 != 0)
-    if odd:
-        raise TopologyError(
-            f"{path}: TORs {odd} have an odd number of hosts; the reach procedures "
-            f"require even racks")
+    with _entry(path):
+        t = Topology(hosts, switches, links, reference)
+        per_tor: dict[str, int] = {}
+        for _, tor in t.host_ports.values():
+            per_tor[tor] = per_tor.get(tor, 0) + 1
+        odd = sorted(tor for tor, n in per_tor.items() if n % 2 != 0)
+        if odd:
+            raise TopologyError(f"TORs {odd} have an odd number of hosts; the reach "
+                                f"procedures require even racks")
     return t

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .metrics import MultiRequest
-from .topology import _EPS, Reference, ResourceVector
+from .topology import _EPS, Reference, ResourceVector, _entry, _number
 
 
 class WorkloadError(Exception):
@@ -263,12 +263,10 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
     seen: set[str] = set()
     for ai, rec in enumerate(doc["apps"]):
         where = f"{path}: apps[{ai}]"
-        try:
+        with _entry(where, WorkloadError):
             app_id = str(rec["id"])
-        except (KeyError, TypeError) as exc:
-            raise WorkloadError(f"{where}: missing id ({exc})") from exc
-        if app_id in seen:
-            raise WorkloadError(f"{where}: duplicate app id {app_id!r}")
+            if app_id in seen:
+                raise WorkloadError(f"duplicate app id {app_id!r}")
         seen.add(app_id)
         vm_recs, edge_recs = rec.get("vms", []), rec.get("edges", [])
         if not isinstance(vm_recs, list) or not isinstance(edge_recs, list):
@@ -282,37 +280,29 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
         traffic: dict[tuple[str, str], float] = {}
         vm_ids = {str(v.get("id")) for v in vm_recs}
         for ei, edge in enumerate(edge_recs):
-            try:
+            with _entry(f"{where}: edges[{ei}]", WorkloadError):
                 x, y = str(edge["a"]), str(edge["b"])
-                bw = float(edge["mbps"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise WorkloadError(f"{where}: edges[{ei}]: {exc}") from exc
-            if x == y:
-                raise WorkloadError(f"{where}: edges[{ei}]: self-edge on {x}")
-            if x not in vm_ids or y not in vm_ids:
-                missing = x if x not in vm_ids else y
-                raise WorkloadError(f"{where}: edges[{ei}]: unknown VM {missing!r}")
-            key = (x, y) if x < y else (y, x)
-            if key in traffic:
-                raise WorkloadError(f"{where}: edges[{ei}]: duplicate edge {key}")
-            traffic[key] = bw
+                bw = _number(edge, "mbps")
+                if x == y:
+                    raise WorkloadError(f"self-edge on {x}")
+                if x not in vm_ids or y not in vm_ids:
+                    raise WorkloadError(f"unknown VM {x if x not in vm_ids else y!r}")
+                key = (x, y) if x < y else (y, x)
+                if key in traffic:
+                    raise WorkloadError(f"duplicate edge {key}")
+                traffic[key] = bw
 
         peers = traffic_peers(traffic)
         vms = []
         for vi, v in enumerate(vm_recs):
-            try:
+            with _entry(f"{where}: vms[{vi}]", WorkloadError):
                 vm_id = str(v["id"])
-                cpu = float(v["cpu_mhz"])
-                mem = float(v["mem_mb"])
-                nic = float(v.get("nic_mbps", sum(peers.get(vm_id, {}).values())))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise WorkloadError(f"{where}: vms[{vi}]: {exc}") from exc
-            vms.append(VM(id=vm_id, demand=ResourceVector(cpu, mem, nic)))
+                cpu, mem = _number(v, "cpu_mhz"), _number(v, "mem_mb")
+                nic = _number(v, "nic_mbps", sum(peers.get(vm_id, {}).values()))
+                vms.append(VM(id=vm_id, demand=ResourceVector(cpu, mem, nic)))
 
-        app = Application(id=app_id, vms=tuple(vms), traffic=traffic, reference=reference)
-        try:
+        with _entry(where, WorkloadError):
+            app = Application(id=app_id, vms=tuple(vms), traffic=traffic, reference=reference)
             validate_application(app)
-        except WorkloadError as exc:
-            raise WorkloadError(f"{where}: {exc}") from exc
         apps.append(app)
     return apps

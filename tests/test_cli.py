@@ -258,7 +258,8 @@ class TestPlaceAndCompare:
                                  "--workload", str(tmp_path / "wl.json"), "--scheme", "UNIFIED",
                                  "--request", "cpu=0.1,mem=0.1,nw=0.01")
         assert code == 1 and out == ""
-        assert err == "dcfrag: error: host h1: cpu capacity 0.0 must be > 0\n"
+        assert err == (f"dcfrag: error: {tmp_path / 'topo.json'}: hosts[1]: host h1: "
+                       f"cpu capacity 0.0 must be > 0\n")
 
     def test_compare_defaults_to_all_schemes(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--topology", "tree64",

@@ -344,6 +344,15 @@ class TestStructuralValidation:
         build_tree(4, 4, UNIT, 1.0, 4.0)
         build_clos(2, 2, 2, UNIT, 1.0, 2.0)
 
+    @pytest.mark.parametrize("level,override", [
+        (1.7, None), (True, None), ("1", None), (-1, None), (0, "false"), (0, 1)])
+    def test_switch_checks_its_level_and_override(self, level, override):
+        # the string "false" is truthy, so it would pin a boundary
+        with pytest.raises(TopologyError, match=r"^switch s: (level must be an integer >= 0|"
+                                                r"boundary_override must be true, false or "
+                                                r"null), got "):
+            Switch("s", level, override)
+
 
 class TestHostPorts:
     def test_topologies_built_from_one_host_list_keep_their_own_ports(self):
@@ -525,6 +534,16 @@ class TestLoader:
                       for i in range(hosts)],
         }
 
+    def doc_with(self, entry, value):
+        """doc() with the field at entry (keys and indices) set to value."""
+        doc = self.doc()
+        *parents, key = entry
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        return doc
+
     def test_roundtrip(self, tmp_path):
         t = load_topology(self.write(tmp_path, self.doc()))
         assert len(t.hosts) == 4
@@ -568,8 +587,9 @@ class TestLoader:
         # the string "false" is truthy, so it once pinned s1 as a boundary
         doc = self.doc()
         doc["switches"][0]["boundary_override"] = value
-        with pytest.raises(TopologyError, match=r"switches\[0\] \(s1\): boundary_override "
-                                                r"must be true, false or null, got "):
+        with pytest.raises(TopologyError, match=r"topo\.json: switches\[0\]: switch s1: "
+                                                r"boundary_override must be true, false "
+                                                r"or null, got "):
             load_topology(self.write(tmp_path, doc))
         for value, boundary in ((None, {"s1"}), (False, set())):
             doc["switches"][0]["boundary_override"] = value
@@ -581,8 +601,8 @@ class TestLoader:
         # 0 and raised OverflowError on Infinity
         doc = self.doc()
         doc["switches"][0]["level"] = value
-        with pytest.raises(TopologyError, match=r"topo\.json: switches\[0\] \(s1\): level "
-                                                r"must be an integer, got "):
+        with pytest.raises(TopologyError, match=r"topo\.json: switches\[0\]: switch s1: level "
+                                                r"must be an integer >= 0, got "):
             load_topology(self.write(tmp_path, doc))
         doc["switches"][0]["level"] = 0.0  # a whole float is a level
         assert load_topology(self.write(tmp_path, doc)).switches["s1"].level == 0
@@ -591,8 +611,8 @@ class TestLoader:
     def test_link_id_must_be_a_string_or_a_number(self, tmp_path, value):
         doc = self.doc()
         doc["links"][1]["id"] = value
-        with pytest.raises(TopologyError, match=r"links\[1\] \(h1-s1\): id must be a "
-                                                r"string or a number, got "):
+        with pytest.raises(TopologyError, match=r"topo\.json: links\[1\]: link h1-s1: id must "
+                                                r"be a string or a number, got "):
             load_topology(self.write(tmp_path, doc))
 
     def test_numeric_link_ids_become_strings(self, tmp_path):
@@ -602,6 +622,41 @@ class TestLoader:
         t = load_topology(self.write(tmp_path, doc))
         assert sorted(t.links) == ["0", "1.5", "2", "3.5"]
         assert t.host_ports["h1"][0] == "1.5"
+
+    @pytest.mark.parametrize("entry,value,message", [
+        (("switches", 0, "level"), -1,
+         r"switches\[0\]: switch s1: level must be an integer >= 0, got -1$"),
+        (("switches", 0, "level"), "0",
+         r"switches\[0\]: switch s1: level must be an integer >= 0, got '0'$"),
+        (("links", 1, "capacity_mbps"), 0,
+         r"links\[1\]: link h1-s1: capacity 0\.0 must be finite and > 0$"),
+        (("links", 1, "free_mbps"), 1500,
+         r"links\[1\]: link h1-s1: free 1500\.0 outside \[0, 1000\.0\]$"),
+        (("hosts", 1, "cpu_mhz"), 0, r"hosts\[1\]: host h1: cpu capacity 0\.0 must be > 0$"),
+        (("hosts", 1, "free_mem_mb"), 1500,
+         r"hosts\[1\]: host h1: free ResourceVector\(.*\) exceeds capacity "),
+        (("hosts", 1, "mem_mb"), "nan", r"hosts\[1\]: host h1: capacity .* must be finite$"),
+        (("reference_host", "cpu_mhz"), 0, r"reference_host .* must be finite and > 0$"),
+    ], ids=["negative-level", "string-level", "zero-link", "link-free-above", "zero-cpu-host",
+            "host-free-above", "nan-host", "zero-reference"])
+    def test_model_errors_name_the_file_and_entry(self, tmp_path, entry, value, message):
+        # the model types' own checks once reached the user without the file
+        with pytest.raises(TopologyError, match=r"topo\.json: " + message):
+            load_topology(self.write(tmp_path, self.doc_with(entry, value)))
+
+    @pytest.mark.parametrize("entry,where", [
+        (("links", 1, "capacity_mbps"), r"links\[1\]: "),
+        (("links", 1, "free_mbps"), r"links\[1\]: "),
+        (("hosts", 1, "cpu_mhz"), r"hosts\[1\]: "),
+        (("hosts", 1, "free_cpu_mhz"), r"hosts\[1\]: "),
+        (("hosts", 1, "nic_mbps"), r"hosts\[1\]: "),
+        (("reference_host", "mem_mb"), ""),
+        (("reference_link_mbps",), "")])
+    def test_booleans_are_not_numbers(self, tmp_path, entry, where):
+        # float() once read true as 1.0
+        with pytest.raises(TopologyError, match=rf"topo\.json: {where}{entry[-1]} must be "
+                                                r"a number, got True$"):
+            load_topology(self.write(tmp_path, self.doc_with(entry, True)))
 
     def test_garbage_json_rejected(self, tmp_path):
         path = tmp_path / "topo.json"

@@ -257,6 +257,16 @@ class TestLoader:
         with pytest.raises(WorkloadError, match=r"apps\[0\]: vms\[0\]: could not convert"):
             self.load(tmp_path, doc)
 
+    @pytest.mark.parametrize("entry,key", [
+        ("edges", "mbps"), ("vms", "cpu_mhz"), ("vms", "mem_mb"), ("vms", "nic_mbps")])
+    def test_booleans_are_not_numbers(self, tmp_path, entry, key):
+        # float() once read true as 1.0
+        doc = self.doc()
+        doc["apps"][1][entry][0][key] = True
+        with pytest.raises(WorkloadError, match=rf"wl\.json: apps\[1\]: {entry}\[0\]: {key} "
+                                                r"must be a number, got True$"):
+            self.load(tmp_path, doc)
+
     def test_empty_app_rejected(self, tmp_path):
         doc = {"apps": [{"id": "a", "vms": [], "edges": []}]}
         with pytest.raises(WorkloadError, match="no VMs"):
