@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Run perfbench alternately on a parent commit and on this checkout.
 
-    python3 bench/ab.py --parent REV --out BENCH_<n>.json --what "TEXT" [--seed S ...]
+    python3 bench/ab.py --parent REV --out BENCH_<n>.json --what "TEXT"
+                        [--workload W ...] [--seed S ...] [--pairs N]
 
 Run it from anywhere inside the checkout that holds the change. The parent
 commit is exported with `git archive` into a temporary directory, so both
 sides run their own `src/` under their own copy of `perfbench/`. For every
-workload of BENCHMARK.json and every seed (default 0), each of 10 pairs runs
+workload given (default: all of BENCHMARK.json) and every seed (default 0),
+each of N pairs (default 10) runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -15,8 +17,12 @@ first alternates from pair to pair. Then
 each side makes one `--trace 1` run per workload at the first seed. The
 output file has the keys `what`, `parent_commit`, `summary`, `traced` and
 `pairs`; `pairs` and `traced` hold the full perfbench records, plus each
-run's exit code. Stdlib only; it is not part of the test suite, and it takes
-about 2 x 10 x T per workload and seed.
+run's exit code. Per metric the summary also states whether the change won
+at least nine tenths of the pairs (ties count for neither side) and whether
+the medians differ, in the change's favour, by more than the parent's
+interquartile range: a gain may be claimed only when both hold. Stdlib only;
+it is not part of the test suite, and it takes about 2 x N x T per workload
+and seed.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PAIRS = 10
 
 
 def export(rev: str, dest: Path) -> str:
@@ -74,7 +79,11 @@ def spread(values: list[float]) -> tuple[str, list[float]]:
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per workload and seed: correctness, and each end-to-end metric's
-    spread per side, median ratio and the pairs where the change is better."""
+    spread per side, median ratio, the pairs where the change is better and
+    the two verdicts a claimed gain needs: `won_nine_tenths` (better in at
+    least 9 of 10 pairs) and `beats_parent_iqr` (the median moved the better
+    way by more than the parent's q3 - q1; false under 4 pairs, which give
+    no quartiles)."""
     groups: dict[str, list[dict]] = {}
     for p in pairs:
         groups.setdefault(f"{p['workload']} seed {p['seed']}", []).append(p)
@@ -90,14 +99,21 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         for m in metrics:
             sides = {side: [p[side]["result"]["metrics"][m["name"]]["value"] for p in group]
                      for side in ("parent", "change")}
+            stats = {}
             for side, values in sides.items():
-                label, stats = spread(values)
-                entry.setdefault(m["name"], {})[f"{side}_{label}"] = [round(v, 6) for v in stats]
+                label, stats[side] = spread(values)
+                entry.setdefault(m["name"], {})[f"{side}_{label}"] = [
+                    round(v, 6) for v in stats[side]]
             higher = m["better"] == "higher"
-            entry[m["name"]]["change_over_parent_median"] = round(
-                statistics.median(sides["change"]) / statistics.median(sides["parent"]), 4)
-            entry[m["name"]]["change_better_pairs"] = sum(
-                (c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
+            (q1, parent_median, q3), change_median = stats["parent"], stats["change"][1]
+            better = sum((c > p) if higher else (c < p)
+                         for p, c in zip(sides["parent"], sides["change"]))
+            gain = change_median - parent_median if higher else parent_median - change_median
+            entry[m["name"]].update(
+                change_over_parent_median=round(change_median / parent_median, 4),
+                change_better_pairs=better,
+                won_nine_tenths=10 * better >= 9 * len(group),
+                beats_parent_iqr=label == "q1_median_q3" and gain > q3 - q1)
         summary[name] = entry
     return summary
 
@@ -107,11 +123,17 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--out", required=True, help="BENCH file to write")
     parser.add_argument("--what", required=True, help="what the change is, one sentence")
-    parser.add_argument("--seed", action="append", type=int)
-    args = parser.parse_args(argv)
-    seeds = args.seed or [0]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads, seconds = [w["name"] for w in spec["workloads"]], spec["run_seconds"]
+    names = [w["name"] for w in spec["workloads"]]
+    parser.add_argument("--workload", action="append", choices=names,
+                        help="workload to run, repeatable (default: all)")
+    parser.add_argument("--seed", action="append", type=int)
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload and seed")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    seeds = args.seed or [0]
+    workloads, seconds = args.workload or names, spec["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="dcfrag-parent-") as tmp:
         parent_root = Path(tmp)
@@ -120,7 +142,7 @@ def main(argv=None) -> int:
         pairs = []
         for workload in workloads:
             for seed in seeds:
-                for i in range(1, PAIRS + 1):
+                for i in range(1, args.pairs + 1):
                     order = ("parent", "change") if i % 2 else ("change", "parent")
                     pair = {"workload": workload, "seed": seed, "pair": i, "first": order[0]}
                     for side in order:
@@ -138,7 +160,9 @@ def main(argv=None) -> int:
             f"--seconds {seconds:g} --trace 0' once per side, from two checkouts of the "
             f"same benchmark files; 'first' names the side that ran first. Quartiles are "
             f"statistics.quantiles(n=4) (exclusive); under 4 pairs the summary gives min, "
-            f"median and max. 'traced' holds one --trace 1 run per side and workload. "
+            f"median and max. won_nine_tenths: the change was better in at least 9 of 10 "
+            f"pairs; beats_parent_iqr: its median moved the better way by more than the "
+            f"parent's q3 - q1. 'traced' holds one --trace 1 run per side and workload. "
             f"environment.commit is null for the exported parent and the checkout's HEAD "
             f"for the change; src_sha256 tells the sides apart.")
     doc = {"what": what, "parent_commit": parent_commit,

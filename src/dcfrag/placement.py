@@ -278,26 +278,40 @@ def bal_pack(state: PlacementState, vm: VM, reach: Reach) -> str | None:
 
 
 def best_sibling_reach(state: PlacementState, reaches: tuple[Reach, ...], tried: set[str],
-                       hosting: list[Reach], req: MultiRequest) -> Reach | None:
+                       hosting: list[Reach], req: MultiRequest,
+                       counts: dict[str, int] | None = None) -> Reach | None:
     """UNIFIED's one reach ranking, for its first reach and every spill: the
     untried reach closest to the `hosting` reaches (those holding the app's
     VMs), then with most inter-reach bandwidth to them, then most placeable,
     then smallest id, compared as a string ("r10" < "r2"). With no hosting
     reach, as at the first pick, distance and bandwidth tie for every reach.
-    None when every reach was tried."""
+    None when every reach was tried.
+
+    Only the reaches that tie on (distance, bandwidth) are counted, by
+    placeable_in_reach. `counts` maps reach id -> count; a count found there
+    is used as is and a new one is added, so within one attempt, where an
+    untried reach's count cannot change, each reach is counted once."""
     candidates = [r for r in reaches if r.id not in tried]
     if not candidates:
         return None
-    t = state.topology
-
-    def key(r: Reach):
-        if hosting:
+    if hosting:
+        t, link_free = state.topology, state.link_free
+        ranked = []
+        for r in candidates:
             paths = [t.reach_paths(r, h) for h in hosting]
             dist = min(len(p[0]) for p in paths)  # a pair's distance: its first path's length
-            bw = max(_paths_bandwidth(p, state.link_free, t.reference.link) for p in paths)
-        else:
-            dist, bw = 0.0, 0.0
-        return (dist, -bw, -placeable_in_reach(state, r, req), r.id)
+            bw = max(_paths_bandwidth(p, link_free, t.reference.link) for p in paths)
+            ranked.append(((dist, -bw), r))
+        nearest = min(key for key, _ in ranked)
+        candidates = [r for key, r in ranked if key == nearest]
+    if counts is None:
+        counts = {}
+
+    def key(r: Reach):
+        n = counts.get(r.id)
+        if n is None:
+            n = counts[r.id] = placeable_in_reach(state, r, req)
+        return (-n, r.id)
 
     return min(candidates, key=key)
 
@@ -325,14 +339,21 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
     this reach less its traffic to the unplaced. A placement changes only its
     peers' gains, so only theirs are recomputed. best_sibling_reach picks
     every reach, the first one included.
+
+    The rankings share one map of reach counts. An attempt writes only to
+    hosts of reaches it has tried, and a reserved path touches host uplinks
+    only where the app's VMs sit, so an untried reach's count holds for the
+    whole attempt.
     """
     req = representative_request(app)
     tried: set[str] = set()
     hosting: list[Reach] = []  # the reaches holding a VM, in the order they took one
+    counts: dict[str, int] = {}  # reach id -> placeable_in_reach, for untried reaches
     unplaced = set(app.vm_ids())
     last_failure = "no reach could take the first VM"
 
-    while (reach := best_sibling_reach(state, reaches, tried, hosting, req)) is not None:
+    while (reach := best_sibling_reach(state, reaches, tried, hosting, req,
+                                       counts)) is not None:
         tried.add(reach.id)
         in_reach: set[str] = set()  # an untried reach holds none of the app's VMs
         # with in_reach empty a gain is minus the traffic to the unplaced
@@ -448,19 +469,20 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
     bw = sum(app.total_traffic(v) for v in app.vm_ids()) / n_total
     slots = config.netw_slots_per_host
     used = Counter(state.assignments.values())
+    # a refused unit rolls back all it wrote, so one table serves every unit
+    free_slots = {h: max(0, slots - used[h]) for h in t.host_ids}
     ports, link_free = t.host_ports, state.link_free
 
     last_failure = f"no subtree offers {n_total} slots for app {app.id}"
     for unit_hosts in t.subtrees:
-        free_slots = {h: slots - used[h] for h in unit_hosts}
-        if sum(max(0, f) for f in free_slots.values()) < n_total:
+        if sum(map(free_slots.__getitem__, unit_hosts)) < n_total:
             continue
         counts: dict[str, int] = {}
         remaining = n_total
         for h in unit_hosts:
             if remaining == 0:
                 break
-            want = min(max(0, free_slots[h]), remaining)
+            want = min(free_slots[h], remaining)
             take = 0
             for m in range(want, 0, -1):
                 need = min(m, n_total - m) * bw

@@ -333,12 +333,13 @@ class Topology:
         key = (tor_a, tor_b)
         cached = self._dags.get(key)
         if cached is None:
+            links = self.switch_links  # hosts are leaves, on no path between TORs
             depth = {tor_a: 0}
             frontier = [tor_a]
             while tor_b not in depth:
                 nxt = []
                 for node in frontier:
-                    for peer, _ in self.neighbors(node):
+                    for peer, _ in links[node]:
                         if peer not in depth:
                             depth[peer] = depth[node] + 1
                             nxt.append(peer)
@@ -350,8 +351,8 @@ class Topology:
             while layers[-1] != [tor_a]:
                 above = set()
                 for node in layers[-1]:
-                    preds[node] = sorted((peer, lid) for peer, lid in self.neighbors(node)
-                                         if depth.get(peer) == depth[node] - 1)
+                    preds[node] = [(peer, lid) for peer, lid in links[node]
+                                   if depth.get(peer) == depth[node] - 1]
                     above.update(peer for peer, _ in preds[node])
                 layers.append(sorted(above))
             order = [node for layer in reversed(layers) for node in layer]
@@ -436,8 +437,18 @@ class Topology:
         # itemgetter() raises, and itemgetter(lid) returns a bare entry
         return lambda table: tuple(table[lid] for lid in links)
 
+    @cached_property
+    def switch_links(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Switch id -> its (switch peer, link id) pairs, sorted, computed on
+        first use. Hosts are degree-1 leaves, so no path between two switches
+        passes one: the path searches read these pairs alone."""
+        return {s: tuple(sorted((peer, lid) for peer, lid in self.neighbors(s)
+                                if peer in self.switches))
+                for s in self.switches}
+
     def _switch_set_path(self, srcs: set[str], dsts: set[str],
                          blocked: set[str]) -> tuple[str, ...] | None:
+        links = self.switch_links
         parent: dict[str, tuple[str, str] | None] = {s: None for s in sorted(srcs)}
         frontier = deque(sorted(srcs))
         goal = None
@@ -446,8 +457,8 @@ class Topology:
             if node in dsts:
                 goal = node
                 break
-            for peer, lid in sorted(self.neighbors(node)):
-                if peer in self.switches and peer not in parent and lid not in blocked:
+            for peer, lid in links[node]:
+                if peer not in parent and lid not in blocked:
                     parent[peer] = (node, lid)
                     frontier.append(peer)
         if goal is None:
@@ -645,9 +656,10 @@ def _entry(where: str, error: type[Exception] = TopologyError):
 
 def _number(rec: dict, key: str, default: float | None = None) -> float:
     """rec[key] as a float, or default when key is absent and a default is
-    given. A JSON boolean is not a number."""
+    given. Only a JSON number is a number: not a boolean, nor a string
+    such as "4000"."""
     value = rec[key] if default is None else rec.get(key, default)
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{key} must be a number, got {value!r}")
     return float(value)
 
@@ -659,9 +671,11 @@ def load_topology(path: str) -> Topology:
     normalized against the declared reference host and link at metric time.
     Every entry is read through _entry, so each error, the model types' own
     checks included, reads "<path>: <list>[i]: <object> <id>: <problem>".
-    JSON booleans are not numbers. Beyond the model types' checks, a link end
-    must be a host or switch of the file, a host needs exactly one link, and
-    every TOR must hold an even number of hosts.
+    Numeric fields take JSON numbers only, not booleans or quoted numbers
+    (NaN and Infinity parse, and the model types refuse them). Beyond the
+    model types' checks, a link end must be a host or switch of the file, a
+    host needs exactly one link, and every TOR must hold an even number of
+    hosts.
     """
     with open(path) as fh:
         try:

@@ -267,12 +267,12 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
             app_id = str(rec["id"])
             if app_id in seen:
                 raise WorkloadError(f"duplicate app id {app_id!r}")
+            vm_recs, edge_recs = rec.get("vms", []), rec.get("edges", [])
+            if not isinstance(vm_recs, list) or not isinstance(edge_recs, list):
+                raise WorkloadError(f"app {app_id}: 'vms' and 'edges' must be lists")
+            if not vm_recs:
+                raise WorkloadError(f"app {app_id}: no VMs")
         seen.add(app_id)
-        vm_recs, edge_recs = rec.get("vms", []), rec.get("edges", [])
-        if not isinstance(vm_recs, list) or not isinstance(edge_recs, list):
-            raise WorkloadError(f"{where} ({app_id}): 'vms' and 'edges' must be lists")
-        if not vm_recs:
-            raise WorkloadError(f"{where} ({app_id}): no VMs")
         for vi, v in enumerate(vm_recs):
             if not isinstance(v, dict):
                 raise WorkloadError(f"{where}: vms[{vi}]: expected an object, got {v!r}")

@@ -188,11 +188,11 @@ class TestBadFileShapes:
     @pytest.mark.parametrize("kind, doc, message", [
         pytest.param("workload", 5, "missing top-level 'apps' list", id="workload-int"),
         pytest.param("workload", _shaped(_WL, ("apps", 0, "vms"), 5),
-                     "apps[0] (a): 'vms' and 'edges' must be lists", id="vms-int"),
+                     "apps[0]: app a: 'vms' and 'edges' must be lists", id="vms-int"),
         pytest.param("workload", _shaped(_WL, ("apps", 0, "vms"), [5]),
                      "apps[0]: vms[0]: expected an object, got 5", id="vm-int"),
         pytest.param("workload", _shaped(_WL, ("apps", 0, "edges"), 5),
-                     "apps[0] (a): 'vms' and 'edges' must be lists", id="edges-int"),
+                     "apps[0]: app a: 'vms' and 'edges' must be lists", id="edges-int"),
         pytest.param("workload", {"apps": _WL["apps"] * 2},
                      "apps[1]: duplicate app id 'a'", id="duplicate-app-id"),
         pytest.param("topology", 5, "expected a JSON object at the top level",

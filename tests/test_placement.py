@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dcfrag import placement
 from dcfrag.fixtures import (UNIT, UNIT_REF, category_eval_apps, category_spec,
                              category_topology, fig1_instance, named_topology)
-from dcfrag.metrics import MultiRequest
+from dcfrag.metrics import MultiRequest, placeable_in_reach
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
                               reserve_traffic)
@@ -390,8 +390,8 @@ class TestUnifiedNextVm:
             calls.append((app_id, vm.id, host_id))
             return assign(self, app_id, vm, host_id)
 
-        def logged_sibling(state, reaches, tried, hosting, req):
-            got = sibling(state, reaches, tried, hosting, req)
+        def logged_sibling(state, reaches, tried, hosting, req, counts=None):
+            got = sibling(state, reaches, tried, hosting, req, counts)
             if tried:
                 spills.append(got is not None)
             return got
@@ -446,6 +446,21 @@ class TestBestSiblingReach:
             for h in reach.hosts:
                 state.host_free[h] = ResourceVector(0.0, 0.0, state.host_free[h].nic)
         assert best_sibling_reach(state, reaches, set(), [], req).id == "r10"
+
+    def test_counts_only_the_ties_and_reuses_the_map(self):
+        state, reaches = tree_state(num_tors=4, hosts_per_tor=2)
+        req = MultiRequest(cpu=0.1, mem=0.1, nw=0.1)
+        # app lives in r0; r1's drained uplink leaves r2 and r3 tied on
+        # (distance, bandwidth), so only they are counted
+        state.link_free["t1-core"] = 0.05
+        counts = {}
+        sibling = best_sibling_reach(state, reaches, {"r0"}, [reaches[0]], req, counts)
+        assert sibling == reaches[2]
+        assert counts == {"r2": 10, "r3": 10}
+        # a count already in the map is used as is
+        counts["r3"] = 11
+        assert best_sibling_reach(state, reaches, {"r0"}, [reaches[0]], req, counts) == reaches[3]
+        assert best_sibling_reach(state, reaches, {"r0"}, [reaches[0]], req) == reaches[2]
 
 
 class TestLocal:
@@ -726,6 +741,29 @@ class TestLedgerProperties:
                 reservations, link_free = dict(state.reservations), dict(state.link_free)
                 reserve_traffic(state, app)
                 assert state.reservations == reservations and state.link_free == link_free
+
+    @settings(max_examples=300, deadline=None)
+    @given(ledger_runs())
+    def test_shared_counts_rank_as_fresh_counts_do(self, run):
+        # within one attempt an untried reach's count cannot change, so every
+        # ranking with the attempt's map picks what a fresh ranking picks
+        t, _, apps = run
+        sibling = placement.best_sibling_reach
+
+        def checked(state, reaches, tried, hosting, req, counts=None):
+            got = sibling(state, reaches, tried, hosting, req, counts)
+            assert got == sibling(state, reaches, tried, hosting, req)
+            for r in reaches:
+                if r.id not in tried and r.id in counts:
+                    assert counts[r.id] == placeable_in_reach(state, r, req)
+            return got
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(placement, "best_sibling_reach", checked)
+            state = PlacementState(t)
+            for app in apps:
+                if app.id not in state.apps:
+                    place_application(state, app, UNIFIED)
 
 
 def _netw_rebuilding_units(state, app, config, reaches):

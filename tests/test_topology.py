@@ -517,6 +517,91 @@ class TestRouteMatchesBFS:
             t.shortest_paths("h1", "h1")
 
 
+def neighbors_compiled_dag(t, tor_a, tor_b):
+    """Reference for Topology._compiled_dag: the same BFS and walk back over
+    every neighbor, hosts included, sorting each visited node's neighbors."""
+    depth = {tor_a: 0}
+    frontier = [tor_a]
+    while tor_b not in depth:
+        nxt = []
+        for node in frontier:
+            for peer, _ in t.neighbors(node):
+                if peer not in depth:
+                    depth[peer] = depth[node] + 1
+                    nxt.append(peer)
+        frontier = nxt
+    layers = [[tor_b]]
+    preds = {}
+    while layers[-1] != [tor_a]:
+        above = set()
+        for node in layers[-1]:
+            preds[node] = sorted((peer, lid) for peer, lid in t.neighbors(node)
+                                 if depth.get(peer) == depth[node] - 1)
+            above.update(peer for peer, _ in preds[node])
+        layers.append(sorted(above))
+    order = [node for layer in reversed(layers) for node in layer]
+    index = {node: k for k, node in enumerate(order)}
+    return tuple(tuple((index[peer], lid) for peer, lid in preds[node]) for node in order[1:])
+
+
+def neighbors_reach_paths(t, srcs, dsts):
+    """Reference for Topology.reach_paths between two switch sets: repeated
+    blocked BFS over sorted neighbors(), skipping hosts, while the paths
+    found stay as short as the first."""
+    def search(blocked):
+        parent = {s: None for s in sorted(srcs)}
+        frontier = list(sorted(srcs))
+        while frontier:
+            node = frontier.pop(0)
+            if node in dsts:
+                path = []
+                while parent[node] is not None:
+                    node, lid = parent[node]
+                    path.append(lid)
+                return tuple(reversed(path))
+            for peer, lid in sorted(t.neighbors(node)):
+                if peer in t.switches and peer not in parent and lid not in blocked:
+                    parent[peer] = (node, lid)
+                    frontier.append(peer)
+        return None
+
+    blocked, paths = set(), []
+    while (found := search(blocked)) is not None:
+        if paths and len(found) > len(paths[0]):
+            break
+        paths.append(found)
+        blocked.update(found)
+    return tuple(paths)
+
+
+class TestSwitchLinks:
+    def test_built_on_first_use_from_switch_peers(self):
+        t = build_clos(2, 2, 2, UNIT, 1.0, core_oversub=2.0)
+        assert "switch_links" not in vars(t)  # Topology(...) does not pay for it
+        assert t.switch_links is t.switch_links
+        assert t.switch_links["e0_0"] == (("a0_0", "e0_0-a0_0"), ("a0_1", "e0_0-a0_1"))
+        assert set(t.switch_links) == set(t.switches)
+
+    @settings(max_examples=200, deadline=None)
+    @given(leveled_fabrics, st.data())
+    def test_searches_equal_the_neighbors_searches(self, fabric, data):
+        # hosts are leaves, so skipping them changes no DAG and no reach path
+        t = as_topology(fabric)
+        tors = sorted({tor for _, tor in t.host_ports.values()})
+        for tor_a, tor_b in data.draw(st.lists(st.tuples(st.sampled_from(tors),
+                                                         st.sampled_from(tors)), max_size=6)):
+            assert t._compiled_dag(tor_a, tor_b) == neighbors_compiled_dag(t, tor_a, tor_b)
+        switches = sorted(t.switches)
+        for _ in range(data.draw(st.integers(1, 4))):
+            picked = data.draw(st.lists(st.sampled_from(switches), min_size=2, unique=True))
+            cut = data.draw(st.integers(1, len(picked) - 1))
+            ra = Reach("ra", (), tuple(sorted(picked[:cut])))
+            rb = Reach("rb", (), tuple(sorted(picked[cut:])))
+            t._reach_paths.clear()  # the drawn reaches reuse their ids
+            assert t.reach_paths(ra, rb) == neighbors_reach_paths(t, set(ra.switches),
+                                                                  set(rb.switches))
+
+
 class TestLoader:
     def write(self, tmp_path, doc):
         path = tmp_path / "topo.json"
@@ -635,7 +720,8 @@ class TestLoader:
         (("hosts", 1, "cpu_mhz"), 0, r"hosts\[1\]: host h1: cpu capacity 0\.0 must be > 0$"),
         (("hosts", 1, "free_mem_mb"), 1500,
          r"hosts\[1\]: host h1: free ResourceVector\(.*\) exceeds capacity "),
-        (("hosts", 1, "mem_mb"), "nan", r"hosts\[1\]: host h1: capacity .* must be finite$"),
+        (("hosts", 1, "mem_mb"), float("nan"),
+         r"hosts\[1\]: host h1: capacity .* must be finite$"),
         (("reference_host", "cpu_mhz"), 0, r"reference_host .* must be finite and > 0$"),
     ], ids=["negative-level", "string-level", "zero-link", "link-free-above", "zero-cpu-host",
             "host-free-above", "nan-host", "zero-reference"])
@@ -658,6 +744,12 @@ class TestLoader:
                                                 r"a number, got True$"):
             load_topology(self.write(tmp_path, self.doc_with(entry, True)))
 
+    def test_quoted_numbers_are_not_numbers(self, tmp_path):
+        # float() once read "4000" as 4000.0
+        with pytest.raises(TopologyError, match=r"topo\.json: hosts\[1\]: cpu_mhz must be a "
+                                                r"number, got '4000'$"):
+            load_topology(self.write(tmp_path, self.doc_with(("hosts", 1, "cpu_mhz"), "4000")))
+
     def test_garbage_json_rejected(self, tmp_path):
         path = tmp_path / "topo.json"
         path.write_text("{nope")
@@ -665,7 +757,8 @@ class TestLoader:
             load_topology(str(path))
 
     @pytest.mark.parametrize("field,value", [
-        ("cpu_mhz", "inf"), ("mem_mb", "nan"), ("free_cpu_mhz", "inf"), ("nic_mbps", "nan")])
+        ("cpu_mhz", float("inf")), ("mem_mb", float("nan")), ("free_cpu_mhz", float("inf")),
+        ("nic_mbps", float("nan"))])
     def test_non_finite_host_rejected(self, tmp_path, field, value):
         doc = self.doc()
         doc["hosts"][1][field] = value
@@ -682,8 +775,8 @@ class TestLoader:
             load_topology(self.write(tmp_path, doc))
 
     @pytest.mark.parametrize("field,value", [
-        ("reference_link_mbps", "nan"), ("reference_link_mbps", 0), ("cpu_mhz", "inf"),
-        ("mem_mb", "nan"), ("nic_mbps", 0)])
+        ("reference_link_mbps", float("nan")), ("reference_link_mbps", 0),
+        ("cpu_mhz", float("inf")), ("mem_mb", float("nan")), ("nic_mbps", 0)])
     def test_bad_reference_rejected(self, tmp_path, field, value):
         doc = self.doc()
         if field == "reference_link_mbps":
@@ -695,9 +788,9 @@ class TestLoader:
             load_topology(self.write(tmp_path, doc))
 
     @pytest.mark.parametrize("field,value,message", [
-        ("free_mbps", "nan", "free nan outside"),
-        ("capacity_mbps", "nan", "capacity nan must be finite"),
-        ("capacity_mbps", "inf", "capacity inf must be finite"),
+        ("free_mbps", float("nan"), "free nan outside"),
+        ("capacity_mbps", float("nan"), "capacity nan must be finite"),
+        ("capacity_mbps", float("inf"), "capacity inf must be finite"),
     ])
     def test_non_finite_link_rejected(self, tmp_path, field, value, message):
         doc = self.doc()

@@ -239,7 +239,7 @@ class TestLoader:
 
     def test_nan_bandwidth_rejected(self, tmp_path):
         doc = self.doc()
-        doc["apps"][0]["edges"][1]["mbps"] = "nan"
+        doc["apps"][0]["edges"][1]["mbps"] = float("nan")
         with pytest.raises(WorkloadError,
                            match=r"apps\[0\]: app a: edge \(v2, v3\) bandwidth nan is negative "
                                  r"or not finite"):
@@ -247,14 +247,15 @@ class TestLoader:
 
     def test_nan_demand_rejected(self, tmp_path):
         doc = self.doc()
-        doc["apps"][1]["vms"][2]["cpu_mhz"] = "nan"
+        doc["apps"][1]["vms"][2]["cpu_mhz"] = float("nan")
         with pytest.raises(WorkloadError, match=r"apps\[1\]: app b: VM v3 demand .* not finite"):
             self.load(tmp_path, doc)
 
     def test_unparsable_nic_names_its_vm(self, tmp_path):
         doc = self.doc()
         doc["apps"][0]["vms"][0]["nic_mbps"] = "lots"
-        with pytest.raises(WorkloadError, match=r"apps\[0\]: vms\[0\]: could not convert"):
+        with pytest.raises(WorkloadError,
+                           match=r"apps\[0\]: vms\[0\]: nic_mbps must be a number, got 'lots'$"):
             self.load(tmp_path, doc)
 
     @pytest.mark.parametrize("entry,key", [
