@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
 """Run perfbench alternately on a parent commit and on this checkout.
 
-    python3 bench/ab.py --parent REV --out BENCH_<n>.json --what "TEXT"
-                        [--workload W ...] [--seed S ...] [--pairs N]
+    python3 bench/ab.py --parent REV --out BENCH_<n>.json --what "TEXT" [--seed S ...]
 
 Run it from anywhere inside the checkout that holds the change. The parent
 commit is exported with `git archive` into a temporary directory, so both
 sides run their own `src/` under their own copy of `perfbench/`. For every
-workload given (default: all of BENCHMARK.json) and every seed (default 0),
-each of N pairs (default 10) runs
+workload of BENCHMARK.json and every seed (default 0), each of 10 pairs runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -21,7 +19,7 @@ run's exit code. Per metric the summary also states whether the change won
 at least nine tenths of the pairs (ties count for neither side) and whether
 the medians differ, in the change's favour, by more than the parent's
 interquartile range: a gain may be claimed only when both hold. Stdlib only;
-it is not part of the test suite, and it takes about 2 x N x T per workload
+it is not part of the test suite, and it takes about 2 x 10 x T per workload
 and seed.
 """
 
@@ -38,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def export(rev: str, dest: Path) -> str:
@@ -81,9 +80,9 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per workload and seed: correctness, and each end-to-end metric's
     spread per side, median ratio, the pairs where the change is better and
     the two verdicts a claimed gain needs: `won_nine_tenths` (better in at
-    least 9 of 10 pairs) and `beats_parent_iqr` (the median moved the better
-    way by more than the parent's q3 - q1; false under 4 pairs, which give
-    no quartiles)."""
+    least 9 of the PAIRS pairs main runs; false for a group of fewer than 9)
+    and `beats_parent_iqr` (the median moved the better way by more than the
+    parent's q3 - q1; false under 4 pairs, which give no quartiles)."""
     groups: dict[str, list[dict]] = {}
     for p in pairs:
         groups.setdefault(f"{p['workload']} seed {p['seed']}", []).append(p)
@@ -112,7 +111,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             entry[m["name"]].update(
                 change_over_parent_median=round(change_median / parent_median, 4),
                 change_better_pairs=better,
-                won_nine_tenths=10 * better >= 9 * len(group),
+                won_nine_tenths=better >= 9,
                 beats_parent_iqr=label == "q1_median_q3" and gain > q3 - q1)
         summary[name] = entry
     return summary
@@ -123,17 +122,11 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--out", required=True, help="BENCH file to write")
     parser.add_argument("--what", required=True, help="what the change is, one sentence")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
-    parser.add_argument("--workload", action="append", choices=names,
-                        help="workload to run, repeatable (default: all)")
     parser.add_argument("--seed", action="append", type=int)
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload and seed")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
     seeds = args.seed or [0]
-    workloads, seconds = args.workload or names, spec["run_seconds"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads, seconds = [w["name"] for w in spec["workloads"]], spec["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="dcfrag-parent-") as tmp:
         parent_root = Path(tmp)
@@ -142,7 +135,7 @@ def main(argv=None) -> int:
         pairs = []
         for workload in workloads:
             for seed in seeds:
-                for i in range(1, args.pairs + 1):
+                for i in range(1, PAIRS + 1):
                     order = ("parent", "change") if i % 2 else ("change", "parent")
                     pair = {"workload": workload, "seed": seed, "pair": i, "first": order[0]}
                     for side in order:

@@ -23,11 +23,9 @@ pairings have one slot per (reach, request), holding the reach's host free
 vectors and uplink frees next to the pairing computed from them. The
 between walks share one slot holding the reach pairs sorted by their
 bandwidths, next to the frees of the links on reach paths they were read
-from, and each walk (the bandwidth walk, the count walk per request) has a
-slot holding its last total next to its residuals and those frees. A call
-recomputes a slot only when those values no longer compare equal. Keyed by
-value, the memo needs no invalidation: it holds under rollbacks, restores
-and direct writes to the tables.
+from. A call recomputes a slot only when those values no longer compare
+equal. Keyed by value, the memo needs no invalidation: it holds under
+rollbacks, restores and direct writes to the tables.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from dataclasses import dataclass
 from .topology import _EPS, Reach, Topology
 
 _PAIR_ORDER = "pair order"  # the reach_memo key of _walk_between's sorted rows
-_WALK = "walk"  # with the walk's request (None for bandwidth), a walk's reach_memo key
 _ORACLE_CAP = 12  # placements brute_force_placeable searches up to
 
 
@@ -285,22 +282,15 @@ def _pair_order(state) -> list[tuple]:
     return slot[1]
 
 
-def _walk_between(state, residuals: list, req: MultiRequest | None):
-    """The reach-pair walk shared by the bandwidth (req None) and the count
-    metric.
+def _walk_between(state, residuals: list, fit, unit: float):
+    """The reach-pair walk shared by the bandwidth and the count metric.
 
     Pairs go shortest reach distance first, then most inter-reach bandwidth,
     then smallest id pair (ri.id, rj.id), ri before rj in Topology.reaches.
-    Each pair takes step = min(residual_i, residual_j, fit), fit being the
-    pair's bandwidth or, for a count, fit_count(bandwidth, req.nw); the step
-    is deducted from both residuals and, times req.nw for a count, from the
-    path links. Returns the summed steps; the walk consumes a copy of
-    `residuals`, one per reach in topology.reaches order.
-
-    The total depends only on the residuals and on the frees of the links on
-    reach paths (topology.reach_pair_links), so the walk's (_WALK, req) slot
-    of state.reach_memo keeps its last total next to those two, and a walk
-    whose inputs compare equal to them returns it unwalked.
+    Each pair takes step = min(residual_i, residual_j, fit(bandwidth)),
+    deducted from both residuals and, times `unit`, from the path links.
+    Returns the summed steps; the walk consumes a copy of `residuals`, one
+    per reach in topology.reaches order.
 
     Only live pairs are walked: both reaches hold a residual above _EPS.
     Residuals never rise, so a pair with a dead reach could never step; with
@@ -319,14 +309,9 @@ def _walk_between(state, residuals: list, req: MultiRequest | None):
     live = [r > _EPS for r in res]
     if live.count(True) < 2:
         return 0
-    inputs = (tuple(res), t.reach_pair_links(state.link_free))
-    slot = state.reach_memo.get((_WALK, req))
-    if slot is not None and slot[0] == inputs:
-        return slot[1]
     heap = [row for row in _pair_order(state) if live[row[3]] and live[row[4]]]
     link_free = dict(state.link_free)
     ref_link = t.reference.link
-    unit = 1.0 if req is None else req.nw
     total = 0
     while heap:
         dist, key, rank, i, j, paths = heap[0]
@@ -338,13 +323,12 @@ def _walk_between(state, residuals: list, req: MultiRequest | None):
             heapq.heapreplace(heap, (dist, -bw, rank, i, j, paths))
             continue
         heapq.heappop(heap)
-        step = min(res[i], res[j], bw if req is None else fit_count(bw, unit))
+        step = min(res[i], res[j], fit(bw))
         if step > _EPS:
             total += step
             res[i] -= step
             res[j] -= step
             _consume_paths(paths, link_free, step * unit * ref_link)
-    state.reach_memo[(_WALK, req)] = (inputs, total)
     return total
 
 
@@ -354,7 +338,7 @@ def capacity_between_reaches(state, res_bw: list) -> float:
     Walks every reach pair once; each pair contributes
     min(residual_i, residual_j, inter-reach bandwidth).
     """
-    return float(_walk_between(state, res_bw, None))
+    return float(_walk_between(state, res_bw, lambda bw: bw, 1.0))
 
 
 # -- placeable request counts ----------------------------------------------------
@@ -381,7 +365,7 @@ def placeable_between_reaches(state, res_req: list, req: MultiRequest) -> int:
     """
     if req.nw <= 0:
         raise ValueError("network component of the request must be > 0")
-    return _walk_between(state, res_req, req)
+    return _walk_between(state, res_req, lambda bw: fit_count(bw, req.nw), req.nw)
 
 
 def placeable_in_reach(state, reach: Reach, req: MultiRequest) -> int:

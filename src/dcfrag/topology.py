@@ -333,13 +333,12 @@ class Topology:
         key = (tor_a, tor_b)
         cached = self._dags.get(key)
         if cached is None:
-            links = self.switch_links  # hosts are leaves, on no path between TORs
             depth = {tor_a: 0}
             frontier = [tor_a]
             while tor_b not in depth:
                 nxt = []
                 for node in frontier:
-                    for peer, _ in links[node]:
+                    for peer, _ in self.neighbors(node):
                         if peer not in depth:
                             depth[peer] = depth[node] + 1
                             nxt.append(peer)
@@ -351,8 +350,8 @@ class Topology:
             while layers[-1] != [tor_a]:
                 above = set()
                 for node in layers[-1]:
-                    preds[node] = [(peer, lid) for peer, lid in links[node]
-                                   if depth.get(peer) == depth[node] - 1]
+                    preds[node] = sorted((peer, lid) for peer, lid in self.neighbors(node)
+                                         if depth.get(peer) == depth[node] - 1)
                     above.update(peer for peer, _ in preds[node])
                 layers.append(sorted(above))
             order = [node for layer in reversed(layers) for node in layer]
@@ -437,18 +436,8 @@ class Topology:
         # itemgetter() raises, and itemgetter(lid) returns a bare entry
         return lambda table: tuple(table[lid] for lid in links)
 
-    @cached_property
-    def switch_links(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """Switch id -> its (switch peer, link id) pairs, sorted, computed on
-        first use. Hosts are degree-1 leaves, so no path between two switches
-        passes one: the path searches read these pairs alone."""
-        return {s: tuple(sorted((peer, lid) for peer, lid in self.neighbors(s)
-                                if peer in self.switches))
-                for s in self.switches}
-
     def _switch_set_path(self, srcs: set[str], dsts: set[str],
                          blocked: set[str]) -> tuple[str, ...] | None:
-        links = self.switch_links
         parent: dict[str, tuple[str, str] | None] = {s: None for s in sorted(srcs)}
         frontier = deque(sorted(srcs))
         goal = None
@@ -457,8 +446,8 @@ class Topology:
             if node in dsts:
                 goal = node
                 break
-            for peer, lid in links[node]:
-                if peer not in parent and lid not in blocked:
+            for peer, lid in sorted(self.neighbors(node)):
+                if peer in self.switches and peer not in parent and lid not in blocked:
                     parent[peer] = (node, lid)
                     frontier.append(peer)
         if goal is None:

@@ -1,11 +1,8 @@
 """bench/ab.py's summary of parent/change pairs, on synthetic perfbench records."""
 
-import json
 import statistics
 import sys
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -89,41 +86,8 @@ def test_verdicts_follow_the_nine_tenths_and_iqr_rules():
     assert entry["step_ms_p50"]["beats_parent_iqr"] is False
 
 
-def test_too_few_pairs_for_quartiles_never_beat_the_iqr():
+def test_too_few_pairs_give_neither_verdict():
+    # better in 3 of 3 pairs: not the 9 of 10 a claim needs, and no quartiles
     rate = ab.summarize(pairs([run(100.0, 1.0)] * 3, [run(200.0, 1.0)] * 3),
                         METRICS)["w seed 0"]["attempts_per_s"]
-    assert rate["won_nine_tenths"] is True and rate["beats_parent_iqr"] is False
-
-
-def test_workload_and_pairs_options_choose_the_runs(monkeypatch, tmp_path):
-    ran = []
-
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-
-    def fake_perfbench(root, workload, seed, seconds, trace):
-        ran.append((workload, seed, trace, "change" if root == ab.ROOT else "parent"))
-        metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
-        return {"workload": workload, "seed": seed, "exit": 0,
-                "result": {"correct": True, "failed": 0, "metrics": metrics}}
-
-    monkeypatch.setattr(ab, "export", lambda rev, dest: "0" * 40)
-    monkeypatch.setattr(ab, "perfbench", fake_perfbench)
-    out = tmp_path / "bench.json"
-    assert ab.main(["--parent", "HEAD", "--out", str(out), "--what", "test.",
-                    "--workload", "clos64-cat3", "--pairs", "3", "--seed", "1"]) == 0
-    assert [r[:3] for r in ran] == [("clos64-cat3", 1, 0)] * 6 + [("clos64-cat3", 1, 1)] * 2
-    assert [r[3] for r in ran[:6]] == ["parent", "change", "change", "parent", "parent", "change"]
-    doc = json.loads(out.read_text())
-    assert list(doc["summary"]) == ["clos64-cat3 seed 1"]
-    assert doc["summary"]["clos64-cat3 seed 1"]["pairs"] == 3
-    assert list(doc["traced"]) == ["clos64-cat3"]
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["--pairs", "0"], "--pairs must be >= 1"),
-    (["--workload", "no-such-workload"], "invalid choice: 'no-such-workload'"),
-], ids=["zero-pairs", "unknown-workload"])
-def test_bad_options_are_refused(capsys, argv, message):
-    with pytest.raises(SystemExit) as exc:
-        ab.main(["--parent", "HEAD", "--out", "x.json", "--what", "test.", *argv])
-    assert exc.value.code == 2 and message in capsys.readouterr().err
+    assert rate["won_nine_tenths"] is False and rate["beats_parent_iqr"] is False

@@ -999,24 +999,12 @@ class TestReachMemo:
     @staticmethod
     def check(states, requests):
         for state in states:
-            # the same tables with an empty memo: every walk slot misses
-            fresh = PlacementState(state.topology)
-            fresh.host_free, fresh.link_free = dict(state.host_free), dict(state.link_free)
             for req in requests:
                 capacity, placeable, rrf = _recount(state, req)
                 assert M.capacity_inside_reaches(state) == capacity
                 assert M.placeable_inside_reaches(state, req) == placeable
                 assert M.network_rrf(state, req) == rrf
                 assert M._pair_order(state) == _fresh_pair_order(state)
-                # the RRF's residuals, and ones that keep every reach live
-                # whatever the hosts hold, so each walk reads the links
-                live = len(state.topology.reaches)
-                for res_bw in (capacity[1], [0.5] * live):
-                    assert M.capacity_between_reaches(state, res_bw) == \
-                        M.capacity_between_reaches(fresh, res_bw)
-                for res_req in (placeable[1], [2] * live):
-                    assert M.placeable_between_reaches(state, res_req, req) == \
-                        M.placeable_between_reaches(fresh, res_req, req)
 
     @settings(max_examples=300, deadline=None)
     @given(memo_runs())

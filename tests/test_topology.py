@@ -517,91 +517,6 @@ class TestRouteMatchesBFS:
             t.shortest_paths("h1", "h1")
 
 
-def neighbors_compiled_dag(t, tor_a, tor_b):
-    """Reference for Topology._compiled_dag: the same BFS and walk back over
-    every neighbor, hosts included, sorting each visited node's neighbors."""
-    depth = {tor_a: 0}
-    frontier = [tor_a]
-    while tor_b not in depth:
-        nxt = []
-        for node in frontier:
-            for peer, _ in t.neighbors(node):
-                if peer not in depth:
-                    depth[peer] = depth[node] + 1
-                    nxt.append(peer)
-        frontier = nxt
-    layers = [[tor_b]]
-    preds = {}
-    while layers[-1] != [tor_a]:
-        above = set()
-        for node in layers[-1]:
-            preds[node] = sorted((peer, lid) for peer, lid in t.neighbors(node)
-                                 if depth.get(peer) == depth[node] - 1)
-            above.update(peer for peer, _ in preds[node])
-        layers.append(sorted(above))
-    order = [node for layer in reversed(layers) for node in layer]
-    index = {node: k for k, node in enumerate(order)}
-    return tuple(tuple((index[peer], lid) for peer, lid in preds[node]) for node in order[1:])
-
-
-def neighbors_reach_paths(t, srcs, dsts):
-    """Reference for Topology.reach_paths between two switch sets: repeated
-    blocked BFS over sorted neighbors(), skipping hosts, while the paths
-    found stay as short as the first."""
-    def search(blocked):
-        parent = {s: None for s in sorted(srcs)}
-        frontier = list(sorted(srcs))
-        while frontier:
-            node = frontier.pop(0)
-            if node in dsts:
-                path = []
-                while parent[node] is not None:
-                    node, lid = parent[node]
-                    path.append(lid)
-                return tuple(reversed(path))
-            for peer, lid in sorted(t.neighbors(node)):
-                if peer in t.switches and peer not in parent and lid not in blocked:
-                    parent[peer] = (node, lid)
-                    frontier.append(peer)
-        return None
-
-    blocked, paths = set(), []
-    while (found := search(blocked)) is not None:
-        if paths and len(found) > len(paths[0]):
-            break
-        paths.append(found)
-        blocked.update(found)
-    return tuple(paths)
-
-
-class TestSwitchLinks:
-    def test_built_on_first_use_from_switch_peers(self):
-        t = build_clos(2, 2, 2, UNIT, 1.0, core_oversub=2.0)
-        assert "switch_links" not in vars(t)  # Topology(...) does not pay for it
-        assert t.switch_links is t.switch_links
-        assert t.switch_links["e0_0"] == (("a0_0", "e0_0-a0_0"), ("a0_1", "e0_0-a0_1"))
-        assert set(t.switch_links) == set(t.switches)
-
-    @settings(max_examples=200, deadline=None)
-    @given(leveled_fabrics, st.data())
-    def test_searches_equal_the_neighbors_searches(self, fabric, data):
-        # hosts are leaves, so skipping them changes no DAG and no reach path
-        t = as_topology(fabric)
-        tors = sorted({tor for _, tor in t.host_ports.values()})
-        for tor_a, tor_b in data.draw(st.lists(st.tuples(st.sampled_from(tors),
-                                                         st.sampled_from(tors)), max_size=6)):
-            assert t._compiled_dag(tor_a, tor_b) == neighbors_compiled_dag(t, tor_a, tor_b)
-        switches = sorted(t.switches)
-        for _ in range(data.draw(st.integers(1, 4))):
-            picked = data.draw(st.lists(st.sampled_from(switches), min_size=2, unique=True))
-            cut = data.draw(st.integers(1, len(picked) - 1))
-            ra = Reach("ra", (), tuple(sorted(picked[:cut])))
-            rb = Reach("rb", (), tuple(sorted(picked[cut:])))
-            t._reach_paths.clear()  # the drawn reaches reuse their ids
-            assert t.reach_paths(ra, rb) == neighbors_reach_paths(t, set(ra.switches),
-                                                                  set(rb.switches))
-
-
 class TestLoader:
     def write(self, tmp_path, doc):
         path = tmp_path / "topo.json"
