@@ -46,7 +46,7 @@ def export(rev: str, dest: Path) -> str:
     tar = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest)
+        archive.extractall(dest, filter="data")
     return sha
 
 

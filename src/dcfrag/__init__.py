@@ -2,10 +2,9 @@
 
 from .harness import (ComparisonResult, ExperimentConfig, ResultRow, compare_schemes,
                       run_experiment)
-from .metrics import (MultiRequest, RRFReport, brute_force_placeable,
-                      capacity_between_reaches, capacity_inside_reaches,
-                      fragmentation_index, network_rrf, path_bandwidth,
-                      placeable_between_reaches, placeable_inside_reaches,
+from .metrics import (MultiRequest, RRFReport, capacity_between_reaches,
+                      capacity_inside_reaches, fragmentation_index, network_rrf,
+                      path_bandwidth, placeable_between_reaches, placeable_inside_reaches,
                       rrf_index_local)
 from .placement import (CapacityError, PlacementOutcome, PlacementState, SchemeConfig,
                         bal_pack, best_sibling_reach, place_application,

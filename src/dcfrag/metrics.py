@@ -14,8 +14,7 @@ bandwidth). The between walk reads its pairs, in order and with their paths,
 from the topology's reach_pairs table, and visits only the pairs whose two
 reaches both hold a residual. A reach's position in topology.reaches is the
 one key of per-reach data: the inside phases return their residuals as lists
-in that order, and the between phases take those lists. A small brute-force
-oracle bounds the greedy counts on desk-size instances.
+in that order, and the between phases take those lists.
 
 A placement changes a few hosts and links, so state.reach_memo keeps what
 the RRF would otherwise recompute from unchanged values. The inside-reach
@@ -38,7 +37,6 @@ from dataclasses import dataclass
 from .topology import _EPS, Reach, Topology
 
 _PAIR_ORDER = "pair order"  # the reach_memo key of _walk_between's sorted rows
-_ORACLE_CAP = 12  # placements brute_force_placeable searches up to
 
 
 def fit_count(free: float, size: float) -> int:
@@ -84,14 +82,6 @@ def _index(total: float, count: int, size: float) -> float:
     if total <= _EPS:
         return 1.0
     return min(1.0, max(0.0, (total - count * size) / total))
-
-
-def _local_free(state, host_id: str, kind: str) -> float:
-    ref = state.topology.reference
-    free = state.host_free[host_id]
-    if kind == "cpu":
-        return free.cpu / ref.host.cpu
-    return free.mem / ref.host.mem
 
 
 def nic_free(state, host_id: str) -> float:
@@ -158,11 +148,12 @@ def rrf_index_local(state, req: MultiRequest, target: str) -> RRFReport:
         raise ValueError(f"target must be cpu or mem, got {target!r}")
     if getattr(req, target) <= 0:
         raise ValueError(f"target dimension {target} is zero in the request")
+    t = state.topology
+    ref_target = getattr(t.reference.host, target)
     total = 0.0
     count = 0
-    host_ids = state.topology.host_ids
-    for host_id, n in zip(host_ids, _host_counts(state, host_ids, req)):
-        total += _local_free(state, host_id, target)
+    for host_id, n in zip(t.host_ids, _host_counts(state, t.host_ids, req)):
+        total += getattr(state.host_free[host_id], target) / ref_target
         count += n
     return RRFReport(target, total, count, _index(total, count, getattr(req, target)))
 
@@ -391,95 +382,6 @@ def network_rrf(state, req: MultiRequest) -> RRFReport:
     count, res_req = placeable_inside_reaches(state, req)
     count += placeable_between_reaches(state, res_req, req)
     return RRFReport("nw", total, count, _index(total, count, req.nw))
-
-
-# -- brute-force oracle ------------------------------------------------------------
-
-
-def brute_force_placeable(state, req: MultiRequest) -> int:
-    """Exact maximum of simultaneously satisfiable requests on tiny instances.
-
-    With a network component, requests are symmetric endpoint pairs on
-    distinct hosts; the search enumerates assignments of host pairs, each
-    over any of its shortest paths, and reserves that path exactly. Without
-    one, hosts are independent and each is pushed to its limit. Guarded to
-    <= 6 hosts and stopped at _ORACLE_CAP placements because the search is
-    exponential.
-    """
-    t = state.topology
-    hosts = sorted(state.host_free)
-    if len(hosts) > 6:
-        raise ValueError(f"oracle limited to 6 hosts, got {len(hosts)}")
-
-    if req.nw <= 0:
-        if not req.nonzero_dims():
-            raise ValueError("request has no nonzero dimensions")
-        total = 0
-        for h in hosts:
-            n = 0
-            while True:
-                need = n + 1
-                if req.cpu > 0 and need * req.cpu > _local_free(state, h, "cpu") + _EPS:
-                    break
-                if req.mem > 0 and need * req.mem > _local_free(state, h, "mem") + _EPS:
-                    break
-                n += 1
-                if n > 10_000:
-                    raise ValueError("request too small for the oracle's search budget")
-            total += n
-        return total
-
-    ref = t.reference
-    cpu = {h: state.host_free[h].cpu / ref.host.cpu for h in hosts}
-    mem = {h: state.host_free[h].mem / ref.host.mem for h in hosts}
-    link = {lid: bw / ref.link for lid, bw in state.link_free.items()}
-    # (host, host, path) per shortest path of each host pair
-    choices = [(a, b, path) for i, a in enumerate(hosts) for b in hosts[i + 1:]
-               for path in t.shortest_paths(a, b)]
-
-    def fits(pi: int) -> bool:
-        a, b, path = choices[pi]
-        if req.cpu > 0 and (cpu[a] < req.cpu - _EPS or cpu[b] < req.cpu - _EPS):
-            return False
-        if req.mem > 0 and (mem[a] < req.mem - _EPS or mem[b] < req.mem - _EPS):
-            return False
-        return all(link[lid] >= req.nw - _EPS for lid in path)
-
-    def apply(pi: int, sign: float) -> None:
-        a, b, path = choices[pi]
-        cpu[a] -= sign * req.cpu
-        cpu[b] -= sign * req.cpu
-        mem[a] -= sign * req.mem
-        mem[b] -= sign * req.mem
-        for lid in path:
-            link[lid] -= sign * req.nw
-
-    best = 0
-
-    def upper_bound() -> int:
-        caps = []
-        for h in hosts:
-            per = [fit_count(link[t.host_ports[h][0]], req.nw)]
-            if req.cpu > 0:
-                per.append(fit_count(cpu[h], req.cpu))
-            if req.mem > 0:
-                per.append(fit_count(mem[h], req.mem))
-            caps.append(min(per))
-        return sum(caps) // 2
-
-    def search(start: int, placed: int) -> None:
-        nonlocal best
-        best = max(best, placed)
-        if placed >= _ORACLE_CAP or placed + upper_bound() <= best:
-            return
-        for pi in range(start, len(choices)):
-            if fits(pi):
-                apply(pi, 1.0)
-                search(pi, placed + 1)
-                apply(pi, -1.0)
-
-    search(0, 0)
-    return best
 
 
 # -- serialization ------------------------------------------------------------------

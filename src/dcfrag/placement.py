@@ -279,7 +279,7 @@ def bal_pack(state: PlacementState, vm: VM, reach: Reach) -> str | None:
 
 def best_sibling_reach(state: PlacementState, reaches: tuple[Reach, ...], tried: set[str],
                        hosting: list[Reach], req: MultiRequest,
-                       counts: dict[str, int] | None = None) -> Reach | None:
+                       counts: dict[str, int]) -> Reach | None:
     """UNIFIED's one reach ranking, for its first reach and every spill: the
     untried reach closest to the `hosting` reaches (those holding the app's
     VMs), then with most inter-reach bandwidth to them, then most placeable,
@@ -304,8 +304,6 @@ def best_sibling_reach(state: PlacementState, reaches: tuple[Reach, ...], tried:
             ranked.append(((dist, -bw), r))
         nearest = min(key for key, _ in ranked)
         candidates = [r for key, r in ranked if key == nearest]
-    if counts is None:
-        counts = {}
 
     def key(r: Reach):
         n = counts.get(r.id)

@@ -15,7 +15,6 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -304,23 +303,6 @@ class Topology:
             path.append(lid)
         path.append(up_src)
         return tuple(reversed(path))
-
-    def shortest_paths(self, host_a: str, host_b: str) -> list[tuple[str, ...]]:
-        """Every shortest path between two hosts, as link ids from the smaller
-        host id, in the order of the TOR pair's shortest-path DAG: by the
-        last hop's parent, then the parent's own paths, then the link."""
-        if host_a == host_b:
-            raise ValueError("route endpoints must differ")
-        up_src, tor_src = self.host_ports[min(host_a, host_b)]
-        up_dst, tor_dst = self.host_ports[max(host_a, host_b)]
-        middles = [[()]]  # by node index: its paths from tor_src
-        for preds in self._compiled_dag(tor_src, tor_dst):
-            paths = []
-            for parent, group in groupby(preds, itemgetter(0)):
-                lids = [lid for _, lid in group]
-                paths += [path + (lid,) for path in middles[parent] for lid in lids]
-            middles.append(paths)
-        return [(up_src,) + path + (up_dst,) for path in middles[-1]]
 
     def _compiled_dag(self, tor_a: str, tor_b: str) -> tuple[tuple[tuple[int, str], ...], ...]:
         """The shortest tor_a -> tor_b paths as a DAG in index form, cached.

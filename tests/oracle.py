@@ -1,0 +1,124 @@
+"""Test references for the greedy counts: every shortest path between two
+hosts, and a brute-force oracle of the placeable requests on desk-size
+instances. Neither is part of the runtime; tests import them from here."""
+
+from dcfrag.metrics import MultiRequest, fit_count
+from dcfrag.topology import _EPS
+
+_ORACLE_CAP = 12  # placements brute_force_placeable searches up to
+
+
+def reference_shortest_paths(t, host_a, host_b):
+    """Every shortest path between two hosts, as link ids from the smaller
+    host id, found by BFS depths over the whole fabric and a walk back from
+    the other host. They are sorted as the TOR pair's shortest-path DAG
+    lists them: by the switches between the two TORs from the far end back,
+    then by the links in path order."""
+    src, dst = sorted((host_a, host_b))
+    depth = {src: 0}
+    frontier = [src]
+    while dst not in depth:
+        nxt = []
+        for node in frontier:
+            for peer, _ in t.neighbors(node):
+                if peer not in depth:
+                    depth[peer] = depth[node] + 1
+                    nxt.append(peer)
+        frontier = nxt
+
+    def back(node):  # (nodes, links) of every shortest src -> node path
+        if node == src:
+            return [((src,), ())]
+        return [(nodes + (node,), links + (lid,))
+                for peer, lid in t.neighbors(node) if depth.get(peer) == depth[node] - 1
+                for nodes, links in back(peer)]
+
+    # nodes run src, its TOR, the switches between, the other TOR, dst
+    ordered = sorted(back(dst), key=lambda path: (path[0][-3:1:-1], path[1]))
+    return [links for _, links in ordered]
+
+
+def brute_force_placeable(state, req: MultiRequest) -> int:
+    """Exact maximum of simultaneously satisfiable requests on tiny instances.
+
+    With a network component, requests are symmetric endpoint pairs on
+    distinct hosts; the search enumerates assignments of host pairs, each
+    over any of its shortest paths, and reserves that path exactly. Without
+    one, hosts are independent and each is pushed to its limit. Guarded to
+    <= 6 hosts and stopped at _ORACLE_CAP placements because the search is
+    exponential.
+    """
+    t = state.topology
+    ref = t.reference
+    hosts = sorted(state.host_free)
+    if len(hosts) > 6:
+        raise ValueError(f"oracle limited to 6 hosts, got {len(hosts)}")
+
+    if req.nw <= 0:
+        if not req.nonzero_dims():
+            raise ValueError("request has no nonzero dimensions")
+        total = 0
+        for h in hosts:
+            n = 0
+            while True:
+                need = n + 1
+                if req.cpu > 0 and need * req.cpu > state.host_free[h].cpu / ref.host.cpu + _EPS:
+                    break
+                if req.mem > 0 and need * req.mem > state.host_free[h].mem / ref.host.mem + _EPS:
+                    break
+                n += 1
+                if n > 10_000:
+                    raise ValueError("request too small for the oracle's search budget")
+            total += n
+        return total
+
+    cpu = {h: state.host_free[h].cpu / ref.host.cpu for h in hosts}
+    mem = {h: state.host_free[h].mem / ref.host.mem for h in hosts}
+    link = {lid: bw / ref.link for lid, bw in state.link_free.items()}
+    # (host, host, path) per shortest path of each host pair
+    choices = [(a, b, path) for i, a in enumerate(hosts) for b in hosts[i + 1:]
+               for path in reference_shortest_paths(t, a, b)]
+
+    def fits(pi: int) -> bool:
+        a, b, path = choices[pi]
+        if req.cpu > 0 and (cpu[a] < req.cpu - _EPS or cpu[b] < req.cpu - _EPS):
+            return False
+        if req.mem > 0 and (mem[a] < req.mem - _EPS or mem[b] < req.mem - _EPS):
+            return False
+        return all(link[lid] >= req.nw - _EPS for lid in path)
+
+    def apply(pi: int, sign: float) -> None:
+        a, b, path = choices[pi]
+        cpu[a] -= sign * req.cpu
+        cpu[b] -= sign * req.cpu
+        mem[a] -= sign * req.mem
+        mem[b] -= sign * req.mem
+        for lid in path:
+            link[lid] -= sign * req.nw
+
+    best = 0
+
+    def upper_bound() -> int:
+        caps = []
+        for h in hosts:
+            per = [fit_count(link[t.host_ports[h][0]], req.nw)]
+            if req.cpu > 0:
+                per.append(fit_count(cpu[h], req.cpu))
+            if req.mem > 0:
+                per.append(fit_count(mem[h], req.mem))
+            caps.append(min(per))
+        return sum(caps) // 2
+
+    def search(start: int, placed: int) -> None:
+        nonlocal best
+        best = max(best, placed)
+        if placed >= _ORACLE_CAP or placed + upper_bound() <= best:
+            return
+        for pi in range(start, len(choices)):
+            if fits(pi):
+                apply(pi, 1.0)
+                search(pi, placed + 1)
+                apply(pi, -1.0)
+
+    search(0, 0)
+    return best

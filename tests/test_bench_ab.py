@@ -1,6 +1,8 @@
-"""bench/ab.py's summary of parent/change pairs, on synthetic perfbench records."""
+"""bench/ab.py's summary of parent/change pairs, on synthetic perfbench records,
+and its export of a commit's files."""
 
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -91,3 +93,21 @@ def test_too_few_pairs_give_neither_verdict():
     rate = ab.summarize(pairs([run(100.0, 1.0)] * 3, [run(200.0, 1.0)] * 3),
                         METRICS)["w seed 0"]["attempts_per_s"]
     assert rate["won_nine_tenths"] is False and rate["beats_parent_iqr"] is False
+
+
+def test_export_writes_the_commits_files_and_returns_its_hash(tmp_path, monkeypatch):
+    repo, dest = tmp_path / "repo", tmp_path / "out"
+    repo.mkdir()
+    (repo / "a.txt").write_text("one\n")
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                               "-c", "commit.gpgsign=false", *args],
+                              cwd=repo, capture_output=True, text=True, check=True).stdout
+
+    git("init", "-q")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    monkeypatch.setattr(ab, "ROOT", repo)
+    assert ab.export("HEAD", dest) == git("rev-parse", "HEAD").strip()
+    assert (dest / "a.txt").read_text() == "one\n"

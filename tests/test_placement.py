@@ -370,7 +370,7 @@ def _unified_rescanning_gains(state, app, config, reaches):
             vm_id = min(unplaced,
                         key=lambda v: (-(bw_to(app, v, in_reach) - bw_to(app, v, unplaced)), v))
         hosting = [r for r in reaches if placed_hosts & set(r.hosts)]
-        sibling = placement.best_sibling_reach(state, reaches, tried, hosting, req)
+        sibling = placement.best_sibling_reach(state, reaches, tried, hosting, req, {})
         if sibling is None:
             return last_failure
         reach = sibling
@@ -390,7 +390,7 @@ class TestUnifiedNextVm:
             calls.append((app_id, vm.id, host_id))
             return assign(self, app_id, vm, host_id)
 
-        def logged_sibling(state, reaches, tried, hosting, req, counts=None):
+        def logged_sibling(state, reaches, tried, hosting, req, counts):
             got = sibling(state, reaches, tried, hosting, req, counts)
             if tried:
                 spills.append(got is not None)
@@ -421,16 +421,16 @@ class TestBestSiblingReach:
     def test_remaining_sibling_returned_and_exhaustion_none(self):
         state, reaches = tree_state(num_tors=2)
         req = MultiRequest(cpu=0.1, mem=0.1, nw=0.1)
-        sibling = best_sibling_reach(state, reaches, {reaches[0].id}, [reaches[0]], req)
+        sibling = best_sibling_reach(state, reaches, {reaches[0].id}, [reaches[0]], req, {})
         assert sibling == reaches[1]
-        assert best_sibling_reach(state, reaches, {r.id for r in reaches}, [], req) is None
+        assert best_sibling_reach(state, reaches, {r.id for r in reaches}, [], req, {}) is None
 
     def test_equal_distance_breaks_on_bandwidth(self):
         state, reaches = tree_state(num_tors=4, hosts_per_tor=2)
         req = MultiRequest(cpu=0.1, mem=0.1, nw=0.1)
         # app lives in r0; drain r1's uplink so r2 offers more bandwidth
         state.link_free["t1-core"] = 0.05
-        sibling = best_sibling_reach(state, reaches, {reaches[0].id}, [reaches[0]], req)
+        sibling = best_sibling_reach(state, reaches, {reaches[0].id}, [reaches[0]], req, {})
         assert sibling == reaches[2]
 
     def test_first_pick_ties_break_on_string_ids(self):
@@ -441,11 +441,11 @@ class TestBestSiblingReach:
         state, reaches = PlacementState(t), t.reaches
         req = MultiRequest(cpu=0.1, mem=0.1, nw=0.1)
         assert len(reaches) == 16
-        assert best_sibling_reach(state, reaches, set(), [], req).id == "r0"
+        assert best_sibling_reach(state, reaches, set(), [], req, {}).id == "r0"
         for reach in reaches[:2]:
             for h in reach.hosts:
                 state.host_free[h] = ResourceVector(0.0, 0.0, state.host_free[h].nic)
-        assert best_sibling_reach(state, reaches, set(), [], req).id == "r10"
+        assert best_sibling_reach(state, reaches, set(), [], req, {}).id == "r10"
 
     def test_counts_only_the_ties_and_reuses_the_map(self):
         state, reaches = tree_state(num_tors=4, hosts_per_tor=2)
@@ -460,7 +460,7 @@ class TestBestSiblingReach:
         # a count already in the map is used as is
         counts["r3"] = 11
         assert best_sibling_reach(state, reaches, {"r0"}, [reaches[0]], req, counts) == reaches[3]
-        assert best_sibling_reach(state, reaches, {"r0"}, [reaches[0]], req) == reaches[2]
+        assert best_sibling_reach(state, reaches, {"r0"}, [reaches[0]], req, {}) == reaches[2]
 
 
 class TestLocal:
@@ -750,9 +750,9 @@ class TestLedgerProperties:
         t, _, apps = run
         sibling = placement.best_sibling_reach
 
-        def checked(state, reaches, tried, hosting, req, counts=None):
+        def checked(state, reaches, tried, hosting, req, counts):
             got = sibling(state, reaches, tried, hosting, req, counts)
-            assert got == sibling(state, reaches, tried, hosting, req)
+            assert got == sibling(state, reaches, tried, hosting, req, {})
             for r in reaches:
                 if r.id not in tried and r.id in counts:
                     assert counts[r.id] == placeable_in_reach(state, r, req)
