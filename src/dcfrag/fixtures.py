@@ -192,10 +192,3 @@ NAMED_TOPOLOGIES = {
     "clos64-10g": lambda: category_topology(3),
 }
 
-
-def named_topology(name: str) -> Topology:
-    """Built-in topologies usable anywhere a topology path is accepted."""
-    if name not in NAMED_TOPOLOGIES:
-        raise ValueError(f"unknown topology name {name!r}; "
-                         f"built-ins: {tuple(NAMED_TOPOLOGIES)}")
-    return NAMED_TOPOLOGIES[name]()

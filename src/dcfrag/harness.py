@@ -38,7 +38,7 @@ class ResultRow:
         return f"{self.apps_placed},{self.placeable_requests},{self.rrf_index:.9f}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One placement run: where, what, in which order, and how to stop.
 
@@ -62,9 +62,7 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
-    scheme: str
     rows: list
-    order_hash: str
     apps_placed: int
 
 
@@ -79,10 +77,11 @@ def resolve_topology(source: Topology | str) -> Topology:
     if isinstance(source, Topology):
         return source
     if source in fixtures.NAMED_TOPOLOGIES:
-        return fixtures.named_topology(source)
+        return fixtures.NAMED_TOPOLOGIES[source]()
     if os.path.exists(source):
         return load_topology(source)
-    raise ValueError(f"{source!r} is neither a built-in topology nor an existing file")
+    raise ValueError(f"{source!r} is neither an existing file nor a built-in topology: "
+                     f"{tuple(fixtures.NAMED_TOPOLOGIES)}")
 
 
 def resolve_workload(source, topology: Topology) -> list[Application]:
@@ -119,67 +118,59 @@ def _run_sequence(topology: Topology, apps: list[Application], scheme: SchemeCon
             rows.append(ResultRow(placed, report.placeable_multi, report.index))
         elif stop_policy == "first-failure":
             break
-    return RunResult(scheme=scheme.scheme, rows=rows,
-                     order_hash=order_hash(apps), apps_placed=placed)
+    return RunResult(rows=rows, apps_placed=placed)
+
+
+def _run(cfg: ExperimentConfig, schemes: list[SchemeConfig]) -> tuple[str, dict]:
+    """Shuffle once, place that order with each scheme: (order hash, {scheme: RunResult})."""
+    topology = resolve_topology(cfg.topology)
+    apps = resolve_workload(cfg.workload, topology)
+    order = shuffle_order(apps, cfg.seed)
+    digest = order_hash(order)
+    runs = {}
+    for scheme in schemes:
+        result = _run_sequence(topology, order, scheme, cfg.rrf_request, cfg.stop_policy)
+        log.info("run scheme=%s seed=%d order=%s placed=%d",
+                 scheme.scheme, cfg.seed, digest, result.apps_placed)
+        runs[scheme.scheme] = result
+    return digest, runs
 
 
 def run_experiment(cfg: ExperimentConfig,
                    scheme: SchemeConfig = SchemeConfig()) -> list[ResultRow]:
-    """Place the shuffled workload with one scheme and return one row per
-    successful placement."""
-    topology = resolve_topology(cfg.topology)
-    apps = resolve_workload(cfg.workload, topology)
-    order = shuffle_order(apps, cfg.seed)
-    result = _run_sequence(topology, order, scheme, cfg.rrf_request, cfg.stop_policy)
-    log.info("run scheme=%s seed=%d order=%s placed=%d",
-             result.scheme, cfg.seed, result.order_hash, result.apps_placed)
+    """Place the shuffled workload with one scheme; one row per successful placement."""
+    _, runs = _run(cfg, [scheme])
+    rows = runs[scheme.scheme].rows
     if cfg.output_path:
-        _write_rows(cfg.output_path, result.rows)
-    return result.rows
+        _write(cfg.output_path, [RESULT_HEADER] + [row.format() for row in rows])
+    return rows
 
 
 def compare_schemes(cfg: ExperimentConfig, schemes: list) -> ComparisonResult:
-    """Run several schemes, each on a fresh PlacementState, over one shuffle."""
+    """Run several schemes over one shuffle; the summary reads each scheme's
+    row at the checkpoint, the fewest applications any scheme placed."""
     if len(schemes) < 2:
         raise ValueError("compare_schemes needs at least two schemes")
     configs = [s if isinstance(s, SchemeConfig) else SchemeConfig(scheme=s) for s in schemes]
     names = [c.scheme for c in configs]
     if len(set(names)) != len(names):
         raise ValueError(f"compare_schemes got duplicate scheme names: {names}")
-    topology = resolve_topology(cfg.topology)
-    apps = resolve_workload(cfg.workload, topology)
-    order = shuffle_order(apps, cfg.seed)
-    runs: dict[str, RunResult] = {}
-    for scheme in configs:
-        result = _run_sequence(topology, order, scheme, cfg.rrf_request, cfg.stop_policy)
-        log.info("compare scheme=%s seed=%d order=%s placed=%d",
-                 scheme.scheme, cfg.seed, result.order_hash, result.apps_placed)
-        runs[scheme.scheme] = result
-
+    digest, runs = _run(cfg, configs)
     checkpoint = min(r.apps_placed for r in runs.values())
     summary = []
     for name, result in runs.items():
-        at_checkpoint = next(
-            (row for row in result.rows if row.apps_placed == checkpoint), None)
-        summary.append({
-            "scheme": name,
-            "apps_placed": result.apps_placed,
-            "checkpoint": checkpoint,
-            "placeable_at_checkpoint": at_checkpoint.placeable_requests if at_checkpoint else 0,
-            "rrf_at_checkpoint": at_checkpoint.rrf_index if at_checkpoint else 1.0,
-        })
-
+        # row k holds apps_placed k + 1, so the checkpoint indexes its row
+        row = result.rows[checkpoint - 1] if checkpoint else ResultRow(0, 0, 1.0)
+        summary.append({"scheme": name, "apps_placed": result.apps_placed,
+                        "checkpoint": checkpoint,
+                        "placeable_at_checkpoint": row.placeable_requests,
+                        "rrf_at_checkpoint": row.rrf_index})
     if cfg.output_path:
-        lines = ["scheme," + RESULT_HEADER]
-        for name in sorted(runs):
-            lines.extend(f"{name},{row.format()}" for row in runs[name].rows)
-        with open(cfg.output_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    return ComparisonResult(order_hash=order_hash(order), runs=runs, summary=summary)
+        _write(cfg.output_path, ["scheme," + RESULT_HEADER] + [
+            f"{name},{row.format()}" for name in sorted(runs) for row in runs[name].rows])
+    return ComparisonResult(order_hash=digest, runs=runs, summary=summary)
 
 
-def _write_rows(path: str, rows: list) -> None:
+def _write(path: str, lines: list) -> None:
     with open(path, "w") as fh:
-        fh.write(RESULT_HEADER + "\n")
-        for row in rows:
-            fh.write(row.format() + "\n")
+        fh.write("\n".join(lines) + "\n")

@@ -121,14 +121,15 @@ def representative_request(a: Application) -> MultiRequest:
     """Mean normalized VM demand of the application.
 
     cpu/mem are means of the normalized demands; nw is the mean per-VM total
-    traffic normalized to the reference link, capped at 1: a VM's traffic may
+    traffic normalized to the reference link. Each is capped at 1: validation
+    lets a demand exceed the reference host by rounding, a VM's traffic may
     exceed the link up to the host NIC, and the request only ranks reaches.
     """
     if not a.vms:
         raise WorkloadError(f"app {a.id}: empty application")
     n = len(a.vms)
-    cpu = sum(v.demand.cpu for v in a.vms) / n / a.reference.host.cpu
-    mem = sum(v.demand.mem for v in a.vms) / n / a.reference.host.mem
+    cpu = min(1.0, sum(v.demand.cpu for v in a.vms) / n / a.reference.host.cpu)
+    mem = min(1.0, sum(v.demand.mem for v in a.vms) / n / a.reference.host.mem)
     nw = min(1.0, sum(a.total_traffic(v.id) for v in a.vms) / n / a.reference.link)
     return MultiRequest(cpu=cpu, mem=mem, nw=nw)
 

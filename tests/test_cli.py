@@ -41,6 +41,13 @@ class TestReaches:
         assert code == 0 and out.startswith("r0:")
 
 
+    def test_unknown_topology_lists_the_built_ins(self, capsys):
+        code, _, err = run_cli(capsys, "reaches", "--topology", "nope")
+        assert code == 1
+        assert err == ("dcfrag: error: 'nope' is neither an existing file nor a built-in "
+                       "topology: ('fig4', 'fig3-like', 'tree64', 'clos64-5g', 'clos64-10g')\n")
+
+
 class TestMetrics:
     def test_fragmentation_fixed_point_output(self, capsys):
         code, out, _ = run_cli(capsys, "metrics", "--topology", "fig3-like",

@@ -1,6 +1,9 @@
+import logging
+from dataclasses import FrozenInstanceError
+
 import pytest
 
-from dcfrag.fixtures import NAMED_TOPOLOGIES, UNIT, category_spec, named_topology
+from dcfrag.fixtures import NAMED_TOPOLOGIES, UNIT, category_spec
 from dcfrag.harness import (ExperimentConfig, ResultRow, compare_schemes, order_hash,
                             resolve_topology, run_experiment, shuffle_order)
 from dcfrag.metrics import MultiRequest
@@ -46,14 +49,14 @@ class TestShuffle:
     def test_compare_runs_consume_identical_order(self):
         cfg = small_config(seed=3)
         result = compare_schemes(cfg, ["UNIFIED", "LOCAL"])
-        hashes = {run.order_hash for run in result.runs.values()}
-        assert hashes == {result.order_hash}
+        assert result.order_hash == order_hash(shuffle_order(cfg.workload, 3))
 
 
 class TestRunExperiment:
-    def test_empty_workload_gives_empty_result(self):
-        cfg = small_config(apps=[])
-        assert run_experiment(cfg) == []
+    def test_empty_workload_gives_empty_result(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run_experiment(small_config(apps=[], output_path=str(out))) == []
+        assert out.read_text() == "apps_placed,placeable_requests,rrf_index\n"
 
     def test_rows_count_successes_and_nm_never_increases(self):
         cfg = small_config(seed=5)
@@ -85,6 +88,9 @@ class TestRunExperiment:
     def test_bad_stop_policy_rejected(self):
         with pytest.raises(ValueError, match="stop_policy"):
             small_config(stop_policy="never")
+        # an assignment would skip the check
+        with pytest.raises(FrozenInstanceError):
+            small_config().stop_policy = "never"
 
     def test_rrf_request_must_be_network_multi(self):
         t = small_topology()
@@ -128,6 +134,41 @@ class TestCompareSchemes:
         header = out.read_text().splitlines()[0]
         assert header == "scheme,apps_placed,placeable_requests,rrf_index"
 
+    def test_summary_reads_each_scheme_at_the_checkpoint(self):
+        t = small_topology()
+        result = compare_schemes(small_config(t, small_apps(t, count=12), seed=4),
+                                 ["UNIFIED", "LOCAL", "NETW"])
+        checkpoint = min(run.apps_placed for run in result.runs.values())
+        assert checkpoint > 0
+        for entry in result.summary:
+            run = result.runs[entry["scheme"]]
+            (row,) = [r for r in run.rows if r.apps_placed == checkpoint]
+            assert entry["apps_placed"] == run.apps_placed
+            assert entry["checkpoint"] == checkpoint
+            assert entry["placeable_at_checkpoint"] == row.placeable_requests
+            assert entry["rrf_at_checkpoint"] == row.rrf_index
+
+    def test_empty_workload_summary_and_file(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        result = compare_schemes(small_config(apps=[], output_path=str(out)),
+                                 ["UNIFIED", "LOCAL"])
+        assert [(e["checkpoint"], e["placeable_at_checkpoint"], e["rrf_at_checkpoint"])
+                for e in result.summary] == [(0, 0, 1.0), (0, 0, 1.0)]
+        assert out.read_text() == "scheme,apps_placed,placeable_requests,rrf_index\n"
+
+    def test_one_log_line_per_scheme(self, caplog):
+        cfg = small_config(seed=2)
+        with caplog.at_level(logging.INFO, logger="dcfrag.harness"):
+            result = compare_schemes(cfg, ["UNIFIED", "LOCAL"])
+            rows = run_experiment(cfg, SchemeConfig("LOCAL"))
+        digest = result.order_hash
+        assert caplog.messages == [
+            f"run scheme=UNIFIED seed=2 order={digest} "
+            f"placed={result.runs['UNIFIED'].apps_placed}",
+            f"run scheme=LOCAL seed=2 order={digest} placed={result.runs['LOCAL'].apps_placed}",
+            f"run scheme=LOCAL seed=2 order={digest} placed={len(rows)}",
+        ]
+
     def test_scheme_configs_accepted(self):
         cfg = small_config(seed=2)
         result = compare_schemes(cfg, [SchemeConfig("UNIFIED"),
@@ -150,6 +191,6 @@ class TestNamedTopologies:
 
     def test_unknown_name_lists_the_built_ins(self):
         with pytest.raises(ValueError) as exc:
-            named_topology("nope")
-        assert str(exc.value) == ("unknown topology name 'nope'; built-ins: ('fig4', "
-                                  "'fig3-like', 'tree64', 'clos64-5g', 'clos64-10g')")
+            resolve_topology("nope")
+        assert str(exc.value) == ("'nope' is neither an existing file nor a built-in topology: "
+                                  "('fig4', 'fig3-like', 'tree64', 'clos64-5g', 'clos64-10g')")

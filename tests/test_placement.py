@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dcfrag import placement
 from dcfrag.fixtures import (UNIT, UNIT_REF, category_eval_apps, category_spec,
-                             category_topology, fig1_instance, named_topology)
+                             category_topology, fig1_instance)
+from dcfrag.harness import resolve_topology
 from dcfrag.metrics import MultiRequest, placeable_in_reach
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
@@ -15,7 +16,7 @@ from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConf
 from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology, build_clos,
                              build_tree, load_topology)
 from dcfrag.workload import (VM, Application, generate_workload, load_workload,
-                             representative_request)
+                             representative_request, validate_application)
 from test_topology import as_topology, leveled_fabrics
 from test_workload import bw_to
 
@@ -334,6 +335,17 @@ class TestUnified:
         assert placed(state, "a") == {"v1": "h0", "v2": "h1"}
         assert state.validate() == []
 
+    def test_demand_rounded_above_the_reference_host_is_placed(self):
+        # validation admits a normalized demand up to 1 + _EPS; the reach
+        # ranking request built from it must stay a valid MultiRequest
+        state, _ = tree_state()
+        vms = tuple(VM(id=f"v{i}", demand=ResourceVector(1 + 5e-10, 0.5, 0.0))
+                    for i in range(2))
+        app = Application(id="app", vms=vms, traffic={}, reference=state.topology.reference)
+        validate_application(app)
+        assert place_application(state, app, UNIFIED).ok
+        assert len(set(placed(state).values())) == 2
+
 
 def _unified_rescanning_gains(state, app, config, reaches):
     """UNIFIED with its former next-VM rule, kept as the reference: after every
@@ -437,7 +449,7 @@ class TestBestSiblingReach:
         # with no hosting reach only the placeable count and the id rank: on
         # tree64's empty fabric all 16 racks tie and r0 wins; with r0 and r1
         # full the other 14 tie and "r10" < "r2" wins
-        t = named_topology("tree64")
+        t = resolve_topology("tree64")
         state, reaches = PlacementState(t), t.reaches
         req = MultiRequest(cpu=0.1, mem=0.1, nw=0.1)
         assert len(reaches) == 16
@@ -588,7 +600,7 @@ class TestTransaction:
     def test_restore_inside_a_transaction_is_refused(self):
         # the block's rollback would write into the tables restore replaced,
         # leaving the state at the snapshot instead of its value before the block
-        state = PlacementState(named_topology("fig4"))
+        state = PlacementState(resolve_topology("fig4"))
         old = state.snapshot()
         state.host_free["h1"] = ResourceVector(0.1, 0.1, 1.0)
         before = state.snapshot()
@@ -666,7 +678,7 @@ def check_reserved_paths(state, app):
 
 class TestReservedPaths:
     def test_reserved_paths_join_the_two_hosts(self):
-        t = named_topology("tree64")
+        t = resolve_topology("tree64")
         apps = generate_workload(category_spec(1, 24, 0))
         slots = derive_netw_slots(t, apps)
         for scheme in ("UNIFIED", "LOCAL", "NETW"):
@@ -833,7 +845,7 @@ class TestNetwSubtrees:
     def test_each_subtree_once(self, name, units):
         # clos64: 64 hosts, 16 edge racks, 4 pods (one per 4 aggregation
         # switches) and the whole fabric (one for the 4 cores)
-        t = named_topology(name)
+        t = resolve_topology(name)
         assert len(t.subtrees) == len(set(t.subtrees)) == units
         assert t.subtrees[:len(t.host_ids)] == tuple((h,) for h in t.host_ids)
         assert set(t.subtrees[len(t.host_ids):]) == set(t.hosts_below.values())

@@ -31,6 +31,13 @@ class TestRepresentativeRequest:
         req = representative_request(app)
         assert (req.cpu, req.mem, req.nw) == (0.25, 0.5, 0.0)
 
+    def test_demand_at_the_validation_bound_is_capped(self):
+        # validation admits a normalized demand up to 1 + _EPS
+        app = make_app({"v1": (1 + 5e-10, 1 + 5e-10, 0.0)}, {})
+        validate_application(app)
+        req = representative_request(app)
+        assert (req.cpu, req.mem, req.nw) == (1.0, 1.0, 0.0)
+
     def test_empty_app_rejected(self):
         app = Application(id="empty", vms=(), traffic={}, reference=UNIT_REF)
         with pytest.raises(WorkloadError):
