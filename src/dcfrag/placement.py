@@ -190,11 +190,11 @@ class PlacementState:
             initial = t.hosts[host_id].free
             got = self.host_free[host_id]
             for dim in ("cpu", "mem", "nic"):
-                if total.get(dim) > cap.get(dim) + 1e-6:
+                demand, limit = getattr(total, dim), getattr(cap, dim)
+                if demand > limit + 1e-6:
                     violations.append(
-                        f"host {host_id} {dim}: demand {total.get(dim):g} exceeds "
-                        f"capacity {cap.get(dim):g}")
-                if abs(initial.get(dim) - total.get(dim) - got.get(dim)) > 1e-6:
+                        f"host {host_id} {dim}: demand {demand:g} exceeds capacity {limit:g}")
+                if abs(getattr(initial, dim) - demand - getattr(got, dim)) > 1e-6:
                     violations.append(f"host {host_id}: {dim} ledger out of sync")
 
         reserved: dict[str, float] = {lid: 0.0 for lid in self.link_free}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,18 +52,6 @@ class ResourceVector:
     def normalized(self, ref: "ResourceVector") -> "ResourceVector":
         return ResourceVector(self.cpu / ref.cpu, self.mem / ref.mem, self.nic / ref.nic)
 
-    def fits_within(self, other: "ResourceVector", tol: float = _EPS) -> bool:
-        return (
-            self.cpu <= other.cpu + tol
-            and self.mem <= other.mem + tol
-            and self.nic <= other.nic + tol
-        )
-
-    def get(self, kind: str) -> float:
-        if kind not in ("cpu", "mem", "nic"):
-            raise ValueError(f"unknown resource kind {kind!r}")
-        return getattr(self, kind)
-
 
 @dataclass(frozen=True)
 class Reference:
@@ -88,15 +75,16 @@ class Host:
     free: ResourceVector
 
     def __post_init__(self):
-        if not all(math.isfinite(v.get(k)) for v in (self.capacity, self.free)
-                   for k in ("cpu", "mem", "nic")):
+        dims = ("cpu", "mem", "nic")
+        if not all(math.isfinite(getattr(v, k)) for v in (self.capacity, self.free)
+                   for k in dims):
             raise TopologyError(f"host {self.id}: capacity {self.capacity} and free "
                                 f"{self.free} must be finite")
-        for dim in ("cpu", "mem", "nic"):
-            if self.capacity.get(dim) <= 0:
+        for dim in dims:
+            if getattr(self.capacity, dim) <= 0:
                 raise TopologyError(f"host {self.id}: {dim} capacity "
-                                    f"{self.capacity.get(dim)} must be > 0")
-        if not self.free.fits_within(self.capacity):
+                                    f"{getattr(self.capacity, dim)} must be > 0")
+        if any(getattr(self.free, k) > getattr(self.capacity, k) + _EPS for k in dims):
             raise TopologyError(f"host {self.id}: free {self.free} exceeds capacity {self.capacity}")
 
 
@@ -203,17 +191,10 @@ class Topology:
             la, lb = self.level_of(l.a), self.level_of(l.b)
             if abs(la - lb) != 1:
                 raise TopologyError(f"link {l.id} joins non-adjacent levels {la} and {lb}")
-        seen = set()
-        frontier = deque([hosts[0].id])
-        while frontier:
-            node = frontier.popleft()
-            if node in seen:
-                continue
-            seen.add(node)
-            for peer, _ in self.neighbors(node):
-                if peer not in seen:
-                    frontier.append(peer)
-        missing = (set(self.hosts) | set(self.switches)) - seen
+        # hosts are leaves on level-0 switches: a host is reached with its TOR
+        seen = self._layers([self.host_ports[hosts[0].id][1]])
+        missing = ([s for s in self.switches if s not in seen]
+                   + [h for h, (_, tor) in self.host_ports.items() if tor not in seen])
         if missing:
             raise TopologyError(f"topology is disconnected; unreachable: {sorted(missing)}")
         # switch id -> sorted hosts reachable by descending links, built
@@ -262,6 +243,24 @@ class Topology:
             yield self.links[lid].other(node), lid
 
     # -- path utilities -------------------------------------------------------
+
+    def _layers(self, srcs, dsts=frozenset()) -> dict[str, int]:
+        """The hop depth of each switch reached from srcs over switch-to-switch
+        links, by breadth-first search. The search stops after the first
+        layer that holds one of dsts."""
+        depth = dict.fromkeys(srcs, 0)
+        frontier = list(depth)
+        d = 0
+        while frontier and dsts.isdisjoint(frontier):
+            d += 1
+            nxt = []
+            for node in frontier:
+                for peer, _ in self.neighbors(node):
+                    if peer not in depth and peer in self.switches:
+                        depth[peer] = d
+                        nxt.append(peer)
+            frontier = nxt
+        return depth
 
     def route(self, host_a: str, host_b: str, link_free: dict) -> tuple[str, ...]:
         """Deterministic widest-shortest path between two hosts, as link ids.
@@ -315,16 +314,7 @@ class Topology:
         key = (tor_a, tor_b)
         cached = self._dags.get(key)
         if cached is None:
-            depth = {tor_a: 0}
-            frontier = [tor_a]
-            while tor_b not in depth:
-                nxt = []
-                for node in frontier:
-                    for peer, _ in self.neighbors(node):
-                        if peer not in depth:
-                            depth[peer] = depth[node] + 1
-                            nxt.append(peer)
-                frontier = nxt
+            depth = self._layers([tor_a], {tor_b})
             # walk back from tor_b one layer at a time, collecting each
             # node's predecessors and the links from them
             layers = [[tor_b]]
@@ -345,8 +335,14 @@ class Topology:
     def reach_paths(self, reach_a: Reach, reach_b: Reach) -> tuple[tuple[str, ...], ...]:
         """Link-disjoint shortest paths between two reaches' boundary switches.
 
-        Computed once on the full-capacity graph and cached; callers evaluate
-        current bottlenecks against their own residual link maps.
+        Paths run over switch-to-switch links from the smaller reach id's
+        switches, found one at a time until no shortest path avoids the links
+        already taken. Each walks down the layers of one breadth-first search
+        from the sorted sources: a node tries its sorted (peer, link) pairs,
+        the first node to discover a peer is its parent, and the path ends at
+        the first destination in the last layer. Computed once on the
+        full-capacity graph and cached; callers evaluate current bottlenecks
+        against their own residual link maps.
         """
         if reach_a.id == reach_b.id:
             raise ValueError("reach pair must be distinct")
@@ -354,23 +350,36 @@ class Topology:
         cached = self._reach_paths.get(key)
         if cached is None:
             ra, rb = (reach_a, reach_b) if reach_a.id < reach_b.id else (reach_b, reach_a)
-            srcs, dsts = set(ra.switches), set(rb.switches)
-            if srcs & dsts:  # the empty path would be found forever
+            srcs, dsts = sorted(ra.switches), set(rb.switches)
+            if dsts.intersection(srcs):  # the empty path would be found forever
                 raise ValueError(f"reaches {ra.id} and {rb.id} share switches "
-                                 f"{sorted(srcs & dsts)}")
-            blocked: set[str] = set()
+                                 f"{sorted(dsts.intersection(srcs))}")
+            # a shortest path visits each switch at its depth in the full
+            # graph, so taking links never moves a later path off these layers
+            depth = self._layers(srcs, dsts)
+            last = max(depth.values())
+            taken: set[str] = set()
             paths: list[tuple[str, ...]] = []
-            min_len = None
             while True:
-                found = self._switch_set_path(srcs, dsts, blocked)
-                if found is None:
+                parent: dict[str, tuple[str, str] | None] = dict.fromkeys(srcs)
+                layer = srcs
+                for d in range(1, last + 1):
+                    nxt = []
+                    for node in layer:
+                        for peer, lid in sorted(self.neighbors(node)):
+                            if depth.get(peer) == d and peer not in parent and lid not in taken:
+                                parent[peer] = (node, lid)
+                                nxt.append(peer)
+                    layer = nxt
+                node = next((n for n in layer if n in dsts), None)
+                if node is None:
                     break
-                if min_len is None:
-                    min_len = len(found)
-                elif len(found) > min_len:
-                    break
-                paths.append(found)
-                blocked.update(found)
+                path = []
+                while parent[node] is not None:
+                    node, lid = parent[node]
+                    path.append(lid)
+                paths.append(tuple(reversed(path)))
+                taken.update(path)
             cached = tuple(paths)
             self._reach_paths[key] = cached
         return cached
@@ -417,29 +426,6 @@ class Topology:
             return itemgetter(*links)
         # itemgetter() raises, and itemgetter(lid) returns a bare entry
         return lambda table: tuple(table[lid] for lid in links)
-
-    def _switch_set_path(self, srcs: set[str], dsts: set[str],
-                         blocked: set[str]) -> tuple[str, ...] | None:
-        parent: dict[str, tuple[str, str] | None] = {s: None for s in sorted(srcs)}
-        frontier = deque(sorted(srcs))
-        goal = None
-        while frontier:
-            node = frontier.popleft()
-            if node in dsts:
-                goal = node
-                break
-            for peer, lid in sorted(self.neighbors(node)):
-                if peer in self.switches and peer not in parent and lid not in blocked:
-                    parent[peer] = (node, lid)
-                    frontier.append(peer)
-        if goal is None:
-            return None
-        path = []
-        node = goal
-        while parent[node] is not None:
-            node, lid = parent[node]
-            path.append(lid)
-        return tuple(reversed(path))
 
 
 # -- boundary switches and reaches -------------------------------------------

@@ -1,6 +1,9 @@
-"""Test references for the greedy counts: every shortest path between two
-hosts, and a brute-force oracle of the placeable requests on desk-size
-instances. Neither is part of the runtime; tests import them from here."""
+"""Test references: every shortest path between two hosts, the link-disjoint
+shortest paths between two reaches by repeated blocked BFS, and a
+brute-force oracle of the placeable requests on desk-size instances. None is
+part of the runtime; tests import them from here."""
+
+from collections import deque
 
 from dcfrag.metrics import MultiRequest, fit_count
 from dcfrag.topology import _EPS
@@ -36,6 +39,52 @@ def reference_shortest_paths(t, host_a, host_b):
     # nodes run src, its TOR, the switches between, the other TOR, dst
     ordered = sorted(back(dst), key=lambda path: (path[0][-3:1:-1], path[1]))
     return [links for _, links in ordered]
+
+
+def reference_reach_paths(t, reach_a, reach_b):
+    """Link-disjoint shortest paths between two reaches' boundary switches,
+    as Topology.reach_paths lists them: from the smaller reach id, a switch
+    BFS from the sorted sources is run again after each path with that
+    path's links blocked, until it finds no path or a longer one."""
+    ra, rb = (reach_a, reach_b) if reach_a.id < reach_b.id else (reach_b, reach_a)
+    srcs, dsts = set(ra.switches), set(rb.switches)
+    blocked = set()
+    paths = []
+    min_len = None
+    while True:
+        found = _switch_set_path(t, srcs, dsts, blocked)
+        if found is None:
+            break
+        if min_len is None:
+            min_len = len(found)
+        elif len(found) > min_len:
+            break
+        paths.append(found)
+        blocked.update(found)
+    return tuple(paths)
+
+
+def _switch_set_path(t, srcs, dsts, blocked):
+    parent = {s: None for s in sorted(srcs)}
+    frontier = deque(sorted(srcs))
+    goal = None
+    while frontier:
+        node = frontier.popleft()
+        if node in dsts:
+            goal = node
+            break
+        for peer, lid in sorted(t.neighbors(node)):
+            if peer in t.switches and peer not in parent and lid not in blocked:
+                parent[peer] = (node, lid)
+                frontier.append(peer)
+    if goal is None:
+        return None
+    path = []
+    node = goal
+    while parent[node] is not None:
+        node, lid = parent[node]
+        path.append(lid)
+    return tuple(reversed(path))
 
 
 def brute_force_placeable(state, req: MultiRequest) -> int:

@@ -145,7 +145,8 @@ def _exhaustive_plans(topology, app):
             for vm_id, target in assign.items():
                 if target == host.id:
                     total = total + app.vm(vm_id).demand
-            if not total.fits_within(host.capacity):
+            if any(getattr(total, d) > getattr(host.capacity, d) + 1e-9
+                   for d in ("cpu", "mem", "nic")):
                 fits = False
                 break
         cross = sum(bw for (a, b), bw in app.traffic.items() if assign[a] != assign[b])

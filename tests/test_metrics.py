@@ -296,9 +296,11 @@ def _replay_walk(t, reaches, residuals, link_free, fit, unit):
     res = {r.id: x for r, x in zip(t.reaches, residuals)}
     reaches = sorted(reaches, key=lambda r: r.hosts)
     pairs = [(ri, rj) for i, ri in enumerate(reaches) for rj in reaches[i + 1:]]
+    # a pair's distance is a fact of the fabric, so it is found once
+    distance = {p: _bfs_reach_distance(t, *p) for p in pairs}
     total = 0
     while pairs:
-        ri, rj = min(pairs, key=lambda p: (_bfs_reach_distance(t, p[0], p[1]),
+        ri, rj = min(pairs, key=lambda p: (distance[p],
                                            -M.path_bandwidth(t, p[0], p[1], link_free),
                                            p[0].id, p[1].id))
         pairs.remove((ri, rj))

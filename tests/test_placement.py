@@ -99,7 +99,7 @@ class TestBalPack:
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_matches_a_get_based_reference(self, data):
+    def test_matches_a_per_dimension_reference(self, data):
         # capacities and frees from a few values make score ties and exact fits common
         value = st.sampled_from([0.5, 1.0, 2.0])
         caps = [ResourceVector(*(data.draw(value) for _ in range(3))) for _ in range(4)]
@@ -114,20 +114,21 @@ class TestBalPack:
                 *(getattr(h.capacity, d) * data.draw(share) for d in ("cpu", "mem", "nic")))
         vm = VM(id="v", demand=ResourceVector(*(data.draw(st.sampled_from([0.0, 0.25, 0.5]))
                                                 for _ in range(3))))
-        assert bal_pack(state, vm, t.reaches[0]) == _bal_pack_by_get(state, vm, t.reaches[0])
+        assert bal_pack(state, vm, t.reaches[0]) == _bal_pack_by_dim(state, vm, t.reaches[0])
 
 
-def _bal_pack_by_get(state, vm, reach):
-    """Reference: bal_pack reading each dimension through ResourceVector.get."""
+def _bal_pack_by_dim(state, vm, reach):
+    """Reference: bal_pack reading each dimension by name."""
     best = None
     for host_id in reach.hosts:
         cap = state.topology.hosts[host_id].capacity
         free = state.host_free[host_id]
         utils = []
         for dim in ("cpu", "mem", "nic"):
-            if vm.demand.get(dim) > free.get(dim) + 1e-9:
+            need, have, full = (getattr(v, dim) for v in (vm.demand, free, cap))
+            if need > have + 1e-9:
                 break
-            utils.append((cap.get(dim) - free.get(dim) + vm.demand.get(dim)) / cap.get(dim))
+            utils.append((full - have + need) / full)
         else:
             score = max(utils) - min(utils)
             if best is None or (score, host_id) < best:

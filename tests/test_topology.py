@@ -13,7 +13,7 @@ from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology
                              TopologyError, build_clos, build_tree,
                              find_boundary_switches, find_reaches, load_topology)
 
-from oracle import reference_shortest_paths
+from oracle import reference_reach_paths, reference_shortest_paths
 
 
 def mini_topology(host_frees, link_frees=None, link_cap=1.0):
@@ -483,6 +483,41 @@ class TestRouteMatchesBFS:
         assert t.route("h2", "h1", zero) == ("h1-s1", "h2-s1")
         with pytest.raises(ValueError, match="endpoints must differ"):
             t.route("h1", "h1", zero)
+
+
+class TestReachPathsMatchBFS:
+    @settings(max_examples=200, deadline=None)
+    @given(leveled_fabrics, st.data())
+    def test_reach_paths_equal_the_blocked_bfs_reference(self, fabric, data):
+        # the same fabric again with its links renamed in a drawn order, so
+        # that a node's links no longer sort as its peers do
+        t = as_topology(fabric)
+        order = data.draw(st.permutations(range(len(t.links))))
+        links = [Link(id=f"l{k:03d}", a=l.a, b=l.b, capacity=l.capacity, free=l.free)
+                 for k, l in zip(order, t.links.values())]
+        renamed = Topology(list(t.hosts.values()), list(t.switches.values()), links,
+                           t.reference)
+        for t in (t, renamed):
+            try:
+                reaches = t.reaches
+            except TopologyError:
+                return  # no reach partition, so no reach pair
+            for ri in reaches:
+                for rj in reaches:
+                    if ri is not rj:
+                        assert t.reach_paths(ri, rj) == reference_reach_paths(t, ri, rj)
+
+    def test_a_node_tries_its_peers_in_id_order(self):
+        # m's link to z1 has the smaller id, but z0 is the smaller peer
+        hosts = [Host(id=h, capacity=UNIT, free=UNIT) for h in ("h0", "h1")]
+        switches = [Switch(id="t0", level=0), Switch(id="m", level=1),
+                    Switch(id="z0", level=2), Switch(id="z1", level=2)]
+        links = [Link(id=lid, a=a, b=b, capacity=1.0, free=1.0) for lid, a, b in (
+            ("h0-t0", "h0", "t0"), ("h1-t0", "h1", "t0"),
+            ("l0", "t0", "m"), ("l1", "m", "z1"), ("l2", "m", "z0"))]
+        t = Topology(hosts, switches, links, UNIT_REF)
+        ra, rb = Reach("ra", ("h0", "h1"), ("t0",)), Reach("rb", (), ("z0", "z1"))
+        assert t.reach_paths(ra, rb) == reference_reach_paths(t, ra, rb) == (("l0", "l2"),)
 
 
 class TestLoader:
