@@ -18,9 +18,11 @@ output file has the keys `what`, `parent_commit`, `summary`, `traced` and
 run's exit code. Per metric the summary also states whether the change won
 at least nine tenths of the pairs (ties count for neither side) and whether
 the medians differ, in the change's favour, by more than the parent's
-interquartile range: a gain may be claimed only when both hold. Stdlib only;
-it is not part of the test suite, and it takes about 2 x 10 x T per workload
-and seed.
+interquartile range: a gain may be claimed only when both hold. It also
+states whether the change's median is worse than the parent's by at most the
+metric's BENCHMARK.json bound, which every metric must meet, gain claimed or
+not. Stdlib only; it is not part of the test suite, and it takes about
+2 x 10 x T per workload and seed.
 """
 
 from __future__ import annotations
@@ -82,7 +84,9 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     the two verdicts a claimed gain needs: `won_nine_tenths` (better in at
     least 9 of the PAIRS pairs main runs; false for a group of fewer than 9)
     and `beats_parent_iqr` (the median moved the better way by more than the
-    parent's q3 - q1; false under 4 pairs, which give no quartiles)."""
+    parent's q3 - q1; false under 4 pairs, which give no quartiles), and
+    `within_bound` (the change's median is worse than the parent's by at
+    most the metric's `bound` times the parent's median)."""
     groups: dict[str, list[dict]] = {}
     for p in pairs:
         groups.setdefault(f"{p['workload']} seed {p['seed']}", []).append(p)
@@ -112,7 +116,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                 change_over_parent_median=round(change_median / parent_median, 4),
                 change_better_pairs=better,
                 won_nine_tenths=better >= 9,
-                beats_parent_iqr=label == "q1_median_q3" and gain > q3 - q1)
+                beats_parent_iqr=label == "q1_median_q3" and gain > q3 - q1,
+                within_bound=-gain <= m["bound"] * parent_median)
         summary[name] = entry
     return summary
 
@@ -155,7 +160,8 @@ def main(argv=None) -> int:
             f"statistics.quantiles(n=4) (exclusive); under 4 pairs the summary gives min, "
             f"median and max. won_nine_tenths: the change was better in at least 9 of 10 "
             f"pairs; beats_parent_iqr: its median moved the better way by more than the "
-            f"parent's q3 - q1. 'traced' holds one --trace 1 run per side and workload. "
+            f"parent's q3 - q1; within_bound: its median is worse than the parent's by at "
+            f"most the metric's BENCHMARK.json bound times the parent's median. 'traced' holds one --trace 1 run per side and workload. "
             f"environment.commit is null for the exported parent and the checkout's HEAD "
             f"for the change; src_sha256 tells the sides apart.")
     doc = {"what": what, "parent_commit": parent_commit,

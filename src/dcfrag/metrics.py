@@ -23,8 +23,10 @@ vectors and uplink frees next to the pairing computed from them. The
 between walks share one slot holding the reach pairs sorted by their
 bandwidths, next to the frees of the links on reach paths they were read
 from. A call recomputes a slot only when those values no longer compare
-equal. Keyed by value, the memo needs no invalidation: it holds under
-rollbacks, restores and direct writes to the tables.
+equal. The getters that read those values are built once per state and kept
+in the memo beside the slots. Keyed by value, the memo needs no
+invalidation: it holds under rollbacks, restores and direct writes to the
+tables.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .topology import _EPS, Reach, Topology
 
+_REACH_KEYS = "reach keys"  # the reach_memo key of _reach_pairings' slot key getters
 _PAIR_ORDER = "pair order"  # the reach_memo key of _walk_between's sorted rows
 
 
@@ -186,17 +190,24 @@ def _reach_pairings(state, req: MultiRequest | None):
 
     A reach's (sum, residual) is read from its slot in state.reach_memo while
     the reach's host free vectors and uplink frees equal the ones it was
-    computed from; the slot key is built by the reach's topology.reach_keys
-    getters.
+    computed from. The slot key is read by the reach's two getters in the
+    memo's _REACH_KEYS entry: its hosts' entries in host_free and their
+    uplinks' in link_free, both in reach.hosts order.
     """
     t = state.topology
-    host_free, link_free = state.host_free, state.link_free
-    slots = state.reach_memo.get(req)
+    host_free, link_free, memo = state.host_free, state.link_free, state.reach_memo
+    keys = memo.get(_REACH_KEYS)
+    if keys is None:
+        ports = t.host_ports
+        keys = memo[_REACH_KEYS] = [
+            (itemgetter(*r.hosts), itemgetter(*(ports[h][0] for h in r.hosts)))
+            for r in t.reaches]
+    slots = memo.get(req)
     if slots is None:
-        slots = state.reach_memo[req] = [None] * len(t.reaches)
+        slots = memo[req] = [None] * len(t.reaches)
     total = 0.0 if req is None else 0
     residuals = []
-    for i, (reach, (hosts_of, uplinks_of)) in enumerate(zip(t.reaches, t.reach_keys)):
+    for i, (reach, (hosts_of, uplinks_of)) in enumerate(zip(t.reaches, keys)):
         key = (hosts_of(host_free), uplinks_of(link_free))
         slot = slots[i]
         if slot is None or slot[0] != key:
@@ -257,20 +268,24 @@ def _pair_order(state) -> list[tuple]:
     """Topology.reach_pairs as (distance, -bandwidth, rank, i, j, paths) rows,
     sorted, each bandwidth read from state.link_free.
 
-    The rows are read from the _PAIR_ORDER slot of state.reach_memo while
-    the frees of the links on reach paths (topology.reach_pair_links) equal
-    the ones they were computed from. Keyed by value, like the reach slots.
+    The rows are read from the _PAIR_ORDER slot of state.reach_memo, a
+    (getter, key, rows) triple, while the frees of the links on reach paths
+    equal the ones they were computed from: the getter reads them from
+    link_free in link id order. Keyed by value, like the reach slots. Only
+    called with two live reaches, so some reach path has a link.
     """
     t = state.topology
     link_free = state.link_free
-    key = t.reach_pair_links(link_free)
     slot = state.reach_memo.get(_PAIR_ORDER)
-    if slot is None or slot[0] != key:
+    links_of = slot[0] if slot else itemgetter(*sorted(
+        {lid for pair in t.reach_pairs for path in pair.paths for lid in path}))
+    key = links_of(link_free)
+    if slot is None or slot[1] != key:
         ref_link = t.reference.link
         rows = sorted((d, -_paths_bandwidth(paths, link_free, ref_link), rank, i, j, paths)
                       for d, rank, i, j, paths in t.reach_pairs)
-        slot = state.reach_memo[_PAIR_ORDER] = (key, rows)
-    return slot[1]
+        slot = state.reach_memo[_PAIR_ORDER] = (links_of, key, rows)
+    return slot[2]
 
 
 def _walk_between(state, residuals: list, fit, unit: float):

@@ -9,12 +9,12 @@ never contend for fabric links.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import NamedTuple
 
 _EPS = 1e-9
@@ -119,9 +119,6 @@ class Link:
         if not -_EPS <= self.free <= self.capacity + _EPS:
             raise TopologyError(f"link {self.id}: free {self.free} outside [0, {self.capacity}]")
 
-    def other(self, node: str) -> str:
-        return self.b if node == self.a else self.a
-
 
 @dataclass(frozen=True)
 class Reach:
@@ -150,7 +147,9 @@ class Topology:
     Construction raises TopologyError unless the fabric has hosts, every host
     has one link, to a level-0 switch, every link joins adjacent levels and
     the graph is connected. The constructor writes nothing into the hosts,
-    switches and links it is given: a host's ports are in host_ports alone.
+    switches and links it is given. A switch's links are in adjacency, as
+    (peer, link id) pairs in sorted order, and a host's one link is in
+    host_ports alone.
     """
 
     def __init__(self, hosts: list[Host], switches: list[Switch], links: list[Link],
@@ -166,24 +165,25 @@ class Topology:
         overlap = set(self.hosts) & set(self.switches)
         if overlap:
             raise TopologyError(f"ids used for both host and switch: {sorted(overlap)}")
-        adj: dict[str, list[str]] = {n: [] for n in list(self.hosts) + list(self.switches)}
+        ends: dict[str, list[tuple[str, str]]] = {n: [] for n in [*self.hosts, *self.switches]}
         for l in links:
             for end in (l.a, l.b):
-                if end not in adj:
+                if end not in ends:
                     raise TopologyError(f"link {l.id}: unknown endpoint {end!r}")
-            adj[l.a].append(l.id)
-            adj[l.b].append(l.id)
-        self.adjacency = {n: tuple(sorted(ids)) for n, ids in adj.items()}
+            ends[l.a].append((l.b, l.id))
+            ends[l.b].append((l.a, l.id))
+        # switch id -> its (peer, link id) pairs, sorted: every search's order
+        self.adjacency: dict[str, tuple[tuple[str, str], ...]] = {
+            s: tuple(sorted(ends[s])) for s in self.switches}
         if not self.hosts:
             raise TopologyError("topology has no hosts")
         # host id -> (its uplink, its TOR)
         self.host_ports: dict[str, tuple[str, str]] = {}
         for h in hosts:
-            deg = len(self.adjacency[h.id])
+            deg = len(ends[h.id])
             if deg != 1:
                 raise TopologyError(f"host {h.id} has degree {deg}, expected exactly 1")
-            uplink = self.adjacency[h.id][0]
-            tor = self.links[uplink].other(h.id)
+            (tor, uplink), = ends[h.id]
             if tor not in self.switches or self.switches[tor].level != 0:
                 raise TopologyError(f"host {h.id} must attach to a level-0 switch")
             self.host_ports[h.id] = (uplink, tor)
@@ -202,7 +202,7 @@ class Topology:
         below: dict[str, set[str]] = {}
         for s in sorted(switches, key=lambda s: s.level):
             below[s.id] = set()
-            for peer, _ in self.neighbors(s.id):
+            for peer, _ in self.adjacency[s.id]:
                 if peer in self.hosts:
                     below[s.id].add(peer)
                 elif self.switches[peer].level == s.level - 1:
@@ -216,10 +216,10 @@ class Topology:
                 above[h].append(sid)
         self.switches_above: dict[str, tuple[str, ...]] = {
             h: tuple(ss) for h, ss in above.items()}
-        # switch id -> its links to higher-level switches, in neighbors() order
+        # switch id -> its links to higher-level switches, in link id order
         self.switch_uplinks: dict[str, tuple[str, ...]] = {
-            s.id: tuple(lid for peer, lid in self.neighbors(s.id)
-                        if peer in self.switches and self.switches[peer].level > s.level)
+            s.id: tuple(sorted(lid for peer, lid in self.adjacency[s.id]
+                               if peer in self.switches and self.switches[peer].level > s.level))
             for s in switches}
         self.host_ids: tuple[str, ...] = tuple(sorted(self.hosts))
         # NETW's scan units: each host, then each switch subtree in (level, id)
@@ -238,10 +238,6 @@ class Topology:
             return self.switches[node].level
         return -1  # hosts sit below the TOR tier
 
-    def neighbors(self, node: str):
-        for lid in self.adjacency.get(node, ()):
-            yield self.links[lid].other(node), lid
-
     # -- path utilities -------------------------------------------------------
 
     def _layers(self, srcs, dsts=frozenset()) -> dict[str, int]:
@@ -255,7 +251,7 @@ class Topology:
             d += 1
             nxt = []
             for node in frontier:
-                for peer, _ in self.neighbors(node):
+                for peer, _ in self.adjacency[node]:
                     if peer not in depth and peer in self.switches:
                         depth[peer] = d
                         nxt.append(peer)
@@ -308,8 +304,8 @@ class Topology:
 
         Nodes are numbered in BFS layer order, ids ascending within a layer:
         tor_a is 0 and tor_b the last. Entry k - 1 lists node k's
-        (parent index, link id) pairs, parents sorted by id and each
-        parent's links in adjacency order. Empty when the two are one TOR.
+        (parent index, link id) pairs in adjacency order: parents by id, then
+        links by id. Empty when the two are one TOR.
         """
         key = (tor_a, tor_b)
         cached = self._dags.get(key)
@@ -320,12 +316,13 @@ class Topology:
             layers = [[tor_b]]
             preds: dict[str, list[tuple[str, str]]] = {}
             while layers[-1] != [tor_a]:
-                above = set()
                 for node in layers[-1]:
-                    preds[node] = sorted((peer, lid) for peer, lid in self.neighbors(node)
-                                         if depth.get(peer) == depth[node] - 1)
-                    above.update(peer for peer, _ in preds[node])
-                layers.append(sorted(above))
+                    preds[node] = [(peer, lid) for peer, lid in self.adjacency[node]
+                                   if depth.get(peer) == depth[node] - 1]
+                # each node's pairs are sorted, so their merge lists the
+                # layer above in id order
+                merged = heapq.merge(*(preds[node] for node in layers[-1]))
+                layers.append(list(dict.fromkeys(peer for peer, _ in merged)))
             order = [node for layer in reversed(layers) for node in layer]
             index = {node: k for k, node in enumerate(order)}
             cached = self._dags[key] = tuple(
@@ -338,11 +335,11 @@ class Topology:
         Paths run over switch-to-switch links from the smaller reach id's
         switches, found one at a time until no shortest path avoids the links
         already taken. Each walks down the layers of one breadth-first search
-        from the sorted sources: a node tries its sorted (peer, link) pairs,
-        the first node to discover a peer is its parent, and the path ends at
-        the first destination in the last layer. Computed once on the
-        full-capacity graph and cached; callers evaluate current bottlenecks
-        against their own residual link maps.
+        from the sources in Reach.switches order (sorted): a node tries its
+        adjacency pairs in order, the first node to discover a peer is its
+        parent, and the path ends at the first destination in the last
+        layer. Computed once on the full-capacity graph and cached; callers
+        evaluate current bottlenecks against their own residual link maps.
         """
         if reach_a.id == reach_b.id:
             raise ValueError("reach pair must be distinct")
@@ -350,10 +347,10 @@ class Topology:
         cached = self._reach_paths.get(key)
         if cached is None:
             ra, rb = (reach_a, reach_b) if reach_a.id < reach_b.id else (reach_b, reach_a)
-            srcs, dsts = sorted(ra.switches), set(rb.switches)
-            if dsts.intersection(srcs):  # the empty path would be found forever
-                raise ValueError(f"reaches {ra.id} and {rb.id} share switches "
-                                 f"{sorted(dsts.intersection(srcs))}")
+            srcs, dsts = ra.switches, set(rb.switches)
+            shared = [s for s in srcs if s in dsts]
+            if shared:  # the empty path would be found forever
+                raise ValueError(f"reaches {ra.id} and {rb.id} share switches {shared}")
             # a shortest path visits each switch at its depth in the full
             # graph, so taking links never moves a later path off these layers
             depth = self._layers(srcs, dsts)
@@ -366,7 +363,7 @@ class Topology:
                 for d in range(1, last + 1):
                     nxt = []
                     for node in layer:
-                        for peer, lid in sorted(self.neighbors(node)):
+                        for peer, lid in self.adjacency[node]:
                             if depth.get(peer) == d and peer not in parent and lid not in taken:
                                 parent[peer] = (node, lid)
                                 nxt.append(peer)
@@ -390,15 +387,6 @@ class Topology:
         return tuple(find_reaches(self))
 
     @cached_property
-    def reach_keys(self) -> tuple[tuple[itemgetter, itemgetter], ...]:
-        """Per reach of `reaches`: a getter of its hosts' entries in a
-        host-keyed table and one of their uplinks' entries in a link-keyed
-        table, both in reach.hosts order, computed once."""
-        ports = self.host_ports
-        return tuple((itemgetter(*r.hosts), itemgetter(*(ports[h][0] for h in r.hosts)))
-                     for r in self.reaches)
-
-    @cached_property
     def reach_pairs(self) -> tuple[ReachPair, ...]:
         """One row per reach pair, sorted by (distance, id_i, id_j) with the
         ids compared as strings ("r10" < "r2"), computed on first use. A
@@ -415,17 +403,6 @@ class Topology:
         rows.sort()  # the id pair is unique, so no later field is compared
         return tuple(ReachPair(d, rank, i, j, paths)
                      for rank, (d, _, _, i, j, paths) in enumerate(rows))
-
-    @cached_property
-    def reach_pair_links(self):
-        """A getter of the entries of every link on any reach path in a
-        link-keyed table, as a tuple in link id order, computed on first use.
-        Every reach_pairs bandwidth is a function of these entries alone."""
-        links = sorted({lid for pair in self.reach_pairs for path in pair.paths for lid in path})
-        if len(links) > 1:
-            return itemgetter(*links)
-        # itemgetter() raises, and itemgetter(lid) returns a bare entry
-        return lambda table: tuple(table[lid] for lid in links)
 
 
 # -- boundary switches and reaches -------------------------------------------
@@ -444,8 +421,10 @@ def find_boundary_switches(t: Topology) -> set[str]:
     tainted: set[str] = set()  # switches with an oversubscribed switch below them
     for s in sorted(t.switches.values(), key=lambda s: s.level):
         ups = t.switch_uplinks[s.id]
+        downs = sorted(lid for _, lid in t.adjacency[s.id] if lid not in ups)
+        # both sums run in link id order, as ups does
         up_cap = sum(t.links[lid].capacity for lid in ups)
-        down_cap = sum(t.links[lid].capacity for lid in t.adjacency[s.id] if lid not in ups)
+        down_cap = sum(t.links[lid].capacity for lid in downs)
         oversub = down_cap > up_cap + _EPS
         if s.boundary_override is not None:
             flagged = s.boundary_override
@@ -454,7 +433,7 @@ def find_boundary_switches(t: Topology) -> set[str]:
         if flagged:
             boundary.add(s.id)
         if oversub or s.id in tainted:
-            tainted.update(t.links[lid].other(s.id) for lid in ups)
+            tainted.update(peer for peer, lid in t.adjacency[s.id] if lid in ups)
     return boundary
 
 

@@ -1,7 +1,8 @@
-"""Test references: every shortest path between two hosts, the link-disjoint
-shortest paths between two reaches by repeated blocked BFS, and a
-brute-force oracle of the placeable requests on desk-size instances. None is
-part of the runtime; tests import them from here."""
+"""Test references: each node's links read from the link table, every
+shortest path between two hosts, the link-disjoint shortest paths between two
+reaches by repeated blocked BFS, and a brute-force oracle of the placeable
+requests on desk-size instances. None is part of the runtime; tests import
+them from here."""
 
 from collections import deque
 
@@ -9,6 +10,13 @@ from dcfrag.metrics import MultiRequest, fit_count
 from dcfrag.topology import _EPS
 
 _ORACLE_CAP = 12  # placements brute_force_placeable searches up to
+
+
+def reference_neighbors(t, node):
+    """(peer, link id) for every link at node, in link id order, read from
+    t.links alone rather than from any record the constructor builds."""
+    return [(l.b if l.a == node else l.a, lid) for lid, l in sorted(t.links.items())
+            if node in (l.a, l.b)]
 
 
 def reference_shortest_paths(t, host_a, host_b):
@@ -23,7 +31,7 @@ def reference_shortest_paths(t, host_a, host_b):
     while dst not in depth:
         nxt = []
         for node in frontier:
-            for peer, _ in t.neighbors(node):
+            for peer, _ in reference_neighbors(t, node):
                 if peer not in depth:
                     depth[peer] = depth[node] + 1
                     nxt.append(peer)
@@ -33,7 +41,8 @@ def reference_shortest_paths(t, host_a, host_b):
         if node == src:
             return [((src,), ())]
         return [(nodes + (node,), links + (lid,))
-                for peer, lid in t.neighbors(node) if depth.get(peer) == depth[node] - 1
+                for peer, lid in reference_neighbors(t, node)
+                if depth.get(peer) == depth[node] - 1
                 for nodes, links in back(peer)]
 
     # nodes run src, its TOR, the switches between, the other TOR, dst
@@ -73,7 +82,7 @@ def _switch_set_path(t, srcs, dsts, blocked):
         if node in dsts:
             goal = node
             break
-        for peer, lid in sorted(t.neighbors(node)):
+        for peer, lid in sorted(reference_neighbors(t, node)):
             if peer in t.switches and peer not in parent and lid not in blocked:
                 parent[peer] = (node, lid)
                 frontier.append(peer)

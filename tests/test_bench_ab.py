@@ -11,8 +11,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import ab  # noqa: E402  (needs bench/ on the path)
 
-METRICS = [{"name": "attempts_per_s", "better": "higher"},
-           {"name": "step_ms_p50", "better": "lower"}]
+METRICS = [{"name": "attempts_per_s", "better": "higher", "bound": 0.25},
+           {"name": "step_ms_p50", "better": "lower", "bound": 0.25}]
 
 
 def run(rate, step, exit=0, correct=True, failed=0):
@@ -93,6 +93,24 @@ def test_too_few_pairs_give_neither_verdict():
     rate = ab.summarize(pairs([run(100.0, 1.0)] * 3, [run(200.0, 1.0)] * 3),
                         METRICS)["w seed 0"]["attempts_per_s"]
     assert rate["won_nine_tenths"] is False and rate["beats_parent_iqr"] is False
+
+
+def test_within_bound_allows_a_loss_up_to_bound_times_the_parent_median():
+    # parent medians 100/s and 1.0 ms; a 25% bound allows 75/s and 1.25 ms
+    parent = [run(100.0, 1.0)] * 3
+    inside = ab.summarize(pairs(parent, [run(75.5, 1.245)] * 3), METRICS)["w seed 0"]
+    assert inside["attempts_per_s"]["within_bound"] is True
+    assert inside["step_ms_p50"]["within_bound"] is True
+    outside = ab.summarize(pairs(parent, [run(74.5, 1.255)] * 3), METRICS)["w seed 0"]
+    assert outside["attempts_per_s"]["within_bound"] is False
+    assert outside["step_ms_p50"]["within_bound"] is False
+    # a gain is always within the bound, and the bound is read per metric
+    tight = [dict(m, bound=0.001) for m in METRICS]
+    better = ab.summarize(pairs(parent, [run(200.0, 0.5)] * 3), tight)["w seed 0"]
+    assert better["attempts_per_s"]["within_bound"] is True
+    assert better["step_ms_p50"]["within_bound"] is True
+    assert ab.summarize(pairs(parent, [run(99.0, 1.01)] * 3),
+                        tight)["w seed 0"]["step_ms_p50"]["within_bound"] is False
 
 
 def test_export_writes_the_commits_files_and_returns_its_hash(tmp_path, monkeypatch):

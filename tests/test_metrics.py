@@ -16,7 +16,8 @@ from dcfrag.topology import (Host, Link, ResourceVector, Switch, Topology,
                              build_clos, build_tree)
 from dcfrag.workload import VM, Application
 
-from oracle import _ORACLE_CAP, brute_force_placeable, reference_shortest_paths
+from oracle import (_ORACLE_CAP, brute_force_placeable, reference_neighbors,
+                    reference_shortest_paths)
 from test_topology import mini_topology
 
 
@@ -261,7 +262,7 @@ def _bfs_reach_distance(t, ri, rj):
         frontier = deque([a])
         while frontier:
             node = frontier.popleft()
-            for peer, _ in t.neighbors(node):
+            for peer, _ in reference_neighbors(t, node):
                 if peer in t.switches and peer not in dist:
                     dist[peer] = dist[node] + 1
                     frontier.append(peer)
@@ -485,23 +486,34 @@ class TestPairOrder:
         req = MultiRequest(nw=0.1)
         first = M.network_rrf(state, req)
         assert capacity_split(state)[1] > 0
-        _, rows = state.reach_memo[M._PAIR_ORDER]
+        links_of, _, rows = state.reach_memo[M._PAIR_ORDER]
         assert len(rows) == len(state.topology.reach_pairs)
         assert M.network_rrf(state, req) == first
-        assert state.reach_memo[M._PAIR_ORDER][1] is rows
+        assert state.reach_memo[M._PAIR_ORDER][2] is rows
         state.link_free["t0-core"] = 0.25
         M.network_rrf(state, req)
-        assert state.reach_memo[M._PAIR_ORDER][1] is not rows
+        assert state.reach_memo[M._PAIR_ORDER][2] is not rows
+        assert state.reach_memo[M._PAIR_ORDER][0] is links_of  # built once per state
 
     @pytest.mark.parametrize("state", [
         mini_state([(1.0, 1.0, 1.0)] * 2),
         PlacementState(build_tree(2, 2, UNIT, 1.0, oversub_ratio=2.0)),
         three_reach_line(),
     ], ids=["no-pair", "one-pair", "line"])
-    def test_link_getter_reads_a_tuple(self, state):
+    def test_slot_key_holds_the_reach_path_link_frees_in_id_order(self, state):
+        # half-wear one uplink per reach, so every reach keeps a residual
         t = state.topology
+        for r in t.reaches:
+            lid = t.host_ports[r.hosts[0]][0]
+            state.link_free[lid] = t.links[lid].capacity / 2
+        assert all(res > 0 for res in M.capacity_inside_reaches(state)[1])
+        M.network_rrf(state, MultiRequest(nw=0.1))
+        if len(t.reaches) < 2:  # no pair to walk: the getter would have no link
+            assert M._PAIR_ORDER not in state.reach_memo
+            return
         links = sorted({lid for p in t.reach_pairs for path in p.paths for lid in path})
-        assert t.reach_pair_links(state.link_free) == tuple(state.link_free[l] for l in links)
+        _, key, _ = state.reach_memo[M._PAIR_ORDER]
+        assert key == tuple(state.link_free[lid] for lid in links)
 
 
 class TestLiveReachWalk:

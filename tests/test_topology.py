@@ -13,7 +13,7 @@ from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology
                              TopologyError, build_clos, build_tree,
                              find_boundary_switches, find_reaches, load_topology)
 
-from oracle import reference_reach_paths, reference_shortest_paths
+from oracle import reference_neighbors, reference_reach_paths, reference_shortest_paths
 
 
 def mini_topology(host_frees, link_frees=None, link_cap=1.0):
@@ -202,13 +202,13 @@ def ascending_hosts_below(t):
     below = {s: [] for s in t.switches}
     for h in sorted(t.hosts):
         chain = set()
-        frontier = [t.links[t.host_ports[h][0]].other(h)]
+        frontier = [tor for tor, _ in reference_neighbors(t, h)]
         while frontier:
             node = frontier.pop()
             if node in chain:
                 continue
             chain.add(node)
-            for peer, _ in t.neighbors(node):
+            for peer, _ in reference_neighbors(t, node):
                 if peer in t.switches and t.level_of(peer) == t.level_of(node) + 1:
                     frontier.append(peer)
         for s in chain:
@@ -286,13 +286,14 @@ def oversubscribed_frontier(t):
     switch is boundary when its uplinks carry less than its downlinks (no
     uplinks: always) and no switch anywhere below it does."""
     def caps(s, up):
-        return sum(t.links[lid].capacity for peer, lid in t.neighbors(s)
+        return sum(t.links[lid].capacity for peer, lid in reference_neighbors(t, s)
                    if (t.level_of(peer) > t.level_of(s)) == up)
 
     oversub = {s: caps(s, False) > caps(s, True) + 1e-9 for s in t.switches}
 
     def below(s):
-        downs = [p for p, _ in t.neighbors(s) if t.level_of(p) == t.level_of(s) - 1 >= 0]
+        downs = [p for p, _ in reference_neighbors(t, s)
+                 if t.level_of(p) == t.level_of(s) - 1 >= 0]
         return any(oversub[d] or below(d) for d in downs)
 
     return {s for s in t.switches if oversub[s] and not below(s)}
@@ -410,7 +411,7 @@ def bfs_route(t, host_a, host_b, link_free):
         layer = {}
         for node in sorted(frontier):
             width = best[node][0]
-            for peer, lid in t.neighbors(node):
+            for peer, lid in reference_neighbors(t, node):
                 if peer in best:
                     continue
                 entry = (min(width, link_free[lid]), node, lid)
@@ -485,19 +486,36 @@ class TestRouteMatchesBFS:
             t.route("h1", "h1", zero)
 
 
+def with_links_renamed(fabric, data):
+    """A drawn fabric as a Topology, and the same fabric again with its links
+    renamed in a drawn order, so that a node's links no longer sort as its
+    peers do."""
+    t = as_topology(fabric)
+    order = data.draw(st.permutations(range(len(t.links))))
+    links = [Link(id=f"l{k:03d}", a=l.a, b=l.b, capacity=l.capacity, free=l.free)
+             for k, l in zip(order, t.links.values())]
+    return t, Topology(list(t.hosts.values()), list(t.switches.values()), links, t.reference)
+
+
+class TestAdjacency:
+    @settings(max_examples=200, deadline=None)
+    @given(leveled_fabrics, st.data())
+    def test_each_switch_holds_its_sorted_links(self, fabric, data):
+        for t in with_links_renamed(fabric, data):
+            assert sorted(t.adjacency) == sorted(t.switches)
+            for s in t.switches:
+                pairs = sorted(reference_neighbors(t, s))
+                assert t.adjacency[s] == tuple(pairs)
+                # uplinks stay in link id order, so capacity sums keep their bits
+                assert t.switch_uplinks[s] == tuple(sorted(
+                    lid for peer, lid in pairs if t.level_of(peer) > t.level_of(s)))
+
+
 class TestReachPathsMatchBFS:
     @settings(max_examples=200, deadline=None)
     @given(leveled_fabrics, st.data())
     def test_reach_paths_equal_the_blocked_bfs_reference(self, fabric, data):
-        # the same fabric again with its links renamed in a drawn order, so
-        # that a node's links no longer sort as its peers do
-        t = as_topology(fabric)
-        order = data.draw(st.permutations(range(len(t.links))))
-        links = [Link(id=f"l{k:03d}", a=l.a, b=l.b, capacity=l.capacity, free=l.free)
-                 for k, l in zip(order, t.links.values())]
-        renamed = Topology(list(t.hosts.values()), list(t.switches.values()), links,
-                           t.reference)
-        for t in (t, renamed):
+        for t in with_links_renamed(fabric, data):
             try:
                 reaches = t.reaches
             except TopologyError:
