@@ -106,33 +106,43 @@ class PlacementState:
             self._journal.append((table, key, table.get(key, _ABSENT)))
         table[key] = value
 
+    def _rollback(self, mark: int) -> None:
+        """Put back every value journaled past `mark`, newest first, and drop
+        those entries."""
+        journal = self._journal
+        for table, key, old in reversed(journal[mark:]):
+            if old is _ABSENT:
+                del table[key]
+            else:
+                table[key] = old
+        del journal[mark:]
+
     @contextmanager
     def transaction(self):
         """Nestable all-or-nothing block; yields its commit function.
 
         A block left without calling commit() (by return, break or exception)
-        puts back every value it replaced, newest first. A committed inner
-        block hands its journal to the enclosing one.
+        puts back every value it replaced, newest first. While any block is
+        open the state keeps one journal; a block records the journal's
+        length when it opens and rolls back to that mark, so a committed
+        inner block's writes stay in the journal for the enclosing one.
         """
-        outer, journal, committed = self._journal, [], False
+        outermost = self._journal is None
+        if outermost:
+            self._journal = []
+        mark, committed = len(self._journal), False
 
         def commit() -> None:
             nonlocal committed
             committed = True
 
-        self._journal = journal
         try:
             yield commit
         finally:
-            self._journal = outer
             if not committed:
-                for table, key, old in reversed(journal):
-                    if old is _ABSENT:
-                        del table[key]
-                    else:
-                        table[key] = old
-            elif outer is not None:
-                outer.extend(journal)
+                self._rollback(mark)
+            if outermost:
+                self._journal = None
 
     # -- guarded commits -------------------------------------------------------
 
@@ -158,18 +168,18 @@ class PlacementState:
                  bw: float) -> None:
         """Reserve bw on route(host_a, host_b) as reservation `key`.
 
-        One min over the path's frees decides; only a shortfall looks for
-        the first short link, the one CapacityError names. The link frees
-        are written and journaled in one loop, as _write would.
+        The route's own bottleneck decides; only a shortfall looks for the
+        first short link, the one CapacityError names. The link frees are
+        written and journaled in one loop, as _write would.
         """
         link_free = self.link_free
-        path = self.topology.route(host_a, host_b, link_free)
-        frees = [link_free[lid] for lid in path]
-        if min(frees) + _EPS < bw:
-            lid, free = next((lid, free) for lid, free in zip(path, frees) if free + _EPS < bw)
-            raise CapacityError("link", lid, "bw", bw, free)
+        path, bottleneck = self.topology.route(host_a, host_b, link_free)
+        if bottleneck + _EPS < bw:
+            lid = next(lid for lid in path if link_free[lid] + _EPS < bw)
+            raise CapacityError("link", lid, "bw", bw, link_free[lid])
         journal = self._journal
-        for lid, free in zip(path, frees):
+        for lid in path:
+            free = link_free[lid]
             if journal is not None:
                 journal.append((link_free, lid, free))
             link_free[lid] = free - bw
@@ -257,17 +267,17 @@ def bal_pack(state: PlacementState, vm: VM, reach: Reach) -> str | None:
     wins, ties to the smallest host id. Returns None when nothing fits.
     """
     best = best_score = None
-    hosts, host_free, need = state.topology.hosts, state.host_free, vm.demand
+    caps, host_free, need = state.topology.host_capacity, state.host_free, vm.demand
     n_cpu, n_mem, n_nic = need.cpu, need.mem, need.nic
     for host_id in reach.hosts:
         free = host_free[host_id]
         f_cpu, f_mem, f_nic = free.cpu, free.mem, free.nic
         if n_cpu > f_cpu + _EPS or n_mem > f_mem + _EPS or n_nic > f_nic + _EPS:
             continue
-        cap = hosts[host_id].capacity
-        u_cpu = (cap.cpu - f_cpu + n_cpu) / cap.cpu
-        u_mem = (cap.mem - f_mem + n_mem) / cap.mem
-        u_nic = (cap.nic - f_nic + n_nic) / cap.nic
+        c_cpu, c_mem, c_nic = caps[host_id]
+        u_cpu = (c_cpu - f_cpu + n_cpu) / c_cpu
+        u_mem = (c_mem - f_mem + n_mem) / c_mem
+        u_nic = (c_nic - f_nic + n_nic) / c_nic
         score = max(u_cpu, u_mem, u_nic) - min(u_cpu, u_mem, u_nic)
         if best is None or score < best_score or (score == best_score and host_id < best):
             best, best_score = host_id, score
@@ -342,6 +352,10 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
     hosts of reaches it has tried, and a reserved path touches host uplinks
     only where the app's VMs sit, so an untried reach's count holds for the
     whole attempt.
+
+    A VM's step (assign, then reserve its edges) runs inside the attempt's
+    transaction: it marks the journal first and rolls back to the mark when
+    a host or link refuses.
     """
     req = representative_request(app)
     tried: set[str] = set()
@@ -362,13 +376,13 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
             if host is None:
                 last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
                 break
+            mark = len(state._journal)
             try:
-                with state.transaction() as commit_vm:
-                    state.assign_vm(app.id, app.vm(vm_id), host)
-                    # every edge between VMs placed before is reserved
-                    reserve_traffic(state, app, app.vm_edges(vm_id))
-                    commit_vm()
+                state.assign_vm(app.id, app.vm(vm_id), host)
+                # every edge between VMs placed before is reserved
+                reserve_traffic(state, app, app.vm_edges(vm_id))
             except CapacityError as exc:
+                state._rollback(mark)
                 last_failure = str(exc)
                 break
             if not in_reach:

@@ -187,6 +187,9 @@ class Topology:
             if tor not in self.switches or self.switches[tor].level != 0:
                 raise TopologyError(f"host {h.id} must attach to a level-0 switch")
             self.host_ports[h.id] = (uplink, tor)
+        # host id -> its (cpu, mem, nic) capacity, read per host by bal_pack
+        self.host_capacity: dict[str, tuple[float, float, float]] = {
+            h.id: (h.capacity.cpu, h.capacity.mem, h.capacity.nic) for h in hosts}
         for l in links:
             la, lb = self.level_of(l.a), self.level_of(l.b)
             if abs(la - lb) != 1:
@@ -230,6 +233,7 @@ class Topology:
         # lazy caches; safe because the graph never changes after construction
         self._dags: dict[tuple[str, str], tuple[tuple[tuple[int, str], ...], ...]] = {}
         self._reach_paths: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
+        self._source_depths: dict[tuple[str, ...], dict[str, int]] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -258,8 +262,10 @@ class Topology:
             frontier = nxt
         return depth
 
-    def route(self, host_a: str, host_b: str, link_free: dict) -> tuple[str, ...]:
-        """Deterministic widest-shortest path between two hosts, as link ids.
+    def route(self, host_a: str, host_b: str,
+              link_free: dict) -> tuple[tuple[str, ...], float]:
+        """Deterministic widest-shortest path between two hosts, as link ids,
+        and its bottleneck: the smallest link_free value on the path.
 
         The path runs from the smaller host id: its uplink, a shortest path
         between the two TORs, the other host's uplink. Among equal-length
@@ -267,17 +273,19 @@ class Topology:
         (free capacity from link_free), ties to the smallest predecessor id,
         then its first such link. On multipath fabrics this spreads routed
         reservations across the equal-cost middle switches instead of
-        stacking them on one.
+        stacking them on one. The bottleneck is the one the search kept for
+        the path, so it equals min(link_free[l] for l in path) exactly.
         """
         if host_a == host_b:
             raise ValueError("route endpoints must differ")
         src, dst = (host_a, host_b) if host_a < host_b else (host_b, host_a)
         up_src, tor_src = self.host_ports[src]
         up_dst, tor_dst = self.host_ports[dst]
+        width, last = link_free[up_src], link_free[up_dst]
         if tor_src == tor_dst:
-            return (up_src, up_dst)
+            return (up_src, up_dst), (last if last < width else width)
         dag = self._compiled_dag(tor_src, tor_dst)
-        widths = [link_free[up_src]]  # by node index; tor_src is 0
+        widths = [width]  # by node index; tor_src is 0
         via = [None]
         for preds in dag:
             held = None
@@ -297,7 +305,7 @@ class Topology:
             node, lid = via[node]
             path.append(lid)
         path.append(up_src)
-        return tuple(reversed(path))
+        return tuple(reversed(path)), (last if last < held else held)
 
     def _compiled_dag(self, tor_a: str, tor_b: str) -> tuple[tuple[tuple[int, str], ...], ...]:
         """The shortest tor_a -> tor_b paths as a DAG in index form, cached.
@@ -335,11 +343,13 @@ class Topology:
         Paths run over switch-to-switch links from the smaller reach id's
         switches, found one at a time until no shortest path avoids the links
         already taken. Each walks down the layers of one breadth-first search
-        from the sources in Reach.switches order (sorted): a node tries its
-        adjacency pairs in order, the first node to discover a peer is its
-        parent, and the path ends at the first destination in the last
-        layer. Computed once on the full-capacity graph and cached; callers
-        evaluate current bottlenecks against their own residual link maps.
+        from the sources in Reach.switches order (sorted), kept for every
+        pair with those sources: a node tries its adjacency pairs in order,
+        the first node to discover a peer is its parent, and the path ends at
+        the first destination discovered in the last layer, that of the
+        nearest destinations. Computed once on the full-capacity graph and
+        cached; callers evaluate current bottlenecks against their own
+        residual link maps.
         """
         if reach_a.id == reach_b.id:
             raise ValueError("reach pair must be distinct")
@@ -352,15 +362,19 @@ class Topology:
             if shared:  # the empty path would be found forever
                 raise ValueError(f"reaches {ra.id} and {rb.id} share switches {shared}")
             # a shortest path visits each switch at its depth in the full
-            # graph, so taking links never moves a later path off these layers
-            depth = self._layers(srcs, dsts)
-            last = max(depth.values())
+            # graph, so taking links never moves a later path off these layers;
+            # the layers do not depend on where a search stops, so one full
+            # search serves every pair from these sources
+            depth = self._source_depths.get(srcs)
+            if depth is None:
+                depth = self._source_depths[srcs] = self._layers(srcs)
+            last = min(depth[d] for d in dsts)
             taken: set[str] = set()
             paths: list[tuple[str, ...]] = []
             while True:
                 parent: dict[str, tuple[str, str] | None] = dict.fromkeys(srcs)
                 layer = srcs
-                for d in range(1, last + 1):
+                for d in range(1, last):
                     nxt = []
                     for node in layer:
                         for peer, lid in self.adjacency[node]:
@@ -368,10 +382,15 @@ class Topology:
                                 parent[peer] = (node, lid)
                                 nxt.append(peer)
                     layer = nxt
-                node = next((n for n in layer if n in dsts), None)
-                if node is None:
+                # the last layer stops at the first destination it discovers;
+                # a peer of this layer is at most `last` deep, and no
+                # destination is less deep, so any destination peer qualifies
+                end = next(((node, lid) for node in layer for peer, lid in self.adjacency[node]
+                            if peer in dsts and lid not in taken), None)
+                if end is None:
                     break
-                path = []
+                node, lid = end
+                path = [lid]
                 while parent[node] is not None:
                     node, lid = parent[node]
                     path.append(lid)

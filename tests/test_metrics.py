@@ -37,7 +37,7 @@ def random_consumed_state(rng, topology):
     for _ in range(rng.randint(0, 12)):
         a, b = rng.sample(hosts, 2)
         bw = round(rng.uniform(0.05, 0.6), 2)
-        route = topology.route(a, b, dict.fromkeys(topology.links, 0.0))
+        route, _ = topology.route(a, b, dict.fromkeys(topology.links, 0.0))
         if all(state.link_free[lid] >= bw for lid in route):
             for lid in route:
                 state.link_free[lid] -= bw
@@ -726,13 +726,13 @@ class TestBruteForce:
         zero = dict.fromkeys(t.links, 0.0)
         placed = 0
         for _ in range(2):
-            route = t.route("h1", "h3", zero)
+            route, _ = t.route("h1", "h3", zero)
             if all(state.link_free[lid] >= 0.2 for lid in route):
                 for lid in route:
                     state.link_free[lid] -= 0.2
                 placed += 1
         more_possible = any(
-            all(state.link_free[lid] >= 0.2 for lid in t.route(a, b, zero))
+            all(state.link_free[lid] >= 0.2 for lid in t.route(a, b, zero)[0])
             for a in ("h1", "h2") for b in ("h3", "h4"))
         assert placed == 2 and not more_possible
         assert brute_force_placeable(fig4_state(), FIG4_REQUEST) == 3
@@ -878,7 +878,7 @@ def reachable_single_path_instances(draw):
     flow = st.tuples(st.sampled_from(hosts), st.sampled_from(hosts),
                      st.integers(1, 12).map(lambda k: k / 20))
     for a, b, bw in draw(st.lists(flow.filter(lambda f: f[0] != f[1]), max_size=12)):
-        route = t.route(a, b, zero)
+        route, _ = t.route(a, b, zero)
         if all(state.link_free[lid] >= bw for lid in route):
             for lid in route:
                 state.link_free[lid] -= bw

@@ -154,7 +154,7 @@ class TestReserveEdge:
                           traffic={("x", "y"): bw}, reference=t.reference)
         state.assignments[("app", "x")] = a
         state.assignments[("app", "y")] = b
-        path = t.route(a, b, state.link_free)
+        path, _ = t.route(a, b, state.link_free)
         before = state.snapshot()
         frees = before[1]
         short = [lid for lid in path if frees[lid] + 1e-9 < bw]
@@ -580,7 +580,80 @@ class TestNetw:
         assert state.snapshot() == before
 
 
+class _Abort(Exception):
+    pass
+
+
+# one ledger write: (kind, i, j); kind picks the table, i and j the key and value
+_WRITE = st.tuples(st.sampled_from(["host", "link", "assignment", "reserve"]),
+                   st.integers(0, 3), st.integers(0, 3))
+
+
+def _nest(depth):
+    """A list of writes and ("block", outcome, items) entries, with blocks
+    nested up to three deep."""
+    if depth == 3:
+        return st.lists(_WRITE, max_size=4)
+    block = st.tuples(st.just("block"), st.sampled_from(["commit", "raise", "leave"]),
+                      st.deferred(lambda: _nest(depth + 1)))
+    return st.lists(st.one_of(_WRITE, block), max_size=4)
+
+
+def _apply_write(state, kind, i, j):
+    hosts, links = sorted(state.host_free), sorted(state.link_free)
+    if kind == "host":
+        state._write(state.host_free, hosts[i], ResourceVector(j / 4, j / 4, j / 4))
+    elif kind == "link":
+        state._write(state.link_free, links[i], j / 4)
+    elif kind == "assignment":
+        state._write(state.assignments, ("app", f"v{i}"), hosts[j])
+    elif i != j:
+        try:
+            state._reserve(("app", f"v{i}", f"v{j}"), hosts[i], hosts[j], 0.25)
+        except CapacityError:
+            pass  # refused before it wrote anything
+
+
+def _run_nest(state, items):
+    for item in items:
+        if item[0] != "block":
+            _apply_write(state, *item)
+            continue
+        _, outcome, inner = item
+        try:
+            with state.transaction() as commit:
+                _run_nest(state, inner)
+                if outcome == "commit":
+                    commit()
+                elif outcome == "raise":
+                    raise _Abort
+        except _Abort:
+            pass
+
+
+def _committed_writes(items):
+    """The writes whose enclosing blocks all commit, in program order."""
+    for item in items:
+        if item[0] != "block":
+            yield item
+        elif item[1] == "commit":
+            yield from _committed_writes(item[2])
+
+
 class TestTransaction:
+    @settings(max_examples=300, deadline=None)
+    @given(_nest(0))
+    def test_nested_blocks_keep_exactly_the_committed_writes(self, items):
+        # a write runs on the same tables in both runs: every earlier write
+        # still in place when it runs is itself one whose blocks all commit
+        state, _ = tree_state()
+        _run_nest(state, items)
+        assert state._journal is None
+        replay, _ = tree_state()
+        for write in _committed_writes(items):
+            _apply_write(replay, *write)
+        assert state.snapshot() == replay.snapshot()
+
     def test_committed_inner_block_rolls_back_with_the_outer_one(self):
         state, _ = tree_state()
         app = tree_app({"v1": (0.3, 0.1, 0.0), "v2": (0.6, 0.1, 0.0)}, {}, state.topology)

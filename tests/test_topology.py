@@ -373,7 +373,7 @@ class TestHostPorts:
         for t, prefix, free in built:
             assert t.host_ports == {"h1": (f"{prefix}1", "s1"), "h2": (f"{prefix}2", "s1")}
             state = PlacementState(t)
-            assert t.route("h2", "h1", state.link_free) == (f"{prefix}1", f"{prefix}2")
+            assert t.route("h2", "h1", state.link_free) == ((f"{prefix}1", f"{prefix}2"), free)
             assert nic_free(state, "h1") == nic_free(state, "h2") == free
 
 
@@ -381,8 +381,8 @@ class TestRouting:
     def test_route_is_deterministic_and_shortest(self):
         t = fig4_topology()
         zero = dict.fromkeys(t.links, 0.0)
-        assert t.route("h1", "h2", zero) == ("h1-s1", "h2-s1")
-        assert t.route("h1", "h3", zero) == ("h1-s1", "s1-s3", "s2-s3", "h3-s2")
+        assert t.route("h1", "h2", zero) == (("h1-s1", "h2-s1"), 0.0)
+        assert t.route("h1", "h3", zero) == (("h1-s1", "s1-s3", "s2-s3", "h3-s2"), 0.0)
         assert t.route("h3", "h1", zero) == t.route("h1", "h3", zero)
 
     def test_reach_paths_fig4(self):
@@ -448,8 +448,26 @@ class TestRouteMatchesBFS:
         for a, b in pairs:
             for link_free in maps:
                 expected = bfs_route(t, a, b, link_free)
-                assert t.route(a, b, link_free) == expected
-                assert t.route(b, a, link_free) == expected
+                assert t.route(a, b, link_free) == (expected,
+                                                    min(link_free[l] for l in expected))
+                assert t.route(b, a, link_free) == t.route(a, b, link_free)
+
+    @settings(max_examples=200, deadline=None)
+    @given(leveled_fabrics, st.data())
+    def test_bottleneck_is_the_path_minimum(self, fabric, data):
+        # arbitrary floats: the bottleneck must be the path's smallest free
+        # bit for bit, since a reservation decides on it alone; the drawn
+        # two-level documents include leaf-spines
+        t = as_topology(fabric)
+        hosts, links = sorted(t.hosts), sorted(t.links)
+        link_free = dict(zip(links, data.draw(st.lists(
+            st.floats(0.0, 1.0), min_size=len(links), max_size=len(links)))))
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(hosts), st.sampled_from(hosts))
+                                   .filter(lambda p: p[0] != p[1]), min_size=1, max_size=12))
+        for a, b in pairs:
+            path, bottleneck = t.route(a, b, link_free)
+            assert bottleneck == min(link_free[l] for l in path)
+            assert t.route(b, a, link_free) == (path, bottleneck)
 
     def test_parallel_links_take_the_widest(self):
         hosts = [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in range(4)]
@@ -461,10 +479,10 @@ class TestRouteMatchesBFS:
                   for lid, tor in (("a", "t0"), ("b", "t0"), ("c", "t1"))]
         t = Topology(hosts, switches, links, UNIT_REF)
         full = {lid: 1.0 for lid in t.links}
-        assert t.route("h0", "h2", {**full, "a": 0.2, "b": 0.9}) == ("h0-t0", "b", "c", "h2-t1")
-        assert t.route("h2", "h1", {**full, "a": 0.9, "b": 0.2}) == ("h1-t0", "a", "c", "h2-t1")
-        assert t.route("h0", "h2", {**full, "a": 0.5, "b": 0.5}) == ("h0-t0", "a", "c", "h2-t1")
-        assert t.route("h0", "h2", dict.fromkeys(t.links, 0.0)) == ("h0-t0", "a", "c", "h2-t1")
+        assert t.route("h0", "h2", {**full, "a": 0.2, "b": 0.9}) == (("h0-t0", "b", "c", "h2-t1"), 0.9)
+        assert t.route("h2", "h1", {**full, "a": 0.9, "b": 0.2}) == (("h1-t0", "a", "c", "h2-t1"), 0.9)
+        assert t.route("h0", "h2", {**full, "a": 0.5, "b": 0.5}) == (("h0-t0", "a", "c", "h2-t1"), 0.5)
+        assert t.route("h0", "h2", dict.fromkeys(t.links, 0.0)) == (("h0-t0", "a", "c", "h2-t1"), 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(leveled_fabrics, st.data())
@@ -475,13 +493,13 @@ class TestRouteMatchesBFS:
                                    .filter(lambda p: p[0] != p[1]), min_size=1, max_size=6))
         for a, b in pairs:
             paths = reference_shortest_paths(t, a, b)
-            assert paths[0] == t.route(a, b, dict.fromkeys(t.links, 0.0))
+            assert paths[0] == t.route(a, b, dict.fromkeys(t.links, 0.0))[0]
 
     def test_unroutable_pairs_raise(self):
         # a checked fabric routes every pair of distinct hosts
         t = fig4_topology()
         zero = dict.fromkeys(t.links, 0.0)
-        assert t.route("h2", "h1", zero) == ("h1-s1", "h2-s1")
+        assert t.route("h2", "h1", zero) == (("h1-s1", "h2-s1"), 0.0)
         with pytest.raises(ValueError, match="endpoints must differ"):
             t.route("h1", "h1", zero)
 
