@@ -21,7 +21,9 @@ the medians differ, in the change's favour, by more than the parent's
 interquartile range: a gain may be claimed only when both hold. It also
 states whether the change's median is worse than the parent's by at most the
 metric's BENCHMARK.json bound, which every metric must meet, gain claimed or
-not. Stdlib only; it is not part of the test suite, and it takes about
+not. Per side it gives the spread of each run's machine speed
+(`speed.probe_ms_p50`, `speed.raw_sweep_s`), so a pair decided in a slow
+stretch shows without reading the pairs. Stdlib only; it is not part of the test suite, and it takes about
 2 x 10 x T per workload and seed.
 """
 
@@ -39,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+SPEED_KEYS = ("probe_ms_p50", "raw_sweep_s")  # a run's machine speed, from its record
 
 
 def export(rev: str, dest: Path) -> str:
@@ -86,7 +89,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     and `beats_parent_iqr` (the median moved the better way by more than the
     parent's q3 - q1; false under 4 pairs, which give no quartiles), and
     `within_bound` (the change's median is worse than the parent's by at
-    most the metric's `bound` times the parent's median)."""
+    most the metric's `bound` times the parent's median). Under `speed`,
+    each side's spread of the runs' speed-probe median and raw sweep time."""
     groups: dict[str, list[dict]] = {}
     for p in pairs:
         groups.setdefault(f"{p['workload']} seed {p['seed']}", []).append(p)
@@ -118,6 +122,11 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                 won_nine_tenths=better >= 9,
                 beats_parent_iqr=label == "q1_median_q3" and gain > q3 - q1,
                 within_bound=-gain <= m["bound"] * parent_median)
+        for key in SPEED_KEYS:
+            for side in ("parent", "change"):
+                label, values = spread([p[side]["speed"][key] for p in group])
+                entry.setdefault("speed", {}).setdefault(key, {})[f"{side}_{label}"] = [
+                    round(v, 6) for v in values]
         summary[name] = entry
     return summary
 

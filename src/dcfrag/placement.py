@@ -73,6 +73,7 @@ class PlacementState:
             l.id: l.free for l in topology.links.values()
         }
         self.assignments: dict[tuple[str, str], str] = {}   # (app, vm) -> host
+        self.host_vms: dict[str, int] = dict.fromkeys(topology.hosts, 0)  # VMs per host
         self.reservations: dict[tuple[str, str, str], tuple[tuple[str, ...], float]] = {}
         self.apps: dict[str, Application] = {}
         self._journal: list | None = None
@@ -88,6 +89,7 @@ class PlacementState:
             dict(self.host_free),
             dict(self.link_free),
             dict(self.assignments),
+            dict(self.host_vms),
             dict(self.reservations),
             dict(self.apps),
         )
@@ -98,7 +100,7 @@ class PlacementState:
         if self._journal is not None:
             raise RuntimeError("restore() inside an open transaction, which could "
                                "not undo it")
-        (self.host_free, self.link_free, self.assignments,
+        (self.host_free, self.link_free, self.assignments, self.host_vms,
          self.reservations, self.apps) = (dict(part) for part in snap)
 
     def _write(self, table: dict, key, value) -> None:
@@ -163,6 +165,7 @@ class PlacementState:
             raise CapacityError("host", host_id, "nic", need.nic, free.nic)
         self._write(self.host_free, host_id, free - need)
         self._write(self.assignments, (app_id, vm.id), host_id)
+        self._write(self.host_vms, host_id, self.host_vms[host_id] + 1)
 
     def _reserve(self, key: tuple[str, str, str], host_a: str, host_b: str,
                  bw: float) -> None:
@@ -195,7 +198,10 @@ class PlacementState:
             h: ResourceVector(0, 0, 0) for h in self.host_free}
         for (app_id, vm_id), host_id in self.assignments.items():
             used[host_id] = used[host_id] + self.apps[app_id].vm(vm_id).demand
+        counts = Counter(self.assignments.values())
         for host_id, total in used.items():
+            if self.host_vms[host_id] != counts[host_id]:
+                violations.append(f"host {host_id}: VM count out of sync")
             cap = t.hosts[host_id].capacity
             initial = t.hosts[host_id].free
             got = self.host_free[host_id]
@@ -470,31 +476,34 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
     topology.subtrees are scanned in order, hosts first, then the distinct
     switch subtrees level by level; the first unit with enough free slots
     whose greedy fill passes the hose check takes the whole app.
-    A VM on a host takes one of its slots whoever placed it. Actual demands
-    still commit through the guarded state, so units that would overdraw a
-    host or a link are skipped.
+    A VM on a host takes one of its slots whoever placed it, so a host's
+    free slots are max(0, slots - state.host_vms[h]), read as the scan
+    reaches it; a refused unit rolls back all it wrote, so the counts hold
+    for the whole attempt. Actual demands still commit through the guarded
+    state, so units that would overdraw a host or a link are skipped.
     """
     if config.netw_slots_per_host is None:
         raise ValueError("NETW needs netw_slots_per_host (see derive_netw_slots)")
     t = state.topology
     n_total = len(app.vms)
     bw = sum(app.total_traffic(v) for v in app.vm_ids()) / n_total
-    slots = config.netw_slots_per_host
-    used = Counter(state.assignments.values())
-    # a refused unit rolls back all it wrote, so one table serves every unit
-    free_slots = {h: max(0, slots - used[h]) for h in t.host_ids}
+    slots, host_vms = config.netw_slots_per_host, state.host_vms
     ports, link_free = t.host_ports, state.link_free
+    vms = sorted(app.vms, key=lambda v: v.id)
 
     last_failure = f"no subtree offers {n_total} slots for app {app.id}"
     for unit_hosts in t.subtrees:
-        if sum(map(free_slots.__getitem__, unit_hosts)) < n_total:
+        if len(unit_hosts) == 1:  # max(0, free) < n_total iff free < n_total >= 1
+            if slots - host_vms[unit_hosts[0]] < n_total:
+                continue
+        elif sum(max(0, slots - host_vms[h]) for h in unit_hosts) < n_total:
             continue
         counts: dict[str, int] = {}
         remaining = n_total
         for h in unit_hosts:
             if remaining == 0:
                 break
-            want = min(free_slots[h], remaining)
+            want = min(max(0, slots - host_vms[h]), remaining)
             take = 0
             for m in range(want, 0, -1):
                 need = min(m, n_total - m) * bw
@@ -509,7 +518,7 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
 
         try:
             with state.transaction() as commit:
-                vm_iter = iter(sorted(app.vms, key=lambda v: v.id))
+                vm_iter = iter(vms)
                 for host_id in unit_hosts:
                     for _ in range(counts.get(host_id, 0)):
                         state.assign_vm(app.id, next(vm_iter), host_id)

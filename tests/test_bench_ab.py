@@ -15,9 +15,10 @@ METRICS = [{"name": "attempts_per_s", "better": "higher", "bound": 0.25},
            {"name": "step_ms_p50", "better": "lower", "bound": 0.25}]
 
 
-def run(rate, step, exit=0, correct=True, failed=0):
-    return {"exit": exit, "result": {"correct": correct, "failed": failed, "metrics": {
-        "attempts_per_s": {"value": rate}, "step_ms_p50": {"value": step}}}}
+def run(rate, step, exit=0, correct=True, failed=0, probe=0.7, sweep=0.25):
+    return {"exit": exit, "speed": {"probes": 100, "probe_ms_p50": probe, "raw_sweep_s": sweep},
+            "result": {"correct": correct, "failed": failed, "metrics": {
+                "attempts_per_s": {"value": rate}, "step_ms_p50": {"value": step}}}}
 
 
 def pairs(parent, change, workload="w", seed=0):
@@ -86,6 +87,22 @@ def test_verdicts_follow_the_nine_tenths_and_iqr_rules():
     assert entry["attempts_per_s"]["beats_parent_iqr"] is True
     assert entry["step_ms_p50"]["won_nine_tenths"] is False
     assert entry["step_ms_p50"]["beats_parent_iqr"] is False
+
+
+def test_speed_spread_per_side_shows_a_slow_run():
+    # the parent's fourth run swept 1.3x slower while its probes read faster
+    probes, sweeps = [0.70, 0.72, 0.74, 0.47, 0.71], [0.25, 0.26, 0.25, 0.33, 0.24]
+    parent = [run(100.0, 1.0, probe=p, sweep=s) for p, s in zip(probes, sweeps)]
+    change = [run(100.0, 1.0, probe=0.7, sweep=0.25)] * 5
+    speed = ab.summarize(pairs(parent, change), METRICS)["w seed 0"]["speed"]
+    assert speed["probe_ms_p50"]["parent_q1_median_q3"] == [
+        round(v, 6) for v in statistics.quantiles(probes, n=4)]
+    assert speed["raw_sweep_s"]["parent_q1_median_q3"][2] == round(
+        statistics.quantiles(sweeps, n=4)[2], 6)
+    assert speed["raw_sweep_s"]["change_q1_median_q3"] == [0.25, 0.25, 0.25]
+    three = ab.summarize(pairs(parent[3:] + parent[:1], change[:3]), METRICS)["w seed 0"]
+    assert three["speed"]["raw_sweep_s"]["parent_min_median_max"] == [0.24, 0.25, 0.33]
+    assert three["speed"]["probe_ms_p50"]["parent_min_median_max"] == [0.47, 0.70, 0.71]
 
 
 def test_too_few_pairs_give_neither_verdict():

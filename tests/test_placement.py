@@ -1,6 +1,7 @@
 import itertools
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -700,6 +701,14 @@ class TestStateValidate:
         state.host_free[host] = state.host_free[host] - ResourceVector(1.0, 0.0, 0.0)
         assert state.validate() == [f"host {host}: cpu ledger out of sync"]
 
+    def test_corrupted_vm_count_detected(self):
+        t, app = fig1_instance()
+        state = PlacementState(t)
+        assert place_application(state, app, UNIFIED).ok and state.validate() == []
+        host = state.assignments[(app.id, "a1")]
+        state.host_vms[host] += 1
+        assert state.validate() == [f"host {host}: VM count out of sync"]
+
     def test_demand_above_host_capacity_detected(self):
         state, _ = tree_state()
         app = tree_app({"v1": (0.6, 0.1, 0.0), "v2": (0.6, 0.1, 0.0)}, {}, state.topology)
@@ -900,17 +909,20 @@ def _netw_rebuilding_units(state, app, config, reaches):
     return last_failure
 
 
-def _netw_run(body, t, cfg, apps):
+def _netw_run(body, t, cfg, apps, schemes=None):
     """(ok, failure, state snapshot) after each NETW attempt with `body` as
-    the scheme; apps whose id the ledger already holds are skipped."""
+    NETW's scheme body. App i is placed with schemes[i] when given, else
+    with cfg's scheme; apps whose id the ledger already holds are skipped."""
     results = []
     with pytest.MonkeyPatch.context() as m:
         m.setitem(placement._SCHEME_BODIES, "NETW", body)
         state = PlacementState(t)
-        for app in apps:
+        for i, app in enumerate(apps):
             if app.id not in state.apps:
-                out = place_application(state, app, cfg)
-                results.append((out.ok, out.failure, state.snapshot()))
+                scheme = cfg if schemes is None else replace(cfg, scheme=schemes[i])
+                out = place_application(state, app, scheme)
+                if scheme.scheme == "NETW":
+                    results.append((out.ok, out.failure, state.snapshot()))
     return results
 
 
@@ -934,6 +946,19 @@ class TestNetwSubtrees:
         got = _netw_run(placement._place_netw, t, cfg, apps)
         want = _netw_run(_netw_rebuilding_units, t, cfg, apps)
         assert [(ok, snap) for ok, _, snap in got] == [(ok, snap) for ok, _, snap in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ledger_runs(), st.data())
+    def test_same_as_the_reference_when_other_schemes_fill_hosts(self, run, data):
+        # UNIFIED and LOCAL ignore NETW's slots, so a host can hold more VMs
+        # than slots and offer none (one or two slots make that common); on
+        # these fabrics duplicate subtrees are adjacent in the reference's
+        # list, so failure texts agree as well
+        t, _, apps = run
+        cfg = SchemeConfig(scheme="NETW", netw_slots_per_host=data.draw(st.integers(1, 2)))
+        schemes = [data.draw(st.sampled_from(SCHEMES)) for _ in apps]
+        got = _netw_run(placement._place_netw, t, cfg, apps, schemes)
+        assert got == _netw_run(_netw_rebuilding_units, t, cfg, apps, schemes)
 
     @pytest.mark.parametrize("category", [1, 2, 3])
     def test_same_outcomes_on_the_category_fabrics(self, category):
