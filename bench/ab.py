@@ -23,8 +23,8 @@ states whether the change's median is worse than the parent's by at most the
 metric's BENCHMARK.json bound, which every metric must meet, gain claimed or
 not. Per side it gives the spread of each run's machine speed
 (`speed.probe_ms_p50`, `speed.raw_sweep_s`), so a pair decided in a slow
-stretch shows without reading the pairs. Stdlib only; it is not part of the test suite, and it takes about
-2 x 10 x T per workload and seed.
+stretch shows without reading the pairs. Stdlib only; it is not part of the
+test suite, and it takes about 2 x 10 x T per workload and seed.
 """
 
 from __future__ import annotations

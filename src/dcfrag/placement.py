@@ -156,6 +156,10 @@ class PlacementState:
         self._write(self.apps, app.id, app)
 
     def assign_vm(self, app_id: str, vm: VM, host_id: str) -> None:
+        """Put the VM on the host, or raise CapacityError naming the first
+        dimension short. The host's free resources, the assignment and the
+        host's VM count are written and journaled in one step, as _write
+        would."""
         free, need = self.host_free[host_id], vm.demand
         if need.cpu > free.cpu + _EPS:
             raise CapacityError("host", host_id, "cpu", need.cpu, free.cpu)
@@ -163,9 +167,15 @@ class PlacementState:
             raise CapacityError("host", host_id, "mem", need.mem, free.mem)
         if need.nic > free.nic + _EPS:
             raise CapacityError("host", host_id, "nic", need.nic, free.nic)
-        self._write(self.host_free, host_id, free - need)
-        self._write(self.assignments, (app_id, vm.id), host_id)
-        self._write(self.host_vms, host_id, self.host_vms[host_id] + 1)
+        host_free, assignments, host_vms = self.host_free, self.assignments, self.host_vms
+        key, count, journal = (app_id, vm.id), host_vms[host_id], self._journal
+        if journal is not None:
+            journal.extend(((host_free, host_id, free),
+                            (assignments, key, assignments.get(key, _ABSENT)),
+                            (host_vms, host_id, count)))
+        host_free[host_id] = free - need
+        assignments[key] = host_id
+        host_vms[host_id] = count + 1
 
     def _reserve(self, key: tuple[str, str, str], host_a: str, host_b: str,
                  bw: float) -> None:
