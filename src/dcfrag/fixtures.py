@@ -86,8 +86,7 @@ def fig1_instance() -> tuple[Topology, Application]:
         Link(id="h1-s1", a="h1", b="s1", capacity=600.0, free=600.0),
         Link(id="h2-s1", a="h2", b="s1", capacity=600.0, free=600.0),
     ]
-    reference = Reference(host=cap, link=600.0)
-    t = Topology(hosts, switches, links, reference)
+    t = Topology(hosts, switches, links, Reference(host=cap, link=600.0))
 
     demands = {
         "a1": (320.0, 80.0), "a2": (80.0, 500.0),
@@ -100,7 +99,7 @@ def fig1_instance() -> tuple[Topology, Application]:
         VM(id=v, demand=ResourceVector(cpu, mem, sum(peers[v].values())))
         for v, (cpu, mem) in sorted(demands.items())
     )
-    app = Application(id="fig1", vms=vms, traffic=traffic, reference=reference)
+    app = Application(id="fig1", vms=vms, traffic=traffic)
     return t, app
 
 

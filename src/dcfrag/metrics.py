@@ -1,10 +1,11 @@
 """Fragmentation and relative-resource-fragmentation (RRF) metrics.
 
 All operations are pure functions of (state, request). A state is anything
-exposing `topology`, `host_free` (host id -> ResourceVector, absolute units)
-and `link_free` (link id -> Mbps); request sizes are fractions of the
-topology's reference host / reference link. The free NIC capacity of a host
-is read from its uplink, the physically available bandwidth at its port.
+exposing `topology`, `host_free` (host id -> ResourceVector, absolute units),
+`link_free` (link id -> Mbps) and `reach_memo` (a dict, see below); request
+sizes are fractions of the topology's reference host / reference link. The
+free NIC capacity of a host is read from its uplink, the physically
+available bandwidth at its port.
 
 The network metrics follow the reach decomposition: achievable capacity and
 placeable-request counts are accumulated first inside each reach (by pairing

@@ -373,7 +373,7 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
     transaction: it marks the journal first and rolls back to the mark when
     a host or link refuses.
     """
-    req = representative_request(app)
+    req = representative_request(app, state.topology.reference)
     tried: set[str] = set()
     hosting: list[Reach] = []  # the reaches holding a VM, in the order they took one
     counts: dict[str, int] = {}  # reach id -> placeable_in_reach, for untried reaches
@@ -425,10 +425,10 @@ def _place_local(state: PlacementState, app: Application, config: SchemeConfig,
     VMs place onto hosts in id order subject to a full resource fit; traffic
     is reserved afterward, failing the whole app on any link shortfall.
     """
-    ref = app.reference
+    ref_host = state.topology.reference.host
 
     def size(v: VM) -> float:
-        norm = v.demand.normalized(ref.host)
+        norm = v.demand.normalized(ref_host)
         return max(norm.cpu, norm.mem, norm.nic)
 
     hosts, host_free = state.topology.host_ids, state.host_free
@@ -488,9 +488,11 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
     whose greedy fill passes the hose check takes the whole app.
     A VM on a host takes one of its slots whoever placed it, so a host's
     free slots are max(0, slots - state.host_vms[h]), read as the scan
-    reaches it; a refused unit rolls back all it wrote, so the counts hold
-    for the whole attempt. Actual demands still commit through the guarded
-    state, so units that would overdraw a host or a link are skipped.
+    reaches it. A unit's fill marks the journal first and, when a host or
+    link refuses, rolls back to the mark, as UNIFIED's per-VM step does; so
+    the counts hold for the whole attempt. Actual demands still commit
+    through the guarded state, so units that would overdraw a host or a link
+    are skipped.
     """
     if config.netw_slots_per_host is None:
         raise ValueError("NETW needs netw_slots_per_host (see derive_netw_slots)")
@@ -526,15 +528,15 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
         if remaining or not _hose_ok(t, state, counts, n_total, bw):
             continue
 
+        mark = len(state._journal)
         try:
-            with state.transaction() as commit:
-                vm_iter = iter(vms)
-                for host_id in unit_hosts:
-                    for _ in range(counts.get(host_id, 0)):
-                        state.assign_vm(app.id, next(vm_iter), host_id)
-                reserve_traffic(state, app)
-                commit()
+            vm_iter = iter(vms)
+            for host_id in unit_hosts:
+                for _ in range(counts.get(host_id, 0)):
+                    state.assign_vm(app.id, next(vm_iter), host_id)
+            reserve_traffic(state, app)
         except CapacityError as exc:
+            state._rollback(mark)
             last_failure = str(exc)
             continue
         return None

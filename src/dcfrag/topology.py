@@ -194,8 +194,12 @@ class Topology:
             la, lb = self.level_of(l.a), self.level_of(l.b)
             if abs(la - lb) != 1:
                 raise TopologyError(f"link {l.id} joins non-adjacent levels {la} and {lb}")
+        # lazy caches; safe because the graph never changes after construction
+        self._dags: dict[tuple[str, str], tuple[tuple[tuple[int, str], ...], ...]] = {}
+        self._reach_paths: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
+        self._source_depths: dict[tuple[str, ...], dict[str, int]] = {}
         # hosts are leaves on level-0 switches: a host is reached with its TOR
-        seen = self._layers([self.host_ports[hosts[0].id][1]])
+        seen = self._layers((self.host_ports[hosts[0].id][1],))
         missing = ([s for s in self.switches if s not in seen]
                    + [h for h, (_, tor) in self.host_ports.items() if tor not in seen])
         if missing:
@@ -230,10 +234,6 @@ class Topology:
         self.subtrees: tuple[tuple[str, ...], ...] = tuple(dict.fromkeys(
             [(h,) for h in self.host_ids]
             + [self.hosts_below[s.id] for s in sorted(switches, key=lambda s: (s.level, s.id))]))
-        # lazy caches; safe because the graph never changes after construction
-        self._dags: dict[tuple[str, str], tuple[tuple[tuple[int, str], ...], ...]] = {}
-        self._reach_paths: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
-        self._source_depths: dict[tuple[str, ...], dict[str, int]] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -244,22 +244,23 @@ class Topology:
 
     # -- path utilities -------------------------------------------------------
 
-    def _layers(self, srcs, dsts=frozenset()) -> dict[str, int]:
+    def _layers(self, srcs: tuple[str, ...]) -> dict[str, int]:
         """The hop depth of each switch reached from srcs over switch-to-switch
-        links, by breadth-first search. The search stops after the first
-        layer that holds one of dsts."""
-        depth = dict.fromkeys(srcs, 0)
-        frontier = list(depth)
-        d = 0
-        while frontier and dsts.isdisjoint(frontier):
-            d += 1
-            nxt = []
-            for node in frontier:
-                for peer, _ in self.adjacency[node]:
-                    if peer not in depth and peer in self.switches:
-                        depth[peer] = d
-                        nxt.append(peer)
-            frontier = nxt
+        links, by one full breadth-first search, cached per source tuple."""
+        depth = self._source_depths.get(srcs)
+        if depth is None:
+            depth = self._source_depths[srcs] = dict.fromkeys(srcs, 0)
+            frontier = list(depth)
+            d = 0
+            while frontier:
+                d += 1
+                nxt = []
+                for node in frontier:
+                    for peer, _ in self.adjacency[node]:
+                        if peer not in depth and peer in self.switches:
+                            depth[peer] = d
+                            nxt.append(peer)
+                frontier = nxt
         return depth
 
     def route(self, host_a: str, host_b: str,
@@ -282,11 +283,10 @@ class Topology:
         up_src, tor_src = self.host_ports[src]
         up_dst, tor_dst = self.host_ports[dst]
         width, last = link_free[up_src], link_free[up_dst]
-        if tor_src == tor_dst:
-            return (up_src, up_dst), (last if last < width else width)
-        dag = self._compiled_dag(tor_src, tor_dst)
+        dag = self._compiled_dag(tor_src, tor_dst)  # () when the two are one TOR
         widths = [width]  # by node index; tor_src is 0
         via = [None]
+        held = width  # the bottleneck so far, all of it when dag is empty
         for preds in dag:
             held = None
             for parent, lid in preds:
@@ -318,7 +318,7 @@ class Topology:
         key = (tor_a, tor_b)
         cached = self._dags.get(key)
         if cached is None:
-            depth = self._layers([tor_a], {tor_b})
+            depth = self._layers((tor_a,))
             # walk back from tor_b one layer at a time, collecting each
             # node's predecessors and the links from them
             layers = [[tor_b]]
@@ -362,12 +362,8 @@ class Topology:
             if shared:  # the empty path would be found forever
                 raise ValueError(f"reaches {ra.id} and {rb.id} share switches {shared}")
             # a shortest path visits each switch at its depth in the full
-            # graph, so taking links never moves a later path off these layers;
-            # the layers do not depend on where a search stops, so one full
-            # search serves every pair from these sources
-            depth = self._source_depths.get(srcs)
-            if depth is None:
-                depth = self._source_depths[srcs] = self._layers(srcs)
+            # graph, so taking links never moves a later path off these layers
+            depth = self._layers(srcs)
             last = min(depth[d] for d in dsts)
             taken: set[str] = set()
             paths: list[tuple[str, ...]] = []

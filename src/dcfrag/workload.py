@@ -1,9 +1,8 @@
 """Applications (VM sets + traffic matrices): loading, generation, aggregates.
 
-VM demands are absolute (MHz, MB, Mbps); each application carries the
-reference host/link it was sized against so representative requests can be
-normalized without outside context. A VM's NIC demand always covers the sum
-of its traffic rows.
+VM demands are absolute (MHz, MB, Mbps); the fabric's one reference host and
+link (Topology.reference) normalizes them, passed in by the caller. A VM's
+NIC demand always covers the sum of its traffic rows.
 """
 
 from __future__ import annotations
@@ -41,12 +40,12 @@ def traffic_peers(traffic: dict) -> dict[str, dict[str, float]]:
 
 @dataclass(frozen=True)
 class Application:
-    """A set of VMs plus the symmetric pairwise bandwidth they exchange; immutable."""
+    """A set of VMs plus the symmetric pairwise bandwidth they exchange; immutable.
+    Demands are absolute: the fabric's reference normalizes them."""
 
     id: str
     vms: tuple[VM, ...]
     traffic: dict  # (vm_a, vm_b) with vm_a < vm_b -> Mbps
-    reference: Reference
 
     def __post_init__(self):
         # traffic is complete before construction and never changed after it
@@ -86,7 +85,7 @@ class Application:
         return sum(self._peers.get(vm_id, {}).values())
 
 
-def validate_application(a: Application) -> None:
+def validate_application(a: Application, reference: Reference) -> None:
     ids = set()
     for v in a.vms:
         if v.id in ids:
@@ -104,10 +103,10 @@ def validate_application(a: Application) -> None:
             raise WorkloadError(
                 f"app {a.id}: edge ({x}, {y}) bandwidth {bw} is negative or not finite")
     for v in a.vms:
-        norm = v.demand.normalized(a.reference.host)
+        norm = v.demand.normalized(reference.host)
         # NaN fails every comparison, so a NaN or infinite demand fails too
         if not (norm.cpu <= 1 + _EPS and norm.mem <= 1 + _EPS
-                and v.demand.nic <= a.reference.host.nic + _EPS):
+                and v.demand.nic <= reference.host.nic + _EPS):
             raise WorkloadError(f"app {a.id}: VM {v.id} demand {v.demand} is not finite "
                                 f"or exceeds the reference host")
         rows = a.total_traffic(v.id)
@@ -117,8 +116,8 @@ def validate_application(a: Application) -> None:
                 f"traffic total {rows}")
 
 
-def representative_request(a: Application) -> MultiRequest:
-    """Mean normalized VM demand of the application.
+def representative_request(a: Application, reference: Reference) -> MultiRequest:
+    """Mean VM demand of the application, normalized by `reference`.
 
     cpu/mem are means of the normalized demands; nw is the mean per-VM total
     traffic normalized to the reference link. Each is capped at 1: validation
@@ -128,9 +127,9 @@ def representative_request(a: Application) -> MultiRequest:
     if not a.vms:
         raise WorkloadError(f"app {a.id}: empty application")
     n = len(a.vms)
-    cpu = min(1.0, sum(v.demand.cpu for v in a.vms) / n / a.reference.host.cpu)
-    mem = min(1.0, sum(v.demand.mem for v in a.vms) / n / a.reference.host.mem)
-    nw = min(1.0, sum(a.total_traffic(v.id) for v in a.vms) / n / a.reference.link)
+    cpu = min(1.0, sum(v.demand.cpu for v in a.vms) / n / reference.host.cpu)
+    mem = min(1.0, sum(v.demand.mem for v in a.vms) / n / reference.host.mem)
+    nw = min(1.0, sum(a.total_traffic(v.id) for v in a.vms) / n / reference.link)
     return MultiRequest(cpu=cpu, mem=mem, nw=nw)
 
 
@@ -152,7 +151,7 @@ class WorkloadSpec:
     mean_demand: ResourceVector
     traffic_density: float
     seed: int
-    reference: Reference
+    reference: Reference  # sizes and validates the generated VMs
     skewed_traffic: bool = False
     demand_noise: float = 0.25
     traffic_weight: float = 0.5
@@ -236,9 +235,8 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
             mem = min(max(mem, 0.01 * spec.reference.host.mem), 0.95 * spec.reference.host.mem)
             vms.append(VM(id=v, demand=ResourceVector(cpu, mem, rows[v])))
 
-        app = Application(id=app_id, vms=tuple(vms), traffic=traffic,
-                          reference=spec.reference)
-        validate_application(app)
+        app = Application(id=app_id, vms=tuple(vms), traffic=traffic)
+        validate_application(app, spec.reference)
         apps.append(app)
     return apps
 
@@ -303,7 +301,7 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
                 vms.append(VM(id=vm_id, demand=ResourceVector(cpu, mem, nic)))
 
         with _entry(where, WorkloadError):
-            app = Application(id=app_id, vms=tuple(vms), traffic=traffic, reference=reference)
-            validate_application(app)
+            app = Application(id=app_id, vms=tuple(vms), traffic=traffic)
+            validate_application(app, reference)
         apps.append(app)
     return apps

@@ -249,7 +249,7 @@ def test_criterion_7_invariant_suite(tmp_path):
     t1, fig_app = fig1_instance()
     for scheme_state, scheme in ((PlacementState(t1), "LOCAL"),
                                  (PlacementState(topology), "UNIFIED")):
-        app = fig_app if scheme == "LOCAL" else _too_big(topology)
+        app = fig_app if scheme == "LOCAL" else _too_big()
         before = scheme_state.snapshot()
         outcome = place_application(scheme_state, app, SchemeConfig(scheme=scheme))
         if outcome.ok or scheme_state.snapshot() != before:
@@ -291,9 +291,8 @@ def test_criterion_7_invariant_suite(tmp_path):
                    f"{elapsed:.1f}s")
 
 
-def _too_big(topology):
+def _too_big():
     from dcfrag.workload import Application, VM
 
     vms = tuple(VM(id=f"v{i}", demand=ResourceVector(0.9, 0.1, 0.0)) for i in range(9))
-    return Application(id="toobig", vms=vms, traffic={},
-                       reference=topology.reference)
+    return Application(id="toobig", vms=vms, traffic={})

@@ -3,13 +3,14 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from dcfrag.fixtures import NAMED_TOPOLOGIES, UNIT, category_spec
+from dcfrag import harness, placement
+from dcfrag.fixtures import NAMED_TOPOLOGIES, UNIT, category_spec, category_topology
 from dcfrag.harness import (ExperimentConfig, ResultRow, compare_schemes, order_hash,
                             resolve_topology, run_experiment, shuffle_order)
-from dcfrag.metrics import MultiRequest
-from dcfrag.placement import SchemeConfig
+from dcfrag.metrics import MultiRequest, placeable_in_reach
+from dcfrag.placement import PlacementState, SchemeConfig, place_application
 from dcfrag.topology import ResourceVector, build_tree
-from dcfrag.workload import VM, Application
+from dcfrag.workload import VM, Application, generate_workload, representative_request
 
 
 def small_topology():
@@ -21,8 +22,7 @@ def small_apps(topology, count=6):
     for i in range(count):
         vms = tuple(VM(id=f"v{j}", demand=ResourceVector(0.25, 0.25, 0.1))
                     for j in range(2))
-        apps.append(Application(id=f"app{i}", vms=vms, traffic={("v0", "v1"): 0.1},
-                                reference=topology.reference))
+        apps.append(Application(id=f"app{i}", vms=vms, traffic={("v0", "v1"): 0.1}))
     return apps
 
 
@@ -174,6 +174,67 @@ class TestCompareSchemes:
         result = compare_schemes(cfg, [SchemeConfig("UNIFIED"),
                                        SchemeConfig("NETW", netw_slots_per_host=2)])
         assert set(result.runs) == {"UNIFIED", "NETW"}
+
+
+class TestOneReference:
+    """Category-1 apps, sized for 4,000 MHz hosts, on the category-3 CLOS of
+    8,000 MHz hosts: every normalization reads the fabric's reference."""
+
+    def pair(self):
+        t = category_topology(3)
+        apps = generate_workload(category_spec(1, 8, 0))
+        assert t.reference != category_spec(1, 8, 0).reference
+        return t, apps
+
+    def test_request_is_the_mean_demand_over_the_fabric_reference(self):
+        t, apps = self.pair()
+        ref = t.reference
+        for app in apps:
+            n = len(app.vms)
+            req = representative_request(app, ref)
+            assert req.cpu == pytest.approx(sum(v.demand.cpu for v in app.vms) / n / ref.host.cpu)
+            assert req.mem == pytest.approx(sum(v.demand.mem for v in app.vms) / n / ref.host.mem)
+            assert req.nw == pytest.approx(
+                sum(app.total_traffic(v.id) for v in app.vms) / n / ref.link)
+
+    def test_unified_ranks_its_first_reach_with_that_request(self, monkeypatch):
+        t, apps = self.pair()
+        app = apps[0]
+        req = representative_request(app, t.reference)
+        state = PlacementState(t)
+        expected = min(t.reaches, key=lambda r: (-placeable_in_reach(state, r, req), r.id))
+        seen, picks = [], []
+
+        def counting(state, reach, request):
+            seen.append(request)
+            return placeable_in_reach(state, reach, request)
+
+        def picking(*args):
+            picks.append(best(*args))
+            return picks[-1]
+
+        best = placement.best_sibling_reach
+        monkeypatch.setattr(placement, "placeable_in_reach", counting)
+        monkeypatch.setattr(placement, "best_sibling_reach", picking)
+        assert place_application(state, app, SchemeConfig("UNIFIED")).ok
+        assert seen and all(r == req for r in seen)
+        assert picks[0] == expected
+
+    def test_compare_leaves_a_valid_state_after_every_attempt(self, monkeypatch):
+        t, apps = self.pair()
+        problems = []
+
+        def checked(state, app, config, reaches=None):
+            outcome = place_application(state, app, config, reaches)
+            problems.extend(state.validate())
+            return outcome
+
+        monkeypatch.setattr(harness, "place_application", checked)
+        cfg = ExperimentConfig(topology=t, workload=apps, seed=0,
+                               rrf_request=MultiRequest(cpu=0.1, mem=0.1, nw=0.02))
+        result = compare_schemes(cfg, ["UNIFIED", "LOCAL", "NETW"])
+        assert problems == []
+        assert all(run.apps_placed > 0 for run in result.runs.values())
 
 
 class TestResultRow:

@@ -1000,7 +1000,7 @@ def _memo_app(t, app_id, demands, bw=0.0):
     vms = tuple(VM(id=f"v{i}", demand=ResourceVector(cpu, mem, nic))
                 for i, (cpu, mem, nic) in enumerate(demands))
     traffic = {("v0", "v1"): bw} if bw else {}
-    return Application(id=app_id, vms=vms, traffic=traffic, reference=t.reference)
+    return Application(id=app_id, vms=vms, traffic=traffic)
 
 
 @st.composite

@@ -38,11 +38,10 @@ def placed(state, app_id="app"):
     return {v: host for (a, v), host in state.assignments.items() if a == app_id}
 
 
-def tree_app(demands, traffic, topology, app_id="app"):
+def tree_app(demands, traffic, app_id="app"):
     vms = tuple(VM(id=v, demand=ResourceVector(*d)) for v, d in sorted(demands.items()))
     from dcfrag.workload import Application
-    return Application(id=app_id, vms=vms, traffic=traffic,
-                       reference=topology.reference)
+    return Application(id=app_id, vms=vms, traffic=traffic)
 
 
 class TestBalPack:
@@ -91,7 +90,7 @@ class TestBalPack:
         t = Topology(hosts, [Switch(id="s1", level=0)], links, UNIT_REF)
         vm = VM(id="v", demand=ResourceVector(0.5 + 2e-9, 0.5, 0.5))
         assert bal_pack(PlacementState(t), vm, t.reaches[0]) == "h2"
-        app = Application(id="app", vms=(vm,), traffic={}, reference=UNIT_REF)
+        app = Application(id="app", vms=(vm,), traffic={})
         for cfg in (UNIFIED, LOCAL):
             state = PlacementState(t)
             assert place_application(state, app, cfg).ok, cfg.scheme
@@ -152,7 +151,7 @@ class TestReserveEdge:
         a, b = data.draw(st.lists(st.sampled_from(sorted(t.hosts)), min_size=2, max_size=2,
                                   unique=True))
         app = Application(id="app", vms=(VM("x", UNIT), VM("y", UNIT)),
-                          traffic={("x", "y"): bw}, reference=t.reference)
+                          traffic={("x", "y"): bw})
         state.assignments[("app", "x")] = a
         state.assignments[("app", "y")] = b
         path, _ = t.route(a, b, state.link_free)
@@ -181,7 +180,7 @@ class TestReserveTraffic:
         state, reaches = tree_state()
         demands = {v: (0.1, 0.1, sum(bw for k, bw in traffic.items() if v in k))
                    for pair in traffic for v in pair}
-        app = tree_app(demands, traffic, state.topology)
+        app = tree_app(demands, traffic)
         state.register_app(app)
         return state, app
 
@@ -246,7 +245,7 @@ class TestUnified:
         # load rack 0 so rack 1 is the least loaded
         for h in reaches[0].hosts:
             state.host_free[h] = ResourceVector(0.2, 0.2, 1.0)
-        app = tree_app({"v1": (0.3, 0.3, 0.0)}, {}, state.topology)
+        app = tree_app({"v1": (0.3, 0.3, 0.0)}, {})
         out = place_application(state, app, UNIFIED)
         assert out.ok
         (host,) = placed(state).values()
@@ -257,7 +256,7 @@ class TestUnified:
         state, _ = tree_state()
         before = state.snapshot()
         demands = {f"v{i}": (0.9, 0.1, 0.0) for i in range(6)}
-        app = tree_app(demands, {}, state.topology)
+        app = tree_app(demands, {})
         out = place_application(state, app, UNIFIED)
         assert not out.ok
         assert state.snapshot() == before
@@ -266,7 +265,7 @@ class TestUnified:
         state, _ = tree_state(num_tors=2, hosts_per_tor=2)
         traffic = {("v1", "v2"): 0.4, ("v2", "v3"): 0.1}
         demands = {"v1": (0.1, 0.1, 0.4), "v2": (0.1, 0.1, 0.5), "v3": (0.1, 0.1, 0.1)}
-        app = tree_app(demands, traffic, state.topology)
+        app = tree_app(demands, traffic)
         out = place_application(state, app, UNIFIED)
         assert out.ok
         # v2 carries 0.5 total, the unique argmax; it must land on the first
@@ -277,7 +276,7 @@ class TestUnified:
         state, reaches = tree_state(num_tors=2, hosts_per_tor=2)
         traffic = {("v1", "v2"): 0.3}
         demands = {"v1": (0.2, 0.2, 0.3), "v2": (0.2, 0.2, 0.3)}
-        app = tree_app(demands, traffic, state.topology)
+        app = tree_app(demands, traffic)
         out = place_application(state, app, UNIFIED)
         assert out.ok
         hosts = set(placed(state).values())
@@ -289,7 +288,7 @@ class TestUnified:
         state, reaches = tree_state(num_tors=2, hosts_per_tor=2)
         demands = {f"v{i}": (0.6, 0.1, 0.05) for i in range(4)}
         traffic = {("v0", "v1"): 0.05, ("v2", "v3"): 0.05}
-        app = tree_app(demands, traffic, state.topology)
+        app = tree_app(demands, traffic)
         out = place_application(state, app, UNIFIED)
         assert out.ok
         hosts = set(placed(state).values())
@@ -301,14 +300,14 @@ class TestUnified:
         state_b, _ = tree_state()
         traffic = {("v1", "v2"): 0.2, ("v1", "v3"): 0.1}
         demands = {"v1": (0.3, 0.2, 0.3), "v2": (0.2, 0.3, 0.2), "v3": (0.1, 0.1, 0.1)}
-        assert place_application(state_a, tree_app(demands, traffic, state_a.topology), UNIFIED).ok
-        assert place_application(state_b, tree_app(demands, traffic, state_b.topology), UNIFIED).ok
+        assert place_application(state_a, tree_app(demands, traffic), UNIFIED).ok
+        assert place_application(state_b, tree_app(demands, traffic), UNIFIED).ok
         assert state_a.assignments == state_b.assignments
         assert state_a.reservations == state_b.reservations
 
     def test_empty_app_trivially_ok(self):
         state, _ = tree_state()
-        app = Application(id="empty", vms=(), traffic={}, reference=state.topology.reference)
+        app = Application(id="empty", vms=(), traffic={})
         assert place_application(state, app, UNIFIED).ok
 
     def test_traffic_above_the_reference_link_is_placed(self, tmp_path):
@@ -330,7 +329,7 @@ class TestUnified:
         (tmp_path / "wl.json").write_text(json.dumps(wl))
         t = load_topology(str(tmp_path / "topo.json"))
         (app,) = load_workload(str(tmp_path / "wl.json"), t.reference)
-        assert representative_request(app).nw == 1.0
+        assert representative_request(app, t.reference).nw == 1.0
         state = PlacementState(t)
         out = place_application(state, app, UNIFIED)
         assert out.ok
@@ -343,8 +342,8 @@ class TestUnified:
         state, _ = tree_state()
         vms = tuple(VM(id=f"v{i}", demand=ResourceVector(1 + 5e-10, 0.5, 0.0))
                     for i in range(2))
-        app = Application(id="app", vms=vms, traffic={}, reference=state.topology.reference)
-        validate_application(app)
+        app = Application(id="app", vms=vms, traffic={})
+        validate_application(app, state.topology.reference)
         assert place_application(state, app, UNIFIED).ok
         assert len(set(placed(state).values())) == 2
 
@@ -353,7 +352,7 @@ def _unified_rescanning_gains(state, app, config, reaches):
     """UNIFIED with its former next-VM rule, kept as the reference: after every
     placed VM it rebuilds the VMs in the current reach from the assignments
     and takes two bw_to sums per unplaced VM."""
-    req = representative_request(app)
+    req = representative_request(app, state.topology.reference)
     reach = min(reaches, key=lambda r: (-placement.placeable_in_reach(state, r, req), r.id))
     tried = {reach.id}
     unplaced = set(app.vm_ids())
@@ -481,7 +480,7 @@ class TestLocal:
     def test_first_fit_packs_one_host(self):
         state, _ = tree_state()
         demands = {"v1": (0.6, 0.1, 0.0), "v2": (0.3, 0.1, 0.0)}
-        app = tree_app(demands, {}, state.topology)
+        app = tree_app(demands, {})
         out = place_application(state, app, LOCAL)
         assert out.ok
         assert set(placed(state).values()) == {"h0"}
@@ -496,14 +495,14 @@ class TestLocal:
 
     def test_empty_app_ok(self):
         state, _ = tree_state()
-        app = Application(id="empty", vms=(), traffic={}, reference=state.topology.reference)
+        app = Application(id="empty", vms=(), traffic={})
         assert place_application(state, app, LOCAL).ok
 
     def test_host_exhaustion_fails_and_rolls_back(self):
         state, _ = tree_state()
         before = state.snapshot()
         demands = {f"v{i}": (0.8, 0.1, 0.0) for i in range(5)}
-        app = tree_app(demands, {}, state.topology)
+        app = tree_app(demands, {})
         out = place_application(state, app, LOCAL)
         assert not out.ok and "no host fits" in out.failure
         assert state.snapshot() == before
@@ -516,7 +515,7 @@ class TestNetw:
     def test_small_app_colocates_with_zero_link_use(self):
         state, _ = tree_state()
         demands = {"v1": (0.1, 0.1, 0.05), "v2": (0.1, 0.1, 0.05)}
-        app = tree_app(demands, {("v1", "v2"): 0.05}, state.topology)
+        app = tree_app(demands, {("v1", "v2"): 0.05})
         out = place_application(state, app, self.cfg(slots=2))
         assert out.ok
         assert set(placed(state).values()) == {"h0"}
@@ -527,7 +526,7 @@ class TestNetw:
         demands = {f"v{i}": (0.1, 0.1, 0.3) for i in range(4)}
         traffic = {("v0", "v1"): 0.1, ("v0", "v2"): 0.1, ("v0", "v3"): 0.1,
                    ("v1", "v2"): 0.1, ("v1", "v3"): 0.1, ("v2", "v3"): 0.1}
-        app = tree_app(demands, traffic, state.topology)
+        app = tree_app(demands, traffic)
         out = place_application(state, app, self.cfg(slots=2))
         assert out.ok
         hosts = set(placed(state).values())
@@ -543,29 +542,28 @@ class TestNetw:
         state, _ = tree_state()
         demands = {f"v{i}": (0.1, 0.1, 0.9) for i in range(6)}
         traffic = {(f"v{i}", f"v{j}"): 0.3 for i in range(6) for j in range(i + 1, 6)}
-        app = tree_app(demands, traffic, state.topology)
+        app = tree_app(demands, traffic)
         out = place_application(state, app, self.cfg(slots=1))
         assert not out.ok
 
     def test_slots_required(self):
         state, _ = tree_state()
-        app = tree_app({"v1": (0.1, 0.1, 0.0)}, {}, state.topology)
+        app = tree_app({"v1": (0.1, 0.1, 0.0)}, {})
         with pytest.raises(ValueError, match="slots"):
             place_application(state, app, SchemeConfig(scheme="NETW"))
 
     def test_slots_count_vms_placed_by_any_scheme(self):
         state, _ = tree_state()
-        pair = tree_app({"v1": (0.1, 0.1, 0.0), "v2": (0.1, 0.1, 0.0)}, {}, state.topology,
-                        app_id="local")
+        pair = tree_app({"v1": (0.1, 0.1, 0.0), "v2": (0.1, 0.1, 0.0)}, {}, app_id="local")
         assert place_application(state, pair, LOCAL).ok
         assert placed(state, "local") == {"v1": "h0", "v2": "h0"}
-        single = tree_app({"v1": (0.1, 0.1, 0.0)}, {}, state.topology, app_id="netw")
+        single = tree_app({"v1": (0.1, 0.1, 0.0)}, {}, app_id="netw")
         assert place_application(state, single, self.cfg(slots=2)).ok
         assert placed(state, "netw") == {"v1": "h1"}
 
     def test_derive_slots_from_workload_mean(self):
         t = idle_tree(cap=ResourceVector(4000, 8192, 10000), link=10000)
-        app = tree_app({"v1": (400, 100, 0.0), "v2": (600, 100, 0.0)}, {}, t)
+        app = tree_app({"v1": (400, 100, 0.0), "v2": (600, 100, 0.0)}, {})
         assert derive_netw_slots(t, [app]) == 8  # 4000 / 500
 
     def test_slot_model_blind_to_cpu_fails_via_guard(self):
@@ -575,7 +573,7 @@ class TestNetw:
         before = state.snapshot()
         demands = {f"v{i}": (0.4, 0.1, 0.01) for i in range(4)}
         traffic = {("v0", "v1"): 0.01}
-        app = tree_app(demands, traffic, state.topology)
+        app = tree_app(demands, traffic)
         out = place_application(state, app, self.cfg(slots=4))
         assert not out.ok and "cpu" in out.failure
         assert state.snapshot() == before
@@ -657,7 +655,7 @@ class TestTransaction:
 
     def test_committed_inner_block_rolls_back_with_the_outer_one(self):
         state, _ = tree_state()
-        app = tree_app({"v1": (0.3, 0.1, 0.0), "v2": (0.6, 0.1, 0.0)}, {}, state.topology)
+        app = tree_app({"v1": (0.3, 0.1, 0.0), "v2": (0.6, 0.1, 0.0)}, {})
         fresh = state.snapshot()
         with state.transaction():
             state.register_app(app)
@@ -711,7 +709,7 @@ class TestStateValidate:
 
     def test_demand_above_host_capacity_detected(self):
         state, _ = tree_state()
-        app = tree_app({"v1": (0.6, 0.1, 0.0), "v2": (0.6, 0.1, 0.0)}, {}, state.topology)
+        app = tree_app({"v1": (0.6, 0.1, 0.0), "v2": (0.6, 0.1, 0.0)}, {})
         state.register_app(app)
         state.host_free["h0"] = ResourceVector(2.0, 1.0, 1.0)  # lets the overdraw through
         state.assign_vm(app.id, app.vm("v1"), "h0")
@@ -726,7 +724,7 @@ class TestStateValidate:
 
     def test_capacity_error_names_entity_and_dimension(self):
         state, _ = tree_state()
-        app = tree_app({"v1": (0.9, 0.1, 0.0), "v2": (0.9, 0.1, 0.0)}, {}, state.topology)
+        app = tree_app({"v1": (0.9, 0.1, 0.0), "v2": (0.9, 0.1, 0.0)}, {})
         state.register_app(app)
         state.assign_vm(app.id, app.vm("v1"), "h0")
         with pytest.raises(CapacityError, match="host h0 cpu"):
@@ -737,7 +735,7 @@ class TestStateValidate:
             state, _ = tree_state()
             cfg = SchemeConfig(scheme=scheme, netw_slots_per_host=4)
             demands = {"v1": (0.2, 0.2, 0.1), "v2": (0.2, 0.2, 0.1)}
-            app = tree_app(demands, {("v1", "v2"): 0.1}, state.topology)
+            app = tree_app(demands, {("v1", "v2"): 0.1})
             out = place_application(state, app, cfg)
             assert out.ok, scheme
             assert state.validate() == [], scheme
@@ -801,7 +799,7 @@ def ledger_runs(draw):
         app_id = f"a{i}"
         if i and draw(st.integers(0, 3)) == 0:
             app_id = f"a{draw(st.integers(0, i - 1))}"
-        apps.append(tree_app(demands, traffic, t, app_id=app_id))
+        apps.append(tree_app(demands, traffic, app_id=app_id))
     return t, cfg, apps
 
 

@@ -11,9 +11,9 @@ from dcfrag.workload import (VM, Application, WorkloadError, WorkloadSpec, gener
                              load_workload, representative_request, validate_application)
 
 
-def make_app(demands, traffic, reference=UNIT_REF, app_id="app"):
+def make_app(demands, traffic, app_id="app"):
     vms = tuple(VM(id=v, demand=ResourceVector(*d)) for v, d in sorted(demands.items()))
-    return Application(id=app_id, vms=vms, traffic=traffic, reference=reference)
+    return Application(id=app_id, vms=vms, traffic=traffic)
 
 
 class TestRepresentativeRequest:
@@ -22,26 +22,26 @@ class TestRepresentativeRequest:
             {"v1": (0.2, 0.2, 0.2), "v2": (0.4, 0.4, 0.2)},
             {("v1", "v2"): 0.2},
         )
-        req = representative_request(app)
+        req = representative_request(app, UNIT_REF)
         assert (req.cpu, req.mem) == (pytest.approx(0.3), pytest.approx(0.3))
         assert req.nw == pytest.approx(0.2)
 
     def test_single_vm_is_its_own_demand(self):
         app = make_app({"v1": (0.25, 0.5, 0.0)}, {})
-        req = representative_request(app)
+        req = representative_request(app, UNIT_REF)
         assert (req.cpu, req.mem, req.nw) == (0.25, 0.5, 0.0)
 
     def test_demand_at_the_validation_bound_is_capped(self):
         # validation admits a normalized demand up to 1 + _EPS
         app = make_app({"v1": (1 + 5e-10, 1 + 5e-10, 0.0)}, {})
-        validate_application(app)
-        req = representative_request(app)
+        validate_application(app, UNIT_REF)
+        req = representative_request(app, UNIT_REF)
         assert (req.cpu, req.mem, req.nw) == (1.0, 1.0, 0.0)
 
     def test_empty_app_rejected(self):
-        app = Application(id="empty", vms=(), traffic={}, reference=UNIT_REF)
+        app = Application(id="empty", vms=(), traffic={})
         with pytest.raises(WorkloadError):
-            representative_request(app)
+            representative_request(app, UNIT_REF)
 
     def test_category3_mean_close_to_table_values(self):
         import statistics
@@ -108,7 +108,7 @@ def indexed_apps(draw):
     vms = tuple(VM(id=v, demand=ResourceVector(0.1, 0.1, 1.0))
                 for v in draw(st.permutations(ids)))
     group = draw(st.sets(st.sampled_from(ids)))
-    return Application(id="app", vms=vms, traffic=traffic, reference=UNIT_REF), group
+    return Application(id="app", vms=vms, traffic=traffic), group
 
 
 class TestTrafficIndex:
@@ -158,8 +158,9 @@ class TestGenerator:
 
     def test_generated_apps_pass_invariants(self):
         for category in (1, 2, 3):
-            for app in generate_workload(category_spec(category, app_count=8, seed=5)):
-                validate_application(app)
+            spec = category_spec(category, app_count=8, seed=5)
+            for app in generate_workload(spec):
+                validate_application(app, spec.reference)
                 for v in app.vms:
                     assert v.demand.nic == app.total_traffic(v.id)
 
