@@ -17,7 +17,7 @@ def small_topology():
     return build_tree(2, 2, UNIT, 1.0, oversub_ratio=2.0)
 
 
-def small_apps(topology, count=6):
+def small_apps(count=6):
     apps = []
     for i in range(count):
         vms = tuple(VM(id=f"v{j}", demand=ResourceVector(0.25, 0.25, 0.1))
@@ -30,7 +30,7 @@ def small_config(topology=None, apps=None, **kwargs):
     topology = topology or small_topology()
     return ExperimentConfig(
         topology=topology,
-        workload=apps if apps is not None else small_apps(topology),
+        workload=apps if apps is not None else small_apps(),
         rrf_request=MultiRequest(cpu=0.25, mem=0.25, nw=0.1),
         **kwargs,
     )
@@ -38,8 +38,7 @@ def small_config(topology=None, apps=None, **kwargs):
 
 class TestShuffle:
     def test_seeded_shuffle_is_shared_across_schemes(self):
-        t = small_topology()
-        apps = small_apps(t)
+        apps = small_apps()
         a = shuffle_order(apps, 42)
         b = shuffle_order(apps, 42)
         assert [x.id for x in a] == [x.id for x in b]
@@ -69,7 +68,7 @@ class TestRunExperiment:
 
     def test_first_failure_stops_early(self):
         t = small_topology()
-        apps = small_apps(t, count=12)  # cpu saturates after ~8 VMs
+        apps = small_apps(count=12)  # cpu saturates after ~8 VMs
         stop = run_experiment(small_config(t, apps, seed=1, stop_policy="first-failure"))
         exhaust = run_experiment(small_config(t, apps, seed=1, stop_policy="exhaust-list"))
         assert len(stop) <= len(exhaust)
@@ -136,7 +135,7 @@ class TestCompareSchemes:
 
     def test_summary_reads_each_scheme_at_the_checkpoint(self):
         t = small_topology()
-        result = compare_schemes(small_config(t, small_apps(t, count=12), seed=4),
+        result = compare_schemes(small_config(t, small_apps(count=12), seed=4),
                                  ["UNIFIED", "LOCAL", "NETW"])
         checkpoint = min(run.apps_placed for run in result.runs.values())
         assert checkpoint > 0
@@ -181,10 +180,9 @@ class TestOneReference:
     8,000 MHz hosts: every normalization reads the fabric's reference."""
 
     def pair(self):
-        t = category_topology(3)
-        apps = generate_workload(category_spec(1, 8, 0))
-        assert t.reference != category_spec(1, 8, 0).reference
-        return t, apps
+        t, spec = category_topology(3), category_spec(1, 8, 0)
+        assert t.reference != spec.reference
+        return t, generate_workload(spec)
 
     def test_request_is_the_mean_demand_over_the_fabric_reference(self):
         t, apps = self.pair()
