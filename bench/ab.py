@@ -11,20 +11,24 @@ workload of BENCHMARK.json and every seed (default 0), each of 10 pairs runs
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 once per side, T being BENCHMARK.json's run_seconds; the side that runs
-first alternates from pair to pair. Then
-each side makes one `--trace 1` run per workload at the first seed. The
-output file has the keys `what`, `parent_commit`, `summary`, `traced` and
+first alternates from pair to pair. Then, per workload at the first seed,
+3 pairs of `--trace 1` runs alternate the same way. The output file has the
+keys `what`, `parent_commit`, `summary`, `traced_summary`, `traced` and
 `pairs`; `pairs` and `traced` hold the full perfbench records, plus each
-run's exit code. Per metric the summary also states whether the change won
-at least nine tenths of the pairs (ties count for neither side) and whether
+run's exit code. Per metric the summary states whether the change won at
+least nine tenths of the pairs (ties count for neither side) and whether
 the medians differ, in the change's favour, by more than the parent's
 interquartile range: a gain may be claimed only when both hold. It also
 states whether the change's median is worse than the parent's by at most the
 metric's BENCHMARK.json bound, which every metric must meet, gain claimed or
 not. Per side it gives the spread of each run's machine speed
 (`speed.probe_ms_p50`, `speed.raw_sweep_s`), so a pair decided in a slow
-stretch shows without reading the pairs. Stdlib only; it is not part of the
-test suite, and it takes about 2 x 10 x T per workload and seed.
+stretch shows without reading the pairs. `traced_summary` gives each
+per-layer metric's median per side and the change's median over the
+parent's: a traced run's per-layer times are not scaled by the machine's
+speed, so one run in a slow stretch would move them, and the median of
+three does not follow one such run. Stdlib only; it is not part of the test
+suite, and it takes about 2 x (10 x seeds + 3) x T per workload.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+TRACED_PAIRS = 3
+SIDES = ("parent", "change")
 SPEED_KEYS = ("probe_ms_p50", "raw_sweep_s")  # a run's machine speed, from its record
 
 
@@ -71,7 +77,36 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
 def rate(run: dict) -> str:
     if run["exit"] != 0:
         return f"failed (exit {run['exit']})"
-    return f"{run['result']['metrics']['attempts_per_s']['value']:.1f}"
+    aps = run["result"]["metrics"].get("attempts_per_s")  # absent from a traced run
+    return "ok" if aps is None else f"{aps['value']:.1f} attempts/s"
+
+
+def run_pairs(roots: dict, workload: str, seed: int, seconds: float, trace: int,
+              count: int) -> list[dict]:
+    """`count` pairs of perfbench runs, one per side; the side that runs first
+    alternates from pair to pair, the parent's first."""
+    pairs = []
+    for i in range(1, count + 1):
+        order = SIDES if i % 2 else SIDES[::-1]
+        pair = {"workload": workload, "seed": seed, "pair": i, "first": order[0]}
+        for side in order:
+            pair[side] = perfbench(roots[side], workload, seed, seconds, trace)
+        pairs.append(pair)
+        print(f"{workload} seed {seed} trace {trace} pair {i}: parent {rate(pair['parent'])}, "
+              f"change {rate(pair['change'])}", file=sys.stderr)
+    return pairs
+
+
+def group_pairs(pairs: list[dict]) -> dict[str, list[dict]]:
+    groups: dict[str, list[dict]] = {}
+    for p in pairs:
+        groups.setdefault(f"{p['workload']} seed {p['seed']}", []).append(p)
+    return groups
+
+
+def all_correct(group: list[dict]) -> bool:
+    return all(p[side]["exit"] == 0 and p[side]["result"]["correct"]
+               for p in group for side in SIDES)
 
 
 def spread(values: list[float]) -> tuple[str, list[float]]:
@@ -91,21 +126,17 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     `within_bound` (the change's median is worse than the parent's by at
     most the metric's `bound` times the parent's median). Under `speed`,
     each side's spread of the runs' speed-probe median and raw sweep time."""
-    groups: dict[str, list[dict]] = {}
-    for p in pairs:
-        groups.setdefault(f"{p['workload']} seed {p['seed']}", []).append(p)
     summary = {}
-    for name, group in groups.items():
-        runs = [p[side] for p in group for side in ("parent", "change")]
-        entry = {"pairs": len(group),
-                 "correct": all(r["exit"] == 0 and r["result"]["correct"] for r in runs),
-                 "failed": sum(r["result"]["failed"] for r in runs if "result" in r)}
+    for name, group in group_pairs(pairs).items():
+        entry = {"pairs": len(group), "correct": all_correct(group),
+                 "failed": sum(p[side]["result"]["failed"] for p in group for side in SIDES
+                               if "result" in p[side])}
         if not entry["correct"]:
             summary[name] = entry
             continue
         for m in metrics:
             sides = {side: [p[side]["result"]["metrics"][m["name"]]["value"] for p in group]
-                     for side in ("parent", "change")}
+                     for side in SIDES}
             stats = {}
             for side, values in sides.items():
                 label, stats[side] = spread(values)
@@ -123,10 +154,32 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                 beats_parent_iqr=label == "q1_median_q3" and gain > q3 - q1,
                 within_bound=-gain <= m["bound"] * parent_median)
         for key in SPEED_KEYS:
-            for side in ("parent", "change"):
+            for side in SIDES:
                 label, values = spread([p[side]["speed"][key] for p in group])
                 entry.setdefault("speed", {}).setdefault(key, {})[f"{side}_{label}"] = [
                     round(v, 6) for v in values]
+        summary[name] = entry
+    return summary
+
+
+def traced_summary(traced: list[dict], metrics: list[dict]) -> dict:
+    """Per workload and seed of the traced pairs: the runs per side, whether
+    every run was correct and, when all were, each per-layer metric's median
+    per side and `change_over_parent_median`, the change's median over the
+    parent's (None when the parent's median is 0)."""
+    summary = {}
+    for name, group in group_pairs(traced).items():
+        entry = {"runs_per_side": len(group), "correct": all_correct(group)}
+        if entry["correct"]:
+            for m in metrics:
+                median = {side: statistics.median(
+                    p[side]["result"]["metrics"][m["name"]]["value"] for p in group)
+                    for side in SIDES}
+                entry[m["name"]] = {
+                    "parent_median": round(median["parent"], 6),
+                    "change_median": round(median["change"], 6),
+                    "change_over_parent_median": (round(median["change"] / median["parent"], 4)
+                                                  if median["parent"] else None)}
         summary[name] = entry
     return summary
 
@@ -146,21 +199,10 @@ def main(argv=None) -> int:
         parent_root = Path(tmp)
         parent_commit = export(args.parent, parent_root)
         roots = {"parent": parent_root, "change": ROOT}
-        pairs = []
-        for workload in workloads:
-            for seed in seeds:
-                for i in range(1, PAIRS + 1):
-                    order = ("parent", "change") if i % 2 else ("change", "parent")
-                    pair = {"workload": workload, "seed": seed, "pair": i, "first": order[0]}
-                    for side in order:
-                        pair[side] = perfbench(roots[side], workload, seed, seconds, 0)
-                    pairs.append(pair)
-                    print(f"{workload} seed {seed} pair {i}: parent {rate(pair['parent'])}, "
-                          f"change {rate(pair['change'])} attempts/s", file=sys.stderr)
-        traced = {w: {"workload": w, "seed": seeds[0],
-                      **{side: perfbench(roots[side], w, seeds[0], seconds, 1)
-                         for side in ("parent", "change")}}
-                  for w in workloads}
+        pairs = [p for w in workloads for seed in seeds
+                 for p in run_pairs(roots, w, seed, seconds, 0, PAIRS)]
+        traced = [p for w in workloads
+                  for p in run_pairs(roots, w, seeds[0], seconds, 1, TRACED_PAIRS)]
 
     what = (f"{args.what} perfbench records of the parent commit and of the change, run "
             f"alternately: each pair ran 'python3 perfbench/run.py --workload W --seed S "
@@ -170,13 +212,19 @@ def main(argv=None) -> int:
             f"median and max. won_nine_tenths: the change was better in at least 9 of 10 "
             f"pairs; beats_parent_iqr: its median moved the better way by more than the "
             f"parent's q3 - q1; within_bound: its median is worse than the parent's by at "
-            f"most the metric's BENCHMARK.json bound times the parent's median. 'traced' holds one --trace 1 run per side and workload. "
+            f"most the metric's BENCHMARK.json bound times the parent's median. 'traced' holds "
+            f"{TRACED_PAIRS} pairs of --trace 1 runs per workload at the first seed, alternated "
+            f"as the pairs are; traced_summary gives each per-layer metric's median per side "
+            f"and the change's median over the parent's. "
             f"environment.commit is null for the exported parent and the checkout's HEAD "
             f"for the change; src_sha256 tells the sides apart.")
     doc = {"what": what, "parent_commit": parent_commit,
-           "summary": summarize(pairs, spec["end_to_end"]), "traced": traced, "pairs": pairs}
+           "summary": summarize(pairs, spec["end_to_end"]),
+           "traced_summary": traced_summary(traced, spec["per_layer"]),
+           "traced": traced, "pairs": pairs}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    return 0 if all(s["correct"] for s in doc["summary"].values()) else 1
+    groups = [*doc["summary"].values(), *doc["traced_summary"].values()]
+    return 0 if all(g["correct"] for g in groups) else 1
 
 
 if __name__ == "__main__":

@@ -19,11 +19,11 @@ in that order, and the between phases take those lists.
 
 A placement changes a few hosts and links, so state.reach_memo keeps what
 the RRF would otherwise recompute from unchanged values. The inside-reach
-pairings have one slot per (reach, request), holding the reach's host free
-vectors and uplink frees next to the pairing computed from them. The
-between walks share one slot holding the reach pairs sorted by their
-bandwidths, next to the frees of the links on reach paths they were read
-from. A call recomputes a slot only when those values no longer compare
+pairings have one slot per (reach, request), holding the reach's uplink
+frees (and, for a count under a request, its host free vectors) next to the
+pairing computed from them. The between walks share one slot holding the
+reach pairs sorted by their bandwidths, next to the frees of the links on
+reach paths they were read from. A call recomputes a slot only when those values no longer compare
 equal. The getters that read those values are built once per state and kept
 in the memo beside the slots. Keyed by value, the memo needs no
 invalidation: it holds under rollbacks, restores and direct writes to the
@@ -190,10 +190,10 @@ def _reach_pairings(state, req: MultiRequest | None):
     summed pairings and the residuals, a list in topology.reaches order.
 
     A reach's (sum, residual) is read from its slot in state.reach_memo while
-    the reach's host free vectors and uplink frees equal the ones it was
-    computed from. The slot key is read by the reach's two getters in the
-    memo's _REACH_KEYS entry: its hosts' entries in host_free and their
-    uplinks' in link_free, both in reach.hosts order.
+    the values it was computed from are unchanged. The slot key is read by
+    the reach's getters in the memo's _REACH_KEYS entry, both in reach.hosts
+    order: the NIC pairing reads only uplinks, so its key is their frees in
+    link_free; a count slot's key adds the hosts' entries in host_free.
     """
     t = state.topology
     host_free, link_free, memo = state.host_free, state.link_free, state.reach_memo
@@ -206,13 +206,14 @@ def _reach_pairings(state, req: MultiRequest | None):
     slots = memo.get(req)
     if slots is None:
         slots = memo[req] = [None] * len(t.reaches)
-    total = 0.0 if req is None else 0
+    nic = req is None
+    total = 0.0 if nic else 0
     residuals = []
     for i, (reach, (hosts_of, uplinks_of)) in enumerate(zip(t.reaches, keys)):
-        key = (hosts_of(host_free), uplinks_of(link_free))
+        key = uplinks_of(link_free) if nic else (hosts_of(host_free), uplinks_of(link_free))
         slot = slots[i]
         if slot is None or slot[0] != key:
-            if req is None:
+            if nic:
                 values = [nic_free(state, h) for h in reach.hosts]
             else:
                 values = _host_counts(state, reach.hosts, req)

@@ -60,8 +60,8 @@ class PlacementOutcome:
 class PlacementState:
     """Mutable reservation ledger over an immutable topology.
 
-    A state belongs to one run at a time. Every ledger write goes through
-    _write, which journals it while a transaction is open.
+    A state belongs to one run at a time. While a transaction is open, every
+    ledger write first journals the value it replaces.
     """
 
     def __init__(self, topology: Topology):
@@ -103,11 +103,6 @@ class PlacementState:
         (self.host_free, self.link_free, self.assignments, self.host_vms,
          self.reservations, self.apps) = (dict(part) for part in snap)
 
-    def _write(self, table: dict, key, value) -> None:
-        if self._journal is not None:
-            self._journal.append((table, key, table.get(key, _ABSENT)))
-        table[key] = value
-
     def _rollback(self, mark: int) -> None:
         """Put back every value journaled past `mark`, newest first, and drop
         those entries."""
@@ -121,18 +116,18 @@ class PlacementState:
 
     @contextmanager
     def transaction(self):
-        """Nestable all-or-nothing block; yields its commit function.
+        """All-or-nothing block; yields its commit function.
 
         A block left without calling commit() (by return, break or exception)
-        puts back every value it replaced, newest first. While any block is
-        open the state keeps one journal; a block records the journal's
-        length when it opens and rolls back to that mark, so a committed
-        inner block's writes stay in the journal for the enclosing one.
+        puts back every value it replaced, newest first. Blocks do not nest:
+        opening one inside another raises RuntimeError. To undo part of the
+        block's work, record a mark, len(state._journal), and call
+        _rollback(mark), as UNIFIED's per-VM step and NETW's units do.
         """
-        outermost = self._journal is None
-        if outermost:
-            self._journal = []
-        mark, committed = len(self._journal), False
+        if self._journal is not None:
+            raise RuntimeError("transaction() inside an open transaction; "
+                               "roll back to a journal mark instead")
+        self._journal, committed = [], False
 
         def commit() -> None:
             nonlocal committed
@@ -142,9 +137,8 @@ class PlacementState:
             yield commit
         finally:
             if not committed:
-                self._rollback(mark)
-            if outermost:
-                self._journal = None
+                self._rollback(0)
+            self._journal = None
 
     # -- guarded commits -------------------------------------------------------
 
@@ -153,13 +147,14 @@ class PlacementState:
         keyed by its id, so an id the ledger already holds is refused."""
         if app.id in self.apps:
             raise ValueError(f"app id {app.id!r} is already in the ledger")
-        self._write(self.apps, app.id, app)
+        if self._journal is not None:
+            self._journal.append((self.apps, app.id, _ABSENT))
+        self.apps[app.id] = app
 
     def assign_vm(self, app_id: str, vm: VM, host_id: str) -> None:
         """Put the VM on the host, or raise CapacityError naming the first
         dimension short. The host's free resources, the assignment and the
-        host's VM count are written and journaled in one step, as _write
-        would."""
+        host's VM count are written and journaled in one step."""
         free, need = self.host_free[host_id], vm.demand
         if need.cpu > free.cpu + _EPS:
             raise CapacityError("host", host_id, "cpu", need.cpu, free.cpu)
@@ -176,27 +171,6 @@ class PlacementState:
         host_free[host_id] = free - need
         assignments[key] = host_id
         host_vms[host_id] = count + 1
-
-    def _reserve(self, key: tuple[str, str, str], host_a: str, host_b: str,
-                 bw: float) -> None:
-        """Reserve bw on route(host_a, host_b) as reservation `key`.
-
-        The route's own bottleneck decides; only a shortfall looks for the
-        first short link, the one CapacityError names. The link frees are
-        written and journaled in one loop, as _write would.
-        """
-        link_free = self.link_free
-        path, bottleneck = self.topology.route(host_a, host_b, link_free)
-        if bottleneck + _EPS < bw:
-            lid = next(lid for lid in path if link_free[lid] + _EPS < bw)
-            raise CapacityError("link", lid, "bw", bw, link_free[lid])
-        journal = self._journal
-        for lid in path:
-            free = link_free[lid]
-            if journal is not None:
-                journal.append((link_free, lid, free))
-            link_free[lid] = free - bw
-        self._write(self.reservations, key, (path, bw))
 
     # -- validation --------------------------------------------------------------
 
@@ -257,18 +231,35 @@ def reserve_traffic(state: PlacementState, app: Application, edges=None) -> None
     bandwidth whose two VMs sit on different hosts and which holds no
     reservation yet.
 
-    A link shortfall raises CapacityError; the caller's transaction undoes the
-    edges reserved so far.
+    Each edge is routed, checked, written and journaled in one pass: the
+    route's own bottleneck decides, and only a shortfall looks for the first
+    short link, the one the CapacityError names. The caller's transaction
+    undoes the edges reserved so far.
     """
     app_id, assignments, reservations = app.id, state.assignments, state.reservations
+    link_free, journal, route = state.link_free, state._journal, state.topology.route
     for (x, y), bw in app.edges() if edges is None else edges:
-        if bw <= 0 or (app_id, x, y) in reservations:
+        if bw <= 0:
             continue
         host_x = assignments.get((app_id, x))
         host_y = assignments.get((app_id, y))
         if host_x is None or host_y is None or host_x == host_y:
             continue
-        state._reserve((app_id, x, y) if x < y else (app_id, y, x), host_x, host_y, bw)
+        key = (app_id, x, y) if x < y else (app_id, y, x)
+        if key in reservations:
+            continue
+        path, bottleneck = route(host_x, host_y, link_free)
+        if bottleneck + _EPS < bw:
+            lid = next(lid for lid in path if link_free[lid] + _EPS < bw)
+            raise CapacityError("link", lid, "bw", bw, link_free[lid])
+        for lid in path:
+            free = link_free[lid]
+            if journal is not None:
+                journal.append((link_free, lid, free))
+            link_free[lid] = free - bw
+        if journal is not None:
+            journal.append((reservations, key, _ABSENT))
+        reservations[key] = (path, bw)
 
 
 # -- BAL_PACK stand-in -------------------------------------------------------------
@@ -425,11 +416,12 @@ def _place_local(state: PlacementState, app: Application, config: SchemeConfig,
     VMs place onto hosts in id order subject to a full resource fit; traffic
     is reserved afterward, failing the whole app on any link shortfall.
     """
-    ref_host = state.topology.reference.host
+    ref = state.topology.reference.host
+    r_cpu, r_mem, r_nic = ref.cpu, ref.mem, ref.nic
 
     def size(v: VM) -> float:
-        norm = v.demand.normalized(ref_host)
-        return max(norm.cpu, norm.mem, norm.nic)
+        need = v.demand
+        return max(need.cpu / r_cpu, need.mem / r_mem, need.nic / r_nic)
 
     hosts, host_free = state.topology.host_ids, state.host_free
     for vm in sorted(app.vms, key=lambda v: (-size(v), v.id)):

@@ -283,7 +283,9 @@ class Topology:
         up_src, tor_src = self.host_ports[src]
         up_dst, tor_dst = self.host_ports[dst]
         width, last = link_free[up_src], link_free[up_dst]
-        dag = self._compiled_dag(tor_src, tor_dst)  # () when the two are one TOR
+        dag = self._dags.get((tor_src, tor_dst))
+        if dag is None:
+            dag = self._compiled_dag(tor_src, tor_dst)  # () when the two are one TOR
         widths = [width]  # by node index; tor_src is 0
         via = [None]
         held = width  # the bottleneck so far, all of it when dag is empty
@@ -305,7 +307,8 @@ class Topology:
             node, lid = via[node]
             path.append(lid)
         path.append(up_src)
-        return tuple(reversed(path)), (last if last < held else held)
+        path.reverse()
+        return tuple(path), (last if last < held else held)
 
     def _compiled_dag(self, tor_a: str, tor_b: str) -> tuple[tuple[tuple[int, str], ...], ...]:
         """The shortest tor_a -> tor_b paths as a DAG in index form, cached.

@@ -1,12 +1,13 @@
 """Test references: each node's links read from the link table, every
 shortest path between two hosts, the link-disjoint shortest paths between two
-reaches by repeated blocked BFS, and a brute-force oracle of the placeable
-requests on desk-size instances. None is part of the runtime; tests import
-them from here."""
+reaches by repeated blocked BFS, edge reservation one step at a time, and a
+brute-force oracle of the placeable requests on desk-size instances. None is
+part of the runtime; tests import them from here."""
 
 from collections import deque
 
 from dcfrag.metrics import MultiRequest, fit_count
+from dcfrag.placement import _ABSENT, CapacityError
 from dcfrag.topology import _EPS
 
 _ORACLE_CAP = 12  # placements brute_force_placeable searches up to
@@ -94,6 +95,34 @@ def _switch_set_path(t, srcs, dsts, blocked):
         node, lid = parent[node]
         path.append(lid)
     return tuple(reversed(path))
+
+
+def journaled_write(state, table, key, value):
+    """One ledger write as a state journals it while a transaction is open:
+    the value it replaces (_ABSENT when the key is new), then the write."""
+    if state._journal is not None:
+        state._journal.append((table, key, table.get(key, _ABSENT)))
+    table[key] = value
+
+
+def reference_reserve_traffic(state, app, edges=None):
+    """reserve_traffic with each edge's steps apart: for every edge with
+    bandwidth, on two hosts and not yet reserved, route it, check the path's
+    smallest free, write each link, then write the reservation, every write
+    through journaled_write."""
+    for (x, y), bw in app.edges() if edges is None else edges:
+        key = (app.id, x, y) if x < y else (app.id, y, x)
+        host_x = state.assignments.get((app.id, x))
+        host_y = state.assignments.get((app.id, y))
+        if bw <= 0 or key in state.reservations or None in (host_x, host_y) or host_x == host_y:
+            continue
+        path, _ = state.topology.route(host_x, host_y, state.link_free)
+        if min(state.link_free[lid] for lid in path) + _EPS < bw:
+            lid = next(lid for lid in path if state.link_free[lid] + _EPS < bw)
+            raise CapacityError("link", lid, "bw", bw, state.link_free[lid])
+        for lid in path:
+            journaled_write(state, state.link_free, lid, state.link_free[lid] - bw)
+        journaled_write(state, state.reservations, key, (path, bw))
 
 
 def brute_force_placeable(state, req: MultiRequest) -> int:

@@ -130,6 +130,30 @@ def test_within_bound_allows_a_loss_up_to_bound_times_the_parent_median():
                         tight)["w seed 0"]["step_ms_p50"]["within_bound"] is False
 
 
+def traced(values, exit=0, correct=True):
+    return {"exit": exit, "result": {"correct": correct, "failed": 0, "metrics": {
+        name: {"value": v} for name, v in values.items()}}}
+
+
+def test_traced_summary_gives_each_sides_median_and_their_ratio():
+    layers = [{"name": "topology.route.self_s"}, {"name": "placement.snapshot.calls"}]
+    # the parent's second run sat in a slow stretch: its median does not follow it
+    parent = [traced({"topology.route.self_s": s, "placement.snapshot.calls": 0})
+              for s in (0.010, 0.030, 0.011)]
+    change = [traced({"topology.route.self_s": s, "placement.snapshot.calls": 0})
+              for s in (0.007, 0.006, 0.009)]
+    entry = ab.traced_summary(pairs(parent, change), layers)["w seed 0"]
+    assert entry["runs_per_side"] == 3 and entry["correct"] is True
+    assert entry["topology.route.self_s"] == {
+        "parent_median": 0.011, "change_median": 0.007,
+        "change_over_parent_median": round(0.007 / 0.011, 4)}
+    # a zero parent median gives no ratio
+    assert entry["placement.snapshot.calls"]["change_over_parent_median"] is None
+    change[1] = traced({}, exit=1, correct=False)
+    assert ab.traced_summary(pairs(parent, change), layers) == {
+        "w seed 0": {"runs_per_side": 3, "correct": False}}
+
+
 def test_export_writes_the_commits_files_and_returns_its_hash(tmp_path, monkeypatch):
     repo, dest = tmp_path / "repo", tmp_path / "out"
     repo.mkdir()

@@ -1092,3 +1092,28 @@ class TestReachMemo:
             else:
                 state.restore(first[on])
             self.check(states, requests)
+
+    def test_the_nic_pairing_is_keyed_by_uplinks_alone(self):
+        t = category_topology(1)
+        state, req = PlacementState(t), MultiRequest(0.1, 0.1, 0.1)
+
+        def slots():
+            assert M.capacity_inside_reaches(state) == _recount(state, req)[0]
+            assert M.placeable_inside_reaches(state, req) == _recount(state, req)[1]
+            return list(state.reach_memo[None]), list(state.reach_memo[req])
+
+        def kept(new, old):  # a slot is replaced exactly when it is recomputed
+            return [a is b for a, b in zip(new, old)]
+
+        first_only = [False] + [True] * (len(t.reaches) - 1)  # h sits in reach 0
+        nic, count = slots()
+        h = t.reaches[0].hosts[0]
+        free = state.host_free[h]
+        state.host_free[h] = ResourceVector(free.cpu / 2, free.mem, free.nic)
+        nic_cpu, count_cpu = slots()
+        assert kept(nic_cpu, nic) == [True] * len(t.reaches)
+        assert kept(count_cpu, count) == first_only
+        state.link_free[t.host_ports[h][0]] /= 2
+        nic_up, count_up = slots()
+        assert kept(nic_up, nic_cpu) == first_only
+        assert kept(count_up, count_cpu) == first_only

@@ -18,6 +18,7 @@ from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology
                              build_tree, load_topology)
 from dcfrag.workload import (VM, Application, generate_workload, load_workload,
                              representative_request, validate_application)
+from oracle import journaled_write, reference_reserve_traffic
 from test_topology import as_topology, leveled_fabrics
 from test_workload import bw_to
 
@@ -215,6 +216,45 @@ class TestReserveTraffic:
         assert set(state.reservations) == {(app.id, "v1", "v2"), (app.id, "v2", "v3")}
         assert state.validate() == []
 
+    @settings(max_examples=200, deadline=None)
+    @given(leveled_fabrics, st.data())
+    def test_matches_the_per_edge_reference(self, fabric, data):
+        # frees and sizes within _EPS of each other make exact fits common, as
+        # in TestReserveEdge; VMs may share a host or sit on none, and some
+        # edges hold a reservation already
+        t = as_topology(fabric)
+        vm_ids = ["v0", "v1", "v2", "v3"]
+        where = {v: data.draw(st.sampled_from([None, *sorted(t.hosts)])) for v in vm_ids}
+        traffic = data.draw(st.dictionaries(
+            st.sampled_from(list(itertools.combinations(vm_ids, 2))),
+            st.sampled_from([0.0, 0.25, 0.5, 0.5 + 1e-10]), min_size=2))
+        held = data.draw(st.sets(st.sampled_from(sorted(traffic))))
+        frees = {lid: data.draw(st.sampled_from([0.0, 0.25, 0.5 - 1e-10, 0.5, 1.0]))
+                 for lid in sorted(t.links)}
+        app = Application(id="app", vms=tuple(VM(v, UNIT) for v in vm_ids), traffic=traffic)
+        only = data.draw(st.sampled_from([None, *vm_ids]))  # all edges, or one VM's
+        edges = None if only is None else app.vm_edges(only)
+
+        def run(reserve):
+            state = PlacementState(t)
+            state.link_free.update(frees)
+            state.assignments.update(
+                {("app", v): h for v, h in where.items() if h is not None})
+            state.reservations.update({("app", x, y): ((), traffic[(x, y)]) for x, y in held})
+            before = state.snapshot()
+            with state.transaction():
+                try:
+                    reserve(state, app, edges)
+                    error = None
+                except CapacityError as exc:
+                    error = (exc.entity, exc.entity_id, exc.dimension, str(exc))
+                after = (dict(state.reservations), dict(state.link_free))
+            # left uncommitted, the transaction puts back every value it replaced
+            assert state.snapshot() == before
+            return error, after
+
+        assert run(reserve_traffic) == run(reference_reserve_traffic)
+
     def test_shortfall_rolls_back_the_vm(self):
         # the second case reserves (v1, v2) before (v2, v3) falls short; an
         # inverse-arithmetic undo would leave h0-t0 at 0.8499999999999999
@@ -366,12 +406,12 @@ def _unified_rescanning_gains(state, app, config, reaches):
             if host is None:
                 last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
                 break
+            mark = len(state._journal)
             try:
-                with state.transaction() as commit_vm:
-                    state.assign_vm(app.id, app.vm(vm_id), host)
-                    reserve_traffic(state, app, app.vm_edges(vm_id))
-                    commit_vm()
+                state.assign_vm(app.id, app.vm(vm_id), host)
+                reserve_traffic(state, app, app.vm_edges(vm_id))
             except CapacityError as exc:
+                state._rollback(mark)
                 last_failure = str(exc)
                 break
             placed_hosts.add(host)
@@ -586,6 +626,7 @@ class _Abort(Exception):
 # one ledger write: (kind, i, j); kind picks the table, i and j the key and value
 _WRITE = st.tuples(st.sampled_from(["host", "link", "assignment", "reserve"]),
                    st.integers(0, 3), st.integers(0, 3))
+_RESERVER = Application(id="app", vms=(), traffic={})  # reserve_traffic reads only its id
 
 
 def _nest(depth):
@@ -601,33 +642,40 @@ def _nest(depth):
 def _apply_write(state, kind, i, j):
     hosts, links = sorted(state.host_free), sorted(state.link_free)
     if kind == "host":
-        state._write(state.host_free, hosts[i], ResourceVector(j / 4, j / 4, j / 4))
+        journaled_write(state, state.host_free, hosts[i], ResourceVector(j / 4, j / 4, j / 4))
     elif kind == "link":
-        state._write(state.link_free, links[i], j / 4)
+        journaled_write(state, state.link_free, links[i], j / 4)
     elif kind == "assignment":
-        state._write(state.assignments, ("app", f"v{i}"), hosts[j])
+        journaled_write(state, state.assignments, ("app", f"v{i}"), hosts[j])
     elif i != j:
+        # VM r<k> always sits on hosts[k], so these writes never move a VM
+        journaled_write(state, state.assignments, ("app", f"r{i}"), hosts[i])
+        journaled_write(state, state.assignments, ("app", f"r{j}"), hosts[j])
         try:
-            state._reserve(("app", f"v{i}", f"v{j}"), hosts[i], hosts[j], 0.25)
+            reserve_traffic(state, _RESERVER, [((f"r{i}", f"r{j}"), 0.25)])
         except CapacityError:
             pass  # refused before it wrote anything
 
 
 def _run_nest(state, items):
+    """Run the items inside an open transaction. A block is the work between
+    a journal mark and, unless it commits, a rollback to that mark, as in
+    UNIFIED's per-VM steps and NETW's units."""
     for item in items:
         if item[0] != "block":
             _apply_write(state, *item)
             continue
         _, outcome, inner = item
+        mark = len(state._journal)
         try:
-            with state.transaction() as commit:
-                _run_nest(state, inner)
-                if outcome == "commit":
-                    commit()
-                elif outcome == "raise":
-                    raise _Abort
+            _run_nest(state, inner)
+            if outcome == "raise":
+                raise _Abort
         except _Abort:
-            pass
+            state._rollback(mark)
+        else:
+            if outcome == "leave":
+                state._rollback(mark)
 
 
 def _committed_writes(items):
@@ -646,7 +694,9 @@ class TestTransaction:
         # a write runs on the same tables in both runs: every earlier write
         # still in place when it runs is itself one whose blocks all commit
         state, _ = tree_state()
-        _run_nest(state, items)
+        with state.transaction() as commit:
+            _run_nest(state, items)
+            commit()
         assert state._journal is None
         replay, _ = tree_state()
         for write in _committed_writes(items):
@@ -654,20 +704,34 @@ class TestTransaction:
         assert state.snapshot() == replay.snapshot()
 
     def test_committed_inner_block_rolls_back_with_the_outer_one(self):
+        # the step kept past its mark is undone with the uncommitted block
         state, _ = tree_state()
         app = tree_app({"v1": (0.3, 0.1, 0.0), "v2": (0.6, 0.1, 0.0)}, {})
         fresh = state.snapshot()
         with state.transaction():
             state.register_app(app)
-            with state.transaction() as commit:
-                state.assign_vm(app.id, app.vm("v1"), "h0")
-                commit()
+            state.assign_vm(app.id, app.vm("v1"), "h0")
+            mark = len(state._journal)
             with pytest.raises(CapacityError):
-                with state.transaction():
-                    state.assign_vm(app.id, app.vm("v2"), "h1")
-                    state.assign_vm(app.id, app.vm("v2"), "h1")
+                state.assign_vm(app.id, app.vm("v2"), "h1")
+                state.assign_vm(app.id, app.vm("v2"), "h1")
+            state._rollback(mark)
             assert set(state.assignments) == {(app.id, "v1")}
             assert state.host_free["h1"] == state.topology.hosts["h1"].free
+        assert state.snapshot() == fresh
+
+    def test_a_nested_block_is_refused(self):
+        # the refusal leaves the open block as it was: it still rolls back
+        state, _ = tree_state()
+        app = tree_app({"v1": (0.3, 0.1, 0.0)}, {})
+        fresh = state.snapshot()
+        with state.transaction():
+            state.register_app(app)
+            with pytest.raises(RuntimeError, match="open transaction"):
+                with state.transaction():
+                    pass
+            state.assign_vm(app.id, app.vm("v1"), "h0")
+        assert state._journal is None
         assert state.snapshot() == fresh
 
     def test_restore_inside_a_transaction_is_refused(self):
@@ -892,15 +956,15 @@ def _netw_rebuilding_units(state, app, config, reaches):
                 remaining -= take
         if remaining or not placement._hose_ok(t, state, counts, n_total, bw):
             continue
+        mark = len(state._journal)
         try:
-            with state.transaction() as commit:
-                vm_iter = iter(sorted(app.vms, key=lambda v: v.id))
-                for host_id in unit_hosts:
-                    for _ in range(counts.get(host_id, 0)):
-                        state.assign_vm(app.id, next(vm_iter), host_id)
-                reserve_traffic(state, app)
-                commit()
+            vm_iter = iter(sorted(app.vms, key=lambda v: v.id))
+            for host_id in unit_hosts:
+                for _ in range(counts.get(host_id, 0)):
+                    state.assign_vm(app.id, next(vm_iter), host_id)
+            reserve_traffic(state, app)
         except CapacityError as exc:
+            state._rollback(mark)
             last_failure = str(exc)
             continue
         return None
