@@ -84,7 +84,7 @@ def rate(run: dict) -> str:
 def run_pairs(roots: dict, workload: str, seed: int, seconds: float, trace: int,
               count: int) -> list[dict]:
     """`count` pairs of perfbench runs, one per side; the side that runs first
-    alternates from pair to pair, the parent's first."""
+    alternates from pair to pair, starting with the parent."""
     pairs = []
     for i in range(1, count + 1):
         order = SIDES if i % 2 else SIDES[::-1]
@@ -98,6 +98,7 @@ def run_pairs(roots: dict, workload: str, seed: int, seconds: float, trace: int,
 
 
 def group_pairs(pairs: list[dict]) -> dict[str, list[dict]]:
+    """The pairs by "<workload> seed <seed>", in order of first appearance."""
     groups: dict[str, list[dict]] = {}
     for p in pairs:
         groups.setdefault(f"{p['workload']} seed {p['seed']}", []).append(p)

@@ -619,10 +619,6 @@ class TestNetw:
         assert state.snapshot() == before
 
 
-class _Abort(Exception):
-    pass
-
-
 # one ledger write: (kind, i, j); kind picks the table, i and j the key and value
 _WRITE = st.tuples(st.sampled_from(["host", "link", "assignment", "reserve"]),
                    st.integers(0, 3), st.integers(0, 3))
@@ -634,7 +630,7 @@ def _nest(depth):
     nested up to three deep."""
     if depth == 3:
         return st.lists(_WRITE, max_size=4)
-    block = st.tuples(st.just("block"), st.sampled_from(["commit", "raise", "leave"]),
+    block = st.tuples(st.just("block"), st.sampled_from(["commit", "roll back"]),
                       st.deferred(lambda: _nest(depth + 1)))
     return st.lists(st.one_of(_WRITE, block), max_size=4)
 
@@ -667,15 +663,9 @@ def _run_nest(state, items):
             continue
         _, outcome, inner = item
         mark = len(state._journal)
-        try:
-            _run_nest(state, inner)
-            if outcome == "raise":
-                raise _Abort
-        except _Abort:
+        _run_nest(state, inner)
+        if outcome != "commit":
             state._rollback(mark)
-        else:
-            if outcome == "leave":
-                state._rollback(mark)
 
 
 def _committed_writes(items):
