@@ -238,7 +238,13 @@ def _paths_bandwidth(paths, link_free: dict, ref_link: float) -> float:
     """Summed bottleneck free capacity of the paths, normalized by ref_link."""
     total = 0.0
     for path in paths:
-        total += max(0.0, min(map(link_free.__getitem__, path)))
+        low = math.inf
+        for lid in path:
+            free = link_free[lid]
+            if free < low:
+                low = free
+        if low > 0.0:  # adds max(0.0, low): total starts at +0.0
+            total += low
     return total / ref_link
 
 
@@ -257,9 +263,12 @@ def _consume_paths(paths, link_free: dict, remaining: float) -> None:
     for path in paths:
         if remaining <= _EPS:
             break
-        bottleneck = max(0.0, min(link_free[lid] for lid in path))
-        take = min(remaining, bottleneck)
-        if take <= _EPS:
+        take = remaining  # min(remaining, max(0.0, the path's smallest free))
+        for lid in path:
+            free = link_free[lid]
+            if free < take:
+                take = free
+        if take <= _EPS:  # also a path with no free left: take <= 0.0
             continue
         for lid in path:
             link_free[lid] -= take
@@ -323,7 +332,8 @@ def _walk_between(state, residuals: list, fit, unit: float):
     total = 0
     while heap:
         dist, key, rank, i, j, paths = heap[0]
-        if res[i] <= _EPS or res[j] <= _EPS:
+        res_i, res_j = res[i], res[j]
+        if res_i <= _EPS or res_j <= _EPS:
             heapq.heappop(heap)
             continue
         bw = _paths_bandwidth(paths, link_free, ref_link)
@@ -331,11 +341,14 @@ def _walk_between(state, residuals: list, fit, unit: float):
             heapq.heapreplace(heap, (dist, -bw, rank, i, j, paths))
             continue
         heapq.heappop(heap)
-        step = min(res[i], res[j], fit(bw))
+        step = res_i if res_i <= res_j else res_j  # min(res_i, res_j, fit(bw))
+        fit_bw = fit(bw)
+        if fit_bw < step:
+            step = fit_bw
         if step > _EPS:
             total += step
-            res[i] -= step
-            res[j] -= step
+            res[i] = res_i - step
+            res[j] = res_j - step
             _consume_paths(paths, link_free, step * unit * ref_link)
     return total
 

@@ -285,7 +285,15 @@ def bal_pack(state: PlacementState, vm: VM, reach: Reach) -> str | None:
         u_cpu = (c_cpu - f_cpu + n_cpu) / c_cpu
         u_mem = (c_mem - f_mem + n_mem) / c_mem
         u_nic = (c_nic - f_nic + n_nic) / c_nic
-        score = max(u_cpu, u_mem, u_nic) - min(u_cpu, u_mem, u_nic)
+        if u_cpu <= u_mem:
+            lo, hi = u_cpu, u_mem
+        else:
+            lo, hi = u_mem, u_cpu
+        if u_nic < lo:
+            lo = u_nic
+        elif u_nic > hi:
+            hi = u_nic
+        score = hi - lo
         if best is None or score < best_score or (score == best_score and host_id < best):
             best, best_score = host_id, score
     return best
@@ -338,9 +346,20 @@ def _reach_gain(app: Application, vm_id: str, in_reach: set, unplaced: set) -> f
     for peer, bw in app.peers(vm_id).items():
         if peer in in_reach:
             got += bw
-        if peer in unplaced:
+        elif peer in unplaced:  # a VM leaves unplaced before it joins in_reach
             lost += bw
     return got - lost
+
+
+def _pick(unplaced: set, gain: dict, sign: int) -> str:
+    """min(unplaced, key=lambda v: (sign * gain[v], v)) in one pass: ties go to
+    the smallest id, whatever order the set iterates in."""
+    best = best_g = None
+    for v in unplaced:
+        g = sign * gain[v]
+        if best is None or g < best_g or (g == best_g and v < best):
+            best, best_g = v, g
+    return best
 
 
 def _place_unified(state: PlacementState, app: Application, config: SchemeConfig,
@@ -377,7 +396,7 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
         in_reach: set[str] = set()  # an untried reach holds none of the app's VMs
         # with in_reach empty a gain is minus the traffic to the unplaced
         gain = {v: _reach_gain(app, v, in_reach, unplaced) for v in unplaced}
-        vm_id = min(unplaced, key=lambda v: (gain[v], v))
+        vm_id = _pick(unplaced, gain, 1)
         while True:
             host = bal_pack(state, app.vm(vm_id), reach)
             if host is None:
@@ -402,7 +421,7 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
             for peer in app.peers(vm_id):
                 if peer in unplaced:
                     gain[peer] = _reach_gain(app, peer, in_reach, unplaced)
-            vm_id = min(unplaced, key=lambda v: (-gain[v], v))
+            vm_id = _pick(unplaced, gain, -1)
     return last_failure
 
 
@@ -421,7 +440,9 @@ def _place_local(state: PlacementState, app: Application, config: SchemeConfig,
 
     def size(v: VM) -> float:
         need = v.demand
-        return max(need.cpu / r_cpu, need.mem / r_mem, need.nic / r_nic)
+        s, m, n = need.cpu / r_cpu, need.mem / r_mem, need.nic / r_nic
+        s = m if m > s else s  # max(s, m, n), keeping the first of tied values
+        return n if n > s else s
 
     hosts, host_free = state.topology.host_ids, state.host_free
     for vm in sorted(app.vms, key=lambda v: (-size(v), v.id)):
@@ -497,20 +518,22 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
 
     last_failure = f"no subtree offers {n_total} slots for app {app.id}"
     for unit_hosts in t.subtrees:
-        if len(unit_hosts) == 1:  # max(0, free) < n_total iff free < n_total >= 1
-            if slots - host_vms[unit_hosts[0]] < n_total:
-                continue
-        elif sum(max(0, slots - host_vms[h]) for h in unit_hosts) < n_total:
+        free = 0
+        for h in unit_hosts:
+            f = slots - host_vms[h]
+            if f > 0:  # an overfull host offers 0, not less
+                free += f
+        if free < n_total:
             continue
         counts: dict[str, int] = {}
         remaining = n_total
         for h in unit_hosts:
             if remaining == 0:
                 break
-            want = min(max(0, slots - host_vms[h]), remaining)
+            want = slots - host_vms[h]  # the range is empty when want <= 0
             take = 0
-            for m in range(want, 0, -1):
-                need = min(m, n_total - m) * bw
+            for m in range(want if want < remaining else remaining, 0, -1):
+                need = (m if m <= n_total - m else n_total - m) * bw
                 if need <= link_free[ports[h][0]] + _EPS:
                     take = m
                     break

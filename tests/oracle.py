@@ -1,6 +1,7 @@
 """Test references: each node's links read from the link table, every
 shortest path between two hosts, the link-disjoint shortest paths between two
-reaches by repeated blocked BFS, edge reservation one step at a time, and a
+reaches by repeated blocked BFS, the reach-path bandwidth and consumption in
+builtin min/max form, edge reservation one step at a time, and a
 brute-force oracle of the placeable requests on desk-size instances. None is
 part of the runtime; tests import them from here."""
 
@@ -95,6 +96,30 @@ def _switch_set_path(t, srcs, dsts, blocked):
         node, lid = parent[node]
         path.append(lid)
     return tuple(reversed(path))
+
+
+def reference_paths_bandwidth(paths, link_free, ref_link):
+    """metrics._paths_bandwidth in builtin form: each path's smallest free,
+    floored at 0.0, summed in path order, over ref_link."""
+    total = 0.0
+    for path in paths:
+        total += max(0.0, min(link_free[lid] for lid in path))
+    return total / ref_link
+
+
+def reference_consume_paths(paths, link_free, remaining):
+    """metrics._consume_paths in builtin form: each path in turn takes
+    min(remaining, its floored bottleneck) off every one of its links, until
+    no more than _EPS remains; a take of at most _EPS is skipped."""
+    for path in paths:
+        if remaining <= _EPS:
+            break
+        take = min(remaining, max(0.0, min(link_free[lid] for lid in path)))
+        if take <= _EPS:
+            continue
+        for lid in path:
+            link_free[lid] -= take
+        remaining -= take
 
 
 def journaled_write(state, table, key, value):

@@ -16,8 +16,8 @@ from dcfrag.topology import (Host, Link, ResourceVector, Switch, Topology,
                              build_clos, build_tree)
 from dcfrag.workload import VM, Application
 
-from oracle import (_ORACLE_CAP, brute_force_placeable, reference_neighbors,
-                    reference_shortest_paths)
+from oracle import (_ORACLE_CAP, brute_force_placeable, reference_consume_paths,
+                    reference_neighbors, reference_paths_bandwidth, reference_shortest_paths)
 from test_topology import mini_topology
 
 
@@ -292,6 +292,7 @@ def _replay_walk(t, reaches, residuals, link_free, fit, unit):
     remaining pairs at every step by (reach distance, -path bandwidth, ids),
     take min(both residuals, fit(bandwidth)) from the first and consume
     `unit` per taken unit along its paths. `residuals` is in t.reaches order.
+    Bandwidths are read and consumed by the builtin-form references.
     """
     link_free = dict(link_free)
     res = {r.id: x for r, x in zip(t.reaches, residuals)}
@@ -299,24 +300,28 @@ def _replay_walk(t, reaches, residuals, link_free, fit, unit):
     pairs = [(ri, rj) for i, ri in enumerate(reaches) for rj in reaches[i + 1:]]
     # a pair's distance is a fact of the fabric, so it is found once
     distance = {p: _bfs_reach_distance(t, *p) for p in pairs}
+
+    def bandwidth(ri, rj):
+        return reference_paths_bandwidth(t.reach_paths(ri, rj), link_free, t.reference.link)
+
     total = 0
     while pairs:
-        ri, rj = min(pairs, key=lambda p: (distance[p],
-                                           -M.path_bandwidth(t, p[0], p[1], link_free),
-                                           p[0].id, p[1].id))
+        ri, rj = min(pairs, key=lambda p: (distance[p], -bandwidth(*p), p[0].id, p[1].id))
         pairs.remove((ri, rj))
-        step = min(res[ri.id], res[rj.id], fit(M.path_bandwidth(t, ri, rj, link_free)))
+        step = min(res[ri.id], res[rj.id], fit(bandwidth(ri, rj)))
         if step > 1e-9:
             total += step
             res[ri.id] -= step
             res[rj.id] -= step
-            M._consume_paths(t.reach_paths(ri, rj), link_free, step * unit * t.reference.link)
+            reference_consume_paths(t.reach_paths(ri, rj), link_free,
+                                    step * unit * t.reference.link)
     return total
 
 
 def _unread_walk(state, residuals, fit, unit):
     """Reference walk with no pair-order slot: every live pair enters the
-    heap unread (key -inf) and is read from the state's links on top."""
+    heap unread (key -inf) and is read from the state's links on top, by the
+    builtin-form references."""
     t = state.topology
     res = list(residuals)
     live = [r > 1e-9 for r in res]
@@ -331,7 +336,7 @@ def _unread_walk(state, residuals, fit, unit):
         if res[i] <= 1e-9 or res[j] <= 1e-9:
             heapq.heappop(heap)
             continue
-        bw = M._paths_bandwidth(paths, link_free, t.reference.link)
+        bw = reference_paths_bandwidth(paths, link_free, t.reference.link)
         if -bw != key:
             heapq.heapreplace(heap, (dist, -bw, rank, i, j, paths))
             continue
@@ -341,8 +346,8 @@ def _unread_walk(state, residuals, fit, unit):
             total += step
             res[i] -= step
             res[j] -= step
-            M._consume_paths(t.reach_paths(t.reaches[i], t.reaches[j]), link_free,
-                             step * unit * t.reference.link)
+            reference_consume_paths(t.reach_paths(t.reaches[i], t.reaches[j]), link_free,
+                                    step * unit * t.reference.link)
     return total
 
 
@@ -451,7 +456,7 @@ class TestPairWalk:
 def _fresh_pair_order(state):
     """The rows _pair_order must hold, sorted from the state's links."""
     t = state.topology
-    return sorted((d, -M._paths_bandwidth(paths, state.link_free, t.reference.link),
+    return sorted((d, -reference_paths_bandwidth(paths, state.link_free, t.reference.link),
                    rank, i, j, paths) for d, rank, i, j, paths in t.reach_pairs)
 
 
@@ -568,6 +573,25 @@ class TestPathBandwidth:
         got = M.path_bandwidth(t, r0, r1, PlacementState(t).link_free)
         assert got == pytest.approx(0.7)
         assert got == pytest.approx(_max_flow(t, set(r0.switches), set(r1.switches)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bandwidth_and_consumption_equal_the_builtin_forms(self, data):
+        # frees just below, at and around zero, and tied, so that the floor at
+        # 0.0, the first of tied minima and the _EPS skip all decide somewhere
+        value = st.sampled_from([-1e-12, -0.0, 0.0, 1e-12, 1e-10, 0.25, 0.5, 1.0])
+        link_free = {f"l{k}": data.draw(value) for k in range(5)}
+        link = st.sampled_from(sorted(link_free))
+        paths = data.draw(st.lists(st.lists(link, min_size=1, max_size=4, unique=True),
+                                   min_size=1, max_size=3))
+        ref_link = data.draw(st.sampled_from([1.0, 3.0, 10.0]))
+        want = reference_paths_bandwidth(paths, link_free, ref_link)
+        assert repr(M._paths_bandwidth(paths, link_free, ref_link)) == repr(want)
+        remaining = data.draw(st.sampled_from(sorted(set(link_free.values()) | {0.3, 2.0})))
+        got, want = dict(link_free), dict(link_free)
+        M._consume_paths(paths, got, remaining)
+        reference_consume_paths(paths, want, remaining)
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
 
 
 def _max_flow(t, sources, sinks):

@@ -470,6 +470,22 @@ class TestUnifiedNextVm:
             assert spills > 0 and not all(outcomes)
 
 
+class TestPick:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.sampled_from([f"v{i}" for i in range(12)]),
+                           st.sampled_from([0, 0.0, -0.0, 1.5, -1.5, 2.25, -2.25]),
+                           min_size=1, max_size=5))
+    def test_equals_min_with_a_key_in_every_insertion_order(self, gain):
+        # few gain values, so most draws tie, 0.0 against -0.0 among them;
+        # "v10" < "v2", so a tie goes by string order
+        first = min(gain, key=lambda v: (gain[v], v))
+        largest = min(gain, key=lambda v: (-gain[v], v))
+        for order in itertools.permutations(gain):
+            unplaced = set(order)  # built by inserting the ids in this order
+            assert placement._pick(unplaced, gain, 1) == first, order
+            assert placement._pick(unplaced, gain, -1) == largest, order
+
+
 class TestBestSiblingReach:
     def test_remaining_sibling_returned_and_exhaustion_none(self):
         state, reaches = tree_state(num_tors=2)
@@ -546,6 +562,47 @@ class TestLocal:
         out = place_application(state, app, LOCAL)
         assert not out.ok and "no host fits" in out.failure
         assert state.snapshot() == before
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*(st.sampled_from([0.0, 0.25, 0.5, 0.75]) for _ in range(3))),
+                    min_size=1, max_size=12))
+    def test_matches_a_first_fit_reference(self, shares):
+        # a reference host of (2, 4, 1): each dimension's demand is a share of
+        # it, so normalized sizes tie across dimensions and between VMs
+        ref = ResourceVector(2.0, 4.0, 1.0)
+        state = PlacementState(build_tree(2, 2, ref, 1.0, oversub_ratio=2.0))
+        demands = {f"v{i}": (c * ref.cpu, m * ref.mem, n * ref.nic)
+                   for i, (c, m, n) in enumerate(shares)}
+        app = tree_app(demands, {})
+        want = _local_first_fit(state, app)
+        out = place_application(state, app, LOCAL)
+        if isinstance(want, str):
+            assert not out.ok and out.failure == want
+            assert not state.assignments
+        else:
+            assert out.ok and placed(state) == want
+
+
+def _local_first_fit(state, app):
+    """Reference LOCAL without traffic: VMs by (-max(cpu/ref.cpu, mem/ref.mem,
+    nic/ref.nic), id), each on the first host in id order it fits; the VM ->
+    host map, or LOCAL's failure message."""
+    t = state.topology
+    ref = t.reference.host
+    free = dict(state.host_free)
+    got = {}
+    order = sorted(app.vms, key=lambda v: (-max(v.demand.cpu / ref.cpu, v.demand.mem / ref.mem,
+                                                v.demand.nic / ref.nic), v.id))
+    for vm in order:
+        h = next((h for h in sorted(t.hosts) if all(
+            getattr(vm.demand, d) <= getattr(free[h], d) + 1e-9 for d in ("cpu", "mem", "nic"))),
+            None)
+        if h is None:
+            return f"no host fits VM {vm.id}"
+        free[h] = free[h] - vm.demand
+        got[vm.id] = h
+    return got
 
 
 class TestNetw:
