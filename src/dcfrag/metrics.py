@@ -20,11 +20,11 @@ in that order, and the between phases take those lists.
 A placement changes a few hosts and links, so state.reach_memo keeps what
 the RRF would otherwise recompute from unchanged values. The inside-reach
 pairings have one slot per (reach, request), holding the reach's uplink
-frees (and, for a count under a request, its host free vectors) next to the
-pairing computed from them. The between walks share one slot holding the
-reach pairs sorted by their bandwidths, next to the frees of the links on
-reach paths they were read from. A call recomputes a slot only when those values no longer compare
-equal. The getters that read those values are built once per state and kept
+frees (and, for a count under a request, its host free vectors and per-host
+counts) next to the pairing computed from them. The between walks share one
+slot holding the reach pairs sorted by their bandwidths, next to the frees
+of the links on reach paths they were read from. A call recomputes a slot
+only when those values no longer compare equal. The getters that read those values are built once per state and kept
 in the memo beside the slots. Keyed by value, the memo needs no
 invalidation: it holds under rollbacks, restores and direct writes to the
 tables.
@@ -184,6 +184,23 @@ def _pair_reduce(values: list):
     return acc, (vals[0] if vals else 0)
 
 
+def _moved_counts(state, hosts: tuple, req: MultiRequest, key: tuple, slot) -> list[int]:
+    """_host_counts(state, hosts, req), reading from the reach's old count
+    slot every host whose free vector and uplink free compare equal to the
+    slot key's: only the hosts that moved are recounted."""
+    if slot is None or len(hosts) == 1:  # a one-host reach's getters return scalars
+        return _host_counts(state, hosts, req)
+    (frees, ups), ((old_frees, old_ups), counts, _) = key, slot
+    moved = []
+    for k, f in enumerate(frees):
+        if ups[k] != old_ups[k] or (f is not old_frees[k] and f != old_frees[k]):
+            moved.append(k)
+    counts = list(counts)
+    for k, n in zip(moved, _host_counts(state, [hosts[k] for k in moved], req)):
+        counts[k] = n
+    return counts
+
+
 def _reach_pairings(state, req: MultiRequest | None):
     """_pair_reduce over each reach of topology.reaches, on its hosts' NIC
     frees (req None) or their counts under req (_host_counts). Returns the
@@ -193,7 +210,11 @@ def _reach_pairings(state, req: MultiRequest | None):
     the values it was computed from are unchanged. The slot key is read by
     the reach's getters in the memo's _REACH_KEYS entry, both in reach.hosts
     order: the NIC pairing reads only uplinks, so its key is their frees in
-    link_free; a count slot's key adds the hosts' entries in host_free.
+    link_free, and its values are those frees over reference.link, as
+    nic_free reads them; a count slot's key adds the hosts' entries in
+    host_free, and the slot keeps its per-host counts, so a changed key
+    recounts only the hosts that moved (_moved_counts). A slot is a
+    (key, per-host counts or None, pairing) triple.
     """
     t = state.topology
     host_free, link_free, memo = state.host_free, state.link_free, state.reach_memo
@@ -207,6 +228,7 @@ def _reach_pairings(state, req: MultiRequest | None):
     if slots is None:
         slots = memo[req] = [None] * len(t.reaches)
     nic = req is None
+    ref_link = t.reference.link
     total = 0.0 if nic else 0
     residuals = []
     for i, (reach, (hosts_of, uplinks_of)) in enumerate(zip(t.reaches, keys)):
@@ -214,11 +236,12 @@ def _reach_pairings(state, req: MultiRequest | None):
         slot = slots[i]
         if slot is None or slot[0] != key:
             if nic:
-                values = [nic_free(state, h) for h in reach.hosts]
+                counts = None
+                values = [f / ref_link for f in (key if len(reach.hosts) > 1 else (key,))]
             else:
-                values = _host_counts(state, reach.hosts, req)
-            slot = slots[i] = (key, _pair_reduce(values))
-        got, res = slot[1]
+                counts = values = _moved_counts(state, reach.hosts, req, key, slot)
+            slot = slots[i] = (key, counts, _pair_reduce(values))
+        got, res = slot[2]
         total += got
         residuals.append(res)
     return total, residuals
@@ -312,35 +335,44 @@ def _walk_between(state, residuals: list, fit, unit: float):
     Only live pairs are walked: both reaches hold a residual above _EPS.
     Residuals never rise, so a pair with a dead reach could never step; with
     fewer than two live reaches the walk returns 0 without reading the pair
-    table. The heap starts as the live rows of _pair_order, keyed
-    (distance, -bandwidth, rank) with the bandwidths at walk start: a
-    filtered sorted list is already a min-heap, and the rank orders pairs as
-    their ids do. The top pair is re-read, re-keyed if its bandwidth fell,
-    else taken. Steps only consume links, so no key is above its pair's
-    current key, and a current top key beats every pair's (ranks make keys
-    unique): this is the pair a full rescan would take. A pair whose reach
-    ran dry on the way is dropped unread.
+    table. The walk keeps the live rows of _pair_order, keyed
+    (distance, -bandwidth, rank) with the bandwidths at walk start, as a
+    sorted run read with an index, and a heap of the rows it re-keyed; the
+    rank orders pairs as their ids do. The next row is the smaller of the
+    run's row at the index and the heap's top: the rest of the run is
+    sorted, so this is the smallest row left. It is re-read, re-keyed into
+    the heap if its bandwidth fell, else taken. Steps only consume links, so
+    no key is above its pair's current key, and a current smallest key beats
+    every pair's (ranks make keys unique): this is the pair a full rescan
+    would take. A pair whose reach ran dry on the way is dropped unread, at
+    the cost of one index step when it is still in the run.
     """
     t = state.topology
     res = list(residuals)
     live = [r > _EPS for r in res]
     if live.count(True) < 2:
         return 0
-    heap = [row for row in _pair_order(state) if live[row[3]] and live[row[4]]]
+    run = [row for row in _pair_order(state) if live[row[3]] and live[row[4]]]
+    heap = []  # the re-keyed rows
     link_free = dict(state.link_free)
     ref_link = t.reference.link
     total = 0
-    while heap:
-        dist, key, rank, i, j, paths = heap[0]
+    k, n = 0, len(run)
+    while True:
+        if k < n and (not heap or run[k] < heap[0]):
+            dist, key, rank, i, j, paths = run[k]
+            k += 1
+        elif heap:
+            dist, key, rank, i, j, paths = heapq.heappop(heap)
+        else:
+            return total
         res_i, res_j = res[i], res[j]
         if res_i <= _EPS or res_j <= _EPS:
-            heapq.heappop(heap)
             continue
         bw = _paths_bandwidth(paths, link_free, ref_link)
         if -bw != key:
-            heapq.heapreplace(heap, (dist, -bw, rank, i, j, paths))
+            heapq.heappush(heap, (dist, -bw, rank, i, j, paths))
             continue
-        heapq.heappop(heap)
         step = res_i if res_i <= res_j else res_j  # min(res_i, res_j, fit(bw))
         fit_bw = fit(bw)
         if fit_bw < step:
@@ -350,7 +382,6 @@ def _walk_between(state, residuals: list, fit, unit: float):
             res[i] = res_i - step
             res[j] = res_j - step
             _consume_paths(paths, link_free, step * unit * ref_link)
-    return total
 
 
 def capacity_between_reaches(state, res_bw: list) -> float:

@@ -434,6 +434,11 @@ def _place_local(state: PlacementState, app: Application, config: SchemeConfig,
 
     VMs place onto hosts in id order subject to a full resource fit; traffic
     is reserved afterward, failing the whole app on any link shortfall.
+
+    Only hosts that cover the app's smallest need in every dimension, by
+    assign_vm's rule, are scanned: every VM needs at least that much, and
+    the attempt only lowers frees, so a dropped host would fit no VM of it.
+    The kept hosts stay in id order, so each VM gets the same first host.
     """
     ref = state.topology.reference.host
     r_cpu, r_mem, r_nic = ref.cpu, ref.mem, ref.nic
@@ -444,7 +449,21 @@ def _place_local(state: PlacementState, app: Application, config: SchemeConfig,
         s = m if m > s else s  # max(s, m, n), keeping the first of tied values
         return n if n > s else s
 
-    hosts, host_free = state.topology.host_ids, state.host_free
+    need = app.vms[0].demand
+    lo_cpu, lo_mem, lo_nic = need.cpu, need.mem, need.nic  # the smallest need per dimension
+    for vm in app.vms:
+        need = vm.demand
+        if need.cpu < lo_cpu:
+            lo_cpu = need.cpu
+        if need.mem < lo_mem:
+            lo_mem = need.mem
+        if need.nic < lo_nic:
+            lo_nic = need.nic
+    host_free, hosts = state.host_free, []
+    for h in state.topology.host_ids:
+        free = host_free[h]
+        if lo_cpu <= free.cpu + _EPS and lo_mem <= free.mem + _EPS and lo_nic <= free.nic + _EPS:
+            hosts.append(h)
     for vm in sorted(app.vms, key=lambda v: (-size(v), v.id)):
         need = vm.demand
         n_cpu, n_mem, n_nic = need.cpu, need.mem, need.nic

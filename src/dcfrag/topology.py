@@ -195,7 +195,8 @@ class Topology:
             if abs(la - lb) != 1:
                 raise TopologyError(f"link {l.id} joins non-adjacent levels {la} and {lb}")
         # lazy caches; safe because the graph never changes after construction
-        self._dags: dict[tuple[str, str], tuple[tuple[tuple[int, str], ...], ...]] = {}
+        self._dags: dict[tuple[str, str],
+                         tuple[tuple[tuple[int, tuple[str, ...]], ...], ...]] = {}
         self._reach_paths: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
         self._source_depths: dict[tuple[str, ...], dict[str, int]] = {}
         # hosts are leaves on level-0 switches: a host is reached with its TOR
@@ -286,37 +287,37 @@ class Topology:
         dag = self._dags.get((tor_src, tor_dst))
         if dag is None:
             dag = self._compiled_dag(tor_src, tor_dst)  # () when the two are one TOR
-        widths = [width]  # by node index; tor_src is 0
-        via = [None]
+        widths = [width]  # by kept node index; tor_src is 0
+        paths = [()]  # the links from tor_src to each kept node
         held = width  # the bottleneck so far, all of it when dag is empty
         for preds in dag:
             held = None
-            for parent, lid in preds:
+            for parent, links in preds:
                 w = widths[parent]
-                f = link_free[lid]
-                if f < w:
-                    w = f
+                for lid in links:
+                    f = link_free[lid]
+                    if f < w:
+                        w = f
                 if held is None or w > held:
-                    held = w
-                    step = (parent, lid)
+                    held, via, chain = w, parent, links
             widths.append(held)
-            via.append(step)
-        path = [up_dst]
-        node = len(dag)
-        while node:
-            node, lid = via[node]
-            path.append(lid)
-        path.append(up_src)
-        path.reverse()
-        return tuple(path), (last if last < held else held)
+            paths.append(paths[via] + chain)
+        return (up_src, *paths[-1], up_dst), (last if last < held else held)
 
-    def _compiled_dag(self, tor_a: str, tor_b: str) -> tuple[tuple[tuple[int, str], ...], ...]:
+    def _compiled_dag(self, tor_a: str, tor_b: str
+                      ) -> tuple[tuple[tuple[int, tuple[str, ...]], ...], ...]:
         """The shortest tor_a -> tor_b paths as a DAG in index form, cached.
 
         Nodes are numbered in BFS layer order, ids ascending within a layer:
-        tor_a is 0 and tor_b the last. Entry k - 1 lists node k's
-        (parent index, link id) pairs in adjacency order: parents by id, then
-        links by id. Empty when the two are one TOR.
+        tor_a is 0 and tor_b the last. A node's (parent, link) pairs are in
+        adjacency order: parents by id, then links by id. A node with one
+        pair, other than tor_b, is folded into its successors: a successor's
+        pair from it becomes the folded node's own pair with the successor's
+        link appended. So every pair is (kept parent index, link tuple), and
+        a folded node that feeds two successors has its chain copied into
+        both. Entry k - 1 lists kept node k's pairs in the order of the
+        unfolded pairs. Empty when the two are one TOR. On build_tree and
+        build_clos fabrics only tor_b is kept.
         """
         key = (tor_a, tor_b)
         cached = self._dags.get(key)
@@ -334,10 +335,20 @@ class Topology:
                 # layer above in id order
                 merged = heapq.merge(*(preds[node] for node in layers[-1]))
                 layers.append(list(dict.fromkeys(peer for peer, _ in merged)))
-            order = [node for layer in reversed(layers) for node in layer]
-            index = {node: k for k, node in enumerate(order)}
-            cached = self._dags[key] = tuple(
-                tuple((index[peer], lid) for peer, lid in preds[node]) for node in order[1:])
+            # node -> (kept node index, links from that node to it): a kept
+            # node's own index and no links, a folded node's one pair
+            via: dict[str, tuple[int, tuple[str, ...]]] = {tor_a: (0, ())}
+            entries = []
+            for layer in reversed(layers[:-1]):
+                for node in layer:
+                    pairs = tuple((via[peer][0], via[peer][1] + (lid,))
+                                  for peer, lid in preds[node])
+                    if len(pairs) == 1 and node != tor_b:
+                        via[node] = pairs[0]
+                    else:
+                        entries.append(pairs)
+                        via[node] = (len(entries), ())
+            cached = self._dags[key] = tuple(entries)
         return cached
 
     def reach_paths(self, reach_a: Reach, reach_b: Reach) -> tuple[tuple[str, ...], ...]:

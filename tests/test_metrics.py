@@ -1027,16 +1027,34 @@ def _memo_app(t, app_id, demands, bw=0.0):
     return Application(id=app_id, vms=vms, traffic=traffic)
 
 
+def racks_of_four_and_one():
+    """A rack of four hosts and a rack of one under one core, each TOR's
+    uplink narrower than its host links: a four-host reach, whose memo
+    getters return tuples, and a one-host reach, whose getters return
+    scalars."""
+    hosts = [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in range(5)]
+    switches = [Switch(id="t0", level=0), Switch(id="t1", level=0), Switch(id="core", level=1)]
+    links = [Link(id=f"h{i}-t{i // 4}", a=f"h{i}", b=f"t{i // 4}", capacity=1.0, free=1.0)
+             for i in range(5)]
+    links += [Link(id="t0-core", a="t0", b="core", capacity=2.0, free=2.0),
+              Link(id="t1-core", a="t1", b="core", capacity=0.5, free=0.5)]
+    return Topology(hosts, switches, links, UNIT_REF)
+
+
 @st.composite
 def memo_runs(draw):
     """A small oversubscribed fabric, a scheme, two requests and up to 12
     steps, each on one of two states sharing the fabric: a placement, a
     placement that must be refused, an aborted transaction, a direct
     host_free or link_free write, or a restore of the state's first snapshot.
-    Frees come from a few values, so equal values recur in new objects."""
-    fabric = draw(st.sampled_from(["tree2", "tree4", "clos"]))
+    Frees come from a few values, so equal values recur in new objects. The
+    fabrics' reaches hold one, two or four hosts, so a count slot is
+    recomputed with some of its hosts moved and others read from the slot."""
+    fabric = draw(st.sampled_from(["tree2", "tree4", "clos", "racks"]))
     if fabric == "clos":
         t = build_clos(2, 2, 2, UNIT, 1.0, core_oversub=2.0)
+    elif fabric == "racks":
+        t = racks_of_four_and_one()
     else:
         t = build_tree(int(fabric[-1]), 2, UNIT, 1.0, oversub_ratio=2.0)
     cfg = SchemeConfig(scheme=draw(st.sampled_from(SCHEMES)),
@@ -1141,3 +1159,26 @@ class TestReachMemo:
         nic_up, count_up = slots()
         assert kept(nic_up, nic_cpu) == first_only
         assert kept(count_up, count_cpu) == first_only
+
+    def test_a_count_slot_recounts_only_the_hosts_that_moved(self, monkeypatch):
+        t = category_topology(3)
+        state, req = PlacementState(t), category_rrf_request(3)
+        M.placeable_inside_reaches(state, req)
+        counted = []
+        host_counts = M._host_counts
+
+        def recording(state, host_ids, req):
+            counted.append(list(host_ids))
+            return host_counts(state, host_ids, req)
+
+        monkeypatch.setattr(M, "_host_counts", recording)
+        h, g = t.reaches[1].hosts[5], t.reaches[2].hosts[0]
+        free = state.host_free[h]
+        state.host_free[h] = ResourceVector(free.cpu / 2, free.mem, free.nic)
+        got = M.placeable_inside_reaches(state, req)
+        assert counted == [[h]]
+        assert got == _recount(state, req)[1]
+        state.link_free[t.host_ports[g][0]] /= 4
+        got = M.placeable_inside_reaches(state, req)
+        assert counted == [[h], [g]]
+        assert got == _recount(state, req)[1]

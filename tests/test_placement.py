@@ -566,12 +566,21 @@ class TestLocal:
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(*(st.sampled_from([0.0, 0.25, 0.5, 0.75]) for _ in range(3))),
-                    min_size=1, max_size=12))
-    def test_matches_a_first_fit_reference(self, shares):
+                    min_size=1, max_size=12), st.data())
+    def test_matches_a_first_fit_reference(self, shares, data):
         # a reference host of (2, 4, 1): each dimension's demand is a share of
-        # it, so normalized sizes tie across dimensions and between VMs
+        # it, so normalized sizes tie across dimensions and between VMs; each
+        # host starts, per dimension, full, at the app's smallest need, _EPS
+        # or a quarter share short of it, or empty, so LOCAL's host filter
+        # keeps hosts at its edge and drops others
         ref = ResourceVector(2.0, 4.0, 1.0)
         state = PlacementState(build_tree(2, 2, ref, 1.0, oversub_ratio=2.0))
+        caps = (ref.cpu, ref.mem, ref.nic)
+        lows = [min(share[d] for share in shares) * caps[d] for d in range(3)]
+        for h in sorted(state.host_free):
+            state.host_free[h] = ResourceVector(*(
+                max(0.0, data.draw(st.sampled_from([cap, lo, lo - 1e-9, lo - cap / 4, 0.0])))
+                for cap, lo in zip(caps, lows)))
         demands = {f"v{i}": (c * ref.cpu, m * ref.mem, n * ref.nic)
                    for i, (c, m, n) in enumerate(shares)}
         app = tree_app(demands, {})

@@ -504,6 +504,64 @@ class TestRouteMatchesBFS:
             t.route("h1", "h1", zero)
 
 
+def folding_fabric():
+    """Two racks joined over aggregation switches a0, a1, b0, b1 and middle
+    switches c0, c1 (a1-c0 a parallel pair), so that each direction's
+    shortest-path DAG holds a single-parent switch feeding two successors
+    and an interior switch with two parents: from t0, a0 feeds c0 and c1 and
+    c0 and b0 have two parents; from t1, b0 feeds c0 and c1 and c1 and a0
+    have two parents. Hosts alternate racks, so both directions are
+    routed."""
+    hosts = [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in range(4)]
+    switches = [Switch(id="t0", level=0), Switch(id="t1", level=0)]
+    switches += [Switch(id=s, level=1) for s in ("a0", "a1", "b0", "b1")]
+    switches += [Switch(id=s, level=2) for s in ("c0", "c1")]
+    ends = [(f"h{i}", f"t{i % 2}") for i in range(4)]
+    ends += [("t0", "a0"), ("t0", "a1"), ("t1", "b0"), ("t1", "b1"), ("a0", "c0"),
+             ("a0", "c1"), ("a1", "c0"), ("a1", "c0"), ("b0", "c0"), ("b0", "c1"),
+             ("b1", "c1")]
+    links = [Link(id=f"l{k:02d}", a=a, b=b, capacity=1.0, free=1.0)
+             for k, (a, b) in enumerate(ends)]
+    return Topology(hosts, switches, links, UNIT_REF)
+
+
+class TestFoldedRouteDag:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=15,
+                             max_size=15), min_size=1, max_size=4))
+    def test_route_equals_reference_bfs(self, frees):
+        t = folding_fabric()
+        links = sorted(t.links)
+        for values in [[0.0] * len(links)] + frees:
+            link_free = dict(zip(links, values))
+            for a in t.hosts:
+                for b in t.hosts:
+                    if a != b:
+                        expected = bfs_route(t, a, b, link_free)
+                        assert t.route(a, b, link_free) == (
+                            expected, min(link_free[l] for l in expected))
+
+    def test_single_parent_switches_fold_into_their_successors(self):
+        # kept: c0 (a0, a1), b0 (c0, c1) and t1; a0, a1, c1 and b1 fold
+        t = folding_fabric()
+        assert t._compiled_dag("t0", "t1") == (
+            ((0, ("l04", "l08")), (0, ("l05", "l10")), (0, ("l05", "l11"))),
+            ((1, ("l12",)), (0, ("l04", "l09", "l13"))),
+            ((2, ("l06",)), (0, ("l04", "l09", "l14", "l07"))),
+        )
+
+    @pytest.mark.parametrize("t", [build_tree(4, 2, UNIT, 1.0, oversub_ratio=2.0),
+                                   build_clos(4, 2, 2, UNIT, 1.0, core_oversub=2.0)],
+                             ids=["tree", "clos"])
+    def test_builders_keep_only_the_destination_tor(self, t):
+        tors = sorted(s for s, sw in t.switches.items() if sw.level == 0)
+        for a in tors:
+            for b in tors:
+                if a != b:
+                    assert len(t._compiled_dag(a, b)) == 1
+                    assert all(parent == 0 for parent, _ in t._compiled_dag(a, b)[0])
+
+
 def with_links_renamed(fabric, data):
     """A drawn fabric as a Topology, and the same fabric again with its links
     renamed in a drawn order, so that a node's links no longer sort as its
