@@ -559,7 +559,6 @@ class TestFoldedRouteDag:
             for b in tors:
                 if a != b:
                     assert len(t._compiled_dag(a, b)) == 1
-                    assert all(parent == 0 for parent, _ in t._compiled_dag(a, b)[0])
 
 
 def with_links_renamed(fabric, data):
