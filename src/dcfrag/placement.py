@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .metrics import MultiRequest, _paths_bandwidth, placeable_in_reach
-from .topology import _EPS, Reach, ResourceVector, Topology
+from .topology import _EPS, Reach, ResourceVector, Topology, _vector
 from .workload import Application, VM, representative_request
 
 _ABSENT = object()  # journal marker: the key was not in the table
@@ -55,6 +55,9 @@ class PlacementOutcome:
     state's assignments and reservations."""
     ok: bool
     failure: str | None = None
+
+
+_PLACED = PlacementOutcome(ok=True)  # frozen, so every placed attempt shares it
 
 
 class PlacementState:
@@ -168,7 +171,8 @@ class PlacementState:
             journal.extend(((host_free, host_id, free),
                             (assignments, key, assignments.get(key, _ABSENT)),
                             (host_vms, host_id, count)))
-        host_free[host_id] = free - need
+        host_free[host_id] = _vector(free.cpu - need.cpu, free.mem - need.mem,
+                                     free.nic - need.nic)
         assignments[key] = host_id
         host_vms[host_id] = count + 1
 
@@ -510,6 +514,40 @@ def _hose_ok(t: Topology, state: PlacementState, counts: dict[str, int],
     return True
 
 
+def _first_refusal(state: PlacementState, vms: list[VM], unit_hosts: tuple[str, ...],
+                   counts: dict[str, int]) -> str | None:
+    """The CapacityError text of the first assign_vm that the fill would
+    refuse, or None when every VM fits. The fill puts counts[h] VMs of `vms`
+    in order on each unit host in order; each host's running free is checked
+    and lowered as assign_vm checks and writes it, so the fill need not be
+    written to be refused."""
+    host_free, i = state.host_free, 0
+    for h in unit_hosts:
+        n = counts.get(h)
+        if not n:
+            continue
+        free = host_free[h]
+        f_cpu, f_mem, f_nic = free.cpu, free.mem, free.nic
+        for vm in vms[i:i + n]:
+            need = vm.demand
+            if need.cpu > f_cpu + _EPS:
+                return str(CapacityError("host", h, "cpu", need.cpu, f_cpu))
+            if need.mem > f_mem + _EPS:
+                return str(CapacityError("host", h, "mem", need.mem, f_mem))
+            if need.nic > f_nic + _EPS:
+                return str(CapacityError("host", h, "nic", need.nic, f_nic))
+            # ResourceVector's clamp: a fitting need leaves at most float dust below 0
+            f_cpu, f_mem, f_nic = f_cpu - need.cpu, f_mem - need.mem, f_nic - need.nic
+            if f_cpu < 0:
+                f_cpu = 0.0
+            if f_mem < 0:
+                f_mem = 0.0
+            if f_nic < 0:
+                f_nic = 0.0
+        i += n
+    return None
+
+
 def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
                 reaches: tuple[Reach, ...]) -> str | None:
     """Virtual-cluster placement: slots only, scanned bottom-up.
@@ -520,17 +558,19 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
     whose greedy fill passes the hose check takes the whole app.
     A VM on a host takes one of its slots whoever placed it, so a host's
     free slots are max(0, slots - state.host_vms[h]), read as the scan
-    reaches it. A unit's fill marks the journal first and, when a host or
-    link refuses, rolls back to the mark, as UNIFIED's per-VM step does; so
-    the counts hold for the whole attempt. Actual demands still commit
-    through the guarded state, so units that would overdraw a host or a link
-    are skipped.
+    reaches it. Actual demands still decide: a fill that would overdraw a
+    host is refused by _first_refusal before it writes, and a fill whose
+    traffic a link refuses rolls back to the journal mark taken before it,
+    as UNIFIED's per-VM step does; so the counts hold for the whole attempt.
+
+    On hosts of one TOR every switch above a counted host holds all N VMs,
+    so the hose check, which has nothing to check there, is skipped.
     """
     if config.netw_slots_per_host is None:
         raise ValueError("NETW needs netw_slots_per_host (see derive_netw_slots)")
     t = state.topology
     n_total = len(app.vms)
-    bw = sum(app.total_traffic(v) for v in app.vm_ids()) / n_total
+    bw = app.total_vm_traffic / n_total
     slots, host_vms = config.netw_slots_per_host, state.host_vms
     ports, link_free = t.host_ports, state.link_free
     vms = sorted(app.vms, key=lambda v: v.id)
@@ -559,15 +599,20 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
             if take:
                 counts[h] = take
                 remaining -= take
-        if remaining or not _hose_ok(t, state, counts, n_total, bw):
+        if remaining or (len({ports[h][1] for h in counts}) > 1
+                         and not _hose_ok(t, state, counts, n_total, bw)):
+            continue
+        refusal = _first_refusal(state, vms, unit_hosts, counts)
+        if refusal is not None:
+            last_failure = refusal
             continue
 
         mark = len(state._journal)
+        vm_iter = iter(vms)
+        for host_id in unit_hosts:
+            for _ in range(counts.get(host_id, 0)):
+                state.assign_vm(app.id, next(vm_iter), host_id)
         try:
-            vm_iter = iter(vms)
-            for host_id in unit_hosts:
-                for _ in range(counts.get(host_id, 0)):
-                    state.assign_vm(app.id, next(vm_iter), host_id)
             reserve_traffic(state, app)
         except CapacityError as exc:
             state._rollback(mark)
@@ -597,7 +642,7 @@ def place_application(state: PlacementState, app: Application, config: SchemeCon
     attempt, including the app's registration.
     """
     if not app.vms:
-        return PlacementOutcome(ok=True)
+        return _PLACED
     with state.transaction() as commit:
         state.register_app(app)
         try:
@@ -608,4 +653,4 @@ def place_application(state: PlacementState, app: Application, config: SchemeCon
         if failure is not None:
             return PlacementOutcome(ok=False, failure=failure)
         commit()
-    return PlacementOutcome(ok=True)
+    return _PLACED

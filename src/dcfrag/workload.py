@@ -84,6 +84,11 @@ class Application:
     def total_traffic(self, vm_id: str) -> float:
         return sum(self._peers.get(vm_id, {}).values())
 
+    @cached_property
+    def total_vm_traffic(self) -> float:
+        """The VMs' total_traffic summed in VM order (each edge counts twice)."""
+        return sum(self.total_traffic(v.id) for v in self.vms)
+
 
 def validate_application(a: Application, reference: Reference) -> None:
     ids = set()
@@ -129,7 +134,7 @@ def representative_request(a: Application, reference: Reference) -> MultiRequest
     n = len(a.vms)
     cpu = min(1.0, sum(v.demand.cpu for v in a.vms) / n / reference.host.cpu)
     mem = min(1.0, sum(v.demand.mem for v in a.vms) / n / reference.host.mem)
-    nw = min(1.0, sum(a.total_traffic(v.id) for v in a.vms) / n / reference.link)
+    nw = min(1.0, a.total_vm_traffic / n / reference.link)
     return MultiRequest(cpu=cpu, mem=mem, nw=nw)
 
 

@@ -1089,6 +1089,101 @@ class TestNetwSubtrees:
         assert any(oks) and not all(oks)
 
 
+# frees at a VM's need, 1e-12 on either side of it, and at and past the _EPS edge
+_FREE_OFFSETS = [0.0, 1e-12, -1e-12, -1e-9, -2e-9]
+
+
+class TestNetwFillCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(ledger_runs(), st.data())
+    def test_refusal_is_the_written_fills_error(self, run, data):
+        t, cfg, apps = run
+        state = PlacementState(t)
+        for app in apps[:-1]:
+            if app.id not in state.apps:
+                place_application(state, app, cfg)
+        vms = sorted(apps[-1].vms, key=lambda v: v.id)
+        unit = data.draw(st.sampled_from(t.subtrees))
+        counts, remaining = {}, len(vms)
+        for h in unit:
+            take = data.draw(st.integers(0, remaining)) if h != unit[-1] else remaining
+            if take:
+                counts[h] = take
+                remaining -= take
+        start = 0
+        for h in unit:
+            n = counts.get(h, 0)
+            if n and data.draw(st.booleans()):
+                # free just covers (or not) the first k VMs' summed need
+                k = data.draw(st.integers(1, n))
+                need = [sum(getattr(v.demand, dim) for v in vms[start:start + k])
+                        for dim in ("cpu", "mem", "nic")]
+                free = state.host_free[h]
+                state.host_free[h] = ResourceVector(*(
+                    max(0.0, need[i] + data.draw(st.sampled_from(_FREE_OFFSETS)))
+                    if data.draw(st.booleans()) else getattr(free, dim)
+                    for i, dim in enumerate(("cpu", "mem", "nic"))))
+            start += n
+        got = placement._first_refusal(state, vms, unit, counts)
+
+        before = state.snapshot()
+        want = None
+        with state.transaction():  # never committed: the fill is undone
+            vm_iter = iter(vms)
+            try:
+                for h in unit:
+                    for _ in range(counts.get(h, 0)):
+                        state.assign_vm("fill", next(vm_iter), h)
+            except CapacityError as exc:
+                want = str(exc)
+            else:
+                assert next(vm_iter, None) is None
+        assert got == want
+        assert state.snapshot() == before
+
+
+class TestNetwHoseOneTor:
+    @staticmethod
+    def one_tor_counts(t, data):
+        tor = data.draw(st.sampled_from(sorted({tor for _, tor in t.host_ports.values()})))
+        hosts = [h for h in t.host_ids if t.host_ports[h][1] == tor]
+        chosen = data.draw(st.lists(st.sampled_from(hosts), min_size=1, unique=True))
+        return {h: data.draw(st.integers(1, 4)) for h in chosen}
+
+    @settings(max_examples=200, deadline=None)
+    @given(ledger_runs(), st.data())
+    def test_hose_holds_on_one_tor_of_a_ledger_fabric(self, run, data):
+        t, cfg, apps = run
+        state = PlacementState(t)
+        for app in apps:
+            if app.id not in state.apps:
+                place_application(state, app, cfg)
+        counts = self.one_tor_counts(t, data)
+        bw = data.draw(st.sampled_from([0.0, 0.1, 0.5, 3.0]))
+        assert placement._hose_ok(t, state, counts, sum(counts.values()), bw)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_hose_holds_on_one_tor_of_a_clos(self, data):
+        t = build_clos(2, 2, 2, UNIT, 1.0, core_oversub=2.0)
+        state = PlacementState(t)
+        for lid in sorted(state.link_free):
+            state.link_free[lid] = data.draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+        counts = self.one_tor_counts(t, data)
+        bw = data.draw(st.sampled_from([0.1, 0.5, 3.0]))
+        assert placement._hose_ok(t, state, counts, sum(counts.values()), bw)
+
+    def test_two_tors_under_a_thin_uplink_fail(self):
+        # the skip's condition is not vacuous: the same check across TORs refuses
+        t = idle_tree(num_tors=2, hosts_per_tor=2)
+        state = PlacementState(t)
+        state.link_free["t0-core"] = 0.1
+        counts = {"h0": 1, "h2": 1}
+        assert len({t.host_ports[h][1] for h in counts}) == 2
+        assert not placement._hose_ok(t, state, counts, 2, 0.5)
+        assert placement._hose_ok(t, state, {"h0": 1, "h1": 1}, 2, 0.5)
+
+
 class TestFig1SchemeDivergence:
     """The three-scheme divergence on the two-host three-pair instance."""
 

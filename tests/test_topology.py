@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from dcfrag.metrics import nic_free
 from dcfrag.placement import PlacementState
 from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology,
                              TopologyError, build_clos, build_tree,
-                             find_boundary_switches, find_reaches, load_topology)
+                             _vector, find_boundary_switches, find_reaches, load_topology)
 
 from oracle import reference_neighbors, reference_reach_paths, reference_shortest_paths
 
@@ -26,6 +27,35 @@ def mini_topology(host_frees, link_frees=None, link_cap=1.0):
         free = link_frees[i] if link_frees else link_cap
         links.append(Link(id=f"{hid}-s1", a=hid, b="s1", capacity=link_cap, free=free))
     return Topology(hosts, [Switch(id="s1", level=0)], links, UNIT_REF)
+
+
+_COMPONENTS = [-1e-6, -1e-9, -1e-12, -0.0, 0.0, 1e-12, 0.5, 8000.0]
+
+
+class TestVectorConstructor:
+    @given(st.tuples(*[st.sampled_from(_COMPONENTS)] * 3))
+    def test_same_vector_as_the_constructor(self, parts):
+        got, want = _vector(*parts), ResourceVector(*parts)
+        assert got == want
+        # repr tells -0.0 from 0.0
+        assert [repr(getattr(got, d)) for d in ("cpu", "mem", "nic")] == \
+            [repr(getattr(want, d)) for d in ("cpu", "mem", "nic")]
+
+    @given(st.tuples(*[st.sampled_from(_COMPONENTS + [-2e-6, -1.0])] * 3)
+           .filter(lambda parts: min(parts) < -1e-6))
+    def test_same_error_below_the_dust(self, parts):
+        with pytest.raises(ValueError) as want:
+            ResourceVector(*parts)
+        with pytest.raises(ValueError) as got:
+            _vector(*parts)
+        assert str(got.value) == str(want.value)
+
+    def test_slots_and_frozen(self):
+        v = _vector(1.0, 2.0, 3.0)
+        assert not hasattr(v, "__dict__")
+        assert not hasattr(ResourceVector(1.0, 2.0, 3.0), "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            v.cpu = 0.0
 
 
 class TestBuildTree:
