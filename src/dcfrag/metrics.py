@@ -115,29 +115,33 @@ def fragmentation_index(state, req: MultiRequest) -> RRFReport:
 def _host_counts(state, host_ids, req: MultiRequest) -> list[int]:
     """Requests one host can satisfy, for each host in the given order: the
     min over req's nonzero dimensions of fit_count on the host's normalized
-    free, the NIC read from the host's uplink free."""
+    free, the NIC read from the host's uplink free.
+
+    fit_count's quotients are never negative and int() floors them, which
+    keeps their order, so the smallest quotient is floored once."""
     t = state.topology
     host_free, link_free, ports, ref = state.host_free, state.link_free, t.host_ports, t.reference
     cpu, mem, nw = req.cpu, req.mem, req.nw
     ref_cpu, ref_mem, ref_link = ref.host.cpu, ref.host.mem, ref.link
+    inf = math.inf
     counts = []
     for h in host_ids:
-        n = math.inf
+        n = inf
         free = host_free[h]
         if cpu > 0:
             x = free.cpu / ref_cpu
-            n = int(x / cpu + _EPS) if x > 0 else 0
+            n = x / cpu + _EPS if x > 0 else 0.0
         if mem > 0:
             x = free.mem / ref_mem
-            m = int(x / mem + _EPS) if x > 0 else 0
+            m = x / mem + _EPS if x > 0 else 0.0
             if m < n:
                 n = m
         if nw > 0:
             x = link_free[ports[h][0]] / ref_link
-            m = int(x / nw + _EPS) if x > 0 else 0
+            m = x / nw + _EPS if x > 0 else 0.0
             if m < n:
                 n = m
-        counts.append(n)
+        counts.append(int(n) if n < inf else n)
     return counts
 
 
@@ -175,25 +179,28 @@ def _pair_reduce(values: list):
     shrunk largest is inserted back in place.
     """
     vals = sorted(values)
+    pop, insort = vals.pop, bisect.insort
     acc = 0
-    while len(vals) > 1:
-        v_max = vals.pop()
-        v_smax = vals.pop()
+    for _ in range(len(vals) - 1):  # each round drops one value
+        v_max = pop()
+        v_smax = pop()
         acc += v_smax
-        bisect.insort(vals, v_max - v_smax)
+        insort(vals, v_max - v_smax)
     return acc, (vals[0] if vals else 0)
 
 
 def _moved_counts(state, hosts: tuple, req: MultiRequest, key: tuple, slot) -> list[int]:
     """_host_counts(state, hosts, req), reading from the reach's old count
-    slot every host whose free vector and uplink free compare equal to the
-    slot key's: only the hosts that moved are recounted."""
+    slot every host whose free vector is the slot key's object and whose
+    uplink free compares equal to the key's: only the hosts that moved are
+    recounted. A ledger write replaces a host's vector, so an equal vector
+    that is a new object is recounted too, to the same count."""
     if slot is None or len(hosts) == 1:  # a one-host reach's getters return scalars
         return _host_counts(state, hosts, req)
     (frees, ups), ((old_frees, old_ups), counts, _) = key, slot
     moved = []
     for k, f in enumerate(frees):
-        if ups[k] != old_ups[k] or (f is not old_frees[k] and f != old_frees[k]):
+        if f is not old_frees[k] or ups[k] != old_ups[k]:
             moved.append(k)
     counts = list(counts)
     for k, n in zip(moved, _host_counts(state, [hosts[k] for k in moved], req)):
@@ -432,6 +439,21 @@ def placeable_in_reach(state, reach: Reach, req: MultiRequest) -> int:
     if not req.nonzero_dims():
         return 0
     return sum(_host_counts(state, reach.hosts, req))
+
+
+def placeable_in_reaches(state, reaches, req: MultiRequest) -> list[int]:
+    """[placeable_in_reach(state, r, req) for r in reaches], with one
+    _host_counts pass over all their hosts, each reach reading its slice."""
+    if not req.nonzero_dims():
+        return [0] * len(reaches)
+    counts = _host_counts(state, [h for r in reaches for h in r.hosts], req)
+    paired = req.nw > 0
+    out, i = [], 0
+    for r in reaches:
+        part = counts[i:i + len(r.hosts)]
+        i += len(part)
+        out.append(_pair_reduce(part)[0] if paired else sum(part))
+    return out
 
 
 def network_rrf(state, req: MultiRequest) -> RRFReport:

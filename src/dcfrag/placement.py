@@ -16,7 +16,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .metrics import MultiRequest, _paths_bandwidth, placeable_in_reach
+from .metrics import MultiRequest, _paths_bandwidth, placeable_in_reaches
 from .topology import _EPS, Reach, ResourceVector, Topology, _vector
 from .workload import Application, VM, representative_request
 
@@ -230,23 +230,27 @@ class PlacementState:
 # -- shared pieces --------------------------------------------------------------
 
 
-def reserve_traffic(state: PlacementState, app: Application, edges=None) -> None:
+def reserve_traffic(state: PlacementState, app: Application, host_of: dict,
+                    edges=None) -> None:
     """Reserve, in order, every edge of `edges` (default app.edges()) with
     bandwidth whose two VMs sit on different hosts and which holds no
     reservation yet.
 
-    Each edge is routed, checked, written and journaled in one pass: the
-    route's own bottleneck decides, and only a shortfall looks for the first
-    short link, the one the CapacityError names. The caller's transaction
-    undoes the edges reserved so far.
+    host_of maps each of the app's placed VMs to its host, as the scheme
+    assigned them: the map the scheme keeps, so the ledger's assignments are
+    not read here. A VM missing from it is unplaced. Each edge is routed,
+    checked, written and journaled in one pass: the route's own bottleneck
+    decides, and only a shortfall looks for the first short link, the one
+    the CapacityError names. The caller's transaction undoes the edges
+    reserved so far.
     """
-    app_id, assignments, reservations = app.id, state.assignments, state.reservations
+    app_id, reservations, host = app.id, state.reservations, host_of.get
     link_free, journal, route = state.link_free, state._journal, state.topology.route
     for (x, y), bw in app.edges() if edges is None else edges:
         if bw <= 0:
             continue
-        host_x = assignments.get((app_id, x))
-        host_y = assignments.get((app_id, y))
+        host_x = host(x)
+        host_y = host(y)
         if host_x is None or host_y is None or host_x == host_y:
             continue
         key = (app_id, x, y) if x < y else (app_id, y, x)
@@ -316,10 +320,11 @@ def best_sibling_reach(state: PlacementState, reaches: tuple[Reach, ...], tried:
     reach, as at the first pick, distance and bandwidth tie for every reach.
     None when every reach was tried.
 
-    Only the reaches that tie on (distance, bandwidth) are counted, by
-    placeable_in_reach. `counts` maps reach id -> count; a count found there
-    is used as is and a new one is added, so within one attempt, where an
-    untried reach's count cannot change, each reach is counted once."""
+    Only the reaches that tie on (distance, bandwidth) are counted, all in
+    one placeable_in_reaches call. `counts` maps reach id -> count; a count
+    found there is used as is and a new one is added, so within one attempt,
+    where an untried reach's count cannot change, each reach is counted
+    once."""
     candidates = [r for r in reaches if r.id not in tried]
     if not candidates:
         return None
@@ -334,25 +339,28 @@ def best_sibling_reach(state: PlacementState, reaches: tuple[Reach, ...], tried:
         nearest = min(key for key, _ in ranked)
         candidates = [r for key, r in ranked if key == nearest]
 
-    def key(r: Reach):
-        n = counts.get(r.id)
-        if n is None:
-            n = counts[r.id] = placeable_in_reach(state, r, req)
-        return (-n, r.id)
-
-    return min(candidates, key=key)
+    new = [r for r in candidates if r.id not in counts]
+    if new:
+        counts.update(zip((r.id for r in new), placeable_in_reaches(state, new, req)))
+    return min(candidates, key=lambda r: (-counts[r.id], r.id))
 
 
-def _reach_gain(app: Application, vm_id: str, in_reach: set, unplaced: set) -> float:
-    """The VM's traffic to in_reach less its traffic to unplaced, both summed
-    in the order of its traffic row, in one pass over it."""
-    got = lost = 0
-    for peer, bw in app.peers(vm_id).items():
-        if peer in in_reach:
-            got += bw
-        elif peer in unplaced:  # a VM leaves unplaced before it joins in_reach
-            lost += bw
-    return got - lost
+def _set_gains(gain: dict, rows: dict, vms, in_reach: set, unplaced: set) -> None:
+    """gain[v] for each unplaced VM v of vms: its traffic to in_reach less
+    its traffic to unplaced, both summed in the order of its traffic row
+    (rows[v], absent without traffic), in one pass over it."""
+    for v in vms:
+        if v not in unplaced:
+            continue
+        got = lost = 0
+        row = rows.get(v)
+        if row:
+            for peer, bw in row.items():
+                if peer in in_reach:
+                    got += bw
+                elif peer in unplaced:  # a VM leaves unplaced before it joins in_reach
+                    lost += bw
+        gain[v] = got - lost
 
 
 def _pick(unplaced: set, gain: dict, sign: int) -> str:
@@ -385,13 +393,16 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
 
     A VM's step (assign, then reserve its edges) runs inside the attempt's
     transaction: it marks the journal first and rolls back to the mark when
-    a host or link refuses.
+    a host or link refuses. host_of, the VMs placed so far by host, gains
+    the VM before its edges are reserved and loses it on that rollback.
     """
     req = representative_request(app, state.topology.reference)
     tried: set[str] = set()
     hosting: list[Reach] = []  # the reaches holding a VM, in the order they took one
-    counts: dict[str, int] = {}  # reach id -> placeable_in_reach, for untried reaches
+    counts: dict[str, int] = {}  # reach id -> placeable count, for untried reaches
     unplaced = set(app.vm_ids())
+    host_of: dict[str, str] = {}
+    rows = app._peers
     last_failure = "no reach could take the first VM"
 
     while (reach := best_sibling_reach(state, reaches, tried, hosting, req,
@@ -399,20 +410,33 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
         tried.add(reach.id)
         in_reach: set[str] = set()  # an untried reach holds none of the app's VMs
         # with in_reach empty a gain is minus the traffic to the unplaced
-        gain = {v: _reach_gain(app, v, in_reach, unplaced) for v in unplaced}
+        gain: dict[str, float] = {}
+        if host_of:
+            _set_gains(gain, rows, unplaced, in_reach, unplaced)
+        else:  # no VM placed: every peer in a row is unplaced, so all of it is lost
+            for v in unplaced:
+                lost = 0
+                row = rows.get(v)
+                if row:
+                    for bw in row.values():
+                        lost += bw
+                gain[v] = 0 - lost  # _set_gains' got - lost, got being 0
         vm_id = _pick(unplaced, gain, 1)
         while True:
-            host = bal_pack(state, app.vm(vm_id), reach)
+            vm = app.vm(vm_id)
+            host = bal_pack(state, vm, reach)
             if host is None:
                 last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
                 break
             mark = len(state._journal)
             try:
-                state.assign_vm(app.id, app.vm(vm_id), host)
+                state.assign_vm(app.id, vm, host)
+                host_of[vm_id] = host
                 # every edge between VMs placed before is reserved
-                reserve_traffic(state, app, app.vm_edges(vm_id))
+                reserve_traffic(state, app, host_of, app.vm_edges(vm_id))
             except CapacityError as exc:
                 state._rollback(mark)
+                host_of.pop(vm_id, None)
                 last_failure = str(exc)
                 break
             if not in_reach:
@@ -422,9 +446,7 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
                 return None
             in_reach.add(vm_id)
             del gain[vm_id]
-            for peer in app.peers(vm_id):
-                if peer in unplaced:
-                    gain[peer] = _reach_gain(app, peer, in_reach, unplaced)
+            _set_gains(gain, rows, rows.get(vm_id, ()), in_reach, unplaced)
             vm_id = _pick(unplaced, gain, -1)
     return last_failure
 
@@ -463,7 +485,7 @@ def _place_local(state: PlacementState, app: Application, config: SchemeConfig,
             lo_mem = need.mem
         if need.nic < lo_nic:
             lo_nic = need.nic
-    host_free, hosts = state.host_free, []
+    host_free, hosts, host_of = state.host_free, [], {}
     for h in state.topology.host_ids:
         free = host_free[h]
         if lo_cpu <= free.cpu + _EPS and lo_mem <= free.mem + _EPS and lo_nic <= free.nic + _EPS:
@@ -478,7 +500,8 @@ def _place_local(state: PlacementState, app: Application, config: SchemeConfig,
         else:
             return f"no host fits VM {vm.id}"
         state.assign_vm(app.id, vm, h)
-    reserve_traffic(state, app)
+        host_of[vm.id] = h
+    reserve_traffic(state, app, host_of)
     return None
 
 
@@ -608,12 +631,14 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
             continue
 
         mark = len(state._journal)
-        vm_iter = iter(vms)
+        vm_iter, host_of = iter(vms), {}
         for host_id in unit_hosts:
             for _ in range(counts.get(host_id, 0)):
-                state.assign_vm(app.id, next(vm_iter), host_id)
+                vm = next(vm_iter)
+                state.assign_vm(app.id, vm, host_id)
+                host_of[vm.id] = host_id
         try:
-            reserve_traffic(state, app)
+            reserve_traffic(state, app, host_of)
         except CapacityError as exc:
             state._rollback(mark)
             last_failure = str(exc)

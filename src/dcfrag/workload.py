@@ -69,12 +69,13 @@ class Application:
 
     @cached_property
     def _edges_by_vm(self) -> dict[str, tuple]:
-        # built on first use, so constructing an application costs no more
-        by_vm: dict[str, list] = {}
+        # built on first use, so constructing an application costs no more;
+        # the VMs with a traffic row are the edges' endpoints
+        by_vm: dict[str, list] = {v: [] for v in self._peers}
         for edge in self._edges:
             (x, y), _ = edge
-            by_vm.setdefault(x, []).append(edge)
-            by_vm.setdefault(y, []).append(edge)
+            by_vm[x].append(edge)
+            by_vm[y].append(edge)
         return {v: tuple(es) for v, es in by_vm.items()}
 
     def peers(self, vm_id: str) -> dict[str, float]:

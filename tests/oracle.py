@@ -1,15 +1,17 @@
 """Test references: each node's links read from the link table, every
 shortest path between two hosts, the link-disjoint shortest paths between two
 reaches by repeated blocked BFS, the reach-path bandwidth and consumption in
-builtin min/max form, edge reservation one step at a time, and a
+builtin min/max form, edge reservation one step at a time, UNIFIED as it
+read the ledger's assignments and counted one reach at a time, and a
 brute-force oracle of the placeable requests on desk-size instances. None is
 part of the runtime; tests import them from here."""
 
 from collections import deque
 
-from dcfrag.metrics import MultiRequest, fit_count
-from dcfrag.placement import _ABSENT, CapacityError
+from dcfrag.metrics import MultiRequest, _paths_bandwidth, fit_count, placeable_in_reach
+from dcfrag.placement import _ABSENT, CapacityError, _pick, bal_pack
 from dcfrag.topology import _EPS
+from dcfrag.workload import representative_request
 
 _ORACLE_CAP = 12  # placements brute_force_placeable searches up to
 
@@ -130,6 +132,12 @@ def journaled_write(state, table, key, value):
     table[key] = value
 
 
+def placed(state, app_id="app"):
+    """The app's VM -> host map, read from the state's ledger: the map
+    reserve_traffic takes, for states whose assignments a test wrote."""
+    return {v: host for (a, v), host in state.assignments.items() if a == app_id}
+
+
 def reference_reserve_traffic(state, app, edges=None):
     """reserve_traffic with each edge's steps apart: for every edge with
     bandwidth, on two hosts and not yet reserved, route it, check the path's
@@ -148,6 +156,88 @@ def reference_reserve_traffic(state, app, edges=None):
         for lid in path:
             journaled_write(state, state.link_free, lid, state.link_free[lid] - bw)
         journaled_write(state, state.reservations, key, (path, bw))
+
+
+def reference_sibling_reach(state, reaches, tried, hosting, req, counts):
+    """placement.best_sibling_reach as it was before its counts were taken
+    in one pass: each untried reach that ties on (distance, bandwidth) is
+    counted by its own placeable_in_reach call when min() first keys it."""
+    candidates = [r for r in reaches if r.id not in tried]
+    if not candidates:
+        return None
+    if hosting:
+        t, link_free = state.topology, state.link_free
+        ranked = []
+        for r in candidates:
+            paths = [t.reach_paths(r, h) for h in hosting]
+            dist = min(len(p[0]) for p in paths)
+            bw = max(_paths_bandwidth(p, link_free, t.reference.link) for p in paths)
+            ranked.append(((dist, -bw), r))
+        nearest = min(key for key, _ in ranked)
+        candidates = [r for key, r in ranked if key == nearest]
+
+    def key(r):
+        n = counts.get(r.id)
+        if n is None:
+            n = counts[r.id] = placeable_in_reach(state, r, req)
+        return (-n, r.id)
+
+    return min(candidates, key=key)
+
+
+def reference_reach_gain(app, vm_id, in_reach, unplaced):
+    """UNIFIED's gain of a VM as it was computed one VM at a time: its
+    traffic to in_reach less its traffic to unplaced, both summed in the
+    order of its traffic row."""
+    got = lost = 0
+    for peer, bw in app.peers(vm_id).items():
+        if peer in in_reach:
+            got += bw
+        elif peer in unplaced:
+            lost += bw
+    return got - lost
+
+
+def reference_unified(state, app, config, reaches):
+    """placement._place_unified as it was before it kept its own host map:
+    the same ranking (reference_sibling_reach), gains recomputed per peer
+    through app.peers, and each VM's edges reserved by the ledger-reading
+    reference_reserve_traffic. A scheme body for place_application."""
+    req = representative_request(app, state.topology.reference)
+    tried, hosting, counts = set(), [], {}
+    unplaced = set(app.vm_ids())
+    last_failure = "no reach could take the first VM"
+    while (reach := reference_sibling_reach(state, reaches, tried, hosting, req,
+                                            counts)) is not None:
+        tried.add(reach.id)
+        in_reach = set()
+        gain = {v: reference_reach_gain(app, v, in_reach, unplaced) for v in unplaced}
+        vm_id = _pick(unplaced, gain, 1)
+        while True:
+            host = bal_pack(state, app.vm(vm_id), reach)
+            if host is None:
+                last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
+                break
+            mark = len(state._journal)
+            try:
+                state.assign_vm(app.id, app.vm(vm_id), host)
+                reference_reserve_traffic(state, app, app.vm_edges(vm_id))
+            except CapacityError as exc:
+                state._rollback(mark)
+                last_failure = str(exc)
+                break
+            if not in_reach:
+                hosting.append(reach)
+            unplaced.discard(vm_id)
+            if not unplaced:
+                return None
+            in_reach.add(vm_id)
+            del gain[vm_id]
+            for peer in app.peers(vm_id):
+                if peer in unplaced:
+                    gain[peer] = reference_reach_gain(app, peer, in_reach, unplaced)
+            vm_id = _pick(unplaced, gain, -1)
+    return last_failure
 
 
 def brute_force_placeable(state, req: MultiRequest) -> int:
@@ -221,16 +311,23 @@ def brute_force_placeable(state, req: MultiRequest) -> int:
             caps.append(min(per))
         return sum(caps) // 2
 
-    def search(start: int, placed: int) -> None:
+    def search(start: int, placed: int) -> bool:
+        """Raise best to the most placements found from here; True once it
+        reaches _ORACLE_CAP, the answer, which ends the whole search."""
         nonlocal best
         best = max(best, placed)
-        if placed >= _ORACLE_CAP or placed + upper_bound() <= best:
-            return
+        if best >= _ORACLE_CAP:
+            return True
+        if placed + upper_bound() <= best:
+            return False
         for pi in range(start, len(choices)):
             if fits(pi):
                 apply(pi, 1.0)
-                search(pi, placed + 1)
+                done = search(pi, placed + 1)
                 apply(pi, -1.0)
+                if done:
+                    return True
+        return False
 
     search(0, 0)
     return best

@@ -7,7 +7,7 @@ from dcfrag import harness, placement
 from dcfrag.fixtures import NAMED_TOPOLOGIES, UNIT, category_spec, category_topology
 from dcfrag.harness import (ExperimentConfig, ResultRow, compare_schemes, order_hash,
                             resolve_topology, run_experiment, shuffle_order)
-from dcfrag.metrics import MultiRequest, placeable_in_reach
+from dcfrag.metrics import MultiRequest, placeable_in_reach, placeable_in_reaches
 from dcfrag.placement import PlacementState, SchemeConfig, place_application
 from dcfrag.topology import ResourceVector, build_tree
 from dcfrag.workload import VM, Application, generate_workload, representative_request
@@ -203,16 +203,16 @@ class TestOneReference:
         expected = min(t.reaches, key=lambda r: (-placeable_in_reach(state, r, req), r.id))
         seen, picks = [], []
 
-        def counting(state, reach, request):
+        def counting(state, reaches, request):
             seen.append(request)
-            return placeable_in_reach(state, reach, request)
+            return placeable_in_reaches(state, reaches, request)
 
         def picking(*args):
             picks.append(best(*args))
             return picks[-1]
 
         best = placement.best_sibling_reach
-        monkeypatch.setattr(placement, "placeable_in_reach", counting)
+        monkeypatch.setattr(placement, "placeable_in_reaches", counting)
         monkeypatch.setattr(placement, "best_sibling_reach", picking)
         assert place_application(state, app, SchemeConfig("UNIFIED")).ok
         assert seen and all(r == req for r in seen)

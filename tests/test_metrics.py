@@ -1,3 +1,4 @@
+import functools
 import heapq
 import math
 import random
@@ -17,7 +18,7 @@ from dcfrag.topology import (Host, Link, ResourceVector, Switch, Topology,
 from dcfrag.workload import VM, Application
 
 from oracle import (_ORACLE_CAP, brute_force_placeable, reference_consume_paths,
-                    reference_neighbors, reference_paths_bandwidth, reference_shortest_paths)
+                    reference_paths_bandwidth, reference_shortest_paths)
 from test_topology import mini_topology
 
 
@@ -255,15 +256,21 @@ class TestThreeReachLine:
 
 
 def _bfs_reach_distance(t, ri, rj):
-    """Minimum switch-only BFS hop count over all boundary switch pairs."""
+    """Minimum switch-only BFS hop count over all boundary switch pairs, on
+    switch neighbours read from t.links alone."""
+    peers = {s: [] for s in t.switches}
+    for link in t.links.values():
+        if link.a in peers and link.b in peers:
+            peers[link.a].append(link.b)
+            peers[link.b].append(link.a)
     best = float("inf")
     for a in ri.switches:
         dist = {a: 0}
         frontier = deque([a])
         while frontier:
             node = frontier.popleft()
-            for peer, _ in reference_neighbors(t, node):
-                if peer in t.switches and peer not in dist:
+            for peer in peers[node]:
+                if peer not in dist:
                     dist[peer] = dist[node] + 1
                     frontier.append(peer)
         best = min([best] + [dist[b] for b in rj.switches if b in dist])
@@ -298,23 +305,24 @@ def _replay_walk(t, reaches, residuals, link_free, fit, unit):
     res = {r.id: x for r, x in zip(t.reaches, residuals)}
     reaches = sorted(reaches, key=lambda r: r.hosts)
     pairs = [(ri, rj) for i, ri in enumerate(reaches) for rj in reaches[i + 1:]]
-    # a pair's distance is a fact of the fabric, so it is found once
+    # a pair's distance and paths are facts of the fabric, so they are found once
     distance = {p: _bfs_reach_distance(t, *p) for p in pairs}
+    paths = {p: t.reach_paths(*p) for p in pairs}
 
-    def bandwidth(ri, rj):
-        return reference_paths_bandwidth(t.reach_paths(ri, rj), link_free, t.reference.link)
+    def bandwidth(p):
+        return reference_paths_bandwidth(paths[p], link_free, t.reference.link)
 
     total = 0
     while pairs:
-        ri, rj = min(pairs, key=lambda p: (distance[p], -bandwidth(*p), p[0].id, p[1].id))
-        pairs.remove((ri, rj))
-        step = min(res[ri.id], res[rj.id], fit(bandwidth(ri, rj)))
+        p = min(pairs, key=lambda p: (distance[p], -bandwidth(p), p[0].id, p[1].id))
+        pairs.remove(p)
+        ri, rj = p
+        step = min(res[ri.id], res[rj.id], fit(bandwidth(p)))
         if step > 1e-9:
             total += step
             res[ri.id] -= step
             res[rj.id] -= step
-            reference_consume_paths(t.reach_paths(ri, rj), link_free,
-                                    step * unit * t.reference.link)
+            reference_consume_paths(paths[p], link_free, step * unit * t.reference.link)
     return total
 
 
@@ -351,18 +359,27 @@ def _unread_walk(state, residuals, fit, unit):
     return total
 
 
+@functools.cache
+def _walk_fabric(fabric, size, oversub):
+    """One immutable topology per drawn shape, built once: a fresh state over
+    it per example keeps the examples apart, and generating an example costs
+    no fabric build (shrinking a failure generates hundreds)."""
+    if fabric == "tree":
+        return build_tree(size, 2, UNIT, 1.0, oversub_ratio=oversub)
+    if fabric == "clos":
+        return build_clos(size, 2, 2, UNIT, 1.0, core_oversub=oversub)
+    return three_reach_line().topology
+
+
 @st.composite
 def walk_instances(draw):
     """A multi-reach fabric with drawn link frees and per-reach residuals."""
     fabric = draw(st.sampled_from(["tree", "clos", "line"]))
-    if fabric == "tree":
-        state = PlacementState(build_tree(draw(st.sampled_from([2, 4, 6])), 2, UNIT, 1.0,
-                                          oversub_ratio=draw(st.sampled_from([2.0, 4.0]))))
-    elif fabric == "clos":
-        state = PlacementState(build_clos(draw(st.sampled_from([2, 4])), 2, 2, UNIT, 1.0,
-                                          core_oversub=draw(st.sampled_from([2.0, 4.0]))))
-    else:
-        state = three_reach_line()
+    size = oversub = None
+    if fabric != "line":
+        size = draw(st.sampled_from([2, 4, 6] if fabric == "tree" else [2, 4]))
+        oversub = draw(st.sampled_from([2.0, 4.0]))
+    state = PlacementState(_walk_fabric(fabric, size, oversub))
     t = state.topology
     for lid in sorted(state.link_free):
         state.link_free[lid] = t.links[lid].capacity * draw(st.integers(0, 2)) / 2
@@ -1121,7 +1138,7 @@ class TestReachMemo:
                     try:
                         state.assign_vm(app.id, app.vm("v0"), host_a)
                         state.assign_vm(app.id, app.vm("v1"), host_b)
-                        reserve_traffic(state, app)
+                        reserve_traffic(state, app, {"v0": host_a, "v1": host_b})
                     except CapacityError:
                         pass
                     self.check(states, requests)  # the memo now holds values the abort undoes

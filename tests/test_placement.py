@@ -4,13 +4,13 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from dcfrag import placement
 from dcfrag.fixtures import (UNIT, UNIT_REF, category_eval_apps, category_spec,
                              category_topology, fig1_instance)
 from dcfrag.harness import resolve_topology
-from dcfrag.metrics import MultiRequest, placeable_in_reach
+from dcfrag.metrics import MultiRequest, placeable_in_reach, placeable_in_reaches
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
                               reserve_traffic)
@@ -18,7 +18,8 @@ from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology
                              build_tree, load_topology)
 from dcfrag.workload import (VM, Application, generate_workload, load_workload,
                              representative_request, validate_application)
-from oracle import journaled_write, reference_reserve_traffic
+from oracle import (journaled_write, placed, reference_reach_gain, reference_reserve_traffic,
+                    reference_unified)
 from test_topology import as_topology, leveled_fabrics
 from test_workload import bw_to
 
@@ -32,11 +33,6 @@ def idle_tree(num_tors=2, hosts_per_tor=2, link=1.0, oversub=2.0, cap=UNIT):
 def tree_state(**kwargs):
     t = idle_tree(**kwargs)
     return PlacementState(t), t.reaches
-
-
-def placed(state, app_id="app"):
-    """The app's VM -> host map, read from the state's ledger."""
-    return {v: host for (a, v), host in state.assignments.items() if a == app_id}
 
 
 def tree_app(demands, traffic, app_id="app"):
@@ -161,7 +157,7 @@ class TestReserveEdge:
         short = [lid for lid in path if frees[lid] + 1e-9 < bw]
         with state.transaction():
             try:
-                reserve_traffic(state, app, [(("x", "y"), bw)])
+                reserve_traffic(state, app, placed(state), [(("x", "y"), bw)])
             except CapacityError as exc:
                 assert short, "a fitting edge was refused"
                 assert (exc.entity, exc.entity_id, exc.dimension) == ("link", short[0], "bw")
@@ -189,7 +185,7 @@ class TestReserveTraffic:
         state, app = self.setup_app({("v1", "v2"): 0.3})
         state.assign_vm(app.id, app.vm("v1"), "h0")
         state.assign_vm(app.id, app.vm("v2"), "h0")
-        assert reserve_traffic(state, app) is None
+        assert reserve_traffic(state, app, placed(state)) is None
         assert not state.reservations
         assert all(state.link_free[l] == state.topology.links[l].free
                    for l in state.link_free)
@@ -198,7 +194,7 @@ class TestReserveTraffic:
         state, app = self.setup_app({("v1", "v2"): 0.3})
         state.assign_vm(app.id, app.vm("v1"), "h0")
         state.assign_vm(app.id, app.vm("v2"), "h1")
-        assert reserve_traffic(state, app) is None
+        assert reserve_traffic(state, app, placed(state)) is None
         assert state.link_free["h0-t0"] == pytest.approx(0.7)
         assert state.link_free["h1-t0"] == pytest.approx(0.7)
 
@@ -206,13 +202,13 @@ class TestReserveTraffic:
         state, app = self.setup_app({("v1", "v2"): 0.3, ("v2", "v3"): 0.2})
         state.assign_vm(app.id, app.vm("v1"), "h0")
         state.assign_vm(app.id, app.vm("v2"), "h1")
-        reserve_traffic(state, app)
+        reserve_traffic(state, app, placed(state))
         after_first = state.snapshot()
-        reserve_traffic(state, app)
+        reserve_traffic(state, app, placed(state))
         assert state.snapshot() == after_first
         assert set(state.reservations) == {(app.id, "v1", "v2")}
         state.assign_vm(app.id, app.vm("v3"), "h2")
-        reserve_traffic(state, app)
+        reserve_traffic(state, app, placed(state))
         assert set(state.reservations) == {(app.id, "v1", "v2"), (app.id, "v2", "v3")}
         assert state.validate() == []
 
@@ -253,7 +249,10 @@ class TestReserveTraffic:
             assert state.snapshot() == before
             return error, after
 
-        assert run(reserve_traffic) == run(reference_reserve_traffic)
+        def fused(state, app, edges):
+            return reserve_traffic(state, app, placed(state), edges)
+
+        assert run(fused) == run(reference_reserve_traffic)
 
     def test_shortfall_rolls_back_the_vm(self):
         # the second case reserves (v1, v2) before (v2, v3) falls short; an
@@ -263,16 +262,16 @@ class TestReserveTraffic:
             ({("v1", "v2"): 0.2, ("v2", "v3"): 0.3}, {"h0-t0": 0.85, "h1-t0": 0.45},
              {"v1": "h0", "v3": "h2"}),
         ]
-        for traffic, link_free, placed in cases:
+        for traffic, link_free, hosts in cases:
             state, app = self.setup_app(traffic)
             state.link_free.update(link_free)
-            for vm_id, host in placed.items():
+            for vm_id, host in hosts.items():
                 state.assign_vm(app.id, app.vm(vm_id), host)
             before, before_free = state.snapshot(), dict(state.link_free)
             with pytest.raises(CapacityError, match="h1-t0"):
                 with state.transaction():
                     state.assign_vm(app.id, app.vm("v2"), "h1")
-                    reserve_traffic(state, app)
+                    reserve_traffic(state, app, placed(state))
             assert (app.id, "v2") not in state.assignments
             assert not state.reservations
             assert state.link_free == before_free
@@ -393,7 +392,7 @@ def _unified_rescanning_gains(state, app, config, reaches):
     placed VM it rebuilds the VMs in the current reach from the assignments
     and takes two bw_to sums per unplaced VM."""
     req = representative_request(app, state.topology.reference)
-    reach = min(reaches, key=lambda r: (-placement.placeable_in_reach(state, r, req), r.id))
+    reach = min(reaches, key=lambda r: (-placeable_in_reach(state, r, req), r.id))
     tried = {reach.id}
     unplaced = set(app.vm_ids())
     placed_hosts = set()
@@ -409,7 +408,7 @@ def _unified_rescanning_gains(state, app, config, reaches):
             mark = len(state._journal)
             try:
                 state.assign_vm(app.id, app.vm(vm_id), host)
-                reserve_traffic(state, app, app.vm_edges(vm_id))
+                reserve_traffic(state, app, placed(state, app.id), app.vm_edges(vm_id))
             except CapacityError as exc:
                 state._rollback(mark)
                 last_failure = str(exc)
@@ -714,7 +713,7 @@ def _apply_write(state, kind, i, j):
         journaled_write(state, state.assignments, ("app", f"r{i}"), hosts[i])
         journaled_write(state, state.assignments, ("app", f"r{j}"), hosts[j])
         try:
-            reserve_traffic(state, _RESERVER, [((f"r{i}", f"r{j}"), 0.25)])
+            reserve_traffic(state, _RESERVER, placed(state), [((f"r{i}", f"r{j}"), 0.25)])
         except CapacityError:
             pass  # refused before it wrote anything
 
@@ -952,7 +951,7 @@ class TestLedgerProperties:
         for app in apps:
             if app.id not in state.apps and place_application(state, app, UNIFIED).ok:
                 reservations, link_free = dict(state.reservations), dict(state.link_free)
-                reserve_traffic(state, app)
+                reserve_traffic(state, app, placed(state, app.id))
                 assert state.reservations == reservations and state.link_free == link_free
 
     @settings(max_examples=300, deadline=None)
@@ -977,6 +976,114 @@ class TestLedgerProperties:
             for app in apps:
                 if app.id not in state.apps:
                     place_application(state, app, UNIFIED)
+
+
+def _ledger(state):
+    """Every table an attempt writes, in insertion order, floats by repr."""
+    return (list(state.assignments.items()),
+            [(k, path, repr(bw)) for k, (path, bw) in state.reservations.items()],
+            list(state.host_vms.items()),
+            [(h, repr(f)) for h, f in state.host_free.items()],
+            [(lid, repr(f)) for lid, f in state.link_free.items()])
+
+
+def _unified_against_reference(monkeypatch, t, apps):
+    """Place the apps with UNIFIED and with oracle.reference_unified on two
+    states of t, asserting after each attempt that the outcomes and ledgers
+    are the same. Returns the spills (sibling reaches taken after an app's
+    first) and the per-VM steps rolled back, counted in the UNIFIED run."""
+    sibling, rollback = placement.best_sibling_reach, PlacementState._rollback
+    seen = {"spills": 0, "rollbacks": 0}
+
+    def counted_sibling(state, reaches, tried, hosting, req, counts):
+        got = sibling(state, reaches, tried, hosting, req, counts)
+        seen["spills"] += bool(tried) and got is not None
+        return got
+
+    def counted_rollback(self, mark):
+        seen["rollbacks"] += mark > 0  # the attempt's own rollback is to 0
+        return rollback(self, mark)
+
+    states = PlacementState(t), PlacementState(t)
+    for app in apps:
+        if app.id in states[0].apps:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(placement, "best_sibling_reach", counted_sibling)
+            m.setattr(PlacementState, "_rollback", counted_rollback)
+            got = place_application(states[0], app, UNIFIED)
+        with monkeypatch.context() as m:
+            m.setitem(placement._SCHEME_BODIES, "UNIFIED", reference_unified)
+            want = place_application(states[1], app, UNIFIED)
+        assert got == want, app.id
+        assert _ledger(states[0]) == _ledger(states[1]), app.id
+    return seen
+
+
+class TestUnifiedReference:
+    """UNIFIED against its form before it kept its own host map and counted
+    its reaches in one pass (oracle.reference_unified)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ledger_runs())
+    def test_every_attempt_matches_the_reference(self, run):
+        t, _, apps = run
+        with pytest.MonkeyPatch.context() as m:
+            seen = _unified_against_reference(m, t, apps)
+        for name, n in seen.items():
+            event(f"{name}: {'some' if n else 'none'}")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_overloaded_pools_match_the_reference(self, monkeypatch, seed):
+        # 128 category-3 apps on the CLOS: apps spill to sibling reaches; a
+        # VM's step rolls back only on the tight uplinks of ledger_runs
+        seen = _unified_against_reference(monkeypatch, category_topology(3),
+                                          generate_workload(category_spec(3, 128, seed)))
+        assert seen["spills"] > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(ledger_runs(), st.data())
+    def test_every_pick_reads_the_reference_gains(self, run, data):
+        # bandwidths of 0.0 and -0.0, which validation admits, and sums that
+        # round; the gains are compared by repr, so a sign of zero counts
+        t, _, apps = run
+        bws = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1e-17])
+        apps = [Application(id=a.id, vms=a.vms, traffic={e: data.draw(bws) for e in a.traffic})
+                for a in apps]
+        state, reach_of, pick = PlacementState(t), {}, placement._pick
+
+        def packing(state, vm, reach):
+            reach_of["now"] = reach
+            return bal_pack(state, vm, reach)
+
+        def checked(unplaced, gain, sign):
+            in_reach = set() if sign == 1 else {
+                v for v in app.vm_ids() if v not in unplaced
+                and state.assignments.get((app.id, v)) in reach_of["now"].hosts}
+            assert {v: repr(gain[v]) for v in unplaced} == {
+                v: repr(reference_reach_gain(app, v, in_reach, unplaced)) for v in unplaced}
+            return pick(unplaced, gain, sign)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(placement, "bal_pack", packing)
+            m.setattr(placement, "_pick", checked)
+            for app in apps:
+                if app.id not in state.apps:
+                    place_application(state, app, UNIFIED)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ledger_runs(), st.data())
+    def test_one_pass_counts_equal_the_per_reach_counts(self, run, data):
+        t, cfg, apps = run
+        state = PlacementState(t)
+        for app in apps:
+            if app.id not in state.apps:
+                place_application(state, app, cfg)
+        share = st.sampled_from([0.0, 0.1, 0.25, 0.5])
+        req = MultiRequest(cpu=data.draw(share), mem=data.draw(share), nw=data.draw(share))
+        reaches = data.draw(st.permutations(t.reaches))[:data.draw(st.integers(0, len(t.reaches)))]
+        assert placeable_in_reaches(state, reaches, req) == [
+            placeable_in_reach(state, r, req) for r in reaches]
 
 
 def _netw_rebuilding_units(state, app, config, reaches):
@@ -1018,7 +1125,7 @@ def _netw_rebuilding_units(state, app, config, reaches):
             for host_id in unit_hosts:
                 for _ in range(counts.get(host_id, 0)):
                     state.assign_vm(app.id, next(vm_iter), host_id)
-            reserve_traffic(state, app)
+            reserve_traffic(state, app, placed(state, app.id))
         except CapacityError as exc:
             state._rollback(mark)
             last_failure = str(exc)
