@@ -2,7 +2,9 @@
 
 The state tracks per-host free resources (NIC as a demand budget: the sum of
 the hosted VMs' declared NIC needs), per-link free bandwidth consumed by
-routed edge reservations, and the VM assignments themselves.
+routed edge reservations, and, per app, each VM's host and each routed
+edge's reservation: the one record of where an app sits, which the schemes
+read back as they place.
 place_application is the one entry point: it opens the attempt's
 transaction, registers the app and commits or rolls back, so a scheme only
 chooses hosts and reserves their traffic through reserve_traffic. A
@@ -60,6 +62,13 @@ class PlacementOutcome:
 _PLACED = PlacementOutcome(ok=True)  # frozen, so every placed attempt shares it
 
 
+def _copied(host_free, link_free, assignments, host_vms, reservations, apps):
+    """Copies of the ledger's tables, each app's assignment and reservation
+    maps included, so a copy and its source share no map."""
+    return (dict(host_free), dict(link_free), {a: dict(m) for a, m in assignments.items()},
+            dict(host_vms), {a: dict(m) for a, m in reservations.items()}, dict(apps))
+
+
 class PlacementState:
     """Mutable reservation ledger over an immutable topology.
 
@@ -75,9 +84,10 @@ class PlacementState:
         self.link_free: dict[str, float] = {
             l.id: l.free for l in topology.links.values()
         }
-        self.assignments: dict[tuple[str, str], str] = {}   # (app, vm) -> host
+        self.assignments: dict[str, dict[str, str]] = {}  # app -> {vm: host}
         self.host_vms: dict[str, int] = dict.fromkeys(topology.hosts, 0)  # VMs per host
-        self.reservations: dict[tuple[str, str, str], tuple[tuple[str, ...], float]] = {}
+        # app -> {(x, y): (link path, bw)}, keyed by the edge as app.edges() holds it
+        self.reservations: dict[str, dict[tuple[str, str], tuple[tuple[str, ...], float]]] = {}
         self.apps: dict[str, Application] = {}
         self._journal: list | None = None
         # metrics' per-reach results and reach-pair order, keyed by the free
@@ -88,23 +98,18 @@ class PlacementState:
     # -- snapshots and transactions -------------------------------------------
 
     def snapshot(self):
-        return (
-            dict(self.host_free),
-            dict(self.link_free),
-            dict(self.assignments),
-            dict(self.host_vms),
-            dict(self.reservations),
-            dict(self.apps),
-        )
+        return _copied(self.host_free, self.link_free, self.assignments,
+                       self.host_vms, self.reservations, self.apps)
 
     def restore(self, snap) -> None:
-        """Replace the tables by copies of a snapshot's. Not allowed inside a
-        transaction: its rollback would write into the replaced tables."""
+        """Replace the tables by copies of a snapshot's, which then shares
+        no map with the state. Not allowed inside a transaction: its rollback
+        would write into the replaced tables."""
         if self._journal is not None:
             raise RuntimeError("restore() inside an open transaction, which could "
                                "not undo it")
         (self.host_free, self.link_free, self.assignments, self.host_vms,
-         self.reservations, self.apps) = (dict(part) for part in snap)
+         self.reservations, self.apps) = _copied(*snap)
 
     def _rollback(self, mark: int) -> None:
         """Put back every value journaled past `mark`, newest first, and drop
@@ -146,18 +151,24 @@ class PlacementState:
     # -- guarded commits -------------------------------------------------------
 
     def register_app(self, app: Application) -> None:
-        """Enter the app in the ledger; its assignments and reservations are
-        keyed by its id, so an id the ledger already holds is refused."""
+        """Enter the app in the ledger with empty assignment and reservation
+        maps, keyed by its id, so an id the ledger already holds is refused.
+        Rolling back the registration removes all three entries."""
         if app.id in self.apps:
             raise ValueError(f"app id {app.id!r} is already in the ledger")
         if self._journal is not None:
-            self._journal.append((self.apps, app.id, _ABSENT))
+            self._journal.extend(((self.apps, app.id, _ABSENT),
+                                  (self.assignments, app.id, _ABSENT),
+                                  (self.reservations, app.id, _ABSENT)))
         self.apps[app.id] = app
+        self.assignments[app.id] = {}
+        self.reservations[app.id] = {}
 
     def assign_vm(self, app_id: str, vm: VM, host_id: str) -> None:
-        """Put the VM on the host, or raise CapacityError naming the first
-        dimension short. The host's free resources, the assignment and the
-        host's VM count are written and journaled in one step."""
+        """Put the VM of the registered app on the host, or raise
+        CapacityError naming the first dimension short. The host's free
+        resources, the app's assignments[vm] and the host's VM count are
+        written and journaled in one step."""
         free, need = self.host_free[host_id], vm.demand
         if need.cpu > free.cpu + _EPS:
             raise CapacityError("host", host_id, "cpu", need.cpu, free.cpu)
@@ -165,15 +176,15 @@ class PlacementState:
             raise CapacityError("host", host_id, "mem", need.mem, free.mem)
         if need.nic > free.nic + _EPS:
             raise CapacityError("host", host_id, "nic", need.nic, free.nic)
-        host_free, assignments, host_vms = self.host_free, self.assignments, self.host_vms
-        key, count, journal = (app_id, vm.id), host_vms[host_id], self._journal
+        host_free, placed, host_vms = self.host_free, self.assignments[app_id], self.host_vms
+        vm_id, count, journal = vm.id, host_vms[host_id], self._journal
         if journal is not None:
             journal.extend(((host_free, host_id, free),
-                            (assignments, key, assignments.get(key, _ABSENT)),
+                            (placed, vm_id, placed.get(vm_id, _ABSENT)),
                             (host_vms, host_id, count)))
         host_free[host_id] = _vector(free.cpu - need.cpu, free.mem - need.mem,
                                      free.nic - need.nic)
-        assignments[key] = host_id
+        placed[vm_id] = host_id
         host_vms[host_id] = count + 1
 
     # -- validation --------------------------------------------------------------
@@ -184,9 +195,12 @@ class PlacementState:
         t = self.topology
         used: dict[str, ResourceVector] = {
             h: ResourceVector(0, 0, 0) for h in self.host_free}
-        for (app_id, vm_id), host_id in self.assignments.items():
-            used[host_id] = used[host_id] + self.apps[app_id].vm(vm_id).demand
-        counts = Counter(self.assignments.values())
+        counts: Counter[str] = Counter()
+        for app_id, placed in self.assignments.items():
+            app = self.apps[app_id]
+            for vm_id, host_id in placed.items():
+                used[host_id] = used[host_id] + app.vm(vm_id).demand
+            counts.update(placed.values())
         for host_id, total in used.items():
             if self.host_vms[host_id] != counts[host_id]:
                 violations.append(f"host {host_id}: VM count out of sync")
@@ -202,9 +216,10 @@ class PlacementState:
                     violations.append(f"host {host_id}: {dim} ledger out of sync")
 
         reserved: dict[str, float] = {lid: 0.0 for lid in self.link_free}
-        for path, bw in self.reservations.values():
-            for lid in path:
-                reserved[lid] += bw
+        for routed in self.reservations.values():
+            for path, bw in routed.values():
+                for lid in path:
+                    reserved[lid] += bw
         for lid, total in reserved.items():
             cap = t.links[lid].capacity
             if total > cap + 1e-6:
@@ -214,15 +229,15 @@ class PlacementState:
                 violations.append(f"link {lid}: free-bandwidth ledger out of sync")
 
         for app_id, app in self.apps.items():
-            placed = {v.id for v in app.vms if (app_id, v.id) in self.assignments}
-            if placed != set(app.vm_ids()):
-                continue  # rolled back or mid-flight; nothing to check
-            for (x, y), bw in app.edges():
-                key = (app_id, x, y)
-                same_host = self.assignments[(app_id, x)] == self.assignments[(app_id, y)]
-                if same_host and key in self.reservations:
+            placed, routed = self.assignments[app_id], self.reservations[app_id]
+            if any(v.id not in placed for v in app.vms):
+                continue  # mid-flight; nothing to check
+            for key, bw in app.edges():
+                x, y = key
+                same_host = placed[x] == placed[y]
+                if same_host and key in routed:
                     violations.append(f"app {app_id}: co-located edge ({x}, {y}) is reserved")
-                if not same_host and bw > 0 and key not in self.reservations:
+                if not same_host and bw > 0 and key not in routed:
                     violations.append(f"app {app_id}: cross-host edge ({x}, {y}) not reserved")
         return violations
 
@@ -230,31 +245,29 @@ class PlacementState:
 # -- shared pieces --------------------------------------------------------------
 
 
-def reserve_traffic(state: PlacementState, app: Application, host_of: dict,
-                    edges=None) -> None:
-    """Reserve, in order, every edge of `edges` (default app.edges()) with
-    bandwidth whose two VMs sit on different hosts and which holds no
-    reservation yet.
+def reserve_traffic(state: PlacementState, app: Application, edges=None) -> None:
+    """Reserve, in order, every edge of `edges` (default app.edges()) of the
+    registered app with bandwidth whose two VMs sit on different hosts and
+    which holds no reservation yet.
 
-    host_of maps each of the app's placed VMs to its host, as the scheme
-    assigned them: the map the scheme keeps, so the ledger's assignments are
-    not read here. A VM missing from it is unplaced. Each edge is routed,
-    checked, written and journaled in one pass: the route's own bottleneck
-    decides, and only a shortfall looks for the first short link, the one
-    the CapacityError names. The caller's transaction undoes the edges
-    reserved so far.
+    Hosts are read from the ledger's state.assignments[app.id]; a VM missing
+    from it is unplaced. A reservation is keyed by the edge as given, the
+    key validate() looks up. Each edge is routed, checked, written and
+    journaled in one pass: the route's own bottleneck decides, and only a
+    shortfall looks for the first short link, the one the CapacityError
+    names. The caller's transaction undoes the edges reserved so far.
     """
-    app_id, reservations, host = app.id, state.reservations, host_of.get
+    routed, host = state.reservations[app.id], state.assignments[app.id].get
     link_free, journal, route = state.link_free, state._journal, state.topology.route
-    for (x, y), bw in app.edges() if edges is None else edges:
+    for key, bw in app.edges() if edges is None else edges:
         if bw <= 0:
             continue
+        x, y = key
         host_x = host(x)
         host_y = host(y)
         if host_x is None or host_y is None or host_x == host_y:
             continue
-        key = (app_id, x, y) if x < y else (app_id, y, x)
-        if key in reservations:
+        if key in routed:
             continue
         path, bottleneck = route(host_x, host_y, link_free)
         if bottleneck + _EPS < bw:
@@ -266,8 +279,8 @@ def reserve_traffic(state: PlacementState, app: Application, host_of: dict,
                 journal.append((link_free, lid, free))
             link_free[lid] = free - bw
         if journal is not None:
-            journal.append((reservations, key, _ABSENT))
-        reservations[key] = (path, bw)
+            journal.append((routed, key, _ABSENT))
+        routed[key] = (path, bw)
 
 
 # -- BAL_PACK stand-in -------------------------------------------------------------
@@ -393,15 +406,14 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
 
     A VM's step (assign, then reserve its edges) runs inside the attempt's
     transaction: it marks the journal first and rolls back to the mark when
-    a host or link refuses. host_of, the VMs placed so far by host, gains
-    the VM before its edges are reserved and loses it on that rollback.
+    a host or link refuses, which takes the VM out of the ledger's
+    assignments again.
     """
     req = representative_request(app, state.topology.reference)
     tried: set[str] = set()
     hosting: list[Reach] = []  # the reaches holding a VM, in the order they took one
     counts: dict[str, int] = {}  # reach id -> placeable count, for untried reaches
     unplaced = set(app.vm_ids())
-    host_of: dict[str, str] = {}
     rows = app._peers
     last_failure = "no reach could take the first VM"
 
@@ -411,16 +423,7 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
         in_reach: set[str] = set()  # an untried reach holds none of the app's VMs
         # with in_reach empty a gain is minus the traffic to the unplaced
         gain: dict[str, float] = {}
-        if host_of:
-            _set_gains(gain, rows, unplaced, in_reach, unplaced)
-        else:  # no VM placed: every peer in a row is unplaced, so all of it is lost
-            for v in unplaced:
-                lost = 0
-                row = rows.get(v)
-                if row:
-                    for bw in row.values():
-                        lost += bw
-                gain[v] = 0 - lost  # _set_gains' got - lost, got being 0
+        _set_gains(gain, rows, unplaced, in_reach, unplaced)
         vm_id = _pick(unplaced, gain, 1)
         while True:
             vm = app.vm(vm_id)
@@ -431,12 +434,10 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
             mark = len(state._journal)
             try:
                 state.assign_vm(app.id, vm, host)
-                host_of[vm_id] = host
                 # every edge between VMs placed before is reserved
-                reserve_traffic(state, app, host_of, app.vm_edges(vm_id))
+                reserve_traffic(state, app, app.vm_edges(vm_id))
             except CapacityError as exc:
                 state._rollback(mark)
-                host_of.pop(vm_id, None)
                 last_failure = str(exc)
                 break
             if not in_reach:
@@ -485,7 +486,7 @@ def _place_local(state: PlacementState, app: Application, config: SchemeConfig,
             lo_mem = need.mem
         if need.nic < lo_nic:
             lo_nic = need.nic
-    host_free, hosts, host_of = state.host_free, [], {}
+    host_free, hosts = state.host_free, []
     for h in state.topology.host_ids:
         free = host_free[h]
         if lo_cpu <= free.cpu + _EPS and lo_mem <= free.mem + _EPS and lo_nic <= free.nic + _EPS:
@@ -500,8 +501,7 @@ def _place_local(state: PlacementState, app: Application, config: SchemeConfig,
         else:
             return f"no host fits VM {vm.id}"
         state.assign_vm(app.id, vm, h)
-        host_of[vm.id] = h
-    reserve_traffic(state, app, host_of)
+    reserve_traffic(state, app)
     return None
 
 
@@ -631,14 +631,12 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
             continue
 
         mark = len(state._journal)
-        vm_iter, host_of = iter(vms), {}
+        vm_iter = iter(vms)
         for host_id in unit_hosts:
             for _ in range(counts.get(host_id, 0)):
-                vm = next(vm_iter)
-                state.assign_vm(app.id, vm, host_id)
-                host_of[vm.id] = host_id
+                state.assign_vm(app.id, next(vm_iter), host_id)
         try:
-            reserve_traffic(state, app, host_of)
+            reserve_traffic(state, app)
         except CapacityError as exc:
             state._rollback(mark)
             last_failure = str(exc)
@@ -658,8 +656,8 @@ def place_application(state: PlacementState, app: Application, config: SchemeCon
 
     The outcome says only whether the app was placed and why not: the
     placement itself is the state's ledger, each VM's host in
-    state.assignments[(app, vm)] and each routed edge's link path and
-    bandwidth in state.reservations[(app, x, y)].
+    state.assignments[app][vm] and each routed edge's link path and
+    bandwidth in state.reservations[app][(x, y)].
 
     UNIFIED places over `reaches`, by default topology.reaches. The scheme
     body returns a failure message or None; a CapacityError that escapes it

@@ -297,6 +297,9 @@ class Topology:
         reservations across the equal-cost middle switches instead of
         stacking them on one. The bottleneck is the one the search kept for
         the path, so it equals min(link_free[l] for l in path) exactly.
+        One dynamic program over the TOR pair's compiled DAG serves every
+        pair: the one-node DAGs of build_tree and build_clos and the empty
+        DAG of two hosts on one TOR included.
         """
         if host_a == host_b:
             raise ValueError("route endpoints must differ")
@@ -307,21 +310,9 @@ class Topology:
         dag = self._dags.get((tor_src, tor_dst))
         if dag is None:
             dag = self._compiled_dag(tor_src, tor_dst)  # () when the two are one TOR
-        if len(dag) < 2:  # tor_dst alone or nothing kept, as on build_tree and build_clos
-            held, chain = width, ()
-            for preds in dag:  # every pair's parent is tor_src
-                held = None
-                for _, links in preds:
-                    w = width
-                    for lid in links:
-                        f = link_free[lid]
-                        if f < w:
-                            w = f
-                    if held is None or w > held:
-                        held, chain = w, links
-            return (up_src, *chain, up_dst), (last if last < held else held)
         widths = [width]  # by kept node index; tor_src is 0
         paths = [()]  # the links from tor_src to each kept node
+        held = width  # the bottleneck so far, all of it when dag is empty
         for preds in dag:
             held = None
             for parent, links in preds:

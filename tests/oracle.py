@@ -1,8 +1,8 @@
 """Test references: each node's links read from the link table, every
 shortest path between two hosts, the link-disjoint shortest paths between two
 reaches by repeated blocked BFS, the reach-path bandwidth and consumption in
-builtin min/max form, edge reservation one step at a time, UNIFIED as it
-read the ledger's assignments and counted one reach at a time, and a
+builtin min/max form, edge reservation one step at a time, UNIFIED with its
+gains computed per VM and one reach counted at a time, and a
 brute-force oracle of the placeable requests on desk-size instances. None is
 part of the runtime; tests import them from here."""
 
@@ -132,22 +132,16 @@ def journaled_write(state, table, key, value):
     table[key] = value
 
 
-def placed(state, app_id="app"):
-    """The app's VM -> host map, read from the state's ledger: the map
-    reserve_traffic takes, for states whose assignments a test wrote."""
-    return {v: host for (a, v), host in state.assignments.items() if a == app_id}
-
-
 def reference_reserve_traffic(state, app, edges=None):
     """reserve_traffic with each edge's steps apart: for every edge with
     bandwidth, on two hosts and not yet reserved, route it, check the path's
     smallest free, write each link, then write the reservation, every write
-    through journaled_write."""
+    through journaled_write. Hosts and reservations are the app's maps in
+    the ledger."""
+    placed, routed = state.assignments[app.id], state.reservations[app.id]
     for (x, y), bw in app.edges() if edges is None else edges:
-        key = (app.id, x, y) if x < y else (app.id, y, x)
-        host_x = state.assignments.get((app.id, x))
-        host_y = state.assignments.get((app.id, y))
-        if bw <= 0 or key in state.reservations or None in (host_x, host_y) or host_x == host_y:
+        host_x, host_y = placed.get(x), placed.get(y)
+        if bw <= 0 or (x, y) in routed or None in (host_x, host_y) or host_x == host_y:
             continue
         path, _ = state.topology.route(host_x, host_y, state.link_free)
         if min(state.link_free[lid] for lid in path) + _EPS < bw:
@@ -155,7 +149,7 @@ def reference_reserve_traffic(state, app, edges=None):
             raise CapacityError("link", lid, "bw", bw, state.link_free[lid])
         for lid in path:
             journaled_write(state, state.link_free, lid, state.link_free[lid] - bw)
-        journaled_write(state, state.reservations, key, (path, bw))
+        journaled_write(state, routed, (x, y), (path, bw))
 
 
 def reference_sibling_reach(state, reaches, tried, hosting, req, counts):
@@ -199,10 +193,11 @@ def reference_reach_gain(app, vm_id, in_reach, unplaced):
 
 
 def reference_unified(state, app, config, reaches):
-    """placement._place_unified as it was before it kept its own host map:
-    the same ranking (reference_sibling_reach), gains recomputed per peer
-    through app.peers, and each VM's edges reserved by the ledger-reading
-    reference_reserve_traffic. A scheme body for place_application."""
+    """placement._place_unified one step at a time: the same ranking
+    (reference_sibling_reach), every gain computed per VM through
+    app.peers, and each VM's edges reserved by reference_reserve_traffic
+    from the hosts in state.assignments[app.id]. A scheme body for
+    place_application."""
     req = representative_request(app, state.topology.reference)
     tried, hosting, counts = set(), [], {}
     unplaced = set(app.vm_ids())

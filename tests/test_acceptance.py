@@ -126,7 +126,7 @@ def test_criterion_5_fig1_divergence():
           and not local.ok and local.failure.startswith("link")
           and greedy_error is not None and greedy_error.entity == "host"
           and unified.ok
-          and {v.id: unified_state.assignments[(app.id, v.id)] for v in app.vms} in plans
+          and unified_state.assignments[app.id] in plans
           and unified_state.validate() == []
           and elapsed < 1.0)
     verdict(5, ok, f"LOCAL: {local.failure}; greedy co-location: {greedy_error}; "
@@ -156,8 +156,8 @@ def _exhaustive_plans(topology, app):
 
 
 def _cross(state, app):
-    return round(sum(bw for (a, b), bw in app.traffic.items()
-                     if state.assignments[(app.id, a)] != state.assignments[(app.id, b)]))
+    placed = state.assignments[app.id]
+    return round(sum(bw for (a, b), bw in app.traffic.items() if placed[a] != placed[b]))
 
 
 def test_criterion_6_scheme_comparison_at_scale():

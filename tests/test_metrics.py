@@ -5,7 +5,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dcfrag import metrics as M
 from dcfrag.fixtures import (FIG4_REQUEST, UNIT, UNIT_REF, category_rrf_request,
@@ -390,9 +390,24 @@ def walk_instances(draw):
     return state, reaches, res_bw, res_req, req
 
 
+def _tree_walk(frees, res_bw, res_req, nw):
+    """A walk instance on a tree of len(frees) racks, one reach each, under
+    one core: rack i's core uplink holds frees[i] / 4."""
+    state = PlacementState(_walk_fabric("tree", len(frees), 2.0))
+    for reach, free in zip(state.topology.reaches, frees):
+        state.link_free[f"{reach.switches[0]}-core"] = free / 4
+    return state, state.topology.reaches, res_bw, res_req, MultiRequest(nw=nw)
+
+
 class TestPairWalk:
+    # the examples share core links, so a step leaves later rows stale; a
+    # re-keyed row is then smaller than the run's next row, and a walk that
+    # takes the run's row first gives a different bandwidth and count
     @settings(max_examples=200, deadline=None)
     @given(walk_instances())
+    @example(_tree_walk([1, 4, 3, 3], [0.5, 0.25, 1.0, 0.75], [4, 4, 6, 8], 0.2))
+    @example(_tree_walk([3, 3, 4, 1, 2, 1], [0.75, 0.25, 1.0, 0.75, 0.5, 0.25],
+                        [2, 7, 8, 1, 2, 0], 0.1))
     def test_matches_exhaustive_pair_order_replay(self, instance):
         state, reaches, res_bw, res_req, req = instance
         t = state.topology
@@ -1138,7 +1153,7 @@ class TestReachMemo:
                     try:
                         state.assign_vm(app.id, app.vm("v0"), host_a)
                         state.assign_vm(app.id, app.vm("v1"), host_b)
-                        reserve_traffic(state, app, {"v0": host_a, "v1": host_b})
+                        reserve_traffic(state, app)
                     except CapacityError:
                         pass
                     self.check(states, requests)  # the memo now holds values the abort undoes

@@ -18,7 +18,7 @@ from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology
                              build_tree, load_topology)
 from dcfrag.workload import (VM, Application, generate_workload, load_workload,
                              representative_request, validate_application)
-from oracle import (journaled_write, placed, reference_reach_gain, reference_reserve_traffic,
+from oracle import (journaled_write, reference_reach_gain, reference_reserve_traffic,
                     reference_unified)
 from test_topology import as_topology, leveled_fabrics
 from test_workload import bw_to
@@ -91,7 +91,7 @@ class TestBalPack:
         for cfg in (UNIFIED, LOCAL):
             state = PlacementState(t)
             assert place_application(state, app, cfg).ok, cfg.scheme
-            assert placed(state) == {"v": "h2"}, cfg.scheme
+            assert state.assignments[app.id] == {"v": "h2"}, cfg.scheme
 
 
     @settings(max_examples=300, deadline=None)
@@ -149,15 +149,15 @@ class TestReserveEdge:
                                   unique=True))
         app = Application(id="app", vms=(VM("x", UNIT), VM("y", UNIT)),
                           traffic={("x", "y"): bw})
-        state.assignments[("app", "x")] = a
-        state.assignments[("app", "y")] = b
+        state.register_app(app)
+        state.assignments[app.id].update(x=a, y=b)
         path, _ = t.route(a, b, state.link_free)
         before = state.snapshot()
         frees = before[1]
         short = [lid for lid in path if frees[lid] + 1e-9 < bw]
         with state.transaction():
             try:
-                reserve_traffic(state, app, placed(state), [(("x", "y"), bw)])
+                reserve_traffic(state, app, [(("x", "y"), bw)])
             except CapacityError as exc:
                 assert short, "a fitting edge was refused"
                 assert (exc.entity, exc.entity_id, exc.dimension) == ("link", short[0], "bw")
@@ -165,7 +165,7 @@ class TestReserveEdge:
                 assert state.snapshot() == before
             else:
                 assert not short, "a short link was overdrawn"
-                assert state.reservations == {("app", "x", "y"): (path, bw)}
+                assert state.reservations == {app.id: {("x", "y"): (path, bw)}}
                 assert state.link_free == {lid: free - bw if lid in path else free
                                            for lid, free in frees.items()}
         # left uncommitted, the transaction puts back every value it replaced
@@ -185,8 +185,8 @@ class TestReserveTraffic:
         state, app = self.setup_app({("v1", "v2"): 0.3})
         state.assign_vm(app.id, app.vm("v1"), "h0")
         state.assign_vm(app.id, app.vm("v2"), "h0")
-        assert reserve_traffic(state, app, placed(state)) is None
-        assert not state.reservations
+        assert reserve_traffic(state, app) is None
+        assert not state.reservations[app.id]
         assert all(state.link_free[l] == state.topology.links[l].free
                    for l in state.link_free)
 
@@ -194,7 +194,7 @@ class TestReserveTraffic:
         state, app = self.setup_app({("v1", "v2"): 0.3})
         state.assign_vm(app.id, app.vm("v1"), "h0")
         state.assign_vm(app.id, app.vm("v2"), "h1")
-        assert reserve_traffic(state, app, placed(state)) is None
+        assert reserve_traffic(state, app) is None
         assert state.link_free["h0-t0"] == pytest.approx(0.7)
         assert state.link_free["h1-t0"] == pytest.approx(0.7)
 
@@ -202,14 +202,14 @@ class TestReserveTraffic:
         state, app = self.setup_app({("v1", "v2"): 0.3, ("v2", "v3"): 0.2})
         state.assign_vm(app.id, app.vm("v1"), "h0")
         state.assign_vm(app.id, app.vm("v2"), "h1")
-        reserve_traffic(state, app, placed(state))
+        reserve_traffic(state, app)
         after_first = state.snapshot()
-        reserve_traffic(state, app, placed(state))
+        reserve_traffic(state, app)
         assert state.snapshot() == after_first
-        assert set(state.reservations) == {(app.id, "v1", "v2")}
+        assert set(state.reservations[app.id]) == {("v1", "v2")}
         state.assign_vm(app.id, app.vm("v3"), "h2")
-        reserve_traffic(state, app, placed(state))
-        assert set(state.reservations) == {(app.id, "v1", "v2"), (app.id, "v2", "v3")}
+        reserve_traffic(state, app)
+        assert set(state.reservations[app.id]) == {("v1", "v2"), ("v2", "v3")}
         assert state.validate() == []
 
     @settings(max_examples=200, deadline=None)
@@ -234,9 +234,9 @@ class TestReserveTraffic:
         def run(reserve):
             state = PlacementState(t)
             state.link_free.update(frees)
-            state.assignments.update(
-                {("app", v): h for v, h in where.items() if h is not None})
-            state.reservations.update({("app", x, y): ((), traffic[(x, y)]) for x, y in held})
+            state.register_app(app)
+            state.assignments[app.id].update({v: h for v, h in where.items() if h is not None})
+            state.reservations[app.id].update({edge: ((), traffic[edge]) for edge in held})
             before = state.snapshot()
             with state.transaction():
                 try:
@@ -244,15 +244,12 @@ class TestReserveTraffic:
                     error = None
                 except CapacityError as exc:
                     error = (exc.entity, exc.entity_id, exc.dimension, str(exc))
-                after = (dict(state.reservations), dict(state.link_free))
+                after = (dict(state.reservations[app.id]), dict(state.link_free))
             # left uncommitted, the transaction puts back every value it replaced
             assert state.snapshot() == before
             return error, after
 
-        def fused(state, app, edges):
-            return reserve_traffic(state, app, placed(state), edges)
-
-        assert run(fused) == run(reference_reserve_traffic)
+        assert run(reserve_traffic) == run(reference_reserve_traffic)
 
     def test_shortfall_rolls_back_the_vm(self):
         # the second case reserves (v1, v2) before (v2, v3) falls short; an
@@ -271,9 +268,9 @@ class TestReserveTraffic:
             with pytest.raises(CapacityError, match="h1-t0"):
                 with state.transaction():
                     state.assign_vm(app.id, app.vm("v2"), "h1")
-                    reserve_traffic(state, app, placed(state))
-            assert (app.id, "v2") not in state.assignments
-            assert not state.reservations
+                    reserve_traffic(state, app)
+            assert "v2" not in state.assignments[app.id]
+            assert not state.reservations[app.id]
             assert state.link_free == before_free
             assert state.snapshot() == before
 
@@ -287,9 +284,9 @@ class TestUnified:
         app = tree_app({"v1": (0.3, 0.3, 0.0)}, {})
         out = place_application(state, app, UNIFIED)
         assert out.ok
-        (host,) = placed(state).values()
+        (host,) = state.assignments[app.id].values()
         assert host in reaches[1].hosts
-        assert not state.reservations
+        assert not state.reservations[app.id]
 
     def test_impossible_demand_fails_with_untouched_state(self):
         state, _ = tree_state()
@@ -300,6 +297,26 @@ class TestUnified:
         assert not out.ok
         assert state.snapshot() == before
 
+    def test_a_refused_step_leaves_no_entry_for_its_vm(self, monkeypatch):
+        # tight uplinks on h1 and h3 keep the two reaches' counts tied, so r0
+        # is tried first; v2's edge to v1 on h0 cannot leave h1, so v2's step
+        # rolls back and v2 goes to r1
+        state, _ = tree_state()
+        state.link_free["h1-t0"] = state.link_free["h3-t1"] = 0.25
+        app = tree_app({"v1": (0.6, 0.1, 0.3), "v2": (0.6, 0.1, 0.3), "v3": (0.1, 0.1, 0.0)},
+                       {("v1", "v2"): 0.3})
+        rollback, left = PlacementState._rollback, []
+
+        def logged_rollback(self, mark):
+            rollback(self, mark)
+            if mark > 0:  # a step's rollback; the attempt's own is to 0
+                left.append(dict(self.assignments[app.id]))
+
+        monkeypatch.setattr(PlacementState, "_rollback", logged_rollback)
+        assert place_application(state, app, UNIFIED).ok
+        assert left == [{"v1": "h0"}]
+        assert state.assignments[app.id] == {"v1": "h0", "v2": "h2", "v3": "h3"}
+
     def test_seed_vm_is_an_argmax_of_pair_bandwidth(self):
         state, _ = tree_state(num_tors=2, hosts_per_tor=2)
         traffic = {("v1", "v2"): 0.4, ("v2", "v3"): 0.1}
@@ -309,7 +326,7 @@ class TestUnified:
         assert out.ok
         # v2 carries 0.5 total, the unique argmax; it must land on the first
         # host bal_pack offers in the chosen reach
-        assert placed(state)["v2"] == "h0"
+        assert state.assignments[app.id]["v2"] == "h0"
 
     def test_whole_app_in_one_reach_uses_no_uplinks(self):
         state, reaches = tree_state(num_tors=2, hosts_per_tor=2)
@@ -318,7 +335,7 @@ class TestUnified:
         app = tree_app(demands, traffic)
         out = place_application(state, app, UNIFIED)
         assert out.ok
-        hosts = set(placed(state).values())
+        hosts = set(state.assignments[app.id].values())
         assert hosts <= set(reaches[0].hosts) or hosts <= set(reaches[1].hosts)
         for tor_uplink in ("t0-core", "t1-core"):
             assert state.link_free[tor_uplink] == state.topology.links[tor_uplink].free
@@ -330,7 +347,7 @@ class TestUnified:
         app = tree_app(demands, traffic)
         out = place_application(state, app, UNIFIED)
         assert out.ok
-        hosts = set(placed(state).values())
+        hosts = set(state.assignments[app.id].values())
         assert hosts & set(reaches[0].hosts) and hosts & set(reaches[1].hosts)
         assert not state.validate()
 
@@ -372,7 +389,7 @@ class TestUnified:
         state = PlacementState(t)
         out = place_application(state, app, UNIFIED)
         assert out.ok
-        assert placed(state, "a") == {"v1": "h0", "v2": "h1"}
+        assert state.assignments["a"] == {"v1": "h0", "v2": "h1"}
         assert state.validate() == []
 
     def test_demand_rounded_above_the_reference_host_is_placed(self):
@@ -384,7 +401,7 @@ class TestUnified:
         app = Application(id="app", vms=vms, traffic={})
         validate_application(app, state.topology.reference)
         assert place_application(state, app, UNIFIED).ok
-        assert len(set(placed(state).values())) == 2
+        assert len(set(state.assignments[app.id].values())) == 2
 
 
 def _unified_rescanning_gains(state, app, config, reaches):
@@ -408,7 +425,7 @@ def _unified_rescanning_gains(state, app, config, reaches):
             mark = len(state._journal)
             try:
                 state.assign_vm(app.id, app.vm(vm_id), host)
-                reserve_traffic(state, app, placed(state, app.id), app.vm_edges(vm_id))
+                reserve_traffic(state, app, app.vm_edges(vm_id))
             except CapacityError as exc:
                 state._rollback(mark)
                 last_failure = str(exc)
@@ -418,7 +435,7 @@ def _unified_rescanning_gains(state, app, config, reaches):
             if not unplaced:
                 return None
             in_reach = {v for v in app.vm_ids()
-                        if state.assignments.get((app.id, v)) in reach_hosts}
+                        if state.assignments[app.id].get(v) in reach_hosts}
             vm_id = min(unplaced,
                         key=lambda v: (-(bw_to(app, v, in_reach) - bw_to(app, v, unplaced)), v))
         hosting = [r for r in reaches if placed_hosts & set(r.hosts)]
@@ -538,7 +555,7 @@ class TestLocal:
         app = tree_app(demands, {})
         out = place_application(state, app, LOCAL)
         assert out.ok
-        assert set(placed(state).values()) == {"h0"}
+        assert set(state.assignments[app.id].values()) == {"h0"}
 
     def test_fig1_overdraws_the_link(self):
         t, app = fig1_instance()
@@ -589,7 +606,7 @@ class TestLocal:
             assert not out.ok and out.failure == want
             assert not state.assignments
         else:
-            assert out.ok and placed(state) == want
+            assert out.ok and state.assignments[app.id] == want
 
 
 def _local_first_fit(state, app):
@@ -623,8 +640,8 @@ class TestNetw:
         app = tree_app(demands, {("v1", "v2"): 0.05})
         out = place_application(state, app, self.cfg(slots=2))
         assert out.ok
-        assert set(placed(state).values()) == {"h0"}
-        assert not state.reservations
+        assert set(state.assignments[app.id].values()) == {"h0"}
+        assert not state.reservations[app.id]
 
     def test_rack_spanning_vc_passes_hose_check(self):
         state, _ = tree_state(num_tors=2, hosts_per_tor=2)
@@ -634,7 +651,7 @@ class TestNetw:
         app = tree_app(demands, traffic)
         out = place_application(state, app, self.cfg(slots=2))
         assert out.ok
-        hosts = set(placed(state).values())
+        hosts = set(state.assignments[app.id].values())
         assert hosts == {"h0", "h1"}  # whole rack, two slots each
         # hose check held pre-reservation: min(2, 2) * B per host uplink
         n, b = 4, sum(app.total_traffic(v) for v in app.vm_ids()) / 4
@@ -661,10 +678,10 @@ class TestNetw:
         state, _ = tree_state()
         pair = tree_app({"v1": (0.1, 0.1, 0.0), "v2": (0.1, 0.1, 0.0)}, {}, app_id="local")
         assert place_application(state, pair, LOCAL).ok
-        assert placed(state, "local") == {"v1": "h0", "v2": "h0"}
+        assert state.assignments["local"] == {"v1": "h0", "v2": "h0"}
         single = tree_app({"v1": (0.1, 0.1, 0.0)}, {}, app_id="netw")
         assert place_application(state, single, self.cfg(slots=2)).ok
-        assert placed(state, "netw") == {"v1": "h1"}
+        assert state.assignments["netw"] == {"v1": "h1"}
 
     def test_derive_slots_from_workload_mean(self):
         t = idle_tree(cap=ResourceVector(4000, 8192, 10000), link=10000)
@@ -690,6 +707,14 @@ _WRITE = st.tuples(st.sampled_from(["host", "link", "assignment", "reserve"]),
 _RESERVER = Application(id="app", vms=(), traffic={})  # reserve_traffic reads only its id
 
 
+def _reserver_state():
+    """A tree state with _RESERVER registered, so the writes of _WRITE have
+    its assignment and reservation maps to go to."""
+    state, _ = tree_state()
+    state.register_app(_RESERVER)
+    return state
+
+
 def _nest(depth):
     """A list of writes and ("block", outcome, items) entries, with blocks
     nested up to three deep."""
@@ -707,13 +732,13 @@ def _apply_write(state, kind, i, j):
     elif kind == "link":
         journaled_write(state, state.link_free, links[i], j / 4)
     elif kind == "assignment":
-        journaled_write(state, state.assignments, ("app", f"v{i}"), hosts[j])
+        journaled_write(state, state.assignments["app"], f"v{i}", hosts[j])
     elif i != j:
         # VM r<k> always sits on hosts[k], so these writes never move a VM
-        journaled_write(state, state.assignments, ("app", f"r{i}"), hosts[i])
-        journaled_write(state, state.assignments, ("app", f"r{j}"), hosts[j])
+        journaled_write(state, state.assignments["app"], f"r{i}", hosts[i])
+        journaled_write(state, state.assignments["app"], f"r{j}", hosts[j])
         try:
-            reserve_traffic(state, _RESERVER, placed(state), [((f"r{i}", f"r{j}"), 0.25)])
+            reserve_traffic(state, _RESERVER, [((f"r{i}", f"r{j}"), 0.25)])
         except CapacityError:
             pass  # refused before it wrote anything
 
@@ -748,12 +773,12 @@ class TestTransaction:
     def test_nested_blocks_keep_exactly_the_committed_writes(self, items):
         # a write runs on the same tables in both runs: every earlier write
         # still in place when it runs is itself one whose blocks all commit
-        state, _ = tree_state()
+        state = _reserver_state()
         with state.transaction() as commit:
             _run_nest(state, items)
             commit()
         assert state._journal is None
-        replay, _ = tree_state()
+        replay = _reserver_state()
         for write in _committed_writes(items):
             _apply_write(replay, *write)
         assert state.snapshot() == replay.snapshot()
@@ -771,7 +796,7 @@ class TestTransaction:
                 state.assign_vm(app.id, app.vm("v2"), "h1")
                 state.assign_vm(app.id, app.vm("v2"), "h1")
             state._rollback(mark)
-            assert set(state.assignments) == {(app.id, "v1")}
+            assert set(state.assignments[app.id]) == {"v1"}
             assert state.host_free["h1"] == state.topology.hosts["h1"].free
         assert state.snapshot() == fresh
 
@@ -788,6 +813,24 @@ class TestTransaction:
             state.assign_vm(app.id, app.vm("v1"), "h0")
         assert state._journal is None
         assert state.snapshot() == fresh
+
+    def test_snapshot_and_restore_copy_each_apps_maps(self):
+        t, app = fig1_instance()
+        state = PlacementState(t)
+        assert place_application(state, app, UNIFIED).ok and state.reservations[app.id]
+        snap = state.snapshot()
+        _, _, assignments, _, reservations, _ = snap
+        want = (dict(assignments[app.id]), dict(reservations[app.id]))
+        # a write after snapshot() does not reach the snapshot
+        state.assignments[app.id]["a1"] = "elsewhere"
+        state.reservations[app.id].clear()
+        assert (assignments[app.id], reservations[app.id]) == want
+        # nor does a write to a state restored from it
+        state.restore(snap)
+        assert state.snapshot() == snap
+        state.assignments[app.id].clear()
+        state.reservations[app.id].clear()
+        assert (assignments[app.id], reservations[app.id]) == want
 
     def test_restore_inside_a_transaction_is_refused(self):
         # the block's rollback would write into the tables restore replaced,
@@ -814,7 +857,7 @@ class TestStateValidate:
         state = PlacementState(t)
         out = place_application(state, app, UNIFIED)
         assert out.ok and state.validate() == []
-        host = state.assignments[(app.id, "a1")]
+        host = state.assignments[app.id]["a1"]
         state.host_free[host] = state.host_free[host] - ResourceVector(1.0, 0.0, 0.0)
         assert state.validate() == [f"host {host}: cpu ledger out of sync"]
 
@@ -822,7 +865,7 @@ class TestStateValidate:
         t, app = fig1_instance()
         state = PlacementState(t)
         assert place_application(state, app, UNIFIED).ok and state.validate() == []
-        host = state.assignments[(app.id, "a1")]
+        host = state.assignments[app.id]["a1"]
         state.host_vms[host] += 1
         assert state.validate() == [f"host {host}: VM count out of sync"]
 
@@ -837,7 +880,7 @@ class TestStateValidate:
 
     def test_corrupted_link_reservation_detected(self):
         state, _ = tree_state()
-        state.reservations[("ghost", "a", "b")] = (("h0-t0",), 5.0)
+        state.reservations["ghost"] = {("a", "b"): (("h0-t0",), 5.0)}
         report = state.validate()
         assert any("h0-t0" in line for line in report)
 
@@ -865,10 +908,9 @@ def check_reserved_paths(state, app):
     VM's host uplink to the other's, each link sharing a node with the next,
     and carries the edge's traffic. Returns how many it checked."""
     t, traffic = state.topology, dict(app.edges())
-    reserved = [(x, y, path, bw) for (a, x, y), (path, bw) in state.reservations.items()
-                if a == app.id]
-    for x, y, path, bw in reserved:
-        uplinks = {t.host_ports[state.assignments[(app.id, v)]][0] for v in (x, y)}
+    placed, reserved = state.assignments[app.id], state.reservations[app.id]
+    for (x, y), (path, bw) in reserved.items():
+        uplinks = {t.host_ports[placed[v]][0] for v in (x, y)}
         assert len(uplinks) == 2 and {path[0], path[-1]} == uplinks, (app.id, x, y, path)
         for a, b in zip(path, path[1:]):
             assert {t.links[a].a, t.links[a].b} & {t.links[b].a, t.links[b].b}, path
@@ -950,9 +992,9 @@ class TestLedgerProperties:
         state = PlacementState(t)
         for app in apps:
             if app.id not in state.apps and place_application(state, app, UNIFIED).ok:
-                reservations, link_free = dict(state.reservations), dict(state.link_free)
-                reserve_traffic(state, app, placed(state, app.id))
-                assert state.reservations == reservations and state.link_free == link_free
+                before = state.snapshot()
+                reserve_traffic(state, app)
+                assert state.snapshot() == before
 
     @settings(max_examples=300, deadline=None)
     @given(ledger_runs())
@@ -980,8 +1022,9 @@ class TestLedgerProperties:
 
 def _ledger(state):
     """Every table an attempt writes, in insertion order, floats by repr."""
-    return (list(state.assignments.items()),
-            [(k, path, repr(bw)) for k, (path, bw) in state.reservations.items()],
+    return ([(a, list(placed.items())) for a, placed in state.assignments.items()],
+            [(a, [(k, path, repr(bw)) for k, (path, bw) in routed.items()])
+             for a, routed in state.reservations.items()],
             list(state.host_vms.items()),
             [(h, repr(f)) for h, f in state.host_free.items()],
             [(lid, repr(f)) for lid, f in state.link_free.items()])
@@ -1021,8 +1064,8 @@ def _unified_against_reference(monkeypatch, t, apps):
 
 
 class TestUnifiedReference:
-    """UNIFIED against its form before it kept its own host map and counted
-    its reaches in one pass (oracle.reference_unified)."""
+    """UNIFIED against its form before it set its gains from the traffic
+    rows and counted its reaches in one pass (oracle.reference_unified)."""
 
     @settings(max_examples=300, deadline=None)
     @given(ledger_runs())
@@ -1059,7 +1102,7 @@ class TestUnifiedReference:
         def checked(unplaced, gain, sign):
             in_reach = set() if sign == 1 else {
                 v for v in app.vm_ids() if v not in unplaced
-                and state.assignments.get((app.id, v)) in reach_of["now"].hosts}
+                and state.assignments[app.id].get(v) in reach_of["now"].hosts}
             assert {v: repr(gain[v]) for v in unplaced} == {
                 v: repr(reference_reach_gain(app, v, in_reach, unplaced)) for v in unplaced}
             return pick(unplaced, gain, sign)
@@ -1094,7 +1137,7 @@ def _netw_rebuilding_units(state, app, config, reaches):
     n_total = len(app.vms)
     bw = sum(app.total_traffic(v) for v in app.vm_ids()) / n_total
     slots = config.netw_slots_per_host
-    used = Counter(state.assignments.values())
+    used = Counter(h for placed in state.assignments.values() for h in placed.values())
     units = [(h,) for h in t.host_ids]
     units += [t.hosts_below[s.id] for s in sorted(t.switches.values(),
                                                   key=lambda s: (s.level, s.id))]
@@ -1125,7 +1168,7 @@ def _netw_rebuilding_units(state, app, config, reaches):
             for host_id in unit_hosts:
                 for _ in range(counts.get(host_id, 0)):
                     state.assign_vm(app.id, next(vm_iter), host_id)
-            reserve_traffic(state, app, placed(state, app.id))
+            reserve_traffic(state, app)
         except CapacityError as exc:
             state._rollback(mark)
             last_failure = str(exc)
@@ -1236,6 +1279,7 @@ class TestNetwFillCheck:
         before = state.snapshot()
         want = None
         with state.transaction():  # never committed: the fill is undone
+            state.register_app(Application(id="fill", vms=tuple(vms), traffic={}))
             vm_iter = iter(vms)
             try:
                 for h in unit:
@@ -1303,7 +1347,7 @@ class TestFig1SchemeDivergence:
         state = PlacementState(t)
         out = place_application(state, app, UNIFIED)
         assert out.ok
-        assert placed(state, app.id) in [p for p, _ in self.valid_plans(t, app)]
+        assert state.assignments[app.id] in [p for p, _ in self.valid_plans(t, app)]
         assert state.validate() == []
 
     def test_bandwidth_greedy_colocation_overdraws_a_host(self):
