@@ -3,9 +3,10 @@
 
     python3 bench/scale.py --hosts 256 --category 1 [--check]
 
-Category 1 runs on build_tree(H / 4, 4, ...), categories 2 and 3 on
-build_clos(H / 16, 4, 4, ...), each with the category's host, link and
-oversubscription: at 64 hosts these are the category's built-in fabrics.
+The fabric is fixtures._category_fabric(category, H): category 1's tree in
+racks of 4, the CLOS of categories 2 and 3 in pods of 16, each with the
+category's host, link and oversubscription; at 64 hosts these are the
+category's built-in fabrics.
 The workload is H applications of category_spec(category, H, 0), offered in
 the seed-0 shuffle and measured with the category's RRF request after every
 success, as `dcfrag compare` does. The script prints the wall time of the
@@ -28,19 +29,6 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "bench" / "scale_golden.json"
 
 
-def fabric(category: int, hosts: int):
-    from dcfrag.fixtures import _CATEGORIES
-    from dcfrag.topology import build_clos, build_tree
-
-    params = _CATEGORIES[category]
-    if category == 1:
-        return build_tree(num_tors=hosts // 4, hosts_per_tor=4, host_capacity=params["host"],
-                          link_capacity=params["link"], oversub_ratio=params["oversub"])
-    return build_clos(pods=hosts // 16, hosts_per_edge=4, edges_per_pod=4,
-                      host_capacity=params["host"], link_capacity=params["link"],
-                      core_oversub=params["oversub"])
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bench/scale.py", description=__doc__.split("\n")[0])
     parser.add_argument("--hosts", type=int, required=True)
@@ -48,15 +36,16 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="compare the CSV's digest with bench/scale_golden.json")
     args = parser.parse_args(argv)
-    step = 4 if args.category == 1 else 16
-    if args.hosts < 2 * step or args.hosts % step:
-        parser.error(f"--hosts must be a multiple of {step}, at least {2 * step}")
 
     sys.path.insert(0, str(ROOT / "src"))
-    from dcfrag.fixtures import category_rrf_request, category_spec
+    from dcfrag.fixtures import _category_fabric, category_rrf_request, category_spec
     from dcfrag.harness import ExperimentConfig, compare_schemes
+    from dcfrag.topology import TopologyError
 
-    topology = fabric(args.category, args.hosts)
+    try:
+        topology = _category_fabric(args.category, args.hosts)
+    except (ValueError, TopologyError) as exc:  # a size the fabric cannot take
+        parser.error(f"--hosts: {exc}")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "compare.csv"
         cfg = ExperimentConfig(topology=topology,

@@ -139,11 +139,23 @@ _CATEGORIES = {
 def category_topology(category: int) -> Topology:
     """64-host topology for one experiment category: an oversubscribed tree
     for category 1, a core-oversubscribed CLOS for categories 2 and 3."""
+    return _category_fabric(category, 64)
+
+
+def _category_fabric(category: int, hosts: int) -> Topology:
+    """The category's fabric at `hosts` hosts, with its host, link and
+    oversubscription: category 1's tree in racks of 4, the others' CLOS in
+    pods of 16. `hosts` must be a multiple of the rack or pod size and at
+    least two of them, so no size is rounded down."""
     params = _require_category(category)
+    step = 4 if category == 1 else 16
+    if hosts < 2 * step or hosts % step:
+        raise ValueError(f"category {category} needs a multiple of {step} hosts, "
+                         f"at least {2 * step}; got {hosts}")
     if category == 1:
-        return build_tree(num_tors=16, hosts_per_tor=4, host_capacity=params["host"],
+        return build_tree(num_tors=hosts // 4, hosts_per_tor=4, host_capacity=params["host"],
                           link_capacity=params["link"], oversub_ratio=params["oversub"])
-    return build_clos(pods=4, hosts_per_edge=4, edges_per_pod=4,
+    return build_clos(pods=hosts // 16, hosts_per_edge=4, edges_per_pod=4,
                       host_capacity=params["host"], link_capacity=params["link"],
                       core_oversub=params["oversub"])
 

@@ -62,8 +62,11 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
-    rows: list
-    apps_placed: int
+    rows: list  # one ResultRow per successful placement
+
+    @property
+    def apps_placed(self) -> int:
+        return len(self.rows)
 
 
 @dataclass
@@ -109,16 +112,14 @@ def _run_sequence(topology: Topology, apps: list[Application], scheme: SchemeCon
     if scheme.scheme == "NETW" and scheme.netw_slots_per_host is None:
         scheme = replace(scheme, netw_slots_per_host=derive_netw_slots(topology, apps))
     rows = []
-    placed = 0
     for app in apps:
         outcome = place_application(state, app, scheme)
         if outcome.ok:
-            placed += 1
             report = network_rrf(state, rrf_request)
-            rows.append(ResultRow(placed, report.placeable_multi, report.index))
+            rows.append(ResultRow(len(rows) + 1, report.placeable_multi, report.index))
         elif stop_policy == "first-failure":
             break
-    return RunResult(rows=rows, apps_placed=placed)
+    return RunResult(rows=rows)
 
 
 def _run(cfg: ExperimentConfig, schemes: list[SchemeConfig]) -> tuple[str, dict]:

@@ -89,12 +89,6 @@ def _index(total: float, count: int, size: float) -> float:
     return min(1.0, max(0.0, (total - count * size) / total))
 
 
-def nic_free(state, host_id: str) -> float:
-    """Normalized free bandwidth at the host's uplink."""
-    t = state.topology
-    return state.link_free[t.host_ports[host_id][0]] / t.reference.link
-
-
 # -- host-local metrics --------------------------------------------------------
 
 
@@ -217,8 +211,8 @@ def _reach_pairings(state, req: MultiRequest | None):
     the values it was computed from are unchanged. The slot key is read by
     the reach's getters in the memo's _REACH_KEYS entry, both in reach.hosts
     order: the NIC pairing reads only uplinks, so its key is their frees in
-    link_free, and its values are those frees over reference.link, as
-    nic_free reads them; a count slot's key adds the hosts' entries in
+    link_free, and its values are those frees over reference.link; a count
+    slot's key adds the hosts' entries in
     host_free, and the slot keeps its per-host counts, so a changed key
     recounts only the hosts that moved (_moved_counts). A slot is a
     (key, per-host counts or None, pairing) triple.
@@ -427,23 +421,16 @@ def placeable_between_reaches(state, res_req: list, req: MultiRequest) -> int:
     return _walk_between(state, res_req, lambda bw: fit_count(bw, req.nw), req.nw)
 
 
-def placeable_in_reach(state, reach: Reach, req: MultiRequest) -> int:
-    """Placeable count for a single reach, used to rank reaches by load.
-
-    Pairs counts when the request has a network component; otherwise the
-    hosts are independent and the per-host counts simply add up. A request
-    of nothing ranks every reach alike: its count is 0.
-    """
-    if req.nw > 0:
-        return _pair_reduce(_host_counts(state, reach.hosts, req))[0]
-    if not req.nonzero_dims():
-        return 0
-    return sum(_host_counts(state, reach.hosts, req))
-
-
 def placeable_in_reaches(state, reaches, req: MultiRequest) -> list[int]:
-    """[placeable_in_reach(state, r, req) for r in reaches], with one
-    _host_counts pass over all their hosts, each reach reading its slice."""
+    """Placeable count of each of `reaches`, used to rank reaches by load;
+    the runtime's one definition of a reach's count.
+
+    A request with a network component pairs the reach's host counts
+    (_pair_reduce); otherwise the hosts are independent and their counts
+    simply add up. A request of nothing ranks every reach alike: its count
+    is 0. One _host_counts pass covers all the reaches' hosts, and each
+    reach reads its slice.
+    """
     if not req.nonzero_dims():
         return [0] * len(reaches)
     counts = _host_counts(state, [h for r in reaches for h in r.hosts], req)

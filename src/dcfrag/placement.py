@@ -537,18 +537,15 @@ def _hose_ok(t: Topology, state: PlacementState, counts: dict[str, int],
     return True
 
 
-def _first_refusal(state: PlacementState, vms: list[VM], unit_hosts: tuple[str, ...],
+def _first_refusal(state: PlacementState, vms: list[VM],
                    counts: dict[str, int]) -> str | None:
     """The CapacityError text of the first assign_vm that the fill would
-    refuse, or None when every VM fits. The fill puts counts[h] VMs of `vms`
-    in order on each unit host in order; each host's running free is checked
-    and lowered as assign_vm checks and writes it, so the fill need not be
-    written to be refused."""
+    refuse, or None when every VM fits. The fill puts n VMs of `vms` in order
+    on each host h of counts.items(), which lists the unit's counted hosts in
+    unit order; each host's running free is checked and lowered as assign_vm
+    checks and writes it, so the fill need not be written to be refused."""
     host_free, i = state.host_free, 0
-    for h in unit_hosts:
-        n = counts.get(h)
-        if not n:
-            continue
+    for h, n in counts.items():
         free = host_free[h]
         f_cpu, f_mem, f_nic = free.cpu, free.mem, free.nic
         for vm in vms[i:i + n]:
@@ -625,15 +622,15 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
         if remaining or (len({ports[h][1] for h in counts}) > 1
                          and not _hose_ok(t, state, counts, n_total, bw)):
             continue
-        refusal = _first_refusal(state, vms, unit_hosts, counts)
+        refusal = _first_refusal(state, vms, counts)
         if refusal is not None:
             last_failure = refusal
             continue
 
         mark = len(state._journal)
         vm_iter = iter(vms)
-        for host_id in unit_hosts:
-            for _ in range(counts.get(host_id, 0)):
+        for host_id, n in counts.items():
+            for _ in range(n):
                 state.assign_vm(app.id, next(vm_iter), host_id)
         try:
             reserve_traffic(state, app)

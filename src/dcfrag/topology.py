@@ -329,7 +329,8 @@ class Topology:
 
     def _compiled_dag(self, tor_a: str, tor_b: str
                       ) -> tuple[tuple[tuple[int, tuple[str, ...]], ...], ...]:
-        """The shortest tor_a -> tor_b paths as a DAG in index form, cached.
+        """The shortest tor_a -> tor_b paths as a DAG in index form, stored in
+        self._dags for route, the cache's one reader, which calls this on a miss.
 
         Nodes are numbered in BFS layer order, ids ascending within a layer:
         tor_a is 0 and tor_b the last. A node's (parent, link) pairs are in
@@ -342,37 +343,34 @@ class Topology:
         unfolded pairs. Empty when the two are one TOR. On build_tree and
         build_clos fabrics only tor_b is kept.
         """
-        key = (tor_a, tor_b)
-        cached = self._dags.get(key)
-        if cached is None:
-            depth = self._layers((tor_a,))
-            # walk back from tor_b one layer at a time, collecting each
-            # node's predecessors and the links from them
-            layers = [[tor_b]]
-            preds: dict[str, list[tuple[str, str]]] = {}
-            while layers[-1] != [tor_a]:
-                for node in layers[-1]:
-                    preds[node] = [(peer, lid) for peer, lid in self.adjacency[node]
-                                   if depth.get(peer) == depth[node] - 1]
-                # each node's pairs are sorted, so their merge lists the
-                # layer above in id order
-                merged = heapq.merge(*(preds[node] for node in layers[-1]))
-                layers.append(list(dict.fromkeys(peer for peer, _ in merged)))
-            # node -> (kept node index, links from that node to it): a kept
-            # node's own index and no links, a folded node's one pair
-            via: dict[str, tuple[int, tuple[str, ...]]] = {tor_a: (0, ())}
-            entries = []
-            for layer in reversed(layers[:-1]):
-                for node in layer:
-                    pairs = tuple((via[peer][0], via[peer][1] + (lid,))
-                                  for peer, lid in preds[node])
-                    if len(pairs) == 1 and node != tor_b:
-                        via[node] = pairs[0]
-                    else:
-                        entries.append(pairs)
-                        via[node] = (len(entries), ())
-            cached = self._dags[key] = tuple(entries)
-        return cached
+        depth = self._layers((tor_a,))
+        # walk back from tor_b one layer at a time, collecting each
+        # node's predecessors and the links from them
+        layers = [[tor_b]]
+        preds: dict[str, list[tuple[str, str]]] = {}
+        while layers[-1] != [tor_a]:
+            for node in layers[-1]:
+                preds[node] = [(peer, lid) for peer, lid in self.adjacency[node]
+                               if depth.get(peer) == depth[node] - 1]
+            # each node's pairs are sorted, so their merge lists the
+            # layer above in id order
+            merged = heapq.merge(*(preds[node] for node in layers[-1]))
+            layers.append(list(dict.fromkeys(peer for peer, _ in merged)))
+        # node -> (kept node index, links from that node to it): a kept
+        # node's own index and no links, a folded node's one pair
+        via: dict[str, tuple[int, tuple[str, ...]]] = {tor_a: (0, ())}
+        entries = []
+        for layer in reversed(layers[:-1]):
+            for node in layer:
+                pairs = tuple((via[peer][0], via[peer][1] + (lid,))
+                              for peer, lid in preds[node])
+                if len(pairs) == 1 and node != tor_b:
+                    via[node] = pairs[0]
+                else:
+                    entries.append(pairs)
+                    via[node] = (len(entries), ())
+        dag = self._dags[tor_a, tor_b] = tuple(entries)
+        return dag
 
     def reach_paths(self, reach_a: Reach, reach_b: Reach) -> tuple[tuple[str, ...], ...]:
         """Link-disjoint shortest paths between two reaches' boundary switches.

@@ -2,13 +2,15 @@
 shortest path between two hosts, the link-disjoint shortest paths between two
 reaches by repeated blocked BFS, the reach-path bandwidth and consumption in
 builtin min/max form, edge reservation one step at a time, UNIFIED with its
-gains computed per VM and one reach counted at a time, and a
-brute-force oracle of the placeable requests on desk-size instances. None is
-part of the runtime; tests import them from here."""
+gains computed per VM and one reach counted at a time, one reach's placeable
+count and one host's normalized NIC free, and a brute-force oracle of the
+placeable requests on desk-size instances. None is part of the runtime;
+tests import them from here."""
 
 from collections import deque
 
-from dcfrag.metrics import MultiRequest, _paths_bandwidth, fit_count, placeable_in_reach
+from dcfrag.metrics import (MultiRequest, _host_counts, _pair_reduce, _paths_bandwidth,
+                            fit_count)
 from dcfrag.placement import _ABSENT, CapacityError, _pick, bal_pack
 from dcfrag.topology import _EPS
 from dcfrag.workload import representative_request
@@ -150,6 +152,23 @@ def reference_reserve_traffic(state, app, edges=None):
         for lid in path:
             journaled_write(state, state.link_free, lid, state.link_free[lid] - bw)
         journaled_write(state, routed, (x, y), (path, bw))
+
+
+def nic_free(state, host_id):
+    """Normalized free bandwidth at the host's uplink."""
+    t = state.topology
+    return state.link_free[t.host_ports[host_id][0]] / t.reference.link
+
+
+def placeable_in_reach(state, reach, req):
+    """metrics.placeable_in_reaches for one reach, counted on its own:
+    the host counts paired when req has a network component, summed
+    otherwise, and 0 for a request of nothing."""
+    if req.nw > 0:
+        return _pair_reduce(_host_counts(state, reach.hosts, req))[0]
+    if not req.nonzero_dims():
+        return 0
+    return sum(_host_counts(state, reach.hosts, req))
 
 
 def reference_sibling_reach(state, reaches, tried, hosting, req, counts):

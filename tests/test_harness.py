@@ -7,10 +7,11 @@ from dcfrag import harness, placement
 from dcfrag.fixtures import NAMED_TOPOLOGIES, UNIT, category_spec, category_topology
 from dcfrag.harness import (ExperimentConfig, ResultRow, compare_schemes, order_hash,
                             resolve_topology, run_experiment, shuffle_order)
-from dcfrag.metrics import MultiRequest, placeable_in_reach, placeable_in_reaches
+from dcfrag.metrics import MultiRequest, placeable_in_reaches
 from dcfrag.placement import PlacementState, SchemeConfig, place_application
 from dcfrag.topology import ResourceVector, build_tree
 from dcfrag.workload import VM, Application, generate_workload, representative_request
+from oracle import placeable_in_reach
 
 
 def small_topology():

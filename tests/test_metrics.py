@@ -17,7 +17,7 @@ from dcfrag.topology import (Host, Link, ResourceVector, Switch, Topology,
                              build_clos, build_tree)
 from dcfrag.workload import VM, Application
 
-from oracle import (_ORACLE_CAP, brute_force_placeable, reference_consume_paths,
+from oracle import (_ORACLE_CAP, brute_force_placeable, nic_free, reference_consume_paths,
                     reference_paths_bandwidth, reference_shortest_paths)
 from test_topology import mini_topology
 
@@ -668,7 +668,7 @@ def _filtered_inside(state, req):
     hosts whose NIC headroom is below req.nw - 1e-9 do not pair at all."""
     total, residuals = 0, []
     for reach in state.topology.reaches:
-        eligible = [h for h in reach.hosts if M.nic_free(state, h) >= req.nw - 1e-9]
+        eligible = [h for h in reach.hosts if nic_free(state, h) >= req.nw - 1e-9]
         got, res = M._pair_reduce(M._host_counts(state, eligible, req))
         total += got
         residuals.append(res)
@@ -1040,7 +1040,7 @@ def _recount(state, req):
     that re-sorts every step and the unread-keyed reference walk."""
     capacity, cap_res, count, count_res = 0.0, [], 0, []
     for reach in state.topology.reaches:
-        got, res = _pair_reduce_by_sorting([M.nic_free(state, h) for h in reach.hosts])
+        got, res = _pair_reduce_by_sorting([nic_free(state, h) for h in reach.hosts])
         capacity += got
         cap_res.append(res)
         got, res = _pair_reduce_by_sorting([_recount_host(state, h, req) for h in reach.hosts])

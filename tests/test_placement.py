@@ -10,7 +10,7 @@ from dcfrag import placement
 from dcfrag.fixtures import (UNIT, UNIT_REF, category_eval_apps, category_spec,
                              category_topology, fig1_instance)
 from dcfrag.harness import resolve_topology
-from dcfrag.metrics import MultiRequest, placeable_in_reach, placeable_in_reaches
+from dcfrag.metrics import MultiRequest, placeable_in_reaches
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
                               reserve_traffic)
@@ -18,8 +18,8 @@ from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology
                              build_tree, load_topology)
 from dcfrag.workload import (VM, Application, generate_workload, load_workload,
                              representative_request, validate_application)
-from oracle import (journaled_write, reference_reach_gain, reference_reserve_traffic,
-                    reference_unified)
+from oracle import (journaled_write, placeable_in_reach, reference_reach_gain,
+                    reference_reserve_traffic, reference_unified)
 from test_topology import as_topology, leveled_fabrics
 from test_workload import bw_to
 
@@ -1274,7 +1274,7 @@ class TestNetwFillCheck:
                     if data.draw(st.booleans()) else getattr(free, dim)
                     for i, dim in enumerate(("cpu", "mem", "nic"))))
             start += n
-        got = placement._first_refusal(state, vms, unit, counts)
+        got = placement._first_refusal(state, vms, counts)
 
         before = state.snapshot()
         want = None

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcfrag.fixtures import UNIT, UNIT_REF, fig4_topology
-from dcfrag.metrics import nic_free
 from dcfrag.placement import PlacementState
 from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology,
                              TopologyError, build_clos, build_tree,
                              _vector, find_boundary_switches, find_reaches, load_topology)
 
-from oracle import reference_neighbors, reference_reach_paths, reference_shortest_paths
+from oracle import (nic_free, reference_neighbors, reference_reach_paths,
+                    reference_shortest_paths)
 
 
 def mini_topology(host_frees, link_frees=None, link_cap=1.0):
