@@ -212,10 +212,10 @@ def _reach_pairings(state, req: MultiRequest | None):
     the reach's getters in the memo's _REACH_KEYS entry, both in reach.hosts
     order: the NIC pairing reads only uplinks, so its key is their frees in
     link_free, and its values are those frees over reference.link; a count
-    slot's key adds the hosts' entries in
-    host_free, and the slot keeps its per-host counts, so a changed key
-    recounts only the hosts that moved (_moved_counts). A slot is a
-    (key, per-host counts or None, pairing) triple.
+    slot's key adds the hosts' entries in host_free, and the slot keeps its
+    per-host counts, so a changed key recounts only the hosts that moved
+    (_moved_counts). A slot is a (key, per-host counts or None, pairing)
+    triple.
     """
     t = state.topology
     host_free, link_free, memo = state.host_free, state.link_free, state.reach_memo
