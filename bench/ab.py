@@ -4,8 +4,10 @@
     python3 bench/ab.py --parent REV --out BENCH_<n>.json --what "TEXT" [--seed S ...]
 
 Run it from anywhere inside the checkout that holds the change. The parent
-commit is exported with `git archive` into a temporary directory, so both
-sides run their own `src/` under their own copy of `perfbench/`. For every
+commit is exported with `git archive`, and the checkout's tracked files, as
+they are in the working tree, are copied beside it: both sides run their own
+`src/` under their own copy of `perfbench/`, from sibling temporary
+directories, so where a side runs does not tell them apart. For every
 workload of BENCHMARK.json and every seed (default 0), each of 10 pairs runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -61,8 +64,20 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
+def export_worktree(dest: Path) -> None:
+    """Copy the checkout's tracked files, as they are in the working tree,
+    under dest; an untracked file is left out."""
+    names = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, capture_output=True,
+                           text=True, check=True).stdout.split("\0")
+    for name in filter(None, names):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted in the working tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+
+
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in the checkout at root: its record, plus `exit`."""
+    """One perfbench run in the exported tree at root: its record, plus `exit`."""
     record = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
     record.unlink(missing_ok=True)
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -196,10 +211,10 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads, seconds = [w["name"] for w in spec["workloads"]], spec["run_seconds"]
 
-    with tempfile.TemporaryDirectory(prefix="dcfrag-parent-") as tmp:
-        parent_root = Path(tmp)
-        parent_commit = export(args.parent, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="dcfrag-ab-") as tmp:
+        roots = {side: Path(tmp) / side for side in SIDES}
+        parent_commit = export(args.parent, roots["parent"])
+        export_worktree(roots["change"])
         pairs = [p for w in workloads for seed in seeds
                  for p in run_pairs(roots, w, seed, seconds, 0, PAIRS)]
         traced = [p for w in workloads
@@ -217,8 +232,10 @@ def main(argv=None) -> int:
             f"{TRACED_PAIRS} pairs of --trace 1 runs per workload at the first seed, alternated "
             f"as the pairs are; traced_summary gives each per-layer metric's median per side "
             f"and the change's median over the parent's. "
-            f"environment.commit is null for the exported parent and the checkout's HEAD "
-            f"for the change; src_sha256 tells the sides apart.")
+            f"Both sides ran from sibling temporary directories: the parent from its git "
+            f"archive, the change from a copy of the checkout's tracked files as they were "
+            f"in the working tree. So environment.commit is null on both sides; src_sha256 "
+            f"tells the sides apart.")
     doc = {"what": what, "parent_commit": parent_commit,
            "summary": summarize(pairs, spec["end_to_end"]),
            "traced_summary": traced_summary(traced, spec["per_layer"]),

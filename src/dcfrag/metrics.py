@@ -19,15 +19,15 @@ in that order, and the between phases take those lists.
 
 A placement changes a few hosts and links, so state.reach_memo keeps what
 the RRF would otherwise recompute from unchanged values. The inside-reach
-pairings have one slot per (reach, request), holding the reach's uplink
-frees (and, for a count under a request, its host free vectors and per-host
-counts) next to the pairing computed from them. The between walks share one
+pairings have one (key, pairing) slot per (reach, request): the key holds
+the reach's uplink frees (and, for a count under a request, its host free
+vectors), the pairing is computed from them. The between walks share one
 slot holding the reach pairs sorted by their bandwidths, next to the frees
 of the links on reach paths they were read from. A call recomputes a slot
-only when those values no longer compare equal. The getters that read those values are built once per state and kept
-in the memo beside the slots. Keyed by value, the memo needs no
-invalidation: it holds under rollbacks, restores and direct writes to the
-tables.
+only when those values no longer compare equal. The getters that read
+those values are built once per state and kept in the memo beside the
+slots. Keyed by value, the memo needs no invalidation: it holds under
+rollbacks, restores and direct writes to the tables.
 """
 
 from __future__ import annotations
@@ -183,45 +183,24 @@ def _pair_reduce(values: list):
     return acc, (vals[0] if vals else 0)
 
 
-def _moved_counts(state, hosts: tuple, req: MultiRequest, key: tuple, slot) -> list[int]:
-    """_host_counts(state, hosts, req), reading from the reach's old count
-    slot every host whose free vector is the slot key's object and whose
-    uplink free compares equal to the key's: only the hosts that moved are
-    recounted. A ledger write replaces a host's vector, so an equal vector
-    that is a new object is recounted too, to the same count."""
-    if slot is None or len(hosts) == 1:  # a one-host reach's getters return scalars
-        return _host_counts(state, hosts, req)
-    (frees, ups), ((old_frees, old_ups), counts, _) = key, slot
-    moved = []
-    for k, f in enumerate(frees):
-        if f is not old_frees[k] or ups[k] != old_ups[k]:
-            moved.append(k)
-    counts = list(counts)
-    for k, n in zip(moved, _host_counts(state, [hosts[k] for k in moved], req)):
-        counts[k] = n
-    return counts
-
-
 def _reach_pairings(state, req: MultiRequest | None):
     """_pair_reduce over each reach of topology.reaches, on its hosts' NIC
-    frees (req None) or their counts under req (_host_counts). Returns the
-    summed pairings and the residuals, a list in topology.reaches order.
+    frees over reference.link (req None) or their counts under req
+    (_host_counts). Returns the summed pairings and the residuals, a list in
+    topology.reaches order.
 
     A reach's (sum, residual) is read from its slot in state.reach_memo while
     the values it was computed from are unchanged. The slot key is read by
     the reach's getters in the memo's _REACH_KEYS entry, both in reach.hosts
     order: the NIC pairing reads only uplinks, so its key is their frees in
-    link_free, and its values are those frees over reference.link; a count
-    slot's key adds the hosts' entries in host_free, and the slot keeps its
-    per-host counts, so a changed key recounts only the hosts that moved
-    (_moved_counts). A slot is a (key, per-host counts or None, pairing)
-    triple.
+    link_free; a count's key adds the hosts' entries in host_free. A slot is
+    a (key, pairing) pair.
     """
     t = state.topology
     host_free, link_free, memo = state.host_free, state.link_free, state.reach_memo
+    ports, ref_link = t.host_ports, t.reference.link
     keys = memo.get(_REACH_KEYS)
     if keys is None:
-        ports = t.host_ports
         keys = memo[_REACH_KEYS] = [
             (itemgetter(*r.hosts), itemgetter(*(ports[h][0] for h in r.hosts)))
             for r in t.reaches]
@@ -229,20 +208,16 @@ def _reach_pairings(state, req: MultiRequest | None):
     if slots is None:
         slots = memo[req] = [None] * len(t.reaches)
     nic = req is None
-    ref_link = t.reference.link
     total = 0.0 if nic else 0
     residuals = []
     for i, (reach, (hosts_of, uplinks_of)) in enumerate(zip(t.reaches, keys)):
         key = uplinks_of(link_free) if nic else (hosts_of(host_free), uplinks_of(link_free))
         slot = slots[i]
         if slot is None or slot[0] != key:
-            if nic:
-                counts = None
-                values = [f / ref_link for f in (key if len(reach.hosts) > 1 else (key,))]
-            else:
-                counts = values = _moved_counts(state, reach.hosts, req, key, slot)
-            slot = slots[i] = (key, counts, _pair_reduce(values))
-        got, res = slot[2]
+            slot = slots[i] = (key, _pair_reduce(
+                [link_free[ports[h][0]] / ref_link for h in reach.hosts] if nic
+                else _host_counts(state, reach.hosts, req)))
+        got, res = slot[1]
         total += got
         residuals.append(res)
     return total, residuals

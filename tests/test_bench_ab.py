@@ -154,19 +154,37 @@ def test_traced_summary_gives_each_sides_median_and_their_ratio():
         "w seed 0": {"runs_per_side": 3, "correct": False}}
 
 
+def git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                           "-c", "commit.gpgsign=false", *args],
+                          cwd=repo, capture_output=True, text=True, check=True).stdout
+
+
 def test_export_writes_the_commits_files_and_returns_its_hash(tmp_path, monkeypatch):
     repo, dest = tmp_path / "repo", tmp_path / "out"
     repo.mkdir()
     (repo / "a.txt").write_text("one\n")
-
-    def git(*args):
-        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
-                               "-c", "commit.gpgsign=false", *args],
-                              cwd=repo, capture_output=True, text=True, check=True).stdout
-
-    git("init", "-q")
-    git("add", "a.txt")
-    git("commit", "-q", "-m", "one")
+    git(repo, "init", "-q")
+    git(repo, "add", "a.txt")
+    git(repo, "commit", "-q", "-m", "one")
     monkeypatch.setattr(ab, "ROOT", repo)
-    assert ab.export("HEAD", dest) == git("rev-parse", "HEAD").strip()
+    assert ab.export("HEAD", dest) == git(repo, "rev-parse", "HEAD").strip()
     assert (dest / "a.txt").read_text() == "one\n"
+
+
+def test_worktree_export_holds_uncommitted_edits_and_no_untracked_file(tmp_path, monkeypatch):
+    repo, dest = tmp_path / "repo", tmp_path / "change"
+    (repo / "sub").mkdir(parents=True)
+    (repo / "a.txt").write_text("one\n")
+    (repo / "sub" / "b.txt").write_text("two\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "a.txt", "sub/b.txt")
+    git(repo, "commit", "-q", "-m", "one")
+    (repo / "a.txt").write_text("edited\n")
+    (repo / "untracked.txt").write_text("not in the export\n")
+    monkeypatch.setattr(ab, "ROOT", repo)
+    ab.export_worktree(dest)
+    assert (dest / "a.txt").read_text() == "edited\n"
+    assert (dest / "sub" / "b.txt").read_text() == "two\n"
+    assert sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file()) == [
+        "a.txt", "sub/b.txt"]

@@ -1063,7 +1063,8 @@ def racks_of_four_and_one():
     """A rack of four hosts and a rack of one under one core, each TOR's
     uplink narrower than its host links: a four-host reach, whose memo
     getters return tuples, and a one-host reach, whose getters return
-    scalars."""
+    scalars; those scalars only key its slot, since a recomputed pairing
+    reads its values from the tables."""
     hosts = [Host(id=f"h{i}", capacity=UNIT, free=UNIT) for i in range(5)]
     switches = [Switch(id="t0", level=0), Switch(id="t1", level=0), Switch(id="core", level=1)]
     links = [Link(id=f"h{i}-t{i // 4}", a=f"h{i}", b=f"t{i // 4}", capacity=1.0, free=1.0)
@@ -1080,8 +1081,8 @@ def memo_runs(draw):
     placement that must be refused, an aborted transaction, a direct
     host_free or link_free write, or a restore of the state's first snapshot.
     Frees come from a few values, so equal values recur in new objects. The
-    fabrics' reaches hold one, two or four hosts, so a count slot is
-    recomputed with some of its hosts moved and others read from the slot."""
+    fabrics' reaches hold one, two or four hosts, so the memo is keyed by a
+    one-host reach's scalars as well as by tuples."""
     fabric = draw(st.sampled_from(["tree2", "tree4", "clos", "racks"]))
     if fabric == "clos":
         t = build_clos(2, 2, 2, UNIT, 1.0, core_oversub=2.0)
@@ -1192,25 +1193,17 @@ class TestReachMemo:
         assert kept(nic_up, nic_cpu) == first_only
         assert kept(count_up, count_cpu) == first_only
 
-    def test_a_count_slot_recounts_only_the_hosts_that_moved(self, monkeypatch):
+    def test_a_host_write_replaces_only_its_pods_count_slot(self):
         t = category_topology(3)
         state, req = PlacementState(t), category_rrf_request(3)
-        M.placeable_inside_reaches(state, req)
-        counted = []
-        host_counts = M._host_counts
-
-        def recording(state, host_ids, req):
-            counted.append(list(host_ids))
-            return host_counts(state, host_ids, req)
-
-        monkeypatch.setattr(M, "_host_counts", recording)
-        h, g = t.reaches[1].hosts[5], t.reaches[2].hosts[0]
-        free = state.host_free[h]
-        state.host_free[h] = ResourceVector(free.cpu / 2, free.mem, free.nic)
-        got = M.placeable_inside_reaches(state, req)
-        assert counted == [[h]]
-        assert got == _recount(state, req)[1]
-        state.link_free[t.host_ports[g][0]] /= 4
-        got = M.placeable_inside_reaches(state, req)
-        assert counted == [[h], [g]]
-        assert got == _recount(state, req)[1]
+        assert all(len(r.hosts) == 16 for r in t.reaches)
+        assert M.placeable_inside_reaches(state, req) == _recount(state, req)[1]
+        for i, reach in enumerate(t.reaches):
+            before = list(state.reach_memo[req])
+            h = reach.hosts[5]
+            free = state.host_free[h]
+            state.host_free[h] = ResourceVector(free.cpu / 2, free.mem, free.nic)
+            assert M.placeable_inside_reaches(state, req) == _recount(state, req)[1]
+            after = state.reach_memo[req]
+            assert [a is not b for a, b in zip(after, before)] == [
+                k == i for k in range(len(t.reaches))]
