@@ -10,7 +10,7 @@ from .metrics import MultiRequest
 from .placement import PlacementState
 from .topology import (Host, Link, Reference, ResourceVector, Switch, Topology,
                        build_clos, build_tree)
-from .workload import Application, VM, WorkloadSpec, traffic_peers
+from .workload import Application, VM, WorkloadSpec, row_totals
 
 UNIT = ResourceVector(1.0, 1.0, 1.0)
 UNIT_REF = Reference(host=UNIT, link=1.0)
@@ -94,9 +94,9 @@ def fig1_instance() -> tuple[Topology, Application]:
         "c1": (240.0, 80.0), "c2": (80.0, 400.0),
     }
     traffic = {("a1", "a2"): 600.0, ("b1", "b2"): 550.0, ("c1", "c2"): 500.0}
-    peers = traffic_peers(traffic)
+    totals = row_totals(traffic)
     vms = tuple(
-        VM(id=v, demand=ResourceVector(cpu, mem, sum(peers[v].values())))
+        VM(id=v, demand=ResourceVector(cpu, mem, totals[v]))
         for v, (cpu, mem) in sorted(demands.items())
     )
     app = Application(id="fig1", vms=vms, traffic=traffic)

@@ -49,9 +49,6 @@ class ResourceVector:
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(self.cpu - other.cpu, self.mem - other.mem, self.nic - other.nic)
 
-    def normalized(self, ref: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self.cpu / ref.cpu, self.mem / ref.mem, self.nic / ref.nic)
-
 
 _new_vector = object.__new__
 _set_cpu = ResourceVector.cpu.__set__
@@ -62,8 +59,8 @@ _set_nic = ResourceVector.nic.__set__
 def _vector(cpu: float, mem: float, nic: float) -> ResourceVector:
     """ResourceVector(cpu, mem, nic), built by setting its slots directly when
     no component is negative; otherwise the constructor clamps the float dust
-    or raises. For the ledger's per-VM write, where the dataclass __init__
-    costs twice as much."""
+    or raises. For the ledger's per-VM write and the generator's VMs, where
+    the dataclass __init__ costs twice as much."""
     if cpu < 0 or mem < 0 or nic < 0:
         return ResourceVector(cpu, mem, nic)
     v = _new_vector(ResourceVector)

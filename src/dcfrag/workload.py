@@ -12,9 +12,10 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .metrics import MultiRequest
-from .topology import _EPS, Reference, ResourceVector, _entry, _number
+from .topology import _EPS, Reference, ResourceVector, _entry, _number, _vector
 
 
 class WorkloadError(Exception):
@@ -32,10 +33,22 @@ def traffic_peers(traffic: dict) -> dict[str, dict[str, float]]:
     Each VM's peers keep traffic's insertion order, so a sum over them adds
     the same terms in the same order as a scan of traffic."""
     peers: dict[str, dict[str, float]] = {}
+    get = peers.get
     for (x, y), bw in traffic.items():
-        peers.setdefault(x, {})[y] = bw
-        peers.setdefault(y, {})[x] = bw
+        row = get(x)
+        if row is None:
+            row = peers[x] = {}
+        row[y] = bw
+        row = get(y)
+        if row is None:
+            row = peers[y] = {}
+        row[x] = bw
     return peers
+
+
+def row_totals(traffic: dict) -> dict[str, float]:
+    """Each VM's traffic_peers row summed in row order; VMs without traffic are absent."""
+    return {v: sum(row.values()) for v, row in traffic_peers(traffic).items()}
 
 
 @dataclass(frozen=True)
@@ -108,17 +121,18 @@ def validate_application(a: Application, reference: Reference) -> None:
         if not 0 <= bw < math.inf:
             raise WorkloadError(
                 f"app {a.id}: edge ({x}, {y}) bandwidth {bw} is negative or not finite")
+    host = reference.host
     for v in a.vms:
-        norm = v.demand.normalized(reference.host)
+        d = v.demand
         # NaN fails every comparison, so a NaN or infinite demand fails too
-        if not (norm.cpu <= 1 + _EPS and norm.mem <= 1 + _EPS
-                and v.demand.nic <= reference.host.nic + _EPS):
-            raise WorkloadError(f"app {a.id}: VM {v.id} demand {v.demand} is not finite "
+        if not (d.cpu / host.cpu <= 1 + _EPS and d.mem / host.mem <= 1 + _EPS
+                and d.nic <= host.nic + _EPS):
+            raise WorkloadError(f"app {a.id}: VM {v.id} demand {d} is not finite "
                                 f"or exceeds the reference host")
         rows = a.total_traffic(v.id)
-        if v.demand.nic + _EPS < rows:
+        if d.nic + _EPS < rows:
             raise WorkloadError(
-                f"app {a.id}: VM {v.id} NIC demand {v.demand.nic} below its "
+                f"app {a.id}: VM {v.id} NIC demand {d.nic} below its "
                 f"traffic total {rows}")
 
 
@@ -195,6 +209,12 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
     seeded uniform noise.
     """
     rng = random.Random(spec.seed)
+    # uniform(a, b) is documented as a + (b - a) * random(); the hot draws spell it out
+    random_, uniform, density = rng.random, rng.uniform, spec.traffic_density
+    mean, host, weight = spec.mean_demand, spec.reference.host, spec.traffic_weight
+    lo, hi, keep = 1 - spec.demand_noise, 1 + spec.demand_noise, 1 - weight
+    cpu_lo, cpu_hi = 0.01 * host.cpu, 0.95 * host.cpu
+    mem_lo, mem_hi = 0.01 * host.mem, 0.95 * host.mem
     apps: list[Application] = []
     for ai in range(spec.app_count):
         app_id = f"app{ai:03d}"
@@ -205,41 +225,33 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
         if n > 1:
             order = vm_ids[:]
             rng.shuffle(order)
-            for i in range(n - 1):
-                x, y = sorted((order[i], order[i + 1]))
-                raw[(x, y)] = rng.uniform(0.5, 1.5)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    key = (vm_ids[i], vm_ids[j])
-                    if key not in raw and rng.random() < spec.traffic_density:
-                        raw[key] = rng.uniform(0.5, 1.5)
+            for x, y in zip(order, order[1:]):
+                raw[(x, y) if x < y else (y, x)] = 0.5 + random_()  # uniform(0.5, 1.5)
+            for key in combinations(vm_ids, 2):
+                if key not in raw and random_() < density:
+                    raw[key] = 0.5 + random_()
             if spec.skewed_traffic:
                 keys = sorted(raw)
                 heavy = set(rng.sample(keys, max(1, round(0.1 * len(keys)))))
                 for key in keys:
-                    raw[key] = (rng.uniform(400.0, 2000.0) if key in heavy
-                                else rng.uniform(0.2, 1.0))
-            target = (n * spec.mean_demand.nic / 2.0 * rng.uniform(0.85, 1.15)
-                      * spec.burst_multiplier(rng))
+                    raw[key] = uniform(400.0, 2000.0) if key in heavy else uniform(0.2, 1.0)
+            target = n * mean.nic / 2.0 * uniform(0.85, 1.15) * spec.burst_multiplier(rng)
             scale = target / sum(raw.values())
             traffic = {key: w * scale for key, w in raw.items()}
         else:
             traffic = {}
 
-        peers = traffic_peers(traffic)
-        rows = {v: sum(peers.get(v, {}).values()) for v in vm_ids}
-        mean_row = sum(rows.values()) / n if n else 0.0
+        totals = row_totals(traffic)
+        nics = [totals.get(v, 0) for v in vm_ids]
+        mean_row = sum(nics) / n
         vms = []
-        for v in vm_ids:
-            rel = rows[v] / mean_row if mean_row > 0 else 1.0
-            w = spec.traffic_weight
-            cpu = spec.mean_demand.cpu * (w * rel + (1 - w))
-            mem = spec.mean_demand.mem * (w * rel + (1 - w))
-            cpu *= rng.uniform(1 - spec.demand_noise, 1 + spec.demand_noise)
-            mem *= rng.uniform(1 - spec.demand_noise, 1 + spec.demand_noise)
-            cpu = min(max(cpu, 0.01 * spec.reference.host.cpu), 0.95 * spec.reference.host.cpu)
-            mem = min(max(mem, 0.01 * spec.reference.host.mem), 0.95 * spec.reference.host.mem)
-            vms.append(VM(id=v, demand=ResourceVector(cpu, mem, rows[v])))
+        for v, nic in zip(vm_ids, nics):
+            blend = weight * (nic / mean_row if mean_row > 0 else 1.0) + keep
+            cpu = mean.cpu * blend * (lo + (hi - lo) * random_())
+            mem = mean.mem * blend * (lo + (hi - lo) * random_())
+            cpu = cpu_lo if cpu < cpu_lo else cpu_hi if cpu > cpu_hi else cpu
+            mem = mem_lo if mem < mem_lo else mem_hi if mem > mem_hi else mem
+            vms.append(VM(id=v, demand=_vector(cpu, mem, nic)))
 
         app = Application(id=app_id, vms=tuple(vms), traffic=traffic)
         validate_application(app, spec.reference)
@@ -297,13 +309,13 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
                     raise WorkloadError(f"duplicate edge {key}")
                 traffic[key] = bw
 
-        peers = traffic_peers(traffic)
+        totals = row_totals(traffic)
         vms = []
         for vi, v in enumerate(vm_recs):
             with _entry(f"{where}: vms[{vi}]", WorkloadError):
                 vm_id = str(v["id"])
                 cpu, mem = _number(v, "cpu_mhz"), _number(v, "mem_mb")
-                nic = _number(v, "nic_mbps", sum(peers.get(vm_id, {}).values()))
+                nic = _number(v, "nic_mbps", totals.get(vm_id, 0))
                 vms.append(VM(id=vm_id, demand=ResourceVector(cpu, mem, nic)))
 
         with _entry(where, WorkloadError):

@@ -3,17 +3,20 @@ shortest path between two hosts, the link-disjoint shortest paths between two
 reaches by repeated blocked BFS, the reach-path bandwidth and consumption in
 builtin min/max form, edge reservation one step at a time, UNIFIED with its
 gains computed per VM and one reach counted at a time, one reach's placeable
-count and one host's normalized NIC free, and a brute-force oracle of the
-placeable requests on desk-size instances. None is part of the runtime;
-tests import them from here."""
+count and one host's normalized NIC free, a brute-force oracle of the
+placeable requests on desk-size instances, and the workload generator, its
+traffic rows and its validator as written before their loops were cut. None
+is part of the runtime; tests import them from here."""
 
+import math
+import random
 from collections import deque
 
 from dcfrag.metrics import (MultiRequest, _host_counts, _pair_reduce, _paths_bandwidth,
                             fit_count)
 from dcfrag.placement import _ABSENT, CapacityError, _pick, bal_pack
-from dcfrag.topology import _EPS
-from dcfrag.workload import representative_request
+from dcfrag.topology import _EPS, ResourceVector
+from dcfrag.workload import VM, Application, WorkloadError, representative_request
 
 _ORACLE_CAP = 12  # placements brute_force_placeable searches up to
 
@@ -345,3 +348,104 @@ def brute_force_placeable(state, req: MultiRequest) -> int:
 
     search(0, 0)
     return best
+
+
+def reference_traffic_peers(traffic):
+    """Per-VM traffic rows {vm: {peer: Mbps}}, one setdefault per edge end."""
+    peers = {}
+    for (x, y), bw in traffic.items():
+        peers.setdefault(x, {})[y] = bw
+        peers.setdefault(y, {})[x] = bw
+    return peers
+
+
+def reference_validate_application(a, reference):
+    """validate_application with a normalized demand vector per VM and each
+    VM's traffic total summed over reference_traffic_peers."""
+    ids = set()
+    for v in a.vms:
+        if v.id in ids:
+            raise WorkloadError(f"app {a.id}: duplicate VM id {v.id}")
+        ids.add(v.id)
+    for (x, y), bw in a.traffic.items():
+        if x == y:
+            raise WorkloadError(f"app {a.id}: self-edge on VM {x}")
+        if x > y:
+            raise WorkloadError(f"app {a.id}: edge ({x}, {y}) not stored in canonical order")
+        if x not in ids or y not in ids:
+            missing = x if x not in ids else y
+            raise WorkloadError(f"app {a.id}: edge ({x}, {y}) references unknown VM {missing}")
+        if not 0 <= bw < math.inf:
+            raise WorkloadError(
+                f"app {a.id}: edge ({x}, {y}) bandwidth {bw} is negative or not finite")
+    peers = reference_traffic_peers(a.traffic)
+    ref = reference.host
+    for v in a.vms:
+        norm = ResourceVector(v.demand.cpu / ref.cpu, v.demand.mem / ref.mem,
+                              v.demand.nic / ref.nic)
+        # NaN fails every comparison, so a NaN or infinite demand fails too
+        if not (norm.cpu <= 1 + _EPS and norm.mem <= 1 + _EPS
+                and v.demand.nic <= reference.host.nic + _EPS):
+            raise WorkloadError(f"app {a.id}: VM {v.id} demand {v.demand} is not finite "
+                                f"or exceeds the reference host")
+        rows = sum(peers.get(v.id, {}).values())
+        if v.demand.nic + _EPS < rows:
+            raise WorkloadError(
+                f"app {a.id}: VM {v.id} NIC demand {v.demand.nic} below its "
+                f"traffic total {rows}")
+
+
+def reference_generate_workload(spec):
+    """generate_workload with a sorted() per chain edge, an index pair per VM
+    pair and every draw through rng.uniform or rng.random."""
+    rng = random.Random(spec.seed)
+    apps = []
+    for ai in range(spec.app_count):
+        app_id = f"app{ai:03d}"
+        n = rng.randint(*spec.vms_per_app)
+        vm_ids = [f"{app_id}v{vi:02d}" for vi in range(n)]
+
+        raw = {}
+        if n > 1:
+            order = vm_ids[:]
+            rng.shuffle(order)
+            for i in range(n - 1):
+                x, y = sorted((order[i], order[i + 1]))
+                raw[(x, y)] = rng.uniform(0.5, 1.5)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    key = (vm_ids[i], vm_ids[j])
+                    if key not in raw and rng.random() < spec.traffic_density:
+                        raw[key] = rng.uniform(0.5, 1.5)
+            if spec.skewed_traffic:
+                keys = sorted(raw)
+                heavy = set(rng.sample(keys, max(1, round(0.1 * len(keys)))))
+                for key in keys:
+                    raw[key] = (rng.uniform(400.0, 2000.0) if key in heavy
+                                else rng.uniform(0.2, 1.0))
+            target = (n * spec.mean_demand.nic / 2.0 * rng.uniform(0.85, 1.15)
+                      * spec.burst_multiplier(rng))
+            scale = target / sum(raw.values())
+            traffic = {key: w * scale for key, w in raw.items()}
+        else:
+            traffic = {}
+
+        peers = reference_traffic_peers(traffic)
+        rows = {v: sum(peers.get(v, {}).values()) for v in vm_ids}
+        mean_row = sum(rows.values()) / n if n else 0.0
+        vms = []
+        for v in vm_ids:
+            rel = rows[v] / mean_row if mean_row > 0 else 1.0
+            w = spec.traffic_weight
+            cpu = spec.mean_demand.cpu * (w * rel + (1 - w))
+            mem = spec.mean_demand.mem * (w * rel + (1 - w))
+            cpu *= rng.uniform(1 - spec.demand_noise, 1 + spec.demand_noise)
+            mem *= rng.uniform(1 - spec.demand_noise, 1 + spec.demand_noise)
+            cpu = min(max(cpu, 0.01 * spec.reference.host.cpu), 0.95 * spec.reference.host.cpu)
+            mem = min(max(mem, 0.01 * spec.reference.host.mem), 0.95 * spec.reference.host.mem)
+            vms.append(VM(id=v, demand=ResourceVector(cpu, mem, rows[v])))
+
+        app = Application(id=app_id, vms=tuple(vms), traffic=traffic)
+        reference_validate_application(app, spec.reference)
+        apps.append(app)
+    return apps

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -9,6 +10,8 @@ from dcfrag.fixtures import UNIT_REF, category_spec
 from dcfrag.topology import Reference, ResourceVector
 from dcfrag.workload import (VM, Application, WorkloadError, WorkloadSpec, generate_workload,
                              load_workload, representative_request, validate_application)
+from oracle import (reference_generate_workload, reference_traffic_peers,
+                    reference_validate_application)
 
 
 def make_app(demands, traffic, app_id="app"):
@@ -164,6 +167,16 @@ class TestGenerator:
                 for v in app.vms:
                     assert v.demand.nic == app.total_traffic(v.id)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, 40), st.integers())
+    def test_matches_the_reference_generator(self, category, app_count, seed):
+        # category 2 takes the skewed-traffic branch; repr also pins each
+        # traffic dict's insertion order and every float's last bit
+        spec = category_spec(category, app_count, seed)
+        apps, expected = generate_workload(spec), reference_generate_workload(spec)
+        assert apps == expected
+        assert repr(apps) == repr(expected)
+
     def test_degenerate_range_rejected(self):
         with pytest.raises(WorkloadError):
             WorkloadSpec(app_count=1, vms_per_app=(5, 2),
@@ -280,3 +293,60 @@ class TestLoader:
         doc = {"apps": [{"id": "a", "vms": [], "edges": []}]}
         with pytest.raises(WorkloadError, match="no VMs"):
             self.load(tmp_path, doc)
+
+
+def validation_error(validate, app, reference):
+    """The WorkloadError text validate raises for app, or None if it passes."""
+    try:
+        validate(app, reference)
+    except WorkloadError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def malformed_apps(draw):
+    """An app whose VMs and edges may break each check validate_application
+    makes: NaN, infinite or over-reference demands, a NIC demand below its
+    traffic total (near the tolerance too), a duplicate VM id, self,
+    non-canonical or unknown-VM edges, and NaN, infinite or negative
+    bandwidths. Each break is rare, so most apps reach the later checks."""
+    def rarely(bad, good):
+        return draw(bad if draw(st.integers(0, 9)) == 9 else good)
+
+    host = draw(st.sampled_from((UNIT_REF.host, ResourceVector(4000.0, 8192.0, 10000.0))))
+    ids = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    ends = st.sampled_from(ids[:2] + ["ghost"])
+    pairs = list(itertools.combinations(ids, 2))
+    traffic = {}
+    for _ in range(draw(st.integers(0, len(pairs)))):
+        key = rarely(st.tuples(ends, ends), st.sampled_from(pairs))
+        traffic[key] = rarely(st.sampled_from((math.nan, math.inf, -1.0)),
+                              st.floats(0, 0.5 * host.nic))
+    rows = {v: sum(row.values()) for v, row in reference_traffic_peers(traffic).items()}
+    vm_ids = draw(st.permutations(ids))
+    if rarely(st.just(True), st.just(False)):
+        vm_ids.append(draw(st.sampled_from(ids)))
+    vms = []
+    for v in vm_ids:
+        row = rows.get(v, 0)
+        row = row if not row < 0 else 0.0  # a negative bandwidth's total is no demand
+        bad_nic = st.one_of(st.floats(0, 2 * host.nic), st.sampled_from((math.nan, math.inf)))
+        if row == row:  # mostly below the total, by up to twice the tolerance
+            near = st.sampled_from([max(row - d, 0.0) for d in (5e-10, 2e-9)])
+            bad_nic = st.one_of(st.floats(0, row), near, bad_nic)
+        nic = rarely(bad_nic, st.just(row))
+        share = st.floats(0, 1)
+        bad = st.tuples(st.sampled_from((1 + 5e-10, 1 + 2e-9, 1.5, math.nan, math.inf)), share)
+        cpu, mem = draw(st.permutations(rarely(bad, st.tuples(share, share))))
+        vms.append(VM(id=v, demand=ResourceVector(cpu * host.cpu, mem * host.mem, nic)))
+    return Application(id="app", vms=tuple(vms), traffic=traffic), Reference(host, 1.0)
+
+
+class TestValidatorReference:
+    @settings(max_examples=400, deadline=None)
+    @given(malformed_apps())
+    def test_raises_what_the_reference_raises(self, instance):
+        app, reference = instance
+        assert validation_error(validate_application, app, reference) == \
+            validation_error(reference_validate_application, app, reference)
