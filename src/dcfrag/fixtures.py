@@ -10,7 +10,8 @@ from .metrics import MultiRequest
 from .placement import PlacementState
 from .topology import (Host, Link, Reference, ResourceVector, Switch, Topology,
                        build_clos, build_tree)
-from .workload import Application, VM, WorkloadSpec, row_totals
+from .workload import (Application, VM, WorkloadSpec, _row_totals, _seed_tables,
+                       traffic_peers)
 
 UNIT = ResourceVector(1.0, 1.0, 1.0)
 UNIT_REF = Reference(host=UNIT, link=1.0)
@@ -94,12 +95,14 @@ def fig1_instance() -> tuple[Topology, Application]:
         "c1": (240.0, 80.0), "c2": (80.0, 400.0),
     }
     traffic = {("a1", "a2"): 600.0, ("b1", "b2"): 550.0, ("c1", "c2"): 500.0}
-    totals = row_totals(traffic)
+    rows = traffic_peers(traffic)
+    totals = _row_totals(rows)
     vms = tuple(
         VM(id=v, demand=ResourceVector(cpu, mem, totals[v]))
         for v, (cpu, mem) in sorted(demands.items())
     )
     app = Application(id="fig1", vms=vms, traffic=traffic)
+    _seed_tables(app, rows, totals)
     return t, app
 
 

@@ -92,17 +92,16 @@ class Host:
     free: ResourceVector
 
     def __post_init__(self):
-        dims = ("cpu", "mem", "nic")
-        if not all(math.isfinite(getattr(v, k)) for v in (self.capacity, self.free)
-                   for k in dims):
-            raise TopologyError(f"host {self.id}: capacity {self.capacity} and free "
-                                f"{self.free} must be finite")
-        for dim in dims:
-            if getattr(self.capacity, dim) <= 0:
-                raise TopologyError(f"host {self.id}: {dim} capacity "
-                                    f"{getattr(self.capacity, dim)} must be > 0")
-        if any(getattr(self.free, k) > getattr(self.capacity, k) + _EPS for k in dims):
-            raise TopologyError(f"host {self.id}: free {self.free} exceeds capacity {self.capacity}")
+        cap, free, finite = self.capacity, self.free, math.isfinite
+        if not (finite(cap.cpu) and finite(cap.mem) and finite(cap.nic)
+                and finite(free.cpu) and finite(free.mem) and finite(free.nic)):
+            raise TopologyError(f"host {self.id}: capacity {cap} and free "
+                                f"{free} must be finite")
+        for dim, value in (("cpu", cap.cpu), ("mem", cap.mem), ("nic", cap.nic)):
+            if value <= 0:
+                raise TopologyError(f"host {self.id}: {dim} capacity {value} must be > 0")
+        if free.cpu > cap.cpu + _EPS or free.mem > cap.mem + _EPS or free.nic > cap.nic + _EPS:
+            raise TopologyError(f"host {self.id}: free {free} exceeds capacity {cap}")
 
 
 @dataclass

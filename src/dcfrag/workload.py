@@ -46,9 +46,15 @@ def traffic_peers(traffic: dict) -> dict[str, dict[str, float]]:
     return peers
 
 
-def row_totals(traffic: dict) -> dict[str, float]:
-    """Each VM's traffic_peers row summed in row order; VMs without traffic are absent."""
-    return {v: sum(row.values()) for v, row in traffic_peers(traffic).items()}
+def _row_totals(rows: dict[str, dict[str, float]]) -> dict[str, float]:
+    """Each VM's traffic row summed in row order; the one place a row total is summed."""
+    return {v: sum(row.values()) for v, row in rows.items()}
+
+
+def _seed_tables(app: Application, rows: dict, totals: dict[str, float]) -> None:
+    """Cache traffic_peers(app.traffic) and its _row_totals on app. A generator
+    or loader builds both to size NIC demands, so the application need not."""
+    vars(app).update(_peers=rows, _totals=totals)
 
 
 @dataclass(frozen=True)
@@ -61,9 +67,11 @@ class Application:
     traffic: dict  # (vm_a, vm_b) with vm_a < vm_b -> Mbps
 
     def __post_init__(self):
-        # traffic is complete before construction and never changed after it
-        object.__setattr__(self, "_edges", tuple(sorted(self.traffic.items())))
-        object.__setattr__(self, "_peers", traffic_peers(self.traffic))
+        # traffic is complete before construction and never changed after it;
+        # keys are unique, so sorting them orders the items as sorting the items does
+        traffic = self.traffic
+        keys = sorted(traffic)
+        object.__setattr__(self, "_edges", tuple(zip(keys, map(traffic.__getitem__, keys))))
         object.__setattr__(self, "_vm_by_id", {v.id: v for v in self.vms})
 
     def vm(self, vm_id: str) -> VM:
@@ -80,9 +88,18 @@ class Application:
         """The traffic edges touching one VM, in edges() order."""
         return self._edges_by_vm.get(vm_id, ())
 
+    # The traffic rows and their totals are built on first use, unless the
+    # generator or loader that built the application seeded them.
+    @cached_property
+    def _peers(self) -> dict[str, dict[str, float]]:
+        return traffic_peers(self.traffic)
+
+    @cached_property
+    def _totals(self) -> dict[str, float]:
+        return _row_totals(self._peers)
+
     @cached_property
     def _edges_by_vm(self) -> dict[str, tuple]:
-        # built on first use, so constructing an application costs no more;
         # the VMs with a traffic row are the edges' endpoints
         by_vm: dict[str, list] = {v: [] for v in self._peers}
         for edge in self._edges:
@@ -96,7 +113,8 @@ class Application:
         return self._peers.get(vm_id, {})
 
     def total_traffic(self, vm_id: str) -> float:
-        return sum(self._peers.get(vm_id, {}).values())
+        """The VM's traffic row summed in row order; 0 without traffic."""
+        return self._totals.get(vm_id, 0)
 
     @cached_property
     def total_vm_traffic(self) -> float:
@@ -241,7 +259,8 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
         else:
             traffic = {}
 
-        totals = row_totals(traffic)
+        rows = traffic_peers(traffic)
+        totals = _row_totals(rows)
         nics = [totals.get(v, 0) for v in vm_ids]
         mean_row = sum(nics) / n
         vms = []
@@ -254,6 +273,7 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
             vms.append(VM(id=v, demand=_vector(cpu, mem, nic)))
 
         app = Application(id=app_id, vms=tuple(vms), traffic=traffic)
+        _seed_tables(app, rows, totals)
         validate_application(app, spec.reference)
         apps.append(app)
     return apps
@@ -309,7 +329,8 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
                     raise WorkloadError(f"duplicate edge {key}")
                 traffic[key] = bw
 
-        totals = row_totals(traffic)
+        rows = traffic_peers(traffic)
+        totals = _row_totals(rows)
         vms = []
         for vi, v in enumerate(vm_recs):
             with _entry(f"{where}: vms[{vi}]", WorkloadError):
@@ -320,6 +341,7 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
 
         with _entry(where, WorkloadError):
             app = Application(id=app_id, vms=tuple(vms), traffic=traffic)
+            _seed_tables(app, rows, totals)
             validate_application(app, reference)
         apps.append(app)
     return apps

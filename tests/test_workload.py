@@ -1,12 +1,15 @@
 import itertools
 import json
 import math
+import os
+import tempfile
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcfrag.fixtures import UNIT_REF, category_spec
+from dcfrag import workload
+from dcfrag.fixtures import UNIT_REF, category_spec, fig1_instance
 from dcfrag.topology import Reference, ResourceVector
 from dcfrag.workload import (VM, Application, WorkloadError, WorkloadSpec, generate_workload,
                              load_workload, representative_request, validate_application)
@@ -182,6 +185,71 @@ class TestGenerator:
             WorkloadSpec(app_count=1, vms_per_app=(5, 2),
                          mean_demand=ResourceVector(1, 1, 1), traffic_density=0.5,
                          seed=0, reference=UNIT_REF)
+
+
+def workload_doc(apps):
+    """apps as a load_workload document, with every NIC demand declared."""
+    return {"apps": [
+        {"id": a.id,
+         "vms": [{"id": v.id, "cpu_mhz": v.demand.cpu, "mem_mb": v.demand.mem,
+                  "nic_mbps": v.demand.nic} for v in a.vms],
+         "edges": [{"a": x, "b": y, "mbps": bw} for (x, y), bw in a.traffic.items()]}
+        for a in apps]}
+
+
+def loaded(apps, reference):
+    """apps written to a JSON file and read back through load_workload."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "wl.json")
+        with open(path, "w") as fh:
+            json.dump(workload_doc(apps), fh)
+        return load_workload(path, reference)
+
+
+def row_tables(app):
+    """The app's traffic rows and row totals as ordered item lists."""
+    return ([(v, list(row.items())) for v, row in app._peers.items()],
+            list(app._totals.items()))
+
+
+class TestSeededTables:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, 40), st.integers())
+    def test_seeded_tables_equal_lazily_built_ones(self, category, app_count, seed):
+        spec = category_spec(category, app_count, seed)
+        generated = generate_workload(spec)
+        reloaded = loaded(generated, spec.reference)
+        assert reloaded == generated
+        for app in generated + reloaded + [fig1_instance()[1]]:
+            fresh = Application(app.id, app.vms, app.traffic)
+            assert app._peers == fresh._peers and app._totals == fresh._totals
+            assert row_tables(app) == row_tables(fresh)
+            assert app.edges() == tuple(sorted(app.traffic.items()))
+
+    @pytest.mark.parametrize("category", (1, 2, 3))
+    def test_each_app_builds_its_traffic_rows_once(self, monkeypatch, category):
+        # counted over generating or loading 12 apps and then reading every table
+        spec = category_spec(category, app_count=12, seed=category)
+        calls = []
+        build = workload.traffic_peers
+
+        def counted(traffic):
+            calls.append(traffic)
+            return build(traffic)
+
+        def read_every_table(apps):
+            for app in apps:
+                representative_request(app, spec.reference)
+                for v in app.vms:
+                    app.peers(v.id), app.vm_edges(v.id), app.total_traffic(v.id)
+
+        monkeypatch.setattr(workload, "traffic_peers", counted)
+        generated = generate_workload(spec)
+        read_every_table(generated)
+        assert len(calls) == 12
+        calls.clear()
+        read_every_table(loaded(generated, spec.reference))
+        assert len(calls) == 12
 
 
 class TestLoader:
