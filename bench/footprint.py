@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Measure the memory a generated workload keeps, as tracemalloc counts it.
+
+    python3 bench/footprint.py
+
+For each category (1-3) at its perfbench pool size (64, 64 and 128
+applications) and at 1,024 applications, the script generates
+category_spec(category, apps, 0) and prints, as JSON, the bytes the
+applications hold as generated and again after one three-scheme
+`compare_schemes` over them on the category's 64-host fabric. Each figure
+is the traced size after a garbage collection, less the size before the
+workload was generated; the fabric and the compare's own state are dropped
+before the second reading, so only what the compare left on the
+applications counts. One small compare per category runs first, so caches
+the program fills once per process are not counted. Dict and object sizes
+differ across Python versions, so the figures compare two trees on one
+interpreter, not across interpreters. It imports dcfrag from this
+checkout's src/ and uses the stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import platform
+import sys
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = ((1, 64), (2, 64), (3, 128), (1, 1024), (2, 1024), (3, 1024))
+SCHEMES = ["UNIFIED", "LOCAL", "NETW"]
+
+
+def traced() -> int:
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="bench/footprint.py",
+                                     description=__doc__.split("\n")[0])
+    parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from dcfrag.fixtures import category_spec, category_topology
+    from dcfrag.harness import ExperimentConfig, compare_schemes
+    from dcfrag.workload import generate_workload
+
+    def compare(category, apps):
+        compare_schemes(ExperimentConfig(topology=category_topology(category),
+                                         workload=apps), SCHEMES)
+
+    tracemalloc.start()
+    for category in (1, 2, 3):
+        compare(category, generate_workload(category_spec(category, 8, 1)))
+    rows = []
+    for category, count in SIZES:
+        base = traced()
+        apps = generate_workload(category_spec(category, count, 0))
+        generated = traced() - base
+        compare(category, apps)
+        rows.append({"category": category, "apps": count,
+                     "vms": sum(len(a.vms) for a in apps),
+                     "edges": sum(len(a.traffic) for a in apps),
+                     "generated_bytes": generated,
+                     "after_compare_bytes": traced() - base})
+        del apps
+    tracemalloc.stop()
+    print(json.dumps({"python": platform.python_version(), "unit": "bytes",
+                      "workloads": rows}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

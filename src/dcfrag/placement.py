@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .metrics import MultiRequest, _paths_bandwidth, placeable_in_reaches
 from .topology import _EPS, Reach, ResourceVector, Topology, _vector
-from .workload import Application, VM, representative_request
+from .workload import Application, VM, _edges_by_vm, representative_request
 
 _ABSENT = object()  # journal marker: the key was not in the table
 
@@ -259,7 +259,7 @@ def reserve_traffic(state: PlacementState, app: Application, edges=None) -> None
     """
     routed, host = state.reservations[app.id], state.assignments[app.id].get
     link_free, journal, route = state.link_free, state._journal, state.topology.route
-    for key, bw in app.edges() if edges is None else edges:
+    for key, bw in zip(app._keys, app._bws) if edges is None else edges:
         if bw <= 0:
             continue
         x, y = key
@@ -407,7 +407,8 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
     A VM's step (assign, then reserve its edges) runs inside the attempt's
     transaction: it marks the journal first and rolls back to the mark when
     a host or link refuses, which takes the VM out of the ledger's
-    assignments again.
+    assignments again. Each VM's edges are listed once per attempt, not kept
+    on the app.
     """
     req = representative_request(app, state.topology.reference)
     tried: set[str] = set()
@@ -415,6 +416,7 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
     counts: dict[str, int] = {}  # reach id -> placeable count, for untried reaches
     unplaced = set(app.vm_ids())
     rows = app._peers
+    vm_edges = _edges_by_vm(app).get
     last_failure = "no reach could take the first VM"
 
     while (reach := best_sibling_reach(state, reaches, tried, hosting, req,
@@ -435,7 +437,7 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
             try:
                 state.assign_vm(app.id, vm, host)
                 # every edge between VMs placed before is reserved
-                reserve_traffic(state, app, app.vm_edges(vm_id))
+                reserve_traffic(state, app, vm_edges(vm_id, ()))
             except CapacityError as exc:
                 state._rollback(mark)
                 last_failure = str(exc)

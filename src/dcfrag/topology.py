@@ -429,8 +429,48 @@ class Topology:
 
     @cached_property
     def reaches(self) -> tuple[Reach, ...]:
-        """The reach partition (see find_reaches), computed once."""
-        return tuple(find_reaches(self))
+        """Partition hosts into reaches built from shared boundary switches,
+        computed once; a partition that fails raises again on the next read.
+
+        For each unvisited boundary switch s: take the hosts H below s, collect
+        the same-level switches P with hosts in H, emit the reach (H, P) and mark
+        P visited. Reaches are ordered and identified by their smallest host id.
+        """
+        boundary = find_boundary_switches(self)
+        visited: set[str] = set()
+        raw: list[tuple[set[str], set[str]]] = []
+        for s in sorted(boundary):
+            if s in visited:
+                continue
+            level = self.switches[s].level
+            members = set(self.hosts_below[s])
+            if not members:
+                raise TopologyError(f"boundary switch {s} has no hosts below it")
+            parents = {p for h in members for p in self.switches_above[h]
+                       if self.switches[p].level == level}
+            raw.append((members, parents))
+            visited |= parents
+
+        covered: set[str] = set()
+        claimed: set[str] = set()
+        for members, parents in raw:
+            clash = covered & members
+            if clash:
+                raise TopologyError(f"hosts {sorted(clash)} fall into more than one reach")
+            shared = claimed & parents
+            if shared:
+                raise TopologyError(f"switches {sorted(shared)} fall into more than one reach")
+            covered |= members
+            claimed |= parents
+        orphans = set(self.hosts) - covered
+        if orphans:
+            raise TopologyError(
+                f"hosts {sorted(orphans)} have no boundary switch above them")
+
+        raw.sort(key=lambda pair: min(pair[0]))
+        return tuple(
+            Reach(id=f"r{i}", hosts=tuple(sorted(members)), switches=tuple(sorted(parents)))
+            for i, (members, parents) in enumerate(raw))
 
     @cached_property
     def reach_pairs(self) -> tuple[ReachPair, ...]:
@@ -484,48 +524,9 @@ def find_boundary_switches(t: Topology) -> set[str]:
 
 
 def find_reaches(t: Topology) -> list[Reach]:
-    """Partition hosts into reaches built from shared boundary switches.
-
-    For each unvisited boundary switch s: take the hosts H below s, collect
-    the same-level switches P with hosts in H, emit the reach (H, P) and mark
-    P visited. Reaches are ordered and identified by their smallest host id.
-    """
-    boundary = find_boundary_switches(t)
-    visited: set[str] = set()
-    raw: list[tuple[set[str], set[str]]] = []
-    for s in sorted(boundary):
-        if s in visited:
-            continue
-        level = t.switches[s].level
-        members = set(t.hosts_below[s])
-        if not members:
-            raise TopologyError(f"boundary switch {s} has no hosts below it")
-        parents = {p for h in members for p in t.switches_above[h]
-                   if t.switches[p].level == level}
-        raw.append((members, parents))
-        visited |= parents
-
-    covered: set[str] = set()
-    claimed: set[str] = set()
-    for members, parents in raw:
-        clash = covered & members
-        if clash:
-            raise TopologyError(f"hosts {sorted(clash)} fall into more than one reach")
-        shared = claimed & parents
-        if shared:
-            raise TopologyError(f"switches {sorted(shared)} fall into more than one reach")
-        covered |= members
-        claimed |= parents
-    orphans = set(t.hosts) - covered
-    if orphans:
-        raise TopologyError(
-            f"hosts {sorted(orphans)} have no boundary switch above them")
-
-    raw.sort(key=lambda pair: min(pair[0]))
-    return [
-        Reach(id=f"r{i}", hosts=tuple(sorted(members)), switches=tuple(sorted(parents)))
-        for i, (members, parents) in enumerate(raw)
-    ]
+    """The reach partition of t (Topology.reaches) as a new list; the
+    partition itself is computed once per topology."""
+    return list(t.reaches)
 
 
 # -- canonical builders -------------------------------------------------------

@@ -22,7 +22,7 @@ class WorkloadError(Exception):
     """A workload file or generator spec violates the application invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VM:
     id: str
     demand: ResourceVector
@@ -68,10 +68,13 @@ class Application:
 
     def __post_init__(self):
         # traffic is complete before construction and never changed after it;
-        # keys are unique, so sorting them orders the items as sorting the items does
+        # keys are unique, so sorting them orders the items as sorting the
+        # items does. Both tuples hold references to traffic's own keys and
+        # bandwidths, so an edge is stored once, as traffic holds it.
         traffic = self.traffic
-        keys = sorted(traffic)
-        object.__setattr__(self, "_edges", tuple(zip(keys, map(traffic.__getitem__, keys))))
+        keys = tuple(sorted(traffic))
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_bws", tuple(map(traffic.__getitem__, keys)))
         object.__setattr__(self, "_vm_by_id", {v.id: v for v in self.vms})
 
     def vm(self, vm_id: str) -> VM:
@@ -80,13 +83,13 @@ class Application:
     def vm_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vms)
 
-    def edges(self):
-        """Traffic edges in deterministic order."""
-        return self._edges
+    def edges(self) -> tuple:
+        """Traffic edges ((x, y), Mbps) in sorted key order, built per call."""
+        return tuple(zip(self._keys, self._bws))
 
-    def vm_edges(self, vm_id: str):
-        """The traffic edges touching one VM, in edges() order."""
-        return self._edges_by_vm.get(vm_id, ())
+    def vm_edges(self, vm_id: str) -> tuple:
+        """The traffic edges touching one VM, in edges() order, built per call."""
+        return tuple(_edges_by_vm(self).get(vm_id, ()))
 
     # The traffic rows and their totals are built on first use, unless the
     # generator or loader that built the application seeded them.
@@ -97,16 +100,6 @@ class Application:
     @cached_property
     def _totals(self) -> dict[str, float]:
         return _row_totals(self._peers)
-
-    @cached_property
-    def _edges_by_vm(self) -> dict[str, tuple]:
-        # the VMs with a traffic row are the edges' endpoints
-        by_vm: dict[str, list] = {v: [] for v in self._peers}
-        for edge in self._edges:
-            (x, y), _ = edge
-            by_vm[x].append(edge)
-            by_vm[y].append(edge)
-        return {v: tuple(es) for v, es in by_vm.items()}
 
     def peers(self, vm_id: str) -> dict[str, float]:
         """The VM's traffic row {peer: Mbps} in traffic order; empty without traffic."""
@@ -120,6 +113,19 @@ class Application:
     def total_vm_traffic(self) -> float:
         """The VMs' total_traffic summed in VM order (each edge counts twice)."""
         return sum(self.total_traffic(v.id) for v in self.vms)
+
+
+def _edges_by_vm(app: Application) -> dict[str, list]:
+    """Each VM's traffic edges ((x, y), Mbps), in edges() order; a VM without
+    traffic is absent. Built per call: Application.vm_edges reads one list,
+    and UNIFIED builds the table once per attempt."""
+    # the VMs with a traffic row are the edges' endpoints
+    by_vm: dict[str, list] = {v: [] for v in app._peers}
+    for edge in zip(app._keys, app._bws):
+        (x, y), _ = edge
+        by_vm[x].append(edge)
+        by_vm[y].append(edge)
+    return by_vm
 
 
 def validate_application(a: Application, reference: Reference) -> None:

@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dcfrag import topology
 from dcfrag.fixtures import UNIT, UNIT_REF, fig4_topology
 from dcfrag.placement import PlacementState
 from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology,
@@ -184,6 +185,17 @@ class TestBoundaryAndReaches:
             find_reaches(t)
         with pytest.raises(TopologyError, match="no boundary switch"):
             t.reaches
+
+    def test_one_partition_per_topology(self, monkeypatch):
+        # counted by the boundary search each partition starts with
+        calls = []
+        boundary = topology.find_boundary_switches
+        monkeypatch.setattr(topology, "find_boundary_switches",
+                            lambda t: calls.append(t) or boundary(t))
+        t = build_tree(4, 2, UNIT, 1.0, 2.0)
+        first, second = find_reaches(t), find_reaches(t)
+        assert first == second == list(t.reaches) and first is not second
+        assert calls == [t]
 
     def test_reaches_and_reach_pairs_are_computed_once(self):
         t = build_tree(4, 2, UNIT, 1.0, 2.0)

@@ -3,13 +3,14 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcfrag import workload
-from dcfrag.fixtures import UNIT_REF, category_spec, fig1_instance
+from dcfrag.fixtures import UNIT_REF, category_spec, category_topology, fig1_instance
+from dcfrag.harness import ExperimentConfig, compare_schemes
 from dcfrag.topology import Reference, ResourceVector
 from dcfrag.workload import (VM, Application, WorkloadError, WorkloadSpec, generate_workload,
                              load_workload, representative_request, validate_application)
@@ -224,7 +225,10 @@ class TestSeededTables:
             fresh = Application(app.id, app.vms, app.traffic)
             assert app._peers == fresh._peers and app._totals == fresh._totals
             assert row_tables(app) == row_tables(fresh)
-            assert app.edges() == tuple(sorted(app.traffic.items()))
+            edges = app.edges()
+            assert edges == tuple(sorted(app.traffic.items()))
+            for v in app.vm_ids():
+                assert app.vm_edges(v) == tuple(e for e in edges if v in e[0])
 
     @pytest.mark.parametrize("category", (1, 2, 3))
     def test_each_app_builds_its_traffic_rows_once(self, monkeypatch, category):
@@ -250,6 +254,23 @@ class TestSeededTables:
         calls.clear()
         read_every_table(loaded(generated, spec.reference))
         assert len(calls) == 12
+
+
+class TestResidentSet:
+    @pytest.mark.parametrize("category", (1, 2, 3))
+    def test_an_app_keeps_only_its_fields_and_tables_after_a_compare(self, category):
+        # UNIFIED lists each VM's edges per attempt; nothing it builds stays on the app
+        spec = category_spec(category, app_count=16, seed=category)
+        generated = generate_workload(spec)
+        reloaded = loaded(generated, spec.reference)
+        kept = {f.name for f in fields(Application)} | {
+            "_keys", "_bws", "_vm_by_id", "_peers", "_totals", "total_vm_traffic"}
+        for apps in (generated, reloaded):
+            compare_schemes(ExperimentConfig(topology=category_topology(category),
+                                             workload=apps, seed=category),
+                            ["UNIFIED", "LOCAL", "NETW"])
+            for app in apps:
+                assert set(vars(app)) == kept, app.id
 
 
 class TestLoader:
