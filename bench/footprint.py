@@ -7,12 +7,13 @@ For each category (1-3) at its perfbench pool size (64, 64 and 128
 applications) and at 1,024 applications, the script generates
 category_spec(category, apps, 0) and prints, as JSON, the bytes the
 applications hold as generated and again after one three-scheme
-`compare_schemes` over them on the category's 64-host fabric. Each figure
-is the traced size after a garbage collection, less the size before the
-workload was generated; the fabric and the compare's own state are dropped
-before the second reading, so only what the compare left on the
-applications counts. One small compare per category runs first, so caches
-the program fills once per process are not counted. Dict and object sizes
+`compare_schemes` over them on the category's 64-host fabric, measured
+with the category's RRF request. Each figure is the traced size after a
+garbage collection, less the size before the workload was generated; the
+fabric and the compare's own state are dropped before the second reading,
+so only what the compare left on the applications counts. One small
+compare per category runs first, so caches the program fills once per
+process are not counted. Dict and object sizes
 differ across Python versions, so the figures compare two trees on one
 interpreter, not across interpreters. It imports dcfrag from this
 checkout's src/ and uses the stdlib only.
@@ -44,13 +45,13 @@ def main(argv=None) -> int:
     parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
-    from dcfrag.fixtures import category_spec, category_topology
+    from dcfrag.fixtures import category_rrf_request, category_spec, category_topology
     from dcfrag.harness import ExperimentConfig, compare_schemes
     from dcfrag.workload import generate_workload
 
     def compare(category, apps):
-        compare_schemes(ExperimentConfig(topology=category_topology(category),
-                                         workload=apps), SCHEMES)
+        compare_schemes(ExperimentConfig(topology=category_topology(category), workload=apps,
+                                         rrf_request=category_rrf_request(category)), SCHEMES)
 
     tracemalloc.start()
     for category in (1, 2, 3):

@@ -3,7 +3,7 @@
 
     python3 bench/scale.py --hosts 256 --category 1 [--check]
 
-The fabric is fixtures._category_fabric(category, H): category 1's tree in
+The fabric is fixtures.category_topology(category, H): category 1's tree in
 racks of 4, the CLOS of categories 2 and 3 in pods of 16, each with the
 category's host, link and oversubscription; at 64 hosts these are the
 category's built-in fabrics.
@@ -38,12 +38,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
-    from dcfrag.fixtures import _category_fabric, category_rrf_request, category_spec
+    from dcfrag.fixtures import category_rrf_request, category_spec, category_topology
     from dcfrag.harness import ExperimentConfig, compare_schemes
     from dcfrag.topology import TopologyError
 
     try:
-        topology = _category_fabric(args.category, args.hosts)
+        topology = category_topology(args.category, args.hosts)
     except (ValueError, TopologyError) as exc:  # a size the fabric cannot take
         parser.error(f"--hosts: {exc}")
     with tempfile.TemporaryDirectory() as tmp:

@@ -6,12 +6,13 @@ units (capacities of 1.0) so metric outputs read directly as fractions.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 from .metrics import MultiRequest
 from .placement import PlacementState
 from .topology import (Host, Link, Reference, ResourceVector, Switch, Topology,
                        build_clos, build_tree)
-from .workload import (Application, VM, WorkloadSpec, _row_totals, _seed_tables,
-                       traffic_peers)
+from .workload import VM, Application, WorkloadSpec
 
 UNIT = ResourceVector(1.0, 1.0, 1.0)
 UNIT_REF = Reference(host=UNIT, link=1.0)
@@ -90,23 +91,28 @@ def fig1_instance() -> tuple[Topology, Application]:
     t = Topology(hosts, switches, links, Reference(host=cap, link=600.0))
 
     demands = {
-        "a1": (320.0, 80.0), "a2": (80.0, 500.0),
-        "b1": (280.0, 80.0), "b2": (80.0, 450.0),
-        "c1": (240.0, 80.0), "c2": (80.0, 400.0),
+        "a1": (320.0, 80.0, 600.0), "a2": (80.0, 500.0, 600.0),
+        "b1": (280.0, 80.0, 550.0), "b2": (80.0, 450.0, 550.0),
+        "c1": (240.0, 80.0, 500.0), "c2": (80.0, 400.0, 500.0),
     }
     traffic = {("a1", "a2"): 600.0, ("b1", "b2"): 550.0, ("c1", "c2"): 500.0}
-    rows = traffic_peers(traffic)
-    totals = _row_totals(rows)
+    # each VM has one edge, so its NIC demand is that edge's bandwidth
     vms = tuple(
-        VM(id=v, demand=ResourceVector(cpu, mem, totals[v]))
-        for v, (cpu, mem) in sorted(demands.items())
+        VM(id=v, demand=ResourceVector(cpu, mem, bw))
+        for v, (cpu, mem, bw) in sorted(demands.items())
     )
-    app = Application(id="fig1", vms=vms, traffic=traffic)
-    _seed_tables(app, rows, totals)
-    return t, app
+    return t, Application(id="fig1", vms=vms, traffic=traffic)
 
 
 # -- Table-3 categories -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Category:
+    spec: WorkloadSpec  # with app_count and seed 0
+    oversub: float  # the fabric's oversubscription
+    rrf: tuple[float, float, float]  # the RRF request in MHz, MB and Mbps
+    eval_apps: int  # offered applications of the evaluation runs
+
 
 # Calibrated so the experiment regimes mirror the published observations at
 # desk scale: category 1 saturates its rack uplinks (deep oversubscription,
@@ -115,83 +121,58 @@ def fig1_instance() -> tuple[Topology, Application]:
 # a thin core. Means and ranges follow the dataset table; density, noise,
 # burst shape and oversubscription are implementation calibration.
 _CATEGORIES = {
-    1: dict(
-        host=ResourceVector(4000.0, 8192.0, 10000.0), link=10000.0,
-        vms_per_app=(2, 14), mean=ResourceVector(400.0, 200.0, 193.0),
-        density=0.9, skew=False, noise=0.35, weight=0.5,
-        burst=(0.12, 5.0), oversub=32.0,
-        rrf=(400.0, 200.0, 200.0), eval_apps=64,
-    ),
-    2: dict(
-        host=ResourceVector(8000.0, 16384.0, 5000.0), link=5000.0,
-        vms_per_app=(2, 18), mean=ResourceVector(620.0, 438.0, 225.0),
-        density=0.35, skew=True, noise=0.05, weight=0.0,
-        burst=None, oversub=4.0,
-        rrf=(600.0, 400.0, 200.0), eval_apps=72,
-    ),
-    3: dict(
-        host=ResourceVector(8000.0, 16384.0, 10000.0), link=10000.0,
-        vms_per_app=(10, 15), mean=ResourceVector(500.0, 700.0, 100.0),
-        density=0.5, skew=False, noise=0.35, weight=0.5,
-        burst=(0.1, 6.0), oversub=96.0,
-        rrf=(500.0, 700.0, 200.0), eval_apps=64,
-    ),
+    1: _Category(WorkloadSpec(
+        app_count=0, seed=0, reference=Reference(ResourceVector(4000.0, 8192.0, 10000.0), 10000.0),
+        vms_per_app=(2, 14), mean_demand=ResourceVector(400.0, 200.0, 193.0), traffic_density=0.9,
+        skewed_traffic=False, demand_noise=0.35, traffic_weight=0.5, traffic_burst=(0.12, 5.0)),
+        oversub=32.0, rrf=(400.0, 200.0, 200.0), eval_apps=64),
+    2: _Category(WorkloadSpec(
+        app_count=0, seed=0, reference=Reference(ResourceVector(8000.0, 16384.0, 5000.0), 5000.0),
+        vms_per_app=(2, 18), mean_demand=ResourceVector(620.0, 438.0, 225.0), traffic_density=0.35,
+        skewed_traffic=True, demand_noise=0.05, traffic_weight=0.0, traffic_burst=None),
+        oversub=4.0, rrf=(600.0, 400.0, 200.0), eval_apps=72),
+    3: _Category(WorkloadSpec(
+        app_count=0, seed=0, reference=Reference(ResourceVector(8000.0, 16384.0, 10000.0), 10000.0),
+        vms_per_app=(10, 15), mean_demand=ResourceVector(500.0, 700.0, 100.0), traffic_density=0.5,
+        skewed_traffic=False, demand_noise=0.35, traffic_weight=0.5, traffic_burst=(0.1, 6.0)),
+        oversub=96.0, rrf=(500.0, 700.0, 200.0), eval_apps=64),
 }
 
 
-def category_topology(category: int) -> Topology:
-    """64-host topology for one experiment category: an oversubscribed tree
-    for category 1, a core-oversubscribed CLOS for categories 2 and 3."""
-    return _category_fabric(category, 64)
-
-
-def _category_fabric(category: int, hosts: int) -> Topology:
-    """The category's fabric at `hosts` hosts, with its host, link and
-    oversubscription: category 1's tree in racks of 4, the others' CLOS in
-    pods of 16. `hosts` must be a multiple of the rack or pod size and at
-    least two of them, so no size is rounded down."""
-    params = _require_category(category)
+def category_topology(category: int, hosts: int = 64) -> Topology:
+    """The category's fabric at `hosts` hosts: category 1's oversubscribed tree
+    in racks of 4, the core-oversubscribed CLOS of categories 2 and 3 in pods
+    of 16. `hosts` must be a multiple of the rack or pod size and at least two
+    of them, so no size is rounded down. 64 hosts is the built-in fabric."""
+    cat = _require_category(category)
     step = 4 if category == 1 else 16
     if hosts < 2 * step or hosts % step:
         raise ValueError(f"category {category} needs a multiple of {step} hosts, "
                          f"at least {2 * step}; got {hosts}")
+    ref = cat.spec.reference
     if category == 1:
-        return build_tree(num_tors=hosts // 4, hosts_per_tor=4, host_capacity=params["host"],
-                          link_capacity=params["link"], oversub_ratio=params["oversub"])
+        return build_tree(num_tors=hosts // 4, hosts_per_tor=4, host_capacity=ref.host,
+                          link_capacity=ref.link, oversub_ratio=cat.oversub)
     return build_clos(pods=hosts // 16, hosts_per_edge=4, edges_per_pod=4,
-                      host_capacity=params["host"], link_capacity=params["link"],
-                      core_oversub=params["oversub"])
+                      host_capacity=ref.host, link_capacity=ref.link, core_oversub=cat.oversub)
 
 
 def category_spec(category: int, app_count: int, seed: int) -> WorkloadSpec:
-    params = _require_category(category)
-    return WorkloadSpec(
-        app_count=app_count,
-        vms_per_app=params["vms_per_app"],
-        mean_demand=params["mean"],
-        traffic_density=params["density"],
-        seed=seed,
-        reference=Reference(host=params["host"], link=params["link"]),
-        skewed_traffic=params["skew"],
-        demand_noise=params["noise"],
-        traffic_weight=params["weight"],
-        traffic_burst=params["burst"],
-    )
+    return replace(_require_category(category).spec, app_count=app_count, seed=seed)
 
 
 def category_eval_apps(category: int) -> int:
     """Offered-application count used by the category evaluation runs."""
-    return _require_category(category)["eval_apps"]
+    return _require_category(category).eval_apps
 
 
 def category_rrf_request(category: int) -> MultiRequest:
-    params = _require_category(category)
-    cpu, mem, nw = params["rrf"]
-    return MultiRequest(cpu=cpu / params["host"].cpu, mem=mem / params["host"].mem,
-                        nw=nw / params["link"])
+    cat = _require_category(category)
+    (cpu, mem, nw), ref = cat.rrf, cat.spec.reference
+    return MultiRequest(cpu=cpu / ref.host.cpu, mem=mem / ref.host.mem, nw=nw / ref.link)
 
 
-def _require_category(category: int) -> dict:
+def _require_category(category: int) -> _Category:
     if category not in _CATEGORIES:
         raise ValueError(f"unknown category {category}; expected 1, 2 or 3")
     return _CATEGORIES[category]

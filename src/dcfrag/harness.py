@@ -12,7 +12,7 @@ import hashlib
 import logging
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 from . import fixtures
 from .metrics import MultiRequest, network_rrf
@@ -44,12 +44,14 @@ class ExperimentConfig:
 
     topology may be a Topology, a built-in fixture name or a file path;
     workload may be a list of applications, a WorkloadSpec or a file path.
+    rrf_request has no default; it and the fields after it are keyword-only.
     """
 
     topology: Topology | str
     workload: list | WorkloadSpec | str
     seed: int = 0
-    rrf_request: MultiRequest = MultiRequest(cpu=0.1, mem=0.1, nw=0.1)
+    _: KW_ONLY
+    rrf_request: MultiRequest
     output_path: str | None = None
     stop_policy: str = "exhaust-list"
 

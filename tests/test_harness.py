@@ -98,6 +98,14 @@ class TestRunExperiment:
             ExperimentConfig(topology=t, workload=[],
                              rrf_request=MultiRequest(cpu=0.2, mem=0.2))
 
+    def test_rrf_request_must_be_named(self):
+        t = small_topology()
+        with pytest.raises(TypeError, match="rrf_request"):
+            ExperimentConfig(topology=t, workload=[])
+        # nor passed by position, so no later field takes its place
+        with pytest.raises(TypeError, match="positional"):
+            ExperimentConfig(t, [], 0, MultiRequest(cpu=0.1, mem=0.1, nw=0.1))
+
     def test_generator_spec_resolves(self):
         cfg = ExperimentConfig(
             topology="fig3-like",

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcfrag import workload
-from dcfrag.fixtures import UNIT_REF, category_spec, category_topology, fig1_instance
+from dcfrag.fixtures import (UNIT_REF, category_rrf_request, category_spec, category_topology,
+                             fig1_instance)
 from dcfrag.harness import ExperimentConfig, compare_schemes
 from dcfrag.topology import Reference, ResourceVector
 from dcfrag.workload import (VM, Application, WorkloadError, WorkloadSpec, generate_workload,
@@ -267,7 +268,8 @@ class TestResidentSet:
             "_keys", "_bws", "_vm_by_id", "_peers", "_totals", "total_vm_traffic"}
         for apps in (generated, reloaded):
             compare_schemes(ExperimentConfig(topology=category_topology(category),
-                                             workload=apps, seed=category),
+                                             workload=apps, seed=category,
+                                             rrf_request=category_rrf_request(category)),
                             ["UNIFIED", "LOCAL", "NETW"])
             for app in apps:
                 assert set(vars(app)) == kept, app.id
