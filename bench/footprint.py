@@ -8,12 +8,15 @@ applications) and at 1,024 applications, the script generates
 category_spec(category, apps, 0) and prints, as JSON, the bytes the
 applications hold as generated and again after one three-scheme
 `compare_schemes` over them on the category's 64-host fabric, measured
-with the category's RRF request. Each figure is the traced size after a
-garbage collection, less the size before the workload was generated; the
-fabric and the compare's own state are dropped before the second reading,
-so only what the compare left on the applications counts. One small
-compare per category runs first, so caches the program fills once per
-process are not counted. Dict and object sizes
+with the category's RRF request. It then writes the applications to a
+workload file, with every NIC demand declared, and prints the bytes the
+same applications hold when `load_workload` reads that file back. Each
+figure is the traced size after a garbage collection, less the size
+before the workload was generated or loaded; the fabric and the
+compare's own state are dropped before the second reading, so only what
+the compare left on the applications counts. One small compare per
+category runs first, so caches the program fills once per process are
+not counted. Dict and object sizes
 differ across Python versions, so the figures compare two trees on one
 interpreter, not across interpreters. It imports dcfrag from this
 checkout's src/ and uses the stdlib only.
@@ -26,6 +29,7 @@ import gc
 import json
 import platform
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -47,27 +51,45 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from dcfrag.fixtures import category_rrf_request, category_spec, category_topology
     from dcfrag.harness import ExperimentConfig, compare_schemes
-    from dcfrag.workload import generate_workload
+    from dcfrag.workload import generate_workload, load_workload
 
     def compare(category, apps):
         compare_schemes(ExperimentConfig(topology=category_topology(category), workload=apps,
                                          rrf_request=category_rrf_request(category)), SCHEMES)
 
+    def write(apps, path):
+        doc = {"apps": [
+            {"id": a.id,
+             "vms": [{"id": v.id, "cpu_mhz": v.demand.cpu, "mem_mb": v.demand.mem,
+                      "nic_mbps": v.demand.nic} for v in a.vms],
+             "edges": [{"a": x, "b": y, "mbps": bw} for (x, y), bw in a.traffic.items()]}
+            for a in apps]}
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+
     tracemalloc.start()
     for category in (1, 2, 3):
         compare(category, generate_workload(category_spec(category, 8, 1)))
     rows = []
-    for category, count in SIZES:
-        base = traced()
-        apps = generate_workload(category_spec(category, count, 0))
-        generated = traced() - base
-        compare(category, apps)
-        rows.append({"category": category, "apps": count,
-                     "vms": sum(len(a.vms) for a in apps),
-                     "edges": sum(len(a.traffic) for a in apps),
-                     "generated_bytes": generated,
-                     "after_compare_bytes": traced() - base})
-        del apps
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "workload.json")
+        for category, count in SIZES:
+            spec = category_spec(category, count, 0)
+            base = traced()
+            apps = generate_workload(spec)
+            generated = traced() - base
+            compare(category, apps)
+            rows.append({"category": category, "apps": count,
+                         "vms": sum(len(a.vms) for a in apps),
+                         "edges": sum(len(a.traffic) for a in apps),
+                         "generated_bytes": generated,
+                         "after_compare_bytes": traced() - base})
+            write(apps, path)
+            del apps
+            base = traced()
+            apps = load_workload(path, spec.reference)
+            rows[-1]["loaded_bytes"] = traced() - base
+            del apps
     tracemalloc.stop()
     print(json.dumps({"python": platform.python_version(), "unit": "bytes",
                       "workloads": rows}, indent=2))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .metrics import MultiRequest, _paths_bandwidth, placeable_in_reaches
 from .topology import _EPS, Reach, ResourceVector, Topology, _vector
-from .workload import Application, VM, _edges_by_vm, representative_request
+from .workload import Application, VM, _edges_by_vm, representative_request, traffic_peers
 
 _ABSENT = object()  # journal marker: the key was not in the table
 
@@ -407,15 +407,17 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
     A VM's step (assign, then reserve its edges) runs inside the attempt's
     transaction: it marks the journal first and rolls back to the mark when
     a host or link refuses, which takes the VM out of the ledger's
-    assignments again. Each VM's edges are listed once per attempt, not kept
-    on the app.
+    assignments again. The traffic rows and each VM's edges are built once
+    per attempt, not kept on the app: the rows in traffic's insertion order,
+    which the gains are summed in, the edges in sorted order, which the
+    reservations are made in.
     """
     req = representative_request(app, state.topology.reference)
     tried: set[str] = set()
     hosting: list[Reach] = []  # the reaches holding a VM, in the order they took one
     counts: dict[str, int] = {}  # reach id -> placeable count, for untried reaches
     unplaced = set(app.vm_ids())
-    rows = app._peers
+    rows = traffic_peers(app.traffic)
     vm_edges = _edges_by_vm(app).get
     last_failure = "no reach could take the first VM"
 

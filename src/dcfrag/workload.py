@@ -46,21 +46,25 @@ def traffic_peers(traffic: dict) -> dict[str, dict[str, float]]:
     return peers
 
 
-def _row_totals(rows: dict[str, dict[str, float]]) -> dict[str, float]:
-    """Each VM's traffic row summed in row order; the one place a row total is summed."""
-    return {v: sum(row.values()) for v, row in rows.items()}
-
-
-def _seed_tables(app: Application, rows: dict, totals: dict[str, float]) -> None:
-    """Cache traffic_peers(app.traffic) and its _row_totals on app. A generator
-    or loader builds both to size NIC demands, so the application need not."""
-    vars(app).update(_peers=rows, _totals=totals)
+def _row_totals(traffic: dict) -> dict[str, float]:
+    """Each VM's traffic total {vm: Mbps}, in one pass over traffic; VMs
+    without traffic are absent. A VM's terms are its traffic_peers row, added
+    left to right from 0 as sum() adds them before Python 3.12 (later sum()
+    compensates); the one place a row total is summed."""
+    totals: dict[str, float] = {}
+    get = totals.get
+    for (x, y), bw in traffic.items():
+        totals[x] = get(x, 0) + bw
+        totals[y] = get(y, 0) + bw
+    return totals
 
 
 @dataclass(frozen=True)
 class Application:
     """A set of VMs plus the symmetric pairwise bandwidth they exchange; immutable.
-    Demands are absolute: the fabric's reference normalizes them."""
+    Demands are absolute: the fabric's reference normalizes them. It keeps its
+    fields, the sorted edge keys and bandwidths and a VM index (and
+    total_vm_traffic once read); traffic rows and totals are built per use."""
 
     id: str
     vms: tuple[VM, ...]
@@ -91,36 +95,28 @@ class Application:
         """The traffic edges touching one VM, in edges() order, built per call."""
         return tuple(_edges_by_vm(self).get(vm_id, ()))
 
-    # The traffic rows and their totals are built on first use, unless the
-    # generator or loader that built the application seeded them.
-    @cached_property
-    def _peers(self) -> dict[str, dict[str, float]]:
-        return traffic_peers(self.traffic)
-
-    @cached_property
-    def _totals(self) -> dict[str, float]:
-        return _row_totals(self._peers)
-
     def peers(self, vm_id: str) -> dict[str, float]:
-        """The VM's traffic row {peer: Mbps} in traffic order; empty without traffic."""
-        return self._peers.get(vm_id, {})
+        """The VM's traffic row {peer: Mbps} in traffic order, built per call;
+        empty without traffic."""
+        return traffic_peers(self.traffic).get(vm_id, {})
 
     def total_traffic(self, vm_id: str) -> float:
-        """The VM's traffic row summed in row order; 0 without traffic."""
-        return self._totals.get(vm_id, 0)
+        """The VM's traffic row summed in row order, built per call; 0 without traffic."""
+        return _row_totals(self.traffic).get(vm_id, 0)
 
     @cached_property
     def total_vm_traffic(self) -> float:
         """The VMs' total_traffic summed in VM order (each edge counts twice)."""
-        return sum(self.total_traffic(v.id) for v in self.vms)
+        totals = _row_totals(self.traffic)
+        return sum(totals.get(v.id, 0) for v in self.vms)
 
 
 def _edges_by_vm(app: Application) -> dict[str, list]:
-    """Each VM's traffic edges ((x, y), Mbps), in edges() order; a VM without
-    traffic is absent. Built per call: Application.vm_edges reads one list,
-    and UNIFIED builds the table once per attempt."""
-    # the VMs with a traffic row are the edges' endpoints
-    by_vm: dict[str, list] = {v: [] for v in app._peers}
+    """Each VM's traffic edges ((x, y), Mbps), in edges() order (sorted keys,
+    the order reservations are made in); a VM without traffic has an empty
+    list. Built per call: Application.vm_edges reads one list, and UNIFIED
+    builds the table once per attempt."""
+    by_vm: dict[str, list] = {v.id: [] for v in app.vms}
     for edge in zip(app._keys, app._bws):
         (x, y), _ = edge
         by_vm[x].append(edge)
@@ -146,6 +142,7 @@ def validate_application(a: Application, reference: Reference) -> None:
             raise WorkloadError(
                 f"app {a.id}: edge ({x}, {y}) bandwidth {bw} is negative or not finite")
     host = reference.host
+    totals = _row_totals(a.traffic)
     for v in a.vms:
         d = v.demand
         # NaN fails every comparison, so a NaN or infinite demand fails too
@@ -153,7 +150,7 @@ def validate_application(a: Application, reference: Reference) -> None:
                 and d.nic <= host.nic + _EPS):
             raise WorkloadError(f"app {a.id}: VM {v.id} demand {d} is not finite "
                                 f"or exceeds the reference host")
-        rows = a.total_traffic(v.id)
+        rows = totals.get(v.id, 0)
         if d.nic + _EPS < rows:
             raise WorkloadError(
                 f"app {a.id}: VM {v.id} NIC demand {d.nic} below its "
@@ -265,8 +262,7 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
         else:
             traffic = {}
 
-        rows = traffic_peers(traffic)
-        totals = _row_totals(rows)
+        totals = _row_totals(traffic)
         nics = [totals.get(v, 0) for v in vm_ids]
         mean_row = sum(nics) / n
         vms = []
@@ -279,7 +275,6 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
             vms.append(VM(id=v, demand=_vector(cpu, mem, nic)))
 
         app = Application(id=app_id, vms=tuple(vms), traffic=traffic)
-        _seed_tables(app, rows, totals)
         validate_application(app, spec.reference)
         apps.append(app)
     return apps
@@ -321,7 +316,8 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
                 raise WorkloadError(f"{where}: vms[{vi}]: expected an object, got {v!r}")
 
         traffic: dict[tuple[str, str], float] = {}
-        vm_ids = {str(v.get("id")) for v in vm_recs}
+        # an edge's ends become its VMs' own id strings, so each id is held once
+        vm_ids = {i: i for i in (str(v.get("id")) for v in vm_recs)}
         for ei, edge in enumerate(edge_recs):
             with _entry(f"{where}: edges[{ei}]", WorkloadError):
                 x, y = str(edge["a"]), str(edge["b"])
@@ -330,13 +326,13 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
                     raise WorkloadError(f"self-edge on {x}")
                 if x not in vm_ids or y not in vm_ids:
                     raise WorkloadError(f"unknown VM {x if x not in vm_ids else y!r}")
+                x, y = vm_ids[x], vm_ids[y]
                 key = (x, y) if x < y else (y, x)
                 if key in traffic:
                     raise WorkloadError(f"duplicate edge {key}")
                 traffic[key] = bw
 
-        rows = traffic_peers(traffic)
-        totals = _row_totals(rows)
+        totals = _row_totals(traffic)
         vms = []
         for vi, v in enumerate(vm_recs):
             with _entry(f"{where}: vms[{vi}]", WorkloadError):
@@ -347,7 +343,6 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
 
         with _entry(where, WorkloadError):
             app = Application(id=app_id, vms=tuple(vms), traffic=traffic)
-            _seed_tables(app, rows, totals)
             validate_application(app, reference)
         apps.append(app)
     return apps

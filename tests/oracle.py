@@ -359,9 +359,19 @@ def reference_traffic_peers(traffic):
     return peers
 
 
+def reference_row_total(bws):
+    """A traffic row's bandwidths added one by one, left to right, from 0: the
+    program's row-total arithmetic. sum() adds the same way before Python
+    3.12; from 3.12 on it compensates, and the program's row totals do not."""
+    total = 0
+    for bw in bws:
+        total += bw
+    return total
+
+
 def reference_validate_application(a, reference):
     """validate_application with a normalized demand vector per VM and each
-    VM's traffic total summed over reference_traffic_peers."""
+    VM's traffic total added over reference_traffic_peers."""
     ids = set()
     for v in a.vms:
         if v.id in ids:
@@ -388,7 +398,7 @@ def reference_validate_application(a, reference):
                 and v.demand.nic <= reference.host.nic + _EPS):
             raise WorkloadError(f"app {a.id}: VM {v.id} demand {v.demand} is not finite "
                                 f"or exceeds the reference host")
-        rows = sum(peers.get(v.id, {}).values())
+        rows = reference_row_total(peers.get(v.id, {}).values())
         if v.demand.nic + _EPS < rows:
             raise WorkloadError(
                 f"app {a.id}: VM {v.id} NIC demand {v.demand.nic} below its "
@@ -431,7 +441,7 @@ def reference_generate_workload(spec):
             traffic = {}
 
         peers = reference_traffic_peers(traffic)
-        rows = {v: sum(peers.get(v, {}).values()) for v in vm_ids}
+        rows = {v: reference_row_total(peers.get(v, {}).values()) for v in vm_ids}
         mean_row = sum(rows.values()) / n if n else 0.0
         vms = []
         for v in vm_ids:

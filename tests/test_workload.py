@@ -8,14 +8,15 @@ from dataclasses import FrozenInstanceError, fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcfrag import workload
+from dcfrag import placement, workload
 from dcfrag.fixtures import (UNIT_REF, category_rrf_request, category_spec, category_topology,
                              fig1_instance)
-from dcfrag.harness import ExperimentConfig, compare_schemes
+from dcfrag.harness import ExperimentConfig, compare_schemes, run_experiment
+from dcfrag.placement import SCHEMES, SchemeConfig
 from dcfrag.topology import Reference, ResourceVector
 from dcfrag.workload import (VM, Application, WorkloadError, WorkloadSpec, generate_workload,
                              load_workload, representative_request, validate_application)
-from oracle import (reference_generate_workload, reference_traffic_peers,
+from oracle import (reference_generate_workload, reference_row_total, reference_traffic_peers,
                     reference_validate_application)
 
 
@@ -126,7 +127,7 @@ class TestTrafficIndex:
         app, group = instance
         for v in app.vms:
             assert app.vm(v.id) is v
-            assert app.total_traffic(v.id) == sum(
+            assert app.total_traffic(v.id) == reference_row_total(
                 bw for (a, b), bw in app.traffic.items() if v.id in (a, b))
             assert bw_to(app, v.id, group) == sum(
                 bw for (a, b), bw in app.traffic.items()
@@ -208,71 +209,95 @@ def loaded(apps, reference):
         return load_workload(path, reference)
 
 
-def row_tables(app):
-    """The app's traffic rows and row totals as ordered item lists."""
-    return ([(v, list(row.items())) for v, row in app._peers.items()],
-            list(app._totals.items()))
+def row_sums(traffic):
+    """Each VM's traffic_peers row added left to right, as (vm, float.hex)
+    pairs in the rows' key order."""
+    return [(v, float(reference_row_total(row.values())).hex())
+            for v, row in workload.traffic_peers(traffic).items()]
 
 
-class TestSeededTables:
+class TestRowTotals:
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from((1, 2, 3)), st.integers(0, 40), st.integers())
-    def test_seeded_tables_equal_lazily_built_ones(self, category, app_count, seed):
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, 40), st.integers(),
+           st.randoms(use_true_random=False))
+    def test_one_pass_totals_equal_the_row_sums(self, category, app_count, seed, rng):
+        # the shuffled copy inserts the same edges in another order, which
+        # reorders both the rows and the one-pass terms
         spec = category_spec(category, app_count, seed)
         generated = generate_workload(spec)
         reloaded = loaded(generated, spec.reference)
         assert reloaded == generated
         for app in generated + reloaded + [fig1_instance()[1]]:
-            fresh = Application(app.id, app.vms, app.traffic)
-            assert app._peers == fresh._peers and app._totals == fresh._totals
-            assert row_tables(app) == row_tables(fresh)
+            items = list(app.traffic.items())
+            rng.shuffle(items)
+            for traffic in (app.traffic, dict(items)):
+                totals = workload._row_totals(traffic)
+                assert [(v, float(t).hex()) for v, t in totals.items()] == row_sums(traffic)
+            rows = workload.traffic_peers(app.traffic)
             edges = app.edges()
             assert edges == tuple(sorted(app.traffic.items()))
             for v in app.vm_ids():
+                assert app.peers(v) == rows.get(v, {})
+                assert app.total_traffic(v) == reference_row_total(rows.get(v, {}).values())
                 assert app.vm_edges(v) == tuple(e for e in edges if v in e[0])
 
+
+class TestRowBuilds:
     @pytest.mark.parametrize("category", (1, 2, 3))
-    def test_each_app_builds_its_traffic_rows_once(self, monkeypatch, category):
-        # counted over generating or loading 12 apps and then reading every table
-        spec = category_spec(category, app_count=12, seed=category)
-        calls = []
+    def test_only_unified_builds_rows_once_per_attempt(self, monkeypatch, category):
+        # counted over generating and loading 16 apps, then a run of each scheme
+        spec = category_spec(category, app_count=16, seed=category)
+        built, attempted = [], []
         build = workload.traffic_peers
 
-        def counted(traffic):
-            calls.append(traffic)
+        def counted_build(traffic):
+            built.append(traffic)
             return build(traffic)
 
-        def read_every_table(apps):
-            for app in apps:
-                representative_request(app, spec.reference)
-                for v in app.vms:
-                    app.peers(v.id), app.vm_edges(v.id), app.total_traffic(v.id)
+        def counted_body(body):
+            def attempt(state, app, config, reaches):
+                attempted.append(app.traffic)
+                return body(state, app, config, reaches)
+            return attempt
 
-        monkeypatch.setattr(workload, "traffic_peers", counted)
-        generated = generate_workload(spec)
-        read_every_table(generated)
-        assert len(calls) == 12
-        calls.clear()
-        read_every_table(loaded(generated, spec.reference))
-        assert len(calls) == 12
+        monkeypatch.setattr(workload, "traffic_peers", counted_build)
+        monkeypatch.setattr(placement, "traffic_peers", counted_build)
+        for name, body in placement._SCHEME_BODIES.items():
+            monkeypatch.setitem(placement._SCHEME_BODIES, name, counted_body(body))
+        apps = loaded(generate_workload(spec), spec.reference)
+        assert built == []
+        for scheme in SCHEMES:
+            built.clear()
+            attempted.clear()
+            run_experiment(ExperimentConfig(topology=category_topology(category), workload=apps,
+                                            seed=category,
+                                            rrf_request=category_rrf_request(category)),
+                           SchemeConfig(scheme=scheme))
+            assert attempted
+            expected = attempted if scheme == "UNIFIED" else []
+            assert list(map(id, built)) == list(map(id, expected)), scheme
 
 
 class TestResidentSet:
     @pytest.mark.parametrize("category", (1, 2, 3))
     def test_an_app_keeps_only_its_fields_and_tables_after_a_compare(self, category):
-        # UNIFIED lists each VM's edges per attempt; nothing it builds stays on the app
+        # nothing a generator, loader or scheme builds stays on the app but
+        # the cached total_vm_traffic, which UNIFIED and NETW read
         spec = category_spec(category, app_count=16, seed=category)
         generated = generate_workload(spec)
         reloaded = loaded(generated, spec.reference)
-        kept = {f.name for f in fields(Application)} | {
-            "_keys", "_bws", "_vm_by_id", "_peers", "_totals", "total_vm_traffic"}
+        kept = {f.name for f in fields(Application)} | {"_keys", "_bws", "_vm_by_id"}
         for apps in (generated, reloaded):
+            for app in apps:
+                assert set(vars(app)) == kept, app.id
             compare_schemes(ExperimentConfig(topology=category_topology(category),
                                              workload=apps, seed=category,
                                              rrf_request=category_rrf_request(category)),
                             ["UNIFIED", "LOCAL", "NETW"])
             for app in apps:
-                assert set(vars(app)) == kept, app.id
+                assert set(vars(app)) == kept | {"total_vm_traffic"}, app.id
+        for app in reloaded:  # an edge's ends are its VMs' own id strings
+            assert all(x is app.vm(x).id and y is app.vm(y).id for x, y in app.traffic)
 
 
 class TestLoader:
