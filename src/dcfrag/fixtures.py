@@ -142,8 +142,9 @@ _CATEGORIES = {
 def category_topology(category: int, hosts: int = 64) -> Topology:
     """The category's fabric at `hosts` hosts: category 1's oversubscribed tree
     in racks of 4, the core-oversubscribed CLOS of categories 2 and 3 in pods
-    of 16. `hosts` must be a multiple of the rack or pod size and at least two
-    of them, so no size is rounded down. 64 hosts is the built-in fabric."""
+    of 16. `hosts` must be an even count of racks or pods, so no size is rounded
+    down: a non-multiple or fewer than two raises ValueError, an odd count the
+    builder's TopologyError ("must be even"). 64 hosts is the built-in fabric."""
     cat = _require_category(category)
     step = 4 if category == 1 else 16
     if hosts < 2 * step or hosts % step:

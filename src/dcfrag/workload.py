@@ -63,8 +63,8 @@ def _row_totals(traffic: dict) -> dict[str, float]:
 class Application:
     """A set of VMs plus the symmetric pairwise bandwidth they exchange; immutable.
     Demands are absolute: the fabric's reference normalizes them. It keeps its
-    fields, the sorted edge keys and bandwidths and a VM index (and
-    total_vm_traffic once read); traffic rows and totals are built per use."""
+    fields, the sorted edge keys and bandwidths, a VM index and total_vm_traffic
+    once read; a per-VM reader builds traffic_peers, _row_totals or _edges_by_vm."""
 
     id: str
     vms: tuple[VM, ...]
@@ -91,22 +91,9 @@ class Application:
         """Traffic edges ((x, y), Mbps) in sorted key order, built per call."""
         return tuple(zip(self._keys, self._bws))
 
-    def vm_edges(self, vm_id: str) -> tuple:
-        """The traffic edges touching one VM, in edges() order, built per call."""
-        return tuple(_edges_by_vm(self).get(vm_id, ()))
-
-    def peers(self, vm_id: str) -> dict[str, float]:
-        """The VM's traffic row {peer: Mbps} in traffic order, built per call;
-        empty without traffic."""
-        return traffic_peers(self.traffic).get(vm_id, {})
-
-    def total_traffic(self, vm_id: str) -> float:
-        """The VM's traffic row summed in row order, built per call; 0 without traffic."""
-        return _row_totals(self.traffic).get(vm_id, 0)
-
     @cached_property
     def total_vm_traffic(self) -> float:
-        """The VMs' total_traffic summed in VM order (each edge counts twice)."""
+        """The VMs' row totals summed in VM order (each edge counts twice)."""
         totals = _row_totals(self.traffic)
         return sum(totals.get(v.id, 0) for v in self.vms)
 
@@ -114,8 +101,7 @@ class Application:
 def _edges_by_vm(app: Application) -> dict[str, list]:
     """Each VM's traffic edges ((x, y), Mbps), in edges() order (sorted keys,
     the order reservations are made in); a VM without traffic has an empty
-    list. Built per call: Application.vm_edges reads one list, and UNIFIED
-    builds the table once per attempt."""
+    list. Built per call: UNIFIED builds the table once per attempt."""
     by_vm: dict[str, list] = {v.id: [] for v in app.vms}
     for edge in zip(app._keys, app._bws):
         (x, y), _ = edge

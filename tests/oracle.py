@@ -201,12 +201,12 @@ def reference_sibling_reach(state, reaches, tried, hosting, req, counts):
     return min(candidates, key=key)
 
 
-def reference_reach_gain(app, vm_id, in_reach, unplaced):
+def reference_reach_gain(rows, vm_id, in_reach, unplaced):
     """UNIFIED's gain of a VM as it was computed one VM at a time: its
     traffic to in_reach less its traffic to unplaced, both summed in the
-    order of its traffic row."""
+    order of its row in rows (reference_traffic_peers of the app)."""
     got = lost = 0
-    for peer, bw in app.peers(vm_id).items():
+    for peer, bw in rows.get(vm_id, {}).items():
         if peer in in_reach:
             got += bw
         elif peer in unplaced:
@@ -216,11 +216,12 @@ def reference_reach_gain(app, vm_id, in_reach, unplaced):
 
 def reference_unified(state, app, config, reaches):
     """placement._place_unified one step at a time: the same ranking
-    (reference_sibling_reach), every gain computed per VM through
-    app.peers, and each VM's edges reserved by reference_reserve_traffic
-    from the hosts in state.assignments[app.id]. A scheme body for
-    place_application."""
+    (reference_sibling_reach), every gain computed per VM over its
+    reference_traffic_peers row, and each VM's edges, filtered from
+    app.edges(), reserved by reference_reserve_traffic from the hosts in
+    state.assignments[app.id]. A scheme body for place_application."""
     req = representative_request(app, state.topology.reference)
+    rows = reference_traffic_peers(app.traffic)
     tried, hosting, counts = set(), [], {}
     unplaced = set(app.vm_ids())
     last_failure = "no reach could take the first VM"
@@ -228,7 +229,7 @@ def reference_unified(state, app, config, reaches):
                                             counts)) is not None:
         tried.add(reach.id)
         in_reach = set()
-        gain = {v: reference_reach_gain(app, v, in_reach, unplaced) for v in unplaced}
+        gain = {v: reference_reach_gain(rows, v, in_reach, unplaced) for v in unplaced}
         vm_id = _pick(unplaced, gain, 1)
         while True:
             host = bal_pack(state, app.vm(vm_id), reach)
@@ -238,7 +239,7 @@ def reference_unified(state, app, config, reaches):
             mark = len(state._journal)
             try:
                 state.assign_vm(app.id, app.vm(vm_id), host)
-                reference_reserve_traffic(state, app, app.vm_edges(vm_id))
+                reference_reserve_traffic(state, app, [e for e in app.edges() if vm_id in e[0]])
             except CapacityError as exc:
                 state._rollback(mark)
                 last_failure = str(exc)
@@ -250,9 +251,9 @@ def reference_unified(state, app, config, reaches):
                 return None
             in_reach.add(vm_id)
             del gain[vm_id]
-            for peer in app.peers(vm_id):
+            for peer in rows.get(vm_id, {}):
                 if peer in unplaced:
-                    gain[peer] = reference_reach_gain(app, peer, in_reach, unplaced)
+                    gain[peer] = reference_reach_gain(rows, peer, in_reach, unplaced)
             vm_id = _pick(unplaced, gain, -1)
     return last_failure
 

@@ -12,7 +12,7 @@ import pytest
 from dcfrag.fixtures import (category_eval_apps, category_rrf_request, category_spec,
                              category_topology)
 from dcfrag.metrics import MultiRequest
-from dcfrag.topology import Reference, ResourceVector, build_clos, build_tree
+from dcfrag.topology import Reference, ResourceVector, TopologyError, build_clos, build_tree
 from dcfrag.workload import WorkloadSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,6 +94,14 @@ def test_larger_fabrics_keep_rack_and_pod_size(category, hosts, reaches):
 @pytest.mark.parametrize("category,hosts", [(1, 66), (1, 4), (3, 8), (3, 24), (2, 0)])
 def test_sizes_that_would_round_down_are_refused(category, hosts):
     with pytest.raises(ValueError, match="multiple of"):
+        category_topology(category, hosts)
+
+
+# 12 hosts is 3 racks and 48 hosts is 3 pods: multiples, but the builders
+# need an even count of them
+@pytest.mark.parametrize("category,hosts", [(1, 12), (3, 48)])
+def test_an_odd_count_of_racks_or_pods_is_refused(category, hosts):
+    with pytest.raises(TopologyError, match="must be even"):
         category_topology(category, hosts)
 
 

@@ -11,7 +11,7 @@ from dcfrag.metrics import MultiRequest, placeable_in_reaches
 from dcfrag.placement import PlacementState, SchemeConfig, place_application
 from dcfrag.topology import ResourceVector, build_tree
 from dcfrag.workload import VM, Application, generate_workload, representative_request
-from oracle import placeable_in_reach
+from oracle import placeable_in_reach, reference_row_total, reference_traffic_peers
 
 
 def small_topology():
@@ -197,12 +197,13 @@ class TestOneReference:
         t, apps = self.pair()
         ref = t.reference
         for app in apps:
-            n = len(app.vms)
+            n, rows = len(app.vms), reference_traffic_peers(app.traffic)
             req = representative_request(app, ref)
             assert req.cpu == pytest.approx(sum(v.demand.cpu for v in app.vms) / n / ref.host.cpu)
             assert req.mem == pytest.approx(sum(v.demand.mem for v in app.vms) / n / ref.host.mem)
             assert req.nw == pytest.approx(
-                sum(app.total_traffic(v.id) for v in app.vms) / n / ref.link)
+                sum(reference_row_total(rows.get(v.id, {}).values()) for v in app.vms)
+                / n / ref.link)
 
     def test_unified_ranks_its_first_reach_with_that_request(self, monkeypatch):
         t, apps = self.pair()

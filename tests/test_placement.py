@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from dcfrag import placement
+from dcfrag import placement, workload
 from dcfrag.fixtures import (UNIT, UNIT_REF, category_eval_apps, category_spec,
                              category_topology, fig1_instance)
 from dcfrag.harness import resolve_topology
@@ -19,7 +19,8 @@ from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology
 from dcfrag.workload import (VM, Application, generate_workload, load_workload,
                              representative_request, validate_application)
 from oracle import (journaled_write, placeable_in_reach, reference_reach_gain,
-                    reference_reserve_traffic, reference_unified)
+                    reference_reserve_traffic, reference_row_total, reference_traffic_peers,
+                    reference_unified)
 from test_topology import as_topology, leveled_fabrics
 from test_workload import bw_to
 
@@ -229,7 +230,7 @@ class TestReserveTraffic:
                  for lid in sorted(t.links)}
         app = Application(id="app", vms=tuple(VM(v, UNIT) for v in vm_ids), traffic=traffic)
         only = data.draw(st.sampled_from([None, *vm_ids]))  # all edges, or one VM's
-        edges = None if only is None else app.vm_edges(only)
+        edges = None if only is None else workload._edges_by_vm(app)[only]
 
         def run(reserve):
             state = PlacementState(t)
@@ -409,6 +410,7 @@ def _unified_rescanning_gains(state, app, config, reaches):
     placed VM it rebuilds the VMs in the current reach from the assignments
     and takes two bw_to sums per unplaced VM."""
     req = representative_request(app, state.topology.reference)
+    rows = reference_traffic_peers(app.traffic)
     reach = min(reaches, key=lambda r: (-placeable_in_reach(state, r, req), r.id))
     tried = {reach.id}
     unplaced = set(app.vm_ids())
@@ -416,7 +418,7 @@ def _unified_rescanning_gains(state, app, config, reaches):
     last_failure = "no reach could take the first VM"
     while True:
         reach_hosts = set(reach.hosts)
-        vm_id = min(unplaced, key=lambda v: (-bw_to(app, v, unplaced), v))
+        vm_id = min(unplaced, key=lambda v: (-bw_to(rows, v, unplaced), v))
         while True:
             host = placement.bal_pack(state, app.vm(vm_id), reach)
             if host is None:
@@ -425,7 +427,7 @@ def _unified_rescanning_gains(state, app, config, reaches):
             mark = len(state._journal)
             try:
                 state.assign_vm(app.id, app.vm(vm_id), host)
-                reserve_traffic(state, app, app.vm_edges(vm_id))
+                reserve_traffic(state, app, [e for e in app.edges() if vm_id in e[0]])
             except CapacityError as exc:
                 state._rollback(mark)
                 last_failure = str(exc)
@@ -437,7 +439,7 @@ def _unified_rescanning_gains(state, app, config, reaches):
             in_reach = {v for v in app.vm_ids()
                         if state.assignments[app.id].get(v) in reach_hosts}
             vm_id = min(unplaced,
-                        key=lambda v: (-(bw_to(app, v, in_reach) - bw_to(app, v, unplaced)), v))
+                        key=lambda v: (-(bw_to(rows, v, in_reach) - bw_to(rows, v, unplaced)), v))
         hosting = [r for r in reaches if placed_hosts & set(r.hosts)]
         sibling = placement.best_sibling_reach(state, reaches, tried, hosting, req, {})
         if sibling is None:
@@ -654,7 +656,7 @@ class TestNetw:
         hosts = set(state.assignments[app.id].values())
         assert hosts == {"h0", "h1"}  # whole rack, two slots each
         # hose check held pre-reservation: min(2, 2) * B per host uplink
-        n, b = 4, sum(app.total_traffic(v) for v in app.vm_ids()) / 4
+        n, b = 4, sum(workload._row_totals(app.traffic).values()) / 4
         for h in hosts:
             uplink = state.topology.host_ports[h][0]
             assert min(2, n - 2) * b <= state.topology.links[uplink].free
@@ -1103,8 +1105,9 @@ class TestUnifiedReference:
             in_reach = set() if sign == 1 else {
                 v for v in app.vm_ids() if v not in unplaced
                 and state.assignments[app.id].get(v) in reach_of["now"].hosts}
+            rows = reference_traffic_peers(app.traffic)
             assert {v: repr(gain[v]) for v in unplaced} == {
-                v: repr(reference_reach_gain(app, v, in_reach, unplaced)) for v in unplaced}
+                v: repr(reference_reach_gain(rows, v, in_reach, unplaced)) for v in unplaced}
             return pick(unplaced, gain, sign)
 
         with pytest.MonkeyPatch.context() as m:
@@ -1135,7 +1138,8 @@ def _netw_rebuilding_units(state, app, config, reaches):
     (level, id) order, the subtrees switches share included once per switch."""
     t = state.topology
     n_total = len(app.vms)
-    bw = sum(app.total_traffic(v) for v in app.vm_ids()) / n_total
+    rows = reference_traffic_peers(app.traffic)
+    bw = sum(reference_row_total(rows.get(v, {}).values()) for v in app.vm_ids()) / n_total
     slots = config.netw_slots_per_host
     used = Counter(h for placed in state.assignments.values() for h in placed.values())
     units = [(h,) for h in t.host_ids]

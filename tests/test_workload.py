@@ -68,15 +68,16 @@ class TestRepresentativeRequest:
                 f"{dim} mean {mean:.1f} not within 3 standard errors of {target}"
 
 
-def bw_to(app, vm_id, group):
+def bw_to(rows, vm_id, group):
     """Reference: bandwidth between one VM and the members of a VM group,
-    summed in the order of the VM's traffic row."""
-    return sum(bw for peer, bw in app.peers(vm_id).items() if peer in group)
+    summed in the order of the VM's row in rows, an app's traffic-peers table."""
+    return sum(bw for peer, bw in rows.get(vm_id, {}).items() if peer in group)
 
 
 def bw_between(app, xs, ys):
     """Bandwidth between two disjoint VM groups, summed over bw_to."""
-    return sum(bw_to(app, x, ys) for x in sorted(xs))
+    rows = reference_traffic_peers(app.traffic)
+    return sum(bw_to(rows, x, ys) for x in sorted(xs))
 
 
 class TestBwBetween:
@@ -125,11 +126,12 @@ class TestTrafficIndex:
     @given(indexed_apps())
     def test_index_matches_a_traffic_order_scan(self, instance):
         app, group = instance
+        rows, totals = workload.traffic_peers(app.traffic), workload._row_totals(app.traffic)
         for v in app.vms:
             assert app.vm(v.id) is v
-            assert app.total_traffic(v.id) == reference_row_total(
+            assert totals.get(v.id, 0) == reference_row_total(
                 bw for (a, b), bw in app.traffic.items() if v.id in (a, b))
-            assert bw_to(app, v.id, group) == sum(
+            assert bw_to(rows, v.id, group) == sum(
                 bw for (a, b), bw in app.traffic.items()
                 if (a == v.id and b in group) or (b == v.id and a in group))
 
@@ -170,8 +172,9 @@ class TestGenerator:
             spec = category_spec(category, app_count=8, seed=5)
             for app in generate_workload(spec):
                 validate_application(app, spec.reference)
+                rows = reference_traffic_peers(app.traffic)
                 for v in app.vms:
-                    assert v.demand.nic == app.total_traffic(v.id)
+                    assert v.demand.nic == reference_row_total(rows.get(v.id, {}).values())
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from((1, 2, 3)), st.integers(0, 40), st.integers())
@@ -233,13 +236,10 @@ class TestRowTotals:
             for traffic in (app.traffic, dict(items)):
                 totals = workload._row_totals(traffic)
                 assert [(v, float(t).hex()) for v, t in totals.items()] == row_sums(traffic)
-            rows = workload.traffic_peers(app.traffic)
-            edges = app.edges()
+            edges, by_vm = app.edges(), workload._edges_by_vm(app)
             assert edges == tuple(sorted(app.traffic.items()))
             for v in app.vm_ids():
-                assert app.peers(v) == rows.get(v, {})
-                assert app.total_traffic(v) == reference_row_total(rows.get(v, {}).values())
-                assert app.vm_edges(v) == tuple(e for e in edges if v in e[0])
+                assert by_vm[v] == [e for e in edges if v in e[0]]
 
 
 class TestRowBuilds:
@@ -340,7 +340,7 @@ class TestLoader:
         apps = self.load(tmp_path, self.doc())
         a = apps[0]
         assert a.traffic == {("v1", "v2"): 40.0, ("v2", "v3"): 10.0}
-        assert a.total_traffic("v2") == 50.0
+        assert workload._row_totals(a.traffic)["v2"] == 50.0
         assert a.vm("v2").demand.nic == 50.0      # derived from rows
         assert apps[1].vm("v1").demand.nic == 200.0  # declared wins
 
