@@ -40,11 +40,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from dcfrag.fixtures import category_rrf_request, category_spec, category_topology
     from dcfrag.harness import ExperimentConfig, compare_schemes
-    from dcfrag.topology import TopologyError
 
     try:
         topology = category_topology(args.category, args.hosts)
-    except (ValueError, TopologyError) as exc:  # a size the fabric cannot take
+    except ValueError as exc:  # a size the fabric cannot take
         parser.error(f"--hosts: {exc}")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "compare.csv"

@@ -143,13 +143,12 @@ def category_topology(category: int, hosts: int = 64) -> Topology:
     """The category's fabric at `hosts` hosts: category 1's oversubscribed tree
     in racks of 4, the core-oversubscribed CLOS of categories 2 and 3 in pods
     of 16. `hosts` must be an even count of racks or pods, so no size is rounded
-    down: a non-multiple or fewer than two raises ValueError, an odd count the
-    builder's TopologyError ("must be even"). 64 hosts is the built-in fabric."""
+    down: any other size raises ValueError. 64 hosts is the built-in fabric."""
     cat = _require_category(category)
-    step = 4 if category == 1 else 16
-    if hosts < 2 * step or hosts % step:
-        raise ValueError(f"category {category} needs a multiple of {step} hosts, "
-                         f"at least {2 * step}; got {hosts}")
+    step, unit = (4, "racks") if category == 1 else (16, "pods")
+    if hosts < 2 * step or hosts % (2 * step):
+        raise ValueError(f"category {category} needs a multiple of {step} hosts that makes an "
+                         f"even count of {unit}, at least {2 * step}; got {hosts}")
     ref = cat.spec.reference
     if category == 1:
         return build_tree(num_tors=hosts // 4, hosts_per_tor=4, host_capacity=ref.host,

@@ -111,32 +111,49 @@ def _edges_by_vm(app: Application) -> dict[str, list]:
 
 
 def validate_application(a: Application, reference: Reference) -> None:
-    ids = set()
-    for v in a.vms:
-        if v.id in ids:
-            raise WorkloadError(f"app {a.id}: duplicate VM id {v.id}")
-        ids.add(v.id)
+    """Raise WorkloadError unless `a` is well formed and fits `reference`.
+
+    In order: VM ids are unique; each edge joins two distinct known VMs,
+    stored as (x, y) with x < y, at a finite bandwidth >= 0; each VM's demand
+    is finite, at most the reference host's (cpu and mem by ratio, NIC in
+    Mbps, within _EPS), and its NIC demand covers its traffic row total."""
+    _validate_application(a, reference, _row_totals(a.traffic))
+
+
+def _validate_application(a: Application, reference: Reference,
+                          totals: dict[str, float]) -> None:
+    """validate_application, with the row totals _row_totals(a.traffic) that
+    the generator and the loader have already built."""
+    vms, ids = a.vms, a._vm_by_id  # one key per distinct VM id
+    if len(ids) < len(vms):
+        seen = set()
+        for v in vms:
+            if v.id in seen:
+                raise WorkloadError(f"app {a.id}: duplicate VM id {v.id}")
+            seen.add(v.id)
+    inf = math.inf
     for (x, y), bw in a.traffic.items():
-        if x == y:
-            raise WorkloadError(f"app {a.id}: self-edge on VM {x}")
-        if x > y:
+        if not x < y:
+            if x == y:
+                raise WorkloadError(f"app {a.id}: self-edge on VM {x}")
             raise WorkloadError(f"app {a.id}: edge ({x}, {y}) not stored in canonical order")
         if x not in ids or y not in ids:
             missing = x if x not in ids else y
             raise WorkloadError(f"app {a.id}: edge ({x}, {y}) references unknown VM {missing}")
-        if not 0 <= bw < math.inf:
+        if not 0 <= bw < inf:
             raise WorkloadError(
                 f"app {a.id}: edge ({x}, {y}) bandwidth {bw} is negative or not finite")
     host = reference.host
-    totals = _row_totals(a.traffic)
-    for v in a.vms:
+    host_cpu, host_mem, nic_cap, ratio_cap = host.cpu, host.mem, host.nic + _EPS, 1 + _EPS
+    get = totals.get
+    for v in vms:
         d = v.demand
         # NaN fails every comparison, so a NaN or infinite demand fails too
-        if not (d.cpu / host.cpu <= 1 + _EPS and d.mem / host.mem <= 1 + _EPS
-                and d.nic <= host.nic + _EPS):
+        if not (d.cpu / host_cpu <= ratio_cap and d.mem / host_mem <= ratio_cap
+                and d.nic <= nic_cap):
             raise WorkloadError(f"app {a.id}: VM {v.id} demand {d} is not finite "
                                 f"or exceeds the reference host")
-        rows = totals.get(v.id, 0)
+        rows = get(v.id, 0)
         if d.nic + _EPS < rows:
             raise WorkloadError(
                 f"app {a.id}: VM {v.id} NIC demand {d.nic} below its "
@@ -219,14 +236,25 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
     # uniform(a, b) is documented as a + (b - a) * random(); the hot draws spell it out
     random_, uniform, density = rng.random, rng.uniform, spec.traffic_density
     mean, host, weight = spec.mean_demand, spec.reference.host, spec.traffic_weight
+    mean_cpu, mean_mem, mean_nic = mean.cpu, mean.mem, mean.nic
     lo, hi, keep = 1 - spec.demand_noise, 1 + spec.demand_noise, 1 - weight
+    spread = hi - lo
     cpu_lo, cpu_hi = 0.01 * host.cpu, 0.95 * host.cpu
     mem_lo, mem_hi = 0.01 * host.mem, 0.95 * host.mem
+    n_lo, n_hi = spec.vms_per_app
+    skewed, burst, reference = spec.skewed_traffic, spec.burst_multiplier, spec.reference
+    # ids padded to one width (at least 2 digits) sort in index order, so
+    # combinations() yields canonical keys at any app size
+    width = max(2, len(str(n_hi - 1)))
+    suffixes = [f"v{vi:0{width}d}" for vi in range(n_hi)]
+    # each VM is built as _vector builds a vector, its slots set directly, at a
+    # quarter of the cost of the dataclass __init__
+    new_vm, set_id, set_demand = object.__new__, VM.id.__set__, VM.demand.__set__
     apps: list[Application] = []
     for ai in range(spec.app_count):
         app_id = f"app{ai:03d}"
-        n = rng.randint(*spec.vms_per_app)
-        vm_ids = [f"{app_id}v{vi:02d}" for vi in range(n)]
+        n = rng.randint(n_lo, n_hi)
+        vm_ids = [app_id + s for s in suffixes[:n]]
 
         raw: dict[tuple[str, str], float] = {}
         if n > 1:
@@ -237,12 +265,12 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
             for key in combinations(vm_ids, 2):
                 if key not in raw and random_() < density:
                     raw[key] = 0.5 + random_()
-            if spec.skewed_traffic:
+            if skewed:
                 keys = sorted(raw)
                 heavy = set(rng.sample(keys, max(1, round(0.1 * len(keys)))))
                 for key in keys:
                     raw[key] = uniform(400.0, 2000.0) if key in heavy else uniform(0.2, 1.0)
-            target = n * mean.nic / 2.0 * uniform(0.85, 1.15) * spec.burst_multiplier(rng)
+            target = n * mean_nic / 2.0 * uniform(0.85, 1.15) * burst(rng)
             scale = target / sum(raw.values())
             traffic = {key: w * scale for key, w in raw.items()}
         else:
@@ -252,16 +280,20 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
         nics = [totals.get(v, 0) for v in vm_ids]
         mean_row = sum(nics) / n
         vms = []
+        append = vms.append
         for v, nic in zip(vm_ids, nics):
             blend = weight * (nic / mean_row if mean_row > 0 else 1.0) + keep
-            cpu = mean.cpu * blend * (lo + (hi - lo) * random_())
-            mem = mean.mem * blend * (lo + (hi - lo) * random_())
+            cpu = mean_cpu * blend * (lo + spread * random_())
+            mem = mean_mem * blend * (lo + spread * random_())
             cpu = cpu_lo if cpu < cpu_lo else cpu_hi if cpu > cpu_hi else cpu
             mem = mem_lo if mem < mem_lo else mem_hi if mem > mem_hi else mem
-            vms.append(VM(id=v, demand=_vector(cpu, mem, nic)))
+            vm = new_vm(VM)
+            set_id(vm, v)
+            set_demand(vm, _vector(cpu, mem, nic))
+            append(vm)
 
-        app = Application(id=app_id, vms=tuple(vms), traffic=traffic)
-        validate_application(app, spec.reference)
+        app = Application(app_id, tuple(vms), traffic)
+        _validate_application(app, reference, totals)
         apps.append(app)
     return apps
 
@@ -328,7 +360,7 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
                 vms.append(VM(id=vm_id, demand=ResourceVector(cpu, mem, nic)))
 
         with _entry(where, WorkloadError):
-            app = Application(id=app_id, vms=tuple(vms), traffic=traffic)
-            validate_application(app, reference)
+            app = Application(app_id, tuple(vms), traffic)
+            _validate_application(app, reference, totals)
         apps.append(app)
     return apps

@@ -410,11 +410,12 @@ def reference_generate_workload(spec):
     """generate_workload with a sorted() per chain edge, an index pair per VM
     pair and every draw through rng.uniform or rng.random."""
     rng = random.Random(spec.seed)
+    width = max(2, len(str(spec.vms_per_app[1] - 1)))
     apps = []
     for ai in range(spec.app_count):
         app_id = f"app{ai:03d}"
         n = rng.randint(*spec.vms_per_app)
-        vm_ids = [f"{app_id}v{vi:02d}" for vi in range(n)]
+        vm_ids = [f"{app_id}v{vi:0{width}d}" for vi in range(n)]
 
         raw = {}
         if n > 1:

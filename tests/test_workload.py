@@ -3,7 +3,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +186,26 @@ class TestGenerator:
         assert apps == expected
         assert repr(apps) == repr(expected)
 
+    def test_apps_of_more_than_100_vms_have_ids_in_index_order(self):
+        # every id is padded to the width of the largest index, so the ids
+        # sort as their indices do and every generated key is canonical
+        spec = replace(category_spec(3, 2, 0), vms_per_app=(101, 101))
+        apps = generate_workload(spec)
+        assert apps == reference_generate_workload(spec)
+        for app in apps:
+            validate_application(app, spec.reference)
+            ids = app.vm_ids()
+            assert ids == tuple(sorted(ids))
+            assert ids[0] == f"{app.id}v000" and ids[-1] == f"{app.id}v100"
+
+    def test_generated_apps_are_validated(self):
+        # a reference host whose NIC is below the generated NIC demands
+        spec = category_spec(3, 4, 0)
+        host = replace(spec.reference.host, nic=50.0)
+        spec = replace(spec, reference=replace(spec.reference, host=host))
+        with pytest.raises(WorkloadError, match="exceeds the reference host"):
+            generate_workload(spec)
+
     def test_degenerate_range_rejected(self):
         with pytest.raises(WorkloadError):
             WorkloadSpec(app_count=1, vms_per_app=(5, 2),
@@ -296,8 +316,14 @@ class TestResidentSet:
                             ["UNIFIED", "LOCAL", "NETW"])
             for app in apps:
                 assert set(vars(app)) == kept | {"total_vm_traffic"}, app.id
-        for app in reloaded:  # an edge's ends are its VMs' own id strings
+        for app in generated + reloaded:
+            # an edge's ends are its VMs' own id strings, and the sorted keys
+            # and bandwidths are the traffic dict's own key and value objects
             assert all(x is app.vm(x).id and y is app.vm(y).id for x, y in app.traffic)
+            own_keys = {id(key) for key in app.traffic}
+            assert len(app._keys) == len(app._bws) == len(own_keys)
+            for key, bw in zip(app._keys, app._bws):
+                assert id(key) in own_keys and bw is app.traffic[key], app.id
 
 
 class TestLoader:
