@@ -80,7 +80,12 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     """One perfbench run in the exported tree at root: its record, plus `exit`."""
     record = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
     record.unlink(missing_ok=True)
-    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+    # run.py starts from a shell that forks it, not straight from this process:
+    # Linux keeps ru_maxrss across exec, and subprocess starts a child by
+    # vfork, so a run exec'd from here would read this process's own peak
+    # RSS (the parent's export among it) as its peak_rss_mb floor
+    done = subprocess.run(["sh", "-c", '"$@"; exit $?', "sh", sys.executable,
+                           "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds),
                            "--trace", str(trace)], cwd=root, capture_output=True, text=True)
     if not record.is_file():

@@ -86,7 +86,7 @@ class PlacementState:
         }
         self.assignments: dict[str, dict[str, str]] = {}  # app -> {vm: host}
         self.host_vms: dict[str, int] = dict.fromkeys(topology.hosts, 0)  # VMs per host
-        # app -> {(x, y): (link path, bw)}, keyed by the edge as app.edges() holds it
+        # app -> {(x, y): (link path, bw)}, keyed by the edge as app.edges() lists it
         self.reservations: dict[str, dict[tuple[str, str], tuple[tuple[str, ...], float]]] = {}
         self.apps: dict[str, Application] = {}
         self._journal: list | None = None
@@ -197,9 +197,9 @@ class PlacementState:
             h: ResourceVector(0, 0, 0) for h in self.host_free}
         counts: Counter[str] = Counter()
         for app_id, placed in self.assignments.items():
-            app = self.apps[app_id]
+            vm_by_id = {v.id: v for v in self.apps[app_id].vms}
             for vm_id, host_id in placed.items():
-                used[host_id] = used[host_id] + app.vm(vm_id).demand
+                used[host_id] = used[host_id] + vm_by_id[vm_id].demand
             counts.update(placed.values())
         for host_id, total in used.items():
             if self.host_vms[host_id] != counts[host_id]:
@@ -232,8 +232,10 @@ class PlacementState:
             placed, routed = self.assignments[app_id], self.reservations[app_id]
             if any(v.id not in placed for v in app.vms):
                 continue  # mid-flight; nothing to check
-            for key, bw in app.edges():
-                x, y = key
+            xs, ys, bws = app._xs, app._ys, app._bws
+            for i in app._order:
+                x, y, bw = xs[i], ys[i], bws[i]
+                key = (x, y)
                 same_host = placed[x] == placed[y]
                 if same_host and key in routed:
                     violations.append(f"app {app_id}: co-located edge ({x}, {y}) is reserved")
@@ -245,28 +247,34 @@ class PlacementState:
 # -- shared pieces --------------------------------------------------------------
 
 
-def reserve_traffic(state: PlacementState, app: Application, edges=None) -> None:
-    """Reserve, in order, every edge of `edges` (default app.edges()) of the
-    registered app with bandwidth whose two VMs sit on different hosts and
-    which holds no reservation yet.
+def reserve_traffic(state: PlacementState, app: Application, positions=None) -> None:
+    """Reserve, in order, every edge of the registered app at `positions`
+    (indices into its edge tuples, the order of app.traffic; default
+    app._order, every edge in sorted key order) with bandwidth whose two VMs
+    sit on different hosts and which holds no reservation yet.
 
     Hosts are read from the ledger's state.assignments[app.id]; a VM missing
-    from it is unplaced. A reservation is keyed by the edge as given, the
-    key validate() looks up. Each edge is routed, checked, written and
-    journaled in one pass: the route's own bottleneck decides, and only a
-    shortfall looks for the first short link, the one the CapacityError
-    names. The caller's transaction undoes the edges reserved so far.
+    from it is unplaced. A reservation is keyed by the edge's (x, y), the
+    key validate() looks up, built only for an edge on two hosts. Each edge
+    is routed, checked, written and journaled in one pass: the route's own
+    bottleneck decides, and only a shortfall looks for the first short
+    link, the one the CapacityError names. The caller's transaction undoes
+    the edges reserved so far.
     """
     routed, host = state.reservations[app.id], state.assignments[app.id].get
     link_free, journal, route = state.link_free, state._journal, state.topology.route
-    for key, bw in zip(app._keys, app._bws) if edges is None else edges:
+    xs, ys, bws = app._xs, app._ys, app._bws
+    for i in app._order if positions is None else positions:
+        bw = bws[i]
         if bw <= 0:
             continue
-        x, y = key
+        x = xs[i]
+        y = ys[i]
         host_x = host(x)
         host_y = host(y)
         if host_x is None or host_y is None or host_x == host_y:
             continue
+        key = (x, y)
         if key in routed:
             continue
         path, bottleneck = route(host_x, host_y, link_free)
@@ -407,17 +415,19 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
     A VM's step (assign, then reserve its edges) runs inside the attempt's
     transaction: it marks the journal first and rolls back to the mark when
     a host or link refuses, which takes the VM out of the ledger's
-    assignments again. The traffic rows and each VM's edges are built once
-    per attempt, not kept on the app: the rows in traffic's insertion order,
-    which the gains are summed in, the edges in sorted order, which the
-    reservations are made in.
+    assignments again. The traffic rows, each VM's edge positions and the
+    VM map are built once per attempt from the app's edge tuples, not kept
+    on the app: the rows in traffic's insertion order, which the gains are
+    summed in, the positions in sorted key order, which the reservations
+    are made in.
     """
     req = representative_request(app, state.topology.reference)
     tried: set[str] = set()
     hosting: list[Reach] = []  # the reaches holding a VM, in the order they took one
     counts: dict[str, int] = {}  # reach id -> placeable count, for untried reaches
-    unplaced = set(app.vm_ids())
-    rows = traffic_peers(app.traffic)
+    vm_by_id = {v.id: v for v in app.vms}
+    unplaced = set(vm_by_id)
+    rows = traffic_peers(zip(app._xs, app._ys), app._bws)
     vm_edges = _edges_by_vm(app).get
     last_failure = "no reach could take the first VM"
 
@@ -430,7 +440,7 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
         _set_gains(gain, rows, unplaced, in_reach, unplaced)
         vm_id = _pick(unplaced, gain, 1)
         while True:
-            vm = app.vm(vm_id)
+            vm = vm_by_id[vm_id]
             host = bal_pack(state, vm, reach)
             if host is None:
                 last_failure = f"reach {reach.id}: no host fits VM {vm_id}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -28,13 +28,15 @@ class VM:
     demand: ResourceVector
 
 
-def traffic_peers(traffic: dict) -> dict[str, dict[str, float]]:
-    """Per-VM traffic rows {vm: {peer: Mbps}}; VMs without traffic are absent.
-    Each VM's peers keep traffic's insertion order, so a sum over them adds
-    the same terms in the same order as a scan of traffic."""
+def traffic_peers(pairs, bws) -> dict[str, dict[str, float]]:
+    """Per-VM traffic rows {vm: {peer: Mbps}} of the edges read in step from
+    pairs, each (x, y), and bws: a traffic dict and its values(), or an app's
+    zip(app._xs, app._ys) and app._bws. VMs without traffic are absent. Each
+    VM's peers keep the edges' order, so a sum over them adds the same terms
+    in the same order as a scan of the edges."""
     peers: dict[str, dict[str, float]] = {}
     get = peers.get
-    for (x, y), bw in traffic.items():
+    for (x, y), bw in zip(pairs, bws):
         row = get(x)
         if row is None:
             row = peers[x] = {}
@@ -46,67 +48,102 @@ def traffic_peers(traffic: dict) -> dict[str, dict[str, float]]:
     return peers
 
 
-def _row_totals(traffic: dict) -> dict[str, float]:
-    """Each VM's traffic total {vm: Mbps}, in one pass over traffic; VMs
-    without traffic are absent. A VM's terms are its traffic_peers row, added
-    left to right from 0 as sum() adds them before Python 3.12 (later sum()
-    compensates); the one place a row total is summed."""
+def _row_totals(pairs, bws) -> dict[str, float]:
+    """Each VM's traffic total {vm: Mbps}, in one pass over the edges read as
+    traffic_peers reads them; VMs without traffic are absent. A VM's terms
+    are its traffic_peers row, added left to right from 0 as sum() adds them
+    before Python 3.12 (later sum() compensates); the one place a row total
+    is summed."""
     totals: dict[str, float] = {}
     get = totals.get
-    for (x, y), bw in traffic.items():
+    for (x, y), bw in zip(pairs, bws):
         totals[x] = get(x, 0) + bw
         totals[y] = get(y, 0) + bw
     return totals
 
 
-@dataclass(frozen=True)
 class Application:
     """A set of VMs plus the symmetric pairwise bandwidth they exchange; immutable.
-    Demands are absolute: the fabric's reference normalizes them. It keeps its
-    fields, the sorted edge keys and bandwidths, a VM index and total_vm_traffic
-    once read; a per-VM reader builds traffic_peers, _row_totals or _edges_by_vm."""
+    Demands are absolute: the fabric's reference normalizes them.
 
-    id: str
-    vms: tuple[VM, ...]
-    traffic: dict  # (vm_a, vm_b) with vm_a < vm_b -> Mbps
+    Application(id, vms, traffic) takes traffic as a dict {(vm_a, vm_b): Mbps}
+    with vm_a < vm_b and keeps each edge once, as three parallel tuples in
+    the dict's insertion order: _xs and _ys hold the keys' own end objects
+    (for a generated or loaded app, its VMs' id strings), _bws the dict's own
+    bandwidth objects. _order lists the positions in sorted key order, the
+    order edges() and reservations take. Besides id and vms that is all an
+    app holds, with total_vm_traffic once read. The traffic property
+    rebuilds the dict, equal to the one given and in its order, on each
+    read: runtime readers take the tuples. repr and == are those of a frozen
+    dataclass over (id, vms, traffic)."""
 
-    def __post_init__(self):
-        # traffic is complete before construction and never changed after it;
-        # keys are unique, so sorting them orders the items as sorting the
-        # items does. Both tuples hold references to traffic's own keys and
-        # bandwidths, so an edge is stored once, as traffic holds it.
-        traffic = self.traffic
-        keys = tuple(sorted(traffic))
-        object.__setattr__(self, "_keys", keys)
-        object.__setattr__(self, "_bws", tuple(map(traffic.__getitem__, keys)))
-        object.__setattr__(self, "_vm_by_id", {v.id: v for v in self.vms})
+    def __init__(self, id: str, vms: tuple[VM, ...], traffic: dict):
+        keys = list(traffic)
+        xs, ys = zip(*keys) if keys else ((), ())
+        set_ = object.__setattr__
+        set_(self, "id", id)
+        set_(self, "vms", vms)
+        set_(self, "_xs", xs)
+        set_(self, "_ys", ys)
+        set_(self, "_bws", tuple(traffic.values()))
+        # keys are unique, so sorting positions by key orders them as sorting
+        # the items does
+        set_(self, "_order", tuple(sorted(range(len(keys)), key=keys.__getitem__)))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def traffic(self) -> dict:
+        """{(vm_a, vm_b): Mbps} in insertion order, rebuilt per read."""
+        return dict(zip(zip(self._xs, self._ys), self._bws))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(id={self.id!r}, vms={self.vms!r}, "
+                f"traffic={self.traffic!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.vms, self.traffic) == (other.id, other.vms, other.traffic)
+
+    __hash__ = None  # unhashable, as a frozen dataclass holding a dict is
 
     def vm(self, vm_id: str) -> VM:
-        return self._vm_by_id[vm_id]
+        """The VM of id vm_id (the last one, if ids repeat); a scan of vms."""
+        for v in reversed(self.vms):
+            if v.id == vm_id:
+                return v
+        raise KeyError(vm_id)
 
     def vm_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vms)
 
     def edges(self) -> tuple:
         """Traffic edges ((x, y), Mbps) in sorted key order, built per call."""
-        return tuple(zip(self._keys, self._bws))
+        xs, ys, bws = self._xs, self._ys, self._bws
+        return tuple([((xs[i], ys[i]), bws[i]) for i in self._order])
 
     @cached_property
     def total_vm_traffic(self) -> float:
         """The VMs' row totals summed in VM order (each edge counts twice)."""
-        totals = _row_totals(self.traffic)
+        totals = _row_totals(zip(self._xs, self._ys), self._bws)
         return sum(totals.get(v.id, 0) for v in self.vms)
 
 
-def _edges_by_vm(app: Application) -> dict[str, list]:
-    """Each VM's traffic edges ((x, y), Mbps), in edges() order (sorted keys,
-    the order reservations are made in); a VM without traffic has an empty
-    list. Built per call: UNIFIED builds the table once per attempt."""
-    by_vm: dict[str, list] = {v.id: [] for v in app.vms}
-    for edge in zip(app._keys, app._bws):
-        (x, y), _ = edge
-        by_vm[x].append(edge)
-        by_vm[y].append(edge)
+def _edges_by_vm(app: Application) -> dict[str, list[int]]:
+    """Each VM's traffic edges as positions into the app's edge tuples, in
+    sorted key order (app._order, the order reservations are made in); a VM
+    without traffic has an empty list. Built per call: UNIFIED builds the
+    table once per attempt."""
+    by_vm: dict[str, list[int]] = {v.id: [] for v in app.vms}
+    xs, ys = app._xs, app._ys
+    for i in app._order:
+        by_vm[xs[i]].append(i)
+        by_vm[ys[i]].append(i)
     return by_vm
 
 
@@ -117,14 +154,15 @@ def validate_application(a: Application, reference: Reference) -> None:
     stored as (x, y) with x < y, at a finite bandwidth >= 0; each VM's demand
     is finite, at most the reference host's (cpu and mem by ratio, NIC in
     Mbps, within _EPS), and its NIC demand covers its traffic row total."""
-    _validate_application(a, reference, _row_totals(a.traffic))
+    _validate_application(a, reference, _row_totals(zip(a._xs, a._ys), a._bws))
 
 
 def _validate_application(a: Application, reference: Reference,
                           totals: dict[str, float]) -> None:
-    """validate_application, with the row totals _row_totals(a.traffic) that
-    the generator and the loader have already built."""
-    vms, ids = a.vms, a._vm_by_id  # one key per distinct VM id
+    """validate_application, with the app's row totals (_row_totals) that the
+    generator and the loader have already built."""
+    vms = a.vms
+    ids = {v.id for v in vms}
     if len(ids) < len(vms):
         seen = set()
         for v in vms:
@@ -132,7 +170,7 @@ def _validate_application(a: Application, reference: Reference,
                 raise WorkloadError(f"app {a.id}: duplicate VM id {v.id}")
             seen.add(v.id)
     inf = math.inf
-    for (x, y), bw in a.traffic.items():
+    for x, y, bw in zip(a._xs, a._ys, a._bws):
         if not x < y:
             if x == y:
                 raise WorkloadError(f"app {a.id}: self-edge on VM {x}")
@@ -276,7 +314,7 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
         else:
             traffic = {}
 
-        totals = _row_totals(traffic)
+        totals = _row_totals(traffic, traffic.values())
         nics = [totals.get(v, 0) for v in vm_ids]
         mean_row = sum(nics) / n
         vms = []
@@ -350,7 +388,7 @@ def load_workload(path: str, reference: Reference) -> list[Application]:
                     raise WorkloadError(f"duplicate edge {key}")
                 traffic[key] = bw
 
-        totals = _row_totals(traffic)
+        totals = _row_totals(traffic, traffic.values())
         vms = []
         for vi, v in enumerate(vm_recs):
             with _entry(f"{where}: vms[{vi}]", WorkloadError):

@@ -4,19 +4,22 @@ reaches by repeated blocked BFS, the reach-path bandwidth and consumption in
 builtin min/max form, edge reservation one step at a time, UNIFIED with its
 gains computed per VM and one reach counted at a time, one reach's placeable
 count and one host's normalized NIC free, a brute-force oracle of the
-placeable requests on desk-size instances, and the workload generator, its
-traffic rows and its validator as written before their loops were cut. None
-is part of the runtime; tests import them from here."""
+placeable requests on desk-size instances, the workload generator, its
+traffic rows and its validator as written before their loops were cut, and
+the application as a dataclass over its traffic dict. None is part of the
+runtime; tests import them from here."""
 
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 
+from dcfrag import workload
 from dcfrag.metrics import (MultiRequest, _host_counts, _pair_reduce, _paths_bandwidth,
                             fit_count)
 from dcfrag.placement import _ABSENT, CapacityError, _pick, bal_pack
 from dcfrag.topology import _EPS, ResourceVector
-from dcfrag.workload import VM, Application, WorkloadError, representative_request
+from dcfrag.workload import VM, WorkloadError, representative_request
 
 _ORACLE_CAP = 12  # placements brute_force_placeable searches up to
 
@@ -351,6 +354,17 @@ def brute_force_placeable(state, req: MultiRequest) -> int:
     return best
 
 
+@dataclass(frozen=True)
+class Application:
+    """workload.Application as it was kept before its edges became parallel
+    tuples: a frozen dataclass holding the traffic dict it is given. Its repr
+    and == are the reference for the program's."""
+
+    id: str
+    vms: tuple
+    traffic: dict
+
+
 def reference_traffic_peers(traffic):
     """Per-VM traffic rows {vm: {peer: Mbps}}, one setdefault per edge end."""
     peers = {}
@@ -457,7 +471,7 @@ def reference_generate_workload(spec):
             mem = min(max(mem, 0.01 * spec.reference.host.mem), 0.95 * spec.reference.host.mem)
             vms.append(VM(id=v, demand=ResourceVector(cpu, mem, rows[v])))
 
-        app = Application(id=app_id, vms=tuple(vms), traffic=traffic)
+        app = workload.Application(id=app_id, vms=tuple(vms), traffic=traffic)
         reference_validate_application(app, spec.reference)
         apps.append(app)
     return apps

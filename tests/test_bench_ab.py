@@ -188,3 +188,24 @@ def test_worktree_export_holds_uncommitted_edits_and_no_untracked_file(tmp_path,
     assert (dest / "sub" / "b.txt").read_text() == "two\n"
     assert sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file()) == [
         "a.txt", "sub/b.txt"]
+
+
+def test_a_run_does_not_start_from_this_process_peak_rss(tmp_path):
+    # a stand-in run.py that records its own ru_maxrss and arguments; this
+    # process first raises its own peak by 64 MB, which a run exec'd straight
+    # from it would read as its own
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, resource, sys\n"
+        "out = 'perfbench/out/' + sys.argv[2] + '-seed' + sys.argv[4] + '-trace' + sys.argv[8]\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0\n"
+        "__import__('os').makedirs('perfbench/out', exist_ok=True)\n"
+        "json.dump({'peak_mb': peak, 'argv': sys.argv[1:]}, open(out + '.json', 'w'))\n")
+    block = bytearray(64 << 20)
+    block[::4096] = b"x" * len(block[::4096])  # touch every page, so it is resident
+    del block
+    record = ab.perfbench(tmp_path, "w", 3, 0.5, 0)
+    assert record["exit"] == 0
+    assert record["argv"] == ["--workload", "w", "--seed", "3", "--seconds", "0.5",
+                              "--trace", "0"]
+    assert record["peak_mb"] < 48

@@ -158,7 +158,7 @@ class TestReserveEdge:
         short = [lid for lid in path if frees[lid] + 1e-9 < bw]
         with state.transaction():
             try:
-                reserve_traffic(state, app, [(("x", "y"), bw)])
+                reserve_traffic(state, app, [0])
             except CapacityError as exc:
                 assert short, "a fitting edge was refused"
                 assert (exc.entity, exc.entity_id, exc.dimension) == ("link", short[0], "bw")
@@ -230,9 +230,11 @@ class TestReserveTraffic:
                  for lid in sorted(t.links)}
         app = Application(id="app", vms=tuple(VM(v, UNIT) for v in vm_ids), traffic=traffic)
         only = data.draw(st.sampled_from([None, *vm_ids]))  # all edges, or one VM's
-        edges = None if only is None else workload._edges_by_vm(app)[only]
+        positions = None if only is None else workload._edges_by_vm(app)[only]
+        items = list(traffic.items())
+        edges = None if positions is None else [items[i] for i in positions]
 
-        def run(reserve):
+        def run(reserve, edges):
             state = PlacementState(t)
             state.link_free.update(frees)
             state.register_app(app)
@@ -250,7 +252,7 @@ class TestReserveTraffic:
             assert state.snapshot() == before
             return error, after
 
-        assert run(reserve_traffic) == run(reference_reserve_traffic)
+        assert run(reserve_traffic, positions) == run(reference_reserve_traffic, edges)
 
     def test_shortfall_rolls_back_the_vm(self):
         # the second case reserves (v1, v2) before (v2, v3) falls short; an
@@ -427,7 +429,7 @@ def _unified_rescanning_gains(state, app, config, reaches):
             mark = len(state._journal)
             try:
                 state.assign_vm(app.id, app.vm(vm_id), host)
-                reserve_traffic(state, app, [e for e in app.edges() if vm_id in e[0]])
+                reference_reserve_traffic(state, app, [e for e in app.edges() if vm_id in e[0]])
             except CapacityError as exc:
                 state._rollback(mark)
                 last_failure = str(exc)
@@ -656,7 +658,7 @@ class TestNetw:
         hosts = set(state.assignments[app.id].values())
         assert hosts == {"h0", "h1"}  # whole rack, two slots each
         # hose check held pre-reservation: min(2, 2) * B per host uplink
-        n, b = 4, sum(workload._row_totals(app.traffic).values()) / 4
+        n, b = 4, sum(workload._row_totals(traffic, traffic.values()).values()) / 4
         for h in hosts:
             uplink = state.topology.host_ports[h][0]
             assert min(2, n - 2) * b <= state.topology.links[uplink].free
@@ -706,7 +708,10 @@ class TestNetw:
 # one ledger write: (kind, i, j); kind picks the table, i and j the key and value
 _WRITE = st.tuples(st.sampled_from(["host", "link", "assignment", "reserve"]),
                    st.integers(0, 3), st.integers(0, 3))
-_RESERVER = Application(id="app", vms=(), traffic={})  # reserve_traffic reads only its id
+# reserve_traffic reads the app's id and the edge at the position it is given
+_RESERVER = Application(id="app", vms=(), traffic={
+    (f"r{i}", f"r{j}"): 0.25 for i in range(4) for j in range(4) if i != j})
+_RESERVER_KEYS = list(_RESERVER.traffic)
 
 
 def _reserver_state():
@@ -740,7 +745,7 @@ def _apply_write(state, kind, i, j):
         journaled_write(state, state.assignments["app"], f"r{i}", hosts[i])
         journaled_write(state, state.assignments["app"], f"r{j}", hosts[j])
         try:
-            reserve_traffic(state, _RESERVER, [((f"r{i}", f"r{j}"), 0.25)])
+            reserve_traffic(state, _RESERVER, [_RESERVER_KEYS.index((f"r{i}", f"r{j}"))])
         except CapacityError:
             pass  # refused before it wrote anything
 

@@ -3,7 +3,9 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import FrozenInstanceError, fields, replace
+from contextlib import contextmanager
+from dataclasses import FrozenInstanceError, replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from dcfrag.placement import SCHEMES, SchemeConfig
 from dcfrag.topology import Reference, ResourceVector
 from dcfrag.workload import (VM, Application, WorkloadError, WorkloadSpec, generate_workload,
                              load_workload, representative_request, validate_application)
+from oracle import Application as ReferenceApplication
 from oracle import (reference_generate_workload, reference_row_total, reference_traffic_peers,
                     reference_validate_application)
 
@@ -126,7 +129,9 @@ class TestTrafficIndex:
     @given(indexed_apps())
     def test_index_matches_a_traffic_order_scan(self, instance):
         app, group = instance
-        rows, totals = workload.traffic_peers(app.traffic), workload._row_totals(app.traffic)
+        traffic = app.traffic
+        rows = workload.traffic_peers(traffic, traffic.values())
+        totals = workload._row_totals(traffic, traffic.values())
         for v in app.vms:
             assert app.vm(v.id) is v
             assert totals.get(v.id, 0) == reference_row_total(
@@ -236,7 +241,7 @@ def row_sums(traffic):
     """Each VM's traffic_peers row added left to right, as (vm, float.hex)
     pairs in the rows' key order."""
     return [(v, float(reference_row_total(row.values())).hex())
-            for v, row in workload.traffic_peers(traffic).items()]
+            for v, row in workload.traffic_peers(traffic, traffic.values()).items()]
 
 
 class TestRowTotals:
@@ -254,12 +259,13 @@ class TestRowTotals:
             items = list(app.traffic.items())
             rng.shuffle(items)
             for traffic in (app.traffic, dict(items)):
-                totals = workload._row_totals(traffic)
+                totals = workload._row_totals(traffic, traffic.values())
                 assert [(v, float(t).hex()) for v, t in totals.items()] == row_sums(traffic)
             edges, by_vm = app.edges(), workload._edges_by_vm(app)
             assert edges == tuple(sorted(app.traffic.items()))
+            items = list(app.traffic.items())
             for v in app.vm_ids():
-                assert by_vm[v] == [e for e in edges if v in e[0]]
+                assert [items[i] for i in by_vm[v]] == [e for e in edges if v in e[0]]
 
 
 class TestRowBuilds:
@@ -270,13 +276,13 @@ class TestRowBuilds:
         built, attempted = [], []
         build = workload.traffic_peers
 
-        def counted_build(traffic):
-            built.append(traffic)
-            return build(traffic)
+        def counted_build(pairs, bws):
+            built.append(bws)
+            return build(pairs, bws)
 
         def counted_body(body):
             def attempt(state, app, config, reaches):
-                attempted.append(app.traffic)
+                attempted.append(app._bws)
                 return body(state, app, config, reaches)
             return attempt
 
@@ -298,15 +304,29 @@ class TestRowBuilds:
             assert list(map(id, built)) == list(map(id, expected)), scheme
 
 
+@contextmanager
+def constructions():
+    """Every (app, traffic dict) pair Application() is given inside the block."""
+    made, init = [], Application.__init__
+
+    def recording(self, id, vms, traffic):
+        init(self, id, vms, traffic)
+        made.append((self, traffic))
+
+    with mock.patch.object(Application, "__init__", recording):
+        yield made
+
+
 class TestResidentSet:
     @pytest.mark.parametrize("category", (1, 2, 3))
     def test_an_app_keeps_only_its_fields_and_tables_after_a_compare(self, category):
         # nothing a generator, loader or scheme builds stays on the app but
         # the cached total_vm_traffic, which UNIFIED and NETW read
         spec = category_spec(category, app_count=16, seed=category)
-        generated = generate_workload(spec)
-        reloaded = loaded(generated, spec.reference)
-        kept = {f.name for f in fields(Application)} | {"_keys", "_bws", "_vm_by_id"}
+        with constructions() as made:
+            generated = generate_workload(spec)
+            reloaded = loaded(generated, spec.reference)
+        kept = {"id", "vms", "_xs", "_ys", "_bws", "_order"}
         for apps in (generated, reloaded):
             for app in apps:
                 assert set(vars(app)) == kept, app.id
@@ -316,14 +336,84 @@ class TestResidentSet:
                             ["UNIFIED", "LOCAL", "NETW"])
             for app in apps:
                 assert set(vars(app)) == kept | {"total_vm_traffic"}, app.id
-        for app in generated + reloaded:
-            # an edge's ends are its VMs' own id strings, and the sorted keys
-            # and bandwidths are the traffic dict's own key and value objects
-            assert all(x is app.vm(x).id and y is app.vm(y).id for x, y in app.traffic)
-            own_keys = {id(key) for key in app.traffic}
-            assert len(app._keys) == len(app._bws) == len(own_keys)
-            for key, bw in zip(app._keys, app._bws):
-                assert id(key) in own_keys and bw is app.traffic[key], app.id
+        assert list(map(id, (app for app, _ in made))) == list(map(id, generated + reloaded))
+        for app, traffic in made:
+            # an edge's ends are its VMs' own id strings and each bandwidth is
+            # the given dict's own float; the app holds no key tuple
+            own_ids = {id(v.id) for v in app.vms}
+            assert all(id(x) in own_ids and id(y) in own_ids for x, y in zip(app._xs, app._ys))
+            assert len(app._bws) == len(traffic)
+            assert all(a is b for a, b in zip(app._bws, traffic.values())), app.id
+            assert not any(isinstance(item, tuple) for name in ("_xs", "_ys", "_bws", "_order")
+                           for item in getattr(app, name)), app.id
+
+
+def check_round_trip(app, traffic):
+    """app, built from traffic, gives it back in order, lists its edges in
+    sorted order, and has the repr and == of the dict-backed reference."""
+    assert list(app.traffic.items()) == list(traffic.items())
+    assert all(a is b for a, b in zip(app.traffic.values(), traffic.values()))
+    assert app.edges() == tuple(sorted(traffic.items()))
+    ref = ReferenceApplication(app.id, app.vms, traffic)
+    assert repr(app) == repr(ref)
+    others = [dict(reversed(traffic.items())), dict(list(traffic.items())[1:]),
+              {**traffic, ("x", "y"): 1.0}]
+    for other in others:
+        assert (app == Application(app.id, app.vms, other)) == \
+            (ref == ReferenceApplication(app.id, app.vms, other))
+    assert (app == app) == (ref == ref)
+
+
+class TestEdgeTuples:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, 40), st.integers(), st.data())
+    def test_the_traffic_dict_round_trips(self, category, app_count, seed, data):
+        # generated and loaded apps, and every break malformed_apps draws:
+        # self, non-canonical and unknown-VM edges, NaN bandwidths
+        spec = category_spec(category, app_count, seed)
+        with constructions() as made:
+            loaded(generate_workload(spec), spec.reference)
+            data.draw(malformed_apps())
+            Application("empty", (), {})
+        assert len(made) == 2 * app_count + 2
+        for app, traffic in made:
+            check_round_trip(app, traffic)
+
+
+class TestNoRebuiltView:
+    @pytest.mark.parametrize("category", (1, 2, 3))
+    def test_runtime_paths_read_the_edge_tuples(self, monkeypatch, tmp_path, category):
+        # the traffic getter, edges() and vm() each rebuild a view; generating,
+        # loading, validating and a three-scheme compare call none of them
+        spec = category_spec(category, app_count=16, seed=category)
+        path = tmp_path / "wl.json"
+        path.write_text(json.dumps(workload_doc(generate_workload(spec))))
+
+        def run(tag):
+            apps = generate_workload(spec)
+            reloaded = load_workload(str(path), spec.reference)
+            for app in apps + reloaded:
+                validate_application(app, spec.reference)
+            csvs = []
+            for i, source in enumerate((apps, reloaded)):
+                out = tmp_path / f"{tag}{i}.csv"
+                compare_schemes(ExperimentConfig(topology=category_topology(category),
+                                                 workload=source, seed=category,
+                                                 rrf_request=category_rrf_request(category),
+                                                 output_path=str(out)),
+                                list(SCHEMES))
+                csvs.append(out.read_text())
+            return csvs
+
+        expected = run("plain")
+
+        def refuse(*args):
+            raise AssertionError("a runtime path rebuilt a view of the app")
+
+        monkeypatch.setattr(Application, "traffic", property(refuse))
+        monkeypatch.setattr(Application, "edges", refuse)
+        monkeypatch.setattr(Application, "vm", refuse)
+        assert run("patched") == expected
 
 
 class TestLoader:
@@ -366,7 +456,7 @@ class TestLoader:
         apps = self.load(tmp_path, self.doc())
         a = apps[0]
         assert a.traffic == {("v1", "v2"): 40.0, ("v2", "v3"): 10.0}
-        assert workload._row_totals(a.traffic)["v2"] == 50.0
+        assert workload._row_totals(a.traffic, a.traffic.values())["v2"] == 50.0
         assert a.vm("v2").demand.nic == 50.0      # derived from rows
         assert apps[1].vm("v1").demand.nic == 200.0  # declared wins
 
