@@ -16,7 +16,15 @@ before the workload was generated or loaded; the fabric and the
 compare's own state are dropped before the second reading, so only what
 the compare left on the applications counts. One small compare per
 category runs first, so caches the program fills once per process are
-not counted. Dict and object sizes
+not counted.
+
+For each category at its pool size it then prints each scheme's
+placed-state bytes: one run on the category's 64-host fabric, placing
+the shuffled applications of seed 0 and reading the RRF after each
+success, as a harness run does. A state's bytes are what a garbage
+collection frees when the state is dropped, before the next scheme runs:
+its ledger, its free tables and its RRF memo, not the applications or
+the fabric's own caches. Dict and object sizes
 differ across Python versions, so the figures compare two trees on one
 interpreter, not across interpreters. It imports dcfrag from this
 checkout's src/ and uses the stdlib only.
@@ -35,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = ((1, 64), (2, 64), (3, 128), (1, 1024), (2, 1024), (3, 1024))
+POOL_SIZES = SIZES[:3]
 SCHEMES = ["UNIFIED", "LOCAL", "NETW"]
 
 
@@ -50,12 +59,24 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(ROOT / "src"))
     from dcfrag.fixtures import category_rrf_request, category_spec, category_topology
-    from dcfrag.harness import ExperimentConfig, compare_schemes
+    from dcfrag.harness import ExperimentConfig, compare_schemes, shuffle_order
+    from dcfrag.metrics import network_rrf
+    from dcfrag.placement import (PlacementState, SchemeConfig, derive_netw_slots,
+                                  place_application)
     from dcfrag.workload import generate_workload, load_workload
 
     def compare(category, apps):
         compare_schemes(ExperimentConfig(topology=category_topology(category), workload=apps,
                                          rrf_request=category_rrf_request(category)), SCHEMES)
+
+    def placed(topology, apps, scheme, request):
+        state = PlacementState(topology)
+        slots = derive_netw_slots(topology, apps) if scheme == "NETW" else None
+        config = SchemeConfig(scheme=scheme, netw_slots_per_host=slots)
+        for app in shuffle_order(apps, 0):
+            if place_application(state, app, config).ok:
+                network_rrf(state, request)
+        return state
 
     def write(apps, path):
         doc = {"apps": [
@@ -90,9 +111,20 @@ def main(argv=None) -> int:
             apps = load_workload(path, spec.reference)
             rows[-1]["loaded_bytes"] = traced() - base
             del apps
+    states = []
+    for category, count in POOL_SIZES:
+        topology, request = category_topology(category), category_rrf_request(category)
+        apps = generate_workload(category_spec(category, count, 0))
+        row = {"category": category, "apps": count}
+        for scheme in SCHEMES:
+            state = placed(topology, apps, scheme, request)
+            held = traced()
+            del state
+            row[f"{scheme}_bytes"] = held - traced()
+        states.append(row)
     tracemalloc.stop()
     print(json.dumps({"python": platform.python_version(), "unit": "bytes",
-                      "workloads": rows}, indent=2))
+                      "workloads": rows, "placed_states": states}, indent=2))
     return 0
 
 

@@ -4,14 +4,17 @@ A run shuffles its applications with a seed that is independent of the
 scheme, places them one by one and appends a result row after every success;
 compared schemes therefore consume the same order and their curves align
 row for row. Output files are byte-deterministic for a given config.
+Each scheme's run logs one INFO line to "dcfrag.harness" when the process
+has imported logging; this module does not import it, since a process
+without it has no handler that could show the line.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
 import random
+import sys
 from dataclasses import KW_ONLY, dataclass, replace
 
 from . import fixtures
@@ -20,8 +23,6 @@ from .placement import (PlacementState, SchemeConfig, derive_netw_slots,
                         place_application)
 from .topology import Topology, load_topology
 from .workload import Application, WorkloadSpec, generate_workload, load_workload
-
-log = logging.getLogger(__name__)
 
 STOP_POLICIES = ("first-failure", "exhaust-list")
 
@@ -133,8 +134,10 @@ def _run(cfg: ExperimentConfig, schemes: list[SchemeConfig]) -> tuple[str, dict]
     runs = {}
     for scheme in schemes:
         result = _run_sequence(topology, order, scheme, cfg.rrf_request, cfg.stop_policy)
-        log.info("run scheme=%s seed=%d order=%s placed=%d",
-                 scheme.scheme, cfg.seed, digest, result.apps_placed)
+        logging = sys.modules.get("logging")
+        if logging is not None:
+            logging.getLogger(__name__).info("run scheme=%s seed=%d order=%s placed=%d",
+                                             scheme.scheme, cfg.seed, digest, result.apps_placed)
         runs[scheme.scheme] = result
     return digest, runs
 

@@ -3,8 +3,8 @@
 The state tracks per-host free resources (NIC as a demand budget: the sum of
 the hosted VMs' declared NIC needs), per-link free bandwidth consumed by
 routed edge reservations, and, per app, each VM's host and each routed
-edge's reservation: the one record of where an app sits, which the schemes
-read back as they place.
+edge's path, by edge position: the one record of where an app sits, which
+the schemes read back as they place.
 place_application is the one entry point: it opens the attempt's
 transaction, registers the app and commits or rolls back, so a scheme only
 chooses hosts and reserves their traffic through reserve_traffic. A
@@ -86,8 +86,8 @@ class PlacementState:
         }
         self.assignments: dict[str, dict[str, str]] = {}  # app -> {vm: host}
         self.host_vms: dict[str, int] = dict.fromkeys(topology.hosts, 0)  # VMs per host
-        # app -> {(x, y): (link path, bw)}, keyed by the edge as app.edges() lists it
-        self.reservations: dict[str, dict[tuple[str, str], tuple[tuple[str, ...], float]]] = {}
+        # app -> {i: link path}, i an edge's position in app.traffic order, Mbps app._bws[i]
+        self.reservations: dict[str, dict[int, tuple[str, ...]]] = {}
         self.apps: dict[str, Application] = {}
         self._journal: list | None = None
         # metrics' per-reach results and reach-pair order, keyed by the free
@@ -216,10 +216,11 @@ class PlacementState:
                     violations.append(f"host {host_id}: {dim} ledger out of sync")
 
         reserved: dict[str, float] = {lid: 0.0 for lid in self.link_free}
-        for routed in self.reservations.values():
-            for path, bw in routed.values():
+        for app_id, routed in self.reservations.items():
+            bws = self.apps[app_id]._bws
+            for i, path in routed.items():
                 for lid in path:
-                    reserved[lid] += bw
+                    reserved[lid] += bws[i]
         for lid, total in reserved.items():
             cap = t.links[lid].capacity
             if total > cap + 1e-6:
@@ -234,12 +235,11 @@ class PlacementState:
                 continue  # mid-flight; nothing to check
             xs, ys, bws = app._xs, app._ys, app._bws
             for i in app._order:
-                x, y, bw = xs[i], ys[i], bws[i]
-                key = (x, y)
+                x, y = xs[i], ys[i]
                 same_host = placed[x] == placed[y]
-                if same_host and key in routed:
+                if same_host and i in routed:
                     violations.append(f"app {app_id}: co-located edge ({x}, {y}) is reserved")
-                if not same_host and bw > 0 and key not in routed:
+                if not same_host and bws[i] > 0 and i not in routed:
                     violations.append(f"app {app_id}: cross-host edge ({x}, {y}) not reserved")
         return violations
 
@@ -254,8 +254,8 @@ def reserve_traffic(state: PlacementState, app: Application, positions=None) -> 
     sit on different hosts and which holds no reservation yet.
 
     Hosts are read from the ledger's state.assignments[app.id]; a VM missing
-    from it is unplaced. A reservation is keyed by the edge's (x, y), the
-    key validate() looks up, built only for an edge on two hosts. Each edge
+    from it is unplaced. A reservation maps the edge's position i to the path
+    route() returned; its Mbps is app._bws[i], stored nowhere else. Each edge
     is routed, checked, written and journaled in one pass: the route's own
     bottleneck decides, and only a shortfall looks for the first short
     link, the one the CapacityError names. The caller's transaction undoes
@@ -268,14 +268,9 @@ def reserve_traffic(state: PlacementState, app: Application, positions=None) -> 
         bw = bws[i]
         if bw <= 0:
             continue
-        x = xs[i]
-        y = ys[i]
-        host_x = host(x)
-        host_y = host(y)
-        if host_x is None or host_y is None or host_x == host_y:
-            continue
-        key = (x, y)
-        if key in routed:
+        host_x = host(xs[i])
+        host_y = host(ys[i])
+        if host_x is None or host_y is None or host_x == host_y or i in routed:
             continue
         path, bottleneck = route(host_x, host_y, link_free)
         if bottleneck + _EPS < bw:
@@ -287,8 +282,8 @@ def reserve_traffic(state: PlacementState, app: Application, positions=None) -> 
                 journal.append((link_free, lid, free))
             link_free[lid] = free - bw
         if journal is not None:
-            journal.append((routed, key, _ABSENT))
-        routed[key] = (path, bw)
+            journal.append((routed, i, _ABSENT))
+        routed[i] = path
 
 
 # -- BAL_PACK stand-in -------------------------------------------------------------
@@ -667,8 +662,8 @@ def place_application(state: PlacementState, app: Application, config: SchemeCon
 
     The outcome says only whether the app was placed and why not: the
     placement itself is the state's ledger, each VM's host in
-    state.assignments[app][vm] and each routed edge's link path and
-    bandwidth in state.reservations[app][(x, y)].
+    state.assignments[app][vm] and each routed edge's link path in
+    state.reservations[app][i], i the edge's position in app.traffic order.
 
     UNIFIED places over `reaches`, by default topology.reaches. The scheme
     body returns a failure message or None; a CapacityError that escapes it

@@ -140,16 +140,18 @@ def journaled_write(state, table, key, value):
     table[key] = value
 
 
-def reference_reserve_traffic(state, app, edges=None):
-    """reserve_traffic with each edge's steps apart: for every edge with
+def reference_reserve_traffic(state, app, positions=None):
+    """reserve_traffic with each edge's steps apart: for every edge at
+    `positions` (default app._order), read from the app's edge tuples, with
     bandwidth, on two hosts and not yet reserved, route it, check the path's
-    smallest free, write each link, then write the reservation, every write
-    through journaled_write. Hosts and reservations are the app's maps in
-    the ledger."""
+    smallest free, write each link, then write the reservation, position ->
+    path, every write through journaled_write. Hosts and reservations are the
+    app's maps in the ledger."""
     placed, routed = state.assignments[app.id], state.reservations[app.id]
-    for (x, y), bw in app.edges() if edges is None else edges:
+    for i in app._order if positions is None else positions:
+        x, y, bw = app._xs[i], app._ys[i], app._bws[i]
         host_x, host_y = placed.get(x), placed.get(y)
-        if bw <= 0 or (x, y) in routed or None in (host_x, host_y) or host_x == host_y:
+        if bw <= 0 or i in routed or None in (host_x, host_y) or host_x == host_y:
             continue
         path, _ = state.topology.route(host_x, host_y, state.link_free)
         if min(state.link_free[lid] for lid in path) + _EPS < bw:
@@ -157,7 +159,7 @@ def reference_reserve_traffic(state, app, edges=None):
             raise CapacityError("link", lid, "bw", bw, state.link_free[lid])
         for lid in path:
             journaled_write(state, state.link_free, lid, state.link_free[lid] - bw)
-        journaled_write(state, routed, (x, y), (path, bw))
+        journaled_write(state, routed, i, path)
 
 
 def nic_free(state, host_id):
@@ -221,7 +223,7 @@ def reference_unified(state, app, config, reaches):
     """placement._place_unified one step at a time: the same ranking
     (reference_sibling_reach), every gain computed per VM over its
     reference_traffic_peers row, and each VM's edges, filtered from
-    app.edges(), reserved by reference_reserve_traffic from the hosts in
+    app._order, reserved by reference_reserve_traffic from the hosts in
     state.assignments[app.id]. A scheme body for place_application."""
     req = representative_request(app, state.topology.reference)
     rows = reference_traffic_peers(app.traffic)
@@ -242,7 +244,8 @@ def reference_unified(state, app, config, reaches):
             mark = len(state._journal)
             try:
                 state.assign_vm(app.id, app.vm(vm_id), host)
-                reference_reserve_traffic(state, app, [e for e in app.edges() if vm_id in e[0]])
+                reference_reserve_traffic(state, app, [i for i in app._order
+                                                       if vm_id in (app._xs[i], app._ys[i])])
             except CapacityError as exc:
                 state._rollback(mark)
                 last_failure = str(exc)

@@ -1,5 +1,8 @@
 import logging
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,24 @@ from dcfrag.placement import PlacementState, SchemeConfig, place_application
 from dcfrag.topology import ResourceVector, build_tree
 from dcfrag.workload import VM, Application, generate_workload, representative_request
 from oracle import placeable_in_reach, reference_row_total, reference_traffic_peers
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# a two-scheme compare through the library and one through the CLI, in a
+# process that imported nothing else
+RUN_WITHOUT_LOGGING = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+import dcfrag, dcfrag.cli
+from dcfrag.fixtures import category_rrf_request, category_spec
+from dcfrag.harness import ExperimentConfig, compare_schemes
+cfg = ExperimentConfig("tree64", category_spec(1, 4, 0), rrf_request=category_rrf_request(1),
+                       output_path="cmp.csv")
+assert compare_schemes(cfg, ["UNIFIED", "LOCAL"]).runs["UNIFIED"].apps_placed > 0
+assert dcfrag.cli.main(["compare", "--topology", "tree64", "--generate", "category=1,apps=3",
+                        "--scheme", "UNIFIED", "--scheme", "NETW"]) == 0
+assert "logging" not in sys.modules, "a run imported logging"
+"""
 
 
 def small_topology():
@@ -176,6 +197,12 @@ class TestCompareSchemes:
             f"run scheme=LOCAL seed=2 order={digest} placed={result.runs['LOCAL'].apps_placed}",
             f"run scheme=LOCAL seed=2 order={digest} placed={len(rows)}",
         ]
+
+    def test_a_run_never_imports_logging(self, tmp_path):
+        run = subprocess.run([sys.executable, "-c", RUN_WITHOUT_LOGGING], cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("order=")
 
     def test_scheme_configs_accepted(self):
         cfg = small_config(seed=2)

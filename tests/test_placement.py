@@ -6,10 +6,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from dcfrag import placement, workload
-from dcfrag.fixtures import (UNIT, UNIT_REF, category_eval_apps, category_spec,
-                             category_topology, fig1_instance)
-from dcfrag.harness import resolve_topology
+from dcfrag import harness, placement, workload
+from dcfrag.fixtures import (UNIT, UNIT_REF, category_eval_apps, category_rrf_request,
+                             category_spec, category_topology, fig1_instance)
+from dcfrag.harness import ExperimentConfig, compare_schemes, resolve_topology
 from dcfrag.metrics import MultiRequest, placeable_in_reaches
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
                               best_sibling_reach, derive_netw_slots, place_application,
@@ -166,7 +166,7 @@ class TestReserveEdge:
                 assert state.snapshot() == before
             else:
                 assert not short, "a short link was overdrawn"
-                assert state.reservations == {app.id: {("x", "y"): (path, bw)}}
+                assert state.reservations == {app.id: {0: path}}
                 assert state.link_free == {lid: free - bw if lid in path else free
                                            for lid, free in frees.items()}
         # left uncommitted, the transaction puts back every value it replaced
@@ -207,10 +207,10 @@ class TestReserveTraffic:
         after_first = state.snapshot()
         reserve_traffic(state, app)
         assert state.snapshot() == after_first
-        assert set(state.reservations[app.id]) == {("v1", "v2")}
+        assert set(state.reservations[app.id]) == {0}  # ("v1", "v2")
         state.assign_vm(app.id, app.vm("v3"), "h2")
         reserve_traffic(state, app)
-        assert set(state.reservations[app.id]) == {("v1", "v2"), ("v2", "v3")}
+        assert set(state.reservations[app.id]) == {0, 1}  # and ("v2", "v3")
         assert state.validate() == []
 
     @settings(max_examples=200, deadline=None)
@@ -225,25 +225,23 @@ class TestReserveTraffic:
         traffic = data.draw(st.dictionaries(
             st.sampled_from(list(itertools.combinations(vm_ids, 2))),
             st.sampled_from([0.0, 0.25, 0.5, 0.5 + 1e-10]), min_size=2))
-        held = data.draw(st.sets(st.sampled_from(sorted(traffic))))
+        held = data.draw(st.sets(st.sampled_from(range(len(traffic)))))
         frees = {lid: data.draw(st.sampled_from([0.0, 0.25, 0.5 - 1e-10, 0.5, 1.0]))
                  for lid in sorted(t.links)}
         app = Application(id="app", vms=tuple(VM(v, UNIT) for v in vm_ids), traffic=traffic)
         only = data.draw(st.sampled_from([None, *vm_ids]))  # all edges, or one VM's
         positions = None if only is None else workload._edges_by_vm(app)[only]
-        items = list(traffic.items())
-        edges = None if positions is None else [items[i] for i in positions]
 
-        def run(reserve, edges):
+        def run(reserve):
             state = PlacementState(t)
             state.link_free.update(frees)
             state.register_app(app)
             state.assignments[app.id].update({v: h for v, h in where.items() if h is not None})
-            state.reservations[app.id].update({edge: ((), traffic[edge]) for edge in held})
+            state.reservations[app.id].update(dict.fromkeys(held, ()))
             before = state.snapshot()
             with state.transaction():
                 try:
-                    reserve(state, app, edges)
+                    reserve(state, app, positions)
                     error = None
                 except CapacityError as exc:
                     error = (exc.entity, exc.entity_id, exc.dimension, str(exc))
@@ -252,7 +250,7 @@ class TestReserveTraffic:
             assert state.snapshot() == before
             return error, after
 
-        assert run(reserve_traffic, positions) == run(reference_reserve_traffic, edges)
+        assert run(reserve_traffic) == run(reference_reserve_traffic)
 
     def test_shortfall_rolls_back_the_vm(self):
         # the second case reserves (v1, v2) before (v2, v3) falls short; an
@@ -429,7 +427,8 @@ def _unified_rescanning_gains(state, app, config, reaches):
             mark = len(state._journal)
             try:
                 state.assign_vm(app.id, app.vm(vm_id), host)
-                reference_reserve_traffic(state, app, [e for e in app.edges() if vm_id in e[0]])
+                reference_reserve_traffic(state, app, [i for i in app._order
+                                                       if vm_id in (app._xs[i], app._ys[i])])
             except CapacityError as exc:
                 state._rollback(mark)
                 last_failure = str(exc)
@@ -886,8 +885,12 @@ class TestStateValidate:
         assert "host h0 cpu: demand 1.2 exceeds capacity 1" in state.validate()
 
     def test_corrupted_link_reservation_detected(self):
+        # a reservation the link never paid for
         state, _ = tree_state()
-        state.reservations["ghost"] = {("a", "b"): (("h0-t0",), 5.0)}
+        app = tree_app({"a": (0.1, 0.1, 5.0), "b": (0.1, 0.1, 5.0)}, {("a", "b"): 5.0},
+                       app_id="ghost")
+        state.register_app(app)
+        state.reservations[app.id][0] = ("h0-t0",)
         report = state.validate()
         assert any("h0-t0" in line for line in report)
 
@@ -911,17 +914,19 @@ class TestStateValidate:
 
 
 def check_reserved_paths(state, app):
-    """Each of the app's reservations in the ledger is a link path from one
-    VM's host uplink to the other's, each link sharing a node with the next,
-    and carries the edge's traffic. Returns how many it checked."""
-    t, traffic = state.topology, dict(app.edges())
+    """Each of the app's reservations in the ledger, keyed by an edge's
+    position, is a link path from one VM's host uplink to the other's, each
+    link sharing a node with the next, and the edge carries traffic. Returns
+    how many it checked."""
+    t = state.topology
     placed, reserved = state.assignments[app.id], state.reservations[app.id]
-    for (x, y), (path, bw) in reserved.items():
+    for i, path in reserved.items():
+        x, y = app._xs[i], app._ys[i]
         uplinks = {t.host_ports[placed[v]][0] for v in (x, y)}
         assert len(uplinks) == 2 and {path[0], path[-1]} == uplinks, (app.id, x, y, path)
         for a, b in zip(path, path[1:]):
             assert {t.links[a].a, t.links[a].b} & {t.links[b].a, t.links[b].b}, path
-        assert bw == traffic[(x, y)]
+        assert app._bws[i] > 0
     return len(reserved)
 
 
@@ -936,6 +941,32 @@ class TestReservedPaths:
             checked = sum(check_reserved_paths(state, app) for app in apps
                           if place_application(state, app, cfg).ok)
             assert checked > 0, scheme
+
+    @pytest.mark.parametrize("category", [1, 2, 3])
+    def test_a_compare_leaves_paths_keyed_by_edge_position(self, monkeypatch, category):
+        states = []
+
+        def recorded(topology):
+            states.append(PlacementState(topology))
+            return states[-1]
+
+        monkeypatch.setattr(harness, "PlacementState", recorded)
+        t = category_topology(category)
+        compare_schemes(ExperimentConfig(t, generate_workload(category_spec(category, 32, 0)),
+                                         rrf_request=category_rrf_request(category)),
+                        list(SCHEMES))
+        assert len(states) == len(SCHEMES)
+        checked = 0
+        for state in states:
+            assert state.validate() == []
+            for app_id, routed in state.reservations.items():
+                app, placed = state.apps[app_id], state.assignments[app_id]
+                for i, path in routed.items():
+                    assert type(i) is int and 0 <= i < len(app._bws), (app_id, i)
+                    assert placed[app._xs[i]] != placed[app._ys[i]], (app_id, i)
+                    assert type(path) is tuple and path and all(lid in t.links for lid in path)
+                checked += len(routed)
+        assert checked > 0  # at this load NETW fits each category-3 app on one host
 
 
 @st.composite
@@ -1030,8 +1061,7 @@ class TestLedgerProperties:
 def _ledger(state):
     """Every table an attempt writes, in insertion order, floats by repr."""
     return ([(a, list(placed.items())) for a, placed in state.assignments.items()],
-            [(a, [(k, path, repr(bw)) for k, (path, bw) in routed.items()])
-             for a, routed in state.reservations.items()],
+            [(a, list(routed.items())) for a, routed in state.reservations.items()],
             list(state.host_vms.items()),
             [(h, repr(f)) for h, f in state.host_free.items()],
             [(lid, repr(f)) for lid, f in state.link_free.items()])
