@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Time one three-scheme comparison at a chosen fabric size; check its CSV.
 
-    python3 bench/scale.py --hosts 256 --category 1 [--check]
+    python3 bench/scale.py --hosts 256 --category 1 [--apps 512] [--check]
 
 The fabric is fixtures.category_topology(category, H): category 1's tree in
 racks of 4, the CLOS of categories 2 and 3 in pods of 16, each with the
 category's host, link and oversubscription; at 64 hosts these are the
 category's built-in fabrics.
-The workload is H applications of category_spec(category, H, 0), offered in
-the seed-0 shuffle and measured with the category's RRF request after every
-success, as `dcfrag compare` does. The script prints the wall time of the
-comparison and the sha256 of its CSV. With --check it exits 1 unless the
-digest equals the one bench/scale_golden.json holds for (category, hosts).
+The workload is N applications of category_spec(category, N, 0), N being
+--apps (default H; at 2H about a third of the attempts are refused),
+offered in the seed-0 shuffle and measured with the category's RRF request
+after every success, as `dcfrag compare` does. The script prints the wall
+time of the comparison and the sha256 of its CSV. With --check it exits 1
+unless the digest equals the one bench/scale_golden.json holds for
+(category, hosts), or for (category, hosts, apps) when N is not H.
 It imports dcfrag from this checkout's src/ and uses the stdlib only.
 """
 
@@ -33,9 +35,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bench/scale.py", description=__doc__.split("\n")[0])
     parser.add_argument("--hosts", type=int, required=True)
     parser.add_argument("--category", type=int, choices=(1, 2, 3), required=True)
+    parser.add_argument("--apps", type=int, help="applications offered (default: --hosts)")
     parser.add_argument("--check", action="store_true",
                         help="compare the CSV's digest with bench/scale_golden.json")
     args = parser.parse_args(argv)
+    apps = args.hosts if args.apps is None else args.apps
+    if apps < 1:
+        parser.error("--apps must be at least 1")
 
     sys.path.insert(0, str(ROOT / "src"))
     from dcfrag.fixtures import category_rrf_request, category_spec, category_topology
@@ -48,7 +54,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "compare.csv"
         cfg = ExperimentConfig(topology=topology,
-                               workload=category_spec(args.category, args.hosts, 0), seed=0,
+                               workload=category_spec(args.category, apps, 0), seed=0,
                                rrf_request=category_rrf_request(args.category),
                                output_path=str(out))
         start = time.perf_counter()
@@ -56,6 +62,8 @@ def main(argv=None) -> int:
         seconds = time.perf_counter() - start
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
     key = f"category {args.category}, {args.hosts} hosts"
+    if apps != args.hosts:
+        key += f", {apps} apps"
     print(f"{key}: {seconds:.2f} s, sha256 {digest}")
     if not args.check:
         return 0

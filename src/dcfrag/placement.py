@@ -190,14 +190,25 @@ class PlacementState:
     # -- validation --------------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Check every placement-state invariant; returns violation strings."""
+        """Check every placement-state invariant; returns violation strings.
+
+        An app entry that one per-app map holds and another lacks is
+        reported, and the checks that would need the missing entry skip it."""
         violations = []
-        t = self.topology
+        t, apps = self.topology, self.apps
+        for name, table in (("assignments", self.assignments),
+                            ("reservations", self.reservations)):
+            for app_id in sorted(table.keys() - apps.keys()):
+                violations.append(f"app {app_id}: in {name} but not registered")
+            for app_id in sorted(apps.keys() - table.keys()):
+                violations.append(f"app {app_id}: registered but missing from {name}")
         used: dict[str, ResourceVector] = {
             h: ResourceVector(0, 0, 0) for h in self.host_free}
         counts: Counter[str] = Counter()
         for app_id, placed in self.assignments.items():
-            vm_by_id = {v.id: v for v in self.apps[app_id].vms}
+            if app_id not in apps:
+                continue
+            vm_by_id = {v.id: v for v in apps[app_id].vms}
             for vm_id, host_id in placed.items():
                 used[host_id] = used[host_id] + vm_by_id[vm_id].demand
             counts.update(placed.values())
@@ -217,7 +228,9 @@ class PlacementState:
 
         reserved: dict[str, float] = {lid: 0.0 for lid in self.link_free}
         for app_id, routed in self.reservations.items():
-            bws = self.apps[app_id]._bws
+            if app_id not in apps:
+                continue
+            bws = apps[app_id]._bws
             for i, path in routed.items():
                 for lid in path:
                     reserved[lid] += bws[i]
@@ -229,10 +242,10 @@ class PlacementState:
             if abs(expect - self.link_free[lid]) > 1e-6:
                 violations.append(f"link {lid}: free-bandwidth ledger out of sync")
 
-        for app_id, app in self.apps.items():
-            placed, routed = self.assignments[app_id], self.reservations[app_id]
-            if any(v.id not in placed for v in app.vms):
-                continue  # mid-flight; nothing to check
+        for app_id, app in apps.items():
+            placed, routed = self.assignments.get(app_id), self.reservations.get(app_id)
+            if placed is None or routed is None or any(v.id not in placed for v in app.vms):
+                continue  # a map is missing (reported above) or the app is mid-flight
             xs, ys, bws = app._xs, app._ys, app._bws
             for i in app._order:
                 x, y = xs[i], ys[i]
@@ -321,6 +334,17 @@ def bal_pack(state: PlacementState, vm: VM, reach: Reach) -> str | None:
         if best is None or score < best_score or (score == best_score and host_id < best):
             best, best_score = host_id, score
     return best
+
+
+def fits_some_host(state: PlacementState, vm: VM) -> bool:
+    """Whether any host of the fabric takes the VM now, by assign_vm's rule:
+    every dimension's need is within the host's free amount plus _EPS."""
+    need = vm.demand
+    n_cpu, n_mem, n_nic = need.cpu, need.mem, need.nic
+    for free in state.host_free.values():
+        if n_cpu <= free.cpu + _EPS and n_mem <= free.mem + _EPS and n_nic <= free.nic + _EPS:
+            return True
+    return False
 
 
 # -- UNIFIED (reach-aware application placement) -------------------------------------
@@ -415,7 +439,18 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
     on the app: the rows in traffic's insertion order, which the gains are
     summed in, the positions in sorted key order, which the reservations
     are made in.
+
+    The attempt is refused with "no host fits VM <id>", LOCAL's wording, as
+    soon as a VM fits no host of the fabric (fits_some_host): any VM, checked
+    before the first reach is ranked, or the VM that bal_pack finds no host
+    for in the current reach. This is exact: within an attempt a host's free
+    only falls, since assign_vm lowers it and a step's rollback puts back a
+    value from after the check. So that VM could not be placed in any reach
+    left, and walking them would end in a refusal too.
     """
+    for vm in app.vms:
+        if not fits_some_host(state, vm):
+            return f"no host fits VM {vm.id}"
     req = representative_request(app, state.topology.reference)
     tried: set[str] = set()
     hosting: list[Reach] = []  # the reaches holding a VM, in the order they took one
@@ -438,6 +473,8 @@ def _place_unified(state: PlacementState, app: Application, config: SchemeConfig
             vm = vm_by_id[vm_id]
             host = bal_pack(state, vm, reach)
             if host is None:
+                if not fits_some_host(state, vm):
+                    return f"no host fits VM {vm_id}"
                 last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
                 break
             mark = len(state._journal)

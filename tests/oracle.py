@@ -2,7 +2,8 @@
 shortest path between two hosts, the link-disjoint shortest paths between two
 reaches by repeated blocked BFS, the reach-path bandwidth and consumption in
 builtin min/max form, edge reservation one step at a time, UNIFIED with its
-gains computed per VM and one reach counted at a time, one reach's placeable
+gains computed per VM and one reach counted at a time, with and without its
+early refusal of a VM that fits no host, one reach's placeable
 count and one host's normalized NIC free, a brute-force oracle of the
 placeable requests on desk-size instances, the workload generator, its
 traffic rows and its validator as written before their loops were cut, and
@@ -219,8 +220,10 @@ def reference_reach_gain(rows, vm_id, in_reach, unplaced):
     return got - lost
 
 
-def reference_unified(state, app, config, reaches):
-    """placement._place_unified one step at a time: the same ranking
+def reference_unified_full_search(state, app, config, reaches):
+    """reference_unified without its early refusal: it tries every reach
+    before it refuses an app, as placement._place_unified did before it
+    checked whether a VM fits any host of the fabric. The same ranking
     (reference_sibling_reach), every gain computed per VM over its
     reference_traffic_peers row, and each VM's edges, filtered from
     app._order, reserved by reference_reserve_traffic from the hosts in
@@ -239,6 +242,65 @@ def reference_unified(state, app, config, reaches):
         while True:
             host = bal_pack(state, app.vm(vm_id), reach)
             if host is None:
+                last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
+                break
+            mark = len(state._journal)
+            try:
+                state.assign_vm(app.id, app.vm(vm_id), host)
+                reference_reserve_traffic(state, app, [i for i in app._order
+                                                       if vm_id in (app._xs[i], app._ys[i])])
+            except CapacityError as exc:
+                state._rollback(mark)
+                last_failure = str(exc)
+                break
+            if not in_reach:
+                hosting.append(reach)
+            unplaced.discard(vm_id)
+            if not unplaced:
+                return None
+            in_reach.add(vm_id)
+            del gain[vm_id]
+            for peer in rows.get(vm_id, {}):
+                if peer in unplaced:
+                    gain[peer] = reference_reach_gain(rows, peer, in_reach, unplaced)
+            vm_id = _pick(unplaced, gain, -1)
+    return last_failure
+
+
+def reference_unified(state, app, config, reaches):
+    """placement._place_unified one step at a time: the same ranking
+    (reference_sibling_reach), every gain computed per VM over its
+    reference_traffic_peers row, and each VM's edges, filtered from
+    app._order, reserved by reference_reserve_traffic from the hosts in
+    state.assignments[app.id]. Like placement._place_unified, it refuses the
+    app with "no host fits VM <id>" when a VM fits no host of the fabric: any
+    VM before the first reach is ranked, or the VM bal_pack finds no host for
+    in the current reach. A scheme body for place_application."""
+
+    def fits_no_host(vm):  # assign_vm's rule, one dimension at a time, on every host
+        return not any(all(getattr(vm.demand, d) <= getattr(free, d) + _EPS
+                           for d in ("cpu", "mem", "nic"))
+                       for free in state.host_free.values())
+
+    for vm in app.vms:
+        if fits_no_host(vm):
+            return f"no host fits VM {vm.id}"
+    req = representative_request(app, state.topology.reference)
+    rows = reference_traffic_peers(app.traffic)
+    tried, hosting, counts = set(), [], {}
+    unplaced = set(app.vm_ids())
+    last_failure = "no reach could take the first VM"
+    while (reach := reference_sibling_reach(state, reaches, tried, hosting, req,
+                                            counts)) is not None:
+        tried.add(reach.id)
+        in_reach = set()
+        gain = {v: reference_reach_gain(rows, v, in_reach, unplaced) for v in unplaced}
+        vm_id = _pick(unplaced, gain, 1)
+        while True:
+            host = bal_pack(state, app.vm(vm_id), reach)
+            if host is None:
+                if fits_no_host(app.vm(vm_id)):
+                    return f"no host fits VM {vm_id}"
                 last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
                 break
             mark = len(state._journal)

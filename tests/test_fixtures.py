@@ -116,3 +116,18 @@ def test_scale_script_reports_a_bad_size_as_a_usage_error(hosts, problem):
     assert run.stderr.startswith("usage: bench/scale.py")
     assert problem in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_scale_script_keys_an_app_count_other_than_the_host_count():
+    run = subprocess.run([sys.executable, str(ROOT / "bench" / "scale.py"),
+                          "--hosts", "64", "--category", "2", "--apps", "32"],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0
+    assert run.stdout.startswith("category 2, 64 hosts, 32 apps: ")
+
+
+def test_scale_script_refuses_an_app_count_below_one():
+    run = subprocess.run([sys.executable, str(ROOT / "bench" / "scale.py"),
+                          "--hosts", "64", "--category", "2", "--apps", "0"],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and "--apps must be at least 1" in run.stderr

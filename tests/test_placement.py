@@ -11,16 +11,16 @@ from dcfrag.fixtures import (UNIT, UNIT_REF, category_eval_apps, category_rrf_re
                              category_spec, category_topology, fig1_instance)
 from dcfrag.harness import ExperimentConfig, compare_schemes, resolve_topology
 from dcfrag.metrics import MultiRequest, placeable_in_reaches
-from dcfrag.placement import (SCHEMES, CapacityError, PlacementState, SchemeConfig, bal_pack,
-                              best_sibling_reach, derive_netw_slots, place_application,
-                              reserve_traffic)
-from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology, build_clos,
-                             build_tree, load_topology)
+from dcfrag.placement import (SCHEMES, CapacityError, PlacementOutcome, PlacementState,
+                              SchemeConfig, bal_pack, best_sibling_reach, derive_netw_slots,
+                              place_application, reserve_traffic)
+from dcfrag.topology import (_EPS, Host, Link, Reach, ResourceVector, Switch, Topology,
+                             build_clos, build_tree, load_topology)
 from dcfrag.workload import (VM, Application, generate_workload, load_workload,
                              representative_request, validate_application)
 from oracle import (journaled_write, placeable_in_reach, reference_reach_gain,
                     reference_reserve_traffic, reference_row_total, reference_traffic_peers,
-                    reference_unified)
+                    reference_unified, reference_unified_full_search)
 from test_topology import as_topology, leveled_fabrics
 from test_workload import bw_to
 
@@ -404,11 +404,62 @@ class TestUnified:
         assert place_application(state, app, UNIFIED).ok
         assert len(set(state.assignments[app.id].values())) == 2
 
+    @pytest.mark.parametrize("dim", ["cpu", "mem", "nic"])
+    def test_a_vm_that_fits_no_host_is_refused_before_any_reach_is_ranked(self, monkeypatch,
+                                                                           dim):
+        # every host has 0.4 free in dim and v2 needs 0.5 there
+        state, _ = tree_state()
+        for h, free in state.host_free.items():
+            state.host_free[h] = replace(free, **{dim: 0.4})
+        v2 = tuple(0.5 if d == dim else 0.1 for d in ("cpu", "mem", "nic"))
+        app = tree_app({"v1": (0.1, 0.1, 0.1), "v2": v2}, {("v1", "v2"): 0.1})
+        calls = []
+        monkeypatch.setattr(placement, "best_sibling_reach", lambda *a: calls.append("rank"))
+        monkeypatch.setattr(PlacementState, "assign_vm", lambda *a: calls.append("assign"))
+        before = state.snapshot()
+        out = place_application(state, app, UNIFIED)
+        assert out == PlacementOutcome(ok=False, failure="no host fits VM v2")
+        assert calls == [] and state.snapshot() == before
+
+    def test_a_vm_the_apps_own_vms_crowd_out_is_refused_without_a_spill(self, monkeypatch):
+        # h0 alone has room for a VM, and for one only: both VMs fit it when
+        # the attempt starts; once v1 takes it, v2 fits no host, so the app is
+        # refused at v2's failure in h0's reach and no sibling is ranked
+        state, _ = tree_state()
+        filler = tree_app({f"f{i}": (0.8, 0.0, 0.0) for i in (1, 2, 3)}, {}, app_id="filler")
+        state.register_app(filler)
+        for i in (1, 2, 3):
+            state.assign_vm(filler.id, filler.vm(f"f{i}"), f"h{i}")
+        app = tree_app({"v1": (0.6, 0.1, 0.0), "v2": (0.6, 0.1, 0.0)}, {})
+        ranked, sibling = [], placement.best_sibling_reach
+
+        def logged(*args):
+            ranked.append(sibling(*args))
+            return ranked[-1]
+
+        monkeypatch.setattr(placement, "best_sibling_reach", logged)
+        before = state.snapshot()
+        out = place_application(state, app, UNIFIED)
+        assert out == PlacementOutcome(ok=False, failure="no host fits VM v2")
+        assert len(ranked) == 1 and "h0" in ranked[0].hosts
+        assert state.validate() == [] and state.snapshot() == before
+
 
 def _unified_rescanning_gains(state, app, config, reaches):
     """UNIFIED with its former next-VM rule, kept as the reference: after every
     placed VM it rebuilds the VMs in the current reach from the assignments
-    and takes two bw_to sums per unplaced VM."""
+    and takes two bw_to sums per unplaced VM. It refuses the app when a VM
+    fits no host of the fabric, as UNIFIED does: any VM before the first reach
+    is ranked, or the VM bal_pack finds no host for in the current reach."""
+
+    def fits_no_host(vm):  # assign_vm's rule on every host
+        need = vm.demand
+        return not any(need.cpu <= f.cpu + _EPS and need.mem <= f.mem + _EPS
+                       and need.nic <= f.nic + _EPS for f in state.host_free.values())
+
+    for vm in app.vms:
+        if fits_no_host(vm):
+            return f"no host fits VM {vm.id}"
     req = representative_request(app, state.topology.reference)
     rows = reference_traffic_peers(app.traffic)
     reach = min(reaches, key=lambda r: (-placeable_in_reach(state, r, req), r.id))
@@ -422,6 +473,8 @@ def _unified_rescanning_gains(state, app, config, reaches):
         while True:
             host = placement.bal_pack(state, app.vm(vm_id), reach)
             if host is None:
+                if fits_no_host(app.vm(vm_id)):
+                    return f"no host fits VM {vm_id}"
                 last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
                 break
             mark = len(state._journal)
@@ -894,6 +947,26 @@ class TestStateValidate:
         report = state.validate()
         assert any("h0-t0" in line for line in report)
 
+    @pytest.mark.parametrize("table,app_id,report", [
+        ("reservations", "ghost", "app ghost: in reservations but not registered"),
+        ("assignments", "ghost", "app ghost: in assignments but not registered"),
+        ("reservations", None, "app {}: registered but missing from reservations"),
+        ("assignments", None, "app {}: registered but missing from assignments"),
+    ], ids=["unregistered-reservations", "unregistered-assignments", "missing-reservations",
+            "missing-assignments"])
+    def test_per_app_maps_that_disagree_are_reported(self, table, app_id, report):
+        state = PlacementState(category_topology(1))
+        apps = generate_workload(category_spec(1, 4, 0))
+        assert all(place_application(state, app, UNIFIED).ok for app in apps)
+        assert state.validate() == []
+        maps = getattr(state, table)
+        if app_id is None:  # a registered app, with VMs and reservations, loses its entry
+            app_id = next(a for a, routed in state.reservations.items() if routed)
+            del maps[app_id]
+        else:
+            maps[app_id] = {}
+        assert report.format(app_id) in state.validate()
+
     def test_capacity_error_names_entity_and_dimension(self):
         state, _ = tree_state()
         app = tree_app({"v1": (0.9, 0.1, 0.0), "v2": (0.9, 0.1, 0.0)}, {})
@@ -1067,13 +1140,15 @@ def _ledger(state):
             [(lid, repr(f)) for lid, f in state.link_free.items()])
 
 
-def _unified_against_reference(monkeypatch, t, apps):
-    """Place the apps with UNIFIED and with oracle.reference_unified on two
-    states of t, asserting after each attempt that the outcomes and ledgers
-    are the same. Returns the spills (sibling reaches taken after an app's
-    first) and the per-VM steps rolled back, counted in the UNIFIED run."""
+def _unified_against_reference(monkeypatch, t, apps, reference=reference_unified):
+    """Place the apps with UNIFIED and with `reference` on two states of t,
+    asserting after each attempt that the outcomes' ok and the ledgers are
+    the same. Returns the spills (sibling reaches taken after an app's
+    first) and the per-VM steps rolled back, counted in the UNIFIED run, and
+    the refusals whose texts differ ("texts differ"); each of those texts
+    of UNIFIED names a VM of the app that fits no host."""
     sibling, rollback = placement.best_sibling_reach, PlacementState._rollback
-    seen = {"spills": 0, "rollbacks": 0}
+    seen = {"spills": 0, "rollbacks": 0, "texts differ": 0}
 
     def counted_sibling(state, reaches, tried, hosting, req, counts):
         got = sibling(state, reaches, tried, hosting, req, counts)
@@ -1093,9 +1168,12 @@ def _unified_against_reference(monkeypatch, t, apps):
             m.setattr(PlacementState, "_rollback", counted_rollback)
             got = place_application(states[0], app, UNIFIED)
         with monkeypatch.context() as m:
-            m.setitem(placement._SCHEME_BODIES, "UNIFIED", reference_unified)
+            m.setitem(placement._SCHEME_BODIES, "UNIFIED", reference)
             want = place_application(states[1], app, UNIFIED)
-        assert got == want, app.id
+        assert got.ok == want.ok, app.id
+        if got.failure != want.failure:
+            seen["texts differ"] += 1
+            assert got.failure in {f"no host fits VM {v.id}" for v in app.vms}, app.id
         assert _ledger(states[0]) == _ledger(states[1]), app.id
     return seen
 
@@ -1110,6 +1188,7 @@ class TestUnifiedReference:
         t, _, apps = run
         with pytest.MonkeyPatch.context() as m:
             seen = _unified_against_reference(m, t, apps)
+        assert seen.pop("texts differ") == 0
         for name, n in seen.items():
             event(f"{name}: {'some' if n else 'none'}")
 
@@ -1119,7 +1198,7 @@ class TestUnifiedReference:
         # VM's step rolls back only on the tight uplinks of ledger_runs
         seen = _unified_against_reference(monkeypatch, category_topology(3),
                                           generate_workload(category_spec(3, 128, seed)))
-        assert seen["spills"] > 0
+        assert seen["spills"] > 0 and seen["texts differ"] == 0
 
     @settings(max_examples=300, deadline=None)
     @given(ledger_runs(), st.data())
@@ -1165,6 +1244,32 @@ class TestUnifiedReference:
         reaches = data.draw(st.permutations(t.reaches))[:data.draw(st.integers(0, len(t.reaches)))]
         assert placeable_in_reaches(state, reaches, req) == [
             placeable_in_reach(state, r, req) for r in reaches]
+
+
+class TestUnifiedEarlyRefusal:
+    """UNIFIED against the full search that tries every reach before it
+    refuses an app (oracle.reference_unified_full_search): after every
+    attempt the same ok and the same ledger. Only a refusal's text may
+    differ: UNIFIED's then names the VM that fits no host."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ledger_runs())
+    def test_every_attempt_places_as_the_full_search(self, run):
+        # the apps offered three times over, so the hosts fill and VMs
+        # come to fit none of them
+        t, _, apps = run
+        apps = [Application(id=f"{a.id}.{k}", vms=a.vms, traffic=a.traffic)
+                for k in range(3) for a in apps]
+        with pytest.MonkeyPatch.context() as m:
+            seen = _unified_against_reference(m, t, apps, reference_unified_full_search)
+        event(f"texts differ: {'some' if seen['texts differ'] else 'none'}")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_overloaded_pools_place_as_the_full_search(self, monkeypatch, seed):
+        seen = _unified_against_reference(monkeypatch, category_topology(3),
+                                          generate_workload(category_spec(3, 128, seed)),
+                                          reference_unified_full_search)
+        assert seen["texts differ"] > 0
 
 
 def _netw_rebuilding_units(state, app, config, reaches):
