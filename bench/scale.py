@@ -11,9 +11,12 @@ The workload is N applications of category_spec(category, N, 0), N being
 --apps (default H; at 2H about a third of the attempts are refused),
 offered in the seed-0 shuffle and measured with the category's RRF request
 after every success, as `dcfrag compare` does. The script prints the wall
-time of the comparison and the sha256 of its CSV. With --check it exits 1
-unless the digest equals the one bench/scale_golden.json holds for
-(category, hosts), or for (category, hosts, apps) when N is not H.
+time of the comparison, the sha256 of its CSV and the sha256 of its attempts
+(the lines repr((scheme, app id, ok, failure)), one per attempt in order),
+which pins the refusal texts the CSV does not hold. With --check it exits 1
+unless the CSV digest equals the one bench/scale_golden.json holds for
+(category, hosts), or for (category, hosts, apps) when N is not H, and,
+where the file records one for that key, the attempts digest too.
 It imports dcfrag from this checkout's src/ and uses the stdlib only.
 """
 
@@ -44,8 +47,18 @@ def main(argv=None) -> int:
         parser.error("--apps must be at least 1")
 
     sys.path.insert(0, str(ROOT / "src"))
+    from dcfrag import harness
     from dcfrag.fixtures import category_rrf_request, category_spec, category_topology
     from dcfrag.harness import ExperimentConfig, compare_schemes
+
+    attempts, place = [], harness.place_application
+
+    def recorded(state, app, config, reaches=None):
+        out = place(state, app, config, reaches)
+        attempts.append(repr((config.scheme, app.id, out.ok, out.failure)))
+        return out
+
+    harness.place_application = recorded  # compare_schemes places through it
 
     try:
         topology = category_topology(args.category, args.hosts)
@@ -64,17 +77,23 @@ def main(argv=None) -> int:
     key = f"category {args.category}, {args.hosts} hosts"
     if apps != args.hosts:
         key += f", {apps} apps"
-    print(f"{key}: {seconds:.2f} s, sha256 {digest}")
+    attempts_digest = hashlib.sha256("\n".join(attempts).encode()).hexdigest()
+    print(f"{key}: {seconds:.2f} s, sha256 {digest}, attempts sha256 {attempts_digest}")
     if not args.check:
         return 0
-    want = json.loads(GOLDEN.read_text())["digests"].get(key)
+    golden = json.loads(GOLDEN.read_text())
+    want = golden["digests"].get(key)
     if want is None:
         print(f"no digest recorded for {key} in {GOLDEN.name}", file=sys.stderr)
         return 1
     if want != digest:
         print(f"digest differs from {GOLDEN.name}: recorded {want}", file=sys.stderr)
         return 1
-    print("matches the recorded digest")
+    want = golden["attempt_digests"].get(key)
+    if want not in (None, attempts_digest):
+        print(f"attempts digest differs from {GOLDEN.name}: recorded {want}", file=sys.stderr)
+        return 1
+    print("matches the recorded digest" if want is None else "matches the recorded digests")
     return 0
 
 

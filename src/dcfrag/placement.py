@@ -571,10 +571,11 @@ def _hose_ok(t: Topology, state: PlacementState, counts: dict[str, int],
     min(m, N - m) * B within its free uplink capacity. Host uplinks need no
     check here: the fill already sized each host's count to fit its own.
     Only switches above a counted host can see m > 0."""
-    below: Counter[str] = Counter()
+    below: dict[str, int] = {}
+    get = below.get
     for h, m in counts.items():
         for s in t.switches_above[h]:
-            below[s] += m
+            below[s] = get(s, 0) + m
     for s, m in below.items():
         if m < n_total:
             up_free = sum(state.link_free[lid] for lid in t.switch_uplinks[s])
@@ -584,12 +585,13 @@ def _hose_ok(t: Topology, state: PlacementState, counts: dict[str, int],
 
 
 def _first_refusal(state: PlacementState, vms: list[VM],
-                   counts: dict[str, int]) -> str | None:
-    """The CapacityError text of the first assign_vm that the fill would
-    refuse, or None when every VM fits. The fill puts n VMs of `vms` in order
-    on each host h of counts.items(), which lists the unit's counted hosts in
-    unit order; each host's running free is checked and lowered as assign_vm
-    checks and writes it, so the fill need not be written to be refused."""
+                   counts: dict[str, int]) -> tuple[str, str, float, float] | None:
+    """(host, dimension, need, free), the CapacityError("host", ...) of the
+    first assign_vm that the fill would refuse, or None when every VM fits.
+    The fill puts n VMs of `vms` in order on each host h of counts.items(),
+    which lists the unit's counted hosts in unit order; each host's running
+    free is checked and lowered as assign_vm checks and writes it, so the
+    fill need not be written to be refused."""
     host_free, i = state.host_free, 0
     for h, n in counts.items():
         free = host_free[h]
@@ -597,11 +599,11 @@ def _first_refusal(state: PlacementState, vms: list[VM],
         for vm in vms[i:i + n]:
             need = vm.demand
             if need.cpu > f_cpu + _EPS:
-                return str(CapacityError("host", h, "cpu", need.cpu, f_cpu))
+                return h, "cpu", need.cpu, f_cpu
             if need.mem > f_mem + _EPS:
-                return str(CapacityError("host", h, "mem", need.mem, f_mem))
+                return h, "mem", need.mem, f_mem
             if need.nic > f_nic + _EPS:
-                return str(CapacityError("host", h, "nic", need.nic, f_nic))
+                return h, "nic", need.nic, f_nic
             # ResourceVector's clamp: a fitting need leaves at most float dust below 0
             f_cpu, f_mem, f_nic = f_cpu - need.cpu, f_mem - need.mem, f_nic - need.nic
             if f_cpu < 0:
@@ -621,16 +623,19 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
     The app is a hose <N VMs, B = mean per-VM bandwidth>. The units of
     topology.subtrees are scanned in order, hosts first, then the distinct
     switch subtrees level by level; the first unit with enough free slots
-    whose greedy fill passes the hose check takes the whole app.
+    whose greedy fill passes every check below takes the whole app.
     A VM on a host takes one of its slots whoever placed it, so a host's
     free slots are max(0, slots - state.host_vms[h]), read as the scan
-    reaches it. Actual demands still decide: a fill that would overdraw a
-    host is refused by _first_refusal before it writes, and a fill whose
+    reaches it. Actual demands decide, cheapest first: _first_refusal checks
+    the hosts without writing, then the hose check runs, and a fill whose
     traffic a link refuses rolls back to the journal mark taken before it,
     as UNIFIED's per-VM step does; so the counts hold for the whole attempt.
 
     On hosts of one TOR every switch above a counted host holds all N VMs,
-    so the hose check, which has nothing to check there, is skipped.
+    so the hose check, which has nothing to check there, is skipped. A
+    refusal names the last unit a host or a link refused, leaving out units
+    that fail the hose check: a multi-TOR fill that a host refuses waits in
+    `pending`, hose-checked at the end only if no later unit names one.
     """
     if config.netw_slots_per_host is None:
         raise ValueError("NETW needs netw_slots_per_host (see derive_netw_slots)")
@@ -641,15 +646,22 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
     ports, link_free = t.host_ports, state.link_free
     vms = sorted(app.vms, key=lambda v: v.id)
 
-    last_failure = f"no subtree offers {n_total} slots for app {app.id}"
+    failure = f"no subtree offers {n_total} slots for app {app.id}"  # or a refusal
+    pending = []  # (refusal, counts) of multi-TOR fills since `failure` was set
     for unit_hosts in t.subtrees:
-        free = 0
-        for h in unit_hosts:
-            f = slots - host_vms[h]
-            if f > 0:  # an overfull host offers 0, not less
-                free += f
-        if free < n_total:
-            continue
+        if len(unit_hosts) == 1:
+            if host_vms[unit_hosts[0]] > slots - n_total:
+                continue
+        else:
+            free = 0
+            for h in unit_hosts:
+                f = slots - host_vms[h]
+                if f > 0:  # an overfull host offers 0, not less
+                    free += f
+                    if free >= n_total:
+                        break
+            else:  # the whole unit offers fewer than n_total
+                continue
         counts: dict[str, int] = {}
         remaining = n_total
         for h in unit_hosts:
@@ -665,12 +677,17 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
             if take:
                 counts[h] = take
                 remaining -= take
-        if remaining or (len({ports[h][1] for h in counts}) > 1
-                         and not _hose_ok(t, state, counts, n_total, bw)):
+        if remaining:
             continue
         refusal = _first_refusal(state, vms, counts)
+        multi_tor = len({ports[h][1] for h in counts}) > 1
         if refusal is not None:
-            last_failure = refusal
+            if multi_tor:
+                pending.append((refusal, counts))
+            else:
+                failure, pending = refusal, []
+            continue
+        if multi_tor and not _hose_ok(t, state, counts, n_total, bw):
             continue
 
         mark = len(state._journal)
@@ -682,10 +699,13 @@ def _place_netw(state: PlacementState, app: Application, config: SchemeConfig,
             reserve_traffic(state, app)
         except CapacityError as exc:
             state._rollback(mark)
-            last_failure = str(exc)
+            failure, pending = str(exc), []
             continue
         return None
-    return last_failure
+    # every write was rolled back, so the links are as each pending fill saw them
+    failure = next((refusal for refusal, counts in reversed(pending)
+                    if _hose_ok(t, state, counts, n_total, bw)), failure)
+    return failure if isinstance(failure, str) else str(CapacityError("host", *failure))
 
 
 # -- the one entry point ------------------------------------------------------------

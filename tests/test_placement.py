@@ -1046,12 +1046,18 @@ class TestReservedPaths:
 def ledger_runs(draw):
     """A small oversubscribed tree or CLOS fabric, one scheme, and a sequence
     of apps. Host uplinks are tight, so a VM's edges can exhaust one part-way
-    and UNIFIED then spills to a sibling reach, sometimes successfully. VMs
-    may need no cpu or mem, and now and then an app reuses an earlier id."""
+    and UNIFIED then spills to a sibling reach, sometimes successfully. Hosts
+    start part-full in cpu and mem, so hosts refuse VMs as often as links
+    do. VMs may need no cpu or mem, and now and then an app reuses an
+    earlier id."""
     if draw(st.booleans()):
         t = build_tree(draw(st.sampled_from([2, 4])), 2, UNIT, 1.0, oversub_ratio=2.0)
     else:
         t = build_clos(2, 2, 2, UNIT, 1.0, core_oversub=2.0)
+    share = st.sampled_from([0.0, 0.2, 0.5, 1.0])
+    for h in t.host_ids:
+        cap = t.hosts[h].capacity
+        t.hosts[h].free = ResourceVector(cap.cpu * draw(share), cap.mem * draw(share), cap.nic)
     for lid in sorted(t.links):
         frees = [0.25, 0.45, 0.85, 1.0] if t.links[lid].a in t.hosts else [0.85, 1.0]
         t.links[lid].free = t.links[lid].capacity * draw(st.sampled_from(frees))
@@ -1075,12 +1081,25 @@ def ledger_runs(draw):
     return t, cfg, apps
 
 
+def host_refused(failure):
+    """Whether a failure text is a host's refusal (a NETW fill's CapacityError,
+    or UNIFIED's and LOCAL's VM that fits no host)."""
+    return failure is not None and failure.startswith(("host ", "no host fits VM "))
+
+
+def host_refusal_event(failures):
+    """Report by event() the share of a run's attempts that a host refused."""
+    share = sum(map(host_refused, failures)) / max(1, len(failures))
+    event("host-refused attempts: " + (
+        "none" if not share else "< 1/4" if share < 0.25 else ">= 1/4"))
+
+
 class TestLedgerProperties:
     @settings(max_examples=300, deadline=None)
     @given(ledger_runs())
     def test_every_attempt_leaves_an_exact_ledger(self, run):
         t, cfg, apps = run
-        state = PlacementState(t)
+        state, failures = PlacementState(t), []
         for app in apps:
             before = state.snapshot()
             if app.id in state.apps:  # the ledger keys its entries by app id
@@ -1089,11 +1108,13 @@ class TestLedgerProperties:
                 assert state.snapshot() == before and state.validate() == []
                 continue
             out = place_application(state, app, cfg)
+            failures.append(out.failure)
             assert state.validate() == []
             if not out.ok:
                 assert state.snapshot() == before
                 continue
             check_reserved_paths(state, app)
+        host_refusal_event(failures)
 
     @settings(max_examples=300, deadline=None)
     @given(ledger_runs())
@@ -1144,11 +1165,11 @@ def _unified_against_reference(monkeypatch, t, apps, reference=reference_unified
     """Place the apps with UNIFIED and with `reference` on two states of t,
     asserting after each attempt that the outcomes' ok and the ledgers are
     the same. Returns the spills (sibling reaches taken after an app's
-    first) and the per-VM steps rolled back, counted in the UNIFIED run, and
-    the refusals whose texts differ ("texts differ"); each of those texts
+    first), the per-VM steps rolled back and the host refusals, counted in
+    the UNIFIED run, and the refusals whose texts differ ("texts differ"); each of those texts
     of UNIFIED names a VM of the app that fits no host."""
     sibling, rollback = placement.best_sibling_reach, PlacementState._rollback
-    seen = {"spills": 0, "rollbacks": 0, "texts differ": 0}
+    seen = {"spills": 0, "rollbacks": 0, "host refusals": 0, "texts differ": 0}
 
     def counted_sibling(state, reaches, tried, hosting, req, counts):
         got = sibling(state, reaches, tried, hosting, req, counts)
@@ -1171,6 +1192,7 @@ def _unified_against_reference(monkeypatch, t, apps, reference=reference_unified
             m.setitem(placement._SCHEME_BODIES, "UNIFIED", reference)
             want = place_application(states[1], app, UNIFIED)
         assert got.ok == want.ok, app.id
+        seen["host refusals"] += host_refused(got.failure)
         if got.failure != want.failure:
             seen["texts differ"] += 1
             assert got.failure in {f"no host fits VM {v.id}" for v in app.vms}, app.id
@@ -1358,6 +1380,7 @@ class TestNetwSubtrees:
         got = _netw_run(placement._place_netw, t, cfg, apps)
         want = _netw_run(_netw_rebuilding_units, t, cfg, apps)
         assert [(ok, snap) for ok, _, snap in got] == [(ok, snap) for ok, _, snap in want]
+        host_refusal_event([failure for _, failure, _ in got])
 
     @settings(max_examples=200, deadline=None)
     @given(ledger_runs(), st.data())
@@ -1371,6 +1394,7 @@ class TestNetwSubtrees:
         schemes = [data.draw(st.sampled_from(SCHEMES)) for _ in apps]
         got = _netw_run(placement._place_netw, t, cfg, apps, schemes)
         assert got == _netw_run(_netw_rebuilding_units, t, cfg, apps, schemes)
+        host_refusal_event([failure for _, failure, _ in got])
 
     @pytest.mark.parametrize("category", [1, 2, 3])
     def test_same_outcomes_on_the_category_fabrics(self, category):
@@ -1381,6 +1405,60 @@ class TestNetwSubtrees:
         assert got == _netw_run(_netw_rebuilding_units, t, cfg, apps)
         oks = [ok for ok, _, _ in got]
         assert any(oks) and not all(oks)
+
+    @staticmethod
+    def refusals(t, app, slots, host_free, link_free):
+        """NETW's and the reference's outcomes for `app` with these frees set."""
+        cfg = SchemeConfig(scheme="NETW", netw_slots_per_host=slots)
+        got = []
+        for body in (placement._place_netw, _netw_rebuilding_units):
+            state = PlacementState(t)
+            state.host_free.update(host_free)
+            state.link_free.update(link_free)
+            with pytest.MonkeyPatch.context() as m:
+                m.setitem(placement._SCHEME_BODIES, "NETW", body)
+                got.append(place_application(state, app, cfg))
+        return got
+
+    @pytest.mark.parametrize("tor_uplink, named", [
+        (0.1, "host h2 cpu: need 0.4, free 0.3"),  # the whole-tree fill fails the hose too
+        (1.0, "host h2 cpu: need 0.5, free 0.3"),
+    ])
+    def test_a_hose_failing_fill_names_no_refusal(self, tor_uplink, named):
+        # 3 VMs, 2 slots a host, hose bandwidth 0.4: h1's uplink takes no VM,
+        # so t0's fill falls short; t1's fill (v0, v1 on h2) is refused by
+        # h2, then the whole tree's (v0, v1 on h0; v2 on h2) spans both TORs
+        # and is refused by h2 as well, and t0's uplink decides its hose check
+        t = idle_tree(num_tors=2, hosts_per_tor=2)
+        app = tree_app({"v0": (0.4, 0.1, 0.4), "v1": (0.4, 0.1, 0.4), "v2": (0.5, 0.1, 0.4)},
+                       {("v0", "v1"): 0.2, ("v0", "v2"): 0.2, ("v1", "v2"): 0.2})
+        got, want = self.refusals(t, app, 2, {"h2": ResourceVector(0.3, 1.0, 1.0)},
+                                  {t.host_ports["h1"][0]: 0.1, "t0-core": tor_uplink})
+        assert got == want == PlacementOutcome(ok=False, failure=named)
+
+    def test_a_later_link_refusal_outranks_a_refused_multi_tor_fill(self):
+        # 5 VMs, 2 slots a host; v4 sends 0.1 to each other VM (hose
+        # bandwidth 0.16). h0 and h1 take no VM, so pod 0's fill falls short;
+        # pod 1's fill spans both its TORs and h6 refuses v3 though the hose
+        # holds; then the whole fabric's fill ends with v4 alone on h4,
+        # whose uplink carries 0.2 of v4's 0.4
+        t = build_clos(2, 2, 2, UNIT, 1.0, core_oversub=2.0)
+        app = tree_app({f"v{i}": (0.2, 0.1, 0.4 if i == 4 else 0.1) for i in range(5)},
+                       {(f"v{i}", "v4"): 0.1 for i in range(4)})
+        seen, first_refusal = [], placement._first_refusal
+
+        def recorded(state, vms, counts):
+            seen.append(first_refusal(state, vms, counts))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(placement, "_first_refusal", recorded)
+            got, want = self.refusals(t, app, 2, {"h6": ResourceVector(0.1, 1.0, 1.0)},
+                                      {t.host_ports["h0"][0]: 0.0, t.host_ports["h1"][0]: 0.0,
+                                       t.host_ports["h4"][0]: 0.2})
+        assert seen == [("h6", "cpu", 0.2, 0.1), None]
+        assert got == want == PlacementOutcome(
+            ok=False, failure=f"link {t.host_ports['h4'][0]} bw: need 0.1, free 0")
 
 
 # frees at a VM's need, 1e-12 on either side of it, and at and past the _EPS edge
@@ -1433,7 +1511,7 @@ class TestNetwFillCheck:
                 want = str(exc)
             else:
                 assert next(vm_iter, None) is None
-        assert got == want
+        assert (None if got is None else str(CapacityError("host", *got))) == want
         assert state.snapshot() == before
 
 
