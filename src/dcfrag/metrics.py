@@ -109,7 +109,8 @@ def fragmentation_index(state, req: MultiRequest) -> RRFReport:
 def _host_counts(state, host_ids, req: MultiRequest) -> list[int]:
     """Requests one host can satisfy, for each host in the given order: the
     min over req's nonzero dimensions of fit_count on the host's normalized
-    free, the NIC read from the host's uplink free.
+    free, the NIC read from the host's uplink free. req has a nonzero
+    dimension: every caller requires one.
 
     fit_count's quotients are never negative and int() floors them, which
     keeps their order, so the smallest quotient is floored once."""
@@ -135,7 +136,7 @@ def _host_counts(state, host_ids, req: MultiRequest) -> list[int]:
             m = x / nw + _EPS if x > 0 else 0.0
             if m < n:
                 n = m
-        counts.append(int(n) if n < inf else n)
+        counts.append(int(n))
     return counts
 
 

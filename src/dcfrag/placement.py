@@ -202,15 +202,15 @@ class PlacementState:
                 violations.append(f"app {app_id}: in {name} but not registered")
             for app_id in sorted(apps.keys() - table.keys()):
                 violations.append(f"app {app_id}: registered but missing from {name}")
-        used: dict[str, ResourceVector] = {
-            h: ResourceVector(0, 0, 0) for h in self.host_free}
+        used: dict[str, tuple] = {h: (0, 0, 0) for h in self.host_free}  # (cpu, mem, nic)
         counts: Counter[str] = Counter()
         for app_id, placed in self.assignments.items():
             if app_id not in apps:
                 continue
             vm_by_id = {v.id: v for v in apps[app_id].vms}
             for vm_id, host_id in placed.items():
-                used[host_id] = used[host_id] + vm_by_id[vm_id].demand
+                d, (cpu, mem, nic) = vm_by_id[vm_id].demand, used[host_id]
+                used[host_id] = (cpu + d.cpu, mem + d.mem, nic + d.nic)
             counts.update(placed.values())
         for host_id, total in used.items():
             if self.host_vms[host_id] != counts[host_id]:
@@ -218,8 +218,8 @@ class PlacementState:
             cap = t.hosts[host_id].capacity
             initial = t.hosts[host_id].free
             got = self.host_free[host_id]
-            for dim in ("cpu", "mem", "nic"):
-                demand, limit = getattr(total, dim), getattr(cap, dim)
+            for dim, demand in zip(("cpu", "mem", "nic"), total):
+                limit = getattr(cap, dim)
                 if demand > limit + 1e-6:
                     violations.append(
                         f"host {host_id} {dim}: demand {demand:g} exceeds capacity {limit:g}")

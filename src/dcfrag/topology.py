@@ -9,7 +9,6 @@ never contend for fabric links.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from contextlib import contextmanager
@@ -42,12 +41,6 @@ class ResourceVector:
                 raise ValueError(f"resource components must be >= 0, got {self}")
             if value < 0:
                 object.__setattr__(self, name, 0.0)
-
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self.cpu + other.cpu, self.mem + other.mem, self.nic + other.nic)
-
-    def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self.cpu - other.cpu, self.mem - other.mem, self.nic - other.nic)
 
 
 _new_vector = object.__new__
@@ -348,10 +341,7 @@ class Topology:
             for node in layers[-1]:
                 preds[node] = [(peer, lid) for peer, lid in self.adjacency[node]
                                if depth.get(peer) == depth[node] - 1]
-            # each node's pairs are sorted, so their merge lists the
-            # layer above in id order
-            merged = heapq.merge(*(preds[node] for node in layers[-1]))
-            layers.append(list(dict.fromkeys(peer for peer, _ in merged)))
+            layers.append(sorted({peer for node in layers[-1] for peer, _ in preds[node]}))
         # node -> (kept node index, links from that node to it): a kept
         # node's own index and no links, a folded node's one pair
         via: dict[str, tuple[int, tuple[str, ...]]] = {tor_a: (0, ())}

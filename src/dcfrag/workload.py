@@ -71,8 +71,8 @@ class Application:
     the dict's insertion order: _xs and _ys hold the keys' own end objects
     (for a generated or loaded app, its VMs' id strings), _bws the dict's own
     bandwidth objects. _order lists the positions in sorted key order, the
-    order edges() and reservations take. Besides id and vms that is all an
-    app holds, with total_vm_traffic once read. The traffic property
+    order reservations take. Besides id and vms that is all an app holds,
+    with total_vm_traffic once read. The traffic property
     rebuilds the dict, equal to the one given and in its order, on each
     read: runtime readers take the tuples. repr and == are those of a frozen
     dataclass over (id, vms, traffic)."""
@@ -111,21 +111,6 @@ class Application:
         return (self.id, self.vms, self.traffic) == (other.id, other.vms, other.traffic)
 
     __hash__ = None  # unhashable, as a frozen dataclass holding a dict is
-
-    def vm(self, vm_id: str) -> VM:
-        """The VM of id vm_id (the last one, if ids repeat); a scan of vms."""
-        for v in reversed(self.vms):
-            if v.id == vm_id:
-                return v
-        raise KeyError(vm_id)
-
-    def vm_ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.vms)
-
-    def edges(self) -> tuple:
-        """Traffic edges ((x, y), Mbps) in sorted key order, built per call."""
-        xs, ys, bws = self._xs, self._ys, self._bws
-        return tuple([((xs[i], ys[i]), bws[i]) for i in self._order])
 
     @cached_property
     def total_vm_traffic(self) -> float:

@@ -1,6 +1,7 @@
 """Test references: each node's links read from the link table, every
-shortest path between two hosts, the link-disjoint shortest paths between two
-reaches by repeated blocked BFS, the reach-path bandwidth and consumption in
+shortest path between two hosts, a TOR pair's route DAG built by merging its
+layers, the link-disjoint shortest paths between two reaches by repeated
+blocked BFS, the reach-path bandwidth and consumption in
 builtin min/max form, edge reservation one step at a time, UNIFIED with its
 gains computed per VM and one reach counted at a time, with and without its
 early refusal of a VM that fits no host, one reach's placeable
@@ -10,6 +11,7 @@ traffic rows and its validator as written before their loops were cut, and
 the application as a dataclass over its traffic dict. None is part of the
 runtime; tests import them from here."""
 
+import heapq
 import math
 import random
 from collections import deque
@@ -84,6 +86,32 @@ def reference_reach_paths(t, reach_a, reach_b):
         paths.append(found)
         blocked.update(found)
     return tuple(paths)
+
+
+def reference_compiled_dag(t, tor_a, tor_b):
+    """Topology._compiled_dag as first written, each layer above listed by a
+    heapq.merge of its nodes' sorted (peer, link) pairs, deduplicated in
+    merge order; built anew, not stored in t._dags."""
+    depth = t._layers((tor_a,))
+    layers = [[tor_b]]
+    preds = {}
+    while layers[-1] != [tor_a]:
+        for node in layers[-1]:
+            preds[node] = [(peer, lid) for peer, lid in t.adjacency[node]
+                           if depth.get(peer) == depth[node] - 1]
+        merged = heapq.merge(*(preds[node] for node in layers[-1]))
+        layers.append(list(dict.fromkeys(peer for peer, _ in merged)))
+    via = {tor_a: (0, ())}
+    entries = []
+    for layer in reversed(layers[:-1]):
+        for node in layer:
+            pairs = tuple((via[peer][0], via[peer][1] + (lid,)) for peer, lid in preds[node])
+            if len(pairs) == 1 and node != tor_b:
+                via[node] = pairs[0]
+            else:
+                entries.append(pairs)
+                via[node] = (len(entries), ())
+    return tuple(entries)
 
 
 def _switch_set_path(t, srcs, dsts, blocked):
@@ -231,7 +259,8 @@ def reference_unified_full_search(state, app, config, reaches):
     req = representative_request(app, state.topology.reference)
     rows = reference_traffic_peers(app.traffic)
     tried, hosting, counts = set(), [], {}
-    unplaced = set(app.vm_ids())
+    vms = {v.id: v for v in app.vms}
+    unplaced = set(vms)
     last_failure = "no reach could take the first VM"
     while (reach := reference_sibling_reach(state, reaches, tried, hosting, req,
                                             counts)) is not None:
@@ -240,13 +269,13 @@ def reference_unified_full_search(state, app, config, reaches):
         gain = {v: reference_reach_gain(rows, v, in_reach, unplaced) for v in unplaced}
         vm_id = _pick(unplaced, gain, 1)
         while True:
-            host = bal_pack(state, app.vm(vm_id), reach)
+            host = bal_pack(state, vms[vm_id], reach)
             if host is None:
                 last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
                 break
             mark = len(state._journal)
             try:
-                state.assign_vm(app.id, app.vm(vm_id), host)
+                state.assign_vm(app.id, vms[vm_id], host)
                 reference_reserve_traffic(state, app, [i for i in app._order
                                                        if vm_id in (app._xs[i], app._ys[i])])
             except CapacityError as exc:
@@ -288,7 +317,8 @@ def reference_unified(state, app, config, reaches):
     req = representative_request(app, state.topology.reference)
     rows = reference_traffic_peers(app.traffic)
     tried, hosting, counts = set(), [], {}
-    unplaced = set(app.vm_ids())
+    vms = {v.id: v for v in app.vms}
+    unplaced = set(vms)
     last_failure = "no reach could take the first VM"
     while (reach := reference_sibling_reach(state, reaches, tried, hosting, req,
                                             counts)) is not None:
@@ -297,15 +327,15 @@ def reference_unified(state, app, config, reaches):
         gain = {v: reference_reach_gain(rows, v, in_reach, unplaced) for v in unplaced}
         vm_id = _pick(unplaced, gain, 1)
         while True:
-            host = bal_pack(state, app.vm(vm_id), reach)
+            host = bal_pack(state, vms[vm_id], reach)
             if host is None:
-                if fits_no_host(app.vm(vm_id)):
+                if fits_no_host(vms[vm_id]):
                     return f"no host fits VM {vm_id}"
                 last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
                 break
             mark = len(state._journal)
             try:
-                state.assign_vm(app.id, app.vm(vm_id), host)
+                state.assign_vm(app.id, vms[vm_id], host)
                 reference_reserve_traffic(state, app, [i for i in app._order
                                                        if vm_id in (app._xs[i], app._ys[i])])
             except CapacityError as exc:

@@ -109,12 +109,13 @@ def test_criterion_5_fig1_divergence():
     greedy_error = None
     greedy_state = PlacementState(topology)
     greedy_state.register_app(app)
+    vms = {v.id: v for v in app.vms}
     try:
         for (x, y), bw in sorted(app.traffic.items(), key=lambda kv: -kv[1]):
             target = next(h for h in greedy_state.topology.host_ids
                           if greedy_state.host_free[h].nic >= 2 * bw)
-            greedy_state.assign_vm(app.id, app.vm(x), target)
-            greedy_state.assign_vm(app.id, app.vm(y), target)
+            greedy_state.assign_vm(app.id, vms[x], target)
+            greedy_state.assign_vm(app.id, vms[y], target)
     except CapacityError as exc:
         greedy_error = exc
 
@@ -135,18 +136,17 @@ def test_criterion_5_fig1_divergence():
 
 def _exhaustive_plans(topology, app):
     plans = []
-    ids = sorted(v.id for v in app.vms)
+    vms = {v.id: v for v in app.vms}
+    ids = sorted(vms)
     bottleneck = min(l.capacity for l in topology.links.values())
     for combo in itertools.product(sorted(topology.hosts), repeat=len(ids)):
         assign = dict(zip(ids, combo))
         fits = True
         for host in topology.hosts.values():
-            total = ResourceVector(0, 0, 0)
-            for vm_id, target in assign.items():
-                if target == host.id:
-                    total = total + app.vm(vm_id).demand
-            if any(getattr(total, d) > getattr(host.capacity, d) + 1e-9
-                   for d in ("cpu", "mem", "nic")):
+            on_host = [vms[vm_id].demand for vm_id, target in assign.items()
+                       if target == host.id]
+            if any(sum(getattr(d, dim) for d in on_host) > getattr(host.capacity, dim) + 1e-9
+                   for dim in ("cpu", "mem", "nic")):
                 fits = False
                 break
         cross = sum(bw for (a, b), bw in app.traffic.items() if assign[a] != assign[b])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import dcfrag
 from dcfrag import harness, placement
 from dcfrag.fixtures import NAMED_TOPOLOGIES, UNIT, category_spec, category_topology
 from dcfrag.harness import (ExperimentConfig, ResultRow, compare_schemes, order_hash,
@@ -290,3 +291,19 @@ class TestNamedTopologies:
             resolve_topology("nope")
         assert str(exc.value) == ("'nope' is neither an existing file nor a built-in topology: "
                                   "('fig4', 'fig3-like', 'tree64', 'clos64-5g', 'clos64-10g')")
+
+
+class TestLeanSurface:
+    # the runtime keeps what its runs read: tests reach an app's VMs and
+    # edges through app.vms and its edge tuples, and sum vectors per dimension
+    def test_no_test_only_api(self):
+        for name in ("vm", "vm_ids", "edges"):
+            assert not hasattr(Application, name), name
+        for name in ("__add__", "__sub__"):
+            assert not hasattr(ResourceVector, name), name
+        assert not {"path_bandwidth", "find_reaches"} & set(dcfrag.__all__)
+
+    def test_benchmark_names_import_from_their_modules(self):
+        from dcfrag.metrics import path_bandwidth
+        from dcfrag.topology import find_reaches
+        assert callable(path_bandwidth) and callable(find_reaches)

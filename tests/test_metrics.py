@@ -1152,8 +1152,8 @@ class TestReachMemo:
                 with state.transaction():
                     state.register_app(app)
                     try:
-                        state.assign_vm(app.id, app.vm("v0"), host_a)
-                        state.assign_vm(app.id, app.vm("v1"), host_b)
+                        state.assign_vm(app.id, app.vms[0], host_a)
+                        state.assign_vm(app.id, app.vms[1], host_b)
                         reserve_traffic(state, app)
                     except CapacityError:
                         pass

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcfrag import topology
-from dcfrag.fixtures import UNIT, UNIT_REF, fig4_topology
+from dcfrag.fixtures import NAMED_TOPOLOGIES, UNIT, UNIT_REF, fig4_topology
 from dcfrag.placement import PlacementState
 from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology,
                              TopologyError, build_clos, build_tree,
                              _vector, find_boundary_switches, find_reaches, load_topology)
 
-from oracle import (nic_free, reference_neighbors, reference_reach_paths,
-                    reference_shortest_paths)
+from oracle import (nic_free, reference_compiled_dag, reference_neighbors,
+                    reference_reach_paths, reference_shortest_paths)
 
 
 def mini_topology(host_frees, link_frees=None, link_cap=1.0):
@@ -591,6 +591,25 @@ class TestFoldedRouteDag:
             ((1, ("l12",)), (0, ("l04", "l09", "l13"))),
             ((2, ("l06",)), (0, ("l04", "l09", "l14", "l07"))),
         )
+
+    @staticmethod
+    def check_every_tor_pair(t):
+        tors = sorted({tor for _, tor in t.host_ports.values()})
+        for a in tors:
+            for b in tors:
+                if a != b:
+                    assert t._compiled_dag(a, b) == reference_compiled_dag(t, a, b)
+
+    @pytest.mark.parametrize("name", ["tree64", "clos64-5g", "clos64-10g"])
+    def test_every_tor_pair_dag_equals_the_merged_construction(self, name):
+        self.check_every_tor_pair(NAMED_TOPOLOGIES[name]())
+
+    # the builders keep only tor_b, so there the layer order is unread;
+    # folding_fabric and the drawn documents keep inner switches
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.builds(folding_fabric), leveled_fabrics))
+    def test_drawn_fabric_dags_equal_the_merged_construction(self, fabric):
+        self.check_every_tor_pair(as_topology(fabric))
 
     @pytest.mark.parametrize("t", [build_tree(4, 2, UNIT, 1.0, oversub_ratio=2.0),
                                    build_clos(4, 2, 2, UNIT, 1.0, core_oversub=2.0)],

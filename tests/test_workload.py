@@ -28,6 +28,15 @@ def make_app(demands, traffic, app_id="app"):
     return Application(id=app_id, vms=vms, traffic=traffic)
 
 
+def vm_of(app, vm_id):
+    return next(v for v in app.vms if v.id == vm_id)
+
+
+def sorted_edges(app):
+    """The app's edges ((x, y), Mbps) in sorted key order, read from its tuples."""
+    return tuple(((app._xs[i], app._ys[i]), app._bws[i]) for i in app._order)
+
+
 class TestRepresentativeRequest:
     def test_mean_of_two_vms(self):
         app = make_app(
@@ -133,7 +142,7 @@ class TestTrafficIndex:
         rows = workload.traffic_peers(traffic, traffic.values())
         totals = workload._row_totals(traffic, traffic.values())
         for v in app.vms:
-            assert app.vm(v.id) is v
+            assert vm_of(app, v.id) is v
             assert totals.get(v.id, 0) == reference_row_total(
                 bw for (a, b), bw in app.traffic.items() if v.id in (a, b))
             assert bw_to(rows, v.id, group) == sum(
@@ -199,7 +208,7 @@ class TestGenerator:
         assert apps == reference_generate_workload(spec)
         for app in apps:
             validate_application(app, spec.reference)
-            ids = app.vm_ids()
+            ids = tuple(v.id for v in app.vms)
             assert ids == tuple(sorted(ids))
             assert ids[0] == f"{app.id}v000" and ids[-1] == f"{app.id}v100"
 
@@ -261,10 +270,10 @@ class TestRowTotals:
             for traffic in (app.traffic, dict(items)):
                 totals = workload._row_totals(traffic, traffic.values())
                 assert [(v, float(t).hex()) for v, t in totals.items()] == row_sums(traffic)
-            edges, by_vm = app.edges(), workload._edges_by_vm(app)
+            edges, by_vm = sorted_edges(app), workload._edges_by_vm(app)
             assert edges == tuple(sorted(app.traffic.items()))
             items = list(app.traffic.items())
-            for v in app.vm_ids():
+            for v in (vm.id for vm in app.vms):
                 assert [items[i] for i in by_vm[v]] == [e for e in edges if v in e[0]]
 
 
@@ -353,7 +362,7 @@ def check_round_trip(app, traffic):
     sorted order, and has the repr and == of the dict-backed reference."""
     assert list(app.traffic.items()) == list(traffic.items())
     assert all(a is b for a, b in zip(app.traffic.values(), traffic.values()))
-    assert app.edges() == tuple(sorted(traffic.items()))
+    assert sorted_edges(app) == tuple(sorted(traffic.items()))
     ref = ReferenceApplication(app.id, app.vms, traffic)
     assert repr(app) == repr(ref)
     others = [dict(reversed(traffic.items())), dict(list(traffic.items())[1:]),
@@ -383,8 +392,8 @@ class TestEdgeTuples:
 class TestNoRebuiltView:
     @pytest.mark.parametrize("category", (1, 2, 3))
     def test_runtime_paths_read_the_edge_tuples(self, monkeypatch, tmp_path, category):
-        # the traffic getter, edges() and vm() each rebuild a view; generating,
-        # loading, validating and a three-scheme compare call none of them
+        # the traffic getter rebuilds a view; generating, loading, validating
+        # and a three-scheme compare never call it
         spec = category_spec(category, app_count=16, seed=category)
         path = tmp_path / "wl.json"
         path.write_text(json.dumps(workload_doc(generate_workload(spec))))
@@ -411,8 +420,6 @@ class TestNoRebuiltView:
             raise AssertionError("a runtime path rebuilt a view of the app")
 
         monkeypatch.setattr(Application, "traffic", property(refuse))
-        monkeypatch.setattr(Application, "edges", refuse)
-        monkeypatch.setattr(Application, "vm", refuse)
         assert run("patched") == expected
 
 
@@ -457,8 +464,8 @@ class TestLoader:
         a = apps[0]
         assert a.traffic == {("v1", "v2"): 40.0, ("v2", "v3"): 10.0}
         assert workload._row_totals(a.traffic, a.traffic.values())["v2"] == 50.0
-        assert a.vm("v2").demand.nic == 50.0      # derived from rows
-        assert apps[1].vm("v1").demand.nic == 200.0  # declared wins
+        assert vm_of(a, "v2").demand.nic == 50.0      # derived from rows
+        assert vm_of(apps[1], "v1").demand.nic == 200.0  # declared wins
 
     def test_unknown_vm_rejected_with_diagnostic(self, tmp_path):
         doc = self.doc()
