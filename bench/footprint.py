@@ -59,24 +59,14 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(ROOT / "src"))
     from dcfrag.fixtures import category_rrf_request, category_spec, category_topology
-    from dcfrag.harness import ExperimentConfig, compare_schemes, shuffle_order
+    from dcfrag.harness import ExperimentConfig, compare_schemes, iter_attempts, shuffle_order
     from dcfrag.metrics import network_rrf
-    from dcfrag.placement import (PlacementState, SchemeConfig, derive_netw_slots,
-                                  place_application)
+    from dcfrag.placement import SchemeConfig
     from dcfrag.workload import generate_workload, load_workload
 
     def compare(category, apps):
         compare_schemes(ExperimentConfig(topology=category_topology(category), workload=apps,
                                          rrf_request=category_rrf_request(category)), SCHEMES)
-
-    def placed(topology, apps, scheme, request):
-        state = PlacementState(topology)
-        slots = derive_netw_slots(topology, apps) if scheme == "NETW" else None
-        config = SchemeConfig(scheme=scheme, netw_slots_per_host=slots)
-        for app in shuffle_order(apps, 0):
-            if place_application(state, app, config).ok:
-                network_rrf(state, request)
-        return state
 
     def write(apps, path):
         doc = {"apps": [
@@ -117,7 +107,10 @@ def main(argv=None) -> int:
         apps = generate_workload(category_spec(category, count, 0))
         row = {"category": category, "apps": count}
         for scheme in SCHEMES:
-            state = placed(topology, apps, scheme, request)
+            for _, _, outcome, state in iter_attempts(topology, shuffle_order(apps, 0),
+                                                      SchemeConfig(scheme)):
+                if outcome.ok:
+                    network_rrf(state, request)
             held = traced()
             del state
             row[f"{scheme}_bytes"] = held - traced()

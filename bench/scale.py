@@ -13,10 +13,14 @@ offered in the seed-0 shuffle and measured with the category's RRF request
 after every success, as `dcfrag compare` does. The script prints the wall
 time of the comparison, the sha256 of its CSV and the sha256 of its attempts
 (the lines repr((scheme, app id, ok, failure)), one per attempt in order),
-which pins the refusal texts the CSV does not hold. With --check it exits 1
-unless the CSV digest equals the one bench/scale_golden.json holds for
-(category, hosts), or for (category, hosts, apps) when N is not H, and,
-where the file records one for that key, the attempts digest too.
+which pins the refusal texts the CSV does not hold. It then places the same
+generated list in the same shuffle with each scheme through
+`harness.iter_attempts`, reading no RRF, and prints that place-only time
+beside the comparison's. With --check it exits 1 unless the place-only
+attempts equal the comparison's in order, the CSV digest equals the one
+bench/scale_golden.json holds for (category, hosts), or for (category,
+hosts, apps) when N is not H, and, where the file records one for that key,
+the attempts digest does too.
 It imports dcfrag from this checkout's src/ and uses the stdlib only.
 """
 
@@ -49,7 +53,9 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from dcfrag import harness
     from dcfrag.fixtures import category_rrf_request, category_spec, category_topology
-    from dcfrag.harness import ExperimentConfig, compare_schemes
+    from dcfrag.harness import ExperimentConfig, compare_schemes, iter_attempts, shuffle_order
+    from dcfrag.placement import SCHEMES, SchemeConfig
+    from dcfrag.workload import generate_workload
 
     attempts, place = [], harness.place_application
 
@@ -64,23 +70,33 @@ def main(argv=None) -> int:
         topology = category_topology(args.category, args.hosts)
     except ValueError as exc:  # a size the fabric cannot take
         parser.error(f"--hosts: {exc}")
+    spec = category_spec(args.category, apps, 0)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "compare.csv"
-        cfg = ExperimentConfig(topology=topology,
-                               workload=category_spec(args.category, apps, 0), seed=0,
+        cfg = ExperimentConfig(topology=topology, workload=spec, seed=0,
                                rrf_request=category_rrf_request(args.category),
                                output_path=str(out))
         start = time.perf_counter()
-        compare_schemes(cfg, ["UNIFIED", "LOCAL", "NETW"])
+        compare_schemes(cfg, list(SCHEMES))
         seconds = time.perf_counter() - start
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    harness.place_application = place  # the place-only runs are timed unwrapped
+    order = shuffle_order(generate_workload(spec), 0)
+    start = time.perf_counter()
+    place_only = [(scheme, app.id, out.ok, out.failure) for scheme in SCHEMES
+                  for _, app, out, _ in iter_attempts(topology, order, SchemeConfig(scheme))]
+    place_seconds = time.perf_counter() - start
     key = f"category {args.category}, {args.hosts} hosts"
     if apps != args.hosts:
         key += f", {apps} apps"
     attempts_digest = hashlib.sha256("\n".join(attempts).encode()).hexdigest()
-    print(f"{key}: {seconds:.2f} s, sha256 {digest}, attempts sha256 {attempts_digest}")
+    print(f"{key}: {seconds:.2f} s, place-only {place_seconds:.2f} s, sha256 {digest}, "
+          f"attempts sha256 {attempts_digest}")
     if not args.check:
         return 0
+    if list(map(repr, place_only)) != attempts:
+        print("the place-only attempts differ from the comparison's", file=sys.stderr)
+        return 1
     golden = json.loads(GOLDEN.read_text())
     want = golden["digests"].get(key)
     if want is None:

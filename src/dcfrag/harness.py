@@ -3,10 +3,12 @@
 A run shuffles its applications with a seed that is independent of the
 scheme, places them one by one and appends a result row after every success;
 compared schemes therefore consume the same order and their curves align
-row for row. Output files are byte-deterministic for a given config.
-Each scheme's run logs one INFO line to "dcfrag.harness" when the process
-has imported logging; this module does not import it, since a process
-without it has no handler that could show the line.
+row for row. `iter_attempts` is that loop without the rows: it yields the
+live state after each attempt, so a consumer that keeps a state copies it.
+Output files are byte-deterministic for a given config. Each scheme's run
+logs one INFO line to "dcfrag.harness" when the process has imported
+logging; this module does not import it, since a process without it has no
+handler that could show the line.
 """
 
 from __future__ import annotations
@@ -109,14 +111,21 @@ def order_hash(apps: list[Application]) -> str:
     return hashlib.sha256(",".join(a.id for a in apps).encode()).hexdigest()[:16]
 
 
-def _run_sequence(topology: Topology, apps: list[Application], scheme: SchemeConfig,
-                  rrf_request: MultiRequest, stop_policy: str) -> RunResult:
+def iter_attempts(topology: Topology, apps: list[Application], scheme: SchemeConfig):
+    """Place apps in order on one new state, lazily: yield (offered index, app,
+    outcome, state) after each attempt. NETW's unset slots are derived from apps.
+    The state is the live one, so a consumer that keeps it past a step copies it."""
     state = PlacementState(topology)
     if scheme.scheme == "NETW" and scheme.netw_slots_per_host is None:
         scheme = replace(scheme, netw_slots_per_host=derive_netw_slots(topology, apps))
+    for index, app in enumerate(apps):
+        yield index, app, place_application(state, app, scheme), state
+
+
+def _run_sequence(topology: Topology, apps: list[Application], scheme: SchemeConfig,
+                  rrf_request: MultiRequest, stop_policy: str) -> RunResult:
     rows = []
-    for app in apps:
-        outcome = place_application(state, app, scheme)
+    for _, _, outcome, state in iter_attempts(topology, apps, scheme):
         if outcome.ok:
             report = network_rrf(state, rrf_request)
             rows.append(ResultRow(len(rows) + 1, report.placeable_multi, report.index))

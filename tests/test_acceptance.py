@@ -15,10 +15,10 @@ from dcfrag import metrics as M
 from dcfrag.fixtures import (FIG4_REQUEST, UNIT, category_eval_apps,
                              category_spec, category_topology, fig3_state,
                              fig4_state, fig1_instance)
-from dcfrag.harness import ExperimentConfig, run_experiment, shuffle_order
+from dcfrag.harness import ExperimentConfig, iter_attempts, run_experiment, shuffle_order
 from dcfrag.metrics import MultiRequest
 from dcfrag.placement import (CapacityError, PlacementState, SchemeConfig,
-                              derive_netw_slots, place_application)
+                              place_application)
 from dcfrag.topology import ResourceVector, build_clos, build_tree
 from dcfrag.workload import generate_workload
 
@@ -170,14 +170,9 @@ def test_criterion_6_scheme_comparison_at_scale():
             spec = category_spec(category, app_count=category_eval_apps(category),
                                  seed=seed)
             apps = shuffle_order(generate_workload(spec), seed)
-            slots = derive_netw_slots(topology, apps)
             for scheme in finals:
-                cfg = SchemeConfig(scheme=scheme,
-                                   netw_slots_per_host=slots if scheme == "NETW" else None)
-                state = PlacementState(topology)
-                placed = sum(
-                    place_application(state, app, cfg).ok for app in apps)
-                finals[scheme].append(placed)
+                attempts = iter_attempts(topology, apps, SchemeConfig(scheme=scheme))
+                finals[scheme].append(sum(outcome.ok for _, _, outcome, _ in attempts))
         outcomes[category] = finals
     elapsed = time.perf_counter() - start
 

@@ -1,6 +1,9 @@
+import gc
 import logging
 import subprocess
 import sys
+import types
+import weakref
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -8,11 +11,14 @@ import pytest
 
 import dcfrag
 from dcfrag import harness, placement
-from dcfrag.fixtures import NAMED_TOPOLOGIES, UNIT, category_spec, category_topology
-from dcfrag.harness import (ExperimentConfig, ResultRow, compare_schemes, order_hash,
-                            resolve_topology, run_experiment, shuffle_order)
-from dcfrag.metrics import MultiRequest, placeable_in_reaches
-from dcfrag.placement import PlacementState, SchemeConfig, place_application
+from dcfrag.fixtures import (NAMED_TOPOLOGIES, UNIT, category_rrf_request, category_spec,
+                             category_topology)
+from dcfrag.harness import (STOP_POLICIES, ExperimentConfig, ResultRow, compare_schemes,
+                            iter_attempts, order_hash, resolve_topology, run_experiment,
+                            shuffle_order)
+from dcfrag.metrics import MultiRequest, network_rrf, placeable_in_reaches
+from dcfrag.placement import (SCHEMES, PlacementState, SchemeConfig, derive_netw_slots,
+                              place_application)
 from dcfrag.topology import ResourceVector, build_tree
 from dcfrag.workload import VM, Application, generate_workload, representative_request
 from oracle import placeable_in_reach, reference_row_total, reference_traffic_peers
@@ -273,6 +279,79 @@ class TestOneReference:
         assert all(run.apps_placed > 0 for run in result.runs.values())
 
 
+def counted_places(monkeypatch):
+    """The (app id, config) of every place_application call the harness makes."""
+    calls, place = [], harness.place_application
+
+    def counted(state, app, config, reaches=None):
+        calls.append((app.id, config))
+        return place(state, app, config, reaches)
+
+    monkeypatch.setattr(harness, "place_application", counted)
+    return calls
+
+
+class TestIterAttempts:
+    # the category-1 and category-3 entries test_golden.py pins: pool entry
+    # `seed` offers category_spec(category, 64, seed) in the seed's shuffle
+    @pytest.mark.parametrize("category, seed", [(1, 60), (3, 28)])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("stop_policy", STOP_POLICIES)
+    def test_rows_rebuilt_from_the_attempts_equal_the_runs(self, category, seed, scheme,
+                                                           stop_policy):
+        topology, request = category_topology(category), category_rrf_request(category)
+        spec = category_spec(category, 64, seed)
+        order, rows = shuffle_order(generate_workload(spec), seed), []
+        for _, _, outcome, state in iter_attempts(topology, order, SchemeConfig(scheme)):
+            if outcome.ok:
+                report = network_rrf(state, request)
+                rows.append(ResultRow(len(rows) + 1, report.placeable_multi, report.index))
+            elif stop_policy == "first-failure":
+                break
+        cfg = ExperimentConfig(topology, spec, seed, rrf_request=request,
+                               stop_policy=stop_policy)
+        assert rows and rows == run_experiment(cfg, SchemeConfig(scheme))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_consumer_that_stops_at_a_refusal_places_no_further_app(self, monkeypatch,
+                                                                        scheme):
+        calls = counted_places(monkeypatch)
+        apps = generate_workload(category_spec(3, 128, 13))
+        attempts = iter_attempts(category_topology(3), apps, SchemeConfig(scheme))
+        assert calls == []  # nothing is placed before the first step
+        for index, app, outcome, _ in attempts:
+            assert app is apps[index]
+            if not outcome.ok:
+                break
+        assert not outcome.ok
+        assert [app_id for app_id, _ in calls] == [a.id for a in apps[:index + 1]]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_live_state_that_a_finished_generator_drops(self, monkeypatch, scheme):
+        calls = counted_places(monkeypatch)
+        topology, apps = category_topology(3), generate_workload(category_spec(3, 128, 13))
+        attempts = iter_attempts(topology, apps, SchemeConfig(scheme))
+        states = [state for *_, state in attempts]
+        assert len(states) == len(apps) and all(state is states[0] for state in states)
+        assert states[0].validate() == [] and states[0].apps
+        slots = derive_netw_slots(topology, apps) if scheme == "NETW" else None
+        assert {config.netw_slots_per_host for _, config in calls} == {slots}
+        drained = weakref.ref(states[0])
+        del states
+        closed = iter_attempts(topology, apps, SchemeConfig(scheme))
+        state = weakref.ref(next(closed)[3])
+        closed.close()
+        gc.collect()
+        assert drained() is None and state() is None
+
+    def test_netw_slots_the_config_sets_are_kept(self, monkeypatch):
+        calls = counted_places(monkeypatch)
+        apps = small_apps()
+        config = SchemeConfig("NETW", netw_slots_per_host=3)
+        assert len(list(iter_attempts(small_topology(), apps, config))) == len(apps)
+        assert [c for _, c in calls] == [config] * len(apps)
+
+
 class TestResultRow:
     def test_fixed_format(self):
         row = ResultRow(apps_placed=3, placeable_requests=17, rrf_index=1 / 3)
@@ -302,6 +381,15 @@ class TestLeanSurface:
         for name in ("__add__", "__sub__"):
             assert not hasattr(ResourceVector, name), name
         assert not {"path_bandwidth", "find_reaches"} & set(dcfrag.__all__)
+
+    def test_star_import_binds_the_api_alone(self):
+        namespace = {}
+        exec("from dcfrag import *", namespace)
+        del namespace["__builtins__"]
+        assert not [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]
+        assert sorted(namespace) == sorted(dcfrag.__all__)
+        assert len(set(dcfrag.__all__)) == len(dcfrag.__all__)
+        assert namespace["iter_attempts"] is iter_attempts
 
     def test_benchmark_names_import_from_their_modules(self):
         from dcfrag.metrics import path_bandwidth

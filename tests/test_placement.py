@@ -9,7 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 from dcfrag import harness, placement, workload
 from dcfrag.fixtures import (UNIT, UNIT_REF, category_eval_apps, category_rrf_request,
                              category_spec, category_topology, fig1_instance)
-from dcfrag.harness import ExperimentConfig, compare_schemes, resolve_topology
+from dcfrag.harness import ExperimentConfig, compare_schemes, iter_attempts, resolve_topology
 from dcfrag.metrics import MultiRequest, placeable_in_reaches
 from dcfrag.placement import (SCHEMES, CapacityError, PlacementOutcome, PlacementState,
                               SchemeConfig, bal_pack, best_sibling_reach, derive_netw_slots,
@@ -957,9 +957,10 @@ class TestStateValidate:
     ], ids=["unregistered-reservations", "unregistered-assignments", "missing-reservations",
             "missing-assignments"])
     def test_per_app_maps_that_disagree_are_reported(self, table, app_id, report):
-        state = PlacementState(category_topology(1))
-        apps = generate_workload(category_spec(1, 4, 0))
-        assert all(place_application(state, app, UNIFIED).ok for app in apps)
+        attempts = list(iter_attempts(category_topology(1),
+                                      generate_workload(category_spec(1, 4, 0)), UNIFIED))
+        assert all(outcome.ok for _, _, outcome, _ in attempts)
+        state = attempts[-1][3]
         assert state.validate() == []
         maps = getattr(state, table)
         if app_id is None:  # a registered app, with VMs and reservations, loses its entry
@@ -1009,12 +1010,9 @@ class TestReservedPaths:
     def test_reserved_paths_join_the_two_hosts(self):
         t = resolve_topology("tree64")
         apps = generate_workload(category_spec(1, 24, 0))
-        slots = derive_netw_slots(t, apps)
-        for scheme in ("UNIFIED", "LOCAL", "NETW"):
-            state = PlacementState(t)
-            cfg = SchemeConfig(scheme=scheme, netw_slots_per_host=slots)
-            checked = sum(check_reserved_paths(state, app) for app in apps
-                          if place_application(state, app, cfg).ok)
+        for scheme in SCHEMES:
+            checked = sum(check_reserved_paths(state, app) for _, app, outcome, state
+                          in iter_attempts(t, apps, SchemeConfig(scheme)) if outcome.ok)
             assert checked > 0, scheme
 
     @pytest.mark.parametrize("category", [1, 2, 3])
