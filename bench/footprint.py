@@ -26,8 +26,13 @@ collection frees when the state is dropped, before the next scheme runs:
 its ledger, its free tables and its RRF memo, not the applications or
 the fabric's own caches. Dict and object sizes
 differ across Python versions, so the figures compare two trees on one
-interpreter, not across interpreters. It imports dcfrag from this
-checkout's src/ and uses the stdlib only.
+interpreter, not across interpreters. The bytes after a compare also
+move with the hash seed (by some tens of bytes between two random seeds),
+so the figures compare two trees only when both run under one fixed seed:
+
+    PYTHONHASHSEED=0 python3 bench/footprint.py
+
+It imports dcfrag from this checkout's src/ and uses the stdlib only.
 """
 
 from __future__ import annotations

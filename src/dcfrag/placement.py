@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .metrics import MultiRequest, _paths_bandwidth, placeable_in_reaches
-from .topology import _EPS, Reach, ResourceVector, Topology, _vector
+from .topology import _EPS, Reach, ResourceVector, Topology
 from .workload import Application, VM, _edges_by_vm, representative_request, traffic_peers
 
 _ABSENT = object()  # journal marker: the key was not in the table
@@ -182,8 +182,8 @@ class PlacementState:
             journal.extend(((host_free, host_id, free),
                             (placed, vm_id, placed.get(vm_id, _ABSENT)),
                             (host_vms, host_id, count)))
-        host_free[host_id] = _vector(free.cpu - need.cpu, free.mem - need.mem,
-                                     free.nic - need.nic)
+        host_free[host_id] = ResourceVector(free.cpu - need.cpu, free.mem - need.mem,
+                                            free.nic - need.nic)
         placed[vm_id] = host_id
         host_vms[host_id] = count + 1
 
@@ -311,14 +311,15 @@ def bal_pack(state: PlacementState, vm: VM, reach: Reach) -> str | None:
     wins, ties to the smallest host id. Returns None when nothing fits.
     """
     best = best_score = None
-    caps, host_free, need = state.topology.host_capacity, state.host_free, vm.demand
+    hosts, host_free, need = state.topology.hosts, state.host_free, vm.demand
     n_cpu, n_mem, n_nic = need.cpu, need.mem, need.nic
     for host_id in reach.hosts:
         free = host_free[host_id]
         f_cpu, f_mem, f_nic = free.cpu, free.mem, free.nic
         if n_cpu > f_cpu + _EPS or n_mem > f_mem + _EPS or n_nic > f_nic + _EPS:
             continue
-        c_cpu, c_mem, c_nic = caps[host_id]
+        cap = hosts[host_id].capacity
+        c_cpu, c_mem, c_nic = cap.cpu, cap.mem, cap.nic
         u_cpu = (c_cpu - f_cpu + n_cpu) / c_cpu
         u_mem = (c_mem - f_mem + n_mem) / c_mem
         u_nic = (c_nic - f_nic + n_nic) / c_nic

@@ -15,17 +15,26 @@ from functools import cached_property
 from itertools import combinations
 
 from .metrics import MultiRequest
-from .topology import _EPS, Reference, ResourceVector, _entry, _number, _vector
+from .topology import _EPS, Reference, ResourceVector, _entry, _number
 
 
 class WorkloadError(Exception):
     """A workload file or generator spec violates the application invariants."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VM:
     id: str
     demand: ResourceVector
+
+    def __init__(self, id: str, demand: ResourceVector):
+        # the slots are set through their descriptors, as in ResourceVector
+        _set_id(self, id)
+        _set_demand(self, demand)
+
+
+_set_id = VM.id.__set__
+_set_demand = VM.demand.__set__
 
 
 def traffic_peers(pairs, bws) -> dict[str, dict[str, float]]:
@@ -270,9 +279,6 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
     # combinations() yields canonical keys at any app size
     width = max(2, len(str(n_hi - 1)))
     suffixes = [f"v{vi:0{width}d}" for vi in range(n_hi)]
-    # each VM is built as _vector builds a vector, its slots set directly, at a
-    # quarter of the cost of the dataclass __init__
-    new_vm, set_id, set_demand = object.__new__, VM.id.__set__, VM.demand.__set__
     apps: list[Application] = []
     for ai in range(spec.app_count):
         app_id = f"app{ai:03d}"
@@ -310,10 +316,7 @@ def generate_workload(spec: WorkloadSpec) -> list[Application]:
             mem = mean_mem * blend * (lo + spread * random_())
             cpu = cpu_lo if cpu < cpu_lo else cpu_hi if cpu > cpu_hi else cpu
             mem = mem_lo if mem < mem_lo else mem_hi if mem > mem_hi else mem
-            vm = new_vm(VM)
-            set_id(vm, v)
-            set_demand(vm, _vector(cpu, mem, nic))
-            append(vm)
+            append(VM(v, ResourceVector(cpu, mem, nic)))
 
         app = Application(app_id, tuple(vms), traffic)
         _validate_application(app, reference, totals)

@@ -1,4 +1,5 @@
-"""Test references: each node's links read from the link table, every
+"""Test references: a resource vector built as the frozen dataclass built
+it, each node's links read from the link table, every
 shortest path between two hosts, a TOR pair's route DAG built by merging its
 layers, the link-disjoint shortest paths between two reaches by repeated
 blocked BFS, the reach-path bandwidth and consumption in
@@ -25,6 +26,26 @@ from dcfrag.topology import _EPS, ResourceVector
 from dcfrag.workload import VM, WorkloadError, representative_request
 
 _ORACLE_CAP = 12  # placements brute_force_placeable searches up to
+
+
+def reference_vector(cpu, mem, nic):
+    """ResourceVector(cpu, mem, nic) as the frozen dataclass built it: its
+    __init__ set each field with object.__setattr__, then __post_init__
+    clamped float dust in [-1e-6, 0) to 0.0 in cpu, mem, nic order, kept
+    -0.0, and raised on the first component below -1e-6, naming the vector
+    as clamped so far."""
+    v = object.__new__(ResourceVector)
+    for name, value in (("cpu", cpu), ("mem", mem), ("nic", nic)):
+        object.__setattr__(v, name, value)
+    if v.cpu >= 0 and v.mem >= 0 and v.nic >= 0:
+        return v
+    for name in ("cpu", "mem", "nic"):
+        value = getattr(v, name)
+        if value < -1e-6:
+            raise ValueError(f"resource components must be >= 0, got {v}")
+        if value < 0:
+            object.__setattr__(v, name, 0.0)
+    return v
 
 
 def reference_neighbors(t, node):
@@ -248,55 +269,7 @@ def reference_reach_gain(rows, vm_id, in_reach, unplaced):
     return got - lost
 
 
-def reference_unified_full_search(state, app, config, reaches):
-    """reference_unified without its early refusal: it tries every reach
-    before it refuses an app, as placement._place_unified did before it
-    checked whether a VM fits any host of the fabric. The same ranking
-    (reference_sibling_reach), every gain computed per VM over its
-    reference_traffic_peers row, and each VM's edges, filtered from
-    app._order, reserved by reference_reserve_traffic from the hosts in
-    state.assignments[app.id]. A scheme body for place_application."""
-    req = representative_request(app, state.topology.reference)
-    rows = reference_traffic_peers(app.traffic)
-    tried, hosting, counts = set(), [], {}
-    vms = {v.id: v for v in app.vms}
-    unplaced = set(vms)
-    last_failure = "no reach could take the first VM"
-    while (reach := reference_sibling_reach(state, reaches, tried, hosting, req,
-                                            counts)) is not None:
-        tried.add(reach.id)
-        in_reach = set()
-        gain = {v: reference_reach_gain(rows, v, in_reach, unplaced) for v in unplaced}
-        vm_id = _pick(unplaced, gain, 1)
-        while True:
-            host = bal_pack(state, vms[vm_id], reach)
-            if host is None:
-                last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
-                break
-            mark = len(state._journal)
-            try:
-                state.assign_vm(app.id, vms[vm_id], host)
-                reference_reserve_traffic(state, app, [i for i in app._order
-                                                       if vm_id in (app._xs[i], app._ys[i])])
-            except CapacityError as exc:
-                state._rollback(mark)
-                last_failure = str(exc)
-                break
-            if not in_reach:
-                hosting.append(reach)
-            unplaced.discard(vm_id)
-            if not unplaced:
-                return None
-            in_reach.add(vm_id)
-            del gain[vm_id]
-            for peer in rows.get(vm_id, {}):
-                if peer in unplaced:
-                    gain[peer] = reference_reach_gain(rows, peer, in_reach, unplaced)
-            vm_id = _pick(unplaced, gain, -1)
-    return last_failure
-
-
-def reference_unified(state, app, config, reaches):
+def reference_unified(state, app, config, reaches, refuse_early=True):
     """placement._place_unified one step at a time: the same ranking
     (reference_sibling_reach), every gain computed per VM over its
     reference_traffic_peers row, and each VM's edges, filtered from
@@ -304,14 +277,16 @@ def reference_unified(state, app, config, reaches):
     state.assignments[app.id]. Like placement._place_unified, it refuses the
     app with "no host fits VM <id>" when a VM fits no host of the fabric: any
     VM before the first reach is ranked, or the VM bal_pack finds no host for
-    in the current reach. A scheme body for place_application."""
+    in the current reach. With refuse_early=False it makes neither check and
+    tries every reach before it refuses an app, as _place_unified did before
+    it had them. A scheme body for place_application."""
 
     def fits_no_host(vm):  # assign_vm's rule, one dimension at a time, on every host
         return not any(all(getattr(vm.demand, d) <= getattr(free, d) + _EPS
                            for d in ("cpu", "mem", "nic"))
                        for free in state.host_free.values())
 
-    for vm in app.vms:
+    for vm in app.vms if refuse_early else ():
         if fits_no_host(vm):
             return f"no host fits VM {vm.id}"
     req = representative_request(app, state.topology.reference)
@@ -329,7 +304,7 @@ def reference_unified(state, app, config, reaches):
         while True:
             host = bal_pack(state, vms[vm_id], reach)
             if host is None:
-                if fits_no_host(vms[vm_id]):
+                if refuse_early and fits_no_host(vms[vm_id]):
                     return f"no host fits VM {vm_id}"
                 last_failure = f"reach {reach.id}: no host fits VM {vm_id}"
                 break

@@ -382,6 +382,13 @@ class TestLeanSurface:
             assert not hasattr(ResourceVector, name), name
         assert not {"path_bandwidth", "find_reaches"} & set(dcfrag.__all__)
 
+    def test_one_constructor_and_one_capacity_record(self):
+        # ResourceVector(...) and VM(...) build every vector and VM, and a
+        # host's capacity is its Host record alone
+        for name in ("_vector", "_new_vector"):
+            assert not hasattr(dcfrag.topology, name), name
+        assert not hasattr(build_tree(2, 2, UNIT, 1.0), "host_capacity")
+
     def test_star_import_binds_the_api_alone(self):
         namespace = {}
         exec("from dcfrag import *", namespace)

@@ -2,6 +2,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -20,7 +21,7 @@ from dcfrag.workload import (VM, Application, generate_workload, load_workload,
                              representative_request, validate_application)
 from oracle import (journaled_write, placeable_in_reach, reference_reach_gain,
                     reference_reserve_traffic, reference_row_total, reference_traffic_peers,
-                    reference_unified, reference_unified_full_search)
+                    reference_unified)
 from test_topology import as_topology, leveled_fabrics
 from test_workload import bw_to, vm_of
 
@@ -1298,9 +1299,13 @@ class TestUnifiedReference:
             placeable_in_reach(state, r, req) for r in reaches]
 
 
+# oracle.reference_unified without its early refusals
+_full_search = partial(reference_unified, refuse_early=False)
+
+
 class TestUnifiedEarlyRefusal:
     """UNIFIED against the full search that tries every reach before it
-    refuses an app (oracle.reference_unified_full_search): after every
+    refuses an app (oracle.reference_unified, refuse_early=False): after every
     attempt the same ok and the same ledger. Only a refusal's text may
     differ: UNIFIED's then names the VM that fits no host."""
 
@@ -1313,14 +1318,14 @@ class TestUnifiedEarlyRefusal:
         apps = [Application(id=f"{a.id}.{k}", vms=a.vms, traffic=a.traffic)
                 for k in range(3) for a in apps]
         with pytest.MonkeyPatch.context() as m:
-            seen = _unified_against_reference(m, t, apps, reference_unified_full_search)
+            seen = _unified_against_reference(m, t, apps, _full_search)
         event(f"texts differ: {'some' if seen['texts differ'] else 'none'}")
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_overloaded_pools_place_as_the_full_search(self, monkeypatch, seed):
         seen = _unified_against_reference(monkeypatch, category_topology(3),
                                           generate_workload(category_spec(3, 128, seed)),
-                                          reference_unified_full_search)
+                                          _full_search)
         assert seen["texts differ"] > 0
 
 

@@ -1,8 +1,10 @@
+import copy
 import json
 import math
 import os
+import pickle
 import tempfile
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,10 @@ from dcfrag.fixtures import NAMED_TOPOLOGIES, UNIT, UNIT_REF, fig4_topology
 from dcfrag.placement import PlacementState
 from dcfrag.topology import (Host, Link, Reach, ResourceVector, Switch, Topology,
                              TopologyError, build_clos, build_tree,
-                             _vector, find_boundary_switches, find_reaches, load_topology)
+                             find_boundary_switches, find_reaches, load_topology)
 
 from oracle import (nic_free, reference_compiled_dag, reference_neighbors,
-                    reference_reach_paths, reference_shortest_paths)
+                    reference_reach_paths, reference_shortest_paths, reference_vector)
 
 
 def mini_topology(host_frees, link_frees=None, link_cap=1.0):
@@ -34,9 +36,12 @@ _COMPONENTS = [-1e-6, -1e-9, -1e-12, -0.0, 0.0, 1e-12, 0.5, 8000.0]
 
 
 class TestVectorConstructor:
+    """ResourceVector's own __init__ against the frozen dataclass's
+    __init__ and __post_init__ (oracle.reference_vector)."""
+
     @given(st.tuples(*[st.sampled_from(_COMPONENTS)] * 3))
-    def test_same_vector_as_the_constructor(self, parts):
-        got, want = _vector(*parts), ResourceVector(*parts)
+    def test_same_vector_as_the_reference(self, parts):
+        got, want = ResourceVector(*parts), reference_vector(*parts)
         assert got == want
         # repr tells -0.0 from 0.0
         assert [repr(getattr(got, d)) for d in ("cpu", "mem", "nic")] == \
@@ -46,17 +51,27 @@ class TestVectorConstructor:
            .filter(lambda parts: min(parts) < -1e-6))
     def test_same_error_below_the_dust(self, parts):
         with pytest.raises(ValueError) as want:
-            ResourceVector(*parts)
+            reference_vector(*parts)
         with pytest.raises(ValueError) as got:
-            _vector(*parts)
+            ResourceVector(*parts)
         assert str(got.value) == str(want.value)
 
     def test_slots_and_frozen(self):
-        v = _vector(1.0, 2.0, 3.0)
+        v = ResourceVector(1.0, 2.0, 3.0)
         assert not hasattr(v, "__dict__")
-        assert not hasattr(ResourceVector(1.0, 2.0, 3.0), "__dict__")
         with pytest.raises(FrozenInstanceError):
             v.cpu = 0.0
+
+    def test_value_semantics(self):
+        v = ResourceVector(cpu=1.0, mem=2.0, nic=-0.0)
+        assert repr(v) == "ResourceVector(cpu=1.0, mem=2.0, nic=-0.0)"
+        assert v == ResourceVector(1.0, 2.0, 0.0) and hash(v) == hash(ResourceVector(1, 2, 0))
+        # replace() builds through __init__, so it clamps dust and refuses negatives
+        assert repr(replace(v, mem=-1e-9)) == "ResourceVector(cpu=1.0, mem=0.0, nic=-0.0)"
+        with pytest.raises(ValueError):
+            replace(v, cpu=-1.0)
+        for twin in (copy.copy(v), pickle.loads(pickle.dumps(v))):
+            assert twin is not v and repr(twin) == repr(v)
 
 
 class TestBuildTree:

@@ -1,7 +1,9 @@
+import copy
 import itertools
 import json
 import math
 import os
+import pickle
 import tempfile
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, replace
@@ -35,6 +37,29 @@ def vm_of(app, vm_id):
 def sorted_edges(app):
     """The app's edges ((x, y), Mbps) in sorted key order, read from its tuples."""
     return tuple(((app._xs[i], app._ys[i]), app._bws[i]) for i in app._order)
+
+
+class TestVmValue:
+    """VM's own __init__ keeps the frozen, slotted dataclass's value semantics."""
+
+    def test_repr_eq_hash_replace_copy_and_pickle(self):
+        vm = VM("app000v00", ResourceVector(1.0, 2.0, 3.0))
+        assert repr(vm) == ("VM(id='app000v00', "
+                            "demand=ResourceVector(cpu=1.0, mem=2.0, nic=3.0))")
+        same = VM(id="app000v00", demand=ResourceVector(1.0, 2.0, 3.0))
+        assert vm == same and hash(vm) == hash(same)
+        assert vm != VM("app000v01", vm.demand)
+        assert vm != VM("app000v00", ResourceVector(1.0, 2.0, 4.0))
+        moved = replace(vm, id="app000v01")
+        assert moved == VM("app000v01", vm.demand) and moved.demand is vm.demand
+        for twin in (copy.copy(vm), pickle.loads(pickle.dumps(vm))):
+            assert twin == vm and twin is not vm and repr(twin) == repr(vm)
+
+    def test_slots_and_frozen(self):
+        vm = VM("v", ResourceVector(1.0, 2.0, 3.0))
+        assert not hasattr(vm, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            vm.id = "w"
 
 
 class TestRepresentativeRequest:
